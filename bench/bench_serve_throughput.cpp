@@ -5,7 +5,8 @@
 //   sequential — overlap depth 1, no pool: the bitwise-determinism reference;
 //   pipelined  — overlap depth 2, worker pool: epoch e+1's formation (PoW
 //                grinding, latency sampling, shard roots) overlaps epoch e's
-//                SE scheduling + stage-4 final consensus.
+//                SE scheduling + stage-4 final consensus, and epoch e's Γ SE
+//                explorers run on the same pool, nested inside stage B.
 //
 // The two runs must agree on every per-epoch event_order_digest and on the
 // fold-of-everything totals digest — a mismatch is a correctness bug, so the
@@ -14,10 +15,12 @@
 // Gates (baseline-relative, tools/bench_compare.py):
 //   gate_rate_serve_steady_txs        committed TX/s of the pipelined run;
 //   gate_rate_serve_pipeline_speedup  sequential wall / pipelined wall —
-//                                     ~1.0 on a single hardware thread, >1
-//                                     on multi-core; gated so overlap never
-//                                     *regresses* relative to the recorded
-//                                     baseline host.
+//                                     stage overlap plus intra-epoch SE
+//                                     parallelism; ~1.0 on a single
+//                                     hardware thread, >1 on multi-core;
+//                                     gated so it never *regresses*
+//                                     relative to the recorded baseline
+//                                     host.
 
 #include <chrono>
 #include <cstdio>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -152,9 +153,12 @@ std::string BenchJson::to_json() const {
 
 std::string BenchJson::write() const {
   const char* dir = std::getenv("MVCOM_BENCH_OUT_DIR");
-  std::string path = (dir != nullptr && *dir != '\0')
-                         ? std::string(dir) + "/BENCH_" + name_ + ".json"
-                         : "BENCH_" + name_ + ".json";
+  std::string path = "BENCH_" + name_ + ".json";
+  if (dir != nullptr && *dir != '\0') {
+    // Create the directory rather than fail after the whole bench has run.
+    std::filesystem::create_directories(dir);
+    path = std::string(dir) + "/" + path;
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("BenchJson: cannot open " + path);

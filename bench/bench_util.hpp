@@ -56,10 +56,10 @@ void print_row(const std::string& name, const std::string& value);
 /// Machine-readable results sidecar. A bench constructs one BenchJson up
 /// front, records its headline numbers (utilities, iteration counts, series)
 /// as it prints them, and calls write() at the end — producing
-/// BENCH_<name>.json in $MVCOM_BENCH_OUT_DIR (default: the working
-/// directory). Wall time from construction to write() is stamped
-/// automatically as "wall_seconds". Keys are written in insertion order;
-/// setting an existing key overwrites it in place.
+/// BENCH_<name>.json in $MVCOM_BENCH_OUT_DIR (created when missing;
+/// default: the working directory). Wall time from construction to write()
+/// is stamped automatically as "wall_seconds". Keys are written in
+/// insertion order; setting an existing key overwrites it in place.
 class BenchJson {
  public:
   explicit BenchJson(std::string name);

@@ -1,6 +1,10 @@
 #include "chain/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -117,9 +121,29 @@ bool write_checkpoint(const RootChain& chain, std::ostream& out) {
 }
 
 bool write_checkpoint_file(const RootChain& chain, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  return write_checkpoint(chain, out);
+  std::ostringstream buffer;
+  if (!write_checkpoint(chain, buffer)) return false;
+  const std::string text = buffer.str();
+
+  // Write the whole file beside the target, make it durable, then rename it
+  // over the target: a kill at any instant leaves either the previous
+  // checkpoint or the new one, never a torn mix.
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return false;
+  bool ok = true;
+  for (std::size_t done = 0; ok && done < text.size();) {
+    const ::ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) done += static_cast<std::size_t>(n);
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) ::unlink(tmp.c_str());
+  return ok;
 }
 
 std::optional<RootChain> load_checkpoint(std::istream& in) {

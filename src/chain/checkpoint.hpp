@@ -23,8 +23,10 @@ namespace mvcom::chain {
 /// Serializes `chain` to `out`. Returns false only on stream failure.
 bool write_checkpoint(const RootChain& chain, std::ostream& out);
 
-/// Convenience: write_checkpoint to a file via an atomic rename-free
-/// best-effort (write then flush); returns false on any I/O failure.
+/// Crash-consistent write_checkpoint to a file: writes `<path>.tmp`, fsyncs
+/// it and renames it over `path`, so a kill mid-write leaves the previous
+/// checkpoint intact. Returns false on any I/O failure, leaving `path`
+/// untouched.
 bool write_checkpoint_file(const RootChain& chain, const std::string& path);
 
 /// Parses a checkpoint and replays it into a fresh RootChain. Returns

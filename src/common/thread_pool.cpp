@@ -1,5 +1,6 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 
@@ -30,6 +31,15 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
+std::shared_ptr<ThreadPool::Batch> ThreadPool::claimable() const {
+  // Newest first: a nested batch is what its (blocked) submitter's outer
+  // task is waiting on, so finishing it first shortens every barrier above.
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    if ((*it)->next.load(std::memory_order_relaxed) < (*it)->size) return *it;
+  }
+  return nullptr;
+}
+
 void ThreadPool::drain(Batch& batch) {
   for (;;) {
     const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
@@ -47,17 +57,17 @@ void ThreadPool::drain(Batch& batch) {
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
   for (;;) {
-    std::shared_ptr<Batch> batch;
+    std::shared_ptr<Batch> batch;  // keeps the batch alive past its barrier
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stopping_ || epoch_ != seen; });
+      wake_.wait(lock, [&] {
+        if (stopping_) return true;
+        batch = claimable();
+        return batch != nullptr;
+      });
       if (stopping_) return;
-      seen = epoch_;
-      batch = current_;  // shared_ptr copy keeps the batch alive past reset
     }
-    if (!batch) continue;  // woke after the submitter already retired it
     drain(*batch);
     if (batch->completed.load(std::memory_order_acquire) == batch->size) {
       // Lock before notifying so the submitter cannot miss the wakeup
@@ -80,13 +90,12 @@ void ThreadPool::parallel_for(std::size_t n,
   batch->size = n;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    current_ = batch;
-    ++epoch_;
+    open_.push_back(batch);
   }
   // Wake only as many workers as there are tasks beyond the submitter's own:
-  // for small batches on a big pool the rest stay asleep. A skipped notify
-  // is never lost work — sleeping workers re-check the epoch predicate on
-  // their next wakeup, so they simply sit this batch out.
+  // for small batches on a big pool the rest stay asleep. A notify that
+  // finds no sleeper (every worker busy, e.g. under a nested call) is never
+  // lost work — workers re-check the open batches before they sleep again.
   const std::size_t to_wake = std::min(threads_.size(), n - 1);
   if (to_wake == threads_.size()) {
     wake_.notify_all();
@@ -95,11 +104,13 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   drain(*batch);  // the submitting thread participates in the batch
   {
+    // Every index is claimed now, so the batch leaves the open list; wait
+    // only for the indices other threads are still running.
     std::unique_lock<std::mutex> lock(mutex_);
+    open_.erase(std::find(open_.begin(), open_.end(), batch));
     done_.wait(lock, [&] {
       return batch->completed.load(std::memory_order_acquire) == batch->size;
     });
-    current_.reset();
   }
   if (batch->error) std::rethrow_exception(batch->error);
 }

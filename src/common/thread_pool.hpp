@@ -2,14 +2,14 @@
 // A small fixed-size worker pool for barrier-style data parallelism — the
 // execution substrate behind the SE scheduler's Γ "distributed parallel
 // execution threads" (paper §IV-D), the Elastico epoch's per-committee
-// simulator lanes (ElasticoConfig::lane_workers, DESIGN.md §12), and any
-// other fork/join hot path.
+// simulator lanes (ElasticoConfig::lane_workers, DESIGN.md §12), the serve
+// pipeline's stage overlap (DESIGN.md §13), and any other fork/join hot path.
 //
 // Design:
 //  * N workers are spawned once at construction and live for the pool's
 //    lifetime — no per-batch thread spawn on the hot path.
 //  * parallel_for(n, body) submits one batch of n index-tasks. Workers and
-//    the CALLING thread claim indices from a shared atomic cursor, so the
+//    the CALLING thread claim indices from the batch's atomic cursor, so the
 //    caller is never idle while work remains, and a pool with zero workers
 //    degenerates to an inline loop (handy for single-core hosts and for
 //    keeping a single code path in callers).
@@ -17,14 +17,17 @@
 //  * Exceptions thrown by the body are captured; the first one is rethrown
 //    from parallel_for after the barrier.
 //
-// The pool supports one batch at a time from one submitting thread; nested
-// or concurrent parallel_for calls are not supported (the SE scheduler only
-// ever submits between cooperation barriers, so this is not a limitation
-// there).
+// Nesting: parallel_for is re-entrant. A body may call parallel_for on the
+// same pool (the serve pipeline's stage B does, for the SE explorers), and
+// several threads may submit at once. The pool keeps the open batches in
+// submission order; an idle worker claims from the newest one that still
+// has unclaimed indices. Each submitter drains its own batch, then waits
+// only for indices other threads have already claimed — every index it
+// depends on is running somewhere, so nesting cannot deadlock. When every
+// worker is busy a nested call simply runs inline on its submitter.
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -48,7 +51,8 @@ class ThreadPool {
   }
 
   /// Runs body(0), …, body(n−1) across the workers plus the calling thread
-  /// and returns once all n calls have completed (barrier-style wait).
+  /// and returns once all n calls have completed (barrier-style wait). May
+  /// be called from inside another batch's body.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -56,13 +60,14 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop();
+  /// Newest open batch with an unclaimed index, or null. Caller holds mutex_.
+  [[nodiscard]] std::shared_ptr<Batch> claimable() const;
   static void drain(Batch& batch);
 
   std::mutex mutex_;
-  std::condition_variable wake_;   // signals workers: new batch / shutdown
-  std::condition_variable done_;   // signals the submitter: batch complete
-  std::shared_ptr<Batch> current_;  // published under mutex_
-  std::uint64_t epoch_ = 0;         // bumped per batch; workers wait on it
+  std::condition_variable wake_;  // signals workers: new batch / shutdown
+  std::condition_variable done_;  // signals submitters: a batch completed
+  std::vector<std::shared_ptr<Batch>> open_;  // submission order, mutex_
   bool stopping_ = false;
   std::vector<std::thread> threads_;
 };

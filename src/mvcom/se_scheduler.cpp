@@ -506,7 +506,7 @@ void SeExplorer::rebind(const EpochInstance* instance, const SeLayout* layout,
 // ---------------------------------------------------------------------------
 
 SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
-                         std::uint64_t seed)
+                         std::uint64_t seed, common::ThreadPool* pool)
     : instance_(std::move(instance)), params_(params) {
   if (params_.threads == 0) {
     throw std::invalid_argument("SeScheduler: threads (Γ) must be >= 1");
@@ -515,7 +515,9 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
     throw std::invalid_argument("SeScheduler: beta must be positive");
   }
   layout_.rebuild(instance_, params_);
-  if (params_.parallel_execution && params_.threads > 1) {
+  if (pool != nullptr && params_.threads > 1) {
+    pool_ = pool;
+  } else if (params_.parallel_execution && params_.threads > 1) {
     // Γ−1 workers: the calling thread participates in every batch, so Γ
     // execution contexts advance the Γ explorers with no idle submitter.
     // max_pool_workers caps the OS threads without changing any result —
@@ -525,7 +527,10 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
     if (params_.max_pool_workers > 0) {
       workers = std::min(workers, params_.max_pool_workers);
     }
-    if (workers > 0) pool_ = std::make_unique<common::ThreadPool>(workers);
+    if (workers > 0) {
+      owned_pool_ = std::make_unique<common::ThreadPool>(workers);
+      pool_ = owned_pool_.get();
+    }
   }
   // The Rng forks happen serially (the fork order defines each explorer's
   // stream) but the construction itself — initializing O(max_family) chains,

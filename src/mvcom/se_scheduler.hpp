@@ -29,10 +29,13 @@
 //  * Γ parallel execution threads (§IV-D, Fig. 5) are Γ independent
 //    explorer instances; one scheduler iteration steps each thread once and
 //    the reported utility is the best feasible solution across threads.
-//    With SeParams::parallel_execution they are stepped on a fixed worker
-//    pool (one explorer per worker between cooperation barriers); chains are
-//    independent between share points, so the parallel path is bitwise
-//    identical to the serial one — see the SeScheduler class comment.
+//    With a pool — one the caller lends to the constructor (the serve
+//    pipeline lends its stage-overlap pool, so the explorers nest inside
+//    stage B), or one the scheduler owns under SeParams::parallel_execution
+//    — they are stepped on pool workers (one explorer per task between
+//    cooperation barriers); chains are independent between share points, so
+//    the parallel path is bitwise identical to the serial one — see the
+//    SeScheduler class comment.
 //  * Scale (50k committees): the paper's family keeps one chain per
 //    cardinality n = 1..|I| — O(|I|²) state, fine at the paper's |I| ≤ 1000
 //    and fatal at 50k (≈ 20 GB and seconds of setup per explorer). Above
@@ -128,7 +131,8 @@ struct SeParams {
   /// forked Rng, so chains stay data-race-free and the results — traces,
   /// selections, utilities — are bitwise identical to the serial path; only
   /// wall-clock changes. Off by default so tests and single-core callers
-  /// skip the pool entirely.
+  /// skip the pool entirely. A pool lent to the SeScheduler constructor
+  /// takes its place.
   bool parallel_execution = false;
   /// Upper bound on the per-cardinality parallel solutions each explorer
   /// maintains (0 = unlimited — the paper's literal family). Instances with
@@ -315,15 +319,23 @@ class SeExplorer {
 
 /// The full scheduler: Γ explorer threads over a mutable committee set.
 ///
-/// Threading model: with SeParams::parallel_execution the Γ explorers are
-/// stepped on a fixed worker pool — each worker advances one explorer for a
-/// whole barrier-to-barrier block (up to share_interval iterations), then
-/// the incumbent selection and adopt_if_better run on the calling thread
-/// under the barrier. The scheduler itself is single-caller: step()/
+/// Threading model: with a pool the Γ explorers are stepped as one
+/// parallel_for batch per barrier-to-barrier block — each task advances one
+/// explorer for the whole block (up to share_interval iterations), then the
+/// incumbent selection and adopt_if_better run on the calling thread under
+/// the barrier. The pool is either borrowed (constructor argument; the
+/// batches may then nest inside a batch the caller is running on the same
+/// pool) or owned (SeParams::parallel_execution, sized by
+/// max_pool_workers). The scheduler itself is single-caller: step()/
 /// advance()/run() and the accessors must not be invoked concurrently.
 class SeScheduler {
  public:
-  SeScheduler(EpochInstance instance, SeParams params, std::uint64_t seed);
+  /// `pool`, when non-null and Γ > 1, runs construction and the explorer
+  /// blocks in place of a scheduler-owned pool (parallel_execution and
+  /// max_pool_workers are then ignored). It must outlive the scheduler.
+  /// Results are bitwise identical with or without it.
+  SeScheduler(EpochInstance instance, SeParams params, std::uint64_t seed,
+              common::ThreadPool* pool = nullptr);
   ~SeScheduler();
 
   /// Runs until convergence or max_iterations; fills the utility trace.
@@ -385,8 +397,8 @@ class SeScheduler {
   /// never crossing a share_interval boundary.
   [[nodiscard]] std::size_t next_block_length(std::size_t remaining) const;
 
-  /// Steps every explorer `k` iterations — on the pool when parallel
-  /// execution is enabled, inline otherwise. `blocks`/`running_max` are
+  /// Steps every explorer `k` iterations — on the pool when there is one,
+  /// inline otherwise. `blocks`/`running_max` are
   /// per-explorer (parallel-indexed) and may be null when no tracing is
   /// needed.
   void step_explorers(std::size_t k, std::vector<SeBlockStats>* blocks,
@@ -409,7 +421,8 @@ class SeScheduler {
   /// from here, making warm ≥ seed structural rather than probabilistic.
   Selection warm_floor_selection_;
   double warm_floor_utility_ = 0.0;
-  std::unique_ptr<common::ThreadPool> pool_;  // non-null iff parallel mode
+  std::unique_ptr<common::ThreadPool> owned_pool_;  // parallel_execution
+  common::ThreadPool* pool_ = nullptr;  // borrowed or owned_pool_; null: serial
 
   obs::ObsContext obs_;
   // Cached instruments (registered once by set_obs; updates are lock-free).

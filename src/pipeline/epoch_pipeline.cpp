@@ -309,7 +309,8 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch_accounts(
   return out;
 }
 
-EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
+EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
+                                          common::ThreadPool* pool) {
   EpochReport report;
   report.epoch = formed.epoch;
   report.window_end = formed.window_end;
@@ -351,7 +352,7 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed) {
                                        capacity, config_.n_min);
     const std::uint64_t se_seed =
         Rng::stream(config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
-    core::SeScheduler scheduler(instance, config_.se, se_seed);
+    core::SeScheduler scheduler(instance, config_.se, se_seed, pool);
     if (config_.warm_start) {
       const core::Selection seed_sel = greedy_seed(instance);
       if (!seed_sel.empty()) {
@@ -491,8 +492,10 @@ PipelineTotals EpochPipeline::run(
 
   const std::size_t depth = std::max<std::size_t>(1, config_.overlap_depth);
   std::vector<std::optional<FormedEpoch>> formed(config_.epochs);
+  // One pool per run serves both the overlap batch and, nested inside stage
+  // B, the SE explorers — at depth 1 only the latter.
   std::unique_ptr<common::ThreadPool> pool;
-  if (depth > 1 && config_.workers > 0) {
+  if (config_.workers > 0) {
     pool = std::make_unique<common::ThreadPool>(config_.workers);
   }
 
@@ -510,7 +513,7 @@ PipelineTotals EpochPipeline::run(
     EpochReport report;
     if (depth == 1) {
       // Sequential reference: form-then-schedule, one epoch at a time.
-      report = schedule_epoch(form_epoch(k));
+      report = schedule_epoch(form_epoch(k), pool.get());
     } else {
       // One software-pipelined step: {B(k), A(k+depth−1)} as a single
       // thread-pool batch. Stage A is pure and stage B is the only writer
@@ -520,7 +523,7 @@ PipelineTotals EpochPipeline::run(
       const bool has_ahead = ahead < config_.epochs;
       const auto body = [&](std::size_t which) {
         if (which == 0) {
-          report = schedule_epoch(std::move(*formed[k]));
+          report = schedule_epoch(std::move(*formed[k]), pool.get());
         } else {
           formed[ahead] = form_epoch(ahead);
         }

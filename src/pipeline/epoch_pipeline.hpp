@@ -28,6 +28,8 @@
 //
 // Overlap: with overlap_depth d >= 2, step k runs {B(k), A(k+d-1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
+// Stage B lends the same pool to the SE scheduler, whose explorer batches
+// nest inside B(k): workers left idle by the short stage A step explorers.
 // Because stage A is pure and only one stage B is in flight per batch, the
 // pipelined schedule is *bitwise identical* to the sequential reference
 // (overlap_depth = 1) for any worker count: same per-epoch event-order
@@ -62,8 +64,10 @@ struct PipelineConfig {
   /// 1 = strictly sequential (the bitwise-determinism reference);
   /// d >= 2 overlaps epoch e's stage B with epoch e+d-1's stage A.
   std::size_t overlap_depth = 1;
-  /// Thread-pool workers for the overlap batch (0 = run batches inline on
-  /// the calling thread; results are identical either way).
+  /// Workers of the run's one thread pool, which serves both the overlap
+  /// batch {B(k), A(k+d−1)} and, nested inside stage B, the SE scheduler's
+  /// Γ explorers (0 = everything inline on the calling thread; results are
+  /// identical either way).
   std::size_t workers = 0;
   double alpha = 1.5;              // Eq.-(2) throughput weight
   double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
@@ -192,7 +196,8 @@ class EpochPipeline {
 
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch) const;
   [[nodiscard]] FormedEpoch form_epoch_accounts(std::size_t epoch) const;
-  EpochReport schedule_epoch(FormedEpoch&& formed);
+  /// Stage B. `pool` (may be null) is lent to the SE scheduler.
+  EpochReport schedule_epoch(FormedEpoch&& formed, common::ThreadPool* pool);
 
   [[nodiscard]] bool stop_requested() const noexcept {
     return stop_.load(std::memory_order_relaxed) ||

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "chain/checkpoint.hpp"
@@ -256,6 +257,35 @@ TEST(CheckpointTest, EscapedStringsSurviveTheTokenizer) {
   EXPECT_EQ(restored->at(1).header.proposer, "proposer with % and space");
   EXPECT_EQ(restored->at(1).header.epoch_randomness, "r 1");
   EXPECT_EQ(restored->tip().header.hash(), chain.tip().header.hash());
+}
+
+TEST(CheckpointTest, FailedFileWriteKeepsThePreviousCheckpoint) {
+  // The file write goes through `<path>.tmp` + rename, so a write that
+  // cannot even create its temp file must leave the last good checkpoint
+  // loadable, and a successful one must leave no temp file behind.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::path(::testing::TempDir()) / "chain_fail.ckpt";
+  const fs::path tmp = path.string() + ".tmp";
+  fs::remove_all(tmp);
+  RootChain chain("serve-genesis");
+  chain.extend(roots(2, "a"), 10, 5.0, "final-committee", "rand-a");
+  ASSERT_TRUE(mvcom::chain::write_checkpoint_file(chain, path.string()));
+  EXPECT_FALSE(fs::exists(tmp));
+
+  const RootChain longer = sample_chain();
+  fs::create_directory(tmp);  // the temp file cannot be created now
+  EXPECT_FALSE(mvcom::chain::write_checkpoint_file(longer, path.string()));
+  const auto kept = mvcom::chain::load_checkpoint_file(path.string());
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->tip().header.hash(), chain.tip().header.hash());
+
+  fs::remove(tmp);
+  ASSERT_TRUE(mvcom::chain::write_checkpoint_file(longer, path.string()));
+  EXPECT_FALSE(fs::exists(tmp));
+  const auto replaced = mvcom::chain::load_checkpoint_file(path.string());
+  ASSERT_TRUE(replaced.has_value());
+  EXPECT_EQ(replaced->tip().header.hash(), longer.tip().header.hash());
+  fs::remove(path);
 }
 
 }  // namespace

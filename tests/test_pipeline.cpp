@@ -1,9 +1,10 @@
 // The streaming epoch pipeline's determinism matrix and cross-epoch
 // correctness suite (mirrors test_elastico_lanes for the serve path):
 //
-//  * pipelined execution (overlap depth 2, any worker count) must be
-//    bitwise identical to the sequential reference (depth 1) — per-epoch
-//    event_order_digest, utility, and age accounting;
+//  * pipelined execution (overlap depth 2, any worker count, with the SE
+//    explorers nested on the same pool) must be bitwise identical to the
+//    sequential reference (depth 1, no pool) — per-epoch event_order_digest,
+//    utility, and age accounting;
 //  * SE warm start can never report worse than its seed, and the pipeline's
 //    warm epochs are never worse than cold epochs under identical seeds;
 //  * carried shards (including shards carried twice) are never double
@@ -46,7 +47,9 @@ PipelineConfig small_config() {
   config.committees = 6;
   config.epochs = 4;
   config.capacity_fraction = 0.6;
-  config.se.threads = 2;
+  // Γ = 4 outnumbers the contexts of the matrix's 1- and 2-worker pools, so
+  // stage B's nested explorer batches have to share them.
+  config.se.threads = 4;
   config.se.max_iterations = 150;
   config.se.convergence_window = 150;
   config.seed = 7;

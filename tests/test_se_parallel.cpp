@@ -1,9 +1,10 @@
-// Tests for the SE scheduler's real parallel execution path
-// (SeParams::parallel_execution): determinism contract against the serial
-// path, the independent-chain bitwise guarantee at share_interval ==
-// max_iterations, pool-backed online exploration, and a join/leave storm
-// interleaved with parallel stepping (the ThreadSanitizer workload run by
-// tools/run_tsan_tests.sh).
+// Tests for the SE scheduler's real parallel execution path — a pool the
+// scheduler owns (SeParams::parallel_execution) or one lent to its
+// constructor: determinism contract against the serial path, the
+// independent-chain bitwise guarantee at share_interval == max_iterations,
+// pool-backed online exploration, a lent pool nested inside an outer batch,
+// and a join/leave storm interleaved with parallel stepping (the
+// ThreadSanitizer workload run by tools/run_tsan_tests.sh).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string_view>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
 #include "mvcom/online.hpp"
 #include "mvcom/se_scheduler.hpp"
@@ -68,6 +70,23 @@ SeResult run_once(const EpochInstance& inst, SeParams params, bool parallel,
   return scheduler.run();
 }
 
+/// The same run on a pool lent to the scheduler (parallel_execution off, so
+/// the lent pool is the only one).
+SeResult run_lent(const EpochInstance& inst, const SeParams& params,
+                  std::uint64_t seed, std::size_t workers = 2) {
+  mvcom::common::ThreadPool pool(workers);
+  SeScheduler scheduler(inst, params, seed, &pool);
+  return scheduler.run();
+}
+
+/// Serial against both pool shapes: owned and lent.
+void expect_pooled_identical(const EpochInstance& inst, const SeParams& params,
+                             std::uint64_t seed) {
+  const SeResult serial = run_once(inst, params, false, seed);
+  expect_identical(serial, run_once(inst, params, true, seed));
+  expect_identical(serial, run_lent(inst, params, seed));
+}
+
 TEST(SeParallelTest, IndependentChainsAreBitwiseEqualToSerial) {
   // share_interval == max_iterations: the Γ chains never communicate, so
   // each explorer's trajectory depends only on its private forked Rng —
@@ -78,8 +97,7 @@ TEST(SeParallelTest, IndependentChainsAreBitwiseEqualToSerial) {
   params.max_iterations = 600;
   params.share_interval = params.max_iterations;
   params.convergence_window = params.max_iterations + 1;  // fixed budget
-  expect_identical(run_once(inst, params, false, 99),
-                   run_once(inst, params, true, 99));
+  expect_pooled_identical(inst, params, 99);
 }
 
 TEST(SeParallelTest, SharingAtBarriersPreservesBitwiseEquality) {
@@ -92,8 +110,7 @@ TEST(SeParallelTest, SharingAtBarriersPreservesBitwiseEquality) {
   params.max_iterations = 900;
   params.share_interval = 50;
   params.convergence_window = params.max_iterations + 1;
-  expect_identical(run_once(inst, params, false, 7),
-                   run_once(inst, params, true, 7));
+  expect_pooled_identical(inst, params, 7);
 }
 
 TEST(SeParallelTest, ConvergenceDetectionMatchesSerial) {
@@ -104,9 +121,9 @@ TEST(SeParallelTest, ConvergenceDetectionMatchesSerial) {
   params.share_interval = 100;
   params.convergence_window = 300;
   const SeResult serial = run_once(inst, params, false, 21);
-  const SeResult parallel = run_once(inst, params, true, 21);
   EXPECT_TRUE(serial.converged);
-  expect_identical(serial, parallel);
+  expect_identical(serial, run_once(inst, params, true, 21));
+  expect_identical(serial, run_lent(inst, params, 21));
 }
 
 TEST(SeParallelTest, TimerRaceKernelAlsoMatches) {
@@ -117,8 +134,34 @@ TEST(SeParallelTest, TimerRaceKernelAlsoMatches) {
   params.max_iterations = 800;
   params.share_interval = 40;
   params.convergence_window = params.max_iterations + 1;
-  expect_identical(run_once(inst, params, false, 13),
-                   run_once(inst, params, true, 13));
+  expect_pooled_identical(inst, params, 13);
+}
+
+TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
+  // The serve pipeline's shape: the scheduler runs inside one task of an
+  // outer batch on the pool it borrows, while a sibling task occupies a
+  // worker, so its explorer batches nest and share the remaining contexts.
+  const EpochInstance inst = random_instance(7);
+  SeParams params;
+  params.threads = 4;
+  params.max_iterations = 600;
+  params.share_interval = 50;
+  params.convergence_window = params.max_iterations + 1;
+  const SeResult serial = run_once(inst, params, false, 17);
+  mvcom::common::ThreadPool pool(2);
+  SeResult nested;
+  std::uint64_t sibling = 0;
+  pool.parallel_for(2, [&](std::size_t task) {
+    if (task == 0) {
+      SeScheduler scheduler(inst, params, 17, &pool);
+      nested = scheduler.run();
+    } else {
+      mvcom::common::Rng rng(3);
+      for (int i = 0; i < 100'000; ++i) sibling += rng.below(7);
+    }
+  });
+  EXPECT_GT(sibling, 0u);
+  expect_identical(serial, nested);
 }
 
 TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
@@ -189,8 +232,9 @@ TEST(SeParallelTest, OnlineSchedulerExploresThroughThePool) {
 //
 // Identical seeds must yield bitwise-identical schedules across execution
 // shapes: serial vs pool-backed, and pool worker counts {1, 2, 8} (via
-// SeParams::max_pool_workers — workers claim whole explorers between
-// barriers, so the worker count can change wall-clock but never results).
+// SeParams::max_pool_workers for an owned pool, the pool's size for a lent
+// one — workers claim whole explorers between barriers, so the worker count
+// can change wall-clock but never results).
 // Exercised at I=50 (full chain family) and I=5000 (strided family, the
 // scale-tier code path).
 //
@@ -237,10 +281,10 @@ TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
 
     const SeResult serial = run_once(inst, params, false, 99);
     for (const std::size_t workers : {1u, 2u, 8u}) {
-      SCOPED_TRACE("max_pool_workers=" + std::to_string(workers));
+      SCOPED_TRACE("workers=" + std::to_string(workers));
       params.max_pool_workers = workers;
-      const SeResult pooled = run_once(inst, params, true, 99);
-      expect_identical(serial, pooled);
+      expect_identical(serial, run_once(inst, params, true, 99));
+      expect_identical(serial, run_lent(inst, params, 99, workers));
     }
     if (digest_out.is_open()) {
       digest_out << "I=" << icount << " " << result_digest(serial) << "\n";
@@ -255,8 +299,7 @@ TEST(SeParallelTest, GammaOneIgnoresParallelFlag) {
   params.threads = 1;
   params.max_iterations = 400;
   params.convergence_window = params.max_iterations + 1;
-  expect_identical(run_once(inst, params, false, 3),
-                   run_once(inst, params, true, 3));
+  expect_pooled_identical(inst, params, 3);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the common worker pool: batch completeness, barrier semantics,
-// reuse across batches, the zero-worker inline degenerate case, and
-// exception propagation.
+// reuse across batches, the zero-worker inline degenerate case, exception
+// propagation, and re-entrant (nested) parallel_for calls.
 
 #include "common/thread_pool.hpp"
 
@@ -11,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -107,6 +108,106 @@ TEST(ThreadPoolTest, FirstExceptionIsRethrownAfterTheBarrier) {
       std::runtime_error);
   // The barrier still ran the remaining tasks to completion.
   EXPECT_EQ(completed.load(), 31);
+}
+
+// --- Nesting -------------------------------------------------------------------
+
+TEST(ThreadPoolNestingTest, TwoAndThreeLevelsRunEveryIndexOnce) {
+  ThreadPool pool(3);
+  constexpr std::size_t kA = 5, kB = 6, kC = 7;
+  std::vector<std::atomic<int>> two(kA * kB);
+  pool.parallel_for(kA, [&](std::size_t a) {
+    pool.parallel_for(kB, [&](std::size_t b) {
+      two[a * kB + b].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < two.size(); ++i) {
+    EXPECT_EQ(two[i].load(), 1) << "two-level index " << i;
+  }
+
+  std::vector<std::atomic<int>> three(kA * kB * kC);
+  pool.parallel_for(kA, [&](std::size_t a) {
+    pool.parallel_for(kB, [&](std::size_t b) {
+      pool.parallel_for(kC, [&](std::size_t c) {
+        three[(a * kB + b) * kC + c].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  for (std::size_t i = 0; i < three.size(); ++i) {
+    EXPECT_EQ(three[i].load(), 1) << "three-level index " << i;
+  }
+}
+
+TEST(ThreadPoolNestingTest, ConcurrentNestedCallsFromOneOuterBatch) {
+  // Both tasks of one outer batch submit a nested batch at the same time:
+  // each waits (bounded by a deadline) until the other has started, so the
+  // two nested batches are open together on the pool.
+  ThreadPool pool(3);
+  constexpr std::size_t kInner = 200;
+  std::atomic<int> started{0};
+  bool overlapped[2] = {false, false};
+  std::atomic<std::uint64_t> sums[2] = {0, 0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  pool.parallel_for(2, [&](std::size_t outer) {
+    started.fetch_add(1, std::memory_order_acq_rel);
+    while (started.load(std::memory_order_acquire) < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    overlapped[outer] = started.load(std::memory_order_acquire) == 2;
+    pool.parallel_for(kInner, [&](std::size_t i) {
+      sums[outer].fetch_add(i + 1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_TRUE(overlapped[0] && overlapped[1]);
+  for (const auto& sum : sums) {
+    EXPECT_EQ(sum.load(), kInner * (kInner + 1) / 2);
+  }
+}
+
+TEST(ThreadPoolNestingTest, ZeroWorkersNestInlineInOrder) {
+  ThreadPool pool(0);
+  const auto caller = std::this_thread::get_id();
+  bool all_inline = true;
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  pool.parallel_for(3, [&](std::size_t a) {
+    pool.parallel_for(4, [&](std::size_t b) {
+      if (std::this_thread::get_id() != caller) all_inline = false;
+      order.emplace_back(a, b);
+    });
+  });
+  EXPECT_TRUE(all_inline);
+  ASSERT_EQ(order.size(), 12u);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(order[k], std::make_pair(k / 4, k % 4)) << "position " << k;
+  }
+}
+
+TEST(ThreadPoolNestingTest, NestedExceptionSurfacesAtTheNestedCall) {
+  // A throw inside a nested body is rethrown by the nested parallel_for —
+  // inside the outer task, which catches it — and the outer batch still
+  // runs every task to completion without throwing itself.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8, kInner = 8;
+  std::atomic<int> outer_done{0};
+  std::atomic<int> caught{0};
+  std::atomic<int> inner_done{0};
+  EXPECT_NO_THROW(pool.parallel_for(kOuter, [&](std::size_t a) {
+    try {
+      pool.parallel_for(kInner, [&](std::size_t b) {
+        if (a % 2 == 0 && b == 3) throw std::runtime_error("nested failed");
+        inner_done.fetch_add(1, std::memory_order_relaxed);
+      });
+    } catch (const std::runtime_error&) {
+      caught.fetch_add(1, std::memory_order_relaxed);
+    }
+    outer_done.fetch_add(1, std::memory_order_relaxed);
+  }));
+  EXPECT_EQ(outer_done.load(), static_cast<int>(kOuter));
+  EXPECT_EQ(caught.load(), static_cast<int>(kOuter / 2));
+  // The failing nested batches still ran their other indices.
+  EXPECT_EQ(inner_done.load(), static_cast<int>(kOuter * kInner - kOuter / 2));
 }
 
 }  // namespace

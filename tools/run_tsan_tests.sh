@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Builds the repository with ThreadSanitizer (-DMVCOM_TSAN=ON) in a separate
 # build tree and runs the full tier-1 ctest suite under it. The parallel SE
-# execution path (SeParams::parallel_execution) is exercised by
-# tests/test_se_parallel.cpp, including a join/leave storm interleaved with
-# pool-driven stepping. The lane-parallel Elastico epoch
+# execution path (SeParams::parallel_execution, or a pool lent to the
+# scheduler) is exercised by tests/test_se_parallel.cpp, including a
+# join/leave storm interleaved with pool-driven stepping. The nested path —
+# parallel_for called from inside a batch on the same pool, as the serve
+# pipeline's stage B does for the SE explorers — is exercised by the
+# ThreadPoolNestingTest cases in tests/test_thread_pool.cpp and by the
+# tests/test_pipeline.cpp matrix (Γ = 4 explorers nested in stage B at
+# workers {1, 2, 8}). The lane-parallel Elastico epoch
 # (ElasticoConfig::lane_workers) is exercised by tests/test_elastico_lanes.cpp
 # at worker counts {1, 2, 8} — per-lane simulators/networks plus the shared
 # obs sinks run concurrently there, so races in the lane substrate surface in

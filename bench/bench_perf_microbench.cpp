@@ -102,9 +102,9 @@ void BM_SwapSetSwap(benchmark::State& state) {
   mvcom::core::SwapSet set(x);
   Rng rng(5);
   for (auto _ : state) {
-    const auto out = set.sample_selected(rng);
-    const auto in = set.sample_unselected(rng);
-    set.swap(out, in);
+    const auto p = set.sample_selected_position(rng);
+    const auto q = set.sample_unselected_position(rng);
+    set.swap_positions(p, q);
     benchmark::DoNotOptimize(set);
   }
 }

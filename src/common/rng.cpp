@@ -1,26 +1,11 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <numeric>
 
 namespace mvcom::common {
-
-std::uint64_t Rng::below(std::uint64_t n) noexcept {
-  assert(n > 0);
-  // Bitmask-with-rejection: draw within the smallest enclosing power of two
-  // and reject out-of-range values. Unbiased; expected < 2 draws.
-  if (n == 1) return 0;
-  const int bits = 64 - std::countl_zero(n - 1);
-  const std::uint64_t mask =
-      bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-  for (;;) {
-    const std::uint64_t candidate = (*this)() & mask;
-    if (candidate < n) return candidate;
-  }
-}
 
 double Rng::exponential(double mean) noexcept {
   assert(mean > 0.0);

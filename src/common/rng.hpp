@@ -11,6 +11,8 @@
 // All distribution transforms below are therefore hand-rolled and portable.
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -106,9 +108,19 @@ class Rng {
     for (double& v : out) v = uniform01();
   }
 
-  /// Uniform integer in [0, n) using Lemire's multiply-shift rejection
-  /// method (unbiased). Precondition: n > 0.
-  std::uint64_t below(std::uint64_t n) noexcept;
+  /// Uniform integer in [0, n) by bitmask-with-rejection: draw within the
+  /// smallest enclosing power of two and reject out-of-range values.
+  /// Unbiased; expected < 2 draws. Defined here so hot loops can inline it
+  /// (an SE proposal draws two). Precondition: n > 0.
+  std::uint64_t below(std::uint64_t n) noexcept {
+    assert(n > 0);
+    if (n == 1) return 0;
+    const std::uint64_t mask = ~std::uint64_t{0} >> std::countl_zero(n - 1);
+    for (;;) {
+      const std::uint64_t candidate = (*this)() & mask;
+      if (candidate < n) return candidate;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {

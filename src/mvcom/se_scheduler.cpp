@@ -220,6 +220,27 @@ void SeExplorer::step_block(std::size_t k, SeBlockStats* stats,
   }
 }
 
+bool SeExplorer::propose(const SolutionState& sol, Proposal& move) {
+  if (!sol.active) return false;
+  if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
+    return false;  // the full-set solution has no swap moves
+  }
+  const std::uint64_t capacity = instance_->capacity();
+  for (int attempt = 0; attempt < params_->feasibility_retries; ++attempt) {
+    move.p = sol.set.sample_selected_position(rng_);
+    move.q = sol.set.sample_unselected_position(rng_);
+    const std::uint32_t out = sol.set.at(move.p);
+    const std::uint32_t in = sol.set.at(move.q);
+    move.txs = sol.txs - layout_->txs[out] + layout_->txs[in];
+    if (move.txs <= capacity) {
+      move.delta = layout_->gain[in] - layout_->gain[out];
+      return true;
+    }
+  }
+  if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
+  return false;
+}
+
 void SeExplorer::step_chain_parallel() {
   // One Metropolis transition per solution. The per-cardinality chains are
   // independent, and the acceptance ratio min(1, exp(β·ΔU)) equals the
@@ -227,36 +248,18 @@ void SeExplorer::step_chain_parallel() {
   // the Eq.-(6) stationary law — the same chain the timer race realizes,
   // advanced one transition per maintained cardinality per iteration.
   const double beta = params_->beta;
-  const std::uint64_t capacity = instance_->capacity();
+  Proposal move;
   for (SolutionState& sol : solutions_) {
-    if (!sol.active) continue;
-    if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
-      continue;  // the full-set solution has no swap moves
-    }
-    std::uint32_t out = 0;
-    std::uint32_t in = 0;
-    std::uint64_t new_txs = 0;
-    bool ok = false;
-    for (int attempt = 0; attempt < params_->feasibility_retries && !ok;
-         ++attempt) {
-      out = sol.set.sample_selected(rng_);
-      in = sol.set.sample_unselected(rng_);
-      new_txs = sol.txs - layout_->txs[out] + layout_->txs[in];
-      ok = new_txs <= capacity;
-    }
-    if (!ok) {
-      if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
-      continue;
-    }
-    const double delta = layout_->gain[in] - layout_->gain[out];
-    if (delta < 0.0 && rng_.uniform01() >= std::exp(beta * delta)) {
+    if (!propose(sol, move)) continue;
+    if (move.delta < 0.0 &&
+        detail::metropolis_rejects(rng_.uniform01(), beta * move.delta)) {
       if constexpr (obs::kEnabled) ++obs_tally_.rejects;
       continue;  // rejected downhill move
     }
     if constexpr (obs::kEnabled) ++obs_tally_.accepts;
-    sol.set.swap(out, in);
-    sol.txs = new_txs;
-    sol.utility += delta;
+    sol.set.swap_positions(move.p, move.q);
+    sol.txs = move.txs;
+    sol.utility += move.delta;
   }
 }
 
@@ -267,41 +270,23 @@ void SeExplorer::step_timer_race() {
   // overflow-free monotone transform of the race.
   const double beta = params_->beta;
   const double tau = params_->tau;
-  const std::uint64_t capacity = instance_->capacity();
 
   // Pass 1 (engine-state sequential): sample one capacity-feasible candidate
-  // pair (ĩ, ï) per active solution into the flat scratch arrays.
+  // pair (ĩ, ï) per active solution into the flat scratch arrays, kept as
+  // SwapSet positions so the winner's swap needs no lookup.
   cand_slot_.clear();
-  cand_out_.clear();
-  cand_in_.clear();
+  cand_out_pos_.clear();
+  cand_in_pos_.clear();
   cand_txs_.clear();
   cand_delta_.clear();
+  Proposal move;
   for (std::size_t slot = 0; slot < solutions_.size(); ++slot) {
-    SolutionState& sol = solutions_[slot];
-    if (!sol.active) continue;
-    if (sol.set.selected_count() == 0 || sol.set.unselected_count() == 0) {
-      continue;  // the full-set solution has no swap moves
-    }
-    std::uint32_t out = 0;
-    std::uint32_t in = 0;
-    std::uint64_t new_txs = 0;
-    bool ok = false;
-    for (int attempt = 0; attempt < params_->feasibility_retries && !ok;
-         ++attempt) {
-      out = sol.set.sample_selected(rng_);
-      in = sol.set.sample_unselected(rng_);
-      new_txs = sol.txs - layout_->txs[out] + layout_->txs[in];
-      ok = new_txs <= capacity;
-    }
-    if (!ok) {
-      if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
-      continue;
-    }
+    if (!propose(solutions_[slot], move)) continue;
     cand_slot_.push_back(static_cast<std::uint32_t>(slot));
-    cand_out_.push_back(out);
-    cand_in_.push_back(in);
-    cand_txs_.push_back(new_txs);
-    cand_delta_.push_back(layout_->gain[in] - layout_->gain[out]);
+    cand_out_pos_.push_back(move.p);
+    cand_in_pos_.push_back(move.q);
+    cand_txs_.push_back(move.txs);
+    cand_delta_.push_back(move.delta);
   }
   if (cand_slot_.empty()) return;  // no solution could move this round
   if constexpr (obs::kEnabled) {
@@ -334,7 +319,7 @@ void SeExplorer::step_timer_race() {
   }
   if constexpr (obs::kEnabled) ++obs_tally_.accepts;
   SolutionState& sol = solutions_[cand_slot_[win]];
-  sol.set.swap(cand_out_[win], cand_in_[win]);
+  sol.set.swap_positions(cand_out_pos_[win], cand_in_pos_[win]);
   sol.txs = cand_txs_[win];
   sol.utility += cand_delta_[win];
 }
@@ -472,9 +457,11 @@ void SeExplorer::rebind(const EpochInstance* instance, const SeLayout* layout,
     SolutionState* old_sol =
         (oi < solutions_.size() && solutions_[oi].n == n) ? &solutions_[oi]
                                                           : nullptr;
-    const bool survivable =
-        old_sol != nullptr && old_sol->active &&
-        (!removed_index || !old_sol->set.contains(*removed_index));
+    bool survivable = old_sol != nullptr && old_sol->active;
+    if (survivable) {
+      old_sol->set.write_selection(scratch_old_x_);
+      survivable = !removed_index || scratch_old_x_[*removed_index] == 0;
+    }
     if (!survivable) {
       // Trimmed state (Fig. 7): the solution referenced the failed committee
       // (or this cardinality is newly maintained) — draw a fresh feasible
@@ -483,7 +470,6 @@ void SeExplorer::rebind(const EpochInstance* instance, const SeLayout* layout,
       continue;
     }
     // Translate the surviving bitmap into the new index space.
-    old_sol->set.write_selection(scratch_old_x_);
     std::fill(scratch_x_.begin(), scratch_x_.end(), 0);
     std::size_t w = 0;
     for (std::size_t r = 0; r < scratch_old_x_.size(); ++r) {
@@ -508,6 +494,10 @@ void SeExplorer::rebind(const EpochInstance* instance, const SeLayout* layout,
 SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
                          std::uint64_t seed, common::ThreadPool* pool)
     : instance_(std::move(instance)), params_(params) {
+  if (instance_.size() > SwapSet::kMaxUniverse) {
+    throw std::invalid_argument(
+        "SeScheduler: more committees than SwapSet::kMaxUniverse");
+  }
   if (params_.threads == 0) {
     throw std::invalid_argument("SeScheduler: threads (Γ) must be >= 1");
   }
@@ -842,6 +832,10 @@ void SeScheduler::rebind_all(std::optional<std::uint32_t> removed_index) {
 }
 
 void SeScheduler::add_committee(const Committee& committee) {
+  if (instance_.size() >= SwapSet::kMaxUniverse) {
+    throw std::invalid_argument(
+        "SeScheduler: a join would exceed SwapSet::kMaxUniverse committees");
+  }
   std::vector<Committee> committees = instance_.committees();
   committees.push_back(committee);
   // Deadline re-derives as max latency over the updated set (paper §III-A).

@@ -45,6 +45,8 @@
 //    λ-argmax simply scans a subsampled cardinality axis. All read-only
 //    per-committee data (gains, sizes, prefix sums, gain/size orderings)
 //    lives in one SeLayout shared by the Γ explorers instead of Γ copies.
+//    Each chain is a 16-bit SwapSet (2 B per committee), which caps |I| at
+//    SwapSet::kMaxUniverse = 65,536 committees.
 //  * Dynamics (Alg. 1 lines 8–12, §V): join adds a committee and the new
 //    cardinality slot; leave (failure) trims every solution containing the
 //    failed committee by re-initialization — the trimmed space G of Fig. 7.
@@ -84,6 +86,17 @@ namespace detail {
 [[nodiscard]] inline double log_unit_exponential(double u) noexcept {
   u = std::max(u, std::numeric_limits<double>::min());
   return std::log(-std::log1p(-u));
+}
+
+/// The Metropolis reject test `u >= exp(x)` for a downhill proposal
+/// (x = β·ΔU < 0, u a Rng::uniform01() draw), without the exp on the common
+/// far-downhill case. uniform01() returns 0 or a value ≥ 2⁻⁵³, and
+/// exp(x) < 2⁻⁵³ for every x < −37, so there a nonzero draw always rejects;
+/// exp runs only for x ≥ −37 or u == 0. Equal to `u >= std::exp(x)` for
+/// every uniform01() output (pinned on a grid in test_se_scheduler).
+[[nodiscard]] inline bool metropolis_rejects(double u, double x) noexcept {
+  if (x < -37.0 && u != 0.0) return true;
+  return u >= std::exp(x);
 }
 
 }  // namespace detail
@@ -276,8 +289,24 @@ class SeExplorer {
     bool active = false;     // false when no feasible subset of this size
   };
 
+  /// A capacity-feasible swap: positions p (selected side) and q
+  /// (unselected side) of the chain's SwapSet, the chain's Σ s after the
+  /// swap, and its utility change ΔU.
+  struct Proposal {
+    std::uint32_t p = 0;
+    std::uint32_t q = 0;
+    std::uint64_t txs = 0;
+    double delta = 0.0;
+  };
+
   void initialize_solution(SolutionState& sol, std::uint32_t n);
   void recompute(SolutionState& sol);
+
+  /// Draws `sol`'s next proposal (Alg. 3): a uniform selected/unselected
+  /// position pair, resampled until Cons. (4) holds, at most
+  /// feasibility_retries times. False when the chain cannot move: inactive,
+  /// no swap move (full set), or the retries ran out (tallied infeasible).
+  bool propose(const SolutionState& sol, Proposal& move);
 
   void step_timer_race();
   void step_chain_parallel();
@@ -308,8 +337,8 @@ class SeExplorer {
   std::vector<std::uint32_t> scratch_pool_;   // permutation for subset draws
   std::vector<std::uint32_t> scratch_members_;  // nth_element workspace
   std::vector<std::uint32_t> cand_slot_;      // timer race: candidate slots
-  std::vector<std::uint32_t> cand_out_;
-  std::vector<std::uint32_t> cand_in_;
+  std::vector<std::uint32_t> cand_out_pos_;   // SwapSet positions of the
+  std::vector<std::uint32_t> cand_in_pos_;    //   candidate swap pair
   std::vector<std::uint64_t> cand_txs_;
   std::vector<double> cand_delta_;
   std::vector<double> cand_u_;                // batched Exp(1) timer draws
@@ -333,7 +362,9 @@ class SeScheduler {
   /// `pool`, when non-null and Γ > 1, runs construction and the explorer
   /// blocks in place of a scheduler-owned pool (parallel_execution and
   /// max_pool_workers are then ignored). It must outlive the scheduler.
-  /// Results are bitwise identical with or without it.
+  /// Results are bitwise identical with or without it. Throws
+  /// std::invalid_argument when the instance exceeds SwapSet::kMaxUniverse
+  /// committees.
   SeScheduler(EpochInstance instance, SeParams params, std::uint64_t seed,
               common::ThreadPool* pool = nullptr);
   ~SeScheduler();
@@ -377,7 +408,8 @@ class SeScheduler {
 
   /// Online dynamics (Alg. 1 lines 8–12). Both reset convergence tracking
   /// and drop any warm-start floor (it is index-aligned with the old
-  /// instance).
+  /// instance). add_committee throws std::invalid_argument, leaving the
+  /// scheduler untouched, when the join would exceed SwapSet::kMaxUniverse.
   void add_committee(const Committee& committee);
   /// Removes by committee id (e.g. on failure). No-op for unknown ids.
   void remove_committee(std::uint32_t committee_id);

@@ -232,10 +232,10 @@ TEST(SeDifferentialTest, SwapDeltaCompositionMatchesRecompute) {
     SwapSet set(x);
     double utility = instance.utility(x);
     for (std::size_t s = 0; s < kSwaps; ++s) {
-      const std::uint32_t out = set.sample_selected(rng);
-      const std::uint32_t in = set.sample_unselected(rng);
-      utility += instance.swap_delta(out, in);
-      set.swap(out, in);
+      const std::uint32_t p = set.sample_selected_position(rng);
+      const std::uint32_t q = set.sample_unselected_position(rng);
+      utility += instance.swap_delta(set.at(p), set.at(q));
+      set.swap_positions(p, q);
     }
     Selection final_x(n, 0);
     set.write_selection(final_x);

@@ -3,11 +3,13 @@
 // constructor: determinism contract against the serial path, the
 // independent-chain bitwise guarantee at share_interval == max_iterations,
 // pool-backed online exploration, a lent pool nested inside an outer batch,
-// and a join/leave storm interleaved with parallel stepping (the
-// ThreadSanitizer workload run by tools/run_tsan_tests.sh).
+// a join/leave storm interleaved with parallel stepping (the
+// ThreadSanitizer workload run by tools/run_tsan_tests.sh), and schedule
+// digests pinned to constants so SE trajectories hold across commits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -238,11 +240,42 @@ TEST(SeParallelTest, OnlineSchedulerExploresThroughThePool) {
 // Exercised at I=50 (full chain family) and I=5000 (strided family, the
 // scale-tier code path).
 //
+// Comparing two execution shapes of one build cannot catch a refactor that
+// shifts a single RNG draw or accept decision in both, so every row also
+// pins its digest to a constant: the SE trajectory itself is fixed across
+// commits. A change that moves one must say why and re-pin it.
+//
 // The same runs also feed a digest file when MVCOM_DETERMINISM_DIGEST is
 // set: SHA-256 over the best selection, the utility bits, and the full
-// utility trace. CI runs this test in MVCOM_OBS=ON and OBS=OFF builds and
+// utility trace. CI runs these tests in MVCOM_OBS=ON and OBS=OFF builds and
 // diffs the two digest files, extending the bitwise guarantee across
 // observability configurations (which no single binary can check alone).
+
+constexpr std::string_view kPinnedI50 =
+    "6cb02963b30fd3afad92e71c17bafda4c55f459516f60e857f02b601aedf5b39";
+constexpr std::string_view kPinnedI5000 =
+    "6dd1bf180042791450217d2f7dfea82e21237d361612d670c81f7056b4d37a76";
+constexpr std::string_view kPinnedServe =
+    "78ebee9e9b551810b273625d3a7b177c26d8a71e901ba9c13f75007b07e9a8ae";
+constexpr std::string_view kPinnedTimerRace =
+    "557d193463246723c18f5c9d536aec23fb2f7c0e5dba4ac5d421a751cc67218a";
+constexpr std::string_view kPinnedRebind =
+    "46e118e18d3e07224250ba8186d6aeddd1a51ed38e8bf938b5e8c1ed17786340";
+
+/// The MVCOM_DETERMINISM_DIGEST file, truncated on first use and shared by
+/// every matrix row; null when the variable is unset.
+std::ofstream* digest_sink() {
+  static std::ofstream out = [] {
+    std::ofstream file;
+    const char* path = std::getenv("MVCOM_DETERMINISM_DIGEST");
+    if (path != nullptr && *path != '\0') {
+      file.open(path, std::ios::trunc);
+      if (!file) ADD_FAILURE() << "cannot open " << path;
+    }
+    return file;
+  }();
+  return out.is_open() ? &out : nullptr;
+}
 
 std::string result_digest(const SeResult& r) {
   mvcom::crypto::Sha256 h;
@@ -260,14 +293,16 @@ std::string result_digest(const SeResult& r) {
   return mvcom::crypto::to_hex(h.finalize());
 }
 
-TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
-  const char* digest_path = std::getenv("MVCOM_DETERMINISM_DIGEST");
-  std::ofstream digest_out;
-  if (digest_path != nullptr && *digest_path != '\0') {
-    digest_out.open(digest_path, std::ios::trunc);
-    ASSERT_TRUE(digest_out) << "cannot open " << digest_path;
-  }
+/// Checks one matrix row's digest against its pinned constant and appends
+/// it to the digest file.
+void expect_pinned(const std::string& row, const SeResult& r,
+                   std::string_view pinned) {
+  const std::string digest = result_digest(r);
+  EXPECT_EQ(digest, pinned) << row;
+  if (std::ofstream* out = digest_sink()) *out << row << " " << digest << "\n";
+}
 
+TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
   for (const std::size_t icount : {std::size_t{50}, std::size_t{5000}}) {
     SCOPED_TRACE("I=" + std::to_string(icount));
     const EpochInstance inst =
@@ -286,10 +321,92 @@ TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
       expect_identical(serial, run_once(inst, params, true, 99));
       expect_identical(serial, run_lent(inst, params, 99, workers));
     }
-    if (digest_out.is_open()) {
-      digest_out << "I=" << icount << " " << result_digest(serial) << "\n";
+    expect_pinned("I=" + std::to_string(icount), serial,
+                  icount == 50 ? kPinnedI50 : kPinnedI5000);
+  }
+}
+
+TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
+  // The serve pipeline's SE call: ~900 pending shards (inside the default
+  // max_family, so the full n = 1..|I| family), N_min = 0, Ĉ = 60 % of the
+  // pending TXs, Γ = 4 on a lent pool, warm-started from a greedy seed.
+  mvcom::common::Rng rng(2016);
+  std::vector<Committee> committees;
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < 900; ++i) {
+    committees.push_back(
+        {i, 2000 + rng.below(12000), rng.uniform(0.0, 8000.0)});
+    total += committees.back().txs;
+  }
+  const EpochInstance inst(std::move(committees), 1.5, total * 6 / 10, 0);
+  SeParams params;
+  params.threads = 4;
+  params.max_iterations = 100;
+  params.convergence_window = params.max_iterations + 1;
+
+  Selection seed(inst.size(), 0);
+  std::uint64_t used = 0;
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    const std::uint64_t txs = inst.committees()[i].txs;
+    if (inst.gain(i) > 0.0 && used + txs <= inst.capacity()) {
+      seed[i] = 1;
+      used += txs;
     }
   }
+  const auto run = [&](mvcom::common::ThreadPool* pool) {
+    SeScheduler scheduler(inst, params, 5, pool);
+    EXPECT_FALSE(std::isnan(scheduler.warm_start(seed)));
+    return scheduler.run();
+  };
+  const SeResult serial = run(nullptr);
+  mvcom::common::ThreadPool pool(2);
+  expect_identical(serial, run(&pool));
+  expect_pinned("serve", serial, kPinnedServe);
+}
+
+TEST(SeDeterminismMatrix, TimerRaceIsPinned) {
+  const EpochInstance inst = random_instance(50, 50, 5);
+  SeParams params;
+  params.threads = 4;
+  params.transition = SeTransition::kTimerRace;
+  params.max_iterations = 400;
+  params.share_interval = 10;
+  params.convergence_window = params.max_iterations + 1;
+  const SeResult serial = run_once(inst, params, false, 99);
+  expect_identical(serial, run_lent(inst, params, 99));
+  expect_pinned("timer-race", serial, kPinnedTimerRace);
+}
+
+TEST(SeDeterminismMatrix, JoinLeaveResizeIsPinned) {
+  // Pins SeExplorer::rebind: a join, the leave of a selected committee and
+  // an N_min resize, each after a stretch of exploration.
+  const EpochInstance inst = random_instance(8, 40, 4);
+  SeParams params;
+  params.threads = 4;
+  params.max_iterations = 100;
+  params.share_interval = 10;
+  params.convergence_window = params.max_iterations + 1;
+  const auto run = [&](mvcom::common::ThreadPool* pool) {
+    SeScheduler scheduler(inst, params, 23, pool);
+    scheduler.advance(60);
+    scheduler.add_committee({900, 1200, 700.0});
+    scheduler.advance(60);
+    const Selection x = scheduler.current_selection();
+    const auto selected = std::find(x.begin(), x.end(), 1);
+    EXPECT_NE(selected, x.end());
+    scheduler.remove_committee(
+        scheduler.instance()
+            .committees()[static_cast<std::size_t>(selected - x.begin())]
+            .id);
+    scheduler.advance(60);
+    scheduler.set_n_min(9);
+    scheduler.advance(60);
+    return scheduler.run();
+  };
+  const SeResult serial = run(nullptr);
+  mvcom::common::ThreadPool pool(2);
+  expect_identical(serial, run(&pool));
+  expect_pinned("rebind", serial, kPinnedRebind);
 }
 
 TEST(SeParallelTest, GammaOneIgnoresParallelFlag) {

@@ -20,6 +20,7 @@ using mvcom::core::Selection;
 using mvcom::core::SeParams;
 using mvcom::core::SeResult;
 using mvcom::core::SeScheduler;
+using mvcom::core::SwapSet;
 
 /// Random instance small enough for exhaustive ground truth.
 EpochInstance random_instance(std::uint64_t seed, std::size_t n = 12,
@@ -160,6 +161,40 @@ TEST(SeSchedulerTest, RejectsInvalidParams) {
   EXPECT_THROW(SeScheduler(inst, bad_beta, 1), std::invalid_argument);
 }
 
+// SE's chains store committee indices in 16 bits, so the universe is capped
+// at SwapSet::kMaxUniverse. max_family = 2 keeps the 65k-committee
+// schedulers cheap to build.
+TEST(SeSchedulerTest, RejectsUniversesAboveTheSwapSetCap) {
+  const auto make = [](std::size_t n) {
+    std::vector<Committee> committees;
+    committees.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      committees.push_back({static_cast<std::uint32_t>(i), 10, 600.0});
+    }
+    return EpochInstance(std::move(committees), 1.5, 1000, 0);
+  };
+  SeParams params;
+  params.threads = 1;
+  params.max_family = 2;
+  EXPECT_THROW(SeScheduler(make(SwapSet::kMaxUniverse + 1), params, 1),
+               std::invalid_argument);
+
+  SeScheduler full(make(SwapSet::kMaxUniverse), params, 1);
+  const Committee joiner{999'999, 10, 600.0};
+  EXPECT_THROW(full.add_committee(joiner), std::invalid_argument);
+  // The refused join left the scheduler as it was, and usable.
+  EXPECT_EQ(full.instance().size(), SwapSet::kMaxUniverse);
+  full.advance(5);
+  const Selection x = full.current_selection();
+  ASSERT_FALSE(x.empty());
+  EXPECT_TRUE(full.instance().feasible(x));
+  // After a leave the join fits again.
+  full.remove_committee(0);
+  full.add_committee(joiner);
+  EXPECT_EQ(full.instance().size(), SwapSet::kMaxUniverse);
+  EXPECT_EQ(full.instance().committees().back().id, joiner.id);
+}
+
 // --- Online dynamics ---------------------------------------------------------
 
 TEST(SeSchedulerDynamicsTest, JoinGrowsTheInstanceAndStaysFeasible) {
@@ -262,6 +297,31 @@ TEST(SeTimerEdgeTest, LogUnitExponentialIsMonotoneAndExactInTheInterior) {
   // Interior values are untouched by the clamp: ln(−ln(0.5)) at u = 0.5.
   EXPECT_DOUBLE_EQ(mvcom::core::detail::log_unit_exponential(0.5),
                    std::log(-std::log1p(-0.5)));
+}
+
+// The exp-free Metropolis reject must decide exactly as u >= exp(x) for
+// every draw uniform01() can return: 0, or a multiple of 2⁻⁵³. The grid
+// straddles the −37 cut (exp(−36.7) > 2⁻⁵³ > exp(−37)), the exp underflow
+// to subnormals (−708) and to zero (−745.2), and the u == 0 draw.
+TEST(SeMetropolisTest, ExpFreeRejectEqualsTheExpComparison) {
+  using mvcom::core::detail::metropolis_rejects;
+  constexpr double kUlp = 0x1.0p-53;  // smallest nonzero uniform01()
+  EXPECT_LT(std::exp(-37.0), kUlp);
+  EXPECT_GT(std::exp(-36.7), kUlp);
+  for (const double x :
+       {0.0, -1e-300, -36.7, -37.0, -40.0, -708.0, -745.2, -1e6}) {
+    for (const double u : {0.0, kUlp, 2 * kUlp, 0.5, 1.0 - kUlp}) {
+      EXPECT_EQ(metropolis_rejects(u, x), u >= std::exp(x))
+          << "x=" << x << " u=" << u;
+    }
+  }
+  mvcom::common::Rng rng(37);
+  for (int i = 0; i < 100'000; ++i) {
+    const double u = rng.uniform01();
+    const double x = rng.uniform(-60.0, 0.0);
+    ASSERT_EQ(metropolis_rejects(u, x), u >= std::exp(x))
+        << "x=" << x << " u=" << u;
+  }
 }
 
 }  // namespace

@@ -89,12 +89,16 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/theory.hpp"
@@ -118,6 +122,26 @@
 
 namespace {
 
+/// A numeric flag value that is not wholly a number of the flag's type;
+/// main() prints it and exits 2.
+struct BadFlag : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Parses the whole of `text` as a T (std::from_chars: no sign on unsigned
+/// types, no leading space or '+', no trailing characters, in range).
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    throw BadFlag("--" + key + ": '" + text + "' is not a valid " +
+                  (std::is_unsigned_v<T> ? "non-negative integer" : "number"));
+  }
+  return value;
+}
+
 /// Tiny `--flag value` parser: positionals + a string map.
 struct Args {
   std::vector<std::string> positional;
@@ -126,12 +150,13 @@ struct Args {
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    return it == flags.end() ? fallback
+                             : parse_number<std::uint64_t>(key, it->second);
   }
   [[nodiscard]] double get_f64(const std::string& key,
                                double fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : parse_number<double>(key, it->second);
   }
 };
 
@@ -256,7 +281,9 @@ int cmd_xshard(const Args& args) {
     std::string token;
     for (const char c : it->second + ",") {
       if (c == ',') {
-        if (!token.empty()) ratios.push_back(std::stod(token));
+        if (!token.empty()) {
+          ratios.push_back(parse_number<double>("ratios", token));
+        }
         token.clear();
       } else {
         token += c;
@@ -827,6 +854,9 @@ int main(int argc, char** argv) {
     if (command == "serve") return cmd_serve(*args);
     if (command == "chaos") return cmd_chaos(*args);
     if (command == "xshard") return cmd_xshard(*args);
+  } catch (const BadFlag& e) {
+    std::fprintf(stderr, "mvcom %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mvcom %s: %s\n", command.c_str(), e.what());
     return 1;

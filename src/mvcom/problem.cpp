@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -109,6 +110,49 @@ bool EpochInstance::scheduling_worthwhile() const {
   // total_txs_ is overflow-checked at construction, so the comparison with
   // the capacity cannot be fooled by a wrapped sum.
   return committees_.size() > n_min_ && total_txs_ > capacity_;
+}
+
+double fractional_bound(const EpochInstance& instance) {
+  struct Item {
+    double ratio;  // gain per TX; +∞ for a positive-gain zero-TX committee
+    std::uint32_t index;
+  };
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < instance.size(); ++i) {
+    const double gain = instance.gain(i);
+    if (gain <= 0.0) continue;
+    const std::uint64_t txs = instance.committees()[i].txs;
+    // A zero-TX committee's gain is −(t − l_i) ≤ 0 under the derived
+    // deadline; only an explicit deadline below l_i makes it positive, and
+    // then it costs no capacity.
+    items.push_back({txs == 0 ? std::numeric_limits<double>::infinity()
+                              : gain / static_cast<double>(txs),
+                     static_cast<std::uint32_t>(i)});
+  }
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return a.ratio != b.ratio ? a.ratio > b.ratio : a.index < b.index;
+  });
+  double bound = 0.0;
+  std::uint64_t room = instance.capacity();
+  for (const Item& item : items) {
+    const std::uint64_t txs = instance.committees()[item.index].txs;
+    const double gain = instance.gain(item.index);
+    if (txs <= room) {
+      bound += gain;
+      room -= txs;
+    } else {
+      bound += gain * (static_cast<double>(room) / static_cast<double>(txs));
+      break;
+    }
+  }
+  return bound;
+}
+
+double relative_gap(double bound, double utility) noexcept {
+  if (bound == 0.0) {
+    return utility >= 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  return (bound - utility) / std::fabs(bound);
 }
 
 }  // namespace mvcom::core

@@ -120,4 +120,19 @@ class EpochInstance {
   std::uint64_t total_txs_ = 0;
 };
 
+/// Dantzig's fractional-knapsack bound on U(x) over every selection that
+/// fits Ĉ (Eq. 4), so also over every feasible one: N_min (Eq. 3) is
+/// dropped, which can only raise the optimum. With t fixed each gain is
+/// linear in x_i, so the LP relaxation of Lemma 1's knapsack takes the
+/// positive-gain committees in descending gain/s_i order (ties by index)
+/// whole while they fit Ĉ, then the fitting fraction of the first that does
+/// not. O(|I| log |I|). 0 when no gain is positive, and when Ĉ = 0 unless
+/// an explicit deadline gives a zero-TX committee a positive gain.
+[[nodiscard]] double fractional_bound(const EpochInstance& instance);
+
+/// (bound − utility) / |bound|: how far a selection may still be from the
+/// optimum, relative to the bound. A zero bound gives 0 when `utility`
+/// reaches it and +∞ otherwise.
+[[nodiscard]] double relative_gap(double bound, double utility) noexcept;
+
 }  // namespace mvcom::core

@@ -504,7 +504,7 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
   if (params_.beta <= 0.0) {
     throw std::invalid_argument("SeScheduler: beta must be positive");
   }
-  layout_.rebuild(instance_, params_);
+  rebuild_instance_data();
   if (pool != nullptr && params_.threads > 1) {
     pool_ = pool;
   } else if (params_.parallel_execution && params_.threads > 1) {
@@ -522,32 +522,54 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
       pool_ = owned_pool_.get();
     }
   }
-  // The Rng forks happen serially (the fork order defines each explorer's
-  // stream) but the construction itself — initializing O(max_family) chains,
-  // the dominant cost of an epoch at 10k+ committees — is embarrassingly
-  // parallel, so it fans out over the pool. Bitwise identical to serial
-  // construction: each explorer is a pure function of its pre-forked Rng.
+  // The Rng forks happen here, serially: the fork order defines each
+  // explorer's stream. The explorers themselves are built lazily.
   common::Rng root(seed);
-  std::vector<common::Rng> forks;
-  forks.reserve(params_.threads);
+  forks_.reserve(params_.threads);
   for (std::size_t t = 0; t < params_.threads; ++t) {
-    forks.push_back(root.fork());
-  }
-  explorers_.reserve(params_.threads);
-  if (pool_) {
-    std::vector<std::optional<SeExplorer>> built(params_.threads);
-    pool_->parallel_for(params_.threads, [&](std::size_t t) {
-      built[t].emplace(&instance_, &params_, &layout_, forks[t]);
-    });
-    for (auto& b : built) explorers_.push_back(std::move(*b));
-  } else {
-    for (std::size_t t = 0; t < params_.threads; ++t) {
-      explorers_.emplace_back(&instance_, &params_, &layout_, forks[t]);
-    }
+    forks_.push_back(root.fork());
   }
 }
 
 SeScheduler::~SeScheduler() = default;
+
+void SeScheduler::ensure_explorers() const {
+  if (!explorers_.empty()) return;
+  // Construction — initializing O(max_family) chains, the dominant cost of
+  // an epoch at 10k+ committees — is embarrassingly parallel, so it fans
+  // out over the pool. Bitwise identical to serial construction: each
+  // explorer is a pure function of its pre-forked Rng.
+  explorers_.reserve(forks_.size());
+  if (pool_) {
+    std::vector<std::optional<SeExplorer>> built(forks_.size());
+    pool_->parallel_for(forks_.size(), [&](std::size_t t) {
+      built[t].emplace(&instance_, &params_, &layout_, forks_[t]);
+    });
+    for (auto& b : built) explorers_.push_back(std::move(*b));
+  } else {
+    for (const common::Rng& fork : forks_) {
+      explorers_.emplace_back(&instance_, &params_, &layout_, fork);
+    }
+  }
+  forks_.clear();
+  if (!warm_floor_selection_.empty()) {
+    // A certified warm_start recorded this floor without adopting it.
+    const SwapSet incumbent(warm_floor_selection_);
+    for (SeExplorer& explorer : explorers_) {
+      explorer.adopt_if_better(incumbent, warm_floor_utility_);
+    }
+  }
+}
+
+bool SeScheduler::certifies(double utility) const noexcept {
+  return params_.gap_tolerance > 0.0 &&
+         bound_ - utility <= params_.gap_tolerance * std::fabs(bound_);
+}
+
+void SeScheduler::rebuild_instance_data() {
+  layout_.rebuild(instance_, params_);
+  bound_ = fractional_bound(instance_);
+}
 
 std::size_t SeScheduler::next_block_length(std::size_t remaining) const {
   if (params_.share_interval == 0) return remaining;
@@ -596,6 +618,7 @@ bool SeScheduler::maybe_share() {
 void SeScheduler::step() { advance(1); }
 
 void SeScheduler::advance(std::size_t k) {
+  ensure_explorers();
   while (k > 0) {
     const std::size_t block = next_block_length(k);
     step_explorers(block, nullptr, nullptr);
@@ -692,9 +715,14 @@ double SeScheduler::warm_start(const Selection& seed) {
   const SelectionStats st = instance_.stats(seed);
   if (!instance_.capacity_ok(st) || !instance_.n_min_ok(st)) return kNaN;
   const double utility = instance_.utility(seed);
-  const SwapSet incumbent(seed);
-  for (SeExplorer& explorer : explorers_) {
-    explorer.adopt_if_better(incumbent, utility);
+  // A certified floor leaves unbuilt explorers unbuilt: ensure_explorers()
+  // adopts it if anything later needs them.
+  if (!explorers_.empty() || !certifies(utility)) {
+    ensure_explorers();
+    const SwapSet incumbent(seed);
+    for (SeExplorer& explorer : explorers_) {
+      explorer.adopt_if_better(incumbent, utility);
+    }
   }
   warm_floor_selection_ = seed;
   warm_floor_utility_ = utility;
@@ -708,6 +736,7 @@ double SeScheduler::warm_start(const Selection& seed) {
 }
 
 double SeScheduler::current_utility() const {
+  ensure_explorers();
   double best = kNaN;
   for (const SeExplorer& explorer : explorers_) {
     if (const auto b = explorer.best(); b && !(b->first <= best)) {
@@ -718,6 +747,7 @@ double SeScheduler::current_utility() const {
 }
 
 Selection SeScheduler::current_selection() const {
+  ensure_explorers();
   double best = -kInf;
   const SwapSet* chosen = nullptr;
   for (const SeExplorer& explorer : explorers_) {
@@ -741,7 +771,7 @@ SeResult SeScheduler::run() {
   // explorer state may overshoot by up to one block past the detection
   // point, which only matters to callers that keep stepping after run().
   SeResult result;
-  result.utility_trace.reserve(params_.max_iterations);
+  result.bound = bound_;
   double best_utility = -kInf;
   Selection best_selection;
   if (!warm_floor_selection_.empty()) {
@@ -750,8 +780,16 @@ SeResult SeScheduler::run() {
     best_utility = warm_floor_utility_;
     best_selection = warm_floor_selection_;
   }
+  // Certified stop (SeParams::gap_tolerance): checked on the floor before
+  // any exploration, then at every block boundary.
+  bool done = certifies(best_utility);
+  result.converged = done;
+  result.certified = done;
+  if (!done) {
+    ensure_explorers();
+    result.utility_trace.reserve(params_.max_iterations);
+  }
   std::size_t stale = 0;
-  bool done = false;
 
   std::vector<SeBlockStats> blocks(explorers_.size());
   std::vector<double> running_max(explorers_.size(), -kInf);
@@ -809,6 +847,11 @@ SeResult SeScheduler::run() {
         done = true;
       }
     }
+    if (!done && certifies(best_utility)) {
+      result.converged = true;
+      result.certified = true;
+      done = true;
+    }
   }
 
   result.iterations = result.utility_trace.size();
@@ -825,7 +868,7 @@ void SeScheduler::rebind_all(std::optional<std::uint32_t> removed_index) {
   // The warm floor is index-aligned with the pre-mutation instance; drop it.
   warm_floor_selection_.clear();
   warm_floor_utility_ = 0.0;
-  layout_.rebuild(instance_, params_);
+  rebuild_instance_data();
   for (SeExplorer& explorer : explorers_) {
     explorer.rebind(&instance_, &layout_, removed_index);
   }
@@ -838,6 +881,7 @@ void SeScheduler::add_committee(const Committee& committee) {
   }
   std::vector<Committee> committees = instance_.committees();
   committees.push_back(committee);
+  ensure_explorers();  // they rebind from the pre-join instance
   // Deadline re-derives as max latency over the updated set (paper §III-A).
   instance_ = EpochInstance(std::move(committees), instance_.alpha(),
                             instance_.capacity(), instance_.n_min());
@@ -853,6 +897,7 @@ void SeScheduler::add_committee(const Committee& committee) {
 void SeScheduler::set_n_min(std::size_t n_min) {
   if (n_min == instance_.n_min()) return;
   std::vector<Committee> committees = instance_.committees();
+  ensure_explorers();
   instance_ = EpochInstance(std::move(committees), instance_.alpha(),
                             instance_.capacity(), n_min);
   rebind_all(std::nullopt);
@@ -877,6 +922,7 @@ void SeScheduler::remove_committee(std::uint32_t committee_id) {
   if (survivors.empty()) {
     throw std::logic_error("SeScheduler: cannot remove the last committee");
   }
+  ensure_explorers();
   instance_ = EpochInstance(std::move(survivors), instance_.alpha(),
                             instance_.capacity(), instance_.n_min());
   rebind_all(removed_index);

@@ -50,6 +50,12 @@
 //  * Dynamics (Alg. 1 lines 8–12, §V): join adds a committee and the new
 //    cardinality slot; leave (failure) trims every solution containing the
 //    failed committee by re-initialization — the trimmed space G of Fig. 7.
+//  * Certified stop (SeParams::gap_tolerance, off by default): Lemma 1's
+//    knapsack view gives an O(|I| log |I|) upper bound on U, the
+//    fractional-knapsack relaxation (core::fractional_bound). An incumbent
+//    within the tolerance of it ends run() — before any exploration when a
+//    warm-start floor already qualifies, in which case the explorers are
+//    never built (they are built lazily; see SeScheduler).
 
 #include <algorithm>
 #include <cmath>
@@ -162,6 +168,15 @@ struct SeParams {
   /// on 7 workers without changing a single output bit (tested by the
   /// determinism matrix in test_se_parallel).
   std::size_t max_pool_workers = 0;
+  /// Certified stop; 0 (the default) turns it off. When > 0 the scheduler
+  /// stops as soon as its incumbent U is certified against the
+  /// fractional-knapsack bound B (core::fractional_bound):
+  /// B − U ≤ gap_tolerance·|B|. warm_start checks its floor: a certified
+  /// floor makes run() return it at once, and the Γ explorers are never
+  /// built. run() repeats the check at every barrier-to-barrier block
+  /// boundary. The stop gives up at most this share of B in exchange for
+  /// the exploration it skips; the serve pipeline uses 0.01.
+  double gap_tolerance = 0.0;
 };
 
 /// Outcome of a (converged) run.
@@ -172,6 +187,9 @@ struct SeResult {
   std::size_t iterations = 0;
   bool converged = false;
   bool feasible = false;    // false when no (n >= N_min, capacity-ok) exists
+  /// run() stopped on SeParams::gap_tolerance (B − utility ≤ tolerance·|B|).
+  bool certified = false;
+  double bound = 0.0;       // B = core::fractional_bound of the instance
   std::vector<double> utility_trace;  // best feasible utility per iteration
 };
 
@@ -357,11 +375,19 @@ class SeExplorer {
 /// pool) or owned (SeParams::parallel_execution, sized by
 /// max_pool_workers). The scheduler itself is single-caller: step()/
 /// advance()/run() and the accessors must not be invoked concurrently.
+///
+/// Lazy explorers: the constructor draws the Γ Rng forks but builds the
+/// explorers only on the first call that needs them — an uncertified
+/// warm_start, run(), step()/advance(), a committee mutation or a current_*
+/// accessor. Each explorer is a pure function of its fork, so when it is
+/// built changes no draw; a certified warm start followed by any of those
+/// calls builds them and adopts the floor first, which is the state an
+/// uncertified warm_start leaves.
 class SeScheduler {
  public:
-  /// `pool`, when non-null and Γ > 1, runs construction and the explorer
-  /// blocks in place of a scheduler-owned pool (parallel_execution and
-  /// max_pool_workers are then ignored). It must outlive the scheduler.
+  /// `pool`, when non-null and Γ > 1, runs explorer construction and the
+  /// explorer blocks in place of a scheduler-owned pool (parallel_execution
+  /// and max_pool_workers are then ignored). It must outlive the scheduler.
   /// Results are bitwise identical with or without it. Throws
   /// std::invalid_argument when the instance exceeds SwapSet::kMaxUniverse
   /// committees.
@@ -399,7 +425,9 @@ class SeScheduler {
   /// same adopt_if_better machinery the §IV-D share points use, and records
   /// the seed as a floor — run() initializes its best from the floor, so a
   /// warm-started run can never report a feasible result worse than its
-  /// seed. `seed` must be index-aligned with the *current* instance (the
+  /// seed. A floor certified under SeParams::gap_tolerance is only
+  /// recorded: run() returns it with 0 iterations and no explorer is
+  /// built. `seed` must be index-aligned with the *current* instance (the
   /// streaming pipeline re-derives it from the previous epoch's chosen
   /// subset plus the joined/left deltas before calling). Returns the seed's
   /// utility when accepted; NaN when `seed` is mis-sized or infeasible here,
@@ -423,6 +451,17 @@ class SeScheduler {
   void set_obs(obs::ObsContext obs);
 
  private:
+  /// Builds the Γ explorers from their forks if they are not built yet, and
+  /// adopts a floor recorded while they were not. Logically const: the
+  /// state it creates is the one the constructor used to build eagerly.
+  void ensure_explorers() const;
+
+  /// SeParams::gap_tolerance > 0 and bound_ − utility ≤ tolerance·|bound_|.
+  [[nodiscard]] bool certifies(double utility) const noexcept;
+
+  /// Rebuilds the layout and the bound after an instance mutation.
+  void rebuild_instance_data();
+
   void rebind_all(std::optional<std::uint32_t> removed_index);
 
   /// Length of the next barrier-to-barrier block: at most `remaining`, and
@@ -447,7 +486,11 @@ class SeScheduler {
   EpochInstance instance_;
   SeParams params_;
   SeLayout layout_;
-  std::vector<SeExplorer> explorers_;
+  double bound_ = 0.0;  // core::fractional_bound(instance_)
+  /// Empty until ensure_explorers(); `forks_` holds their Rng streams until
+  /// then (drawn serially in the constructor — the fork order defines them).
+  mutable std::vector<SeExplorer> explorers_;
+  mutable std::vector<common::Rng> forks_;
   std::size_t iteration_ = 0;
   /// Warm-start floor (empty selection = cold start). run() starts its best
   /// from here, making warm ≥ seed structural rather than probabilistic.

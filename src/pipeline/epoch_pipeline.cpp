@@ -138,6 +138,7 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   obs_committed_ = nullptr;
   obs_carried_ = nullptr;
   obs_utility_ = nullptr;
+  obs_gap_ = nullptr;
   obs_commit_time_ = nullptr;
   obs_xshard_intra_ = nullptr;
   obs_xshard_cross_ = nullptr;
@@ -154,6 +155,10 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
                              {{"result", "carried"}});
   obs_utility_ = &m->gauge("mvcom_pipeline_epoch_utility",
                            "Eq.-(2) utility of the latest committed epoch");
+  obs_gap_ = &m->gauge(
+      "mvcom_pipeline_epoch_gap",
+      "Relative optimality gap (bound - U)/|bound| of the latest committed "
+      "epoch against the fractional-knapsack bound");
   obs_commit_time_ = &m->gauge("mvcom_pipeline_commit_time_seconds",
                                "Commit instant of the latest final block");
   if (config_.account_mode) {
@@ -361,6 +366,8 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     }
     const core::SeResult result = scheduler.run();
     se_iterations = result.iterations;
+    report.utility_bound = result.bound;
+    report.certified = result.certified;
     if (result.feasible) {
       keep = result.best;
       report.feasible = true;
@@ -460,11 +467,13 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   report.event_order_digest = digest;
   totals_.digest = fnv1a_mix(totals_.digest, digest);
 
+  const double gap = core::relative_gap(report.utility_bound, report.utility);
   if (obs_epochs_ != nullptr) {
     obs_epochs_->inc();
     obs_committed_->add(committed_txs);
     obs_carried_->add(report.carried_txs);
     obs_utility_->set(report.utility);
+    obs_gap_->set(gap);
     obs_commit_time_->set(commit);
   }
   if (obs_xshard_intra_ != nullptr) {
@@ -476,6 +485,7 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     t->complete("pipeline", "pipeline/epoch", commit - start,
                 {{"epoch", static_cast<double>(report.epoch)},
                  {"utility", report.utility},
+                 {"gap", gap},
                  {"committed_txs", static_cast<double>(committed_txs)},
                  {"carried_txs", static_cast<double>(report.carried_txs)}});
   }

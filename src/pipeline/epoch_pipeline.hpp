@@ -20,9 +20,11 @@
 //   Stage B — scheduling + final consensus. Rebase carried shards against
 //     the *realized* epoch boundary (max of the nominal window edge and the
 //     previous final block's commit instant), build the EpochInstance, run
-//     the SE scheduler (warm-started from a greedy cross-epoch seed), decide
-//     the DDL, run stage-4 final consensus as a real discrete-event PBFT
-//     round, account committed per-TX ages, extend the root chain, and
+//     the SE scheduler (warm-started from a greedy cross-epoch seed, and
+//     skipped when that seed is certified within se.gap_tolerance of the
+//     fractional-knapsack bound), decide the DDL, run stage-4 final
+//     consensus as a real discrete-event PBFT round, account committed
+//     per-TX ages, extend the root chain, and
 //     carry the refused shards forward. Stage B mutates all cross-epoch
 //     state and therefore executes strictly in epoch order.
 //
@@ -72,7 +74,10 @@ struct PipelineConfig {
   double alpha = 1.5;              // Eq.-(2) throughput weight
   double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
   std::size_t n_min = 0;           // Eq.-(3) lower bound
-  core::SeParams se;               // SE scheduler knobs (threads, iterations…)
+  /// SE scheduler knobs (threads, iterations…). Unlike the library default,
+  /// gap_tolerance is 0.01: an epoch whose warm seed is within 1 % of the
+  /// fractional-knapsack bound commits the seed and skips SE entirely.
+  core::SeParams se{.gap_tolerance = 0.01};
   /// Seed epoch e+1's explorers from a greedy cross-epoch selection via
   /// SeScheduler::warm_start; the reported utility can then never fall
   /// below the seed's.
@@ -107,6 +112,13 @@ struct EpochReport {
   double commit = 0.0;       // final-block commit instant
   bool feasible = false;     // SE found an admissible selection
   double utility = 0.0;      // Eq.-(2) utility of the committed selection
+  /// core::fractional_bound of the epoch's instance (0 with no shards):
+  /// no selection can beat it, so (bound − utility)/|bound| is the epoch's
+  /// optimality-gap certificate (core::relative_gap).
+  double utility_bound = 0.0;
+  /// SE stopped on its gap_tolerance certificate (0 iterations when the
+  /// warm seed itself was certified).
+  bool certified = false;
   /// Utility of the greedy warm-start seed (NaN when cold or infeasible).
   double warm_seed_utility = 0.0;
   std::size_t shards_pending = 0;    // instance size (carried + fresh)
@@ -227,6 +239,7 @@ class EpochPipeline {
   obs::Counter* obs_committed_ = nullptr;
   obs::Counter* obs_carried_ = nullptr;
   obs::Gauge* obs_utility_ = nullptr;
+  obs::Gauge* obs_gap_ = nullptr;
   obs::Gauge* obs_commit_time_ = nullptr;
   // Account-mode conflict counters: TXs by x-shard classification.
   obs::Counter* obs_xshard_intra_ = nullptr;

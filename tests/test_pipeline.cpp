@@ -6,7 +6,10 @@
 //    sequential reference (depth 1, no pool) — per-epoch event_order_digest,
 //    utility, and age accounting;
 //  * SE warm start can never report worse than its seed, and the pipeline's
-//    warm epochs are never worse than cold epochs under identical seeds;
+//    warm epochs are never worse than cold epochs under identical seeds by
+//    more than the certified stop's tolerance;
+//  * an epoch whose seed is certified against the fractional-knapsack bound
+//    commits it without running SE, and every report carries that bound;
 //  * carried shards (including shards carried twice) are never double
 //    counted: ingested == committed + pending on every exit path;
 //  * the RNG substreams behind all of this are (seed, epoch)-derived, so
@@ -18,9 +21,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "mvcom/se_scheduler.hpp"
+#include "obs/export.hpp"
 #include "pipeline/serve.hpp"
 #include "txn/trace_generator.hpp"
 
@@ -73,41 +80,49 @@ RunRecord run_pipeline(const Trace& trace, PipelineConfig config) {
 // --- Determinism matrix ------------------------------------------------------
 
 TEST(PipelineDeterminism, OverlapAndWorkersNeverChangeResults) {
-  const Trace trace = small_trace();
-  const PipelineConfig base = small_config();
+  // At the default tolerance most epochs skip SE; at 0 every epoch runs
+  // its explorers nested on the pool.
+  for (const double tolerance : {0.0, PipelineConfig{}.se.gap_tolerance}) {
+    SCOPED_TRACE("gap_tolerance=" + std::to_string(tolerance));
+    const Trace trace = small_trace();
+    PipelineConfig base = small_config();
+    base.se.gap_tolerance = tolerance;
 
-  PipelineConfig ref_config = base;
-  ref_config.overlap_depth = 1;
-  ref_config.workers = 0;
-  const RunRecord ref = run_pipeline(trace, ref_config);
-  ASSERT_EQ(ref.reports.size(), base.epochs);
+    PipelineConfig ref_config = base;
+    ref_config.overlap_depth = 1;
+    ref_config.workers = 0;
+    const RunRecord ref = run_pipeline(trace, ref_config);
+    ASSERT_EQ(ref.reports.size(), base.epochs);
 
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
-    for (const std::size_t workers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      PipelineConfig config = base;
-      config.overlap_depth = depth;
-      config.workers = workers;
-      const RunRecord got = run_pipeline(trace, config);
-      ASSERT_EQ(got.reports.size(), ref.reports.size())
-          << "depth=" << depth << " workers=" << workers;
-      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
-        const EpochReport& a = ref.reports[e];
-        const EpochReport& b = got.reports[e];
-        EXPECT_EQ(a.event_order_digest, b.event_order_digest)
-            << "epoch " << e << " depth=" << depth << " workers=" << workers;
-        EXPECT_EQ(a.utility, b.utility) << "epoch " << e;
-        EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
-        EXPECT_EQ(a.committed_txs, b.committed_txs) << "epoch " << e;
-        EXPECT_EQ(a.carried_txs, b.carried_txs) << "epoch " << e;
-        EXPECT_EQ(a.start, b.start) << "epoch " << e;
-        EXPECT_EQ(a.commit, b.commit) << "epoch " << e;
-        EXPECT_EQ(a.des_events, b.des_events) << "epoch " << e;
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t workers :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        PipelineConfig config = base;
+        config.overlap_depth = depth;
+        config.workers = workers;
+        const RunRecord got = run_pipeline(trace, config);
+        ASSERT_EQ(got.reports.size(), ref.reports.size())
+            << "depth=" << depth << " workers=" << workers;
+        for (std::size_t e = 0; e < ref.reports.size(); ++e) {
+          const EpochReport& a = ref.reports[e];
+          const EpochReport& b = got.reports[e];
+          EXPECT_EQ(a.event_order_digest, b.event_order_digest)
+              << "epoch " << e << " depth=" << depth << " workers=" << workers;
+          EXPECT_EQ(a.utility, b.utility) << "epoch " << e;
+          EXPECT_EQ(a.utility_bound, b.utility_bound) << "epoch " << e;
+          EXPECT_EQ(a.se_iterations, b.se_iterations) << "epoch " << e;
+          EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
+          EXPECT_EQ(a.committed_txs, b.committed_txs) << "epoch " << e;
+          EXPECT_EQ(a.carried_txs, b.carried_txs) << "epoch " << e;
+          EXPECT_EQ(a.start, b.start) << "epoch " << e;
+          EXPECT_EQ(a.commit, b.commit) << "epoch " << e;
+          EXPECT_EQ(a.des_events, b.des_events) << "epoch " << e;
+        }
+        EXPECT_EQ(got.totals.digest, ref.totals.digest);
+        EXPECT_EQ(got.totals.committed_txs, ref.totals.committed_txs);
+        EXPECT_EQ(got.totals.pending_txs, ref.totals.pending_txs);
+        EXPECT_EQ(got.totals.total_age, ref.totals.total_age);
       }
-      EXPECT_EQ(got.totals.digest, ref.totals.digest);
-      EXPECT_EQ(got.totals.committed_txs, ref.totals.committed_txs);
-      EXPECT_EQ(got.totals.pending_txs, ref.totals.pending_txs);
-      EXPECT_EQ(got.totals.total_age, ref.totals.total_age);
     }
   }
 }
@@ -261,11 +276,14 @@ TEST(PipelineWarmStart, SchedulerNeverReportsWorseThanItsSeed) {
 TEST(PipelineWarmStart, WarmEpochsNeverWorseThanColdUnderSameSeeds) {
   // With a starved exploration budget the cold pipeline has to rely on its
   // random initial family, while the warm one starts every epoch from the
-  // greedy cross-epoch seed — epoch for epoch, warm must not lose.
+  // greedy cross-epoch seed. A warm epoch whose seed is certified commits
+  // the seed without exploring, so it may trail the cold epoch by at most
+  // the tolerance's share of the bound — and otherwise must not lose.
   const Trace trace = small_trace();
   PipelineConfig config = small_config();
   config.se.max_iterations = 20;
   config.se.convergence_window = 20;
+  const double tolerance = config.se.gap_tolerance;
 
   config.warm_start = false;
   const RunRecord cold = run_pipeline(trace, config);
@@ -273,16 +291,58 @@ TEST(PipelineWarmStart, WarmEpochsNeverWorseThanColdUnderSameSeeds) {
   const RunRecord warm = run_pipeline(trace, config);
   ASSERT_EQ(cold.reports.size(), warm.reports.size());
   for (std::size_t e = 0; e < warm.reports.size(); ++e) {
-    ASSERT_TRUE(warm.reports[e].feasible);
-    if (!std::isnan(warm.reports[e].warm_seed_utility)) {
+    const EpochReport& w = warm.reports[e];
+    ASSERT_TRUE(w.feasible);
+    if (!std::isnan(w.warm_seed_utility)) {
       // The floor held: the epoch can never close below its seed.
-      EXPECT_GE(warm.reports[e].utility,
-                warm.reports[e].warm_seed_utility);
+      EXPECT_GE(w.utility, w.warm_seed_utility);
     }
     if (cold.reports[e].feasible) {
-      EXPECT_GE(warm.reports[e].utility, cold.reports[e].utility)
+      EXPECT_GE(w.utility, cold.reports[e].utility -
+                               tolerance * std::fabs(w.utility_bound))
           << "epoch " << e;
     }
+  }
+}
+
+// --- Certified stop ----------------------------------------------------------
+
+TEST(PipelineCertifiedStop, CertifiedSeedsCommitWithoutRunningSe) {
+  const Trace trace = small_trace();
+  const PipelineConfig config = small_config();
+  const double tolerance = config.se.gap_tolerance;
+  ASSERT_GT(tolerance, 0.0) << "the pipeline certifies by default";
+  const RunRecord rec = run_pipeline(trace, config);
+  std::size_t skipped = 0;
+  for (const EpochReport& r : rec.reports) {
+    SCOPED_TRACE("epoch " + std::to_string(r.epoch));
+    ASSERT_TRUE(r.feasible);
+    // No selection beats the bound (up to summation-order rounding).
+    EXPECT_GE(r.utility_bound, r.utility - 1e-9 * std::fabs(r.utility));
+    if (r.certified) {
+      EXPECT_LE(mvcom::core::relative_gap(r.utility_bound, r.utility),
+                tolerance);
+    }
+    if (r.se_iterations == 0) {
+      // SE never ran: the committed decision is the seed, bit for bit.
+      ++skipped;
+      EXPECT_TRUE(r.certified);
+      EXPECT_EQ(r.utility, r.warm_seed_utility);
+    }
+  }
+  EXPECT_GT(skipped, 0u) << "no epoch exercised the certified skip";
+}
+
+TEST(PipelineCertifiedStop, ToleranceZeroRunsSeEveryEpoch) {
+  const Trace trace = small_trace();
+  PipelineConfig config = small_config();
+  config.se.gap_tolerance = 0.0;
+  const RunRecord rec = run_pipeline(trace, config);
+  for (const EpochReport& r : rec.reports) {
+    SCOPED_TRACE("epoch " + std::to_string(r.epoch));
+    EXPECT_FALSE(r.certified);
+    EXPECT_GT(r.se_iterations, 0u);
+    EXPECT_GT(r.utility_bound, 0.0);
   }
 }
 
@@ -366,6 +426,41 @@ TEST(ServeSessionStop, EarlyStopStillFlushesValidArtifacts) {
   // Truncated-run accounting stays exact.
   EXPECT_EQ(summary.totals.ingested_txs,
             summary.totals.committed_txs + summary.totals.pending_txs);
+}
+
+TEST(ServeSessionGap, MetricsAndTraceCarryTheEpochGap) {
+  if constexpr (!mvcom::obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  mvcom::pipeline::ServeConfig config;
+  config.pipeline = small_config();
+  config.stream.num_blocks = 90;
+  config.stream.target_total_txs = 45'000;
+  config.stream.mean_interblock_seconds = 15.0;
+  config.trace_out = ::testing::TempDir() + "serve_gap_trace.json";
+  mvcom::pipeline::ServeSession session(config);
+  double last_gap = 0.0;
+  const mvcom::pipeline::ServeSummary summary =
+      session.run([&](const EpochReport& r) {
+        last_gap = mvcom::core::relative_gap(r.utility_bound, r.utility);
+      });
+  ASSERT_TRUE(summary.artifacts_valid);
+  std::ifstream trace_file(config.trace_out);
+  const std::string trace((std::istreambuf_iterator<char>(trace_file)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(trace.find("\"pipeline/epoch\""), std::string::npos);
+  EXPECT_NE(trace.find("\"gap\""), std::string::npos);
+
+  const std::string text = mvcom::obs::to_prometheus_text(session.metrics());
+  EXPECT_NE(text.find("mvcom_pipeline_epoch_gap"), std::string::npos);
+  bool found = false;
+  for (const auto& m : session.metrics().snapshot()) {
+    if (m.name != "mvcom_pipeline_epoch_gap") continue;
+    found = true;
+    EXPECT_EQ(m.value, last_gap);  // the latest committed epoch's gap
+  }
+  EXPECT_TRUE(found);
+  EXPECT_GE(last_gap, 0.0);
 }
 
 TEST(PipelineChain, EveryEpochExtendsTheRootChain) {

@@ -174,6 +174,67 @@ TEST(NpHardnessReductionTest, KnapsackAndMvcomOptimaCoincide) {
   const auto result = exact.solve(mvcom_instance);
   ASSERT_TRUE(result.feasible);
   EXPECT_NEAR(result.utility, knapsack_best, 1e-9);
+
+  // Its fractional relaxation (Dantzig): ratios 5/3 > 6/4 = 3/2 (tie, by
+  // index) > 7/5 > 1/1, so items 1, 0, 2 go in whole (weight 9) and one
+  // fifth of item 3 fills the last unit: 5 + 6 + 3 + 7/5 = 15.4, above the
+  // integral optimum 15 by less than the largest value.
+  EXPECT_DOUBLE_EQ(knapsack_best, 15.0);
+  EXPECT_NEAR(mvcom::core::fractional_bound(mvcom_instance), 15.4, 1e-9);
+}
+
+// --- The fractional-knapsack bound -------------------------------------------
+
+TEST(FractionalBoundTest, EqualsTheOptimumWhenEveryPositiveGainFits) {
+  // Gains −250, −75, 600, 100: both positive-gain committees fit Ĉ = 700,
+  // so the bound is their sum, which the feasible {2, 3} reaches.
+  const EpochInstance inst = tiny_instance();
+  EXPECT_DOUBLE_EQ(mvcom::core::fractional_bound(inst), 700.0);
+  EXPECT_DOUBLE_EQ(inst.utility({0, 0, 1, 1}), 700.0);
+}
+
+TEST(FractionalBoundTest, IgnoresNminWhichOnlyLowersTheOptimum) {
+  const EpochInstance free_choice(tiny_instance().committees(), 1.5, 700, 0);
+  const EpochInstance forced(tiny_instance().committees(), 1.5, 700, 3);
+  EXPECT_DOUBLE_EQ(mvcom::core::fractional_bound(forced),
+                   mvcom::core::fractional_bound(free_choice));
+  Exhaustive exact;
+  const auto best = exact.solve(forced);
+  ASSERT_TRUE(best.feasible);
+  EXPECT_LT(best.utility, mvcom::core::fractional_bound(forced));
+}
+
+TEST(FractionalBoundTest, IsZeroWithoutPositiveGainsOrCapacity) {
+  // α = 0.1: gains 10 − 200, 15 − 100, and 0 for the zero-TX straggler
+  // that sets the deadline. None is positive.
+  const EpochInstance negative({{0, 100, 800.0}, {1, 150, 900.0},
+                                {2, 0, 1000.0}},
+                               0.1, 10'000, 0);
+  EXPECT_DOUBLE_EQ(mvcom::core::fractional_bound(negative), 0.0);
+  const EpochInstance starved(tiny_instance().committees(), 1.5, 0, 0);
+  EXPECT_DOUBLE_EQ(mvcom::core::fractional_bound(starved), 0.0);
+}
+
+TEST(FractionalBoundTest, ZeroTxCommitteeNeitherDividesByZeroNorRaisesIt) {
+  // Under the derived deadline a zero-TX committee's gain is −(t − l) ≤ 0.
+  std::vector<Committee> with_empty = tiny_instance().committees();
+  with_empty.push_back({4, 0, 1100.0});  // gain −100
+  with_empty.push_back({5, 0, 1200.0});  // at the deadline: gain 0
+  // Ĉ = 500 splits committee 3: committee 2 (gain 600, 400 TXs) fits
+  // whole, then half of committee 3's 200 TXs: 600 + 100/2.
+  const EpochInstance padded(with_empty, 1.5, 500, 1);
+  const EpochInstance reference(tiny_instance().committees(), 1.5, 500, 1);
+  const double bound = mvcom::core::fractional_bound(padded);
+  EXPECT_TRUE(std::isfinite(bound));
+  EXPECT_DOUBLE_EQ(bound, 650.0);
+  EXPECT_DOUBLE_EQ(bound, mvcom::core::fractional_bound(reference));
+}
+
+TEST(FractionalBoundTest, RelativeGapIsScaledByTheBound) {
+  EXPECT_DOUBLE_EQ(mvcom::core::relative_gap(200.0, 190.0), 0.05);
+  EXPECT_DOUBLE_EQ(mvcom::core::relative_gap(200.0, 200.0), 0.0);
+  EXPECT_DOUBLE_EQ(mvcom::core::relative_gap(0.0, 0.0), 0.0);
+  EXPECT_TRUE(std::isinf(mvcom::core::relative_gap(0.0, -5.0)));
 }
 
 // Regression: Σ s_i was accumulated in uint64 without a wrap check, so two

@@ -12,7 +12,10 @@
 //  * SE must (a) never emit an infeasible selection, (b) agree with the
 //    ground truth on *whether* a solution exists, and (c) land within a
 //    small tolerance of the optimum, hitting it exactly on the overwhelming
-//    majority of instances.
+//    majority of instances. These cold runs keep SeParams::gap_tolerance at
+//    0: a certified stop would trade exact optima for time.
+//  * The fractional-knapsack bound (core::fractional_bound) brackets the
+//    exact optimum on the same family.
 //
 // One subtlety: the SE solution family maintains cardinalities n ≥ 1, so
 // when N_min = 0 its notion of "feasible" is "a non-empty feasible
@@ -27,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -181,6 +185,64 @@ TEST(SeDifferentialTest, ThousandRandomInstancesAgainstExactBaselines) {
   EXPECT_GE(exact_hits, feasible_cases * 95 / 100)
       << "exact " << exact_hits << "/" << feasible_cases
       << ", worst gap " << worst_gap;
+}
+
+// The fractional-knapsack bound behind SeParams::gap_tolerance, against the
+// exhaustive optimum on the same 1000-instance family. Rounding slack: the
+// bound and the optimum sum the same gains in different orders.
+TEST(SeDifferentialTest, FractionalBoundBracketsTheExactOptimum) {
+  constexpr std::uint64_t kCases = 1000;
+  std::size_t all_fit = 0;
+  std::size_t nothing_positive = 0;
+  std::size_t with_n_min = 0;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("case seed " + std::to_string(seed));
+    const DiffCase c = random_case(seed);
+    const EpochInstance instance(c.committees, c.alpha, c.capacity, c.n_min);
+    const EpochInstance free_choice(c.committees, c.alpha, c.capacity, 0);
+    const double bound = mvcom::core::fractional_bound(instance);
+    ASSERT_TRUE(std::isfinite(bound));
+    EXPECT_EQ(bound, mvcom::core::fractional_bound(free_choice));
+
+    double max_gain = 0.0;
+    double positive_sum = 0.0;
+    std::uint64_t positive_txs = 0;
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      const double g = instance.gain(i);
+      if (g <= 0.0) continue;
+      max_gain = std::max(max_gain, g);
+      positive_sum += g;
+      positive_txs += instance.committees()[i].txs;
+    }
+    const double slack = 1e-9 * std::max(1.0, std::fabs(bound));
+
+    // Above every feasible selection's utility, N_min or not.
+    Exhaustive exact;
+    const auto truth = exact.solve(instance);
+    if (truth.feasible) {
+      if (c.n_min > 0) ++with_n_min;
+      EXPECT_GE(bound, truth.utility - slack);
+    }
+    // Above the N_min-free optimum by at most one committee's gain: the
+    // whole-committee prefix is feasible, the fractional one is ≤ max gain.
+    const auto free_truth = exact.solve(free_choice);
+    ASSERT_TRUE(free_truth.feasible);  // the empty selection always fits
+    EXPECT_GE(bound, free_truth.utility - slack);
+    EXPECT_LE(bound, free_truth.utility + max_gain + slack);
+    if (positive_txs <= c.capacity) {
+      ++all_fit;
+      EXPECT_NEAR(bound, free_truth.utility, slack);
+      EXPECT_NEAR(bound, positive_sum, slack);
+    }
+    if (max_gain == 0.0 || c.capacity == 0) {
+      ++nothing_positive;
+      EXPECT_EQ(bound, 0.0);
+    }
+  }
+  // Each branch is exercised by the family.
+  EXPECT_GE(all_fit, kCases / 10);
+  EXPECT_GE(nothing_positive, kCases / 20);
+  EXPECT_GE(with_n_min, kCases / 10);
 }
 
 // DP with the exact Eq.-(2) objective and an unscaled table is provably

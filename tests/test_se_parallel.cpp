@@ -2,10 +2,11 @@
 // scheduler owns (SeParams::parallel_execution) or one lent to its
 // constructor: determinism contract against the serial path, the
 // independent-chain bitwise guarantee at share_interval == max_iterations,
-// pool-backed online exploration, a lent pool nested inside an outer batch,
-// a join/leave storm interleaved with parallel stepping (the
-// ThreadSanitizer workload run by tools/run_tsan_tests.sh), and schedule
-// digests pinned to constants so SE trajectories hold across commits.
+// pool-backed online exploration, a lent pool nested inside an outer batch
+// (also with the certified stop's lazily built explorers), a join/leave
+// storm interleaved with parallel stepping (the ThreadSanitizer workloads
+// run by tools/run_tsan_tests.sh), and schedule digests pinned to constants
+// so SE trajectories hold across commits.
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,54 @@ TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
   });
   EXPECT_GT(sibling, 0u);
   expect_identical(serial, nested);
+}
+
+TEST(SeParallelTest, CertifiedStopBuildsExplorersLazilyOnANestedLentPool) {
+  // Stage B's shape under the certified stop: a warm-started scheduler on a
+  // lent pool, nested in an outer batch. The certified floor returns with no
+  // explorer built; advancing afterwards builds them on the pool, inside
+  // the batch, and must match a serial tolerance-0 scheduler bitwise.
+  const EpochInstance inst = random_instance(9, 40, 0);
+  SeParams params;
+  params.threads = 4;
+  params.share_interval = 25;
+  Selection seed(inst.size(), 0);
+  std::uint64_t used = 0;
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    const std::uint64_t txs = inst.committees()[i].txs;
+    if (inst.gain(i) > 0.0 && used + txs <= inst.capacity()) {
+      seed[i] = 1;
+      used += txs;
+    }
+  }
+  const double gap = mvcom::core::relative_gap(
+      mvcom::core::fractional_bound(inst), inst.utility(seed));
+
+  SeScheduler reference(inst, params, 41);
+  ASSERT_FALSE(std::isnan(reference.warm_start(seed)));
+  reference.advance(80);
+
+  params.gap_tolerance = gap + 1e-9;  // just certifies the seed
+  mvcom::common::ThreadPool pool(2);
+  std::uint64_t sibling = 0;
+  pool.parallel_for(2, [&](std::size_t task) {
+    if (task == 0) {
+      SeScheduler scheduler(inst, params, 41, &pool);
+      ASSERT_FALSE(std::isnan(scheduler.warm_start(seed)));
+      const SeResult kept = scheduler.run();
+      EXPECT_TRUE(kept.certified);
+      EXPECT_EQ(kept.iterations, 0u);
+      EXPECT_EQ(kept.best, seed);
+      scheduler.advance(80);
+      EXPECT_EQ(scheduler.current_selection(), reference.current_selection());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scheduler.current_utility()),
+                std::bit_cast<std::uint64_t>(reference.current_utility()));
+    } else {
+      mvcom::common::Rng rng(3);
+      for (int i = 0; i < 100'000; ++i) sibling += rng.below(7);
+    }
+  });
+  EXPECT_GT(sibling, 0u);
 }
 
 TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
@@ -326,10 +375,15 @@ TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
   }
 }
 
-TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
-  // The serve pipeline's SE call: ~900 pending shards (inside the default
-  // max_family, so the full n = 1..|I| family), N_min = 0, Ĉ = 60 % of the
-  // pending TXs, Γ = 4 on a lent pool, warm-started from a greedy seed.
+/// The serve pipeline's SE call: ~900 pending shards (inside the default
+/// max_family, so the full n = 1..|I| family), N_min = 0, Ĉ = 60 % of the
+/// pending TXs, Γ = 4, warm-started from a first-fit seed.
+struct ServeShaped {
+  EpochInstance inst;
+  Selection seed;
+};
+
+ServeShaped serve_shaped() {
   mvcom::common::Rng rng(2016);
   std::vector<Committee> committees;
   std::uint64_t total = 0;
@@ -338,12 +392,7 @@ TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
         {i, 2000 + rng.below(12000), rng.uniform(0.0, 8000.0)});
     total += committees.back().txs;
   }
-  const EpochInstance inst(std::move(committees), 1.5, total * 6 / 10, 0);
-  SeParams params;
-  params.threads = 4;
-  params.max_iterations = 100;
-  params.convergence_window = params.max_iterations + 1;
-
+  EpochInstance inst(std::move(committees), 1.5, total * 6 / 10, 0);
   Selection seed(inst.size(), 0);
   std::uint64_t used = 0;
   for (std::size_t i = 0; i < inst.size(); ++i) {
@@ -353,15 +402,51 @@ TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
       used += txs;
     }
   }
+  return {std::move(inst), std::move(seed)};
+}
+
+/// One warm-started serve-shaped run, serially and on a lent pool; the two
+/// must agree bitwise.
+SeResult run_serve_shaped(const ServeShaped& shape, const SeParams& params) {
   const auto run = [&](mvcom::common::ThreadPool* pool) {
-    SeScheduler scheduler(inst, params, 5, pool);
-    EXPECT_FALSE(std::isnan(scheduler.warm_start(seed)));
+    SeScheduler scheduler(shape.inst, params, 5, pool);
+    EXPECT_FALSE(std::isnan(scheduler.warm_start(shape.seed)));
     return scheduler.run();
   };
   const SeResult serial = run(nullptr);
   mvcom::common::ThreadPool pool(2);
   expect_identical(serial, run(&pool));
-  expect_pinned("serve", serial, kPinnedServe);
+  return serial;
+}
+
+SeParams serve_shaped_params() {
+  SeParams params;
+  params.threads = 4;
+  params.max_iterations = 100;
+  params.convergence_window = params.max_iterations + 1;
+  return params;
+}
+
+TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
+  expect_pinned("serve",
+                run_serve_shaped(serve_shaped(), serve_shaped_params()),
+                kPinnedServe);
+}
+
+TEST(SeDeterminismMatrix, ServeShapedUncertifiedSeedKeepsTheServePin) {
+  // A tolerance the seed never meets: SE runs exactly as at tolerance 0,
+  // with the lazily built explorers, and hits the same pinned digest.
+  const ServeShaped shape = serve_shaped();
+  SeParams params = serve_shaped_params();
+  params.gap_tolerance = 1e-6;
+  const double seed_gap =
+      mvcom::core::relative_gap(mvcom::core::fractional_bound(shape.inst),
+                                shape.inst.utility(shape.seed));
+  ASSERT_GT(seed_gap, params.gap_tolerance);
+  const SeResult result = run_serve_shaped(shape, params);
+  EXPECT_FALSE(result.certified);
+  EXPECT_EQ(result.iterations, params.max_iterations);
+  expect_pinned("serve-tolerance", result, kPinnedServe);
 }
 
 TEST(SeDeterminismMatrix, TimerRaceIsPinned) {

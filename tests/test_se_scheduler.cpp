@@ -1,15 +1,21 @@
 // Tests for the SE scheduler (Alg. 1–3): feasibility invariants,
 // near-optimality against exhaustive ground truth, the Γ-threads effect,
-// and online join/leave dynamics.
+// the certified stop against the fractional-knapsack bound, and online
+// join/leave dynamics.
 
 #include "mvcom/se_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "baselines/exhaustive.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -193,6 +199,221 @@ TEST(SeSchedulerTest, RejectsUniversesAboveTheSwapSetCap) {
   full.add_committee(joiner);
   EXPECT_EQ(full.instance().size(), SwapSet::kMaxUniverse);
   EXPECT_EQ(full.instance().committees().back().id, joiner.id);
+}
+
+// --- Certified stop (SeParams::gap_tolerance) --------------------------------
+
+/// A serve-like instance: many committees, Ĉ = 60 % of the TXs, so the
+/// greedy seed lands within a fraction of a percent of the bound.
+EpochInstance serve_like_instance(std::size_t n_min = 0) {
+  mvcom::common::Rng rng(2021);
+  std::vector<Committee> committees;
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    committees.push_back(
+        {i, 2000 + rng.below(12000), rng.uniform(0.0, 800.0)});
+    total += committees.back().txs;
+  }
+  return EpochInstance(std::move(committees), 1.5, total * 6 / 10, n_min);
+}
+
+/// Descending-gain fill under Ĉ (the serve pipeline's warm seed).
+Selection greedy_seed(const EpochInstance& inst) {
+  std::vector<std::size_t> order(inst.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return inst.gain(a) != inst.gain(b) ? inst.gain(a) > inst.gain(b) : a < b;
+  });
+  Selection seed(inst.size(), 0);
+  std::uint64_t used = 0;
+  for (const std::size_t i : order) {
+    const std::uint64_t txs = inst.committees()[i].txs;
+    if (inst.gain(i) <= 0.0 || used + txs > inst.capacity()) continue;
+    seed[i] = 1;
+    used += txs;
+  }
+  return seed;
+}
+
+constexpr double kServeTolerance = 0.01;
+
+SeParams certifying_params(double tolerance) {
+  SeParams p = quick_params(4);
+  p.max_iterations = 600;
+  p.convergence_window = 300;
+  p.share_interval = 50;
+  p.gap_tolerance = tolerance;
+  return p;
+}
+
+TEST(SeCertifiedStopTest, CertifiedWarmRunReturnsTheFloorBitwise) {
+  const EpochInstance inst = serve_like_instance();
+  const Selection seed = greedy_seed(inst);
+  SeScheduler scheduler(inst, certifying_params(kServeTolerance), 7);
+  mvcom::obs::MetricsRegistry registry;
+  scheduler.set_obs(mvcom::obs::ObsContext(&registry, nullptr));
+  const double floor = scheduler.warm_start(seed);
+  ASSERT_FALSE(std::isnan(floor));
+  const double bound = mvcom::core::fractional_bound(inst);
+  ASSERT_LE(mvcom::core::relative_gap(bound, floor), kServeTolerance)
+      << "precondition: the greedy seed must certify";
+
+  const SeResult result = scheduler.run();
+  EXPECT_TRUE(result.certified);
+  EXPECT_TRUE(result.converged);
+  EXPECT_TRUE(result.feasible);
+  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_TRUE(result.utility_trace.empty());
+  EXPECT_EQ(result.best, seed);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.utility),
+            std::bit_cast<std::uint64_t>(floor));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.valuable_degree),
+            std::bit_cast<std::uint64_t>(inst.valuable_degree(seed)));
+  EXPECT_EQ(result.bound, bound);
+  EXPECT_EQ(scheduler.iteration(), 0u);
+  EXPECT_EQ(registry.counter("mvcom_se_iterations_total").value(), 0u);
+}
+
+TEST(SeCertifiedStopTest, ToleranceZeroNeverCertifies) {
+  const EpochInstance inst = serve_like_instance();
+  SeScheduler scheduler(inst, certifying_params(0.0), 7);
+  ASSERT_FALSE(std::isnan(scheduler.warm_start(greedy_seed(inst))));
+  const SeResult result = scheduler.run();
+  EXPECT_FALSE(result.certified);
+  EXPECT_GT(result.iterations, 0u);
+  EXPECT_EQ(result.bound, mvcom::core::fractional_bound(inst));
+}
+
+/// Bitwise equality of two schedulers' observable state.
+void expect_same_state(const SeScheduler& a, const SeScheduler& b) {
+  EXPECT_EQ(a.iteration(), b.iteration());
+  EXPECT_EQ(a.current_selection(), b.current_selection());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.current_utility()),
+            std::bit_cast<std::uint64_t>(b.current_utility()));
+}
+
+// A certified scheduler that is read, stepped or mutated builds its
+// explorers and adopts the floor first — the state a tolerance-0 warm_start
+// leaves — so from then on the two are bitwise equal.
+TEST(SeCertifiedStopTest, LaterCallsMatchAToleranceZeroScheduler) {
+  const EpochInstance inst = serve_like_instance(4);
+  const Selection seed = greedy_seed(inst);
+  ASSERT_GE(std::count(seed.begin(), seed.end(), 1), 4);
+  const std::uint32_t member = inst.committees()[static_cast<std::size_t>(
+      std::find(seed.begin(), seed.end(), 1) - seed.begin())].id;
+  using Call = void (*)(SeScheduler&, std::uint32_t);
+  const std::vector<std::pair<const char*, Call>> calls = {
+      // Only the current_* accessors in expect_same_state build them.
+      {"accessors", [](SeScheduler&, std::uint32_t) {}},
+      {"advance", [](SeScheduler& s, std::uint32_t) { s.advance(70); }},
+      {"step", [](SeScheduler& s, std::uint32_t) { s.step(); }},
+      {"add_committee",
+       [](SeScheduler& s, std::uint32_t) {
+         s.add_committee({9000, 5000, 100.0});
+       }},
+      {"remove_committee",
+       [](SeScheduler& s, std::uint32_t id) { s.remove_committee(id); }},
+      {"set_n_min", [](SeScheduler& s, std::uint32_t) { s.set_n_min(9); }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    SeScheduler certified(inst, certifying_params(kServeTolerance), 11);
+    SeScheduler reference(inst, certifying_params(0.0), 11);
+    const double floor = certified.warm_start(seed);
+    ASSERT_LE(mvcom::core::relative_gap(mvcom::core::fractional_bound(inst),
+                                        floor),
+              kServeTolerance);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.warm_start(seed)),
+              std::bit_cast<std::uint64_t>(floor));
+    call(certified, member);
+    call(reference, member);
+    expect_same_state(certified, reference);
+    // The whole explorer state matched, not just the incumbent: the two
+    // keep stepping in lockstep.
+    certified.advance(60);
+    reference.advance(60);
+    expect_same_state(certified, reference);
+  }
+}
+
+TEST(SeCertifiedStopTest, CertifiedWarmStartAfterSteppingStillAdoptsTheSeed) {
+  // Once the explorers exist, a certified warm_start adopts its seed like
+  // any other, so later steps match a tolerance-0 scheduler.
+  const EpochInstance inst = serve_like_instance();
+  const Selection seed = greedy_seed(inst);
+  SeScheduler certified(inst, certifying_params(kServeTolerance), 13);
+  SeScheduler reference(inst, certifying_params(0.0), 13);
+  certified.advance(20);
+  reference.advance(20);
+  const double floor = certified.warm_start(seed);
+  ASSERT_LE(mvcom::core::relative_gap(mvcom::core::fractional_bound(inst),
+                                      floor),
+            kServeTolerance);
+  (void)reference.warm_start(seed);
+  expect_same_state(certified, reference);
+  certified.advance(60);
+  reference.advance(60);
+  expect_same_state(certified, reference);
+  EXPECT_EQ(certified.run().iterations, 0u);  // the floor still certifies
+}
+
+// The documented trade: on Lemma 1's knapsack image (values 6, 5, 3, 7, 1,
+// weights 4, 3, 2, 5, 1, Ĉ = 10; fractional bound 15.4) the seed {0, 1, 2}
+// is worth 14 and the optimum 15. The gap 1.4/15.4 ≈ 9 % is inside a 10 %
+// tolerance, so the certified run keeps the seed while a tolerance-0 run
+// finds the optimum.
+TEST(SeCertifiedStopTest, CertifiedRunKeepsASeedSeBeatsByLessThanEpsilon) {
+  const double values[] = {6.0, 5.0, 3.0, 7.0, 1.0};
+  const std::uint64_t weights[] = {4, 3, 2, 5, 1};
+  std::vector<Committee> committees;
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    committees.push_back({k, weights[k],
+                          100.0 + values[k] - static_cast<double>(weights[k])});
+  }
+  const EpochInstance inst(committees, 1.0, 10, 0, 100.0);
+  const Selection seed = {1, 1, 1, 0, 0};
+  constexpr double kTolerance = 0.1;
+
+  SeScheduler certified(inst, certifying_params(kTolerance), 3);
+  ASSERT_NEAR(certified.warm_start(seed), 14.0, 1e-9);
+  ASSERT_NEAR(mvcom::core::fractional_bound(inst), 15.4, 1e-9);
+  const SeResult kept = certified.run();
+  EXPECT_TRUE(kept.certified);
+  EXPECT_EQ(kept.iterations, 0u);
+  EXPECT_EQ(kept.best, seed);
+
+  SeScheduler explored(inst, certifying_params(0.0), 3);
+  (void)explored.warm_start(seed);
+  const SeResult best = explored.run();
+  EXPECT_FALSE(best.certified);
+  EXPECT_NEAR(best.utility, 15.0, 1e-9);
+  EXPECT_GT(best.utility, kept.utility);
+  EXPECT_LE(best.utility - kept.utility, kTolerance * kept.bound);
+}
+
+TEST(SeCertifiedStopTest, ColdRunStopsAtTheFirstCertifiedBlockBoundary) {
+  // Everything fits Ĉ, so the static full-set chain sits on the bound from
+  // the start: the check at the first block boundary stops the run.
+  std::vector<Committee> committees;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    committees.push_back({i, 100, 500.0 + i});
+  }
+  const EpochInstance inst(committees, 10.0, 10'000, 0);
+  SeParams params = certifying_params(1e-9);
+  SeScheduler scheduler(inst, params, 2);
+  const SeResult stopped = scheduler.run();
+  EXPECT_TRUE(stopped.certified);
+  EXPECT_TRUE(stopped.converged);
+  EXPECT_EQ(stopped.iterations, params.share_interval);
+  EXPECT_NEAR(stopped.utility, stopped.bound, 1e-9 * stopped.bound);
+
+  params.gap_tolerance = 0.0;
+  SeScheduler full(inst, params, 2);
+  const SeResult converged = full.run();
+  EXPECT_FALSE(converged.certified);
+  // The optimum from iteration 1, then a full stale window.
+  EXPECT_EQ(converged.iterations, params.convergence_window + 1);
+  EXPECT_EQ(converged.best, stopped.best);
 }
 
 // --- Online dynamics ---------------------------------------------------------

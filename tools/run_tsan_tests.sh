@@ -8,7 +8,14 @@
 # pipeline's stage B does for the SE explorers — is exercised by the
 # ThreadPoolNestingTest cases in tests/test_thread_pool.cpp and by the
 # tests/test_pipeline.cpp matrix (Γ = 4 explorers nested in stage B at
-# workers {1, 2, 8}). The lane-parallel Elastico epoch
+# workers {1, 2, 8}, at gap_tolerance 0 and at the pipeline's default). The
+# certified stop builds explorers lazily, on the first call that needs
+# them, so construction can happen inside that nested batch:
+# SeParallelTest.CertifiedStopBuildsExplorersLazilyOnANestedLentPool runs
+# it on a lent pool, and the SeCertifiedStopTest / PipelineCertifiedStop
+# cases cover the serial and pipeline paths. Filter to this set with
+#   tools/run_tsan_tests.sh -R 'SeParallel|SeDeterminism|SeCertified|Pipeline'
+# The lane-parallel Elastico epoch
 # (ElasticoConfig::lane_workers) is exercised by tests/test_elastico_lanes.cpp
 # at worker counts {1, 2, 8} — per-lane simulators/networks plus the shared
 # obs sinks run concurrently there, so races in the lane substrate surface in

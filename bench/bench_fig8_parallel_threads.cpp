@@ -3,14 +3,15 @@
 // |I_j| = 500, Ĉ = 500K, α = 1.5. Expected shape: larger Γ converges faster
 // and to a (weakly) higher utility, saturating around Γ ≈ 10.
 //
-// Beyond the per-iteration shape, this bench times the real threading model
-// (SeParams::parallel_execution): each Γ point runs the serial reference and
-// the pool-backed parallel path, reports wall-clock iterations/sec and chain
-// throughput (explorer-iterations/sec = Γ · iterations/sec), and the
-// parallel speedup at each Γ relative to Γ = 1. On a host with ≥ Γ cores the
-// speedup approaches Γ (explorers advance concurrently between §IV-D share
-// barriers); on a single core it stays ≈ 1. The utility traces of the two
-// paths are bitwise identical by construction — the bench verifies that too.
+// Beyond the per-iteration shape, this bench times the real threading model:
+// each Γ point runs the serial reference and the parallel path on a lent
+// pool of Γ − 1 workers (the caller is the Γ-th context), reports wall-clock
+// iterations/sec and chain throughput (explorer-iterations/sec = Γ ·
+// iterations/sec), and the parallel speedup at each Γ relative to Γ = 1. On
+// a host with ≥ Γ cores the speedup approaches Γ (explorers advance
+// concurrently between §IV-D share barriers); on a single core it stays ≈ 1.
+// The utility traces of the two paths are bitwise identical by construction
+// — the bench verifies that too and exits 1 when they diverge.
 
 #include <chrono>
 #include <cmath>
@@ -19,6 +20,7 @@
 #include <thread>
 
 #include "bench_util.hpp"
+#include "common/thread_pool.hpp"
 #include "mvcom/se_scheduler.hpp"
 
 namespace {
@@ -29,9 +31,9 @@ struct TimedRun {
 };
 
 TimedRun timed_run(const mvcom::core::EpochInstance& instance,
-                   mvcom::core::SeParams params, bool parallel) {
-  params.parallel_execution = parallel;
-  mvcom::core::SeScheduler scheduler(instance, params, 42);
+                   const mvcom::core::SeParams& params,
+                   mvcom::common::ThreadPool* pool) {
+  mvcom::core::SeScheduler scheduler(instance, params, 42, pool);
   const auto start = std::chrono::steady_clock::now();
   TimedRun run;
   run.result = scheduler.run();
@@ -57,13 +59,15 @@ int main() {
               std::thread::hardware_concurrency());
 
   double baseline_chain_rate = 0.0;  // explorer-iterations/sec at Γ=1
+  bool diverged = false;
   for (const std::size_t gamma : {1u, 5u, 10u, 25u}) {
     mvcom::core::SeParams params;
     params.threads = gamma;
     params.max_iterations = 3000;
     params.convergence_window = params.max_iterations;  // fixed budget
-    const TimedRun serial = timed_run(instance, params, /*parallel=*/false);
-    const TimedRun parallel = timed_run(instance, params, /*parallel=*/true);
+    const TimedRun serial = timed_run(instance, params, nullptr);
+    mvcom::common::ThreadPool pool(gamma - 1);
+    const TimedRun parallel = timed_run(instance, params, &pool);
 
     mvcom::bench::print_trace("Gamma=" + std::to_string(gamma),
                               parallel.result.utility_trace, 12);
@@ -72,20 +76,28 @@ int main() {
                             parallel.result.utility);
 
     // Determinism contract: the pool-backed path must reproduce the serial
-    // trace exactly — parallelism changes wall-clock, never results.
+    // trace exactly — parallelism changes wall-clock, never results. A NaN
+    // on one side only counts as infinite divergence.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     double max_divergence = 0.0;
     const auto& a = serial.result.utility_trace;
     const auto& b = parallel.result.utility_trace;
     if (a.size() != b.size()) {
-      max_divergence = std::numeric_limits<double>::infinity();
+      max_divergence = kInf;
     } else {
       for (std::size_t i = 0; i < a.size(); ++i) {
         if (std::isnan(a[i]) && std::isnan(b[i])) continue;
-        max_divergence = std::max(max_divergence, std::fabs(a[i] - b[i]));
+        const double d = std::fabs(a[i] - b[i]);
+        max_divergence = std::isnan(d) ? kInf : std::max(max_divergence, d);
       }
     }
     mvcom::bench::print_row("  serial-vs-parallel trace divergence",
                             max_divergence);
+    if (max_divergence != 0.0) {
+      std::printf("  determinism: trace DIVERGED at Gamma=%zu (FAIL)\n",
+                  gamma);
+      diverged = true;
+    }
 
     const double iters = static_cast<double>(parallel.result.iterations);
     const double iter_rate = iters / parallel.seconds;
@@ -177,5 +189,5 @@ int main() {
   }
 
   json.write();
-  return 0;
+  return diverged ? 1 : 0;
 }

@@ -18,7 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +26,7 @@
 #include "baselines/dynamic_programming.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "consensus/pbft.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/sha256.hpp"
@@ -70,15 +71,17 @@ BENCHMARK(BM_SeStep)->Arg(50)->Arg(200)->Arg(500)->Arg(1000)->Arg(10000);
 
 // Wall-clock cost of one barrier-to-barrier block of Γ explorers (|I|=200,
 // 100 iterations per block — the default share_interval granularity), with
-// the Γ chains advanced serially vs on the worker pool. Items = explorer
-// iterations, so items/s is directly comparable across rows: on a host with
-// ≥ Γ cores the parallel rows approach Γ× the serial Γ=1 rate.
+// the Γ chains advanced serially vs on a lent pool of Γ − 1 workers. Items =
+// explorer iterations, so items/s is directly comparable across rows: on a
+// host with ≥ Γ cores the parallel rows approach Γ× the serial Γ=1 rate.
 void BM_SeAdvanceBlock(benchmark::State& state) {
   const auto instance = make_instance(200);
   mvcom::core::SeParams params;
   params.threads = static_cast<std::size_t>(state.range(0));
-  params.parallel_execution = state.range(1) != 0;
-  mvcom::core::SeScheduler scheduler(instance, params, 3);
+  std::optional<mvcom::common::ThreadPool> pool;
+  if (state.range(1) != 0) pool.emplace(params.threads - 1);
+  mvcom::core::SeScheduler scheduler(instance, params, 3,
+                                     pool ? &*pool : nullptr);
   constexpr std::size_t kBlock = 100;
   for (auto _ : state) {
     scheduler.advance(kBlock);
@@ -186,13 +189,12 @@ void BM_SimulatorChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorChurn)->Arg(64)->Arg(4096)->Arg(65536);
 
-// Cohort dispatch: typed-event churn through the batched SoA executor,
-// `range(0)` events per timestamp so every pop drains one cohort. The
-// counterpart of BM_SimulatorChurn for the kernel path (DESIGN.md §16).
+// Cohort dispatch: typed-event churn through the cohort executor, `range(0)`
+// events per timestamp so every pop drains one cohort. The counterpart of
+// BM_SimulatorChurn for the kernel path (DESIGN.md §16).
 void BM_CohortDispatch(benchmark::State& state) {
   const auto cohort = static_cast<std::size_t>(state.range(0));
-  mvcom::sim::Simulator sim(
-      mvcom::sim::SimConfig{mvcom::sim::KernelMode::kBatched});
+  mvcom::sim::Simulator sim;
   static std::uint64_t sink = 0;
   const auto kernel = sim.register_kernel(
       [](void*, const mvcom::sim::TypedPayload* c, std::size_t n) {
@@ -385,71 +387,43 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   json.set("gate_rate_sim_event_churn", rate);
 }
 
-/// Typed-event throughput through both executors on an identical workload:
-/// steady-state same-timestamp storms (cohort size 64) where every executed
-/// element schedules its replacement one tick later — constant queue depth,
-/// so the measurement is dispatch cost, not heap depth. Gates the batched
-/// path and records the reference interpreter alongside; aborts if the two
-/// order digests ever disagree — a perf run must never certify a rate for a
-/// divergent engine.
+/// Typed-event throughput through the cohort executor: steady-state
+/// same-timestamp storms (cohort size 64) where every executed element
+/// schedules its replacement one tick later — constant queue depth, so the
+/// measurement is dispatch cost, not heap depth.
 void run_cohort_dispatch(mvcom::bench::BenchJson& json) {
   constexpr std::size_t kCohort = 64;
   constexpr std::uint64_t kEvents = 1'000'000;
-  struct Run {
-    double seconds = 0.0;
-    std::uint64_t digest = 0;
-    std::uint64_t executed = 0;
-  };
-  const auto measure = [&](mvcom::sim::KernelMode mode) {
-    struct Ctx {
-      mvcom::sim::Simulator sim;
-      mvcom::sim::KernelId kernel{};
-      std::uint64_t sink = 0;
-      explicit Ctx(mvcom::sim::KernelMode m)
-          : sim(mvcom::sim::SimConfig{m}) {}
-    } ctx(mode);
-    ctx.kernel = ctx.sim.register_kernel(
-        [](void* raw, const mvcom::sim::TypedPayload* c, std::size_t n) {
-          auto* self = static_cast<Ctx*>(raw);
-          const SimTime next = self->sim.now() + SimTime(1.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            self->sink += c[i].a;
-            self->sim.schedule_typed(next, self->kernel, c[i]);
-          }
-        },
-        &ctx);
-    for (std::size_t i = 0; i < kCohort; ++i) {
-      ctx.sim.schedule_typed(SimTime(1.0), ctx.kernel, {i, 0});
-    }
-    ctx.sim.run(kCohort * 16);  // warm-up
-    const auto t0 = std::chrono::steady_clock::now();
-    ctx.sim.run(kEvents);
-    Run run;
-    run.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    run.digest = ctx.sim.order_digest();
-    run.executed = ctx.sim.events_executed();
-    benchmark::DoNotOptimize(ctx.sink);
-    return run;
-  };
-  const Run reference = measure(mvcom::sim::KernelMode::kReference);
-  const Run batched = measure(mvcom::sim::KernelMode::kBatched);
-  if (reference.digest != batched.digest ||
-      reference.executed != batched.executed) {
-    std::fprintf(stderr,
-                 "FATAL: kernel modes diverged in run_cohort_dispatch\n");
-    std::abort();
+  struct Ctx {
+    mvcom::sim::Simulator sim;
+    mvcom::sim::KernelId kernel{};
+    std::uint64_t sink = 0;
+  } ctx;
+  ctx.kernel = ctx.sim.register_kernel(
+      [](void* raw, const mvcom::sim::TypedPayload* c, std::size_t n) {
+        auto* self = static_cast<Ctx*>(raw);
+        const SimTime next = self->sim.now() + SimTime(1.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          self->sink += c[i].a;
+          self->sim.schedule_typed(next, self->kernel, c[i]);
+        }
+      },
+      &ctx);
+  for (std::size_t i = 0; i < kCohort; ++i) {
+    ctx.sim.schedule_typed(SimTime(1.0), ctx.kernel, {i, 0});
   }
-  const double events = static_cast<double>(reference.executed);
-  const double ref_rate = events / reference.seconds;
-  const double bat_rate = events / batched.seconds;
+  ctx.sim.run(kCohort * 16);  // warm-up
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t fired = ctx.sim.run(kEvents);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  benchmark::DoNotOptimize(ctx.sink);
+  const double rate = static_cast<double>(fired) / seconds;
   std::printf("\n--- cohort dispatch (size %zu storms) ---\n", kCohort);
-  std::printf("  reference: %.0f events/s, batched: %.0f events/s (%.2fx)\n",
-              ref_rate, bat_rate, bat_rate / ref_rate);
+  std::printf("  %.0f events/s\n", rate);
   json.set("sim_cohort_size", static_cast<double>(kCohort));
-  json.set("sim_cohort_reference_rate", ref_rate);
-  json.set("gate_rate_sim_cohort_dispatch", bat_rate);
+  json.set("gate_rate_sim_cohort_dispatch", rate);
 }
 
 /// Batched exponential sampling rate — fill_exponential over a 1024-draw

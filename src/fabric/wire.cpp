@@ -135,7 +135,6 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
   w.u32(task.member_committees);
   w.u8(task.armed ? 1 : 0);
   w.u8(task.message_level_overlay ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(task.kernel_mode));
   w.u32(task.num_nodes);
   w.f64(task.link_latency_mean.seconds());
   w.f64(task.message_loss_probability);
@@ -162,7 +161,6 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
 bool decode_task(Reader& r, sharding::LaneTask& task) {
   std::uint8_t armed = 0;
   std::uint8_t overlay = 0;
-  std::uint8_t kernel = 0;
   double link_mean = 0.0;
   double identity = 0.0;
   double view_change = 0.0;
@@ -170,18 +168,17 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
   double horizon = 0.0;
   double formation = 0.0;
   if (!r.u32(task.committee_id) || !r.u32(task.member_committees) ||
-      !r.u8(armed) || !r.u8(overlay) || !r.u8(kernel) ||
-      !r.u32(task.num_nodes) || !r.f64(link_mean) ||
-      !r.f64(task.message_loss_probability) || !r.f64(identity) ||
-      !r.f64(view_change) || !r.f64(verification) || !r.f64(horizon) ||
-      !r.str(task.randomness) || !r.u64(task.overlay_seed) ||
-      !r.u64(task.net_seed) || !r.u64(task.cluster_seed) ||
-      !r.f64(formation) || !r.u64(task.shard_txs)) {
+      !r.u8(armed) || !r.u8(overlay) || !r.u32(task.num_nodes) ||
+      !r.f64(link_mean) || !r.f64(task.message_loss_probability) ||
+      !r.f64(identity) || !r.f64(view_change) || !r.f64(verification) ||
+      !r.f64(horizon) || !r.str(task.randomness) ||
+      !r.u64(task.overlay_seed) || !r.u64(task.net_seed) ||
+      !r.u64(task.cluster_seed) || !r.f64(formation) ||
+      !r.u64(task.shard_txs)) {
     return false;
   }
   task.armed = armed != 0;
   task.message_level_overlay = overlay != 0;
-  task.kernel_mode = static_cast<sim::KernelMode>(kernel);
   task.link_latency_mean = SimTime(link_mean);
   task.overlay_identity_processing = SimTime(identity);
   task.pbft.view_change_timeout = SimTime(view_change);

@@ -179,9 +179,8 @@ bool OnlineCommitteeScheduler::set_n_min(std::size_t n_min) {
 
 void OnlineCommitteeScheduler::explore(std::size_t iterations) {
   if (!scheduler_) return;
-  // Bulk advance: in parallel mode this fans each barrier-to-barrier block
-  // out across the SE scheduler's worker pool instead of paying one
-  // dispatch + barrier per iteration.
+  // The online scheduler lends SE no pool, so its Γ explorers step serially
+  // on the calling thread; advance() still honors the §IV-D share points.
   scheduler_->advance(iterations);
 }
 

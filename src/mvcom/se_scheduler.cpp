@@ -505,23 +505,7 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
     throw std::invalid_argument("SeScheduler: beta must be positive");
   }
   rebuild_instance_data();
-  if (pool != nullptr && params_.threads > 1) {
-    pool_ = pool;
-  } else if (params_.parallel_execution && params_.threads > 1) {
-    // Γ−1 workers: the calling thread participates in every batch, so Γ
-    // execution contexts advance the Γ explorers with no idle submitter.
-    // max_pool_workers caps the OS threads without changing any result —
-    // workers claim whole explorers between barriers, so fewer workers just
-    // means more explorers per worker.
-    std::size_t workers = params_.threads - 1;
-    if (params_.max_pool_workers > 0) {
-      workers = std::min(workers, params_.max_pool_workers);
-    }
-    if (workers > 0) {
-      owned_pool_ = std::make_unique<common::ThreadPool>(workers);
-      pool_ = owned_pool_.get();
-    }
-  }
+  if (params_.threads > 1) pool_ = pool;
   // The Rng forks happen here, serially: the fork order defines each
   // explorer's stream. The explorers themselves are built lazily.
   common::Rng root(seed);
@@ -530,8 +514,6 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
     forks_.push_back(root.fork());
   }
 }
-
-SeScheduler::~SeScheduler() = default;
 
 void SeScheduler::ensure_explorers() const {
   if (!explorers_.empty()) return;

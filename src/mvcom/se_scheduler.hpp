@@ -29,13 +29,12 @@
 //  * Γ parallel execution threads (§IV-D, Fig. 5) are Γ independent
 //    explorer instances; one scheduler iteration steps each thread once and
 //    the reported utility is the best feasible solution across threads.
-//    With a pool — one the caller lends to the constructor (the serve
-//    pipeline lends its stage-overlap pool, so the explorers nest inside
-//    stage B), or one the scheduler owns under SeParams::parallel_execution
-//    — they are stepped on pool workers (one explorer per task between
+//    With a pool the caller lends to the constructor (the serve pipeline
+//    lends its stage-overlap pool, so the explorers nest inside stage B),
+//    they are stepped on pool workers (one explorer per task between
 //    cooperation barriers); chains are independent between share points, so
 //    the parallel path is bitwise identical to the serial one — see the
-//    SeScheduler class comment.
+//    SeScheduler class comment. Without one they are stepped serially.
 //  * Scale (50k committees): the paper's family keeps one chain per
 //    cardinality n = 1..|I| — O(|I|²) state, fine at the paper's |I| ≤ 1000
 //    and fatal at 50k (≈ 20 GB and seconds of setup per explorer). Above
@@ -61,7 +60,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -143,16 +141,6 @@ struct SeParams {
   /// thread's chain at the incumbent's cardinality adopts the incumbent if
   /// it is better, so all threads polish the best candidate. 0 disables.
   std::size_t share_interval = 100;
-  /// When true, the Γ explorer threads really run on OS threads: each
-  /// explorer is stepped on its own pool worker between cooperation
-  /// barriers (workers run `share_interval` iterations independently, then
-  /// synchronize at the §IV-D share point). Every explorer owns a private
-  /// forked Rng, so chains stay data-race-free and the results — traces,
-  /// selections, utilities — are bitwise identical to the serial path; only
-  /// wall-clock changes. Off by default so tests and single-core callers
-  /// skip the pool entirely. A pool lent to the SeScheduler constructor
-  /// takes its place.
-  bool parallel_execution = false;
   /// Upper bound on the per-cardinality parallel solutions each explorer
   /// maintains (0 = unlimited — the paper's literal family). Instances with
   /// |I| ≤ max_family keep the full n = 1..|I| family and behave exactly as
@@ -161,13 +149,6 @@ struct SeParams {
   /// paper-scale experiment (|I| ≤ 1000) on the exact family while making
   /// 10k–50k committees tractable in time AND memory.
   std::size_t max_family = 1024;
-  /// Cap on pool worker threads in parallel mode (0 = Γ − 1, the historical
-  /// default). Results are bitwise independent of this value — workers claim
-  /// whole explorers between barriers, and each explorer's trajectory
-  /// depends only on its private Rng — so Γ = 25 on an 8-core host can run
-  /// on 7 workers without changing a single output bit (tested by the
-  /// determinism matrix in test_se_parallel).
-  std::size_t max_pool_workers = 0;
   /// Certified stop; 0 (the default) turns it off. When > 0 the scheduler
   /// stops as soon as its incumbent U is certified against the
   /// fractional-knapsack bound B (core::fractional_bound):
@@ -366,15 +347,17 @@ class SeExplorer {
 
 /// The full scheduler: Γ explorer threads over a mutable committee set.
 ///
-/// Threading model: with a pool the Γ explorers are stepped as one
+/// Threading model: with a lent pool the Γ explorers are stepped as one
 /// parallel_for batch per barrier-to-barrier block — each task advances one
 /// explorer for the whole block (up to share_interval iterations), then the
 /// incumbent selection and adopt_if_better run on the calling thread under
-/// the barrier. The pool is either borrowed (constructor argument; the
-/// batches may then nest inside a batch the caller is running on the same
-/// pool) or owned (SeParams::parallel_execution, sized by
-/// max_pool_workers). The scheduler itself is single-caller: step()/
-/// advance()/run() and the accessors must not be invoked concurrently.
+/// the barrier. The batches may nest inside a batch the caller is running
+/// on the same pool. Every explorer owns a private forked Rng and workers
+/// claim whole explorers, so results are bitwise identical to the serial
+/// path at any pool size (tested by the determinism matrix in
+/// test_se_parallel); only wall-clock changes. The scheduler itself is
+/// single-caller: step()/advance()/run() and the accessors must not be
+/// invoked concurrently.
 ///
 /// Lazy explorers: the constructor draws the Γ Rng forks but builds the
 /// explorers only on the first call that needs them — an uncertified
@@ -386,14 +369,17 @@ class SeExplorer {
 class SeScheduler {
  public:
   /// `pool`, when non-null and Γ > 1, runs explorer construction and the
-  /// explorer blocks in place of a scheduler-owned pool (parallel_execution
-  /// and max_pool_workers are then ignored). It must outlive the scheduler.
-  /// Results are bitwise identical with or without it. Throws
+  /// explorer blocks; otherwise they run serially on the calling thread. It
+  /// must outlive the scheduler. Results are bitwise identical with or
+  /// without it, at any pool size. Throws
   /// std::invalid_argument when the instance exceeds SwapSet::kMaxUniverse
   /// committees.
   SeScheduler(EpochInstance instance, SeParams params, std::uint64_t seed,
               common::ThreadPool* pool = nullptr);
-  ~SeScheduler();
+  /// Non-copyable and non-movable: the explorers hold pointers into the
+  /// scheduler's instance, params and layout.
+  SeScheduler(const SeScheduler&) = delete;
+  SeScheduler& operator=(const SeScheduler&) = delete;
 
   /// Runs until convergence or max_iterations; fills the utility trace.
   SeResult run();
@@ -496,8 +482,7 @@ class SeScheduler {
   /// from here, making warm ≥ seed structural rather than probabilistic.
   Selection warm_floor_selection_;
   double warm_floor_utility_ = 0.0;
-  std::unique_ptr<common::ThreadPool> owned_pool_;  // parallel_execution
-  common::ThreadPool* pool_ = nullptr;  // borrowed or owned_pool_; null: serial
+  common::ThreadPool* pool_ = nullptr;  // lent by the caller; null: serial
 
   obs::ObsContext obs_;
   // Cached instruments (registered once by set_obs; updates are lock-free).

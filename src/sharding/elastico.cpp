@@ -174,7 +174,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     task.cluster_seed = rng_();
     task.armed = true;
     task.message_level_overlay = config_.message_level_overlay;
-    task.kernel_mode = config_.kernel_mode;
     task.num_nodes = static_cast<std::uint32_t>(config_.num_nodes);
     task.link_latency_mean = config_.link_latency_mean;
     task.message_loss_probability = config_.message_loss_probability;
@@ -275,7 +274,7 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     // The final committee runs on its own fresh fabric with the seeds
     // pre-drawn for it above, so its numbers are identical whether the
     // member lanes ran serially, on a pool, or on worker processes.
-    sim::Simulator final_sim(sim::SimConfig{config_.kernel_mode});
+    sim::Simulator final_sim;
     final_sim.set_obs(obs_);
     net::Network final_net(final_sim, Rng(tasks[final_id].net_seed), link,
                            config_.num_nodes);
@@ -331,7 +330,7 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   std::string beacon_entropy;
   if (config_.beacon_randomness &&
       participants[final_id].size() >= kMinBftMembers) {
-    sim::Simulator beacon_sim(sim::SimConfig{config_.kernel_mode});
+    sim::Simulator beacon_sim;
     net::Network beacon_net(beacon_sim, rng_.fork(), link, config_.num_nodes);
     const BeaconResult beacon = run_commit_reveal_beacon(
         beacon_sim, beacon_net, rng_, participants[final_id],

@@ -88,15 +88,9 @@ struct ElasticoConfig {
   /// k >= 1 spawns a k-worker pool (the caller participates too). The
   /// worker count NEVER changes results — every lane draws from an RNG
   /// substream forked in committee order before any lane runs, and lane
-  /// outcomes merge back in committee order (same contract as
-  /// SeParams::max_pool_workers).
+  /// outcomes merge back in committee order (the same contract as the SE
+  /// scheduler's lent pool).
   std::size_t lane_workers = 0;
-  /// DES executor for every lane fabric (sim/kernel.hpp): kReference fires
-  /// one event at a time through the slab, kBatched dispatches typed-event
-  /// cohorts to SoA kernels. Like lane_workers, this knob NEVER changes
-  /// results — both executors fire the same events in the same order, which
-  /// the kernel differential suite asserts digest-for-digest.
-  sim::KernelMode kernel_mode = sim::KernelMode::kReference;
 };
 
 /// Per-committee outcome of one epoch.

@@ -2,38 +2,20 @@
 // Typed-event kernel interface of the DES engine (DESIGN.md §16).
 //
 // The protocol hot paths (PBFT message delivery and phase advance, heartbeat
-// ticks) fire millions of structurally identical events per epoch. The
-// batched execution mode lets a component describe such an event as a fixed
-// 16-byte payload plus a kernel id instead of a type-erased callback: the
-// engine stores payloads in a flat arena, groups ready events into cohorts
-// of equal (timestamp, kernel), and hands each cohort to the kernel as one
-// struct-of-arrays call. The slab/callback interpreter stays available — and
-// remains the reference semantics — selectable per Simulator instance via
-// SimConfig::kernel_mode. Both modes execute the same events in the same
-// (timestamp, sequence) order and therefore produce the same order_digest;
-// the differential suite in tests/test_sim_kernels.cpp enforces that bit for
-// bit across every scenario class and lane-worker count.
+// ticks) fire millions of structurally identical events per epoch. A
+// component may describe such an event as a fixed 16-byte payload plus a
+// kernel id instead of a type-erased callback: the engine stores payloads
+// in a flat arena, groups ready events into cohorts of equal (timestamp,
+// kernel), and hands each cohort to the kernel as one struct-of-arrays
+// call. A cohort executes exactly the events, in exactly the (timestamp,
+// sequence) order, that firing each typed event on its own as a cohort of
+// one would; tests/test_sim_kernels.cpp checks that against a test-local
+// one-event-at-a-time oracle.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace mvcom::sim {
-
-/// Which executor drives Simulator::run.
-enum class KernelMode : std::uint8_t {
-  /// Every event — typed or not — fires through the generation-stamped slab
-  /// as an individual callback; typed events are wrapped in a cohort of one.
-  /// This is the reference interpreter the batched mode is diffed against.
-  kReference,
-  /// Typed events bypass the slab: payloads live in a recycled flat arena
-  /// and ready events are dispatched cohort-at-a-time to their kernels.
-  /// Callback events (cancellable timers, cold paths) still use the slab.
-  kBatched,
-};
-
-struct SimConfig {
-  KernelMode kernel_mode = KernelMode::kReference;
-};
 
 /// Fixed-size typed-event payload. Components pack whatever the kernel needs
 /// to decode the event (replica/committee ids, phase tags, interned digest

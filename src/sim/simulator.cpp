@@ -128,36 +128,33 @@ void Simulator::heap_pop_root() noexcept {
   heap_[i] = e;
 }
 
-bool Simulator::fire_next() {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_[0];
-    heap_pop_root();
-    Slot& s = slot(top.slot);
-    if (s.gen != top.gen) continue;  // cancelled: stale tombstone
-    assert(top.at >= now_);
-    now_ = top.at;
-    ++s.gen;  // disarm: the event's id is dead for cancel() from here on
-    --live_;
-    ++executed_;
-    digest_ = fnv1a_mix(digest_, top.seq);
-    digest_ = fnv1a_mix(digest_, std::bit_cast<std::uint64_t>(top.at.seconds()));
-    if (obs_executed_ != nullptr) obs_executed_->inc();
-    // The callback stays in its slot for the call (slots are stable even if
-    // the callback schedules new events); the slot returns to the free list
-    // only afterwards, so reentrant scheduling cannot reuse it mid-call.
-    struct Retire {
-      Simulator* sim;
-      std::uint32_t index;
-      ~Retire() {
-        Slot& sl = sim->slot(index);
-        sl.cb.reset();
-        sim->free_.push_back(index);
-      }
-    } retire{this, top.slot};
-    s.cb.invoke();
-    return true;
-  }
-  return false;
+void Simulator::fire_slab_head() {
+  const HeapEntry top = heap_[0];
+  assert((top.slot & kTypedBit) == 0);
+  heap_pop_root();
+  Slot& s = slot(top.slot);
+  assert(s.gen == top.gen);  // skip_stale_head dropped the tombstones
+  assert(top.at >= now_);
+  now_ = top.at;
+  ++s.gen;  // disarm: the event's id is dead for cancel() from here on
+  --live_;
+  ++executed_;
+  digest_ = fnv1a_mix(digest_, top.seq);
+  digest_ = fnv1a_mix(digest_, std::bit_cast<std::uint64_t>(top.at.seconds()));
+  if (obs_executed_ != nullptr) obs_executed_->inc();
+  // The callback stays in its slot for the call (slots are stable even if
+  // the callback schedules new events); the slot returns to the free list
+  // only afterwards, so reentrant scheduling cannot reuse it mid-call.
+  struct Retire {
+    Simulator* sim;
+    std::uint32_t index;
+    ~Retire() {
+      Slot& sl = sim->slot(index);
+      sl.cb.reset();
+      sim->free_.push_back(index);
+    }
+  } retire{this, top.slot};
+  s.cb.invoke();
 }
 
 KernelId Simulator::register_kernel(KernelFn fn, void* ctx) {
@@ -172,14 +169,6 @@ KernelId Simulator::register_kernel(KernelFn fn, void* ctx) {
 void Simulator::schedule_typed(SimTime at, KernelId kernel,
                                TypedPayload payload) {
   assert(kernel.value < kernels_.size());
-  if (config_.kernel_mode == KernelMode::kReference) {
-    // Reference interpreter: the event goes through the slab like any other
-    // callback and invokes the kernel as a cohort of one. 32-byte capture —
-    // stays inline.
-    const Kernel k = kernels_[kernel.value];
-    schedule_at(at, [k, payload] { k.fn(k.ctx, &payload, 1); });
-    return;
-  }
   if (at < now_) {
     throw std::logic_error(
         "Simulator::schedule_typed: cannot schedule in the past");
@@ -213,9 +202,9 @@ std::size_t Simulator::run_batched(std::size_t limit, const SimTime* horizon) {
     if (heap_.empty()) break;
     if (horizon != nullptr && heap_[0].at > *horizon) break;
     if ((heap_[0].slot & kTypedBit) == 0) {
-      // Live slab event at the head: fire it individually, as the reference
-      // executor would.
-      fire_next();
+      // Live slab event at the head: it fires on its own and splits any
+      // cohort around it.
+      fire_slab_head();
       ++fired;
       continue;
     }
@@ -255,32 +244,11 @@ std::size_t Simulator::run_batched(std::size_t limit, const SimTime* horizon) {
 }
 
 std::size_t Simulator::run(std::size_t limit) {
-  if (config_.kernel_mode == KernelMode::kBatched) {
-    return run_batched(limit, nullptr);
-  }
-  std::size_t fired = 0;
-  while (fired < limit && fire_next()) ++fired;
-  return fired;
+  return run_batched(limit, nullptr);
 }
 
 std::size_t Simulator::run_until(SimTime horizon) {
-  std::size_t fired = 0;
-  if (config_.kernel_mode == KernelMode::kBatched) {
-    fired = run_batched(SIZE_MAX, &horizon);
-    if (now_ < horizon) now_ = horizon;
-    return fired;
-  }
-  while (!heap_.empty()) {
-    // Drop stale tombstones at the head so the peeked time is live.
-    const HeapEntry& top = heap_[0];
-    if (slot(top.slot).gen != top.gen) {
-      heap_pop_root();
-      continue;
-    }
-    if (top.at > horizon) break;
-    fire_next();
-    ++fired;
-  }
+  const std::size_t fired = run_batched(SIZE_MAX, &horizon);
   if (now_ < horizon) now_ = horizon;
   return fired;
 }

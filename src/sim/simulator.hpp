@@ -22,16 +22,16 @@
 //    only captures larger than EventCallback::kInlineCapacity fall back to
 //    a single heap allocation.
 //  * Typed events (sim/kernel.hpp) carry a 16-byte payload and a kernel id.
-//    Under SimConfig::kernel_mode == kBatched the payloads live in a flat
-//    recycled arena and ready events are dispatched to their kernel a whole
-//    cohort — maximal run of equal (timestamp, kernel) — at a time, SoA
-//    style; under kReference they are interpreted one at a time through the
-//    slab, which is the semantics the batched mode must reproduce bitwise.
+//    The payloads live in a flat recycled arena and ready events are
+//    dispatched to their kernel a whole cohort — maximal run of equal
+//    (timestamp, kernel) — at a time, SoA style. The cohort executor fires
+//    exactly the events a one-at-a-time interpretation would, in the same
+//    order, so the FNV-1a order_digest is that of firing them singly.
 //  * The pending set is a 4-ary implicit heap — shallower than a binary
 //    heap and with four children per cache line of entries, it does fewer
-//    cache-missing levels per push/pop on large queues. Both executors pop
-//    from the same heap, so the (timestamp, sequence) execution order — and
-//    the FNV-1a order_digest folded over it — is identical across modes.
+//    cache-missing levels per push/pop on large queues. Slab and typed
+//    events share it, so the (timestamp, sequence) order across both kinds
+//    is the execution order.
 
 #include <cassert>
 #include <cstddef>
@@ -142,13 +142,9 @@ class Simulator {
   /// std::function, so small captures stay allocation-free.
   using Callback = std::function<void()>;
 
-  explicit Simulator(SimConfig config = {}) noexcept : config_(config) {}
+  Simulator() noexcept = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] KernelMode kernel_mode() const noexcept {
-    return config_.kernel_mode;
-  }
 
   /// Registers a typed-event kernel (sim/kernel.hpp). Kernels are expected
   /// to be registered up front, one per event type a component emits; the
@@ -156,9 +152,8 @@ class Simulator {
   KernelId register_kernel(KernelFn fn, void* ctx);
 
   /// Schedules one typed event. Typed events cannot be cancelled — use the
-  /// callback path for disarmable timers. Under kReference the event fires
-  /// as a cohort of one through the slab; under kBatched it is dispatched
-  /// with every other ready event of the same (timestamp, kernel).
+  /// callback path for disarmable timers. The event is dispatched with
+  /// every other ready event of the same (timestamp, kernel).
   /// Precondition: at >= now(), kernel was returned by register_kernel.
   void schedule_typed(SimTime at, KernelId kernel, TypedPayload payload);
 
@@ -230,9 +225,9 @@ class Simulator {
   /// One pending-queue entry. `seq` is the global schedule order — the
   /// FIFO tie-break among equal timestamps. For slab events (slot's top bit
   /// clear) (slot, gen) is validated against the slab on pop, which is how
-  /// O(1) cancel works. For batched typed events the top bit of `slot` is
-  /// set, the low bits index the payload arena, and `gen` holds the kernel
-  /// id — typed events are never cancellable, so no generation is needed.
+  /// O(1) cancel works. For typed events the top bit of `slot` is set, the
+  /// low bits index the payload arena, and `gen` holds the kernel id —
+  /// typed events are never cancellable, so no generation is needed.
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;
@@ -272,18 +267,19 @@ class Simulator {
   void heap_push(const HeapEntry& e);
   void heap_pop_root() noexcept;
 
-  bool fire_next();  // pops and executes one event; false if queue empty
+  /// Pops and executes the slab event at the heap head. Precondition: the
+  /// head is a live slab entry (skip_stale_head ran, typed bit clear).
+  void fire_slab_head();
 
   /// Drops stale slab tombstones (cancelled events) from the heap head so
   /// the peeked entry is live. Typed entries are always live.
   void skip_stale_head() noexcept;
 
-  /// The cohort executor (kernel_mode == kBatched). Fires up to `limit`
+  /// The cohort executor behind run and run_until. Fires up to `limit`
   /// events; when `horizon` is non-null only events with at <= *horizon
   /// fire. Returns the number of events executed.
   std::size_t run_batched(std::size_t limit, const SimTime* horizon);
 
-  SimConfig config_{};
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;   // recycled slot indices (LIFO)
   std::vector<HeapEntry> heap_;       // 4-ary implicit min-heap

@@ -7,13 +7,21 @@
 // pool-backed runs with any worker count are bitwise-identical: the same
 // per-committee formation/consensus latencies (compared as doubles, i.e.
 // bit-exact), the same commit flags and view-change counts, the same final
-// block, and the same DES event-order digest.
+// block, and the same DES event-order digest. The matrix covers four
+// scenario classes (baseline, faulty, message-level overlay, churn) at
+// lane_workers {0, 1, 2, 8}.
 //
-// The same runs feed a digest file when MVCOM_DES_DETERMINISM_DIGEST is set:
-// SHA-256 over every epoch field plus the simulator's event-order digest.
-// CI runs this test in MVCOM_OBS=ON and OBS=OFF builds and diffs the two
-// files, extending the bitwise guarantee across observability builds (which
-// no single binary can check alone).
+// Comparing worker counts within one build cannot catch a change that moves
+// an event in all of them, so each scenario's SHA-256 outcome digest (every
+// epoch field plus the simulator's event-order digest) is also pinned to a
+// constant, one SimKernelsDifferential test per scenario: the DES event
+// stream itself is fixed across commits. A change that moves one must say
+// why and re-pin it.
+//
+// The worker-count matrix writes the same digests to a file when
+// MVCOM_DES_DETERMINISM_DIGEST is set. CI runs it in MVCOM_OBS=ON and
+// OBS=OFF builds and diffs the two files, extending the bitwise guarantee
+// across observability builds (which no single binary can check alone).
 
 #include "sharding/elastico.hpp"
 
@@ -24,6 +32,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -141,34 +150,88 @@ std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
   return mvcom::crypto::to_hex(h.finalize());
 }
 
-void run_matrix(const std::string& label, const ElasticoConfig& config,
-                std::ofstream& digest_out) {
-  SCOPED_TRACE(label);
-  constexpr std::size_t kEpochs = 2;
-  const Trace trace = lane_trace();
-  const std::vector<EpochOutcome> serial =
-      run_epochs(config, 0, kEpochs, trace);
-  // An epoch must actually do work for the matrix to mean anything.
-  std::size_t committed = 0;
-  for (const CommitteeOutcome& c : serial.front().committees) {
-    if (c.committed) ++committed;
+constexpr std::size_t kEpochs = 2;
+
+/// One DES scenario class of the matrix, with the SHA-256 outcome digest of
+/// its serial run.
+struct Scenario {
+  std::string label;
+  ElasticoConfig config;
+  std::string_view pinned_digest;
+};
+
+std::vector<Scenario> scenarios() {
+  std::vector<Scenario> out;
+  // Healthy network, closed-form overlay.
+  out.push_back(
+      {"baseline", lane_config(),
+       "c8426152803d4375fcfdfc0b99aebc46bad66a71b99136ee4f25d26cba18db73"});
+  // Failures + message loss: the lossy code paths (drops, view changes,
+  // horizon timeouts) must be just as order-independent.
+  {
+    ElasticoConfig config = lane_config();
+    config.node_failure_probability = 0.10;
+    config.message_loss_probability = 0.02;
+    out.push_back(
+        {"faulty", config,
+         "c94edd9e4eaf632c2703a10bec5f27d1d35de08b709354cd0bf57ec8736a42df"});
   }
-  EXPECT_GT(committed, 0u) << "degenerate epoch: nothing committed";
-  EXPECT_GT(serial.front().events_executed, 0u);
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    SCOPED_TRACE("lane_workers=" + std::to_string(workers));
-    const std::vector<EpochOutcome> pooled =
-        run_epochs(config, workers, kEpochs, trace);
-    ASSERT_EQ(serial.size(), pooled.size());
-    for (std::size_t e = 0; e < serial.size(); ++e) {
-      SCOPED_TRACE("epoch " + std::to_string(e));
-      expect_identical(serial[e], pooled[e]);
-    }
+  // Message-level overlay: stage 2 runs the real directory exchange on its
+  // own per-lane fabric (a second simulator per lane).
+  {
+    ElasticoConfig config = lane_config();
+    config.message_level_overlay = true;
+    out.push_back(
+        {"message_overlay", config,
+         "94df7f27ec1655942cb127907efe11a7cb15a8c04870a77292c162e91da53f15"});
   }
-  if (digest_out.is_open()) {
-    digest_out << label << " " << outcome_digest(serial) << "\n";
+  // Heavy churn: a third of the nodes down and lossy links every epoch —
+  // drops, view changes, and horizon aborts dominate the event stream.
+  {
+    ElasticoConfig config = lane_config();
+    config.node_failure_probability = 0.33;
+    config.message_loss_probability = 0.10;
+    config.pbft.view_change_timeout = SimTime(30.0);
+    out.push_back(
+        {"churn", config,
+         "6b0caa3e25e89ed62cd5e541ecd023ea3e4efb9474088d1244e4dfe5aaddd8e9"});
   }
+  return out;
 }
+
+/// Runs one scenario serially and checks its outcome digest against the
+/// pinned constant. The constants were recorded while Elastico still ran the
+/// reference slab interpreter (typed events one at a time), so these tests
+/// are the cohort executor's differential check against that interpreter;
+/// WorkerCountsAndSerialAgreeBitwise extends the result to every lane-worker
+/// count.
+void expect_pinned(std::string_view label) {
+  for (const Scenario& s : scenarios()) {
+    if (s.label != label) continue;
+    const std::vector<EpochOutcome> serial =
+        run_epochs(s.config, 0, kEpochs, lane_trace());
+    // An epoch must actually do work for the digest to mean anything.
+    std::size_t committed = 0;
+    for (const CommitteeOutcome& c : serial.front().committees) {
+      if (c.committed) ++committed;
+    }
+    EXPECT_GT(committed, 0u) << "degenerate epoch: nothing committed";
+    EXPECT_GT(serial.front().events_executed, 0u);
+    EXPECT_EQ(outcome_digest(serial), s.pinned_digest);
+    return;
+  }
+  ADD_FAILURE() << "no scenario labelled " << label;
+}
+
+TEST(SimKernelsDifferential, BaselineScenario) { expect_pinned("baseline"); }
+
+TEST(SimKernelsDifferential, FaultyScenario) { expect_pinned("faulty"); }
+
+TEST(SimKernelsDifferential, MessageOverlayScenario) {
+  expect_pinned("message_overlay");
+}
+
+TEST(SimKernelsDifferential, ChurnScenario) { expect_pinned("churn"); }
 
 TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
   const char* digest_path = std::getenv("MVCOM_DES_DETERMINISM_DIGEST");
@@ -178,24 +241,24 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
     ASSERT_TRUE(digest_out) << "cannot open " << digest_path;
   }
 
-  // Baseline: healthy network, closed-form overlay.
-  run_matrix("baseline", lane_config(), digest_out);
-
-  // Failures + message loss: the lossy code paths (drops, view changes,
-  // horizon timeouts) must be just as order-independent.
-  {
-    ElasticoConfig config = lane_config();
-    config.node_failure_probability = 0.10;
-    config.message_loss_probability = 0.02;
-    run_matrix("faulty", config, digest_out);
-  }
-
-  // Message-level overlay: stage 2 runs the real directory exchange on its
-  // own per-lane fabric (a second simulator per lane).
-  {
-    ElasticoConfig config = lane_config();
-    config.message_level_overlay = true;
-    run_matrix("message_overlay", config, digest_out);
+  const Trace trace = lane_trace();
+  for (const Scenario& s : scenarios()) {
+    SCOPED_TRACE(s.label);
+    const std::vector<EpochOutcome> serial =
+        run_epochs(s.config, 0, kEpochs, trace);
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("lane_workers=" + std::to_string(workers));
+      const std::vector<EpochOutcome> pooled =
+          run_epochs(s.config, workers, kEpochs, trace);
+      ASSERT_EQ(serial.size(), pooled.size());
+      for (std::size_t e = 0; e < serial.size(); ++e) {
+        SCOPED_TRACE("epoch " + std::to_string(e));
+        expect_identical(serial[e], pooled[e]);
+      }
+    }
+    if (digest_out.is_open()) {
+      digest_out << s.label << " " << outcome_digest(serial) << "\n";
+    }
   }
 }
 

@@ -1,12 +1,11 @@
-// Tests for the SE scheduler's real parallel execution path — a pool the
-// scheduler owns (SeParams::parallel_execution) or one lent to its
-// constructor: determinism contract against the serial path, the
+// Tests for the SE scheduler's real parallel execution path, a pool lent to
+// its constructor: determinism contract against the serial path, the
 // independent-chain bitwise guarantee at share_interval == max_iterations,
-// pool-backed online exploration, a lent pool nested inside an outer batch
-// (also with the certified stop's lazily built explorers), a join/leave
-// storm interleaved with parallel stepping (the ThreadSanitizer workloads
-// run by tools/run_tsan_tests.sh), and schedule digests pinned to constants
-// so SE trajectories hold across commits.
+// a lent pool nested inside an outer batch (also with the certified stop's
+// lazily built explorers), a join/leave storm interleaved with parallel
+// stepping (the ThreadSanitizer workloads run by tools/run_tsan_tests.sh),
+// and schedule digests pinned to constants so SE trajectories hold across
+// commits.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
-#include "mvcom/online.hpp"
 #include "mvcom/se_scheduler.hpp"
 
 namespace {
@@ -66,28 +64,18 @@ void expect_identical(const SeResult& serial, const SeResult& parallel) {
   }
 }
 
-SeResult run_once(const EpochInstance& inst, SeParams params, bool parallel,
-                  std::uint64_t seed) {
-  params.parallel_execution = parallel;
+SeResult run_serial(const EpochInstance& inst, const SeParams& params,
+                    std::uint64_t seed) {
   SeScheduler scheduler(inst, params, seed);
   return scheduler.run();
 }
 
-/// The same run on a pool lent to the scheduler (parallel_execution off, so
-/// the lent pool is the only one).
+/// The same run on a pool lent to the scheduler.
 SeResult run_lent(const EpochInstance& inst, const SeParams& params,
                   std::uint64_t seed, std::size_t workers = 2) {
   mvcom::common::ThreadPool pool(workers);
   SeScheduler scheduler(inst, params, seed, &pool);
   return scheduler.run();
-}
-
-/// Serial against both pool shapes: owned and lent.
-void expect_pooled_identical(const EpochInstance& inst, const SeParams& params,
-                             std::uint64_t seed) {
-  const SeResult serial = run_once(inst, params, false, seed);
-  expect_identical(serial, run_once(inst, params, true, seed));
-  expect_identical(serial, run_lent(inst, params, seed));
 }
 
 TEST(SeParallelTest, IndependentChainsAreBitwiseEqualToSerial) {
@@ -100,7 +88,7 @@ TEST(SeParallelTest, IndependentChainsAreBitwiseEqualToSerial) {
   params.max_iterations = 600;
   params.share_interval = params.max_iterations;
   params.convergence_window = params.max_iterations + 1;  // fixed budget
-  expect_pooled_identical(inst, params, 99);
+  expect_identical(run_serial(inst, params, 99), run_lent(inst, params, 99));
 }
 
 TEST(SeParallelTest, SharingAtBarriersPreservesBitwiseEquality) {
@@ -113,7 +101,7 @@ TEST(SeParallelTest, SharingAtBarriersPreservesBitwiseEquality) {
   params.max_iterations = 900;
   params.share_interval = 50;
   params.convergence_window = params.max_iterations + 1;
-  expect_pooled_identical(inst, params, 7);
+  expect_identical(run_serial(inst, params, 7), run_lent(inst, params, 7));
 }
 
 TEST(SeParallelTest, ConvergenceDetectionMatchesSerial) {
@@ -123,9 +111,8 @@ TEST(SeParallelTest, ConvergenceDetectionMatchesSerial) {
   params.max_iterations = 5000;
   params.share_interval = 100;
   params.convergence_window = 300;
-  const SeResult serial = run_once(inst, params, false, 21);
+  const SeResult serial = run_serial(inst, params, 21);
   EXPECT_TRUE(serial.converged);
-  expect_identical(serial, run_once(inst, params, true, 21));
   expect_identical(serial, run_lent(inst, params, 21));
 }
 
@@ -137,7 +124,7 @@ TEST(SeParallelTest, TimerRaceKernelAlsoMatches) {
   params.max_iterations = 800;
   params.share_interval = 40;
   params.convergence_window = params.max_iterations + 1;
-  expect_pooled_identical(inst, params, 13);
+  expect_identical(run_serial(inst, params, 13), run_lent(inst, params, 13));
 }
 
 TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
@@ -150,7 +137,7 @@ TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
   params.max_iterations = 600;
   params.share_interval = 50;
   params.convergence_window = params.max_iterations + 1;
-  const SeResult serial = run_once(inst, params, false, 17);
+  const SeResult serial = run_serial(inst, params, 17);
   mvcom::common::ThreadPool pool(2);
   SeResult nested;
   std::uint64_t sibling = 0;
@@ -222,9 +209,9 @@ TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
   const EpochInstance inst = random_instance(5, 16, 2);
   SeParams params;
   params.threads = 4;
-  params.parallel_execution = true;
   params.share_interval = 25;
-  SeScheduler scheduler(inst, params, 31);
+  mvcom::common::ThreadPool pool(3);
+  SeScheduler scheduler(inst, params, 31, &pool);
   mvcom::common::Rng rng(77);
   std::uint32_t next_id = 1000;
   for (int round = 0; round < 40; ++round) {
@@ -254,38 +241,12 @@ TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
   }
 }
 
-TEST(SeParallelTest, OnlineSchedulerExploresThroughThePool) {
-  mvcom::core::OnlineSchedulerConfig config;
-  config.alpha = 1.5;
-  config.capacity = 4000;
-  config.expected_committees = 10;
-  config.se.threads = 4;
-  config.se.parallel_execution = true;
-  mvcom::core::OnlineCommitteeScheduler scheduler(config, 11);
-  mvcom::common::Rng rng(5);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    mvcom::txn::ShardReport r;
-    r.committee_id = i;
-    r.tx_count = 500 + rng.below(400);
-    r.formation_latency = 650.0 + 20.0 * i;
-    r.consensus_latency = 0.0;
-    scheduler.on_report(r);
-  }
-  scheduler.on_failure(2);
-  scheduler.explore(1000);
-  const auto decision = scheduler.decide();
-  ASSERT_TRUE(decision.feasible);
-  EXPECT_LE(decision.permitted_txs, config.capacity);
-  for (const std::uint32_t id : decision.permitted_ids) EXPECT_NE(id, 2u);
-}
-
 // --- Determinism matrix (the 50k-scaling PR's correctness gate) ---------
 //
 // Identical seeds must yield bitwise-identical schedules across execution
-// shapes: serial vs pool-backed, and pool worker counts {1, 2, 8} (via
-// SeParams::max_pool_workers for an owned pool, the pool's size for a lent
-// one — workers claim whole explorers between barriers, so the worker count
-// can change wall-clock but never results).
+// shapes: serial vs lent pools of {1, 2, 8} workers (workers claim whole
+// explorers between barriers, so the worker count can change wall-clock but
+// never results).
 // Exercised at I=50 (full chain family) and I=5000 (strided family, the
 // scale-tier code path).
 //
@@ -363,11 +324,9 @@ TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
     params.convergence_window = params.max_iterations + 1;
     params.max_family = 96;  // forces the strided family at I=5000
 
-    const SeResult serial = run_once(inst, params, false, 99);
+    const SeResult serial = run_serial(inst, params, 99);
     for (const std::size_t workers : {1u, 2u, 8u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      params.max_pool_workers = workers;
-      expect_identical(serial, run_once(inst, params, true, 99));
       expect_identical(serial, run_lent(inst, params, 99, workers));
     }
     expect_pinned("I=" + std::to_string(icount), serial,
@@ -457,7 +416,7 @@ TEST(SeDeterminismMatrix, TimerRaceIsPinned) {
   params.max_iterations = 400;
   params.share_interval = 10;
   params.convergence_window = params.max_iterations + 1;
-  const SeResult serial = run_once(inst, params, false, 99);
+  const SeResult serial = run_serial(inst, params, 99);
   expect_identical(serial, run_lent(inst, params, 99));
   expect_pinned("timer-race", serial, kPinnedTimerRace);
 }
@@ -495,13 +454,13 @@ TEST(SeDeterminismMatrix, JoinLeaveResizeIsPinned) {
 }
 
 TEST(SeParallelTest, GammaOneIgnoresParallelFlag) {
-  // Γ=1 has nothing to fan out; the flag must be a harmless no-op.
+  // Γ=1 has nothing to fan out; a lent pool must be a harmless no-op.
   const EpochInstance inst = random_instance(6, 12, 2);
   SeParams params;
   params.threads = 1;
   params.max_iterations = 400;
   params.convergence_window = params.max_iterations + 1;
-  expect_pooled_identical(inst, params, 3);
+  expect_identical(run_serial(inst, params, 3), run_lent(inst, params, 3));
 }
 
 }  // namespace

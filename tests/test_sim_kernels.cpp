@@ -1,67 +1,68 @@
-// Differential suite for the batched DES kernel executor (DESIGN.md §16).
+// Cohort-executor suite for the DES engine (DESIGN.md §16).
 //
-// The contract under test: SimConfig::kernel_mode selects an executor, never
-// a behavior. The batched cohort executor must fire exactly the events the
-// reference slab interpreter fires, in the same (timestamp, sequence) order —
-// asserted through the FNV-1a order_digest, events_executed, and full epoch
-// outcomes — across every DES scenario class (baseline / faulty /
-// message-overlay / churn), every lane-worker count {0, 1, 2, 8}, and a fuzz
-// tier of randomized cohort shapes: same-timestamp storms, cancel-inside-
-// cohort, and schedule-from-kernel re-entry. Any mismatch prints the failing
-// seed so the script replays deterministically.
-//
-// When MVCOM_KERNEL_DETERMINISM_DIGEST names a file, the scenario matrix also
-// writes one "label sha256" line per scenario, hashed over every batched-mode
-// epoch field. CI runs this test in MVCOM_OBS=ON and OBS=OFF builds and diffs
-// the two files — extending the kernel-mode bitwise guarantee across
-// observability configurations, which no single binary can check alone.
+// The contract under test: the cohort executor fires exactly the events a
+// one-event-at-a-time interpretation of typed events fires, in the same
+// (timestamp, sequence) order — asserted through the FNV-1a order_digest,
+// events_executed, and the execution log. The oracle is test-local: it
+// schedules every typed event as a slab callback (schedule_at) that calls
+// its kernel with a cohort of one. Unit tests pin each cohort edge, and a
+// fuzz tier of randomized cohort shapes — same-timestamp storms, cancel-
+// inside-cohort, and schedule-from-kernel re-entry — compares the executor
+// against the oracle, printing the failing seed so the script replays
+// deterministically. Full Elastico epochs are pinned digest-for-digest in
+// test_elastico_lanes.
 
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
-#include "crypto/sha256.hpp"
-#include "sharding/elastico.hpp"
-#include "txn/trace_generator.hpp"
 
 namespace {
 
 using mvcom::common::Rng;
 using mvcom::common::SimTime;
-using mvcom::sharding::CommitteeOutcome;
-using mvcom::sharding::ElasticoConfig;
-using mvcom::sharding::ElasticoNetwork;
-using mvcom::sharding::EpochOutcome;
-using mvcom::sim::KernelMode;
-using mvcom::sim::SimConfig;
+using mvcom::sim::KernelFn;
+using mvcom::sim::KernelId;
 using mvcom::sim::Simulator;
 using mvcom::sim::TypedPayload;
-using mvcom::txn::generate_trace;
-using mvcom::txn::Trace;
-using mvcom::txn::TraceGeneratorConfig;
 
 // ---------------------------------------------------------------------------
-// Engine-level differential tests
+// Engine-level tests
 // ---------------------------------------------------------------------------
 
 /// Records every executed typed event as (kernel, payload.a, at) in execution
-/// order, plus the cohort sizes each kernel call received — the reference
-/// interpreter must see all-ones cohorts, the batched executor the grouped
-/// shape, while the flattened execution log stays identical.
+/// order, plus the cohort sizes each kernel call received — the oracle sees
+/// all-ones cohorts, the cohort executor the grouped shape, while the
+/// flattened execution log stays identical.
 struct RecordingHarness {
-  explicit RecordingHarness(KernelMode mode) : sim(SimConfig{mode}) {
-    k0 = sim.register_kernel(&RecordingHarness::thunk0, this);
-    k1 = sim.register_kernel(&RecordingHarness::thunk1, this);
+  explicit RecordingHarness(bool use_oracle = false) : oracle(use_oracle) {
+    k0 = add_kernel(&RecordingHarness::thunk0, this);
+    k1 = add_kernel(&RecordingHarness::thunk1, this);
+  }
+
+  /// Registers a kernel with the simulator and keeps it for the oracle.
+  KernelId add_kernel(KernelFn fn, void* ctx) {
+    kernels.emplace_back(fn, ctx);
+    return sim.register_kernel(fn, ctx);
+  }
+
+  /// The cohort executor's Simulator::schedule_typed, or the oracle: one
+  /// slab callback per event that calls its kernel with a cohort of one.
+  void schedule_typed(SimTime at, KernelId kernel, TypedPayload payload) {
+    if (!oracle) {
+      sim.schedule_typed(at, kernel, payload);
+      return;
+    }
+    const auto [fn, ctx] = kernels[kernel.value];
+    sim.schedule_at(at, [fn, ctx, payload] { fn(ctx, &payload, 1); });
   }
 
   static void thunk0(void* ctx, const TypedPayload* cohort, std::size_t n) {
@@ -86,26 +87,17 @@ struct RecordingHarness {
     friend bool operator==(const Executed&, const Executed&) = default;
   };
 
+  bool oracle;
   Simulator sim;
-  mvcom::sim::KernelId k0{};
-  mvcom::sim::KernelId k1{};
+  std::vector<std::pair<KernelFn, void*>> kernels;
+  KernelId k0{};
+  KernelId k1{};
   std::vector<Executed> log;
   std::vector<std::size_t> cohort_sizes;
 };
 
-TEST(SimKernels, ReferenceModeInterpretsTypedEventsAsCohortsOfOne) {
-  RecordingHarness h(KernelMode::kReference);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    h.sim.schedule_typed(SimTime(1.0), h.k0, {i, 0});
-  }
-  EXPECT_EQ(h.sim.run(), 5u);
-  EXPECT_EQ(h.cohort_sizes, (std::vector<std::size_t>{1, 1, 1, 1, 1}));
-  ASSERT_EQ(h.log.size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(h.log[i].payload, i);
-}
-
 TEST(SimKernels, BatchedModeGroupsEqualTimestampSameKernelRuns) {
-  RecordingHarness h(KernelMode::kBatched);
+  RecordingHarness h;
   // Three cohorts: k0 x3 @1, k1 x2 @1 (kernel switch splits), k0 x2 @2.
   for (std::uint64_t i = 0; i < 3; ++i) {
     h.sim.schedule_typed(SimTime(1.0), h.k0, {i, 0});
@@ -131,7 +123,7 @@ TEST(SimKernels, LiveSlabEventSplitsACohort) {
   // must execute in its sequence position — the cohort collector may not
   // hop over it.
   std::vector<std::uint64_t> slab_hits;
-  RecordingHarness h(KernelMode::kBatched);
+  RecordingHarness h;
   h.sim.schedule_typed(SimTime(1.0), h.k0, {0, 0});
   h.sim.schedule_typed(SimTime(1.0), h.k0, {1, 0});
   h.sim.schedule_at(SimTime(1.0), [&] { slab_hits.push_back(h.log.size()); });
@@ -145,18 +137,19 @@ TEST(SimKernels, LiveSlabEventSplitsACohort) {
 }
 
 TEST(SimKernels, CancelledSlabEventInsideCohortIsSkippedInBothModes) {
-  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kBatched}) {
-    SCOPED_TRACE(mode == KernelMode::kBatched ? "batched" : "reference");
-    RecordingHarness h(mode);
-    h.sim.schedule_typed(SimTime(1.0), h.k0, {0, 0});
+  // The cohort executor and the oracle both skip the tombstone.
+  for (const bool oracle : {false, true}) {
+    SCOPED_TRACE(oracle ? "oracle" : "cohort executor");
+    RecordingHarness h(oracle);
+    h.schedule_typed(SimTime(1.0), h.k0, {0, 0});
     const auto id = h.sim.schedule_at(SimTime(1.0), [] { FAIL(); });
-    h.sim.schedule_typed(SimTime(1.0), h.k0, {1, 0});
+    h.schedule_typed(SimTime(1.0), h.k0, {1, 0});
     h.sim.cancel(id);
     EXPECT_EQ(h.sim.run(), 2u);
     ASSERT_EQ(h.log.size(), 2u);
     EXPECT_EQ(h.log[0].payload, 0u);
     EXPECT_EQ(h.log[1].payload, 1u);
-    if (mode == KernelMode::kBatched) {
+    if (!oracle) {
       // The tombstone between the members must not split the cohort.
       EXPECT_EQ(h.cohort_sizes, (std::vector<std::size_t>{2}));
     }
@@ -164,7 +157,7 @@ TEST(SimKernels, CancelledSlabEventInsideCohortIsSkippedInBothModes) {
 }
 
 TEST(SimKernels, RunLimitMayCutACohortWithoutLosingEvents) {
-  RecordingHarness h(KernelMode::kBatched);
+  RecordingHarness h;
   for (std::uint64_t i = 0; i < 5; ++i) {
     h.sim.schedule_typed(SimTime(1.0), h.k0, {i, 0});
   }
@@ -178,7 +171,7 @@ TEST(SimKernels, RunLimitMayCutACohortWithoutLosingEvents) {
 }
 
 TEST(SimKernels, RunUntilStopsTypedEventsAtTheHorizon) {
-  RecordingHarness h(KernelMode::kBatched);
+  RecordingHarness h;
   h.sim.schedule_typed(SimTime(1.0), h.k0, {0, 0});
   h.sim.schedule_typed(SimTime(2.0), h.k0, {1, 0});
   h.sim.schedule_typed(SimTime(5.0), h.k0, {2, 0});
@@ -191,41 +184,41 @@ TEST(SimKernels, RunUntilStopsTypedEventsAtTheHorizon) {
 
 TEST(SimKernels, ScheduleFromKernelRunsAfterTheCurrentCohort) {
   // A kernel scheduling at its own timestamp gets a larger sequence number,
-  // so the new event forms a later cohort — in both modes.
-  for (const KernelMode mode : {KernelMode::kReference, KernelMode::kBatched}) {
-    SCOPED_TRACE(mode == KernelMode::kBatched ? "batched" : "reference");
-    struct Reentry {
-      Simulator sim;
-      mvcom::sim::KernelId k{};
+  // so the new event forms a later cohort — and runs where the oracle runs
+  // it.
+  for (const bool oracle : {false, true}) {
+    SCOPED_TRACE(oracle ? "oracle" : "cohort executor");
+    struct Reentry : RecordingHarness {
+      KernelId k{};
       std::vector<std::uint64_t> order;
-      explicit Reentry(KernelMode mode) : sim(SimConfig{mode}) {
-        k = sim.register_kernel(
+      explicit Reentry(bool use_oracle) : RecordingHarness(use_oracle) {
+        k = add_kernel(
             [](void* ctx, const TypedPayload* cohort, std::size_t n) {
               auto* self = static_cast<Reentry*>(ctx);
               for (std::size_t i = 0; i < n; ++i) {
                 self->order.push_back(cohort[i].a);
                 if (cohort[i].a < 2) {
                   // Same-timestamp re-entry: must land after this cohort.
-                  self->sim.schedule_typed(self->sim.now(), self->k,
-                                           {cohort[i].a + 100, 0});
+                  self->schedule_typed(self->sim.now(), self->k,
+                                       {cohort[i].a + 100, 0});
                 }
               }
             },
             this);
       }
-    } h(mode);
-    h.sim.schedule_typed(SimTime(1.0), h.k, {0, 0});
-    h.sim.schedule_typed(SimTime(1.0), h.k, {1, 0});
+    } h(oracle);
+    h.schedule_typed(SimTime(1.0), h.k, {0, 0});
+    h.schedule_typed(SimTime(1.0), h.k, {1, 0});
     EXPECT_EQ(h.sim.run(), 4u);
     EXPECT_EQ(h.order, (std::vector<std::uint64_t>{0, 1, 100, 101}));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz tier: randomized cohort shapes, cross-checked against the reference
-// interpreter. Same-timestamp storms, cancels landing inside cohorts, and
-// kernels that re-enter the scheduler — the failing seed is printed on any
-// mismatch so the script replays.
+// Fuzz tier: randomized cohort shapes, cross-checked against the oracle.
+// Same-timestamp storms, cancels landing inside cohorts, and kernels that
+// re-enter the scheduler — the failing seed is printed on any mismatch so
+// the script replays.
 // ---------------------------------------------------------------------------
 
 struct FuzzResult {
@@ -235,18 +228,18 @@ struct FuzzResult {
   std::uint64_t now_bits = 0;
 };
 
-/// Replays the deterministic script derived from `seed` under `mode`. All
-/// randomness comes from Rng(seed) draws made in execution order of the
-/// script — identical across modes because the per-element processing order
-/// is the determinism contract itself.
-FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
+/// Replays the deterministic script derived from `seed` on the cohort
+/// executor or the oracle. All randomness comes from Rng(seed) draws made in
+/// execution order of the script — identical on both because the
+/// per-element processing order is the determinism contract itself.
+FuzzResult run_fuzz_script(std::uint64_t seed, bool oracle) {
   struct Fuzz : RecordingHarness {
     Rng script_rng;
     std::vector<mvcom::sim::EventId> cancellable;
     int reentries_left = 64;
 
-    Fuzz(std::uint64_t seed, KernelMode mode)
-        : RecordingHarness(mode), script_rng(seed) {}
+    Fuzz(std::uint64_t seed, bool use_oracle)
+        : RecordingHarness(use_oracle), script_rng(seed) {}
 
     /// Quantized timestamps force same-timestamp storms.
     SimTime grid_time(SimTime base) {
@@ -254,18 +247,18 @@ FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
     }
 
     void maybe_reenter(std::uint64_t payload) {
-      // Decisions draw from script_rng in element-execution order, so both
-      // modes make identical choices.
+      // Decisions draw from script_rng in element-execution order, so the
+      // executor and the oracle make identical choices.
       if (reentries_left <= 0) return;
       const std::uint64_t choice = script_rng.below(8);
       if (choice == 0) {
         --reentries_left;
         // Same-timestamp schedule-from-kernel re-entry.
-        sim.schedule_typed(sim.now(), payload % 2 == 0 ? k0 : k1,
-                           {payload + 1000, 0});
+        schedule_typed(sim.now(), payload % 2 == 0 ? k0 : k1,
+                       {payload + 1000, 0});
       } else if (choice == 1) {
         --reentries_left;
-        sim.schedule_typed(grid_time(sim.now()), k1, {payload + 2000, 0});
+        schedule_typed(grid_time(sim.now()), k1, {payload + 2000, 0});
       } else if (choice == 2 && !cancellable.empty()) {
         // Cancel-inside-cohort: disarm a pending slab timer mid-cohort.
         const std::size_t idx =
@@ -273,7 +266,7 @@ FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
         sim.cancel(cancellable[idx]);
       }
     }
-  } h(seed, mode);
+  } h(seed, oracle);
 
   // Override the recording kernels with re-entering ones: reuse the harness
   // log via record(), then maybe re-enter.
@@ -290,8 +283,8 @@ FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
     }
     using Fuzz = decltype(h);
   };
-  h.k0 = h.sim.register_kernel(&Hook::thunk0, &h);
-  h.k1 = h.sim.register_kernel(&Hook::thunk1, &h);
+  h.k0 = h.add_kernel(&Hook::thunk0, &h);
+  h.k1 = h.add_kernel(&Hook::thunk1, &h);
 
   // Seed script: a mix of typed storms, slab callbacks, and pre-run cancels.
   const std::size_t ops = 64 + static_cast<std::size_t>(h.script_rng.below(64));
@@ -300,8 +293,8 @@ FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
     switch (h.script_rng.below(4)) {
       case 0:
       case 1:
-        h.sim.schedule_typed(at, h.script_rng.bernoulli(0.5) ? h.k0 : h.k1,
-                             {op, 0});
+        h.schedule_typed(at, h.script_rng.bernoulli(0.5) ? h.k0 : h.k1,
+                         {op, 0});
         break;
       case 2:
         h.cancellable.push_back(h.sim.schedule_at(
@@ -328,25 +321,25 @@ FuzzResult run_fuzz_script(std::uint64_t seed, KernelMode mode) {
 
 TEST(SimKernelsFuzz, RandomCohortShapesMatchReferenceInterpreter) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const FuzzResult ref = run_fuzz_script(seed, KernelMode::kReference);
-    const FuzzResult bat = run_fuzz_script(seed, KernelMode::kBatched);
+    const FuzzResult ref = run_fuzz_script(seed, /*oracle=*/true);
+    const FuzzResult bat = run_fuzz_script(seed, /*oracle=*/false);
     const bool match = ref.digest == bat.digest &&
                        ref.executed == bat.executed &&
                        ref.now_bits == bat.now_bits && ref.log == bat.log;
     if (!match) {
-      ADD_FAILURE() << "kernel-mode divergence at fuzz seed " << seed
-                    << ": reference digest " << std::hex << ref.digest
+      ADD_FAILURE() << "executor/oracle divergence at fuzz seed " << seed
+                    << ": oracle digest " << std::hex << ref.digest
                     << " executed " << std::dec << ref.executed
-                    << " log size " << ref.log.size() << " vs batched digest "
+                    << " log size " << ref.log.size() << " vs executor digest "
                     << std::hex << bat.digest << " executed " << std::dec
                     << bat.executed << " log size " << bat.log.size();
       for (std::size_t i = 0; i < std::min(ref.log.size(), bat.log.size());
            ++i) {
         if (!(ref.log[i] == bat.log[i])) {
           ADD_FAILURE() << "first divergent event at index " << i
-                        << ": reference (kernel " << ref.log[i].kernel
+                        << ": oracle (kernel " << ref.log[i].kernel
                         << ", payload " << ref.log[i].payload
-                        << ") vs batched (kernel " << bat.log[i].kernel
+                        << ") vs executor (kernel " << bat.log[i].kernel
                         << ", payload " << bat.log[i].payload << ")";
           break;
         }
@@ -354,175 +347,6 @@ TEST(SimKernelsFuzz, RandomCohortShapesMatchReferenceInterpreter) {
       return;  // one seed's dump is enough
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario-class differential matrix: every DES scenario class from the lane
-// determinism matrix (baseline / faulty / message-overlay / churn) must be
-// bit-identical between kernel modes at every lane-worker count.
-// ---------------------------------------------------------------------------
-
-Trace scenario_trace() {
-  Rng rng(7);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 96;
-  tc.target_total_txs = 96'000;
-  return generate_trace(tc, rng);
-}
-
-ElasticoConfig scenario_config() {
-  ElasticoConfig config;
-  config.num_nodes = 128;
-  config.committee_size = 6;
-  config.committee_bits = 3;  // 8 committees: 7 member + 1 final
-  config.pow_expected_solve = SimTime(600.0);
-  config.link_latency_mean = SimTime(1.0);
-  config.pbft.verification_mean = SimTime(0.2);
-  config.pbft.view_change_timeout = SimTime(120.0);
-  return config;
-}
-
-std::vector<EpochOutcome> run_epochs(const ElasticoConfig& base,
-                                     KernelMode mode,
-                                     std::size_t lane_workers,
-                                     std::size_t epochs, const Trace& trace) {
-  ElasticoConfig config = base;
-  config.kernel_mode = mode;
-  config.lane_workers = lane_workers;
-  ElasticoNetwork network(config, Rng(4242));
-  std::vector<EpochOutcome> out;
-  out.reserve(epochs);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    out.push_back(network.run_epoch(trace));
-  }
-  return out;
-}
-
-/// Bit-exact outcome comparison (doubles via bit_cast — the contract is
-/// equality, not closeness).
-void expect_identical(const EpochOutcome& a, const EpochOutcome& b) {
-  ASSERT_EQ(a.committees.size(), b.committees.size());
-  for (std::size_t c = 0; c < a.committees.size(); ++c) {
-    SCOPED_TRACE("committee " + std::to_string(c));
-    const CommitteeOutcome& ca = a.committees[c];
-    const CommitteeOutcome& cb = b.committees[c];
-    EXPECT_EQ(ca.committee_id, cb.committee_id);
-    EXPECT_EQ(ca.member_count, cb.member_count);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ca.formation_latency.seconds()),
-              std::bit_cast<std::uint64_t>(cb.formation_latency.seconds()));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ca.consensus_latency.seconds()),
-              std::bit_cast<std::uint64_t>(cb.consensus_latency.seconds()));
-    EXPECT_EQ(ca.committed, cb.committed);
-    EXPECT_EQ(ca.view_changes, cb.view_changes);
-    EXPECT_EQ(ca.tx_count, cb.tx_count);
-  }
-  EXPECT_EQ(a.selected, b.selected);
-  EXPECT_EQ(a.final_committed, b.final_committed);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.final_consensus_latency.seconds()),
-            std::bit_cast<std::uint64_t>(b.final_consensus_latency.seconds()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.epoch_makespan.seconds()),
-            std::bit_cast<std::uint64_t>(b.epoch_makespan.seconds()));
-  EXPECT_EQ(a.final_block_txs, b.final_block_txs);
-  EXPECT_EQ(a.next_epoch_randomness, b.next_epoch_randomness);
-  EXPECT_EQ(a.event_order_digest, b.event_order_digest);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
-/// SHA-256 over every outcome field — the per-scenario line in the
-/// cross-build digest file (same absorption order as test_elastico_lanes).
-std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
-  mvcom::crypto::Sha256 h;
-  const auto absorb_u64 = [&h](std::uint64_t v) {
-    std::array<std::uint8_t, 8> bytes;
-    for (int i = 0; i < 8; ++i) {
-      bytes[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    h.update(bytes);
-  };
-  const auto absorb_time = [&](SimTime t) {
-    absorb_u64(std::bit_cast<std::uint64_t>(t.seconds()));
-  };
-  for (const EpochOutcome& o : epochs) {
-    for (const CommitteeOutcome& c : o.committees) {
-      absorb_u64(c.committee_id);
-      absorb_u64(c.member_count);
-      absorb_time(c.formation_latency);
-      absorb_time(c.consensus_latency);
-      absorb_u64(c.committed ? 1 : 0);
-      absorb_u64(c.view_changes);
-      absorb_u64(c.tx_count);
-    }
-    for (const std::uint32_t id : o.selected) absorb_u64(id);
-    absorb_u64(o.final_committed ? 1 : 0);
-    absorb_time(o.final_consensus_latency);
-    absorb_time(o.epoch_makespan);
-    absorb_u64(o.final_block_txs);
-    h.update(o.next_epoch_randomness);
-    absorb_u64(o.event_order_digest);
-    absorb_u64(o.events_executed);
-  }
-  return mvcom::crypto::to_hex(h.finalize());
-}
-
-void run_mode_matrix(const std::string& label, const ElasticoConfig& config) {
-  SCOPED_TRACE(label);
-  constexpr std::size_t kEpochs = 2;
-  const Trace trace = scenario_trace();
-  const std::vector<EpochOutcome> reference =
-      run_epochs(config, KernelMode::kReference, 0, kEpochs, trace);
-  std::size_t committed = 0;
-  for (const CommitteeOutcome& c : reference.front().committees) {
-    if (c.committed) ++committed;
-  }
-  EXPECT_GT(committed, 0u) << "degenerate epoch: nothing committed";
-  EXPECT_GT(reference.front().events_executed, 0u);
-  std::vector<EpochOutcome> last_batched;
-  for (const std::size_t workers : {0u, 1u, 2u, 8u}) {
-    SCOPED_TRACE("lane_workers=" + std::to_string(workers));
-    std::vector<EpochOutcome> batched =
-        run_epochs(config, KernelMode::kBatched, workers, kEpochs, trace);
-    ASSERT_EQ(reference.size(), batched.size());
-    for (std::size_t e = 0; e < reference.size(); ++e) {
-      SCOPED_TRACE("epoch " + std::to_string(e));
-      expect_identical(reference[e], batched[e]);
-    }
-    last_batched = std::move(batched);
-  }
-  // Cross-build witness: appended per scenario when CI asks for it.
-  const char* digest_path = std::getenv("MVCOM_KERNEL_DETERMINISM_DIGEST");
-  if (digest_path != nullptr && *digest_path != '\0') {
-    std::ofstream digest_out(digest_path, std::ios::app);
-    ASSERT_TRUE(digest_out) << "cannot open " << digest_path;
-    digest_out << label << " " << outcome_digest(last_batched) << "\n";
-  }
-}
-
-TEST(SimKernelsDifferential, BaselineScenario) {
-  run_mode_matrix("baseline", scenario_config());
-}
-
-TEST(SimKernelsDifferential, FaultyScenario) {
-  ElasticoConfig config = scenario_config();
-  config.node_failure_probability = 0.10;
-  config.message_loss_probability = 0.02;
-  run_mode_matrix("faulty", config);
-}
-
-TEST(SimKernelsDifferential, MessageOverlayScenario) {
-  ElasticoConfig config = scenario_config();
-  config.message_level_overlay = true;
-  run_mode_matrix("message_overlay", config);
-}
-
-TEST(SimKernelsDifferential, ChurnScenario) {
-  // Heavy churn: a third of the nodes down and lossy links every epoch —
-  // drops, view changes, and horizon aborts dominate the event stream.
-  ElasticoConfig config = scenario_config();
-  config.node_failure_probability = 0.33;
-  config.message_loss_probability = 0.10;
-  config.pbft.view_change_timeout = SimTime(30.0);
-  run_mode_matrix("churn", config);
 }
 
 }  // namespace

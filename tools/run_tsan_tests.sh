@@ -1,25 +1,28 @@
 #!/usr/bin/env bash
 # Builds the repository with ThreadSanitizer (-DMVCOM_TSAN=ON) in a separate
-# build tree and runs the full tier-1 ctest suite under it. The parallel SE
-# execution path (SeParams::parallel_execution, or a pool lent to the
-# scheduler) is exercised by tests/test_se_parallel.cpp, including a
-# join/leave storm interleaved with pool-driven stepping. The nested path —
-# parallel_for called from inside a batch on the same pool, as the serve
-# pipeline's stage B does for the SE explorers — is exercised by the
-# ThreadPoolNestingTest cases in tests/test_thread_pool.cpp and by the
-# tests/test_pipeline.cpp matrix (Γ = 4 explorers nested in stage B at
-# workers {1, 2, 8}, at gap_tolerance 0 and at the pipeline's default). The
-# certified stop builds explorers lazily, on the first call that needs
-# them, so construction can happen inside that nested batch:
+# build tree and runs the full tier-1 ctest suite under it.
+#
+# SE: the scheduler steps its Γ explorers in parallel only on a pool lent to
+# its constructor. tests/test_se_parallel.cpp runs that path against the
+# serial one, including a join/leave storm interleaved with pool-driven
+# stepping and the determinism matrix on lent pools of {1, 2, 8} workers.
+# The nested path — parallel_for called from inside a batch on the same
+# pool, as the serve pipeline's stage B does for the SE explorers — is
+# exercised by the ThreadPoolNestingTest cases in tests/test_thread_pool.cpp
+# and by the tests/test_pipeline.cpp matrix (Γ = 4 explorers nested in
+# stage B at workers {1, 2, 8}, at gap_tolerance 0 and at the pipeline's
+# default). The certified stop builds explorers lazily, on the first call
+# that needs them, so construction can happen inside that nested batch:
 # SeParallelTest.CertifiedStopBuildsExplorersLazilyOnANestedLentPool runs
 # it on a lent pool, and the SeCertifiedStopTest / PipelineCertifiedStop
 # cases cover the serial and pipeline paths. Filter to this set with
 #   tools/run_tsan_tests.sh -R 'SeParallel|SeDeterminism|SeCertified|Pipeline'
-# The lane-parallel Elastico epoch
-# (ElasticoConfig::lane_workers) is exercised by tests/test_elastico_lanes.cpp
-# at worker counts {1, 2, 8} — per-lane simulators/networks plus the shared
-# obs sinks run concurrently there, so races in the lane substrate surface in
-# this suite.
+#
+# DES lanes: the lane-parallel Elastico epoch (ElasticoConfig::lane_workers)
+# is exercised by tests/test_elastico_lanes.cpp, four scenarios at worker
+# counts {1, 2, 8}. Per-lane simulators/networks plus the shared obs sinks
+# run concurrently there, so races in the lane substrate surface in this
+# suite. Filter with -R ElasticoLane.
 #
 # Usage: tools/run_tsan_tests.sh [extra ctest args…]
 set -euo pipefail

@@ -144,9 +144,11 @@ void BM_PbftInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_PbftInstance)->Arg(4)->Arg(16)->Arg(32);
 
-// PoW grind rate through the cached midstate (one Sha256 copy + <= 20 nonce
-// bytes per attempt) vs re-absorbing the whole preimage each attempt — the
-// stage-1 hot loop of every Elastico epoch.
+// One-nonce digest rate through PowMidstate::digest (the nonce formatted
+// into a copy of the padded tail block, then one compression from the
+// cached chaining state) vs re-absorbing the whole preimage each attempt.
+// solve()'s grind is faster still — digits incremented in place, no digest
+// but the winner's — and run_pow_rate below measures that.
 void BM_PowGrindMidstate(benchmark::State& state) {
   const mvcom::crypto::PowMidstate midstate("bench-epoch-randomness",
                                             "node-12345");
@@ -332,9 +334,11 @@ void run_scale_throughput(mvcom::bench::BenchJson& json) {
   }
 }
 
-/// PoW hash rate through the midstate path, measured by grinding a fixed
-/// attempt count against an unsolvable target (leading64_below = 0 never
-/// matches, so solve() always performs exactly kAttempts hashes).
+/// PoW hash rate of solve()'s grind kernel (one compression per attempt from
+/// the cached chaining state, the decimal nonce incremented in place, two
+/// nonces hashed side by side), measured by grinding a fixed attempt count
+/// against an unsolvable target (leading64_below = 0 never matches, so
+/// solve() always performs exactly kAttempts hashes).
 void run_pow_rate(mvcom::bench::BenchJson& json) {
   constexpr std::uint64_t kAttempts = 200'000;
   const mvcom::crypto::PowTarget unsolvable{0};
@@ -348,7 +352,7 @@ void run_pow_rate(mvcom::bench::BenchJson& json) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const double rate = static_cast<double>(kAttempts) / seconds;
-  std::printf("\n--- PoW grind rate (midstate path) ---\n");
+  std::printf("\n--- PoW grind rate (solve kernel) ---\n");
   std::printf("  %llu attempts in %.3fs -> %.0f hashes/s%s\n",
               static_cast<unsigned long long>(kAttempts), seconds, rate,
               solution.has_value() ? " (unexpected solution!)" : "");

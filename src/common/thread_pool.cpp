@@ -40,19 +40,32 @@ std::shared_ptr<ThreadPool::Batch> ThreadPool::claimable() const {
   return nullptr;
 }
 
+bool ThreadPool::run_one(Batch& batch) {
+  const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+  if (i >= batch.size) return false;
+  try {
+    (*batch.body)(i);
+  } catch (...) {
+    std::call_once(batch.error_once,
+                   [&batch] { batch.error = std::current_exception(); });
+  }
+  // Release so the submitter's acquire load of `completed` also sees any
+  // captured error before rethrowing.
+  batch.completed.fetch_add(1, std::memory_order_acq_rel);
+  return true;
+}
+
 void ThreadPool::drain(Batch& batch) {
-  for (;;) {
-    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.size) return;
-    try {
-      (*batch.body)(i);
-    } catch (...) {
-      std::call_once(batch.error_once,
-                     [&batch] { batch.error = std::current_exception(); });
-    }
-    // Release so the submitter's acquire load of `completed` also sees any
-    // captured error before rethrowing.
-    batch.completed.fetch_add(1, std::memory_order_acq_rel);
+  while (run_one(batch)) {
+  }
+}
+
+void ThreadPool::finish(const Batch& batch) {
+  if (batch.completed.load(std::memory_order_acquire) == batch.size) {
+    // Lock before notifying so the submitter cannot miss the wakeup
+    // between its predicate check and its wait.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    done_.notify_all();
   }
 }
 
@@ -69,12 +82,7 @@ void ThreadPool::worker_loop() {
       if (stopping_) return;
     }
     drain(*batch);
-    if (batch->completed.load(std::memory_order_acquire) == batch->size) {
-      // Lock before notifying so the submitter cannot miss the wakeup
-      // between its predicate check and its wait.
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_.notify_all();
-    }
+    finish(*batch);
   }
 }
 
@@ -102,15 +110,29 @@ void ThreadPool::parallel_for(std::size_t n,
   } else {
     for (std::size_t i = 0; i < to_wake; ++i) wake_.notify_one();
   }
+  // Submitters waiting on their own claimed indices help with new work too.
+  done_.notify_all();
   drain(*batch);  // the submitting thread participates in the batch
   {
-    // Every index is claimed now, so the batch leaves the open list; wait
-    // only for the indices other threads are still running.
+    // Every index is claimed now, so the batch leaves the open list. Until
+    // the indices other threads are still running complete, help: run single
+    // indices of other open batches, re-checking this one after each.
     std::unique_lock<std::mutex> lock(mutex_);
     open_.erase(std::find(open_.begin(), open_.end(), batch));
-    done_.wait(lock, [&] {
-      return batch->completed.load(std::memory_order_acquire) == batch->size;
-    });
+    for (;;) {
+      std::shared_ptr<Batch> other;
+      done_.wait(lock, [&] {
+        if (batch->completed.load(std::memory_order_acquire) == batch->size) {
+          return true;
+        }
+        other = claimable();
+        return other != nullptr;
+      });
+      if (other == nullptr) break;  // this batch completed
+      lock.unlock();
+      if (run_one(*other)) finish(*other);
+      lock.lock();
+    }
   }
   if (batch->error) std::rethrow_exception(batch->error);
 }

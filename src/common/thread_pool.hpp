@@ -19,13 +19,21 @@
 //    from parallel_for after the barrier.
 //
 // Nesting: parallel_for is re-entrant. A body may call parallel_for on the
-// same pool (the serve pipeline's stage B does, for the SE explorers), and
-// several threads may submit at once. The pool keeps the open batches in
-// submission order; an idle worker claims from the newest one that still
-// has unclaimed indices. Each submitter drains its own batch, then waits
-// only for indices other threads have already claimed — every index it
-// depends on is running somewhere, so nesting cannot deadlock. When every
-// worker is busy a nested call simply runs inline on its submitter.
+// same pool (the serve pipeline does twice: stage A grinds its committees'
+// PoW in chunks, stage B steps the SE explorers), and several threads may
+// submit at once. The pool keeps the open batches in submission order; an
+// idle worker claims from the newest one that still has unclaimed indices.
+// Each submitter drains its own batch. Until the indices other threads
+// claimed complete, it helps instead of sleeping: it runs single indices of
+// other open batches (newest first), re-checking its own after each, and
+// sleeps only when nothing is left to claim. The thread that finished
+// stage B therefore grinds stage A's chunks too. Every index a submitter
+// waits on is running somewhere, and each index it helps with was opened
+// after the frames below it started, so no two threads can wait on each
+// other and nesting cannot deadlock. An exception in a helped index is
+// captured in its own batch and rethrown only by that batch's submitter.
+// When every worker is busy a nested call simply runs inline on its
+// submitter.
 
 #include <condition_variable>
 #include <cstddef>
@@ -63,11 +71,16 @@ class ThreadPool {
   void worker_loop();
   /// Newest open batch with an unclaimed index, or null. Caller holds mutex_.
   [[nodiscard]] std::shared_ptr<Batch> claimable() const;
-  static void drain(Batch& batch);
+  /// Claims and runs one index of `batch`; false when none was left.
+  static bool run_one(Batch& batch);
+  static void drain(Batch& batch);  // run_one until none is left
+  /// Wakes the submitters if `batch` has completed.
+  void finish(const Batch& batch);
 
   std::mutex mutex_;
   std::condition_variable wake_;  // signals workers: new batch / shutdown
-  std::condition_variable done_;  // signals submitters: a batch completed
+  // Signals submitters: a batch completed, or one opened that they can help.
+  std::condition_variable done_;
   std::vector<std::shared_ptr<Batch>> open_;  // submission order, mutex_
   bool stopping_ = false;
   std::vector<std::thread> threads_;

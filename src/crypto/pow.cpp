@@ -2,7 +2,10 @@
 
 #include <cassert>
 #include <charconv>
+#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace mvcom::crypto {
@@ -20,8 +23,11 @@ std::string_view format_nonce(std::uint64_t nonce,
 
 }  // namespace
 
-PowTarget PowTarget::from_difficulty_bits(int bits) noexcept {
-  assert(bits >= 0 && bits < 64);
+PowTarget PowTarget::from_difficulty_bits(int bits) {
+  if (bits < 0 || bits > 63) {
+    throw std::invalid_argument("PoW difficulty must be 0..63 bits, got " +
+                                std::to_string(bits));
+  }
   return PowTarget{std::numeric_limits<std::uint64_t>::max() >> bits};
 }
 
@@ -33,37 +39,121 @@ double PowTarget::expected_attempts() const noexcept {
 
 Digest pow_digest(std::string_view epoch_randomness, std::string_view identity,
                   std::uint64_t nonce) noexcept {
-  return PowMidstate(epoch_randomness, identity).digest(nonce);
+  char buf[20];
+  Sha256 h;
+  h.update(epoch_randomness);
+  h.update("|");
+  h.update(identity);
+  h.update("|");
+  h.update(format_nonce(nonce, buf));
+  return h.finalize();
 }
 
 PowMidstate::PowMidstate(std::string_view epoch_randomness,
                          std::string_view identity) noexcept {
-  prefix_.update(epoch_randomness);
-  prefix_.update("|");
-  prefix_.update(identity);
-  prefix_.update("|");
+  const auto absorb = [this](std::string_view piece) {
+    for (const char ch : piece) {
+      tail_[tail_len_++] = static_cast<std::uint8_t>(ch);
+      if (tail_len_ == 64) {
+        sha256_compress(chain_.data(), tail_.data(), 1);
+        tail_len_ = 0;
+      }
+    }
+    prefix_len_ += piece.size();
+  };
+  absorb(epoch_randomness);
+  absorb("|");
+  absorb(identity);
+  absorb("|");
+}
+
+void PowMidstate::lay_out(Attempt& attempt) const noexcept {
+  char buf[20];
+  const std::string_view digits = format_nonce(attempt.nonce, buf);
+  std::memcpy(attempt.block.data() + tail_len_, digits.data(), digits.size());
+  attempt.width = digits.size();
+  // FIPS 180-4 padding: 0x80, zeros, then the message length in bits as a
+  // big-endian 64-bit word ending the last block. It fits in the tail
+  // block while tail + digits <= 55 bytes.
+  const std::size_t used = tail_len_ + digits.size();
+  attempt.blocks = used <= 55 ? 1 : 2;
+  const std::size_t end = 64 * attempt.blocks;
+  attempt.block[used] = 0x80;
+  std::memset(attempt.block.data() + used + 1, 0, end - 8 - used - 1);
+  const std::uint64_t bits = (prefix_len_ + digits.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    attempt.block[end - 8 + i] =
+        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+}
+
+void PowMidstate::advance(Attempt& attempt) const noexcept {
+  // Carry through the trailing '9's in place.
+  std::uint8_t* const digits = attempt.block.data() + tail_len_;
+  ++attempt.nonce;
+  std::size_t pos = attempt.width;
+  while (pos > 0 && digits[pos - 1] == '9') digits[--pos] = '0';
+  if (pos > 0 && attempt.nonce != 0) {
+    ++digits[pos - 1];
+  } else {
+    // The nonce gained a digit, or wrapped past 2^64 − 1 to 0: re-pad.
+    lay_out(attempt);
+  }
 }
 
 Digest PowMidstate::digest(std::uint64_t nonce) const noexcept {
-  char buf[20];
-  Sha256 h = prefix_;  // midstate copy: the prefix is never re-absorbed
-  h.update(format_nonce(nonce, buf));
-  return h.finalize();
+  Attempt attempt{tail_, nonce};
+  lay_out(attempt);
+  std::array<std::uint32_t, 8> state = chain_;
+  sha256_compress(state.data(), attempt.block.data(), attempt.blocks);
+  return digest_of(state.data());
+}
+
+std::optional<PowSolution> PowMidstate::solve(
+    PowTarget target, std::uint64_t max_attempts,
+    std::uint64_t start_nonce) const noexcept {
+  // State words 0–1 are the digest's leading 64 bits, big-endian.
+  const auto wins = [&](const std::array<std::uint32_t, 8>& state) {
+    return ((std::uint64_t{state[0]} << 32) | std::uint64_t{state[1]}) <
+           target.leading64_below;
+  };
+  // Nonces n and n + 1 hash side by side and step by two; in order, so the
+  // first qualifying nonce still wins.
+  Attempt a{tail_, start_nonce};
+  lay_out(a);
+  Attempt b = a;
+  advance(b);
+  for (std::uint64_t left = max_attempts; left > 0;) {
+    std::array<std::uint32_t, 8> sa = chain_;
+    if (left >= 2 && a.blocks == b.blocks) {
+      std::array<std::uint32_t, 8> sb = chain_;
+      sha256_compress_x2(sa.data(), a.block.data(), sb.data(), b.block.data(),
+                         a.blocks);
+      if (wins(sa)) return PowSolution{a.nonce, digest_of(sa.data())};
+      if (wins(sb)) return PowSolution{b.nonce, digest_of(sb.data())};
+      advance(a);
+      advance(a);
+      advance(b);
+      advance(b);
+      left -= 2;
+    } else {
+      // The last attempt, or n and n + 1 straddle the 55-byte padding limit.
+      sha256_compress(sa.data(), a.block.data(), a.blocks);
+      if (wins(sa)) return PowSolution{a.nonce, digest_of(sa.data())};
+      a = b;
+      advance(b);
+      left -= 1;
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<PowSolution> solve(std::string_view epoch_randomness,
                                  std::string_view identity, PowTarget target,
                                  std::uint64_t max_attempts,
                                  std::uint64_t start_nonce) {
-  const PowMidstate midstate(epoch_randomness, identity);
-  for (std::uint64_t i = 0; i < max_attempts; ++i) {
-    const std::uint64_t nonce = start_nonce + i;
-    Digest d = midstate.digest(nonce);
-    if (leading64(d) < target.leading64_below) {
-      return PowSolution{nonce, d};
-    }
-  }
-  return std::nullopt;
+  return PowMidstate(epoch_randomness, identity)
+      .solve(target, max_attempts, start_nonce);
 }
 
 bool verify(std::string_view epoch_randomness, std::string_view identity,

@@ -5,13 +5,16 @@
 // hash assign the node to a committee (Elastico §committee formation).
 //
 // Two facets are provided:
-//  * an *actual* solver (`solve`) that grinds real SHA-256 — used by unit
-//    tests and the quickstart example to demonstrate the mechanism; and
+//  * an *actual* solver (`solve`) that grinds real SHA-256 — used by the
+//    serve pipeline's stage A (`pow_grind_bits`), unit tests and the
+//    quickstart example; and
 //  * a *latency model* (`model_solve_latency`) used by the large-scale
 //    simulator, where grinding billions of hashes is pointless: solve time
 //    for a Poisson-process puzzle is exponentially distributed with mean
 //    (expected_attempts / hash_rate), exactly the paper's Exp(600 s) model.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,7 +32,8 @@ struct PowTarget {
   std::uint64_t leading64_below;
 
   /// Target for which a single hash succeeds with probability 2^-bits.
-  [[nodiscard]] static PowTarget from_difficulty_bits(int bits) noexcept;
+  /// Throws std::invalid_argument unless 0 <= bits <= 63.
+  [[nodiscard]] static PowTarget from_difficulty_bits(int bits);
 
   /// Expected number of hash attempts to find a solution.
   [[nodiscard]] double expected_attempts() const noexcept;
@@ -43,15 +47,23 @@ struct PowSolution {
 
 /// Preimage convention shared by solver and verifier:
 /// SHA256(epoch_randomness || '|' || identity || '|' || decimal(nonce)).
+/// A plain one-shot Sha256 over the preimage — the reference every
+/// PowMidstate digest is tested against.
 [[nodiscard]] Digest pow_digest(std::string_view epoch_randomness,
                                 std::string_view identity,
                                 std::uint64_t nonce) noexcept;
 
-/// Cached SHA-256 midstate over the constant `randomness|identity|` prefix.
-/// The grinding loop re-hashes only the decimal nonce per attempt (formatted
-/// into a stack buffer — no allocation): one midstate copy + <= 20 tail
-/// bytes instead of re-absorbing the whole preimage. Produces digests
-/// bit-identical to pow_digest for every nonce.
+/// The PoW grind's fixed-block kernel. It keeps the SHA-256 chaining state
+/// after the constant `randomness|identity|` prefix's whole 64-byte blocks,
+/// plus a tail block that holds the prefix's remaining bytes. The nonce's
+/// decimal digits and the padding complete that block, so an attempt costs
+/// one compression from the cached state — two only when the prefix tail
+/// plus the digits pass 55 bytes and the length field spills into a second
+/// block. solve() increments the decimal nonce in place and re-pads only
+/// when it gains a digit; it hashes nonces n and n + 1 side by side (two
+/// interleaved SHA-NI streams), compares state words 0–1 with the target,
+/// and serializes a digest only for the winner. Bit-identical to pow_digest
+/// for every nonce.
 class PowMidstate {
  public:
   PowMidstate(std::string_view epoch_randomness,
@@ -60,11 +72,37 @@ class PowMidstate {
   /// Digest of the full preimage for `nonce`.
   [[nodiscard]] Digest digest(std::uint64_t nonce) const noexcept;
 
+  /// Tries start_nonce, start_nonce + 1, … (wrapping past 2^64 − 1 to 0)
+  /// and returns the first whose digest's leading 64 bits are below
+  /// `target`; gives up after `max_attempts`.
+  [[nodiscard]] std::optional<PowSolution> solve(
+      PowTarget target, std::uint64_t max_attempts,
+      std::uint64_t start_nonce) const noexcept;
+
  private:
-  Sha256 prefix_;  // absorbed "randomness|identity|", copied per attempt
+  using Block = std::array<std::uint8_t, 128>;
+
+  /// One nonce's padded tail block(s).
+  struct Attempt {
+    Block block;
+    std::uint64_t nonce = 0;
+    std::size_t width = 0;   // decimal digits of nonce
+    std::size_t blocks = 0;  // 1 or 2
+  };
+
+  /// Writes the nonce's digits after the prefix tail, then the padding.
+  void lay_out(Attempt& attempt) const noexcept;
+  /// Steps to the next nonce in place, re-padding only on a new digit.
+  void advance(Attempt& attempt) const noexcept;
+
+  std::array<std::uint32_t, 8> chain_ = kSha256Init;  // after whole blocks
+  Block tail_{};                  // the prefix's last (< 64) bytes, then room
+  std::size_t tail_len_ = 0;      // prefix bytes in tail_
+  std::uint64_t prefix_len_ = 0;  // prefix bytes in total
 };
 
-/// Grinds nonces from `start_nonce`; gives up after `max_attempts`.
+/// Grinds nonces from `start_nonce` through a PowMidstate; gives up after
+/// `max_attempts`.
 [[nodiscard]] std::optional<PowSolution> solve(std::string_view epoch_randomness,
                                                std::string_view identity,
                                                PowTarget target,

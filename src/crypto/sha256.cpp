@@ -33,56 +33,83 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
 
 }  // namespace
 
-Sha256::Sha256() noexcept
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) {
+      w[static_cast<std::size_t>(i)] =
+          (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+          (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+          (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+          static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+void sha256_compress(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t blocks) noexcept {
   if (use_sha_ni()) {
-    sha_ni_compress(state_.data(), block, 1);
-    return;
+    sha_ni_compress(state, data, blocks);
+  } else {
+    sha256_compress_portable(state, data, blocks);
   }
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[static_cast<std::size_t>(i)] =
-        (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-        (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-        (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-        static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (std::size_t i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+}
 
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* data_a,
+                        std::uint32_t* state_b, const std::uint8_t* data_b,
+                        std::size_t blocks) noexcept {
+  if (use_sha_ni()) {
+    sha_ni_compress_x2(state_a, data_a, state_b, data_b, blocks);
+  } else {
+    sha256_compress_portable(state_a, data_a, blocks);
+    sha256_compress_portable(state_b, data_b, blocks);
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+}
+
+Digest digest_of(const std::uint32_t* state) noexcept {
+  Digest out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+  return out;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
@@ -94,18 +121,12 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      sha256_compress(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
   if (const std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
-    if (use_sha_ni()) {
-      sha_ni_compress(state_.data(), data.data() + offset, blocks);
-    } else {
-      for (std::size_t b = 0; b < blocks; ++b) {
-        process_block(data.data() + offset + 64 * b);
-      }
-    }
+    sha256_compress(state_.data(), data.data() + offset, blocks);
     offset += 64 * blocks;
   }
   if (offset < data.size()) {
@@ -127,7 +148,7 @@ Digest Sha256::finalize() noexcept {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
-    process_block(buffer_.data());
+    sha256_compress(state_.data(), buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
@@ -135,16 +156,8 @@ Digest Sha256::finalize() noexcept {
     buffer_[static_cast<std::size_t>(56 + i)] =
         static_cast<std::uint8_t>(bits >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
-
-  Digest out;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  sha256_compress(state_.data(), buffer_.data(), 1);
+  return digest_of(state_.data());
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {

@@ -16,6 +16,33 @@ namespace mvcom::crypto {
 /// A 256-bit digest.
 using Digest = std::array<std::uint8_t, 32>;
 
+/// The SHA-256 initial hash value H(0), working variables a..h.
+inline constexpr std::array<std::uint32_t, 8> kSha256Init = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// Absorbs `blocks` consecutive 64-byte blocks into `state` (8 words, the
+/// working variables a..h): the SHA extension when the CPU has it (probed
+/// once), the portable rounds otherwise. Callers that pad their own blocks,
+/// such as the PoW grind, use this in place of a Sha256 object.
+void sha256_compress(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t blocks) noexcept;
+
+/// Two independent streams at once: `blocks` blocks of `data_a` into
+/// `state_a` and as many of `data_b` into `state_b`. With the SHA extension
+/// the two interleave, hiding the round instruction's latency.
+void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* data_a,
+                        std::uint32_t* state_b, const std::uint8_t* data_b,
+                        std::size_t blocks) noexcept;
+
+/// The portable C++ rounds alone, whatever the CPU offers — the reference
+/// the SHA-extension path is tested against.
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept;
+
+/// Big-endian serialization of a final `state` — the digest.
+[[nodiscard]] Digest digest_of(const std::uint32_t* state) noexcept;
+
 /// Incremental SHA-256 hasher.
 ///
 /// Usage:
@@ -26,8 +53,6 @@ using Digest = std::array<std::uint8_t, 32>;
 /// finalize() may be called exactly once; the object is then spent.
 class Sha256 {
  public:
-  Sha256() noexcept;
-
   /// Absorbs `data` into the hash state.
   void update(std::span<const std::uint8_t> data) noexcept;
   void update(std::string_view text) noexcept;
@@ -42,9 +67,7 @@ class Sha256 {
   [[nodiscard]] static Digest double_hash(std::string_view text) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
-  std::array<std::uint32_t, 8> state_;
+  std::array<std::uint32_t, 8> state_ = kSha256Init;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
   std::uint64_t total_bits_ = 0;

@@ -48,6 +48,11 @@ enum StreamSlot : std::uint64_t {
   kFinalPbftSlot = 3,  // stage-4 PBFT protocol randomness
 };
 
+/// Committees per stage-A grind task: enough hashes (≈ 16 · 2^bits) to
+/// amortize a pool claim, few enough that serve's 300 committees make 19
+/// tasks for the pool's contexts to share.
+constexpr std::size_t kGrindChunk = 16;
+
 std::uint64_t stream_index(std::size_t epoch, StreamSlot slot) noexcept {
   return 4 * static_cast<std::uint64_t>(epoch) + slot;
 }
@@ -117,6 +122,11 @@ EpochPipeline::EpochPipeline(const txn::Trace& trace, PipelineConfig config)
     throw std::invalid_argument(
         "EpochPipeline: epochs and committees must be >= 1");
   }
+  if (config_.pow_grind_bits < 0 || config_.pow_grind_bits > 63) {
+    throw std::invalid_argument(
+        "EpochPipeline: pow_grind_bits must be 0..63, got " +
+        std::to_string(config_.pow_grind_bits));
+  }
   trace_start_ = trace.blocks.front().btime;
   const double span = trace.blocks.back().btime - trace_start_ + 1.0;
   window_ = span / static_cast<double>(config_.epochs);
@@ -174,7 +184,8 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   }
 }
 
-EpochPipeline::FormedEpoch EpochPipeline::form_epoch(std::size_t epoch) const {
+EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
+    std::size_t epoch, common::ThreadPool* pool) const {
   if (config_.account_mode) return form_epoch_accounts(epoch);
   FormedEpoch out;
   out.epoch = epoch;
@@ -205,13 +216,13 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(std::size_t epoch) const {
         static_cast<std::size_t>(it - blocks.begin()));
   }
 
+  // Pass 1, serial: latency draws (in committee order — they share the
+  // formation stream), ids, TX counts and shard roots.
   Rng rng = Rng::stream(config_.seed,
                         stream_index(epoch, kFormationSlot));
   txn::WorkloadConfig wc;
   wc.num_committees = config_.committees;
   const std::string randomness = epoch_randomness(config_.seed, epoch);
-
-  out.formation_digest = kDigestBasis;
   for (std::size_t c = 0; c < dealt.size(); ++c) {
     PendingShard& s = dealt[c];
     if (s.block_indices.empty()) continue;
@@ -229,27 +240,48 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(std::size_t epoch) const {
       h.update(blocks[b].bhash);
     }
     s.root = h.finalize();
+  }
 
-    std::uint64_t nonce = 0;
-    if (config_.pow_grind_bits > 0) {
-      // Real PoW grinding through the cached midstate — stage A becomes
-      // genuinely CPU-bound, and the winning nonce witnesses the work in
-      // the epoch digest. The difficulty is a model knob, so a bounded
-      // give-up keeps the pipeline deterministic either way.
-      const auto target =
-          crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
-      const std::uint64_t budget =
-          64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
-      const auto solution =
-          crypto::solve(randomness, "committee-" + std::to_string(s.id),
-                        target, budget);
-      if (solution) nonce = solution->nonce + 1;  // +1: distinguish "none"
+  // Pass 2: real PoW grinding — stage A becomes genuinely CPU-bound, and
+  // each winning nonce witnesses the work in the epoch digest. Committees'
+  // puzzles are independent, so chunks of them grind on the run's pool,
+  // nested inside this stage-A task. The difficulty is a model knob, so a
+  // bounded give-up keeps the pipeline deterministic either way.
+  std::vector<std::uint64_t> nonces(dealt.size(), 0);  // 0 = none found
+  if (config_.pow_grind_bits > 0) {
+    const auto target =
+        crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
+    const std::uint64_t budget =
+        64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
+    const auto grind = [&](std::size_t chunk) {
+      const std::size_t end =
+          std::min(dealt.size(), (chunk + 1) * kGrindChunk);
+      for (std::size_t c = chunk * kGrindChunk; c < end; ++c) {
+        if (dealt[c].block_indices.empty()) continue;
+        const auto solution = crypto::solve(
+            randomness, "committee-" + std::to_string(dealt[c].id), target,
+            budget);
+        if (solution) nonces[c] = solution->nonce + 1;  // +1: "none" is 0
+      }
+    };
+    const std::size_t chunks = (dealt.size() + kGrindChunk - 1) / kGrindChunk;
+    if (pool != nullptr) {
+      pool->parallel_for(chunks, grind);
+    } else {
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) grind(chunk);
     }
+  }
+
+  // Pass 3, serial: the formation digest, folded in committee order.
+  out.formation_digest = kDigestBasis;
+  for (std::size_t c = 0; c < dealt.size(); ++c) {
+    PendingShard& s = dealt[c];
+    if (s.block_indices.empty()) continue;
     out.formation_digest = fnv1a_mix(out.formation_digest, s.id);
     out.formation_digest = fnv1a_mix(out.formation_digest, s.txs);
     out.formation_digest =
         fnv1a_mix(out.formation_digest, bits_of(s.submit_time));
-    out.formation_digest = fnv1a_mix(out.formation_digest, nonce);
+    out.formation_digest = fnv1a_mix(out.formation_digest, nonces[c]);
     out.shards.push_back(std::move(s));
   }
   return out;
@@ -502,8 +534,9 @@ PipelineTotals EpochPipeline::run(
 
   const std::size_t depth = std::max<std::size_t>(1, config_.overlap_depth);
   std::vector<std::optional<FormedEpoch>> formed(config_.epochs);
-  // One pool per run serves both the overlap batch and, nested inside stage
-  // B, the SE explorers — at depth 1 only the latter.
+  // One pool per run serves the overlap batch and, nested inside the
+  // stages, the PoW grind chunks and the SE explorers — at depth 1 only the
+  // nested batches.
   std::unique_ptr<common::ThreadPool> pool;
   if (config_.workers > 0) {
     pool = std::make_unique<common::ThreadPool>(config_.workers);
@@ -512,7 +545,7 @@ PipelineTotals EpochPipeline::run(
   // Pipeline prologue: pre-form the first depth−1 epochs so every steady
   // step can pair one stage B with one lookahead stage A.
   for (std::size_t e = 0; e + 1 < depth && e < config_.epochs; ++e) {
-    formed[e] = form_epoch(e);
+    formed[e] = form_epoch(e, pool.get());
   }
 
   for (std::size_t k = 0; k < config_.epochs; ++k) {
@@ -523,7 +556,7 @@ PipelineTotals EpochPipeline::run(
     EpochReport report;
     if (depth == 1) {
       // Sequential reference: form-then-schedule, one epoch at a time.
-      report = schedule_epoch(form_epoch(k), pool.get());
+      report = schedule_epoch(form_epoch(k, pool.get()), pool.get());
     } else {
       // One software-pipelined step: {B(k), A(k+depth−1)} as a single
       // thread-pool batch. Stage A is pure and stage B is the only writer
@@ -535,7 +568,7 @@ PipelineTotals EpochPipeline::run(
         if (which == 0) {
           report = schedule_epoch(std::move(*formed[k]), pool.get());
         } else {
-          formed[ahead] = form_epoch(ahead);
+          formed[ahead] = form_epoch(ahead, pool.get());
         }
       };
       const std::size_t tasks = has_ahead ? 2 : 1;

@@ -7,11 +7,18 @@
 // This module drives exactly that regime. Each epoch is split into two
 // stages:
 //
-//   Stage A — formation. Window the incoming trace, deal fresh blocks to the
-//     epoch's member committees, sample their two-phase (PoW formation +
-//     intra-committee PBFT) completion times, optionally grind real PoW
-//     midstates, and compute each shard's root digest. Stage A is a *pure
-//     function* of (trace, config, epoch index): its randomness comes from
+//   Stage A — formation, in three passes. (1) Serially: window the
+//     incoming trace, deal fresh blocks to the epoch's member committees,
+//     sample their two-phase (PoW formation + intra-committee PBFT)
+//     completion times, and compute each shard's root digest. (2) With
+//     pow_grind_bits > 0, grind each committee's real PoW puzzle: chunks of
+//     16 committees run as one parallel_for on the run's pool, nested inside
+//     the stage-A task, each writing its own slot of a nonce vector. (3)
+//     Serially: fold the formation digest in committee order. Every puzzle
+//     is independent, and solve() returns the first qualifying nonce within
+//     a fixed budget, so the nonces — and the digest — do not depend on
+//     which thread ground them. Stage A is a *pure function* of (trace,
+//     config, epoch index): its randomness comes from
 //     Rng::stream(seed, slot(e)) — per-epoch stream roots derived from
 //     (seed, epoch index), never from a shared forking engine — so epoch
 //     e+1's formation can run concurrently with anything without perturbing
@@ -31,7 +38,9 @@
 // Overlap: with overlap_depth d >= 2, step k runs {B(k), A(k+d-1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
 // Stage B lends the same pool to the SE scheduler, whose explorer batches
-// nest inside B(k): workers left idle by the short stage A step explorers.
+// nest inside B(k), and stage A grinds its PoW chunks on it: whichever
+// batch a context is free for, it helps with, so the thread that finishes
+// a short B(k) grinds A(k+d-1)'s chunks instead of waiting.
 // Because stage A is pure and only one stage B is in flight per batch, the
 // pipelined schedule is *bitwise identical* to the sequential reference
 // (overlap_depth = 1) for any worker count: same per-epoch event-order
@@ -66,10 +75,10 @@ struct PipelineConfig {
   /// 1 = strictly sequential (the bitwise-determinism reference);
   /// d >= 2 overlaps epoch e's stage B with epoch e+d-1's stage A.
   std::size_t overlap_depth = 1;
-  /// Workers of the run's one thread pool, which serves both the overlap
-  /// batch {B(k), A(k+d−1)} and, nested inside stage B, the SE scheduler's
-  /// Γ explorers (0 = everything inline on the calling thread; results are
-  /// identical either way).
+  /// Workers of the run's one thread pool, which serves the overlap batch
+  /// {B(k), A(k+d−1)} and, nested inside the stages, stage A's PoW grind
+  /// chunks and the SE scheduler's Γ explorers (0 = everything inline on
+  /// the calling thread; results are identical either way).
   std::size_t workers = 0;
   double alpha = 1.5;              // Eq.-(2) throughput weight
   double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
@@ -82,10 +91,11 @@ struct PipelineConfig {
   /// SeScheduler::warm_start; the reported utility can then never fall
   /// below the seed's.
   bool warm_start = true;
-  /// > 0: stage A really grinds PoW midstates at this difficulty (bits of
-  /// leading zeros) per committee — makes formation genuinely CPU-bound and
-  /// folds the winning nonces into the epoch digest. 0 uses the calibrated
-  /// latency model only.
+  /// > 0: stage A really grinds PoW at this difficulty (bits of leading
+  /// zeros) per committee, on the run's pool — makes formation genuinely
+  /// CPU-bound and folds the winning nonces into the epoch digest. 0 uses
+  /// the calibrated latency model only. The constructor throws
+  /// std::invalid_argument outside 0..63.
   int pow_grind_bits = 0;
   std::size_t final_replicas = 4;  // stage-4 mini-DES committee size
   std::uint64_t seed = 1;          // root of every per-epoch Rng stream
@@ -206,7 +216,9 @@ class EpochPipeline {
     std::uint64_t xshard_deferred = 0;
   };
 
-  [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch) const;
+  /// Stage A. `pool` (may be null) grinds the committees' PoW in chunks.
+  [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch,
+                                       common::ThreadPool* pool) const;
   [[nodiscard]] FormedEpoch form_epoch_accounts(std::size_t epoch) const;
   /// Stage B. `pool` (may be null) is lent to the SE scheduler.
   EpochReport schedule_epoch(FormedEpoch&& formed, common::ThreadPool* pool);

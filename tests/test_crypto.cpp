@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,6 +15,7 @@
 #include "crypto/merkle.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_ni.hpp"
 
 namespace {
 
@@ -83,6 +88,43 @@ TEST(Sha256Test, LeadingZeroBits) {
   EXPECT_EQ(mvcom::crypto::leading_zero_bits(d), 11);
   Digest all_zero{};
   EXPECT_EQ(mvcom::crypto::leading_zero_bits(all_zero), 256);
+}
+
+TEST(Sha256Test, PortableRoundsHashAPaddedBlock) {
+  // "abc" padded by hand into one block, through the portable rounds alone:
+  // pins the fallback path on a host whose CPU has the SHA extension.
+  std::array<std::uint8_t, 64> block{};
+  std::memcpy(block.data(), "abc", 3);
+  block[3] = 0x80;
+  block[63] = 24;  // message length in bits
+  std::array<std::uint32_t, 8> state = mvcom::crypto::kSha256Init;
+  mvcom::crypto::sha256_compress_portable(state.data(), block.data(), 1);
+  EXPECT_EQ(to_hex(mvcom::crypto::digest_of(state.data())),
+            to_hex(Sha256::hash("abc")));
+}
+
+TEST(Sha256Test, ShaNiMatchesPortableRounds) {
+  // The two compression paths on random chaining states and blocks — the
+  // SHA-NI host otherwise never runs the portable rounds, and a host
+  // without the extension never runs sha_ni_compress.
+  if (!mvcom::crypto::sha_ni_available()) {
+    GTEST_SKIP() << "CPU has no SHA extension";
+  }
+  Rng rng(0x5a17);
+  std::array<std::uint8_t, 128> data{};
+  for (int trial = 0; trial < 10'000; ++trial) {
+    std::array<std::uint32_t, 8> state{};
+    for (std::uint32_t& word : state) word = static_cast<std::uint32_t>(rng());
+    for (std::uint8_t& byte : data) byte = static_cast<std::uint8_t>(rng());
+    const std::size_t blocks = 1 + static_cast<std::size_t>(trial % 2);
+    std::array<std::uint32_t, 8> portable = state;
+    std::array<std::uint32_t, 8> ni = state;
+    mvcom::crypto::sha256_compress_portable(portable.data(), data.data(),
+                                            blocks);
+    mvcom::crypto::sha_ni_compress(ni.data(), data.data(), blocks);
+    ASSERT_EQ(portable, ni) << "trial " << trial << ", " << blocks
+                            << " block(s)";
+  }
 }
 
 // --- Merkle tree ------------------------------------------------------------
@@ -180,19 +222,28 @@ TEST(PowTest, UnsolvableTargetGivesUp) {
 }
 
 TEST(PowTest, MidstateMatchesFullPreimageHash) {
-  // The midstate path (prefix absorbed once, nonce re-hashed per attempt)
-  // must be bit-identical to hashing the documented preimage from scratch,
-  // across nonce widths including the 20-digit maximum.
-  const mvcom::crypto::PowMidstate midstate("epoch-rand", "node-7");
-  for (const std::uint64_t nonce :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{9}, std::uint64_t{10},
-        std::uint64_t{123456789}, std::uint64_t{0xffffffffULL},
-        std::numeric_limits<std::uint64_t>::max()}) {
-    const Digest naive = Sha256::hash("epoch-rand|node-7|" +
-                                      std::to_string(nonce));
-    EXPECT_EQ(midstate.digest(nonce), naive) << "nonce " << nonce;
-    EXPECT_EQ(mvcom::crypto::pow_digest("epoch-rand", "node-7", nonce), naive)
-        << "nonce " << nonce;
+  // PowMidstate::digest and the one-shot pow_digest must be bit-identical
+  // to hashing the documented preimage from scratch: for the smallest and
+  // largest nonce of every width 1–20, over prefix tails of every length
+  // (randomness of 0–69 bytes), in one- and two-block paddings.
+  std::vector<std::uint64_t> nonces = {123456789, 0xffffffffULL, 0, 9};
+  std::uint64_t lowest = 10;
+  for (int width = 2; width <= 20; ++width, lowest *= 10) {
+    nonces.push_back(lowest);
+    nonces.push_back(width == 20 ? std::numeric_limits<std::uint64_t>::max()
+                                 : lowest * 10 - 1);
+  }
+  for (std::size_t length = 0; length < 70; ++length) {
+    const std::string randomness(length, 'm');
+    const mvcom::crypto::PowMidstate midstate(randomness, "node-7");
+    for (const std::uint64_t nonce : nonces) {
+      const Digest naive =
+          Sha256::hash(randomness + "|node-7|" + std::to_string(nonce));
+      ASSERT_EQ(midstate.digest(nonce), naive)
+          << "randomness " << length << " B, nonce " << nonce;
+      ASSERT_EQ(mvcom::crypto::pow_digest(randomness, "node-7", nonce), naive)
+          << "randomness " << length << " B, nonce " << nonce;
+    }
   }
 }
 
@@ -209,6 +260,100 @@ TEST(PowTest, MidstateSolveAgreesWithVerifier) {
                   mvcom::crypto::pow_digest("epoch-rand", "node-3", nonce)),
               target.leading64_below);
   }
+}
+
+// --- The fixed-block grind kernel against from-scratch hashing ---------------
+
+/// The preimage's digest hashed from scratch, one Sha256 over the string.
+Digest scratch_digest(const std::string& randomness,
+                      const std::string& identity, std::uint64_t nonce) {
+  return Sha256::hash(randomness + "|" + identity + "|" +
+                      std::to_string(nonce));
+}
+
+/// Scans start, start + 1, … (wrapping like solve) from scratch and picks a
+/// target under which the first winner sits at least `min_offset` attempts
+/// in: the first nonce there whose leading 64 bits are a new low over the
+/// scan. Checks that solve() finds exactly that nonce and digest with just
+/// enough attempts, and nothing with one fewer. Returns the winner's offset.
+std::uint64_t expect_solve_matches_scan(const std::string& randomness,
+                                        const std::string& identity,
+                                        std::uint64_t start,
+                                        std::uint64_t min_offset) {
+  constexpr std::uint64_t kWindow = 1 << 14;
+  // Without a new low past min_offset, the window's overall low wins.
+  std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t winner = 0;  // offset of the chosen nonce
+  for (std::uint64_t offset = 0; offset < kWindow; ++offset) {
+    const std::uint64_t lead =
+        mvcom::crypto::leading64(scratch_digest(randomness, identity,
+                                                start + offset));
+    if (lead >= low) continue;
+    low = lead;
+    winner = offset;
+    if (offset >= min_offset) break;
+  }
+  const PowTarget target{low + 1};
+  const std::uint64_t nonce = start + winner;
+  const auto found =
+      mvcom::crypto::solve(randomness, identity, target, winner + 1, start);
+  EXPECT_TRUE(found.has_value()) << "prefix " << randomness.size() << "+"
+                                 << identity.size() << ", start " << start;
+  if (found) {
+    EXPECT_EQ(found->nonce, nonce) << "start " << start;
+    EXPECT_EQ(found->digest, scratch_digest(randomness, identity, nonce))
+        << "start " << start;
+  }
+  EXPECT_FALSE(mvcom::crypto::solve(randomness, identity, target, winner,
+                                    start)
+                   .has_value())
+      << "start " << start;
+  return winner;
+}
+
+TEST(PowKernelTest, SolveMatchesScratchScanForEveryPrefixLength) {
+  // Randomness of 0–130 bytes puts the prefix tail at every length 0–63,
+  // in one- and two-block paddings. Starting at nonce 0 and winning at 10
+  // or later also crosses the 9 -> 10 digit gain.
+  std::size_t crossed = 0;
+  for (std::size_t length = 0; length <= 130; ++length) {
+    const std::string randomness(length, static_cast<char>('a' + length % 26));
+    if (expect_solve_matches_scan(randomness, "committee-7", 0, 10) >= 10) {
+      ++crossed;
+    }
+  }
+  EXPECT_GE(crossed, 125u);
+}
+
+TEST(PowKernelTest, SolveCrossesDigitBoundariesInPlace) {
+  // solve() increments the decimal nonce in place and re-pads when it gains
+  // a digit or wraps to 0. Each start sits 3 attempts before a boundary,
+  // and every prefix tail length puts the re-padded tail on both sides of
+  // the 55-byte one-block limit somewhere.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t boundaries[] = {10, 100'000, 10'000'000'000'000'000'000ULL,
+                                      0};
+  std::size_t crossed = 0;
+  for (std::size_t length = 0; length < 64; ++length) {
+    const std::string randomness(length, 'r');
+    for (const std::uint64_t boundary : boundaries) {
+      const std::uint64_t start = boundary == 0 ? kMax - 2 : boundary - 3;
+      if (expect_solve_matches_scan(randomness, "n", start, 3) >= 3) {
+        ++crossed;
+      }
+    }
+  }
+  EXPECT_EQ(crossed, 64 * std::size(boundaries));
+}
+
+TEST(PowTest, DifficultyOutsideZeroTo63BitsThrows) {
+  EXPECT_THROW((void)PowTarget::from_difficulty_bits(-1),
+               std::invalid_argument);
+  EXPECT_THROW((void)PowTarget::from_difficulty_bits(64),
+               std::invalid_argument);
+  EXPECT_EQ(PowTarget::from_difficulty_bits(0).leading64_below,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(PowTarget::from_difficulty_bits(63).leading64_below, 1u);
 }
 
 TEST(PowTest, CommitteeAssignmentStaysInRange) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace {
 
@@ -18,10 +19,14 @@ using mvcom::common::read_csv;
 
 class CsvTest : public ::testing::Test {
  protected:
+  // mkdtemp gives every case its own directory, also across the parallel
+  // processes of ctest -j, so one case's TearDown cannot delete another's
+  // files.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mvcom-csv-" + std::to_string(std::rand()));
-    std::filesystem::create_directories(dir_);
+    std::string name =
+        (std::filesystem::temp_directory_path() / "mvcom-csv-XXXXXX").string();
+    ASSERT_NE(mkdtemp(name.data()), nullptr) << "mkdtemp failed for " << name;
+    dir_ = name;
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -130,21 +131,50 @@ TEST(PipelineDeterminism, OverlapAndWorkersNeverChangeResults) {
 TEST(PipelineDeterminism, PowGrindingKeepsTheContract) {
   // Real PoW grinding in stage A must not perturb the matrix — the nonces
   // are a pure function of (seed, epoch) like every other stage-A output.
+  // 40 committees make three grind chunks, so on a pool they grind on
+  // several threads, nested in stage A, with waiting submitters helping.
   const Trace trace = small_trace();
   PipelineConfig config = small_config();
+  config.committees = 40;
   config.epochs = 2;
   config.pow_grind_bits = 6;
 
   config.overlap_depth = 1;
   config.workers = 0;
   const RunRecord ref = run_pipeline(trace, config);
-  config.overlap_depth = 2;
-  config.workers = 2;
-  const RunRecord got = run_pipeline(trace, config);
-  ASSERT_EQ(ref.reports.size(), got.reports.size());
-  for (std::size_t e = 0; e < ref.reports.size(); ++e) {
-    EXPECT_EQ(ref.reports[e].event_order_digest,
-              got.reports[e].event_order_digest);
+  ASSERT_EQ(ref.reports.size(), config.epochs);
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      config.overlap_depth = depth;
+      config.workers = workers;
+      const RunRecord got = run_pipeline(trace, config);
+      ASSERT_EQ(ref.reports.size(), got.reports.size());
+      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
+        EXPECT_EQ(ref.reports[e].event_order_digest,
+                  got.reports[e].event_order_digest)
+            << "epoch " << e << " depth=" << depth << " workers=" << workers;
+      }
+      EXPECT_EQ(got.totals.digest, ref.totals.digest)
+          << "depth=" << depth << " workers=" << workers;
+    }
+  }
+}
+
+TEST(PipelineConfigTest, RejectsGrindBitsOutsideZeroTo63) {
+  // PowTarget::from_difficulty_bits is defined for 0..63 bits only; the
+  // pipeline refuses anything else up front instead of mid-run.
+  const Trace trace = small_trace();
+  for (const int bits : {-1, 64, 1000}) {
+    PipelineConfig config = small_config();
+    config.pow_grind_bits = bits;
+    EXPECT_THROW(EpochPipeline(trace, config), std::invalid_argument)
+        << "bits " << bits;
+  }
+  for (const int bits : {0, 63}) {
+    PipelineConfig config = small_config();
+    config.pow_grind_bits = bits;
+    EXPECT_NO_THROW(EpochPipeline(trace, config)) << "bits " << bits;
   }
 }
 

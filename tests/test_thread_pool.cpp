@@ -1,6 +1,7 @@
 // Tests for the common worker pool: batch completeness, barrier semantics,
 // reuse across batches, the zero-worker inline degenerate case, exception
-// propagation, and re-entrant (nested) parallel_for calls.
+// propagation, re-entrant (nested) parallel_for calls, and submitters that
+// help other batches while they wait.
 
 #include "common/thread_pool.hpp"
 
@@ -8,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -208,6 +210,110 @@ TEST(ThreadPoolNestingTest, NestedExceptionSurfacesAtTheNestedCall) {
   EXPECT_EQ(caught.load(), static_cast<int>(kOuter / 2));
   // The failing nested batches still ran their other indices.
   EXPECT_EQ(inner_done.load(), static_cast<int>(kOuter * kInner - kOuter / 2));
+}
+
+// --- Helping wait -------------------------------------------------------------
+
+/// Runs a two-index outer batch on `pool` (one worker) from the calling
+/// thread. Whichever index the worker claims opens a nested batch of
+/// `inner` indices; the caller's own index returns at once. Every nested
+/// index the worker runs stalls (bounded by a deadline) until the caller
+/// has run one, so the nested batch can only finish early if the caller —
+/// whose outer indices are all claimed — helps with it.
+void run_outer_with_nested(ThreadPool& pool, std::size_t inner,
+                           const std::function<void(std::size_t)>& on_caller,
+                           std::atomic<int>& caller_ran,
+                           std::atomic<bool>& nested_threw) {
+  const auto caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<bool> worker_entered{false};
+  pool.parallel_for(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      // Hold this index until the worker has claimed the other, so the
+      // worker (not the caller) is the one that opens the nested batch.
+      while (!worker_entered.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return;
+    }
+    worker_entered.store(true, std::memory_order_release);
+    try {
+      pool.parallel_for(inner, [&](std::size_t i) {
+        if (std::this_thread::get_id() == caller) {
+          caller_ran.fetch_add(1, std::memory_order_acq_rel);
+          on_caller(i);
+          return;
+        }
+        while (caller_ran.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+    } catch (const std::runtime_error&) {
+      nested_threw.store(true, std::memory_order_release);
+    }
+  });
+}
+
+TEST(ThreadPoolHelpingTest, SubmitterRunsTheNestedBatchItsWorkerOpened) {
+  ThreadPool pool(1);
+  std::atomic<int> caller_ran{0};
+  std::atomic<bool> nested_threw{false};
+  const auto start = std::chrono::steady_clock::now();
+  run_outer_with_nested(pool, 64, [](std::size_t) {}, caller_ran,
+                        nested_threw);
+  EXPECT_GT(caller_ran.load(), 0);
+  EXPECT_FALSE(nested_threw.load());
+  // Helping, not the deadline, released the worker's stalled indices.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(4));
+}
+
+TEST(ThreadPoolHelpingTest, HelpedExceptionIsRethrownOnlyByItsSubmitter) {
+  // The caller throws from the nested index it helps with. The error
+  // belongs to the nested batch: the worker's nested parallel_for rethrows
+  // it (and the worker catches it), while the caller's outer parallel_for
+  // completes without throwing.
+  ThreadPool pool(1);
+  std::atomic<int> caller_ran{0};
+  std::atomic<bool> nested_threw{false};
+  EXPECT_NO_THROW(run_outer_with_nested(
+      pool, 64,
+      [](std::size_t) { throw std::runtime_error("helped index failed"); },
+      caller_ran, nested_threw));
+  EXPECT_GT(caller_ran.load(), 0);
+  EXPECT_TRUE(nested_threw.load());
+}
+
+TEST(ThreadPoolHelpingTest, ThreeDeepNestingWithHelpersFinishes) {
+  // Uneven index costs at every level leave submitters waiting on claimed
+  // indices while other batches still have unclaimed ones, so they help
+  // across levels; every index still runs exactly once.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}}) {
+    ThreadPool pool(workers);
+    constexpr std::size_t kA = 4, kB = 5, kC = 6;
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<int>> hits(kA * kB * kC);
+      pool.parallel_for(kA, [&](std::size_t a) {
+        pool.parallel_for(kB, [&](std::size_t b) {
+          pool.parallel_for(kC, [&](std::size_t c) {
+            if ((a + b + c) % 3 == 0) {
+              std::this_thread::sleep_for(std::chrono::microseconds(50));
+            }
+            hits[(a * kB + b) * kC + c].fetch_add(1,
+                                                  std::memory_order_relaxed);
+          });
+        });
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "workers " << workers << ", round " << round << ", index "
+            << i;
+      }
+    }
+  }
 }
 
 }  // namespace

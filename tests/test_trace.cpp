@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "txn/accounts/model.hpp"
@@ -25,12 +28,19 @@ using mvcom::txn::WorkloadConfig;
 using mvcom::txn::WorkloadGenerator;
 using mvcom::txn::write_trace_csv;
 
+/// A fresh directory of its own per test: mkdtemp picks a name no other
+/// test, in this process or another, holds (ctest -j runs cases in parallel
+/// processes), so one case's cleanup cannot delete another's files.
 class TempDir {
  public:
   TempDir() {
-    path_ = std::filesystem::temp_directory_path() /
-            ("mvcom-test-" + std::to_string(std::rand()));
-    std::filesystem::create_directories(path_);
+    std::string name =
+        (std::filesystem::temp_directory_path() / "mvcom-test-XXXXXX")
+            .string();
+    if (mkdtemp(name.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed for " + name);
+    }
+    path_ = name;
   }
   ~TempDir() { std::filesystem::remove_all(path_); }
   [[nodiscard]] std::filesystem::path path() const { return path_; }

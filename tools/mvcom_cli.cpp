@@ -788,8 +788,12 @@ int cmd_serve(const Args& args) {
   config.pipeline.se.max_iterations = args.get_u64("iters", 2000);
   config.pipeline.se.convergence_window =
       std::min<std::size_t>(config.pipeline.se.max_iterations, 500);
-  config.pipeline.pow_grind_bits =
-      static_cast<int>(args.get_u64("grind-bits", 0));
+  const std::uint64_t grind_bits = args.get_u64("grind-bits", 0);
+  if (grind_bits > 63) {
+    throw BadFlag("--grind-bits: " + std::to_string(grind_bits) +
+                  " is outside 0..63");
+  }
+  config.pipeline.pow_grind_bits = static_cast<int>(grind_bits);
   config.stream.num_blocks = args.get_u64("blocks", 600);
   config.stream.target_total_txs = args.get_u64("txs", 600'000);
   config.stream_seed = args.get_u64("stream-seed", 2016);

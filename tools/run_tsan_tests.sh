@@ -18,6 +18,18 @@
 # cases cover the serial and pipeline paths. Filter to this set with
 #   tools/run_tsan_tests.sh -R 'SeParallel|SeDeterminism|SeCertified|Pipeline'
 #
+# Helping wait and pooled PoW grind: a parallel_for submitter whose own
+# indices are all claimed runs single indices of other open batches instead
+# of sleeping, and the pipeline's stage A grinds its committees' PoW as a
+# parallel_for of 16-committee chunks nested inside the stage-A task.
+# ThreadPoolHelpingTest.SubmitterRunsTheNestedBatchItsWorkerOpened,
+# .HelpedExceptionIsRethrownOnlyByItsSubmitter and
+# .ThreeDeepNestingWithHelpersFinishes cover the pool, and
+# PipelineDeterminism.PowGrindingKeepsTheContract grinds 40 committees at
+# workers {0, 1, 2, 8} x depth {1, 2}. Filter to these and the rest of the
+# pool and pipeline suites with
+#   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline'
+#
 # DES lanes: the lane-parallel Elastico epoch (ElasticoConfig::lane_workers)
 # is exercised by tests/test_elastico_lanes.cpp, four scenarios at worker
 # counts {1, 2, 8}. Per-lane simulators/networks plus the shared obs sinks

@@ -321,100 +321,4 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
   return r.done();
 }
 
-// --- ShardReport / EpochOutcome -------------------------------------------
-
-void encode_reports(std::vector<std::uint8_t>& out,
-                    const std::vector<txn::ShardReport>& reports) {
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(reports.size()));
-  for (const txn::ShardReport& report : reports) {
-    w.u32(report.committee_id);
-    w.u64(report.tx_count);
-    w.f64(report.formation_latency);
-    w.f64(report.consensus_latency);
-  }
-}
-
-bool decode_reports(std::span<const std::uint8_t> payload,
-                    std::vector<txn::ShardReport>& reports) {
-  Reader r(payload);
-  std::uint32_t n = 0;
-  if (!r.u32(n) || n > kMaxInnerLength) return false;
-  reports.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    txn::ShardReport& report = reports[i];
-    if (!r.u32(report.committee_id) || !r.u64(report.tx_count) ||
-        !r.f64(report.formation_latency) ||
-        !r.f64(report.consensus_latency)) {
-      return false;
-    }
-  }
-  return r.done();
-}
-
-void encode_epoch_outcome(std::vector<std::uint8_t>& out,
-                          const sharding::EpochOutcome& outcome) {
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(outcome.committees.size()));
-  for (const sharding::CommitteeOutcome& co : outcome.committees) {
-    w.u32(co.committee_id);
-    w.u64(co.member_count);
-    w.f64(co.formation_latency.seconds());
-    w.f64(co.consensus_latency.seconds());
-    w.u8(co.committed ? 1 : 0);
-    w.u64(co.view_changes);
-    w.u64(co.tx_count);
-  }
-  w.u32(static_cast<std::uint32_t>(outcome.selected.size()));
-  for (const std::uint32_t id : outcome.selected) w.u32(id);
-  w.u8(outcome.final_committed ? 1 : 0);
-  w.f64(outcome.final_consensus_latency.seconds());
-  w.f64(outcome.epoch_makespan.seconds());
-  w.u64(outcome.final_block_txs);
-  w.str(outcome.next_epoch_randomness);
-  w.u64(outcome.event_order_digest);
-  w.u64(outcome.events_executed);
-}
-
-bool decode_epoch_outcome(std::span<const std::uint8_t> payload,
-                          sharding::EpochOutcome& outcome) {
-  Reader r(payload);
-  std::uint32_t n = 0;
-  if (!r.u32(n) || n > kMaxInnerLength) return false;
-  outcome.committees.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sharding::CommitteeOutcome& co = outcome.committees[i];
-    std::uint64_t members = 0;
-    double formation = 0.0;
-    double latency = 0.0;
-    std::uint8_t committed = 0;
-    if (!r.u32(co.committee_id) || !r.u64(members) || !r.f64(formation) ||
-        !r.f64(latency) || !r.u8(committed) || !r.u64(co.view_changes) ||
-        !r.u64(co.tx_count)) {
-      return false;
-    }
-    co.member_count = members;
-    co.formation_latency = SimTime(formation);
-    co.consensus_latency = SimTime(latency);
-    co.committed = committed != 0;
-  }
-  if (!r.u32(n) || n > kMaxInnerLength || r.remaining() < n * 4u) return false;
-  outcome.selected.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!r.u32(outcome.selected[i])) return false;
-  }
-  std::uint8_t final_committed = 0;
-  double final_latency = 0.0;
-  double makespan = 0.0;
-  if (!r.u8(final_committed) || !r.f64(final_latency) || !r.f64(makespan) ||
-      !r.u64(outcome.final_block_txs) || !r.str(outcome.next_epoch_randomness) ||
-      !r.u64(outcome.event_order_digest) || !r.u64(outcome.events_executed)) {
-    return false;
-  }
-  outcome.final_committed = final_committed != 0;
-  outcome.final_consensus_latency = SimTime(final_latency);
-  outcome.epoch_makespan = SimTime(makespan);
-  return r.done();
-}
-
 }  // namespace mvcom::fabric

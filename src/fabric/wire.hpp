@@ -29,9 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "sharding/elastico.hpp"
 #include "sharding/lane.hpp"
-#include "txn/workload.hpp"
 
 namespace mvcom::fabric {
 
@@ -158,18 +156,5 @@ void encode_result_batch(std::vector<std::uint8_t>& out,
                          const ResultBatch& batch);
 [[nodiscard]] bool decode_result_batch(std::span<const std::uint8_t> payload,
                                        ResultBatch& batch);
-
-// ShardReport / EpochOutcome codecs — the fabric CLI's binary outcome dump
-// and the round-trip tests use these; the epoch loop itself ships only
-// tasks and results.
-void encode_reports(std::vector<std::uint8_t>& out,
-                    const std::vector<txn::ShardReport>& reports);
-[[nodiscard]] bool decode_reports(std::span<const std::uint8_t> payload,
-                                  std::vector<txn::ShardReport>& reports);
-
-void encode_epoch_outcome(std::vector<std::uint8_t>& out,
-                          const sharding::EpochOutcome& outcome);
-[[nodiscard]] bool decode_epoch_outcome(std::span<const std::uint8_t> payload,
-                                        sharding::EpochOutcome& outcome);
 
 }  // namespace mvcom::fabric

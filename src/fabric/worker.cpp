@@ -98,8 +98,11 @@ int run_worker_loop(Channel& channel, const WorkerOptions& options) noexcept {
     channel.queue_frame(FrameType::kResultBatch, payload);
     if (!channel.flush()) return 0;  // coordinator died mid-epoch
 
-    if (!options.metrics_path.empty()) {
-      obs::write_prometheus_text(registry, options.metrics_path);
+    // A requested export the worker cannot write (or that fails
+    // validation) ends the worker like any other broken pipe.
+    if (!options.metrics_path.empty() &&
+        !obs::write_prometheus_text(registry, options.metrics_path)) {
+      return 1;
     }
   }
 }

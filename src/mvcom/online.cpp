@@ -184,28 +184,31 @@ void OnlineCommitteeScheduler::explore(std::size_t iterations) {
   scheduler_->advance(iterations);
 }
 
+Selection OnlineCommitteeScheduler::aligned_se_selection() const {
+  if (!scheduler_) return {};
+  Selection best = scheduler_->current_selection();
+  // The scheduler's internal instance matches reports_ (kept in lock-step
+  // by on_report/on_failure/on_recovery); guard regardless. A size-only
+  // comparison cannot see id misalignment — after interleaved failures and
+  // recoveries the two sets could in principle hold the same COUNT of
+  // committees in different order or membership, and selection bits would
+  // silently apply to the wrong committees. Compare ids element-wise.
+  const auto& committees = scheduler_->instance().committees();
+  if (best.size() != reports_.size() || committees.size() != reports_.size()) {
+    return {};
+  }
+  for (std::size_t i = 0; i < reports_.size(); ++i) {
+    if (committees[i].id != reports_[i].committee_id) return {};
+  }
+  return best;
+}
+
 SchedulingDecision OnlineCommitteeScheduler::decide() const {
   SchedulingDecision decision;
   if (reports_.empty()) return decision;
 
-  Selection best;
   const EpochInstance instance = build_instance();
-  if (scheduler_) {
-    best = scheduler_->current_selection();
-    // The scheduler's internal instance matches reports_ (kept in lock-step
-    // by on_report/on_failure/on_recovery); guard regardless. A size-only
-    // comparison cannot see id misalignment — after interleaved failures and
-    // recoveries the two sets could in principle hold the same COUNT of
-    // committees in different order or membership, and selection bits would
-    // silently apply to the wrong committees. Compare ids element-wise.
-    const auto& sched_committees = scheduler_->instance().committees();
-    bool aligned = best.size() == instance.size() &&
-                   sched_committees.size() == instance.size();
-    for (std::size_t i = 0; aligned && i < instance.size(); ++i) {
-      aligned = sched_committees[i].id == instance.committees()[i].id;
-    }
-    if (!aligned) best.clear();
-  }
+  Selection best = aligned_se_selection();
   if (best.empty()) {
     // Not bootstrapped (capacity slack): permit everything if feasible.
     Selection everyone(instance.size(), 1);

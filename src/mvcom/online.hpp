@@ -104,11 +104,11 @@ class OnlineCommitteeScheduler {
   [[nodiscard]] std::uint64_t total_reported_txs() const noexcept {
     return total_txs_;
   }
-  /// The underlying SE scheduler, nullptr before bootstrap. Exposed for
-  /// supervision layers that need the raw selection for fallback repair.
-  [[nodiscard]] const SeScheduler* se() const noexcept {
-    return scheduler_ ? &*scheduler_ : nullptr;
-  }
+  /// The SE scheduler's current best selection, index-aligned with
+  /// reports() — what supervision layers repair when it is infeasible.
+  /// Empty before bootstrap, when SE holds no feasible selection, or when
+  /// the scheduler's committees do not match the live reports id for id.
+  [[nodiscard]] Selection aligned_se_selection() const;
 
   /// Produces the current best selection (the epoch's final answer).
   [[nodiscard]] SchedulingDecision decide() const;

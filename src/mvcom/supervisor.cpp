@@ -80,7 +80,6 @@ const char* to_string(DecisionTier tier) noexcept {
     case DecisionTier::kSeBest: return "se-best";
     case DecisionTier::kGreedyRepair: return "greedy-repair";
     case DecisionTier::kGreedyScratch: return "greedy-scratch";
-    case DecisionTier::kPermitAll: return "permit-all";
     case DecisionTier::kInfeasible: return "infeasible";
   }
   return "unknown";
@@ -160,10 +159,9 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
                       "Shard submissions by verified-admission outcome",
                       {{"outcome", to_string(a)}});
     }
-    constexpr std::array<DecisionTier, 5> kTiers = {
+    constexpr std::array<DecisionTier, 4> kTiers = {
         DecisionTier::kSeBest, DecisionTier::kGreedyRepair,
-        DecisionTier::kGreedyScratch, DecisionTier::kPermitAll,
-        DecisionTier::kInfeasible};
+        DecisionTier::kGreedyScratch, DecisionTier::kInfeasible};
     for (const DecisionTier t : kTiers) {
       obs_tier_[static_cast<std::size_t>(t)] =
           &m->counter("mvcom_supervisor_decisions_total",
@@ -610,21 +608,10 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
       scheduler_.n_min());
 
   // Tier 1 — SE best: the converged stochastic-exploration answer.
-  Selection se_selection;
-  if (const SeScheduler* se = scheduler_.se()) {
-    se_selection = se->current_selection();
-    // Same id-alignment guard as OnlineCommitteeScheduler::decide().
-    const auto& sched_committees = se->instance().committees();
-    bool aligned = se_selection.size() == instance.size() &&
-                   sched_committees.size() == instance.size();
-    for (std::size_t i = 0; aligned && i < instance.size(); ++i) {
-      aligned = sched_committees[i].id == instance.committees()[i].id;
-    }
-    if (!aligned) se_selection.clear();
-    if (!se_selection.empty() && instance.feasible(se_selection)) {
-      fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
-      return out;
-    }
+  const Selection se_selection = scheduler_.aligned_se_selection();
+  if (!se_selection.empty() && instance.feasible(se_selection)) {
+    fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
+    return out;
   }
 
   // Tier 2 — greedy density repair of the SE selection: a late failure may
@@ -642,7 +629,9 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
   // Tier 3 — greedy from scratch over the live set. When the density greedy
   // itself cannot reach feasibility, fall back to the minimal witness (the
   // N_min smallest shards): it is feasible whenever anything is, so this
-  // tier only falls through when the instance is genuinely infeasible.
+  // tier only falls through when the instance is genuinely infeasible. At
+  // N_min = 0 the greedy never fails: it only adds shards that fit Ĉ, so
+  // it returns a feasible, possibly empty, selection.
   {
     baselines::Greedy greedy;
     const baselines::SolverResult r = greedy.solve(instance);
@@ -650,33 +639,13 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
       fill_decision(out, instance, r.best, DecisionTier::kGreedyScratch);
       return out;
     }
-    if (instance.n_min() > 0) {
-      if (const auto witness = minimal_feasible(instance)) {
-        fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
-        return out;
-      }
-    }
-  }
-
-  // Tier 4 — permit everyone (the paper's pre-bootstrap slack behavior).
-  {
-    Selection everyone(instance.size(), 1);
-    if (instance.feasible(everyone)) {
-      fill_decision(out, instance, everyone, DecisionTier::kPermitAll);
+    if (const auto witness = minimal_feasible(instance)) {
+      fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
       return out;
     }
   }
 
-  // N_min = 0: the empty selection satisfies both constraints, so an
-  // over-capacity live set still yields a (degenerate, zero-throughput)
-  // feasible answer rather than an infeasible epoch.
-  if (instance.n_min() == 0) {
-    fill_decision(out, instance, Selection(instance.size(), 0),
-                  DecisionTier::kGreedyScratch);
-    return out;
-  }
-
-  // Tier 5 — genuinely infeasible; say why.
+  // Genuinely infeasible; say why.
   out.tier = DecisionTier::kInfeasible;
   out.reason = reports.size() < scheduler_.n_min()
                    ? InfeasibleReason::kNminUnreachable

@@ -33,9 +33,9 @@
 //                                  guaranteed minimal-feasible fill (the
 //                                  N_min smallest shards) as last resort —
 //                                  this tier succeeds whenever ANY feasible
-//                                  selection exists
-//       tier 4  permit all         everyone, if that happens to be feasible
-//       tier 5  infeasible         with a machine-readable reason
+//                                  selection exists (at N_min = 0 that is
+//                                  always, possibly as the empty selection)
+//       infeasible                 with a machine-readable reason
 //     After every failure the Theorem-2 perturbation bound
 //     (analysis::failure_perturbation_bound) is evaluated at runtime and
 //     surfaced in the decision, so callers can check that the observed
@@ -76,12 +76,11 @@ enum class DecisionTier {
   kSeBest,
   kGreedyRepair,
   kGreedyScratch,
-  kPermitAll,
   kInfeasible,
 };
 [[nodiscard]] const char* to_string(DecisionTier tier) noexcept;
 
-/// Why no feasible selection exists (tier 5 only).
+/// Why no feasible selection exists (DecisionTier::kInfeasible only).
 enum class InfeasibleReason {
   kNone,                  // decision is feasible
   kNoLiveCommittees,      // nothing admitted (or everything failed)
@@ -345,7 +344,7 @@ class EpochSupervisor {
   obs::ObsContext obs_;
   // Cached instruments, indexed by the enum values they label.
   std::array<obs::Counter*, 6> obs_admission_{};  // per Admission outcome
-  std::array<obs::Counter*, 5> obs_tier_{};       // per DecisionTier rung
+  std::array<obs::Counter*, 4> obs_tier_{};       // per DecisionTier rung
   obs::Counter* obs_strikes_ = nullptr;
   obs::Counter* obs_resizes_ = nullptr;
   obs::Counter* obs_failures_ = nullptr;

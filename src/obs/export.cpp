@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/csv.hpp"
 
@@ -87,16 +86,15 @@ const char* type_name(MetricsRegistry::Type type) {
   return "untyped";
 }
 
-void write_text_file(const std::filesystem::path& path,
-                     std::string_view content) {
+/// Writes `content` to `path`; false, with the reason in `error` when
+/// non-null, if the file cannot be opened or the write comes up short.
+bool write_text_file(const std::filesystem::path& path,
+                     std::string_view content, std::string* error) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open for writing: " + path.string());
-  }
-  out << content;
-  if (!out) {
-    throw std::runtime_error("short write: " + path.string());
-  }
+  if (out) out << content;
+  if (out) return true;
+  if (error != nullptr) *error = "cannot write " + path.string();
+  return false;
 }
 
 }  // namespace
@@ -134,9 +132,12 @@ std::string to_prometheus_text(const MetricsRegistry& registry) {
   return out;
 }
 
-void write_prometheus_text(const MetricsRegistry& registry,
-                           const std::filesystem::path& path) {
-  write_text_file(path, to_prometheus_text(registry));
+bool write_prometheus_text(const MetricsRegistry& registry,
+                           const std::filesystem::path& path,
+                           std::string* error) {
+  const std::string text = to_prometheus_text(registry);
+  return validate_prometheus_text(text, error) &&
+         write_text_file(path, text, error);
 }
 
 namespace {
@@ -405,10 +406,11 @@ std::string to_chrome_trace_json(std::span<const TraceEvent> events) {
   return out.str();
 }
 
-void write_chrome_trace_json(const TraceRecorder& recorder,
-                             const std::filesystem::path& path) {
-  const auto events = recorder.snapshot();
-  write_text_file(path, to_chrome_trace_json(events));
+bool write_chrome_trace_json(const TraceRecorder& recorder,
+                             const std::filesystem::path& path,
+                             std::string* error) {
+  const std::string json = to_chrome_trace_json(recorder.snapshot());
+  return validate_json(json, error) && write_text_file(path, json, error);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,13 @@
 namespace mvcom::obs {
 
 [[nodiscard]] std::string to_prometheus_text(const MetricsRegistry& registry);
-void write_prometheus_text(const MetricsRegistry& registry,
-                           const std::filesystem::path& path);
+/// Renders the registry once, checks the text with validate_prometheus_text,
+/// and writes it to `path` only when it is valid. Returns false — with the
+/// reason in `error` when non-null — for invalid text (nothing is written)
+/// or a file that cannot be written.
+[[nodiscard]] bool write_prometheus_text(const MetricsRegistry& registry,
+                                         const std::filesystem::path& path,
+                                         std::string* error = nullptr);
 
 /// Strict syntax check of the Prometheus text format: every line must be a
 /// comment, a HELP/TYPE header, or a `name{labels} value [timestamp]`
@@ -42,8 +47,11 @@ void write_metrics_csv(const MetricsRegistry& registry,
 
 [[nodiscard]] std::string to_chrome_trace_json(
     std::span<const TraceEvent> events);
-void write_chrome_trace_json(const TraceRecorder& recorder,
-                             const std::filesystem::path& path);
+/// The trace counterpart of write_prometheus_text: renders the recorder's
+/// snapshot once, checks it with validate_json, and writes only valid JSON.
+[[nodiscard]] bool write_chrome_trace_json(const TraceRecorder& recorder,
+                                           const std::filesystem::path& path,
+                                           std::string* error = nullptr);
 
 /// Minimal recursive-descent JSON well-formedness check (objects, arrays,
 /// strings with escapes, numbers, literals). Not a full RFC-8259 validator

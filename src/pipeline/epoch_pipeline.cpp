@@ -62,50 +62,36 @@ std::string epoch_randomness(std::uint64_t seed, std::size_t epoch) {
 }
 
 /// Greedy cross-epoch warm seed: descending-gain fill under Ĉ, then a
-/// smallest-shards top-up toward N_min. Deterministic (ties broken by
-/// index) and O(I log I) — cheap next to one SE iteration block.
-core::Selection greedy_seed(const core::EpochInstance& instance) {
-  const std::size_t n = instance.size();
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const double ga = instance.gain(a);
-    const double gb = instance.gain(b);
-    if (ga != gb) return ga > gb;
-    return a < b;
-  });
-  core::Selection sel(n, 0);
+/// smallest-shards top-up toward N_min. It walks the scheduler layout's
+/// gain and size orders (ties broken by index), so stage B sorts each
+/// order once — in the scheduler's constructor.
+core::Selection greedy_seed(const core::SeScheduler& scheduler) {
+  const core::SeLayout& layout = scheduler.layout();
+  const std::uint64_t capacity = scheduler.instance().capacity();
+  const std::size_t n_min = scheduler.instance().n_min();
+  core::Selection sel(layout.gain.size(), 0);
   std::uint64_t used = 0;
   std::size_t chosen = 0;
-  for (const std::uint32_t i : order) {
-    const std::uint64_t txs = instance.committees()[i].txs;
-    if (instance.gain(i) <= 0.0 && chosen >= instance.n_min()) break;
-    if (used + txs > instance.capacity()) continue;
+  for (const std::uint32_t i : layout.by_gain) {
+    if (layout.gain[i] <= 0.0 && chosen >= n_min) break;
+    if (used + layout.txs[i] > capacity) continue;
     sel[i] = 1;
-    used += txs;
+    used += layout.txs[i];
     ++chosen;
   }
-  if (chosen < instance.n_min()) {
+  if (chosen < n_min) {
     // Top up with the smallest remaining shards; bail out (empty seed) when
     // even that cannot reach N_min — the instance is then infeasible for
     // the SE scheduler too.
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t ta = instance.committees()[a].txs;
-                const std::uint64_t tb = instance.committees()[b].txs;
-                if (ta != tb) return ta < tb;
-                return a < b;
-              });
-    for (const std::uint32_t i : order) {
-      if (chosen >= instance.n_min()) break;
+    for (const std::uint32_t i : layout.by_size) {
+      if (chosen >= n_min) break;
       if (sel[i] != 0) continue;
-      const std::uint64_t txs = instance.committees()[i].txs;
-      if (used + txs > instance.capacity()) continue;
+      if (used + layout.txs[i] > capacity) continue;
       sel[i] = 1;
-      used += txs;
+      used += layout.txs[i];
       ++chosen;
     }
-    if (chosen < instance.n_min()) return {};
+    if (chosen < n_min) return {};
   }
   if (chosen == 0) return {};
   return sel;
@@ -315,7 +301,6 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch_accounts(
 
   Rng rng = Rng::stream(config_.seed, stream_index(epoch, kFormationSlot));
   txn::WorkloadConfig wc;
-  wc.mode = txn::WorkloadMode::kAccountModel;
   wc.num_committees = config_.committees;
   const std::string randomness = epoch_randomness(config_.seed, epoch);
 
@@ -385,13 +370,14 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     }
     const auto capacity = static_cast<std::uint64_t>(
         config_.capacity_fraction * static_cast<double>(pending_txs));
-    const core::EpochInstance instance(std::move(committees), config_.alpha,
-                                       capacity, config_.n_min);
     const std::uint64_t se_seed =
         Rng::stream(config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
-    core::SeScheduler scheduler(instance, config_.se, se_seed, pool);
+    core::SeScheduler scheduler(
+        core::EpochInstance(std::move(committees), config_.alpha, capacity,
+                            config_.n_min),
+        config_.se, se_seed, pool);
     if (config_.warm_start) {
-      const core::Selection seed_sel = greedy_seed(instance);
+      const core::Selection seed_sel = greedy_seed(scheduler);
       if (!seed_sel.empty()) {
         report.warm_seed_utility = scheduler.warm_start(seed_sel);
       }
@@ -533,7 +519,16 @@ PipelineTotals EpochPipeline::run(
   chain_ = chain::RootChain();
 
   const std::size_t depth = std::max<std::size_t>(1, config_.overlap_depth);
-  std::vector<std::optional<FormedEpoch>> formed(config_.epochs);
+  // At most depth formed epochs are live at once, so the lookahead keeps
+  // min(depth, epochs) slots and epoch e lives in slot e mod that count:
+  // memory stays bounded however many epochs the run asks for. Within one
+  // batch B(k) reads epoch k's slot and A(k+depth−1) writes epoch k−1's,
+  // which B(k−1) has already emptied, so the two never share a slot.
+  std::vector<std::optional<FormedEpoch>> formed(
+      std::min(depth, config_.epochs));
+  const auto slot = [&](std::size_t e) -> std::optional<FormedEpoch>& {
+    return formed[e % formed.size()];
+  };
   // One pool per run serves the overlap batch and, nested inside the
   // stages, the PoW grind chunks and the SE explorers — at depth 1 only the
   // nested batches.
@@ -545,7 +540,7 @@ PipelineTotals EpochPipeline::run(
   // Pipeline prologue: pre-form the first depth−1 epochs so every steady
   // step can pair one stage B with one lookahead stage A.
   for (std::size_t e = 0; e + 1 < depth && e < config_.epochs; ++e) {
-    formed[e] = form_epoch(e, pool.get());
+    slot(e) = form_epoch(e, pool.get());
   }
 
   for (std::size_t k = 0; k < config_.epochs; ++k) {
@@ -566,9 +561,9 @@ PipelineTotals EpochPipeline::run(
       const bool has_ahead = ahead < config_.epochs;
       const auto body = [&](std::size_t which) {
         if (which == 0) {
-          report = schedule_epoch(std::move(*formed[k]), pool.get());
+          report = schedule_epoch(std::move(*slot(k)), pool.get());
         } else {
-          formed[ahead] = form_epoch(ahead, pool.get());
+          slot(ahead) = form_epoch(ahead, pool.get());
         }
       };
       const std::size_t tasks = has_ahead ? 2 : 1;
@@ -577,7 +572,7 @@ PipelineTotals EpochPipeline::run(
       } else {
         for (std::size_t i = 0; i < tasks; ++i) body(i);
       }
-      formed[k].reset();
+      slot(k).reset();
     }
     ++totals_.epochs_run;
     if (on_epoch) on_epoch(report);

@@ -1,6 +1,5 @@
 #include "pipeline/serve.hpp"
 
-#include <fstream>
 #include <utility>
 
 #include "chain/checkpoint.hpp"
@@ -14,28 +13,13 @@ ServeSession::ServeSession(ServeConfig config) : config_(std::move(config)) {}
 bool ServeSession::flush_artifacts() {
   bool ok = true;
   if (!config_.metrics_out.empty()) {
-    const std::string text = obs::to_prometheus_text(metrics_);
-    if (obs::validate_prometheus_text(text)) {
-      std::ofstream out(config_.metrics_out, std::ios::trunc);
-      out << text;
-      ok = ok && static_cast<bool>(out);
-    } else {
-      ok = false;
-    }
+    ok = obs::write_prometheus_text(metrics_, config_.metrics_out) && ok;
   }
   if (!config_.metrics_csv_out.empty()) {
     obs::write_metrics_csv(metrics_, config_.metrics_csv_out);
   }
   if (!config_.trace_out.empty()) {
-    const auto events = trace_.snapshot();
-    const std::string json = obs::to_chrome_trace_json(events);
-    if (obs::validate_json(json)) {
-      std::ofstream out(config_.trace_out, std::ios::trunc);
-      out << json;
-      ok = ok && static_cast<bool>(out);
-    } else {
-      ok = false;
-    }
+    ok = obs::write_chrome_trace_json(trace_, config_.trace_out) && ok;
   }
   return ok;
 }

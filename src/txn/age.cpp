@@ -1,37 +1,8 @@
 #include "txn/age.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
-
-#include "common/rng.hpp"
 
 namespace mvcom::txn {
-
-std::vector<ShardBlocks> deal_blocks_with_provenance(const Trace& trace,
-                                                     std::size_t shards,
-                                                     common::Rng& rng) {
-  if (shards == 0) {
-    throw std::invalid_argument("deal_blocks_with_provenance: shards > 0");
-  }
-  if (shards > trace.blocks.size()) {
-    throw std::invalid_argument(
-        "deal_blocks_with_provenance: more shards than blocks");
-  }
-  std::vector<ShardBlocks> out(shards);
-  for (std::size_t c = 0; c < shards; ++c) {
-    out[c].committee_id = static_cast<std::uint32_t>(c);
-  }
-  std::vector<std::size_t> order(trace.blocks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(std::span<std::size_t>(order));
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t shard =
-        rank < shards ? rank : static_cast<std::size_t>(rng.below(shards));
-    out[shard].block_indices.push_back(order[rank]);
-  }
-  return out;
-}
 
 AgeProfile shard_age_profile(const Trace& trace, const ShardBlocks& shard,
                              double commit_time) {
@@ -46,19 +17,6 @@ AgeProfile shard_age_profile(const Trace& trace, const ShardBlocks& shard,
     profile.max_age = std::max(profile.max_age, age);
   }
   return profile;
-}
-
-AgeProfile total_age_profile(const Trace& trace,
-                             std::span<const ShardBlocks> shards,
-                             double commit_time) {
-  AgeProfile total;
-  for (const ShardBlocks& shard : shards) {
-    const AgeProfile p = shard_age_profile(trace, shard, commit_time);
-    total.tx_count += p.tx_count;
-    total.total_age += p.total_age;
-    total.max_age = std::max(total.max_age, p.max_age);
-  }
-  return total;
 }
 
 }  // namespace mvcom::txn

@@ -10,10 +10,8 @@
 // reduce the real per-TX waiting, not just the proxy.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "txn/trace.hpp"
 
 namespace mvcom::txn {
@@ -34,22 +32,10 @@ struct ShardBlocks {
   std::vector<std::size_t> block_indices;  // indices into the trace
 };
 
-/// Deals trace blocks to `shards` committees (one per committee first, the
-/// rest uniform) and records which blocks each shard holds — the
-/// provenance-preserving version of deal_blocks().
-[[nodiscard]] std::vector<ShardBlocks> deal_blocks_with_provenance(
-    const Trace& trace, std::size_t shards, common::Rng& rng);
-
 /// Per-TX cumulative age of `shard` if its transactions commit at absolute
 /// time `commit_time` (same clock as the trace's btime).
 [[nodiscard]] AgeProfile shard_age_profile(const Trace& trace,
                                            const ShardBlocks& shard,
                                            double commit_time);
-
-/// Aggregate age over a set of shards committed at one instant (the final
-/// block's commit).
-[[nodiscard]] AgeProfile total_age_profile(
-    const Trace& trace, std::span<const ShardBlocks> shards,
-    double commit_time);
 
 }  // namespace mvcom::txn

@@ -108,44 +108,4 @@ EpochWorkload WorkloadGenerator::epoch_keyed(std::uint64_t seed,
   return epoch(rng);
 }
 
-EpochWorkload WorkloadGenerator::epoch_from_window(std::size_t epoch_index,
-                                                   double window_seconds,
-                                                   common::Rng& rng) const {
-  if (window_seconds <= 0.0) {
-    throw std::invalid_argument("epoch_from_window: window must be positive");
-  }
-  const double trace_start = trace_.blocks.front().btime;
-  const double window_start =
-      trace_start + static_cast<double>(epoch_index) * window_seconds;
-  const double window_end = window_start + window_seconds;
-  if (window_start > trace_.blocks.back().btime) {
-    throw std::out_of_range("epoch_from_window: window beyond the trace");
-  }
-
-  // Blocks are btime-sorted: binary-search the window.
-  const auto lower = std::lower_bound(
-      trace_.blocks.begin(), trace_.blocks.end(), window_start,
-      [](const BlockRecord& b, double t) { return b.btime < t; });
-  const auto upper = std::lower_bound(
-      lower, trace_.blocks.end(), window_end,
-      [](const BlockRecord& b, double t) { return b.btime < t; });
-
-  const std::size_t m = config_.num_committees;
-  EpochWorkload workload;
-  workload.reports.resize(m);
-  for (std::size_t c = 0; c < m; ++c) {
-    workload.reports[c].committee_id = static_cast<std::uint32_t>(c);
-  }
-  // Deal the window's blocks; committees may be empty in quiet windows.
-  for (auto it = lower; it != upper; ++it) {
-    workload.reports[rng.below(m)].tx_count += it->tx_count;
-  }
-  for (ShardReport& r : workload.reports) {
-    const TwoPhaseLatency lat = sample_two_phase_latency(rng, config_);
-    r.formation_latency = lat.formation;
-    r.consensus_latency = lat.consensus;
-  }
-  return workload;
-}
-
 }  // namespace mvcom::txn

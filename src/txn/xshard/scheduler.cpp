@@ -12,10 +12,9 @@ namespace {
 using common::fnv1a_mix;
 using common::kFnv1aBasis;
 
-/// Keyed stream salts for the end-to-end paths. Far from both the
+/// Keyed stream salt for run_epoch's oblivious placement. Far from both the
 /// pipeline's 4·epoch+slot indices and the account generator's 2^40 band.
 constexpr std::uint64_t kObliviousStreamBase = std::uint64_t{1} << 41;
-constexpr std::uint64_t kLatencyStreamBase = std::uint64_t{1} << 42;
 
 }  // namespace
 
@@ -176,42 +175,6 @@ XShardEpoch run_epoch(const AccountEpoch& epoch, const XShardConfig& config,
   out.assembly =
       assemble(epoch, config.num_shards, config.assembler, oblivious);
   out.outcome = schedule(epoch, out.assembly, config);
-  return out;
-}
-
-AccountWorkloadGenerator::AccountWorkloadGenerator(AccountModelConfig model,
-                                                   XShardConfig xshard,
-                                                   WorkloadConfig latency)
-    : generator_(model), xshard_(xshard), latency_(latency) {
-  if (latency_.mode != WorkloadMode::kAccountModel) {
-    throw std::invalid_argument(
-        "AccountWorkloadGenerator: WorkloadConfig.mode must be kAccountModel");
-  }
-  if (model.num_shards != xshard_.num_shards ||
-      latency_.num_committees != xshard_.num_shards) {
-    throw std::invalid_argument(
-        "AccountWorkloadGenerator: model, assembler, and latency configs "
-        "disagree on the shard/committee count");
-  }
-}
-
-AccountWorkloadGenerator::EpochResult AccountWorkloadGenerator::epoch_keyed(
-    std::uint64_t seed, std::size_t epoch_index) const {
-  EpochResult out;
-  out.traffic = generator_.epoch_keyed(seed, epoch_index);
-  out.xshard = run_epoch(out.traffic, xshard_, seed);
-
-  common::Rng latency_rng = common::Rng::stream(
-      seed, kLatencyStreamBase + static_cast<std::uint64_t>(epoch_index));
-  out.workload.reports.resize(xshard_.num_shards);
-  for (std::uint32_t c = 0; c < xshard_.num_shards; ++c) {
-    ShardReport& r = out.workload.reports[c];
-    r.committee_id = c;
-    r.tx_count = out.xshard.outcome.shards[c].committed();  // effective s_i
-    const TwoPhaseLatency lat = sample_two_phase_latency(latency_rng, latency_);
-    r.formation_latency = lat.formation;
-    r.consensus_latency = lat.consensus;
-  }
   return out;
 }
 

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "txn/accounts/model.hpp"
-#include "txn/workload.hpp"
 #include "txn/xshard/assembler.hpp"
 
 namespace mvcom::txn {
@@ -109,40 +108,5 @@ struct XShardEpoch {
 [[nodiscard]] XShardEpoch run_epoch(const AccountEpoch& epoch,
                                     const XShardConfig& config,
                                     std::uint64_t seed);
-
-/// The account-model workload path: WorkloadConfig::mode == kAccountModel
-/// feeds EpochWorkload through here instead of WorkloadGenerator. Committee
-/// i's tx_count is its *effective committed* TX count — the scheduler's
-/// deferrals shrink s_i, which is exactly what makes the SE utility
-/// workload-dependent. Latencies come from the shared two-phase model.
-class AccountWorkloadGenerator {
- public:
-  /// Requires latency.mode == kAccountModel and a consistent shard count
-  /// across all three configs (model.num_shards == xshard.num_shards ==
-  /// latency.num_committees); throws std::invalid_argument otherwise.
-  AccountWorkloadGenerator(AccountModelConfig model, XShardConfig xshard,
-                           WorkloadConfig latency);
-
-  struct EpochResult {
-    AccountEpoch traffic;
-    XShardEpoch xshard;
-    EpochWorkload workload;
-  };
-
-  /// Pure function of (seed, epoch_index), like WorkloadGenerator's keyed
-  /// variant — replayable in any order, under any pipeline overlap.
-  [[nodiscard]] EpochResult epoch_keyed(std::uint64_t seed,
-                                        std::size_t epoch_index) const;
-
-  [[nodiscard]] const AccountModelConfig& model() const noexcept {
-    return generator_.config();
-  }
-  [[nodiscard]] const XShardConfig& xshard() const noexcept { return xshard_; }
-
- private:
-  AccountTxGenerator generator_;
-  XShardConfig xshard_;
-  WorkloadConfig latency_;
-};
 
 }  // namespace mvcom::txn

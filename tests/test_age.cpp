@@ -4,18 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "common/rng.hpp"
-#include "txn/trace_generator.hpp"
+#include <string>
 
 namespace {
 
-using mvcom::common::Rng;
-using mvcom::txn::deal_blocks_with_provenance;
 using mvcom::txn::shard_age_profile;
 using mvcom::txn::ShardBlocks;
-using mvcom::txn::total_age_profile;
 using mvcom::txn::Trace;
 
 Trace tiny_trace() {
@@ -58,47 +52,6 @@ TEST(ShardAgeProfileTest, EmptyShardIsZero) {
   const auto profile = shard_age_profile(trace, ShardBlocks{}, 500.0);
   EXPECT_EQ(profile.tx_count, 0u);
   EXPECT_DOUBLE_EQ(profile.mean_age(), 0.0);
-}
-
-TEST(TotalAgeProfileTest, SumsAcrossShards) {
-  const Trace trace = tiny_trace();
-  std::vector<ShardBlocks> shards(2);
-  shards[0].block_indices = {0};
-  shards[1].block_indices = {1, 2};
-  const auto total = total_age_profile(trace, shards, 400.0);
-  EXPECT_EQ(total.tx_count, 60u);
-  EXPECT_DOUBLE_EQ(total.total_age,
-                   10 * 400.0 + 20 * 300.0 + 30 * 200.0);
-  EXPECT_DOUBLE_EQ(total.max_age, 400.0);
-}
-
-TEST(DealWithProvenanceTest, PartitionsAllBlocksExactlyOnce) {
-  Rng rng(3);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = 60;
-  tc.target_total_txs = 60'000;
-  const Trace trace = mvcom::txn::generate_trace(tc, rng);
-  const auto shards = deal_blocks_with_provenance(trace, 12, rng);
-  ASSERT_EQ(shards.size(), 12u);
-  std::set<std::size_t> seen;
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.block_indices.size(), 1u);
-    for (const std::size_t b : shard.block_indices) {
-      EXPECT_TRUE(seen.insert(b).second) << "block dealt twice: " << b;
-    }
-  }
-  EXPECT_EQ(seen.size(), trace.blocks.size());
-}
-
-TEST(DealWithProvenanceTest, AgreesWithTxCountTotals) {
-  Rng rng(4);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = 40;
-  tc.target_total_txs = 40'000;
-  const Trace trace = mvcom::txn::generate_trace(tc, rng);
-  const auto shards = deal_blocks_with_provenance(trace, 8, rng);
-  const auto total = total_age_profile(trace, shards, 1e12);
-  EXPECT_EQ(total.tx_count, trace.total_txs());
 }
 
 TEST(AgeMonotonicityTest, LaterCommitMeansOlderTxs) {

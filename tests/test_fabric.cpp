@@ -176,74 +176,27 @@ TEST(FabricWire, ResultBatchRoundTrip) {
   EXPECT_EQ(decoded.obs_deltas[0].delta, 4242u);
 }
 
-TEST(FabricWire, ReportsAndOutcomeRoundTrip) {
-  std::vector<mvcom::txn::ShardReport> reports(3);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    reports[i].committee_id = i;
-    reports[i].tx_count = 1000 + i;
-    reports[i].formation_latency = 600.0 + i;
-    reports[i].consensus_latency = 10.5 * (i + 1);
-  }
-  std::vector<std::uint8_t> payload;
-  mvcom::fabric::encode_reports(payload, reports);
-  std::vector<mvcom::txn::ShardReport> decoded_reports;
-  ASSERT_TRUE(mvcom::fabric::decode_reports(payload, decoded_reports));
-  ASSERT_EQ(decoded_reports.size(), 3u);
-  EXPECT_EQ(decoded_reports[2].tx_count, 1002u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded_reports[1].consensus_latency),
-            std::bit_cast<std::uint64_t>(21.0));
-
-  EpochOutcome outcome;
-  outcome.committees.resize(2);
-  outcome.committees[0].committee_id = 0;
-  outcome.committees[0].member_count = 6;
-  outcome.committees[0].formation_latency = SimTime(640.0);
-  outcome.committees[0].consensus_latency = SimTime(15.5);
-  outcome.committees[0].committed = true;
-  outcome.committees[0].tx_count = 9000;
-  outcome.committees[1].committee_id = 1;
-  outcome.selected = {0};
-  outcome.final_committed = true;
-  outcome.final_consensus_latency = SimTime(30.25);
-  outcome.epoch_makespan = SimTime(700.0);
-  outcome.final_block_txs = 9000;
-  outcome.next_epoch_randomness = "cafebabe";
-  outcome.event_order_digest = 0x1234567890abcdefULL;
-  outcome.events_executed = 55555;
-
-  payload.clear();
-  mvcom::fabric::encode_epoch_outcome(payload, outcome);
-  EpochOutcome decoded;
-  ASSERT_TRUE(mvcom::fabric::decode_epoch_outcome(payload, decoded));
-  EXPECT_EQ(decoded.event_order_digest, outcome.event_order_digest);
-  EXPECT_EQ(decoded.next_epoch_randomness, "cafebabe");
-  EXPECT_EQ(decoded.selected, outcome.selected);
-  ASSERT_EQ(decoded.committees.size(), 2u);
-  EXPECT_EQ(decoded.committees[0].tx_count, 9000u);
-  EXPECT_TRUE(decoded.committees[0].committed);
-}
-
 TEST(FabricWire, ZeroCommitteeOutcomeRoundTrip) {
-  // A degenerate epoch (nothing formed, nothing selected) must encode and
-  // decode cleanly — empty vectors are legitimate frame content.
-  const EpochOutcome outcome;
-  std::vector<std::uint8_t> payload;
-  mvcom::fabric::encode_epoch_outcome(payload, outcome);
-  EpochOutcome decoded;
-  ASSERT_TRUE(mvcom::fabric::decode_epoch_outcome(payload, decoded));
-  EXPECT_TRUE(decoded.committees.empty());
-  EXPECT_TRUE(decoded.selected.empty());
-  EXPECT_FALSE(decoded.final_committed);
-  EXPECT_EQ(decoded.event_order_digest, 0u);
-
+  // A degenerate epoch (nothing formed, nothing to run) must encode and
+  // decode cleanly both ways — empty vectors are legitimate frame content.
   TaskBatch empty_batch;
   empty_batch.epoch = 9;
-  payload.clear();
+  std::vector<std::uint8_t> payload;
   mvcom::fabric::encode_task_batch(payload, empty_batch);
   TaskBatch decoded_batch;
   ASSERT_TRUE(mvcom::fabric::decode_task_batch(payload, decoded_batch));
   EXPECT_EQ(decoded_batch.epoch, 9u);
   EXPECT_TRUE(decoded_batch.tasks.empty());
+
+  ResultBatch empty_results;
+  empty_results.epoch = 9;
+  payload.clear();
+  mvcom::fabric::encode_result_batch(payload, empty_results);
+  ResultBatch decoded_results;
+  ASSERT_TRUE(mvcom::fabric::decode_result_batch(payload, decoded_results));
+  EXPECT_EQ(decoded_results.epoch, 9u);
+  EXPECT_TRUE(decoded_results.results.empty());
+  EXPECT_TRUE(decoded_results.obs_deltas.empty());
 }
 
 // --- framing + fuzz -------------------------------------------------------

@@ -425,6 +425,27 @@ TEST(PipelineStop, GracefulStopKeepsAccountingConsistent) {
   EXPECT_EQ(pipe.chain().total_txs(), totals.committed_txs);
 }
 
+TEST(PipelineStop, LookaheadMemoryIsBoundedByDepthNotEpochs) {
+  // A daemon-sized run: the pipeline may hold only overlap_depth formed
+  // epochs, so asking for 2^44 epochs must cost no more than asking for 4.
+  const Trace trace = small_trace();
+  PipelineConfig config = small_config();
+  config.epochs = std::size_t{1} << 44;
+  config.overlap_depth = 2;
+  EpochPipeline pipe(trace, config);
+  std::vector<EpochReport> reports;
+  const PipelineTotals totals = pipe.run([&](const EpochReport& r) {
+    reports.push_back(r);
+    if (reports.size() == 3) pipe.request_stop();
+  });
+  EXPECT_TRUE(totals.stopped_early);
+  EXPECT_EQ(totals.epochs_run, 3u);
+  ASSERT_EQ(reports.size(), 3u);
+  for (std::size_t e = 0; e < reports.size(); ++e) {
+    EXPECT_EQ(reports[e].epoch, e);
+  }
+}
+
 TEST(ServeSessionStop, EarlyStopStillFlushesValidArtifacts) {
   // Satellite hardening: a stop request landing mid-run (what the SIGINT
   // handler does) must still leave a valid root-chain checkpoint and

@@ -333,6 +333,26 @@ TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
   }
 }
 
+TEST(SupervisorDecideTest, NminZeroOverCapacityDecidesTheEmptySelection) {
+  // N_min = 0 and every live shard above Ĉ: the empty selection satisfies
+  // Eq. (3) and (4), so the ladder must still decide feasibly — rung 3's
+  // greedy only adds shards that fit, and here none does.
+  SupervisorConfig c = config(4, 600);
+  c.scheduler.n_min_fraction = 0.0;
+  EpochSupervisor sup(c, 20);
+  ASSERT_EQ(sup.scheduler().n_min(), 0u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    sup.on_submission(honest(i, 700 + 100 * i), 650.0, 40.0);
+  }
+  sup.explore(200);
+  const auto d = sup.decide();
+  ASSERT_TRUE(d.decision.feasible);
+  EXPECT_EQ(d.tier, DecisionTier::kGreedyScratch);
+  EXPECT_EQ(d.reason, InfeasibleReason::kNone);
+  EXPECT_TRUE(d.decision.permitted_ids.empty());
+  EXPECT_EQ(d.decision.permitted_txs, 0u);
+}
+
 TEST(FeasibleSelectionExistsTest, ExactBoundaryAndOverflowSafety) {
   std::vector<ShardReport> reports;
   for (std::uint32_t i = 0; i < 4; ++i) {

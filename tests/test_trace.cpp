@@ -316,57 +316,6 @@ TEST(WorkloadTest, MaxLatencyIsDeadline) {
   EXPECT_DOUBLE_EQ(workload.max_latency(), expect_max);
 }
 
-TEST(WorkloadWindowTest, WindowsPartitionTheTraceTxs) {
-  Rng rng(20);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 300;
-  tc.target_total_txs = 300'000;
-  Trace trace = generate_trace(tc, rng);
-  const double span = trace.blocks.back().btime - trace.blocks.front().btime;
-  const std::uint64_t total = trace.total_txs();
-
-  WorkloadConfig wc;
-  wc.num_committees = 10;
-  const WorkloadGenerator gen(std::move(trace), wc);
-  // Cover the whole trace with windows; TXs must partition exactly.
-  const double window = span / 5.0 + 1.0;
-  std::uint64_t seen = 0;
-  for (std::size_t e = 0; e < 5; ++e) {
-    const auto workload = gen.epoch_from_window(e, window, rng);
-    ASSERT_EQ(workload.reports.size(), 10u);
-    seen += workload.total_txs();
-  }
-  EXPECT_EQ(seen, total);
-}
-
-TEST(WorkloadWindowTest, QuietWindowYieldsEmptyShards) {
-  Rng rng(21);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 10;
-  tc.target_total_txs = 10'000;
-  WorkloadConfig wc;
-  wc.num_committees = 4;
-  const WorkloadGenerator gen(generate_trace(tc, rng), wc);
-  // A sliver window between two blocks usually catches nothing — counts
-  // can be zero but latencies are still drawn.
-  const auto workload = gen.epoch_from_window(0, 1e-6, rng);
-  for (const auto& r : workload.reports) {
-    EXPECT_GT(r.two_phase_latency(), 0.0);
-  }
-}
-
-TEST(WorkloadWindowTest, WindowBeyondTraceThrows) {
-  Rng rng(22);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 10;
-  tc.target_total_txs = 10'000;
-  WorkloadConfig wc;
-  wc.num_committees = 4;
-  const WorkloadGenerator gen(generate_trace(tc, rng), wc);
-  EXPECT_THROW(gen.epoch_from_window(1000, 600.0, rng), std::out_of_range);
-  EXPECT_THROW(gen.epoch_from_window(0, -5.0, rng), std::invalid_argument);
-}
-
 TEST(WorkloadTest, RejectsMoreCommitteesThanBlocks) {
   Rng rng(12);
   TraceGeneratorConfig tc;

@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "txn/accounts/model.hpp"
-#include "txn/workload.hpp"
 
 namespace {
 
@@ -273,46 +272,6 @@ TEST(SchedulerTest, RejectsDegenerateConfigs) {
   Assembly empty;
   EXPECT_THROW(mvcom::txn::schedule(epoch, empty, small_xshard()),
                std::invalid_argument);
-}
-
-TEST(AccountWorkloadTest, EffectiveTxCountIsTheCommittedTally) {
-  const AccountModelConfig model = small_model();
-  XShardConfig xshard = small_xshard();
-  mvcom::txn::WorkloadConfig latency;
-  latency.mode = mvcom::txn::WorkloadMode::kAccountModel;
-  latency.num_committees = model.num_shards;
-  const mvcom::txn::AccountWorkloadGenerator gen(model, xshard, latency);
-  const auto result = gen.epoch_keyed(7, 2);
-  ASSERT_EQ(result.workload.reports.size(), model.num_shards);
-  for (std::uint32_t c = 0; c < model.num_shards; ++c) {
-    const auto& report = result.workload.reports[c];
-    EXPECT_EQ(report.committee_id, c);
-    EXPECT_EQ(report.tx_count, result.xshard.outcome.shards[c].committed());
-    EXPECT_GT(report.formation_latency, 0.0);
-    EXPECT_GT(report.consensus_latency, 0.0);
-  }
-  // Pure in (seed, epoch): a replay is bitwise identical on the digest.
-  const auto replay = gen.epoch_keyed(7, 2);
-  EXPECT_EQ(result.xshard.outcome.ledger_digest,
-            replay.xshard.outcome.ledger_digest);
-  EXPECT_EQ(result.workload.reports[0].formation_latency,
-            replay.workload.reports[0].formation_latency);
-}
-
-TEST(AccountWorkloadTest, RejectsInconsistentConfigs) {
-  const AccountModelConfig model = small_model();
-  const XShardConfig xshard = small_xshard();
-  mvcom::txn::WorkloadConfig block_mode;
-  block_mode.num_committees = model.num_shards;
-  EXPECT_THROW(
-      mvcom::txn::AccountWorkloadGenerator(model, xshard, block_mode),
-      std::invalid_argument);
-  mvcom::txn::WorkloadConfig mismatched;
-  mismatched.mode = mvcom::txn::WorkloadMode::kAccountModel;
-  mismatched.num_committees = model.num_shards + 1;
-  EXPECT_THROW(
-      mvcom::txn::AccountWorkloadGenerator(model, xshard, mismatched),
-      std::invalid_argument);
 }
 
 }  // namespace

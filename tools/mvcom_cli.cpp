@@ -208,35 +208,30 @@ struct ObsSinks {
     return {registry ? &*registry : nullptr, recorder ? &*recorder : nullptr};
   }
 
-  /// Writes the requested files. Returns false (after printing to stderr)
-  /// if an export failed validation — the CI smoke job keys off the exit
-  /// code.
+  /// Writes the requested files; an export that fails validation is not
+  /// written. Returns false (after printing to stderr) if any export
+  /// failed — the CI smoke job keys off the exit code.
   [[nodiscard]] bool flush() {
     bool ok = true;
     std::string error;
     if (registry) {
-      const std::string text = mvcom::obs::to_prometheus_text(*registry);
-      if (!mvcom::obs::validate_prometheus_text(text, &error)) {
-        std::fprintf(stderr, "metrics export failed validation: %s\n",
-                     error.c_str());
+      if (mvcom::obs::write_prometheus_text(*registry, metrics_path, &error)) {
+        std::printf("wrote %zu metric series to %s\n",
+                    registry->snapshot().size(), metrics_path.c_str());
+      } else {
+        std::fprintf(stderr, "metrics export failed: %s\n", error.c_str());
         ok = false;
       }
-      mvcom::obs::write_prometheus_text(*registry, metrics_path);
-      std::printf("wrote %zu metric series to %s\n",
-                  registry->snapshot().size(), metrics_path.c_str());
     }
     if (recorder) {
-      const auto events = recorder->snapshot();
-      const std::string json = mvcom::obs::to_chrome_trace_json(events);
-      if (!mvcom::obs::validate_json(json, &error)) {
-        std::fprintf(stderr, "trace export failed validation: %s\n",
-                     error.c_str());
+      if (mvcom::obs::write_chrome_trace_json(*recorder, trace_path, &error)) {
+        std::printf("wrote %zu trace events to %s (%llu dropped)\n",
+                    recorder->snapshot().size(), trace_path.c_str(),
+                    static_cast<unsigned long long>(recorder->dropped()));
+      } else {
+        std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
         ok = false;
       }
-      mvcom::obs::write_chrome_trace_json(*recorder, trace_path);
-      std::printf("wrote %zu trace events to %s (%llu dropped)\n",
-                  events.size(), trace_path.c_str(),
-                  static_cast<unsigned long long>(recorder->dropped()));
     }
     return ok;
   }

@@ -312,6 +312,7 @@ void run_scale_throughput(mvcom::bench::BenchJson& json) {
     if (icount > 10'000) params.max_family = 256;
     const auto c0 = std::chrono::steady_clock::now();
     mvcom::core::SeScheduler scheduler(instance, params, 3);
+    scheduler.advance(0);  // builds the lazy explorers inside the ctor span
     const double ctor_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
             .count();

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <sstream>
 
 namespace mvcom::common {
 
@@ -62,18 +61,6 @@ double percentile(std::span<const double> sample, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> sample) {
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(sorted.size());
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
-}
-
 std::vector<CdfPoint> cdf_at_quantiles(std::span<const double> sample,
                                        std::size_t points) {
   assert(points >= 2);
@@ -109,44 +96,6 @@ MeanCi mean_confidence_interval(std::span<const double> sample,
   ci.half_width = z * stats.stddev() /
                   std::sqrt(static_cast<double>(stats.count()));
   return ci;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lower(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return lo_ + static_cast<double>(bin) * width_;
-}
-
-double Histogram::bin_upper(std::size_t bin) const {
-  assert(bin < counts_.size());
-  return lo_ + static_cast<double>(bin + 1) * width_;
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    os << bin_lower(b) << ".." << bin_upper(b) << ": " << counts_[b] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace mvcom::common

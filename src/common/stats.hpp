@@ -1,12 +1,11 @@
 #pragma once
 // Streaming and batch statistics used across the simulator and the
-// experiment harness: running moments (Welford), percentiles, empirical CDFs
-// and fixed-width histograms. These back the CDF plots (Fig. 2b, Fig. 13) and
-// the convergence-trace summaries of every experiment.
+// experiment harness: running moments (Welford), percentiles, CDFs at fixed
+// quantiles and mean confidence intervals. These back the CDF plots (Fig. 2b,
+// Fig. 13) and the convergence-trace summaries of every experiment.
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mvcom::common {
@@ -51,9 +50,6 @@ struct CdfPoint {
   double cumulative_probability;
 };
 
-/// Full empirical CDF of a sample (sorted values with step probabilities).
-[[nodiscard]] std::vector<CdfPoint> empirical_cdf(std::span<const double> sample);
-
 /// Empirical CDF evaluated at a fixed number of evenly spaced quantiles —
 /// compact representation for printing figure series.
 [[nodiscard]] std::vector<CdfPoint> cdf_at_quantiles(
@@ -68,29 +64,5 @@ struct MeanCi {
 };
 [[nodiscard]] MeanCi mean_confidence_interval(std::span<const double> sample,
                                               double confidence = 0.95);
-
-/// Fixed-width histogram over [lo, hi]; out-of-range samples clamp to the
-/// boundary bins so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] double bin_lower(std::size_t bin) const;
-  [[nodiscard]] double bin_upper(std::size_t bin) const;
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
-  /// Renders "lo..hi: count" lines — used by bench binaries for quick looks.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace mvcom::common

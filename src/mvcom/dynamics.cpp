@@ -1,7 +1,6 @@
 #include "mvcom/dynamics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace mvcom::core {
@@ -59,46 +58,6 @@ DynamicTrace run_with_events(SeScheduler& scheduler, std::size_t iterations,
                             ? std::numeric_limits<double>::quiet_NaN()
                             : trace.utility.back();
   return trace;
-}
-
-EpochChainResult run_epoch_chain(
-    const std::vector<std::vector<Committee>>& per_epoch_fresh,
-    const EpochChainParams& params, std::uint64_t seed) {
-  EpochChainResult result;
-  std::vector<Committee> carried;  // refused committees, latency rebased
-  std::uint64_t chain_seed = seed;
-
-  for (const std::vector<Committee>& fresh : per_epoch_fresh) {
-    std::vector<Committee> committees = fresh;
-    committees.insert(committees.end(), carried.begin(), carried.end());
-    if (committees.empty()) continue;
-
-    EpochInstance instance(committees, params.alpha, params.capacity,
-                           params.n_min);
-    SeScheduler scheduler(instance, params.se, chain_seed++);
-    const SeResult se = scheduler.run();
-
-    result.epoch_utilities.push_back(se.feasible ? se.utility : 0.0);
-    carried.clear();
-    if (!se.feasible) {
-      // Nothing permitted: every committee carries over.
-      for (const Committee& c : committees) carried.push_back(c);
-    } else {
-      for (std::size_t i = 0; i < committees.size(); ++i) {
-        if (se.best[i]) {
-          result.total_permitted_txs += committees[i].txs;
-        } else {
-          // Fig. 3: refused committee re-enters with latency reduced by the
-          // previous epoch's deadline.
-          Committee c = committees[i];
-          c.latency = std::max(0.0, c.latency - instance.deadline());
-          carried.push_back(c);
-        }
-      }
-    }
-    result.refused_counts.push_back(carried.size());
-  }
-  return result;
 }
 
 }  // namespace mvcom::core

@@ -2,11 +2,8 @@
 // Online dynamics harness: drives an SeScheduler iteration-by-iteration
 // while injecting committee join/leave (failure/recovery) events at chosen
 // iterations — the setup behind Fig. 9 (leave & rejoin; consecutive joins)
-// and Fig. 14 (online execution with consecutive joining).
-//
-// Also implements the cross-epoch rule of Fig. 3: a committee refused at
-// epoch j re-enters epoch j+1 with its two-phase latency reduced by the
-// previous deadline, making it more likely to be permitted next time.
+// and Fig. 14 (online execution with consecutive joining). The cross-epoch
+// carry of refused shards (Fig. 3) lives in pipeline::EpochPipeline.
 
 #include <cstdint>
 #include <vector>
@@ -69,28 +66,5 @@ struct DynamicTrace {
 [[nodiscard]] DynamicTrace run_with_events(SeScheduler& scheduler,
                                            std::size_t iterations,
                                            std::vector<DynamicEvent> events);
-
-/// Cross-epoch carry-over (Fig. 3): committees refused at epoch j keep their
-/// pending shards and re-report at epoch j+1 with latency
-/// max(0, l_i − t_j) — they "will be more likely to be permitted with a new
-/// smaller two-phase latency at epoch j+1".
-struct EpochChainResult {
-  std::vector<double> epoch_utilities;
-  std::vector<std::size_t> refused_counts;   // refused committees per epoch
-  std::uint64_t total_permitted_txs = 0;
-};
-
-struct EpochChainParams {
-  double alpha = 1.5;
-  std::uint64_t capacity = 40'000;
-  std::size_t n_min = 0;
-  SeParams se{};
-};
-
-/// Runs `epochs` successive epochs: each epoch's committee set is the fresh
-/// workload plus the carried-over refusals from the previous epoch.
-[[nodiscard]] EpochChainResult run_epoch_chain(
-    const std::vector<std::vector<Committee>>& per_epoch_fresh,
-    const EpochChainParams& params, std::uint64_t seed);
 
 }  // namespace mvcom::core

@@ -396,9 +396,9 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     point.utility = d.decision.utility;
     report.timeline.push_back(point);
     if (!d.decision.feasible &&
-        feasible_selection_exists(supervisor.scheduler().reports(),
-                                  config.supervisor.scheduler.capacity,
-                                  supervisor.scheduler().n_min())) {
+        n_min_witness(supervisor.scheduler().reports(),
+                      config.supervisor.scheduler.capacity,
+                      supervisor.scheduler().n_min())) {
       report.infeasible_while_feasible = true;
     }
   };

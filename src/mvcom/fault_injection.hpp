@@ -173,9 +173,9 @@ struct ChaosReport {
   double risk_score = 0.0;
   /// Supervision state the next epoch should adopt (ChaosConfig::carry_in).
   SupervisorCarry carry_out{};
-  /// True if any sampled decide() reported infeasible while
-  /// feasible_selection_exists held on the live set — the acceptance
-  /// criterion the ladder must never violate.
+  /// True if any sampled decide() reported infeasible while an
+  /// n_min_witness existed on the live set — the acceptance criterion the
+  /// ladder must never violate.
   bool infeasible_while_feasible = false;
 };
 

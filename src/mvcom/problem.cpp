@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace mvcom::core {
@@ -146,6 +147,33 @@ double fractional_bound(const EpochInstance& instance) {
     }
   }
   return bound;
+}
+
+std::optional<Selection> n_min_witness(
+    std::span<const txn::ShardReport> reports, std::uint64_t capacity,
+    std::size_t n_min) {
+  if (n_min > reports.size()) return std::nullopt;
+  Selection x(reports.size(), 0);
+  if (n_min == 0) return x;
+  std::vector<std::size_t> order(reports.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Only the N_min smallest matter — a partial select keeps this O(|I|) at
+  // 50k committees. Ties break by index so the witness is deterministic.
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
+                   order.end(), [&](std::size_t a, std::size_t b) {
+                     const std::uint64_t ta = reports[a].tx_count;
+                     const std::uint64_t tb = reports[b].tx_count;
+                     return ta != tb ? ta < tb : a < b;
+                   });
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < n_min; ++k) {
+    const std::uint64_t txs = reports[order[k]].tx_count;
+    if (txs > capacity - total) return std::nullopt;  // overflow-safe
+    total += txs;
+    x[order[k]] = 1;
+  }
+  return x;
 }
 
 double relative_gap(double bound, double utility) noexcept {

@@ -11,6 +11,7 @@
 // every solver in src/mvcom and src/baselines shares.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -129,6 +130,17 @@ class EpochInstance {
 /// not. O(|I| log |I|). 0 when no gain is positive, and when Ĉ = 0 unless
 /// an explicit deadline gives a zero-TX committee a positive gain.
 [[nodiscard]] double fractional_bound(const EpochInstance& instance);
+
+/// The exact Eq. (3)+(4) feasibility witness: the n_min smallest shards of
+/// `reports` (ties by index), index-aligned with them. Any feasible
+/// selection's n_min smallest members weigh at least as much, so nullopt —
+/// fewer than n_min reports, or the witness above `capacity` — means no
+/// feasible selection exists. n_min = 0 gives the empty selection. O(|I|),
+/// and the sum cannot wrap. Ladder tier 3 commits it when the greedy fails;
+/// the risk policy's N_min clamp and the chaos harness test its existence.
+[[nodiscard]] std::optional<Selection> n_min_witness(
+    std::span<const txn::ShardReport> reports, std::uint64_t capacity,
+    std::size_t n_min);
 
 /// (bound − utility) / |bound|: how far a selection may still be from the
 /// optimum, relative to the bound. A zero bound gives 0 when `utility`

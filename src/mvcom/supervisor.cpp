@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "analysis/theory.hpp"
 #include "baselines/greedy.hpp"
@@ -31,34 +30,6 @@ void fill_decision(SupervisedDecision& out, const EpochInstance& instance,
       out.decision.permitted_ids.push_back(instance.committees()[i].id);
     }
   }
-}
-
-/// The N_min smallest shards — the cheapest witness of Eq. (3)+(4)
-/// feasibility. Empty optional when even that witness exceeds Ĉ.
-std::optional<Selection> minimal_feasible(const EpochInstance& instance) {
-  const std::size_t n_min = instance.n_min();
-  if (n_min > instance.size()) return std::nullopt;
-  if (n_min == 0) return Selection(instance.size(), 0);
-  std::vector<std::size_t> order(instance.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Only the N_min smallest matter — a partial select keeps this decide()
-  // fallback O(I) at 50k committees. Ties break by index so the witness is
-  // deterministic.
-  std::nth_element(order.begin(),
-                   order.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
-                   order.end(), [&](std::size_t a, std::size_t b) {
-                     const std::uint64_t ta = instance.committees()[a].txs;
-                     const std::uint64_t tb = instance.committees()[b].txs;
-                     return ta != tb ? ta < tb : a < b;
-                   });
-  Selection x(instance.size(), 0);
-  std::uint64_t txs = 0;
-  for (std::size_t k = 0; k < n_min; ++k) {
-    txs += instance.committees()[order[k]].txs;
-    x[order[k]] = 1;
-  }
-  if (txs > instance.capacity()) return std::nullopt;
-  return x;
 }
 
 }  // namespace
@@ -94,24 +65,6 @@ const char* to_string(InfeasibleReason reason) noexcept {
       return "capacity insufficient for N_min";
   }
   return "unknown";
-}
-
-bool feasible_selection_exists(std::span<const txn::ShardReport> reports,
-                               std::uint64_t capacity, std::size_t n_min) {
-  if (reports.size() < n_min) return false;
-  if (n_min == 0) return true;  // the empty selection satisfies both bounds
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(reports.size());
-  for (const txn::ShardReport& r : reports) sizes.push_back(r.tx_count);
-  std::nth_element(sizes.begin(),
-                   sizes.begin() + static_cast<std::ptrdiff_t>(n_min - 1),
-                   sizes.end());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n_min; ++i) {
-    if (sizes[i] > capacity - total) return false;  // overflow-safe
-    total += sizes[i];
-  }
-  return true;
 }
 
 EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
@@ -397,10 +350,9 @@ void EpochSupervisor::update_risk_policy() {
   // Clamp 2 — feasibility: never raise N_min past what the live reports can
   // satisfy (Eq. (3)+(4)). The defense must not manufacture an infeasible
   // epoch that the static supervisor would have solved.
-  while (boost > 0 &&
-         !feasible_selection_exists(scheduler_.reports(),
-                                    config_.scheduler.capacity,
-                                    base_n_min_ + boost)) {
+  while (boost > 0 && !n_min_witness(scheduler_.reports(),
+                                     config_.scheduler.capacity,
+                                     base_n_min_ + boost)) {
     --boost;
   }
   const std::size_t target = base_n_min_ + boost;
@@ -639,7 +591,8 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
       fill_decision(out, instance, r.best, DecisionTier::kGreedyScratch);
       return out;
     }
-    if (const auto witness = minimal_feasible(instance)) {
+    if (const auto witness = n_min_witness(reports, instance.capacity(),
+                                           instance.n_min())) {
       fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
       return out;
     }

@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -105,13 +104,14 @@ enum class InfeasibleReason {
 ///    broad attack converts the membership into bans and collapses
 ///    liveness), so quarantine→ban escalation speeds up under attack.
 ///
-/// Every resize is clamped so that feasible_selection_exists still holds on
-/// the live reports at the raised N_min (and bootstrap stays reachable,
-/// N_min < N_max): the defense must never cause an infeasible epoch that a
-/// static supervisor would have solved. Each applied resize records
-/// Theorem-2 perturbation accounting (ResizeRecord), extending the failure
-/// bound to adaptive resizing: shrinking the feasible space perturbs the
-/// stationary optimum by at most the best utility on the larger space.
+/// Every resize is clamped so that an n_min_witness (problem.hpp) still
+/// exists on the live reports at the raised N_min (and bootstrap stays
+/// reachable, N_min < N_max): the defense must never cause an infeasible
+/// epoch that a static supervisor would have solved. Each applied resize
+/// records Theorem-2 perturbation accounting (ResizeRecord), extending the
+/// failure bound to adaptive resizing: shrinking the feasible space
+/// perturbs the stationary optimum by at most the best utility on the
+/// larger space.
 struct RiskPolicyConfig {
   bool enabled = false;
   double strike_weight = 1.0;   // risk per strike
@@ -201,16 +201,6 @@ struct SupervisedDecision {
   /// True iff every recorded failure's utility dip respected its bound.
   bool theorem2_respected = true;
 };
-
-/// True iff some selection over `reports` satisfies both Eq. (3) and
-/// Eq. (4): at least n_min reports exist and the n_min smallest shard sizes
-/// fit in `capacity` (any feasible selection's n_min smallest members weigh
-/// at least that much, so the test is exact). Used by the chaos harness to
-/// certify that the ladder never reports infeasible while a feasible
-/// selection exists.
-[[nodiscard]] bool feasible_selection_exists(
-    std::span<const txn::ShardReport> reports, std::uint64_t capacity,
-    std::size_t n_min);
 
 class EpochSupervisor {
  public:

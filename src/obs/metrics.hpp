@@ -3,7 +3,7 @@
 // sharded counters (striped atomics so Γ worker threads never contend on
 // one cache line), gauges, and log-bucketed histograms (geometric bucket
 // bounds — latencies and sizes span orders of magnitude, so fixed-width
-// bins like common::stats::Histogram would waste most of their resolution).
+// bins would waste most of their resolution).
 //
 // Instruments are registered by (name, labels) and live as long as the
 // registry; call sites cache the returned reference and update it lock-free.

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/fnv.hpp"
@@ -39,24 +38,6 @@ std::vector<txn::ShardReport> EpochOutcome::reports() const {
     out.push_back(r);
   }
   return out;
-}
-
-std::vector<std::uint64_t> deal_blocks(const txn::Trace& trace,
-                                       std::size_t shards, Rng& rng) {
-  if (shards == 0) throw std::invalid_argument("deal_blocks: shards > 0");
-  if (shards > trace.blocks.size()) {
-    throw std::invalid_argument("deal_blocks: more shards than blocks");
-  }
-  std::vector<std::uint64_t> txs(shards, 0);
-  std::vector<std::size_t> order(trace.blocks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(std::span<std::size_t>(order));
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t shard =
-        rank < shards ? rank : static_cast<std::size_t>(rng.below(shards));
-    txs[shard] += trace.blocks[order[rank]].tx_count;
-  }
-  return txs;
 }
 
 ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng)
@@ -134,8 +115,8 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   }
 
   // Shard workload for member committees.
-  const std::vector<std::uint64_t> shard_txs =
-      deal_blocks(trace, member_committees, rng_);
+  const std::vector<std::uint64_t> shard_txs = txn::deal_blocks(
+      trace, member_committees, trace.blocks.size(), rng_);
 
   EpochOutcome outcome;
   outcome.committees.resize(member_committees);
@@ -256,20 +237,23 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     }
   }
 
+  // The selected shards' roots: stage 4's Merkle leaves and, once the final
+  // block commits, the root chain's block body.
+  std::vector<crypto::Digest> roots;
   if (!outcome.selected.empty() && participants[final_id].size() >= kMinBftMembers) {
     // DDL: the final committee can start once the last selected shard has
     // been submitted (its two-phase latency) — and no earlier than its own
     // formation.
     SimTime start = formation[final_id];
     std::uint64_t total_txs = 0;
-    std::vector<crypto::Digest> leaves;
+    roots.reserve(outcome.selected.size());
     for (const std::uint32_t id : outcome.selected) {
       const CommitteeOutcome& co = outcome.committees.at(id);
       start = std::max(start, co.two_phase_latency());
       total_txs += co.tx_count;
-      leaves.push_back(crypto::Sha256::hash("shard-root-" + std::to_string(id)));
+      roots.push_back(crypto::Sha256::hash("shard-root-" + std::to_string(id)));
     }
-    const crypto::MerkleTree tree(std::move(leaves));
+    const crypto::MerkleTree tree(roots);
 
     // The final committee runs on its own fresh fabric with the seeds
     // pre-drawn for it above, so its numbers are identical whether the
@@ -311,12 +295,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
 
   // --- Root chain: the final block joins the ledger ------------------------
   if (outcome.final_committed) {
-    std::vector<crypto::Digest> roots;
-    roots.reserve(outcome.selected.size());
-    for (const std::uint32_t id : outcome.selected) {
-      roots.push_back(
-          crypto::Sha256::hash("shard-root-" + std::to_string(id)));
-    }
     chain_.extend(std::move(roots), outcome.final_block_txs,
                   outcome.epoch_makespan.seconds(),
                   "final-committee-" + std::to_string(final_id), randomness_);

@@ -205,11 +205,4 @@ class ElasticoNetwork {
   chain::RootChain chain_;
 };
 
-/// Deals `trace` blocks into `shards` groups (one per member committee),
-/// guaranteeing each shard at least one block.
-/// Shared by the Elastico pipeline and tests.
-[[nodiscard]] std::vector<std::uint64_t> deal_blocks(const txn::Trace& trace,
-                                                     std::size_t shards,
-                                                     Rng& rng);
-
 }  // namespace mvcom::sharding

@@ -40,18 +40,6 @@ ShardSubmission build_submission(std::uint32_t committee_id,
   return s;
 }
 
-ShardSubmission build_submission_from_trace(
-    std::uint32_t committee_id, const txn::Trace& trace,
-    std::span<const std::size_t> block_indices) {
-  std::vector<ShardEntry> entries;
-  entries.reserve(block_indices.size());
-  for (const std::size_t b : block_indices) {
-    const txn::BlockRecord& block = trace.blocks.at(b);
-    entries.push_back({block.bhash, block.tx_count});
-  }
-  return build_submission(committee_id, std::move(entries));
-}
-
 std::optional<SubmissionError> verify_submission(
     const ShardSubmission& submission) {
   if (submission.entries.empty()) return SubmissionError::kEmpty;

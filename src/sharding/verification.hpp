@@ -10,13 +10,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
-#include "txn/trace.hpp"
 
 namespace mvcom::sharding {
 
@@ -47,11 +45,6 @@ enum class SubmissionError {
 /// Builds an honest submission from the shard's entries.
 [[nodiscard]] ShardSubmission build_submission(
     std::uint32_t committee_id, std::vector<ShardEntry> entries);
-
-/// Builds a submission directly from trace blocks (provenance indices).
-[[nodiscard]] ShardSubmission build_submission_from_trace(
-    std::uint32_t committee_id, const txn::Trace& trace,
-    std::span<const std::size_t> block_indices);
 
 /// Verifies root and count binding; nullopt = accepted.
 [[nodiscard]] std::optional<SubmissionError> verify_submission(

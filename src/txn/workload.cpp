@@ -53,6 +53,25 @@ double sample_submit_instant(common::Rng& rng, const WorkloadConfig& config,
   return window_close + lat.formation + lat.consensus;
 }
 
+std::vector<std::uint64_t> deal_blocks(const Trace& trace, std::size_t shards,
+                                       std::size_t count, common::Rng& rng) {
+  if (shards == 0) throw std::invalid_argument("deal_blocks: shards > 0");
+  if (shards > count || count > trace.blocks.size()) {
+    throw std::invalid_argument(
+        "deal_blocks: need shards <= count <= trace blocks");
+  }
+  std::vector<std::uint64_t> txs(shards, 0);
+  std::vector<std::size_t> order(trace.blocks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(std::span<std::size_t>(order));
+  for (std::size_t rank = 0; rank < count; ++rank) {
+    const std::size_t shard =
+        rank < shards ? rank : static_cast<std::size_t>(rng.below(shards));
+    txs[shard] += trace.blocks[order[rank]].tx_count;
+  }
+  return txs;
+}
+
 WorkloadGenerator::WorkloadGenerator(Trace trace, WorkloadConfig config)
     : trace_(std::move(trace)), config_(config) {
   if (config_.num_committees == 0) {
@@ -71,27 +90,18 @@ WorkloadGenerator::WorkloadGenerator(Trace trace, WorkloadConfig config)
 
 EpochWorkload WorkloadGenerator::epoch(common::Rng& rng) const {
   const std::size_t m = config_.num_committees;
+  // One block per committee, or every block: the rest stay unused this
+  // epoch under kOneBlockPerCommittee.
+  const std::vector<std::uint64_t> txs = deal_blocks(
+      trace_, m,
+      config_.fill == ShardFill::kOneBlockPerCommittee ? m
+                                                       : trace_.blocks.size(),
+      rng);
   EpochWorkload workload;
   workload.reports.resize(m);
   for (std::size_t c = 0; c < m; ++c) {
     workload.reports[c].committee_id = static_cast<std::uint32_t>(c);
-  }
-
-  // Deal blocks: a random permutation guarantees one block per committee in
-  // the first round; in kDealAllBlocks mode the remainder is assigned
-  // uniformly at random, otherwise the remaining blocks stay unused this
-  // epoch.
-  std::vector<std::size_t> order(trace_.blocks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(std::span<std::size_t>(order));
-  const std::size_t dealt = config_.fill == ShardFill::kOneBlockPerCommittee
-                                ? m
-                                : order.size();
-  for (std::size_t rank = 0; rank < dealt; ++rank) {
-    const std::size_t committee =
-        rank < m ? rank : static_cast<std::size_t>(rng.below(m));
-    workload.reports[committee].tx_count +=
-        trace_.blocks[order[rank]].tx_count;
+    workload.reports[c].tx_count = txs[c];
   }
 
   for (ShardReport& r : workload.reports) {

@@ -8,9 +8,7 @@
 
 #include "chain/checkpoint.hpp"
 #include "chain/root_chain.hpp"
-#include "common/rng.hpp"
 #include "sharding/verification.hpp"
-#include "txn/trace_generator.hpp"
 
 namespace {
 
@@ -172,22 +170,6 @@ TEST(SubmissionTest, EmptyShardRejected) {
   using mvcom::sharding::verify_submission;
   EXPECT_EQ(verify_submission(build_submission(1, {})),
             SubmissionError::kEmpty);
-}
-
-TEST(SubmissionTest, TraceBackedSubmissionRoundtrips) {
-  mvcom::common::Rng rng(7);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = 20;
-  tc.target_total_txs = 20'000;
-  const auto trace = mvcom::txn::generate_trace(tc, rng);
-  const std::vector<std::size_t> indices{2, 5, 11};
-  const auto submission =
-      mvcom::sharding::build_submission_from_trace(9, trace, indices);
-  EXPECT_EQ(submission.entries.size(), 3u);
-  EXPECT_EQ(submission.claimed_tx_count,
-            trace.blocks[2].tx_count + trace.blocks[5].tx_count +
-                trace.blocks[11].tx_count);
-  EXPECT_FALSE(mvcom::sharding::verify_submission(submission).has_value());
 }
 
 // --- checkpoints ---------------------------------------------------------------

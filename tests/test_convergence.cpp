@@ -1,5 +1,5 @@
-// Tests for the empirical mixing-time estimator and the RandomSelect floor
-// baseline, plus cross-mode consistency of the two SE transition kernels.
+// Tests for the empirical mixing-time estimator, plus cross-mode consistency
+// of the two SE transition kernels.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "analysis/convergence.hpp"
 #include "analysis/theory.hpp"
 #include "baselines/exhaustive.hpp"
-#include "baselines/random_select.hpp"
 #include "common/rng.hpp"
 #include "mvcom/se_scheduler.hpp"
 
@@ -72,37 +71,6 @@ TEST(MixingEstimateTest, RejectsDegenerateInputs) {
                std::invalid_argument);
   EXPECT_THROW(estimate_mixing_time(space, 1.0, 0.0, 0.1, 10.0, 10, 0, rng),
                std::invalid_argument);
-}
-
-TEST(RandomSelectTest, FeasibleAndBelowExhaustive) {
-  mvcom::baselines::Exhaustive exact;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    mvcom::common::Rng rng(seed);
-    std::vector<Committee> committees;
-    std::uint64_t total = 0;
-    for (std::uint32_t i = 0; i < 12; ++i) {
-      Committee c{i, 500 + rng.below(1500), 600.0 + rng.uniform(0.0, 900.0)};
-      total += c.txs;
-      committees.push_back(c);
-    }
-    const EpochInstance inst(committees, 1.5, (total * 7) / 10, 3);
-    mvcom::baselines::RandomSelect random({}, seed);
-    const auto result = random.solve(inst);
-    const auto truth = exact.solve(inst);
-    ASSERT_TRUE(result.feasible);
-    EXPECT_TRUE(inst.feasible(result.best));
-    EXPECT_LE(result.utility, truth.utility + 1e-6);
-  }
-}
-
-TEST(RandomSelectTest, MoreTrialsNeverHurt) {
-  const EpochInstance inst = small_instance(9, 12);
-  mvcom::baselines::RandomSelect few({4}, 1);
-  mvcom::baselines::RandomSelect many({256}, 1);
-  const auto few_result = few.solve(inst);
-  const auto many_result = many.solve(inst);
-  ASSERT_TRUE(few_result.feasible && many_result.feasible);
-  EXPECT_GE(many_result.utility, few_result.utility);
 }
 
 // --- SE transition-kernel consistency -----------------------------------------

@@ -1,5 +1,4 @@
-// Tests for the online dynamics harness (Fig. 9/14 machinery) and the
-// cross-epoch carry-over rule (Fig. 3).
+// Tests for the online dynamics harness (Fig. 9/14 machinery).
 
 #include "mvcom/dynamics.hpp"
 
@@ -14,9 +13,7 @@ namespace {
 using mvcom::core::Committee;
 using mvcom::core::DynamicEvent;
 using mvcom::core::DynamicTrace;
-using mvcom::core::EpochChainParams;
 using mvcom::core::EpochInstance;
-using mvcom::core::run_epoch_chain;
 using mvcom::core::run_with_events;
 using mvcom::core::SeParams;
 using mvcom::core::SeScheduler;
@@ -117,36 +114,6 @@ TEST(RunWithEventsTest, ConsecutiveJoinsKeepFeasibility) {
   // more committees strictly widen the feasible set... up to deadline
   // effects, so we only require it to be finite and positive here.
   EXPECT_FALSE(std::isnan(trace.final_utility));
-}
-
-TEST(EpochChainTest, RefusedCommitteesCarryOverWithReducedLatency) {
-  // Two epochs; capacity so tight in epoch 1 that someone must be refused.
-  std::vector<std::vector<Committee>> fresh(2);
-  fresh[0] = make_committees(4, 10);
-  fresh[1] = make_committees(5, 4);
-  std::uint64_t epoch1_total = 0;
-  for (const auto& c : fresh[0]) epoch1_total += c.txs;
-
-  EpochChainParams params;
-  params.alpha = 1.5;
-  params.capacity = epoch1_total / 2;  // refuse roughly half
-  params.n_min = 2;
-  params.se = SeParams{};
-  params.se.threads = 2;
-  params.se.max_iterations = 2000;
-
-  const auto result = run_epoch_chain(fresh, params, 7);
-  ASSERT_EQ(result.epoch_utilities.size(), 2u);
-  ASSERT_EQ(result.refused_counts.size(), 2u);
-  EXPECT_GT(result.refused_counts[0], 0u);
-  EXPECT_GT(result.total_permitted_txs, 0u);
-  EXPECT_GT(result.epoch_utilities[0], 0.0);
-}
-
-TEST(EpochChainTest, EmptyScheduleYieldsEmptyResult) {
-  const auto result = run_epoch_chain({}, EpochChainParams{}, 1);
-  EXPECT_TRUE(result.epoch_utilities.empty());
-  EXPECT_EQ(result.total_permitted_txs, 0u);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ namespace {
 using mvcom::common::Rng;
 using mvcom::common::SimTime;
 using mvcom::sharding::CommitteeOutcome;
-using mvcom::sharding::deal_blocks;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
 using mvcom::sharding::EpochOutcome;
@@ -24,12 +23,11 @@ using mvcom::txn::generate_trace;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
 
-Trace small_trace(std::uint64_t blocks = 128, std::uint64_t txs = 128'000,
-                  std::uint64_t seed = 1) {
-  Rng rng(seed);
+Trace small_trace() {
+  Rng rng(1);
   TraceGeneratorConfig tc;
-  tc.num_blocks = blocks;
-  tc.target_total_txs = txs;
+  tc.num_blocks = 128;
+  tc.target_total_txs = 128'000;
   return generate_trace(tc, rng);
 }
 
@@ -43,26 +41,6 @@ ElasticoConfig small_config() {
   config.pbft.verification_mean = SimTime(0.2);
   config.pbft.view_change_timeout = SimTime(120.0);
   return config;
-}
-
-TEST(DealBlocksTest, EveryShardGetsAtLeastOneBlockAndTotalsMatch) {
-  const Trace trace = small_trace();
-  Rng rng(2);
-  const auto txs = deal_blocks(trace, 10, rng);
-  ASSERT_EQ(txs.size(), 10u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t t : txs) {
-    EXPECT_GE(t, 1u);
-    total += t;
-  }
-  EXPECT_EQ(total, trace.total_txs());
-}
-
-TEST(DealBlocksTest, RejectsMoreShardsThanBlocks) {
-  const Trace trace = small_trace(4, 4000);
-  Rng rng(3);
-  EXPECT_THROW(deal_blocks(trace, 5, rng), std::invalid_argument);
-  EXPECT_THROW(deal_blocks(trace, 0, rng), std::invalid_argument);
 }
 
 TEST(ElasticoTest, EpochProducesCommittedCommittees) {

@@ -1,4 +1,5 @@
-// Tests for common/stats — streaming moments, percentiles, CDFs, histograms.
+// Tests for common/stats — streaming moments, percentiles, CDFs, confidence
+// intervals.
 
 #include "common/stats.hpp"
 
@@ -12,8 +13,6 @@
 namespace {
 
 using mvcom::common::cdf_at_quantiles;
-using mvcom::common::empirical_cdf;
-using mvcom::common::Histogram;
 using mvcom::common::percentile;
 using mvcom::common::Rng;
 using mvcom::common::RunningStats;
@@ -117,19 +116,6 @@ TEST(PercentileTest, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile(v, 1.0), 42.0);
 }
 
-TEST(EmpiricalCdfTest, StepsAreMonotone) {
-  const std::vector<double> v{3.0, 1.0, 2.0, 2.0};
-  const auto cdf = empirical_cdf(v);
-  ASSERT_EQ(cdf.size(), 4u);
-  EXPECT_DOUBLE_EQ(cdf.front().value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.back().value, 3.0);
-  EXPECT_DOUBLE_EQ(cdf.back().cumulative_probability, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LT(cdf[i - 1].cumulative_probability, cdf[i].cumulative_probability);
-  }
-}
-
 TEST(CdfAtQuantilesTest, EndpointsAndCount) {
   std::vector<double> v;
   for (int i = 0; i <= 100; ++i) v.push_back(static_cast<double>(i));
@@ -181,29 +167,6 @@ TEST(MeanCiTest, RejectsBadInputs) {
   EXPECT_THROW(static_cast<void>(
                    mvcom::common::mean_confidence_interval(v, 0.42)),
                std::invalid_argument);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_upper(2), 6.0);
-}
-
-TEST(HistogramTest, ToStringListsAllBins) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("0..1: 1"), std::string::npos);
-  EXPECT_NE(s.find("1..2: 0"), std::string::npos);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@ using mvcom::core::Admission;
 using mvcom::core::DecisionTier;
 using mvcom::core::EpochSupervisor;
 using mvcom::core::InfeasibleReason;
+using mvcom::core::Selection;
 using mvcom::core::SupervisorConfig;
 using mvcom::sharding::build_submission;
 using mvcom::sharding::ShardSubmission;
@@ -327,8 +328,10 @@ TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
     }
     sup.explore(50);
     const auto d = sup.decide();
-    const bool witness = mvcom::core::feasible_selection_exists(
-        sup.scheduler().reports(), 4000, sup.scheduler().n_min());
+    const bool witness = mvcom::core::n_min_witness(
+                             sup.scheduler().reports(), 4000,
+                             sup.scheduler().n_min())
+                             .has_value();
     EXPECT_EQ(d.decision.feasible, witness) << "step " << step;
   }
 }
@@ -362,17 +365,21 @@ TEST(FeasibleSelectionExistsTest, ExactBoundaryAndOverflowSafety) {
     reports.push_back(r);
   }
   // The 2 smallest (100+200=300) define the exact boundary.
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists(reports, 300, 2));
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(reports, 299, 2));
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(reports, 10'000, 5));
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists(reports, 0, 0));
-  EXPECT_TRUE(mvcom::core::feasible_selection_exists({}, 0, 0));
+  using mvcom::core::n_min_witness;
+  EXPECT_EQ(n_min_witness(reports, 300, 2), (Selection{1, 1, 0, 0}));
+  EXPECT_FALSE(n_min_witness(reports, 299, 2));
+  EXPECT_FALSE(n_min_witness(reports, 10'000, 5));
+  EXPECT_EQ(n_min_witness(reports, 0, 0), (Selection{0, 0, 0, 0}));
+  EXPECT_EQ(n_min_witness({}, 0, 0), Selection{});
+  // Ties break by index: of the equal shards 1 and 3, shard 1 is picked.
+  reports[3].tx_count = 200;
+  EXPECT_EQ(n_min_witness(reports, 300, 2), (Selection{1, 1, 0, 0}));
   // Accumulation must not wrap: two near-max shards vs max capacity.
   std::vector<ShardReport> huge(2);
   huge[0].tx_count = std::numeric_limits<std::uint64_t>::max() - 1;
   huge[1].tx_count = std::numeric_limits<std::uint64_t>::max() - 1;
-  EXPECT_FALSE(mvcom::core::feasible_selection_exists(
-      huge, std::numeric_limits<std::uint64_t>::max(), 2));
+  EXPECT_FALSE(
+      n_min_witness(huge, std::numeric_limits<std::uint64_t>::max(), 2));
 }
 
 TEST(SupervisorCarryTest, EquivocationEscalatesMonotonicallyAcrossEpochs) {

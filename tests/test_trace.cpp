@@ -18,6 +18,7 @@
 namespace {
 
 using mvcom::common::Rng;
+using mvcom::txn::deal_blocks;
 using mvcom::txn::generate_trace;
 using mvcom::txn::load_trace_csv;
 using mvcom::txn::sample_two_phase_latency;
@@ -177,6 +178,38 @@ TEST(TraceIoTest, AccountTxEmptySetsSurviveTheRoundtrip) {
   EXPECT_TRUE(loaded[0].reads.empty());
   EXPECT_TRUE(loaded[0].writes.empty());
   EXPECT_EQ(loaded[1].writes, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+Trace dealer_trace(std::uint64_t blocks, std::uint64_t txs) {
+  Rng rng(1);
+  TraceGeneratorConfig tc;
+  tc.num_blocks = blocks;
+  tc.target_total_txs = txs;
+  return generate_trace(tc, rng);
+}
+
+TEST(DealBlocksTest, EveryShardGetsAtLeastOneBlockAndTotalsMatch) {
+  const Trace trace = dealer_trace(128, 128'000);
+  Rng rng(2);
+  const auto txs = deal_blocks(trace, 10, trace.blocks.size(), rng);
+  ASSERT_EQ(txs.size(), 10u);
+  std::uint64_t total = 0;
+  for (const std::uint64_t t : txs) {
+    EXPECT_GE(t, 1u);
+    total += t;
+  }
+  EXPECT_EQ(total, trace.total_txs());
+}
+
+TEST(DealBlocksTest, RejectsMoreShardsThanBlocks) {
+  const Trace trace = dealer_trace(4, 4000);
+  Rng rng(3);
+  EXPECT_THROW(deal_blocks(trace, 5, 4, rng), std::invalid_argument);
+  EXPECT_THROW(deal_blocks(trace, 0, 4, rng), std::invalid_argument);
+  // Dealing fewer ranks than shards, or more ranks than blocks, would leave
+  // a shard empty or read past the trace.
+  EXPECT_THROW(deal_blocks(trace, 3, 2, rng), std::invalid_argument);
+  EXPECT_THROW(deal_blocks(trace, 3, 5, rng), std::invalid_argument);
 }
 
 TEST(WorkloadTest, OneBlockModeGivesEachCommitteeOneBlock) {

@@ -11,7 +11,8 @@
 //
 //   mvcom epoch [--nodes N] [--committee-bits B] [--seed S]
 //       Run one full Elastico epoch (PoW election, PBFT committees, final
-//       consensus) and print every committee's two-phase latency.
+//       consensus) and print every committee's two-phase latency. Exits 1
+//       when the root chain does not validate.
 //
 //   mvcom bounds [--committees N] [--beta B] [--spread U] [--epsilon E]
 //       Evaluate Theorem 1's mixing-time bounds (natural-log scale).
@@ -40,7 +41,9 @@
 //       submissions are verified on admission, a heartbeat monitor detects
 //       crashes, and the graceful-degradation ladder decides at the DDL.
 //       Prints the plan, the utility timeline, the Theorem-2 accounting per
-//       failure, and the final tier-attributed decision.
+//       failure, and the final tier-attributed decision. Exits 1 when a
+//       failure broke its Theorem-2 bound or the ladder reported infeasible
+//       while a feasible selection existed.
 //
 //   mvcom chaos --adversary <strategy> [--epochs N] [--budget B]
 //               [--committees N] [--capacity C] [--reserve N] [--risk 0|1]
@@ -64,7 +67,8 @@
 //       connected by the binary wire protocol. With --verify 1 (default) a
 //       second, in-process network replays the identical run and every
 //       epoch's event_order_digest / makespan / final block is diffed
-//       bitwise — any divergence exits 1. --kill-epoch SIGKILLs a worker
+//       bitwise — any divergence, or a root chain that does not validate,
+//       exits 1. --kill-epoch SIGKILLs a worker
 //       right after that epoch's dispatch to exercise the crash-replay
 //       path (the digests must STILL match). --metrics-dir makes each
 //       worker export its private registry per epoch (per-process
@@ -444,14 +448,15 @@ int cmd_epoch(const Args& args) {
                 static_cast<unsigned long long>(c.tx_count),
                 c.committed ? "committed" : "FAILED");
   }
+  const bool valid = network.root_chain().validate_full();
   std::printf("final block: %zu shards, %llu TXs, makespan %.1fs; "
               "root chain height %llu (valid=%s)\n",
               outcome.selected.size(),
               static_cast<unsigned long long>(outcome.final_block_txs),
               outcome.epoch_makespan.seconds(),
               static_cast<unsigned long long>(network.root_chain().height()),
-              network.root_chain().validate_full() ? "yes" : "NO");
-  return 0;
+              valid ? "yes" : "NO");
+  return valid ? 0 : 1;
 }
 
 int cmd_fabric(const Args& args) {
@@ -526,18 +531,19 @@ int cmd_fabric(const Args& args) {
       }
     }
   }
+  const bool valid = network.root_chain().validate_full();
   std::printf("fabric: %llu epochs on %zu workers, %llu respawns, "
               "chain height %llu (valid=%s)\n",
               static_cast<unsigned long long>(epochs), fleet.workers(),
               static_cast<unsigned long long>(fleet.respawns()),
               static_cast<unsigned long long>(network.root_chain().height()),
-              network.root_chain().validate_full() ? "yes" : "NO");
+              valid ? "yes" : "NO");
   if (verify) {
     std::printf("verify: %s\n", diverged ? "DIVERGED" : "identical");
   }
   fleet.shutdown();
   if (!sinks.flush()) return 1;
-  return diverged ? 1 : 0;
+  return diverged || !valid ? 1 : 0;
 }
 
 int cmd_bounds(const Args& args) {
@@ -757,7 +763,7 @@ int cmd_chaos(const Args& args) {
   std::printf("Theorem 2 respected: %s; infeasible-while-feasible: %s\n",
               d.theorem2_respected ? "yes" : "NO",
               report.infeasible_while_feasible ? "VIOLATED" : "never");
-  return report.infeasible_while_feasible ? 1 : 0;
+  return report.infeasible_while_feasible || !d.theorem2_respected ? 1 : 0;
 }
 
 // The SIGINT handler may only touch lock-free atomics; request_stop() is a

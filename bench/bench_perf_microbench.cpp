@@ -191,36 +191,8 @@ void BM_SimulatorChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorChurn)->Arg(64)->Arg(4096)->Arg(65536);
 
-// Cohort dispatch: typed-event churn through the cohort executor, `range(0)`
-// events per timestamp so every pop drains one cohort. The counterpart of
-// BM_SimulatorChurn for the kernel path (DESIGN.md §16).
-void BM_CohortDispatch(benchmark::State& state) {
-  const auto cohort = static_cast<std::size_t>(state.range(0));
-  mvcom::sim::Simulator sim;
-  static std::uint64_t sink = 0;
-  const auto kernel = sim.register_kernel(
-      [](void*, const mvcom::sim::TypedPayload* c, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) sink += c[i].a;
-      },
-      nullptr);
-  double at = 1.0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (std::size_t i = 0; i < cohort; ++i) {
-      sim.schedule_typed(SimTime(at), kernel, {i, 0});
-    }
-    state.ResumeTiming();
-    sim.run();
-    at += 1.0;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cohort));
-}
-BENCHMARK(BM_CohortDispatch)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
-
 // Batched exponential sampling — the SIMD-friendly transform behind the
-// PBFT verification delays and the Eq.-(8) timer race.
+// Eq.-(8) timer race.
 void BM_FillExponential(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -392,47 +364,9 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   json.set("gate_rate_sim_event_churn", rate);
 }
 
-/// Typed-event throughput through the cohort executor: steady-state
-/// same-timestamp storms (cohort size 64) where every executed element
-/// schedules its replacement one tick later — constant queue depth, so the
-/// measurement is dispatch cost, not heap depth.
-void run_cohort_dispatch(mvcom::bench::BenchJson& json) {
-  constexpr std::size_t kCohort = 64;
-  constexpr std::uint64_t kEvents = 1'000'000;
-  struct Ctx {
-    mvcom::sim::Simulator sim;
-    mvcom::sim::KernelId kernel{};
-    std::uint64_t sink = 0;
-  } ctx;
-  ctx.kernel = ctx.sim.register_kernel(
-      [](void* raw, const mvcom::sim::TypedPayload* c, std::size_t n) {
-        auto* self = static_cast<Ctx*>(raw);
-        const SimTime next = self->sim.now() + SimTime(1.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          self->sink += c[i].a;
-          self->sim.schedule_typed(next, self->kernel, c[i]);
-        }
-      },
-      &ctx);
-  for (std::size_t i = 0; i < kCohort; ++i) {
-    ctx.sim.schedule_typed(SimTime(1.0), ctx.kernel, {i, 0});
-  }
-  ctx.sim.run(kCohort * 16);  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t fired = ctx.sim.run(kEvents);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(ctx.sink);
-  const double rate = static_cast<double>(fired) / seconds;
-  std::printf("\n--- cohort dispatch (size %zu storms) ---\n", kCohort);
-  std::printf("  %.0f events/s\n", rate);
-  json.set("sim_cohort_size", static_cast<double>(kCohort));
-  json.set("gate_rate_sim_cohort_dispatch", rate);
-}
-
 /// Batched exponential sampling rate — fill_exponential over a 1024-draw
-/// buffer, the shape the PBFT verification-delay kernel uses.
+/// buffer. Its only caller is the SE timer race, which draws one Exp(1) per
+/// candidate move in one batch per round.
 void run_fill_exponential(mvcom::bench::BenchJson& json) {
   constexpr std::size_t kBatch = 1024;
   constexpr std::size_t kReps = 20'000;
@@ -496,7 +430,6 @@ int main(int argc, char** argv) {
   run_scale_throughput(json);
   run_pow_rate(json);
   run_event_churn(json);
-  run_cohort_dispatch(json);
   run_fill_exponential(json);
   run_se_timer_race(json);
   json.write();

@@ -150,7 +150,7 @@ class Rng {
   /// The output is pinned ULP-for-ULP to out.size() sequential
   /// exponential(mean) calls — every batch length, including the odd tails,
   /// is property-tested in tests/test_rng.cpp. Used by the Eq.-(8) timer
-  /// race and the batched PBFT verification-delay kernel.
+  /// race.
   void fill_exponential(std::span<double> out, double mean) noexcept;
 
   /// Standard normal variate (Marsaglia polar method, portable).

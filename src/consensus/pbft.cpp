@@ -51,57 +51,12 @@ PbftCluster::PbftCluster(sim::Simulator& simulator, net::Network& network,
   }
   if (members_.size() > 0xffff) {
     throw std::invalid_argument(
-        "PbftCluster: replica indices must fit the 16-bit payload fields");
+        "PbftCluster: replica counts must fit SenderBitset's 16-bit tally");
   }
   for (const NodeId m : members_) {
     if (m >= network_.node_count()) {
       throw std::invalid_argument("PbftCluster: member outside the network");
     }
-  }
-  deliver_kernel_ = simulator_.register_kernel(&PbftCluster::deliver_thunk, this);
-  phase_kernel_ = simulator_.register_kernel(&PbftCluster::phase_thunk, this);
-}
-
-void PbftCluster::deliver_thunk(void* ctx, const sim::TypedPayload* cohort,
-                                std::size_t n) {
-  static_cast<PbftCluster*>(ctx)->on_deliver_cohort(cohort, n);
-}
-
-void PbftCluster::phase_thunk(void* ctx, const sim::TypedPayload* cohort,
-                              std::size_t n) {
-  static_cast<PbftCluster*>(ctx)->on_phase_cohort(cohort, n);
-}
-
-void PbftCluster::on_deliver_cohort(const sim::TypedPayload* cohort,
-                                    std::size_t n) {
-  // Network-delivery kernel: filter silent receivers, then draw every
-  // verification delay (signature checks + payload validation, scaled by
-  // the replica's processing speed — the heterogeneous capability of paper
-  // §I) as one batch. Silent receivers draw nothing, so the engine sequence
-  // is exactly the per-event sequence of the reference interpreter; the
-  // phase-advance events are then scheduled in cohort order, preserving the
-  // relative sequence numbers a one-at-a-time execution would assign.
-  live_scratch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (replicas_[receiver_of(cohort[i])].fault != FaultMode::kSilent) {
-      live_scratch_.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  verify_scratch_.resize(live_scratch_.size());
-  rng_.fill_exponential(verify_scratch_,
-                        config_.verification_mean.seconds());
-  for (std::size_t j = 0; j < live_scratch_.size(); ++j) {
-    const sim::TypedPayload p = cohort[live_scratch_[j]];
-    const SimTime verify = SimTime(
-        replicas_[receiver_of(p)].speed_factor * verify_scratch_[j]);
-    simulator_.schedule_typed_after(verify, phase_kernel_, p);
-  }
-}
-
-void PbftCluster::on_phase_cohort(const sim::TypedPayload* cohort,
-                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    handle(receiver_of(cohort[i]), message_of(cohort[i]));
   }
 }
 
@@ -130,12 +85,18 @@ void PbftCluster::send(std::size_t from, std::size_t to, Message msg) {
   if (obs::Counter* c = obs_msg_[static_cast<std::size_t>(msg.phase)]) {
     c->inc();
   }
-  // Every protocol message rides the typed path: network delivery, then a
-  // verification-delay event, then the phase handler — two typed events per
-  // message in both kernel modes (the reference interpreter runs the same
-  // kernels one event at a time).
-  network_.send_event(node_of(from), node_of(to), deliver_kernel_,
-                      encode(to, msg));
+  // Two events per message. The network delivery draws the receiver's
+  // verification delay (signature checks + payload validation, scaled by
+  // its processing speed — the heterogeneous capability of paper §I), and
+  // the phase handler runs after it. Silent receivers draw nothing.
+  network_.send(node_of(from), node_of(to), [this, to, msg] {
+    const Replica& rep = replicas_[to];
+    if (rep.fault == FaultMode::kSilent) return;
+    const SimTime verify = SimTime(
+        rep.speed_factor *
+        rng_.exponential(config_.verification_mean.seconds()));
+    simulator_.schedule_after(verify, [this, to, msg] { handle(to, msg); });
+  });
 }
 
 void PbftCluster::broadcast(std::size_t from, const Message& msg) {

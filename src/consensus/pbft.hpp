@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,7 +31,6 @@
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
 #include "obs/context.hpp"
-#include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 
 namespace mvcom::obs {
@@ -225,32 +225,6 @@ class PbftCluster {
     return rep.view_changes[static_cast<std::size_t>(target)];
   }
 
-  // Typed-event packing: a message in flight is (receiver, sender, phase,
-  // digest_idx) in word a and the view in word b — 16 bytes against the
-  // 56-byte digest-carrying Message of the callback era.
-  static sim::TypedPayload encode(std::size_t to, const Message& msg) noexcept {
-    return {static_cast<std::uint64_t>(to) |
-                (static_cast<std::uint64_t>(msg.sender) << 16) |
-                (static_cast<std::uint64_t>(msg.phase) << 32) |
-                (static_cast<std::uint64_t>(msg.digest_idx) << 40),
-            msg.view};
-  }
-  static std::size_t receiver_of(sim::TypedPayload p) noexcept {
-    return static_cast<std::size_t>(p.a & 0xffff);
-  }
-  static Message message_of(sim::TypedPayload p) noexcept {
-    return Message{static_cast<Phase>((p.a >> 32) & 0xff), p.b,
-                   static_cast<std::uint8_t>((p.a >> 40) & 0x1),
-                   static_cast<std::size_t>((p.a >> 16) & 0xffff)};
-  }
-
-  static void deliver_thunk(void* ctx, const sim::TypedPayload* cohort,
-                            std::size_t n);
-  static void phase_thunk(void* ctx, const sim::TypedPayload* cohort,
-                          std::size_t n);
-  void on_deliver_cohort(const sim::TypedPayload* cohort, std::size_t n);
-  void on_phase_cohort(const sim::TypedPayload* cohort, std::size_t n);
-
   void send(std::size_t from, std::size_t to, Message msg);
   void broadcast(std::size_t from, const Message& msg);
   void handle(std::size_t r, const Message& msg);
@@ -281,14 +255,6 @@ class PbftCluster {
   SimTime instance_start_ = SimTime::zero();
   sim::EventId horizon_event_{};
   std::function<void(const PbftResult&)> on_decided_;
-
-  // Typed kernels (registered at construction): network delivery schedules
-  // the per-receiver verification delay; phase advance runs the protocol
-  // handler. The cancellable view/horizon timers stay on the callback path.
-  sim::KernelId deliver_kernel_{};
-  sim::KernelId phase_kernel_{};
-  std::vector<std::uint32_t> live_scratch_;  // cohort indices, silent filtered
-  std::vector<double> verify_scratch_;       // batched verification draws
 
   obs::ObsContext obs_;
   // Indexed by static_cast<std::size_t>(Phase).

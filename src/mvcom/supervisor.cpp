@@ -420,8 +420,6 @@ void EpochSupervisor::attach_monitor(sim::Simulator& simulator,
                                      net::Network& network,
                                      net::NodeId observer) {
   simulator_ = &simulator;
-  heartbeat_kernel_ =
-      simulator.register_kernel(&EpochSupervisor::heartbeat_thunk, this);
   network_ = &network;
   observer_ = observer;
   for (const auto& [id, node] : node_of_) {
@@ -447,22 +445,10 @@ void EpochSupervisor::register_committee_node(std::uint32_t committee_id,
   }
 }
 
-void EpochSupervisor::heartbeat_thunk(void* ctx,
-                                      const sim::TypedPayload* cohort,
-                                      std::size_t n) {
-  auto* self = static_cast<EpochSupervisor*>(ctx);
-  for (std::size_t i = 0; i < n; ++i) {
-    self->probe(static_cast<std::uint32_t>(cohort[i].a));
-  }
-}
-
 void EpochSupervisor::schedule_probe(std::uint32_t committee_id,
                                      double delay_seconds) {
-  // Probes self-reschedule and are never cancelled — the typed heartbeat
-  // kernel handles them in both executor modes.
-  simulator_->schedule_typed_after(common::SimTime(delay_seconds),
-                                   heartbeat_kernel_,
-                                   sim::TypedPayload{committee_id, 0});
+  simulator_->schedule_after(common::SimTime(delay_seconds),
+                             [this, committee_id] { probe(committee_id); });
 }
 
 void EpochSupervisor::probe(std::uint32_t committee_id) {

@@ -297,11 +297,6 @@ class EpochSupervisor {
   [[nodiscard]] double best_ladder_utility() const;
   void schedule_probe(std::uint32_t committee_id, double delay_seconds);
   void probe(std::uint32_t committee_id);
-  /// Heartbeat-tick kernel: probes are never cancelled, so they ride the
-  /// typed-event path (payload word a = committee id) and batch under the
-  /// cohort executor when several committees tick at the same instant.
-  static void heartbeat_thunk(void* ctx, const sim::TypedPayload* cohort,
-                              std::size_t n);
   [[nodiscard]] double now_seconds() const;
   /// Re-evaluates the risk-adaptive N_min after any state change that moved
   /// the risk score or the live report set. The boost is clamped so a
@@ -326,7 +321,6 @@ class EpochSupervisor {
   std::uint64_t recoveries_detected_ = 0;
 
   sim::Simulator* simulator_ = nullptr;  // non-owning; set by attach_monitor
-  sim::KernelId heartbeat_kernel_{};     // registered by attach_monitor
   net::Network* network_ = nullptr;
   net::NodeId observer_ = 0;
   std::map<std::uint32_t, net::NodeId> node_of_;

@@ -107,15 +107,6 @@ void Network::trace_delivery(NodeId from, NodeId to, SimTime delay) {
   }
 }
 
-void Network::broadcast(
-    NodeId from,
-    const std::function<std::function<void()>(NodeId)>& make_handler) {
-  for (NodeId to = 0; to < factors_.size(); ++to) {
-    if (to == from) continue;
-    send(from, to, make_handler(to));
-  }
-}
-
 SimTime Network::ping_rtt(NodeId from, NodeId to) {
   const auto traced = [&](SimTime rtt) {
     if (obs_pings_ != nullptr) obs_pings_->inc();

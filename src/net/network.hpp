@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,27 +83,6 @@ class Network {
     }
     return true;
   }
-
-  /// Typed-kernel counterpart of send(): identical drop/loss bookkeeping and
-  /// RNG consumption, but the delivery is a 16-byte TypedPayload dispatched
-  /// to `kernel` (sim/kernel.hpp) instead of a type-erased callback — the
-  /// batched executor groups same-timestamp deliveries into one SoA kernel
-  /// call. Typed deliveries are non-cancellable and are counted in the
-  /// message counters and delay histogram but, unlike send(), do not emit a
-  /// per-message in-flight trace span (the hot path stays branch-free; drops
-  /// and pings still trace).
-  bool send_event(NodeId from, NodeId to, sim::KernelId kernel,
-                  sim::TypedPayload payload) {
-    const SendPlan plan = plan_send(from, to);
-    if (!plan.deliver) return false;
-    simulator_.schedule_typed_after(plan.delay, kernel, payload);
-    return true;
-  }
-
-  /// Convenience broadcast from `from` to every other live node.
-  /// `make_handler(to)` constructs the per-recipient delivery action.
-  void broadcast(NodeId from,
-                 const std::function<std::function<void()>(NodeId)>& make_handler);
 
   /// Ping round-trip estimate: 2x one-way mean for live nodes, infinity for
   /// failed ones. This is the failure detector the final committee runs.

@@ -4,7 +4,6 @@
 #include "sharding/randomness.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/fnv.hpp"
@@ -258,37 +257,13 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     // The final committee runs on its own fresh fabric with the seeds
     // pre-drawn for it above, so its numbers are identical whether the
     // member lanes ran serially, on a pool, or on worker processes.
-    sim::Simulator final_sim;
-    final_sim.set_obs(obs_);
-    net::Network final_net(final_sim, Rng(tasks[final_id].net_seed), link,
-                           config_.num_nodes);
-    final_net.set_obs(obs_);
-    final_net.set_loss_probability(config_.message_loss_probability);
-    for (const net::NodeId node : participants[final_id]) {
-      if (node_failed[node] != 0) final_net.set_failed(node, true);
-    }
-    consensus::PbftCluster final_cluster(final_sim, final_net, config_.pbft,
-                                         Rng(tasks[final_id].cluster_seed),
-                                         participants[final_id]);
-    final_cluster.set_obs(obs_);
-    for (std::size_t r = 0; r < participants[final_id].size(); ++r) {
-      final_cluster.set_speed_factor(r,
-                                     verify_speeds_[participants[final_id][r]]);
-    }
-    bool done = false;
-    final_sim.schedule_at(start, [&, root = tree.root()] {
-      final_cluster.start_consensus(
-          root, [&](const consensus::PbftResult& res) {
-            outcome.final_committed = res.committed;
-            outcome.final_consensus_latency = res.latency;
-            done = true;
-          });
-    });
-    final_sim.run();
-    assert(done);
+    const LaneResult round =
+        run_pbft_round(tasks[final_id], start, tree.root(), obs_);
+    outcome.final_committed = round.committed;
+    outcome.final_consensus_latency = round.consensus_latency;
     outcome.event_order_digest =
-        fnv1a_mix(outcome.event_order_digest, final_sim.order_digest());
-    outcome.events_executed += final_sim.events_executed();
+        fnv1a_mix(outcome.event_order_digest, round.order_digest);
+    outcome.events_executed += round.events_executed;
     outcome.final_block_txs = total_txs;
     outcome.epoch_makespan = start + outcome.final_consensus_latency;
   }

@@ -17,21 +17,61 @@ using common::fnv1a_mix;
 using common::kFnv1aBasis;
 using common::Rng;
 
+namespace {
+
+// The link model is stateless (all sampling goes through each fabric's own
+// Network RNG), so a fresh instance with the epoch's parameters is
+// indistinguishable from one shared across fabrics.
+std::shared_ptr<const net::LatencyModel> link_of(const LaneTask& task) {
+  return std::make_shared<net::LognormalLatency>(
+      task.link_latency_mean,
+      SimTime(0.5 * task.link_latency_mean.seconds()));
+}
+
+}  // namespace
+
+LaneResult run_pbft_round(const LaneTask& task, SimTime start,
+                          const crypto::Digest& payload, obs::ObsContext obs) {
+  sim::Simulator sim;
+  sim.set_obs(obs);
+  net::Network network(sim, Rng(task.net_seed), link_of(task), task.num_nodes);
+  network.set_obs(obs);
+  network.set_loss_probability(task.message_loss_probability);
+  for (std::size_t r = 0; r < task.participants.size(); ++r) {
+    if (task.failed[r] != 0) network.set_failed(task.participants[r], true);
+  }
+  consensus::PbftCluster cluster(sim, network, task.pbft,
+                                 Rng(task.cluster_seed), task.participants);
+  cluster.set_obs(obs);
+  for (std::size_t r = 0; r < task.participants.size(); ++r) {
+    cluster.set_speed_factor(r, task.verify_speeds[r]);
+  }
+  LaneResult result;
+  bool decided = false;
+  sim.schedule_at(start, [&] {
+    cluster.start_consensus(payload, [&](const consensus::PbftResult& res) {
+      result.committed = res.committed;
+      result.consensus_latency = res.latency;
+      result.view_changes = res.view_changes;
+      decided = true;
+    });
+  });
+  // Drive the round to quiescence (the cluster's horizon event bounds the
+  // run); by then nothing references this frame's objects.
+  sim.run();
+  assert(decided);
+  result.order_digest = sim.order_digest();
+  result.events_executed = sim.events_executed();
+  return result;
+}
+
 LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
   LaneResult result;
   result.committee_id = task.committee_id;
   if (!task.armed) return result;
 
-  std::uint64_t digest = kFnv1aBasis;
-  std::uint64_t events = 0;
+  result.order_digest = kFnv1aBasis;
   result.formation = task.formation;
-
-  // The link model is stateless (all sampling goes through the lane's own
-  // Network RNG), so a per-lane instance with the epoch's parameters is
-  // indistinguishable from the shared instance the closure used to borrow.
-  const auto link = std::make_shared<net::LognormalLatency>(
-      task.link_latency_mean,
-      SimTime(0.5 * task.link_latency_mean.seconds()));
 
   if (task.message_level_overlay) {
     // Stage 2 as the real directory exchange: the first solver collects
@@ -42,14 +82,15 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
     // cannot collide with the other committees' stages.
     sim::Simulator overlay_sim;
     overlay_sim.set_obs(obs);
-    net::Network overlay_net(overlay_sim, Rng(task.overlay_seed), link,
-                             task.num_nodes);
+    net::Network overlay_net(overlay_sim, Rng(task.overlay_seed),
+                             link_of(task), task.num_nodes);
     overlay_net.set_obs(obs);
     const OverlayResult exchanged = run_overlay_configuration(
         overlay_sim, overlay_net, task.participants, task.ready_at,
         task.participants.front(), task.overlay_identity_processing);
-    digest = fnv1a_mix(digest, overlay_sim.order_digest());
-    events += overlay_sim.events_executed();
+    result.order_digest =
+        fnv1a_mix(result.order_digest, overlay_sim.order_digest());
+    result.events_executed += overlay_sim.events_executed();
     // Directory-side verification of the *network-wide* identity list.
     const SimTime directory_scan =
         SimTime(static_cast<double>(task.num_nodes) *
@@ -63,8 +104,6 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
       // Exchange failed: committee unformed. The digest and event count
       // still merge (the exchange's events happened), but the coordinator
       // clears the membership.
-      result.order_digest = digest;
-      result.events_executed = events;
       return result;
     }
     result.formation = configured + directory_scan;
@@ -72,45 +111,18 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
   result.formed = true;
 
   if (task.committee_id < task.member_committees) {
-    sim::Simulator lane_sim;
-    lane_sim.set_obs(obs);
-    net::Network lane_net(lane_sim, Rng(task.net_seed), link, task.num_nodes);
-    lane_net.set_obs(obs);
-    lane_net.set_loss_probability(task.message_loss_probability);
-    for (std::size_t r = 0; r < task.participants.size(); ++r) {
-      if (task.failed[r] != 0) lane_net.set_failed(task.participants[r], true);
-    }
-    consensus::PbftCluster cluster(lane_sim, lane_net, task.pbft,
-                                   Rng(task.cluster_seed), task.participants);
-    cluster.set_obs(obs);
-    for (std::size_t r = 0; r < task.participants.size(); ++r) {
-      cluster.set_speed_factor(r, task.verify_speeds[r]);
-    }
     // Shard payload: Merkle root over a synthetic per-shard block digest.
     const crypto::Digest payload = crypto::Sha256::hash(
         task.randomness + "|shard|" + std::to_string(task.committee_id) +
         "|" + std::to_string(task.shard_txs));
-    bool decided = false;
-    const SimTime start = result.formation;
-    lane_sim.schedule_at(start, [&cluster, payload, &result, &decided] {
-      cluster.start_consensus(
-          payload, [&result, &decided](const consensus::PbftResult& res) {
-            result.committed = res.committed;
-            result.consensus_latency = res.latency;
-            result.view_changes = res.view_changes;
-            decided = true;
-          });
-    });
-    // Drive this committee to quiescence (the cluster's horizon event
-    // bounds the run); by then nothing references the lane's objects.
-    lane_sim.run();
-    assert(decided);
-    (void)decided;
-    digest = fnv1a_mix(digest, lane_sim.order_digest());
-    events += lane_sim.events_executed();
+    const LaneResult round =
+        run_pbft_round(task, result.formation, payload, obs);
+    result.committed = round.committed;
+    result.consensus_latency = round.consensus_latency;
+    result.view_changes = round.view_changes;
+    result.order_digest = fnv1a_mix(result.order_digest, round.order_digest);
+    result.events_executed += round.events_executed;
   }
-  result.order_digest = digest;
-  result.events_executed = events;
   return result;
 }
 

@@ -93,6 +93,15 @@ struct LaneResult {
   std::uint64_t events_executed = 0;
 };
 
+/// Runs one PBFT round on `payload` from `start` to quiescence, on a fresh
+/// fabric built from `task`'s seeds, participants, failure flags and speed
+/// factors: a member lane's stage 3, or stage 4 on the final committee's
+/// task. Fills the consensus fields, `order_digest` (this round's simulator
+/// alone) and `events_executed`.
+[[nodiscard]] LaneResult run_pbft_round(const LaneTask& task, SimTime start,
+                                        const crypto::Digest& payload,
+                                        obs::ObsContext obs);
+
 /// Runs one committee lane to quiescence on a private event fabric. Pure in
 /// `task` (obs attachment never changes results — the PR 3 contract), so two
 /// calls with equal tasks produce equal results in any process, which is

@@ -51,7 +51,6 @@ std::uint32_t Simulator::arm_slot(SimTime at) {
     }
     index = static_cast<std::uint32_t>(used);
   }
-  assert((index & kTypedBit) == 0);  // 2^31 slots: the slab never gets there
   heap_push(HeapEntry{at, next_seq_++, index, slot(index).gen});
   ++live_;
   if (obs_scheduled_ != nullptr) obs_scheduled_->inc();
@@ -128,9 +127,8 @@ void Simulator::heap_pop_root() noexcept {
   heap_[i] = e;
 }
 
-void Simulator::fire_slab_head() {
+void Simulator::fire_head() {
   const HeapEntry top = heap_[0];
-  assert((top.slot & kTypedBit) == 0);
   heap_pop_root();
   Slot& s = slot(top.slot);
   assert(s.gen == top.gen);  // skip_stale_head dropped the tombstones
@@ -157,98 +155,31 @@ void Simulator::fire_slab_head() {
   s.cb.invoke();
 }
 
-KernelId Simulator::register_kernel(KernelFn fn, void* ctx) {
-  assert(fn != nullptr);
-  if (kernels_.size() >= 0x10000) {
-    throw std::logic_error("Simulator::register_kernel: too many kernels");
-  }
-  kernels_.push_back(Kernel{fn, ctx});
-  return KernelId{static_cast<std::uint16_t>(kernels_.size() - 1)};
-}
-
-void Simulator::schedule_typed(SimTime at, KernelId kernel,
-                               TypedPayload payload) {
-  assert(kernel.value < kernels_.size());
-  if (at < now_) {
-    throw std::logic_error(
-        "Simulator::schedule_typed: cannot schedule in the past");
-  }
-  std::uint32_t index;
-  if (!typed_free_.empty()) {
-    index = typed_free_.back();
-    typed_free_.pop_back();
-    typed_pool_[index] = payload;
-  } else {
-    index = static_cast<std::uint32_t>(typed_pool_.size());
-    typed_pool_.push_back(payload);
-  }
-  heap_push(HeapEntry{at, next_seq_++, kTypedBit | index, kernel.value});
-  ++live_;
-  if (obs_scheduled_ != nullptr) obs_scheduled_->inc();
-}
-
 void Simulator::skip_stale_head() noexcept {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if ((top.slot & kTypedBit) != 0 || slot(top.slot).gen == top.gen) return;
+  while (!heap_.empty() && slot(heap_[0].slot).gen != heap_[0].gen) {
     heap_pop_root();
   }
 }
 
-std::size_t Simulator::run_batched(std::size_t limit, const SimTime* horizon) {
+std::size_t Simulator::run(std::size_t limit) {
   std::size_t fired = 0;
   while (fired < limit) {
     skip_stale_head();
     if (heap_.empty()) break;
-    if (horizon != nullptr && heap_[0].at > *horizon) break;
-    if ((heap_[0].slot & kTypedBit) == 0) {
-      // Live slab event at the head: it fires on its own and splits any
-      // cohort around it.
-      fire_slab_head();
-      ++fired;
-      continue;
-    }
-    // Collect the maximal cohort: consecutive typed entries sharing
-    // (timestamp, kernel) in heap pop order. Events a kernel schedules get
-    // strictly larger `seq` values, so they sort after every collected
-    // member — the execution order (and hence the digest, folded per member
-    // in pop order below) is identical to firing them one at a time.
-    const SimTime at = heap_[0].at;
-    const std::uint32_t kernel = heap_[0].gen;
-    assert(at >= now_);
-    cohort_.clear();
-    do {
-      const HeapEntry top = heap_[0];
-      heap_pop_root();
-      const std::uint32_t index = top.slot & ~kTypedBit;
-      cohort_.push_back(typed_pool_[index]);
-      typed_free_.push_back(index);
-      --live_;
-      ++executed_;
-      ++fired;
-      digest_ = fnv1a_mix(digest_, top.seq);
-      digest_ =
-          fnv1a_mix(digest_, std::bit_cast<std::uint64_t>(top.at.seconds()));
-      skip_stale_head();
-    } while (fired < limit && !heap_.empty() &&
-             (heap_[0].slot & kTypedBit) != 0 && heap_[0].gen == kernel &&
-             heap_[0].at == at);
-    now_ = at;
-    if (obs_executed_ != nullptr) obs_executed_->add(cohort_.size());
-    // Payload slots were recycled above; the kernel sees copies, so
-    // schedule_typed re-entry may safely reuse (or grow) the arena.
-    const Kernel k = kernels_[kernel];
-    k.fn(k.ctx, cohort_.data(), cohort_.size());
+    fire_head();
+    ++fired;
   }
   return fired;
 }
 
-std::size_t Simulator::run(std::size_t limit) {
-  return run_batched(limit, nullptr);
-}
-
 std::size_t Simulator::run_until(SimTime horizon) {
-  const std::size_t fired = run_batched(SIZE_MAX, &horizon);
+  std::size_t fired = 0;
+  for (;;) {
+    skip_stale_head();
+    if (heap_.empty() || heap_[0].at > horizon) break;
+    fire_head();
+    ++fired;
+  }
   if (now_ < horizon) now_ = horizon;
   return fired;
 }

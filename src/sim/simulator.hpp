@@ -12,31 +12,22 @@
 // on a worker pool (see sharding/elastico and DESIGN.md §12).
 //
 // Hot-path design (this engine fires tens of millions of events per epoch
-// at the large scale tiers). Events come in two kinds, not one callback per
-// event as in early revisions:
-//  * Callback events live in a slab of generation-stamped slots recycled
-//    through a free list — no per-event heap allocation once the slab is
-//    warm, and cancel() is O(1): bump the slot's generation and the stale
-//    heap entry is skipped when it surfaces (lazy deletion, no hash sets).
-//    Callbacks are stored inline in the slot (small-buffer, type-erased);
-//    only captures larger than EventCallback::kInlineCapacity fall back to
-//    a single heap allocation.
-//  * Typed events (sim/kernel.hpp) carry a 16-byte payload and a kernel id.
-//    The payloads live in a flat recycled arena and ready events are
-//    dispatched to their kernel a whole cohort — maximal run of equal
-//    (timestamp, kernel) — at a time, SoA style. The cohort executor fires
-//    exactly the events a one-at-a-time interpretation would, in the same
-//    order, so the FNV-1a order_digest is that of firing them singly.
+// at the large scale tiers). Every event is one callback:
+//  * Callbacks live in a slab of generation-stamped slots recycled through
+//    a free list — no per-event heap allocation once the slab is warm, and
+//    cancel() is O(1): bump the slot's generation and the stale heap entry
+//    is skipped when it surfaces (lazy deletion, no hash sets). Callbacks
+//    are stored inline in the slot (small-buffer, type-erased); only
+//    captures larger than EventCallback::kInlineCapacity fall back to a
+//    single heap allocation.
 //  * The pending set is a 4-ary implicit heap — shallower than a binary
 //    heap and with four children per cache line of entries, it does fewer
-//    cache-missing levels per push/pop on large queues. Slab and typed
-//    events share it, so the (timestamp, sequence) order across both kinds
-//    is the execution order.
+//    cache-missing levels per push/pop on large queues. Its (timestamp,
+//    sequence) order is the execution order.
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -46,7 +37,6 @@
 #include "common/fnv.hpp"
 #include "common/sim_time.hpp"
 #include "obs/context.hpp"
-#include "sim/kernel.hpp"
 
 namespace mvcom::obs {
 class Counter;
@@ -138,32 +128,12 @@ class EventCallback {
 /// The simulation kernel.
 class Simulator {
  public:
-  /// Compatibility alias — schedule_at accepts any callable, not just
-  /// std::function, so small captures stay allocation-free.
-  using Callback = std::function<void()>;
-
   Simulator() noexcept = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Registers a typed-event kernel (sim/kernel.hpp). Kernels are expected
-  /// to be registered up front, one per event type a component emits; the
-  /// returned id is dense and valid for this simulator's lifetime.
-  KernelId register_kernel(KernelFn fn, void* ctx);
-
-  /// Schedules one typed event. Typed events cannot be cancelled — use the
-  /// callback path for disarmable timers. The event is dispatched with
-  /// every other ready event of the same (timestamp, kernel).
-  /// Precondition: at >= now(), kernel was returned by register_kernel.
-  void schedule_typed(SimTime at, KernelId kernel, TypedPayload payload);
-
-  /// schedule_typed relative to the current time.
-  void schedule_typed_after(SimTime delay, KernelId kernel,
-                            TypedPayload payload) {
-    schedule_typed(now() + delay, kernel, payload);
-  }
-
-  /// Schedules `f` to run at absolute simulated time `at`.
+  /// Schedules `f` to run at absolute simulated time `at`. Accepts any
+  /// callable, so small captures stay allocation-free.
   /// Precondition: at >= now() (the past is immutable).
   template <typename F>
   EventId schedule_at(SimTime at, F&& f) {
@@ -223,23 +193,13 @@ class Simulator {
   };
 
   /// One pending-queue entry. `seq` is the global schedule order — the
-  /// FIFO tie-break among equal timestamps. For slab events (slot's top bit
-  /// clear) (slot, gen) is validated against the slab on pop, which is how
-  /// O(1) cancel works. For typed events the top bit of `slot` is set, the
-  /// low bits index the payload arena, and `gen` holds the kernel id —
-  /// typed events are never cancellable, so no generation is needed.
+  /// FIFO tie-break among equal timestamps. (slot, gen) is validated
+  /// against the slab on pop, which is how O(1) cancel works.
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
-  };
-
-  static constexpr std::uint32_t kTypedBit = 0x80000000u;
-
-  struct Kernel {
-    KernelFn fn;
-    void* ctx;
   };
 
   static constexpr std::size_t kChunkShift = 6;  // 64 slots per chunk
@@ -267,18 +227,13 @@ class Simulator {
   void heap_push(const HeapEntry& e);
   void heap_pop_root() noexcept;
 
-  /// Pops and executes the slab event at the heap head. Precondition: the
-  /// head is a live slab entry (skip_stale_head ran, typed bit clear).
-  void fire_slab_head();
+  /// Pops and executes the event at the heap head. Precondition: the head
+  /// is live (skip_stale_head ran).
+  void fire_head();
 
-  /// Drops stale slab tombstones (cancelled events) from the heap head so
-  /// the peeked entry is live. Typed entries are always live.
+  /// Drops tombstones (cancelled events) from the heap head so the peeked
+  /// entry is live.
   void skip_stale_head() noexcept;
-
-  /// The cohort executor behind run and run_until. Fires up to `limit`
-  /// events; when `horizon` is non-null only events with at <= *horizon
-  /// fire. Returns the number of events executed.
-  std::size_t run_batched(std::size_t limit, const SimTime* horizon);
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;   // recycled slot indices (LIFO)
@@ -288,15 +243,6 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t digest_ = common::kFnv1aBasis;
-
-  // Typed-event machinery. `typed_pool_` is the payload arena: a flat array
-  // recycled through `typed_free_`, sized to the peak number of in-flight
-  // typed events (per-epoch lane simulators give it an arena-per-epoch
-  // lifetime). `cohort_` is the gather scratch handed to kernels.
-  std::vector<Kernel> kernels_;
-  std::vector<TypedPayload> typed_pool_;
-  std::vector<std::uint32_t> typed_free_;
-  std::vector<TypedPayload> cohort_;
 
   obs::Counter* obs_scheduled_ = nullptr;
   obs::Counter* obs_executed_ = nullptr;

@@ -200,9 +200,9 @@ std::vector<Scenario> scenarios() {
 }
 
 /// Runs one scenario serially and checks its outcome digest against the
-/// pinned constant. The constants were recorded while Elastico still ran the
-/// reference slab interpreter (typed events one at a time), so these tests
-/// are the cohort executor's differential check against that interpreter;
+/// pinned constant. The constants predate the DES's move to one event kind
+/// (every PBFT message and phase event a plain callback), so these tests
+/// guard that DES against the event stream of every earlier executor;
 /// WorkerCountsAndSerialAgreeBitwise extends the result to every lane-worker
 /// count.
 void expect_pinned(std::string_view label) {

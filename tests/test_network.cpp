@@ -112,16 +112,6 @@ TEST_F(NetworkFixture, NodeFactorScalesDelay) {
   EXPECT_DOUBLE_EQ(net_.sample_delay(0, 1).seconds(), 1.0);
 }
 
-TEST_F(NetworkFixture, BroadcastReachesAllOthers) {
-  int deliveries = 0;
-  net_.broadcast(0, [&](mvcom::net::NodeId) {
-    return [&deliveries] { ++deliveries; };
-  });
-  sim_.run();
-  EXPECT_EQ(deliveries, 3);
-  EXPECT_EQ(net_.messages_sent(), 3u);
-}
-
 TEST_F(NetworkFixture, PingRttIsFiniteForLiveAndInfiniteForFailed) {
   EXPECT_DOUBLE_EQ(net_.ping_rtt(0, 1).seconds(), 2.0);
   net_.set_failed(3, true);

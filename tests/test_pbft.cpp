@@ -8,11 +8,14 @@
 
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
+#include "obs/context.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -139,6 +142,32 @@ TEST(PbftTest, SlowerVerificationIncreasesLatency) {
   const double slow_latency =
       slow.cluster->run_consensus(kPayload).latency.seconds();
   EXPECT_GT(slow_latency, fast_latency);
+}
+
+// PBFT messages ride Network::send, so a traced round shows every delivery
+// as the network's in-flight span. With no loss or failure each accepted
+// message is delivered once the simulator drains.
+TEST(PbftTest, TracedRoundRecordsOneDeliverSpanPerMessage) {
+  Fixture fx(4);
+  mvcom::obs::TraceRecorder recorder;
+  fx.network.set_obs(mvcom::obs::ObsContext(nullptr, &recorder));
+  bool committed = false;
+  fx.cluster->start_consensus(
+      kPayload, [&](const PbftResult& r) { committed = r.committed; });
+  fx.simulator.run();
+  ASSERT_TRUE(committed);
+  ASSERT_GT(fx.network.messages_sent(), 0u);
+  EXPECT_EQ(fx.network.messages_dropped(), 0u);
+
+  std::uint64_t deliver_spans = 0;
+  for (const mvcom::obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.phase == 'X' && std::string_view(e.name) == "net/deliver") {
+      ++deliver_spans;
+    }
+  }
+  // A compiled-out build's ObsContext is inert and records nothing.
+  EXPECT_EQ(deliver_spans,
+            mvcom::obs::kEnabled ? fx.network.messages_sent() : 0u);
 }
 
 TEST(PbftTest, RejectsMembersOutsideNetwork) {

@@ -370,7 +370,6 @@ INSTANTIATE_TEST_SUITE_P(Means, ExponentialMemorylessTest,
 // fill_exponential: the batched transform must be pinned to the scalar
 // exponential() loop ULP-for-ULP, for every batch length around the SIMD
 // block width — empty, single, odd tails, and exact multiples — because the
-// DES kernel path (PBFT verification delays) swaps one for the other and the
 // determinism contract is bitwise equality, not closeness.
 // ---------------------------------------------------------------------------
 

@@ -30,6 +30,8 @@
 #include "consensus/pbft.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_avx512.hpp"
+#include "crypto/sha256_ni.hpp"
 #include "mvcom/se_scheduler.hpp"
 #include "mvcom/swap_set.hpp"
 #include "net/network.hpp"
@@ -145,10 +147,11 @@ void BM_PbftInstance(benchmark::State& state) {
 BENCHMARK(BM_PbftInstance)->Arg(4)->Arg(16)->Arg(32);
 
 // One-nonce digest rate through PowMidstate::digest (the nonce formatted
-// into a copy of the padded tail block, then one compression from the
-// cached chaining state) vs re-absorbing the whole preimage each attempt.
-// solve()'s grind is faster still — digits incremented in place, no digest
-// but the winner's — and run_pow_rate below measures that.
+// into a copy of the padded tail block, then one scalar compression from
+// the cached chaining state) vs re-absorbing the whole preimage each
+// attempt. solve()'s grind is faster still — digits incremented in place,
+// 16 or 2 nonces per pass, no digest but the winner's — and run_pow_rate
+// below measures that.
 void BM_PowGrindMidstate(benchmark::State& state) {
   const mvcom::crypto::PowMidstate midstate("bench-epoch-randomness",
                                             "node-12345");
@@ -308,10 +311,12 @@ void run_scale_throughput(mvcom::bench::BenchJson& json) {
 }
 
 /// PoW hash rate of solve()'s grind kernel (one compression per attempt from
-/// the cached chaining state, the decimal nonce incremented in place, two
-/// nonces hashed side by side), measured by grinding a fixed attempt count
-/// against an unsolvable target (leading64_below = 0 never matches, so
-/// solve() always performs exactly kAttempts hashes).
+/// the cached chaining state, the decimal nonce incremented in place),
+/// measured by grinding a fixed attempt count against an unsolvable target
+/// (leading64_below = 0 never matches, so solve() always performs exactly
+/// kAttempts hashes). `pow_grind_lanes` records which path ground, from the
+/// two CPU probes: 16 nonces per AVX-512F pass, 2 interleaved SHA-NI
+/// streams, or 1 for the portable rounds.
 void run_pow_rate(mvcom::bench::BenchJson& json) {
   constexpr std::uint64_t kAttempts = 200'000;
   const mvcom::crypto::PowTarget unsolvable{0};
@@ -325,11 +330,15 @@ void run_pow_rate(mvcom::bench::BenchJson& json) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const double rate = static_cast<double>(kAttempts) / seconds;
-  std::printf("\n--- PoW grind rate (solve kernel) ---\n");
+  const int lanes = mvcom::crypto::avx512f_available() ? 16
+                    : mvcom::crypto::sha_ni_available()  ? 2
+                                                         : 1;
+  std::printf("\n--- PoW grind rate (solve kernel, %d lanes) ---\n", lanes);
   std::printf("  %llu attempts in %.3fs -> %.0f hashes/s%s\n",
               static_cast<unsigned long long>(kAttempts), seconds, rate,
               solution.has_value() ? " (unexpected solution!)" : "");
   json.set("pow_grind_attempts", static_cast<double>(kAttempts));
+  json.set("pow_grind_lanes", static_cast<double>(lanes));
   json.set("gate_rate_pow_grind", rate);
 }
 

@@ -1,5 +1,6 @@
 #include "crypto/pow.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cstring>
@@ -7,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "crypto/sha256_avx512.hpp"
 
 namespace mvcom::crypto {
 namespace {
@@ -19,6 +22,29 @@ std::string_view format_nonce(std::uint64_t nonce,
   assert(ec == std::errc{});
   (void)ec;
   return {buf, static_cast<std::size_t>(end - buf)};
+}
+
+/// Nonces one pass of the lane kernel hashes.
+constexpr std::size_t kLanes = 16;
+/// Prefix tail plus digits that still leave room for the padding's 0x80
+/// byte and 64-bit length in the same block.
+constexpr std::size_t kOneBlockBytes = 55;
+
+/// Probed once; magic-static like sha256.cpp's SHA-extension probe.
+bool use_lanes() noexcept {
+  static const bool available = avx512f_available();
+  return available;
+}
+
+/// Of `left` attempts from `nonce`, those before it wraps past 2^64 − 1.
+std::uint64_t before_wrap(std::uint64_t nonce, std::uint64_t left) noexcept {
+  const std::uint64_t to_wrap = std::uint64_t{0} - nonce;  // 0 means 2^64
+  return to_wrap == 0 ? left : std::min(left, to_wrap);
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
 }  // namespace
@@ -112,6 +138,119 @@ Digest PowMidstate::digest(std::uint64_t nonce) const noexcept {
 std::optional<PowSolution> PowMidstate::solve(
     PowTarget target, std::uint64_t max_attempts,
     std::uint64_t start_nonce) const noexcept {
+  std::uint64_t nonce = start_nonce;
+  for (std::uint64_t left = max_attempts; left > 0;) {
+    std::uint64_t run = lane_run(nonce, left);
+    std::optional<PowSolution> found;
+    if (run > 0) {
+      found = solve_x16(target, run, nonce);
+    } else {
+      // What no group can take runs two at a time, up to the wrap (after
+      // which a group may fit again) or the end of the budget.
+      run = before_wrap(nonce, left);
+      found = solve_x2(target, run, nonce);
+    }
+    if (found) return found;
+    nonce += run;
+    left -= run;
+  }
+  return std::nullopt;
+}
+
+std::uint64_t PowMidstate::lane_run(std::uint64_t nonce,
+                                    std::uint64_t left) const noexcept {
+  // Every lane must fit in one block: 55 bytes of tail and digits at most.
+  if (!use_lanes() || tail_len_ >= kOneBlockBytes) return 0;
+  std::uint64_t room = before_wrap(nonce, left);
+  if (const std::size_t width = kOneBlockBytes - tail_len_; width < 20) {
+    std::uint64_t one_block_end = 1;  // 10^width
+    for (std::size_t i = 0; i < width; ++i) one_block_end *= 10;
+    room = nonce < one_block_end ? std::min(room, one_block_end - nonce) : 0;
+  }
+  return room - room % kLanes;
+}
+
+std::optional<PowSolution> PowMidstate::solve_x16(
+    PowTarget target, std::uint64_t attempts,
+    std::uint64_t nonce) const noexcept {
+  assert(attempts >= kLanes && attempts % kLanes == 0);
+  // The tail block's words that hold prefix bytes alone are the same in
+  // every lane, so the rounds they feed run once, here.
+  Sha256x16Prefix prefix{};
+  std::copy(chain_.begin(), chain_.end(), prefix.chain);
+  prefix.rounds = tail_len_ / 4;
+  for (std::size_t i = 0; i < prefix.rounds; ++i) {
+    prefix.words[i] = load_be32(tail_.data() + 4 * i);
+  }
+  sha256_x16_prefix(prefix);
+
+  // Lane l holds nonce + l: its words from prefix.rounds on, word-major.
+  alignas(64) std::uint32_t words[16][kLanes] = {};
+  std::size_t width[kLanes] = {};  // decimal digits per lane
+  // Byte p of lane l's block: big-endian byte p % 4 of its word p / 4, on
+  // a little-endian host (x86, the only one with the lane kernel).
+  auto* const bytes = reinterpret_cast<std::uint8_t*>(words);
+  const auto byte_at = [bytes](std::size_t lane,
+                               std::size_t p) -> std::uint8_t& {
+    return bytes[4 * (kLanes * (p / 4) + lane) + 3 - p % 4];
+  };
+  // Adds 16 to the lane's nonce in place: 6 to the ones digit, then 1, or
+  // 2 with its carry, to the tens, carried through the 9s.
+  const auto add16 = [&](std::size_t lane) {
+    std::size_t p = tail_len_ + width[lane] - 1;
+    std::uint8_t& ones = byte_at(lane, p);
+    const bool carry = ones >= '4';
+    ones = static_cast<std::uint8_t>(carry ? ones - 4 : ones + 6);
+    int add = carry ? 2 : 1;
+    while (p > tail_len_) {
+      std::uint8_t& digit = byte_at(lane, --p);
+      digit = static_cast<std::uint8_t>(digit + add);
+      if (digit <= '9') return;
+      digit = static_cast<std::uint8_t>(digit - 10);
+      add = 1;
+    }
+    // The nonce gained a digit: `add` followed by the digits just written.
+    // They shift right over the 0x80 byte, which moves on by one (lane_run
+    // keeps it in this block), and the bit length grows by 8.
+    const std::size_t end = tail_len_ + width[lane]++;
+    for (std::size_t q = end; q > tail_len_; --q) {
+      byte_at(lane, q) = byte_at(lane, q - 1);
+    }
+    byte_at(lane, tail_len_) = static_cast<std::uint8_t>('0' + add);
+    byte_at(lane, end + 1) = 0x80;
+    if ((words[15][lane] += 8) < 8) ++words[14][lane];
+  };
+
+  Attempt attempt{tail_, nonce};
+  lay_out(attempt);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    if (lane > 0) advance(attempt);
+    for (std::size_t i = prefix.rounds; i < 16; ++i) {
+      words[i][lane] = load_be32(attempt.block.data() + 4 * i);
+    }
+    width[lane] = attempt.width;
+  }
+  std::uint32_t state[8][kLanes] = {};
+  for (std::uint64_t group = attempts / kLanes;;) {
+    sha256_x16_compress(prefix, words, state);
+    // State words 0–1 are the digest's leading 64 bits; lanes run in nonce
+    // order, so the lowest winning lane is the first qualifying nonce.
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const std::uint64_t lead =
+          (std::uint64_t{state[0][lane]} << 32) | state[1][lane];
+      if (lead < target.leading64_below) {
+        return PowSolution{nonce + lane, digest(nonce + lane)};
+      }
+    }
+    if (--group == 0) return std::nullopt;
+    nonce += kLanes;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) add16(lane);
+  }
+}
+
+std::optional<PowSolution> PowMidstate::solve_x2(
+    PowTarget target, std::uint64_t attempts,
+    std::uint64_t nonce) const noexcept {
   // State words 0–1 are the digest's leading 64 bits, big-endian.
   const auto wins = [&](const std::array<std::uint32_t, 8>& state) {
     return ((std::uint64_t{state[0]} << 32) | std::uint64_t{state[1]}) <
@@ -119,11 +258,11 @@ std::optional<PowSolution> PowMidstate::solve(
   };
   // Nonces n and n + 1 hash side by side and step by two; in order, so the
   // first qualifying nonce still wins.
-  Attempt a{tail_, start_nonce};
+  Attempt a{tail_, nonce};
   lay_out(a);
   Attempt b = a;
   advance(b);
-  for (std::uint64_t left = max_attempts; left > 0;) {
+  for (std::uint64_t left = attempts; left > 0;) {
     std::array<std::uint32_t, 8> sa = chain_;
     if (left >= 2 && a.blocks == b.blocks) {
       std::array<std::uint32_t, 8> sb = chain_;

@@ -60,10 +60,17 @@ struct PowSolution {
 /// one compression from the cached state — two only when the prefix tail
 /// plus the digits pass 55 bytes and the length field spills into a second
 /// block. solve() increments the decimal nonce in place and re-pads only
-/// when it gains a digit; it hashes nonces n and n + 1 side by side (two
-/// interleaved SHA-NI streams), compares state words 0–1 with the target,
-/// and serializes a digest only for the winner. Bit-identical to pow_digest
-/// for every nonce.
+/// when it gains a digit, compares state words 0–1 with the target, and
+/// builds a digest only for the winner. On CPUs with AVX-512F it hashes
+/// nonces n … n + 15 per pass on the 16-lane kernel (sha256_avx512.hpp):
+/// the rounds fed by the tail block's whole prefix words (tail_len_ / 4 of
+/// them) run once per solve(), each lane carries its own digits, so lanes
+/// may differ in width, and the lowest winning lane wins. Attempts no group
+/// can take — fewer than 16 left, a group that would pass 2^64 − 1, a
+/// two-block tail — and CPUs without AVX-512F hash n and n + 1 side by side
+/// (two interleaved SHA-NI streams, or the portable rounds). Every path is
+/// bit-identical to pow_digest for every nonce, so solve() returns the same
+/// first nonce whichever ground it.
 class PowMidstate {
  public:
   PowMidstate(std::string_view epoch_randomness,
@@ -94,6 +101,21 @@ class PowMidstate {
   void lay_out(Attempt& attempt) const noexcept;
   /// Steps to the next nonce in place, re-padding only on a new digit.
   void advance(Attempt& attempt) const noexcept;
+
+  /// How many of the `left` attempts from `nonce` the 16-lane kernel takes
+  /// next: whole groups of one-block nonces short of the wrap, 0 without
+  /// AVX-512F.
+  [[nodiscard]] std::uint64_t lane_run(std::uint64_t nonce,
+                                       std::uint64_t left) const noexcept;
+  /// Grinds `attempts` (a nonzero multiple of 16) nonces from `nonce` on the
+  /// 16-lane kernel.
+  [[nodiscard]] std::optional<PowSolution> solve_x16(
+      PowTarget target, std::uint64_t attempts,
+      std::uint64_t nonce) const noexcept;
+  /// Grinds `attempts` nonces from `nonce` two at a time.
+  [[nodiscard]] std::optional<PowSolution> solve_x2(
+      PowTarget target, std::uint64_t attempts,
+      std::uint64_t nonce) const noexcept;
 
   std::array<std::uint32_t, 8> chain_ = kSha256Init;  // after whole blocks
   Block tail_{};                  // the prefix's last (< 64) bytes, then room

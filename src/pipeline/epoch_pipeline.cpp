@@ -136,6 +136,7 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   obs_utility_ = nullptr;
   obs_gap_ = nullptr;
   obs_commit_time_ = nullptr;
+  obs_pow_attempts_ = nullptr;
   obs_xshard_intra_ = nullptr;
   obs_xshard_cross_ = nullptr;
   obs_xshard_deferred_ = nullptr;
@@ -157,6 +158,12 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
       "epoch against the fractional-knapsack bound");
   obs_commit_time_ = &m->gauge("mvcom_pipeline_commit_time_seconds",
                                "Commit instant of the latest final block");
+  if (config_.pow_grind_bits > 0) {
+    obs_pow_attempts_ = &m->counter(
+        "mvcom_pipeline_pow_attempts_total",
+        "PoW hashes stage A ground: per committee, the winning nonce + 1, or "
+        "the budget when it gave up");
+  }
   if (config_.account_mode) {
     obs_xshard_intra_ = &m->counter("mvcom_xshard_txs_total",
                                     "Account TXs by x-shard classification",
@@ -234,11 +241,11 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
   // nested inside this stage-A task. The difficulty is a model knob, so a
   // bounded give-up keeps the pipeline deterministic either way.
   std::vector<std::uint64_t> nonces(dealt.size(), 0);  // 0 = none found
+  const std::uint64_t budget =
+      64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
   if (config_.pow_grind_bits > 0) {
     const auto target =
         crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
-    const std::uint64_t budget =
-        64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
     const auto grind = [&](std::size_t chunk) {
       const std::size_t end =
           std::min(dealt.size(), (chunk + 1) * kGrindChunk);
@@ -258,7 +265,8 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     }
   }
 
-  // Pass 3, serial: the formation digest, folded in committee order.
+  // Pass 3, serial: the formation digest, folded in committee order, and
+  // the grind's attempt count.
   out.formation_digest = kDigestBasis;
   for (std::size_t c = 0; c < dealt.size(); ++c) {
     PendingShard& s = dealt[c];
@@ -268,6 +276,9 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     out.formation_digest =
         fnv1a_mix(out.formation_digest, bits_of(s.submit_time));
     out.formation_digest = fnv1a_mix(out.formation_digest, nonces[c]);
+    if (config_.pow_grind_bits > 0) {
+      out.pow_attempts += nonces[c] != 0 ? nonces[c] : budget;
+    }
     out.shards.push_back(std::move(s));
   }
   return out;
@@ -350,6 +361,7 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     shards.push_back(std::move(s));
   }
   report.shards_pending = shards.size();
+  report.pow_attempts = formed.pow_attempts;
   report.xshard_intra_txs = formed.xshard_intra;
   report.xshard_cross_txs = formed.xshard_cross;
   report.xshard_deferred_txs = formed.xshard_deferred;
@@ -494,6 +506,7 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     obs_gap_->set(gap);
     obs_commit_time_->set(commit);
   }
+  if (obs_pow_attempts_ != nullptr) obs_pow_attempts_->add(report.pow_attempts);
   if (obs_xshard_intra_ != nullptr) {
     obs_xshard_intra_->add(report.xshard_intra_txs);
     obs_xshard_cross_->add(report.xshard_cross_txs);

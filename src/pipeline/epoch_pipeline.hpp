@@ -14,9 +14,10 @@
 //     pow_grind_bits > 0, grind each committee's real PoW puzzle: chunks of
 //     16 committees run as one parallel_for on the run's pool, nested inside
 //     the stage-A task, each writing its own slot of a nonce vector. (3)
-//     Serially: fold the formation digest in committee order. Every puzzle
-//     is independent, and solve() returns the first qualifying nonce within
-//     a fixed budget, so the nonces — and the digest — do not depend on
+//     Serially: fold the formation digest in committee order and count the
+//     grind's attempts (EpochReport::pow_attempts). Every puzzle is
+//     independent, and solve() returns the first qualifying nonce within a
+//     fixed budget, so the nonces — and the digest — do not depend on
 //     which thread ground them. Stage A is a *pure function* of (trace,
 //     config, epoch index): its randomness comes from
 //     Rng::stream(seed, slot(e)) — per-epoch stream roots derived from
@@ -137,6 +138,9 @@ struct EpochReport {
   std::uint64_t carried_txs = 0;     // refused, still pending after this epoch
   double total_age = 0.0;            // Σ per-TX (commit − btime), committed
   std::uint64_t se_iterations = 0;
+  /// Stage A's PoW hashes (0 without pow_grind_bits): per committee, its
+  /// winning nonce + 1, or the budget when it gave up. Enters no digest.
+  std::uint64_t pow_attempts = 0;
   std::uint64_t des_events = 0;          // stage-4 simulator events
   std::uint64_t event_order_digest = 0;  // formation + DES + selection fold
   // Account-mode only: this epoch's x-shard classification tallies.
@@ -210,6 +214,7 @@ class EpochPipeline {
     double window_end = 0.0;
     std::vector<PendingShard> shards;      // fresh shards, committee order
     std::uint64_t formation_digest = 0;    // latency bits + PoW nonces fold
+    std::uint64_t pow_attempts = 0;        // EpochReport::pow_attempts
     // Account-mode classification tallies (zero in block-trace mode).
     std::uint64_t xshard_intra = 0;
     std::uint64_t xshard_cross = 0;
@@ -253,6 +258,7 @@ class EpochPipeline {
   obs::Gauge* obs_utility_ = nullptr;
   obs::Gauge* obs_gap_ = nullptr;
   obs::Gauge* obs_commit_time_ = nullptr;
+  obs::Counter* obs_pow_attempts_ = nullptr;  // with pow_grind_bits only
   // Account-mode conflict counters: TXs by x-shard classification.
   obs::Counter* obs_xshard_intra_ = nullptr;
   obs::Counter* obs_xshard_cross_ = nullptr;

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -27,8 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "crypto/pow.hpp"
 #include "mvcom/se_scheduler.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/serve.hpp"
 #include "txn/trace_generator.hpp"
 
@@ -158,6 +161,64 @@ TEST(PipelineDeterminism, PowGrindingKeepsTheContract) {
       EXPECT_EQ(got.totals.digest, ref.totals.digest)
           << "depth=" << depth << " workers=" << workers;
     }
+  }
+}
+
+TEST(PipelineDeterminism, PowAttemptsMatchARecomputedGrind) {
+  // EpochReport::pow_attempts counts stage A's hashes: per committee, the
+  // winning nonce + 1, or the budget when it gave up. The pooled grind at
+  // depth 2 counts what the sequential reference counts, and both match
+  // grinding every committee's puzzle again with crypto::solve.
+  const Trace trace = small_trace();
+  PipelineConfig config = small_config();
+  config.epochs = 2;
+  config.pow_grind_bits = 6;
+  config.overlap_depth = 1;
+  config.workers = 0;
+  const RunRecord sequential = run_pipeline(trace, config);
+  config.overlap_depth = 2;
+  config.workers = 2;
+  EpochPipeline pipe(trace, config);
+  mvcom::obs::MetricsRegistry registry;
+  pipe.set_obs(mvcom::obs::ObsContext(&registry, nullptr));
+  std::vector<EpochReport> pipelined;
+  (void)pipe.run([&](const EpochReport& r) { pipelined.push_back(r); });
+  ASSERT_EQ(sequential.reports.size(), config.epochs);
+  ASSERT_EQ(pipelined.size(), config.epochs);
+
+  const auto target =
+      mvcom::crypto::PowTarget::from_difficulty_bits(config.pow_grind_bits);
+  const std::uint64_t budget = std::uint64_t{64} << config.pow_grind_bits;
+  // The pipeline's epoch windows: committee c is dealt a block (round
+  // robin) when the window holds more than c of them.
+  const double first = trace.blocks.front().btime;
+  const double window = (trace.blocks.back().btime - first + 1.0) /
+                        static_cast<double>(config.epochs);
+  std::uint64_t total = 0;
+  for (std::size_t e = 0; e < config.epochs; ++e) {
+    const double begin = first + static_cast<double>(e) * window;
+    const double end = first + static_cast<double>(e + 1) * window;
+    std::size_t dealt = 0;
+    for (const mvcom::txn::BlockRecord& b : trace.blocks) {
+      if (b.btime < end && (e == 0 || b.btime >= begin)) ++dealt;
+    }
+    const std::string randomness =
+        "serve|" + std::to_string(config.seed) + "|" + std::to_string(e);
+    std::uint64_t expected = 0;
+    for (std::size_t c = 0; c < std::min(dealt, config.committees); ++c) {
+      const auto solution = mvcom::crypto::solve(
+          randomness, "committee-" + std::to_string(e * config.committees + c),
+          target, budget);
+      expected += solution ? solution->nonce + 1 : budget;
+    }
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(sequential.reports[e].pow_attempts, expected) << "epoch " << e;
+    EXPECT_EQ(pipelined[e].pow_attempts, expected) << "epoch " << e;
+    total += expected;
+  }
+  if constexpr (mvcom::obs::kEnabled) {
+    EXPECT_EQ(registry.counter("mvcom_pipeline_pow_attempts_total").value(),
+              total);
   }
 }
 

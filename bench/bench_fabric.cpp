@@ -7,24 +7,27 @@
 //             loop; MB/s is the framing overhead ceiling (zero-copy decode,
 //             arena-reused encode buffer).
 //   epochs  — identical Elastico epochs on (a) the serial in-process path,
-//             (b) the in-process thread pool, (c) a 2-process fabric; each
-//             reports epochs/sec, and the fabric's digests are diffed
-//             bitwise against the serial reference (FAIL on divergence).
+//             (b) a lent 2-worker thread pool, (c) a 2-process fabric; each
+//             reports epochs/sec, and the pool's and the fabric's epochs are
+//             diffed bitwise against the serial reference (FAIL on
+//             divergence).
 //   replay  — the fabric with one SIGKILL injected mid-run: wall clock of
 //             the crash-detect + re-fork + replay path, digests still diffed.
 //
 // Like every process-parallel bench here, the fabric's speedup over serial
 // is only observable with >= 2 free cores; the PASS/FAIL verdict is
 // core-count-aware and the perf gate keys (gate_rate_fabric_*) track
-// absolute rates, not speedups.
+// absolute rates, not speedups. The bench exits 1 when any arm's epochs
+// differ from the serial reference.
 
-#include <bit>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/thread_pool.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/wire.hpp"
 #include "sharding/elastico.hpp"
@@ -65,25 +68,18 @@ mvcom::txn::Trace bench_trace() {
 
 bool digests_equal(const std::vector<EpochOutcome>& a,
                    const std::vector<EpochOutcome>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    if (a[e].event_order_digest != b[e].event_order_digest ||
-        a[e].events_executed != b[e].events_executed ||
-        a[e].next_epoch_randomness != b[e].next_epoch_randomness ||
-        std::bit_cast<std::uint64_t>(a[e].epoch_makespan.seconds()) !=
-            std::bit_cast<std::uint64_t>(b[e].epoch_makespan.seconds())) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    mvcom::sharding::same_epoch);
 }
 
+/// Runs `epochs` epochs with lanes on `pool` or `fleet` (both null: inline).
 std::vector<EpochOutcome> run_epochs(const ElasticoConfig& config,
                                      std::size_t epochs,
                                      const mvcom::txn::Trace& trace,
+                                     mvcom::common::ThreadPool* pool,
                                      mvcom::fabric::ProcessFabric* fleet,
                                      double* seconds) {
-  ElasticoNetwork network(config, Rng(4242));
+  ElasticoNetwork network(config, Rng(4242), pool);
   if (fleet != nullptr) network.set_lane_executor(fleet->executor());
   std::vector<EpochOutcome> out;
   out.reserve(epochs);
@@ -157,13 +153,16 @@ int main() {
 
   double serial_seconds = 0.0;
   const auto serial =
-      run_epochs(config, kEpochs, trace, nullptr, &serial_seconds);
+      run_epochs(config, kEpochs, trace, nullptr, nullptr, &serial_seconds);
 
-  ElasticoConfig pooled_config = config;
-  pooled_config.lane_workers = 2;
   double pooled_seconds = 0.0;
-  const auto pooled =
-      run_epochs(pooled_config, kEpochs, trace, nullptr, &pooled_seconds);
+  std::vector<EpochOutcome> pooled;
+  {
+    // Scoped so that no pool worker is alive when ProcessFabric forks.
+    mvcom::common::ThreadPool pool(2);
+    pooled =
+        run_epochs(config, kEpochs, trace, &pool, nullptr, &pooled_seconds);
+  }
 
   double fabric_seconds = 0.0;
   std::vector<EpochOutcome> fabric;
@@ -171,7 +170,8 @@ int main() {
     mvcom::fabric::FabricConfig fabric_cfg;
     fabric_cfg.workers = 2;
     mvcom::fabric::ProcessFabric fleet(fabric_cfg);
-    fabric = run_epochs(config, kEpochs, trace, &fleet, &fabric_seconds);
+    fabric =
+        run_epochs(config, kEpochs, trace, nullptr, &fleet, &fabric_seconds);
   }
 
   const double serial_rate = kEpochs / serial_seconds;
@@ -214,7 +214,8 @@ int main() {
     fabric_cfg.workers = 2;
     mvcom::fabric::ProcessFabric fleet(fabric_cfg);
     fleet.inject_kill(0, kEpochs / 2);
-    replayed = run_epochs(config, kEpochs, trace, &fleet, &replay_seconds);
+    replayed =
+        run_epochs(config, kEpochs, trace, nullptr, &fleet, &replay_seconds);
     respawns = fleet.respawns();
   }
   const bool replay_identical = digests_equal(serial, replayed);

@@ -17,6 +17,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "sharding/elastico.hpp"
 #include "txn/trace_generator.hpp"
 
@@ -65,7 +66,7 @@ LatencySample measure(std::size_t nodes, std::uint64_t seeds) {
 // --- DES scale tier -------------------------------------------------------
 // The lane-parallel substrate's perf gate: one message-level epoch at a node
 // count large enough that the directory exchanges dominate (the linear-in-N
-// stage), run serially (lane_workers = 0) and on an 8-worker lane pool. Both
+// stage), run serially (no pool) and on a lent 8-worker lane pool. Both
 // wall clocks are gated against committed baselines; the two runs must also
 // report identical event-order digests (the determinism contract, enforced
 // bit-exactly by test_elastico_lanes — re-checked here on the gate workload,
@@ -77,12 +78,10 @@ struct DesRun {
   std::vector<std::uint64_t> digests;
 };
 
-DesRun timed_des_epochs(const mvcom::sharding::ElasticoConfig& base,
-                        std::size_t lane_workers, std::uint64_t epochs,
+DesRun timed_des_epochs(const mvcom::sharding::ElasticoConfig& config,
+                        mvcom::common::ThreadPool* pool, std::uint64_t epochs,
                         const mvcom::txn::Trace& trace) {
-  mvcom::sharding::ElasticoConfig config = base;
-  config.lane_workers = lane_workers;
-  mvcom::sharding::ElasticoNetwork network(config, Rng(77));
+  mvcom::sharding::ElasticoNetwork network(config, Rng(77), pool);
   DesRun run;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t e = 0; e < epochs; ++e) {
@@ -123,8 +122,9 @@ bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
 
   // The serial and laned runs must report identical digests — the
   // bitwise-determinism witness across lane counts.
-  const DesRun serial = timed_des_epochs(config, 0, kEpochs, trace);
-  const DesRun laned = timed_des_epochs(config, kLanes, kEpochs, trace);
+  const DesRun serial = timed_des_epochs(config, nullptr, kEpochs, trace);
+  mvcom::common::ThreadPool pool(kLanes);
+  const DesRun laned = timed_des_epochs(config, &pool, kEpochs, trace);
   const bool identical =
       serial.digests == laned.digests && serial.events == laned.events;
   const double serial_rate = static_cast<double>(serial.events) /

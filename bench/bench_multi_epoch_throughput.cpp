@@ -68,8 +68,6 @@ struct RunTotals {
 RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
               const RunShape& shape) {
   Rng rng(seed);
-  mvcom::txn::WorkloadConfig wc;  // latency model parameters only
-  wc.num_committees = shape.committees;
 
   const double trace_start = trace.blocks.front().btime;
   const double span = trace.blocks.back().btime - trace_start + 1.0;
@@ -113,7 +111,8 @@ RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
       if (s.block_indices.empty()) continue;
       // Committees form as soon as the window closes; submission is absolute
       // so a later carry rebases exactly, however far consensus overran.
-      s.submit_time = mvcom::txn::sample_submit_instant(rng, wc, window_end);
+      s.submit_time = mvcom::txn::sample_submit_instant(
+          rng, mvcom::txn::WorkloadConfig{}, window_end);
       s.latency = std::max(0.0, s.submit_time - start);
       shards.push_back(std::move(s));
     }

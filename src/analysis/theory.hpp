@@ -2,8 +2,8 @@
 // Closed-form theoretical quantities from the paper's analysis sections:
 //  * Theorem 1 — mixing-time lower/upper bounds (Eq. 12–13);
 //  * Remark 1 — log-sum-exp optimality loss (1/β)·log|F|;
-//  * Lemma 4 — total-variation bound (≤ 1/2) on committee failure;
 //  * Theorem 2 — utility-perturbation bound on committee failure.
+// (Lemma 4's d_TV ≤ 1/2 is measured against markov.hpp's exact chains.)
 // The upper bound of Eq. 13 contains a 4^|I| factor, so everything is
 // computed in log-space.
 
@@ -27,10 +27,6 @@ struct MixingTimeBounds {
 /// |F| = 2^|I|, i.e. (|I|·ln 2)/β.
 [[nodiscard]] double log_sum_exp_optimality_loss(std::size_t num_committees,
                                                  double beta);
-
-/// Lemma 4: d_TV(q*, q̃) = |F\G| / |F| = 1/2 for a single committee failure
-/// (under the paper's i.i.d.-utility assumption). Returned for symmetry.
-[[nodiscard]] constexpr double failure_tv_bound() noexcept { return 0.5; }
 
 /// Theorem 2: ‖q*uᵀ − q̃uᵀ‖ ≤ max_{g∈G} U_g.
 [[nodiscard]] double failure_perturbation_bound(double max_utility_trimmed);

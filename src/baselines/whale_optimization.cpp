@@ -10,6 +10,8 @@ namespace mvcom::baselines {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr std::size_t kPopulation = 30;
+constexpr double kSpiralB = 1.0;  // logarithmic-spiral shape constant
 
 /// Threshold binarization of a continuous whale position.
 Selection binarize(const std::vector<double>& pos) {
@@ -23,9 +25,9 @@ Selection binarize(const std::vector<double>& pos) {
 SolverResult WhaleOptimization::solve(const EpochInstance& instance) {
   common::Rng rng(seed_);
   const std::size_t dim = instance.size();
-  const std::size_t pop = params_.population;
 
-  std::vector<std::vector<double>> whales(pop, std::vector<double>(dim));
+  std::vector<std::vector<double>> whales(kPopulation,
+                                          std::vector<double>(dim));
   for (auto& w : whales) {
     for (double& v : w) v = rng.uniform01();
   }
@@ -85,7 +87,7 @@ SolverResult WhaleOptimization::solve(const EpochInstance& instance) {
           }
         } else {
           // Search for prey: move relative to a random whale.
-          const auto& rand_whale = whales[rng.below(pop)];
+          const auto& rand_whale = whales[rng.below(kPopulation)];
           for (std::size_t d = 0; d < dim; ++d) {
             const double dist = std::abs(C * rand_whale[d] - w[d]);
             w[d] = rand_whale[d] - A * dist;
@@ -96,7 +98,7 @@ SolverResult WhaleOptimization::solve(const EpochInstance& instance) {
         const double l = rng.uniform(-1.0, 1.0);
         for (std::size_t d = 0; d < dim; ++d) {
           const double dist = std::abs(best_pos[d] - w[d]);
-          w[d] = dist * std::exp(params_.spiral_b * l) *
+          w[d] = dist * std::exp(kSpiralB * l) *
                      std::cos(2.0 * std::numbers::pi * l) +
                  best_pos[d];
         }

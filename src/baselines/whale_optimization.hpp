@@ -12,9 +12,7 @@
 namespace mvcom::baselines {
 
 struct WoaParams {
-  std::size_t population = 30;
   std::size_t iterations = 200;
-  double spiral_b = 1.0;  // logarithmic-spiral shape constant
 };
 
 class WhaleOptimization final : public Solver {

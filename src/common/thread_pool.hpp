@@ -1,10 +1,10 @@
 #pragma once
 // A small fixed-size worker pool for barrier-style data parallelism — the
 // execution substrate behind the SE scheduler's Γ "distributed parallel
-// execution threads" (paper §IV-D; the scheduler never owns a pool, its
-// caller lends one), the Elastico epoch's per-committee simulator lanes
-// (ElasticoConfig::lane_workers, DESIGN.md §12), the serve pipeline's stage
-// overlap (DESIGN.md §13), and any other fork/join hot path.
+// execution threads" (paper §IV-D), the Elastico epoch's per-committee
+// simulator lanes (DESIGN.md §12), the serve pipeline's stage overlap
+// (DESIGN.md §13), and any other fork/join hot path. Neither the scheduler
+// nor the network owns a pool: the caller lends one to each.
 //
 // Design:
 //  * N workers are spawned once at construction and live for the pool's

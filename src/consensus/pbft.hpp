@@ -92,9 +92,6 @@ class PbftCluster {
   [[nodiscard]] std::size_t max_faulty() const noexcept {
     return (members_.size() - 1) / 3;
   }
-  [[nodiscard]] std::size_t num_replicas() const noexcept {
-    return members_.size();
-  }
 
   /// 2f+1 — the prepare/commit quorum size.
   [[nodiscard]] std::size_t quorum_size() const noexcept {

@@ -19,10 +19,12 @@
 // chosen epoch — the chaos-test hook proving recovery preserves digests.
 //
 // Fork discipline: workers are forked WITHOUT exec, so the coordinator
-// must be effectively single-threaded at spawn time (run_epoch joins its
-// lane pool before returning, and the fabric replaces the pool anyway).
-// Children close every inherited fabric descriptor except their own pipe —
-// otherwise a sibling's death would never surface as EOF.
+// must be single-threaded at spawn time: no thread pool may be alive when
+// a ProcessFabric is constructed or respawns a worker. The fabric's own
+// lanes need none (its executor replaces any pool lent to the network), so
+// a caller that also runs pooled lanes scopes that pool away from the
+// fabric. Children close every inherited fabric descriptor except their
+// own pipe — otherwise a sibling's death would never surface as EOF.
 
 #include <cstdint>
 #include <string>

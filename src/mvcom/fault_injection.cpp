@@ -30,6 +30,12 @@ const char* to_string(FaultKind kind) noexcept {
 FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
                                 std::size_t num_committees, common::Rng& rng,
                                 std::size_t num_reserve) {
+  // Ranges of a fault's duration and magnitude.
+  constexpr double kMinDowntimeSeconds = 60.0;
+  constexpr double kMaxDowntimeSeconds = 300.0;
+  constexpr double kMaxSlowdown = 8.0;   // straggler factor drawn in (1, max]
+  constexpr double kMaxInflation = 4.0;  // misreport factor drawn in (1, max]
+  constexpr double kMaxLossProbability = 0.6;
   FaultPlan plan;
   const auto draw = [&](FaultKind kind, std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
@@ -45,19 +51,19 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
                                : static_cast<std::uint32_t>(
                                      rng.below(num_committees));
       event.at_seconds = rng.uniform(0.0, config.horizon_seconds);
-      event.duration_seconds = rng.uniform(config.min_downtime_seconds,
-                                           config.max_downtime_seconds);
+      event.duration_seconds =
+          rng.uniform(kMinDowntimeSeconds, kMaxDowntimeSeconds);
       switch (kind) {
         case FaultKind::kStragglerDelay:
-          event.magnitude = rng.uniform(1.0, config.max_slowdown);
+          event.magnitude = rng.uniform(1.0, kMaxSlowdown);
           break;
         case FaultKind::kMisreport:
         case FaultKind::kEquivocate:
         case FaultKind::kForgeSubmission:
-          event.magnitude = rng.uniform(1.0 + 1e-3, config.max_inflation);
+          event.magnitude = rng.uniform(1.0 + 1e-3, kMaxInflation);
           break;
         case FaultKind::kMessageLossBurst:
-          event.magnitude = rng.uniform(0.0, config.max_loss_probability);
+          event.magnitude = rng.uniform(0.0, kMaxLossProbability);
           break;
         case FaultKind::kCrash:
         case FaultKind::kCrashRecover:
@@ -75,7 +81,6 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
   draw(FaultKind::kMisreport, config.misreports);
   draw(FaultKind::kEquivocate, config.equivocations);
   draw(FaultKind::kMessageLossBurst, config.loss_bursts);
-  draw(FaultKind::kForgeSubmission, config.forgeries);
   draw(FaultKind::kJoin, num_reserve > 0 ? config.joins : 0);
   draw(FaultKind::kLeave, config.leaves);
   std::sort(plan.events.begin(), plan.events.end(),
@@ -104,6 +109,9 @@ std::vector<ChaosCommittee> chaos_committees_from_reports(
 }
 
 namespace {
+
+constexpr std::size_t kIterationsPerTick = 40;  // SE iterations per tick
+constexpr double kLinkLatencyMeanSeconds = 2.0;
 
 /// Mutable in-flight state of one committee's submission.
 struct PendingSubmission {
@@ -150,7 +158,7 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
   net::Network network(
       simulator, root.fork(),
       std::make_shared<net::ExponentialLatency>(
-          common::SimTime(config.link_latency_mean_seconds)),
+          common::SimTime(kLinkLatencyMeanSeconds)),
       total_members + 1);
   const net::NodeId observer = static_cast<net::NodeId>(total_members);
 
@@ -310,7 +318,7 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
                                  });
         break;
       case FaultKind::kStragglerDelay:
-        network.set_node_factor(members[i].node, event.magnitude);
+        network.set_delay_factor(members[i].node, event.magnitude);
         if (!members[i].pending.delivered) {
           members[i].pending.deliver_at =
               std::max(members[i].pending.deliver_at,
@@ -403,7 +411,7 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     }
   };
   std::function<void()> tick = [&] {
-    supervisor.explore(config.iterations_per_tick);
+    supervisor.explore(kIterationsPerTick);
     sample();
     const double next =
         simulator.now().seconds() + config.explore_tick_seconds;

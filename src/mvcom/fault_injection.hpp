@@ -72,15 +72,9 @@ struct FaultPlanConfig {
   std::size_t misreports = 1;
   std::size_t equivocations = 0;
   std::size_t loss_bursts = 0;
-  std::size_t forgeries = 0;  // kForgeSubmission
   std::size_t joins = 0;      // drawn only when the run provides a reserve
   std::size_t leaves = 0;
   double horizon_seconds = 1500.0;  // faults drawn uniformly in [0, horizon)
-  double min_downtime_seconds = 60.0;
-  double max_downtime_seconds = 300.0;
-  double max_slowdown = 8.0;      // straggler factor drawn in (1, max]
-  double max_inflation = 4.0;     // misreport factor drawn in (1, max]
-  double max_loss_probability = 0.6;
 };
 
 struct FaultPlan {
@@ -117,8 +111,6 @@ struct ChaosConfig {
   SupervisorConfig supervisor{};
   double ddl_seconds = 1800.0;         // when decide() is taken
   double explore_tick_seconds = 20.0;  // SE exploration pump + sampling
-  std::size_t iterations_per_tick = 40;
-  double link_latency_mean_seconds = 2.0;
   /// Committees available to kJoin events. FaultEvent::committee_id indexes
   /// this pool by position; each reserve committee answers pings on the node
   /// after the initial members' (allocated up front — Network's node count

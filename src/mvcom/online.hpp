@@ -37,8 +37,6 @@ struct OnlineSchedulerConfig {
   std::size_t expected_committees = 0;
   double n_min_fraction = 0.5;
   double n_max_fraction = 0.8;
-  /// SE iterations run opportunistically after every accepted event.
-  std::size_t iterations_per_event = 50;
   SeParams se{};
 };
 

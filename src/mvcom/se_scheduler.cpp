@@ -16,6 +16,10 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The best utility must improve by more than this to reset convergence.
+constexpr double kConvergenceTol = 1e-9;
+/// Retries when proposing a capacity-feasible swap / initial subset.
+constexpr int kFeasibilityRetries = 16;
 
 }  // namespace
 
@@ -144,9 +148,7 @@ void SeExplorer::initialize_solution(SolutionState& sol, std::uint32_t n) {
   const double mean_txs =
       static_cast<double>(layout_->smallest_prefix[total]) /
       static_cast<double>(total);
-  const int budget = init_fail_streak_ > 0
-                         ? std::min(1, params_->feasibility_retries)
-                         : params_->feasibility_retries;
+  const int budget = init_fail_streak_ > 0 ? 1 : kFeasibilityRetries;
   bool ok = false;
   if (static_cast<double>(n) * mean_txs <= static_cast<double>(capacity)) {
     for (int attempt = 0; attempt < budget && !ok; ++attempt) {
@@ -226,7 +228,7 @@ bool SeExplorer::propose(const SolutionState& sol, Proposal& move) {
     return false;  // the full-set solution has no swap moves
   }
   const std::uint64_t capacity = instance_->capacity();
-  for (int attempt = 0; attempt < params_->feasibility_retries; ++attempt) {
+  for (int attempt = 0; attempt < kFeasibilityRetries; ++attempt) {
     move.p = sol.set.sample_selected_position(rng_);
     move.q = sol.set.sample_unselected_position(rng_);
     const std::uint32_t out = sol.set.at(move.p);
@@ -758,7 +760,7 @@ SeResult SeScheduler::run() {
   Selection best_selection;
   if (!warm_floor_selection_.empty()) {
     // Warm start: the seed is the floor. Exploration must strictly beat it
-    // (by convergence_tol) before the reported best moves off the seed.
+    // (by kConvergenceTol) before the reported best moves off the seed.
     best_utility = warm_floor_utility_;
     best_selection = warm_floor_selection_;
   }
@@ -800,7 +802,7 @@ SeResult SeScheduler::run() {
         }
       }
       result.utility_trace.push_back(u);
-      if (!std::isnan(u) && u > best_utility + params_.convergence_tol) {
+      if (!std::isnan(u) && u > best_utility + kConvergenceTol) {
         best_utility = u;
         if (at_share) {
           best_selection = current_selection();

@@ -128,13 +128,10 @@ struct SeParams {
   std::size_t threads = 1;  // Γ — parallel execution threads
   SeTransition transition = SeTransition::kChainParallel;
   std::size_t max_iterations = 5000;
-  /// Converged when the best utility improves by less than `tol` over this
-  /// many consecutive iterations ("an empirical number of running
+  /// Converged when the best utility improves by no more than 1e-9 over
+  /// this many consecutive iterations ("an empirical number of running
   /// iterations", §IV-D Check Convergence).
   std::size_t convergence_window = 300;
-  double convergence_tol = 1e-9;
-  /// Retries when proposing a capacity-feasible swap / initial subset.
-  int feasibility_retries = 16;
   /// Every `share_interval` iterations the Γ threads exchange the best
   /// solution (§IV-D: threads communicate "a very limited state information
   /// such as the RESET signals and the current system utility"): each
@@ -303,7 +300,7 @@ class SeExplorer {
 
   /// Draws `sol`'s next proposal (Alg. 3): a uniform selected/unselected
   /// position pair, resampled until Cons. (4) holds, at most
-  /// feasibility_retries times. False when the chain cannot move: inactive,
+  /// kFeasibilityRetries times. False when the chain cannot move: inactive,
   /// no swap move (full set), or the retries ran out (tallied infeasible).
   bool propose(const SolutionState& sol, Proposal& move);
 

@@ -14,6 +14,9 @@ namespace mvcom::core {
 namespace {
 
 constexpr double kBoundSlack = 1e-9;  // float noise in the Theorem-2 check
+constexpr double kFailureWeight = 0.5;  // risk per detector-declared failure
+/// Longest probe interval the backoff reaches while a committee is down.
+constexpr double kPingIntervalCapSeconds = 480.0;
 
 /// Fills the decision fields from a selection already known feasible.
 void fill_decision(SupervisedDecision& out, const EpochInstance& instance,
@@ -82,7 +85,7 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
     throw std::invalid_argument("EpochSupervisor: bad monitor parameters");
   }
   if (config_.risk.enabled &&
-      (config_.risk.strike_weight < 0.0 || config_.risk.failure_weight < 0.0 ||
+      (config_.risk.strike_weight < 0.0 ||
        config_.risk.escalation_step <= 0.0 ||
        config_.risk.tighten_step <= 0.0 || config_.risk.carry_decay < 0.0 ||
        config_.risk.carry_decay > 1.0)) {
@@ -303,7 +306,7 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
 double EpochSupervisor::risk_score() const noexcept {
   return risk_carry_ +
          config_.risk.strike_weight * static_cast<double>(strikes_total_) +
-         config_.risk.failure_weight * static_cast<double>(failures_detected_);
+         kFailureWeight * static_cast<double>(failures_detected_);
 }
 
 bool EpochSupervisor::ban_preserves_liveness() const noexcept {
@@ -483,7 +486,7 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
       // Down: keep checking, but back off exponentially (§V-A timeouts).
       h.ping_interval_seconds =
           std::min(h.ping_interval_seconds * config_.ping_backoff_factor,
-                   config_.ping_interval_cap_seconds);
+                   kPingIntervalCapSeconds);
     }
   } else {
     h.missed_pings = 0;

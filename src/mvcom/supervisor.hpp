@@ -115,7 +115,6 @@ enum class InfeasibleReason {
 struct RiskPolicyConfig {
   bool enabled = false;
   double strike_weight = 1.0;   // risk per strike
-  double failure_weight = 0.5;  // risk per detector-declared failure
   double escalation_step = 2.0; // risk per +1 N_min
   std::size_t boost_cap = 8;    // max N_min raise over the static base
   double tighten_step = 4.0;    // risk per −1 effective max_strikes
@@ -185,7 +184,6 @@ struct SupervisorConfig {
   double ping_timeout_seconds = 12.0;
   int missed_pings_before_failure = 3;   // K
   double ping_backoff_factor = 2.0;      // while the committee is down
-  double ping_interval_cap_seconds = 480.0;
   /// Risk-adaptive committee sizing (disabled by default — the static
   /// supervisor behaves exactly as before).
   RiskPolicyConfig risk{};

@@ -47,12 +47,10 @@ Network::Network(sim::Simulator& simulator, Rng rng,
   }
 }
 
-void Network::set_node_factor(NodeId node, double factor) {
+void Network::set_delay_factor(NodeId node, double factor) {
   assert(factor > 0.0);
   factors_.at(node) = factor;
 }
-
-double Network::node_factor(NodeId node) const { return factors_.at(node); }
 
 void Network::set_failed(NodeId node, bool failed) {
   failed_.at(node) = failed;

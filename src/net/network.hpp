@@ -42,8 +42,7 @@ class Network {
 
   /// Per-node delay multiplier (>= 1 slow node, < 1 fast node). Models
   /// heterogeneous connectivity. Precondition: factor > 0.
-  void set_node_factor(NodeId node, double factor);
-  [[nodiscard]] double node_factor(NodeId node) const;
+  void set_delay_factor(NodeId node, double factor);
 
   /// Marks a node failed/recovered. Failed nodes neither send nor receive.
   void set_failed(NodeId node, bool failed);

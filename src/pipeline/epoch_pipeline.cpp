@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -116,16 +117,6 @@ EpochPipeline::EpochPipeline(const txn::Trace& trace, PipelineConfig config)
   trace_start_ = trace.blocks.front().btime;
   const double span = trace.blocks.back().btime - trace_start_ + 1.0;
   window_ = span / static_cast<double>(config_.epochs);
-  if (config_.account_mode) {
-    // Align the account model and the assembler with the pipeline's shape:
-    // one shard per member committee, windows matching the epoch slicing.
-    config_.account.num_shards =
-        static_cast<std::uint32_t>(config_.committees);
-    config_.account.start_time = trace_start_;
-    config_.account.window_seconds = window_;
-    config_.xshard.num_shards = static_cast<std::uint32_t>(config_.committees);
-    account_gen_.emplace(config_.account);
-  }
 }
 
 void EpochPipeline::set_obs(obs::ObsContext obs) {
@@ -137,9 +128,6 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
   obs_gap_ = nullptr;
   obs_commit_time_ = nullptr;
   obs_pow_attempts_ = nullptr;
-  obs_xshard_intra_ = nullptr;
-  obs_xshard_cross_ = nullptr;
-  obs_xshard_deferred_ = nullptr;
   obs::MetricsRegistry* m = obs_.metrics();
   if (m == nullptr) return;
   obs_epochs_ = &m->counter("mvcom_pipeline_epochs_total",
@@ -164,22 +152,10 @@ void EpochPipeline::set_obs(obs::ObsContext obs) {
         "PoW hashes stage A ground: per committee, the winning nonce + 1, or "
         "the budget when it gave up");
   }
-  if (config_.account_mode) {
-    obs_xshard_intra_ = &m->counter("mvcom_xshard_txs_total",
-                                    "Account TXs by x-shard classification",
-                                    {{"class", "intra"}});
-    obs_xshard_cross_ = &m->counter("mvcom_xshard_txs_total",
-                                    "Account TXs by x-shard classification",
-                                    {{"class", "cross"}});
-    obs_xshard_deferred_ = &m->counter("mvcom_xshard_txs_total",
-                                       "Account TXs by x-shard classification",
-                                       {{"class", "deferred"}});
-  }
 }
 
 EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     std::size_t epoch, common::ThreadPool* pool) const {
-  if (config_.account_mode) return form_epoch_accounts(epoch);
   FormedEpoch out;
   out.epoch = epoch;
   out.window_end =
@@ -213,15 +189,14 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
   // formation stream), ids, TX counts and shard roots.
   Rng rng = Rng::stream(config_.seed,
                         stream_index(epoch, kFormationSlot));
-  txn::WorkloadConfig wc;
-  wc.num_committees = config_.committees;
   const std::string randomness = epoch_randomness(config_.seed, epoch);
   for (std::size_t c = 0; c < dealt.size(); ++c) {
     PendingShard& s = dealt[c];
     if (s.block_indices.empty()) continue;
     // Committees form as soon as the window closes; submission is absolute
     // so later carries rebase exactly, however far stage 4 overran.
-    s.submit_time = txn::sample_submit_instant(rng, wc, out.window_end);
+    s.submit_time =
+        txn::sample_submit_instant(rng, txn::WorkloadConfig{}, out.window_end);
     s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
     s.txs = 0;
     crypto::Sha256 h;
@@ -284,64 +259,6 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
   return out;
 }
 
-EpochPipeline::FormedEpoch EpochPipeline::form_epoch_accounts(
-    std::size_t epoch) const {
-  FormedEpoch out;
-  out.epoch = epoch;
-  out.window_end = trace_start_ + static_cast<double>(epoch + 1) * window_;
-
-  // Per-epoch account traffic through the x-shard assembler + scheduler —
-  // all keyed streams, so this stage stays a pure function of (seed, epoch)
-  // and the pipeline's overlap determinism contract holds unchanged.
-  const txn::AccountEpoch traffic =
-      account_gen_->epoch_keyed(config_.seed, epoch);
-  const txn::XShardEpoch xse =
-      txn::run_epoch(traffic, config_.xshard, config_.seed);
-  out.xshard_intra = xse.outcome.intra_txs;
-  out.xshard_cross = xse.outcome.cross_txs;
-  out.xshard_deferred = xse.outcome.deferred_txs;
-
-  // Σ committed-TX timestamps per committee, for commit-time age accounting.
-  std::vector<double> ts_sum(config_.committees, 0.0);
-  for (std::size_t t = 0; t < traffic.txs.size(); ++t) {
-    const txn::TxOutcome& o = xse.outcome.tx_outcomes[t];
-    if (o.cls != txn::TxClass::kDeferred) {
-      ts_sum[o.shard] += traffic.txs[t].timestamp;
-    }
-  }
-
-  Rng rng = Rng::stream(config_.seed, stream_index(epoch, kFormationSlot));
-  txn::WorkloadConfig wc;
-  wc.num_committees = config_.committees;
-  const std::string randomness = epoch_randomness(config_.seed, epoch);
-
-  out.formation_digest = kDigestBasis;
-  out.formation_digest =
-      fnv1a_mix(out.formation_digest, xse.outcome.ledger_digest);
-  for (std::size_t c = 0; c < config_.committees; ++c) {
-    const txn::ShardTally& tally = xse.outcome.shards[c];
-    if (tally.committed() == 0) continue;  // nothing to submit this window
-    PendingShard s;
-    s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
-    s.txs = tally.committed();  // effective s_i: deferrals already gone
-    s.ts_sum = ts_sum[c];
-    s.submit_time = txn::sample_submit_instant(rng, wc, out.window_end);
-    crypto::Sha256 h;
-    h.update("xshard|");
-    h.update(randomness);
-    h.update("|" + std::to_string(c));
-    h.update("|" + std::to_string(tally.committed()));
-    h.update("|" + std::to_string(xse.outcome.ledger_digest));
-    s.root = h.finalize();
-    out.formation_digest = fnv1a_mix(out.formation_digest, s.id);
-    out.formation_digest = fnv1a_mix(out.formation_digest, s.txs);
-    out.formation_digest =
-        fnv1a_mix(out.formation_digest, bits_of(s.submit_time));
-    out.shards.push_back(std::move(s));
-  }
-  return out;
-}
-
 EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
                                           common::ThreadPool* pool) {
   EpochReport report;
@@ -362,10 +279,6 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   }
   report.shards_pending = shards.size();
   report.pow_attempts = formed.pow_attempts;
-  report.xshard_intra_txs = formed.xshard_intra;
-  report.xshard_cross_txs = formed.xshard_cross;
-  report.xshard_deferred_txs = formed.xshard_deferred;
-  totals_.xshard_deferred_txs += formed.xshard_deferred;
 
   core::Selection keep(shards.size(), 0);
   std::uint64_t se_iterations = 0;
@@ -453,19 +366,12 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   // forward with their absolute submission instants intact.
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (i < keep.size() && keep[i] != 0) {
-      if (shards[i].block_indices.empty()) {
-        // Account-mode shard: ages from the committed TXs' own arrival
-        // instants — Σ (commit − timestamp) = txs·commit − ts_sum.
-        report.total_age +=
-            static_cast<double>(shards[i].txs) * commit - shards[i].ts_sum;
-      } else {
-        txn::ShardBlocks provenance;
-        provenance.committee_id = shards[i].id;
-        provenance.block_indices = shards[i].block_indices;
-        const txn::AgeProfile age =
-            txn::shard_age_profile(*trace_, provenance, commit);
-        report.total_age += age.total_age;
-      }
+      txn::ShardBlocks provenance;
+      provenance.committee_id = shards[i].id;
+      provenance.block_indices = shards[i].block_indices;
+      const txn::AgeProfile age =
+          txn::shard_age_profile(*trace_, provenance, commit);
+      report.total_age += age.total_age;
       ++report.shards_committed;
     } else {
       PendingShard& s = shards[i];
@@ -507,11 +413,6 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     obs_commit_time_->set(commit);
   }
   if (obs_pow_attempts_ != nullptr) obs_pow_attempts_->add(report.pow_attempts);
-  if (obs_xshard_intra_ != nullptr) {
-    obs_xshard_intra_->add(report.xshard_intra_txs);
-    obs_xshard_cross_->add(report.xshard_cross_txs);
-    obs_xshard_deferred_->add(report.xshard_deferred_txs);
-  }
   if (auto* t = obs_.trace()) {
     t->complete("pipeline", "pipeline/epoch", commit - start,
                 {{"epoch", static_cast<double>(report.epoch)},

@@ -52,7 +52,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "chain/root_chain.hpp"
@@ -61,7 +60,6 @@
 #include "mvcom/se_scheduler.hpp"
 #include "obs/context.hpp"
 #include "txn/trace.hpp"
-#include "txn/xshard/scheduler.hpp"
 
 namespace mvcom::obs {
 class Counter;
@@ -100,19 +98,6 @@ struct PipelineConfig {
   int pow_grind_bits = 0;
   std::size_t final_replicas = 4;  // stage-4 mini-DES committee size
   std::uint64_t seed = 1;          // root of every per-epoch Rng stream
-  /// Account-model mode (DESIGN.md §15): stage A generates account-based
-  /// traffic for the epoch window, runs the conflict-aware x-shard
-  /// assembler + scheduler, and each committee's shard carries its
-  /// *effective committed* TX count — the scheduler's deferred cross-shard
-  /// legs shrink s_i before the SE scheduler ever sees it. The assembly is
-  /// per-epoch pure (keyed streams, no cross-epoch state), so the stage-A
-  /// purity contract — and with it bitwise determinism across overlap
-  /// depths and worker counts — is preserved. `account.num_shards`,
-  /// `xshard.num_shards`, window and start are overridden to match the
-  /// pipeline's committees and epoch windows.
-  bool account_mode = false;
-  txn::AccountModelConfig account;
-  txn::XShardConfig xshard;
 };
 
 /// What stage B decided for one epoch.
@@ -143,10 +128,6 @@ struct EpochReport {
   std::uint64_t pow_attempts = 0;
   std::uint64_t des_events = 0;          // stage-4 simulator events
   std::uint64_t event_order_digest = 0;  // formation + DES + selection fold
-  // Account-mode only: this epoch's x-shard classification tallies.
-  std::uint64_t xshard_intra_txs = 0;
-  std::uint64_t xshard_cross_txs = 0;
-  std::uint64_t xshard_deferred_txs = 0;  // dropped from s_i by the scheduler
 };
 
 /// Aggregates over a whole run (possibly stopped early).
@@ -156,9 +137,6 @@ struct PipelineTotals {
   std::uint64_t ingested_txs = 0;   // TXs that entered scheduling
   std::uint64_t committed_txs = 0;
   std::uint64_t pending_txs = 0;    // still carried at exit
-  /// Account mode: TXs the x-shard scheduler deferred at stage A — they
-  /// never reached SE scheduling (the next window brings fresh traffic).
-  std::uint64_t xshard_deferred_txs = 0;
   double total_age = 0.0;
   std::size_t max_shard_carries = 0;  // most times any one shard was deferred
   std::uint64_t digest = 0;           // fold of the per-epoch digests
@@ -202,10 +180,6 @@ class EpochPipeline {
     double submit_time = 0.0;  // absolute two-phase completion instant
     crypto::Digest root{};     // shard root committed by the final block
     std::size_t carries = 0;   // number of epochs this shard was deferred
-    /// Account mode (block_indices empty): Σ committed-TX timestamps, so
-    /// per-TX ages at commit are txs·commit − ts_sum without re-walking the
-    /// account trace.
-    double ts_sum = 0.0;
   };
 
   /// Stage A's output: everything epoch e's scheduling needs from formation.
@@ -215,16 +189,11 @@ class EpochPipeline {
     std::vector<PendingShard> shards;      // fresh shards, committee order
     std::uint64_t formation_digest = 0;    // latency bits + PoW nonces fold
     std::uint64_t pow_attempts = 0;        // EpochReport::pow_attempts
-    // Account-mode classification tallies (zero in block-trace mode).
-    std::uint64_t xshard_intra = 0;
-    std::uint64_t xshard_cross = 0;
-    std::uint64_t xshard_deferred = 0;
   };
 
   /// Stage A. `pool` (may be null) grinds the committees' PoW in chunks.
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch,
                                        common::ThreadPool* pool) const;
-  [[nodiscard]] FormedEpoch form_epoch_accounts(std::size_t epoch) const;
   /// Stage B. `pool` (may be null) is lent to the SE scheduler.
   EpochReport schedule_epoch(FormedEpoch&& formed, common::ThreadPool* pool);
 
@@ -238,9 +207,6 @@ class EpochPipeline {
   PipelineConfig config_;
   double trace_start_ = 0.0;
   double window_ = 0.0;  // nominal epoch window length
-  /// Account mode: the per-epoch traffic generator (const + pure keyed
-  /// epochs, so concurrent stage-A calls are safe).
-  std::optional<txn::AccountTxGenerator> account_gen_;
 
   // Cross-epoch state — touched exclusively by stage B, in epoch order.
   std::vector<PendingShard> carried_;
@@ -259,10 +225,6 @@ class EpochPipeline {
   obs::Gauge* obs_gap_ = nullptr;
   obs::Gauge* obs_commit_time_ = nullptr;
   obs::Counter* obs_pow_attempts_ = nullptr;  // with pow_grind_bits only
-  // Account-mode conflict counters: TXs by x-shard classification.
-  obs::Counter* obs_xshard_intra_ = nullptr;
-  obs::Counter* obs_xshard_cross_ = nullptr;
-  obs::Counter* obs_xshard_deferred_ = nullptr;
 };
 
 }  // namespace mvcom::pipeline

@@ -4,6 +4,7 @@
 #include "sharding/randomness.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/fnv.hpp"
@@ -17,6 +18,10 @@ namespace {
 
 /// Minimum PBFT committee: n = 4 tolerates f = 1.
 constexpr std::size_t kMinBftMembers = 4;
+
+/// Dispersion of per-node hash rates and processing speeds (log-normal
+/// coefficient of variation); the source of straggler committees.
+constexpr double kNodeHeterogeneityCv = 0.35;
 
 /// FNV-1a fold used to merge per-lane order digests in committee order.
 constexpr std::uint64_t kDigestBasis = common::kFnv1aBasis;
@@ -39,8 +44,19 @@ std::vector<txn::ShardReport> EpochOutcome::reports() const {
   return out;
 }
 
-ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng)
-    : config_(config), rng_(rng) {
+bool SameEpoch::operator()(const EpochOutcome& a,
+                           const EpochOutcome& b) const {
+  return a.event_order_digest == b.event_order_digest &&
+         a.events_executed == b.events_executed &&
+         a.final_block_txs == b.final_block_txs &&
+         a.next_epoch_randomness == b.next_epoch_randomness &&
+         std::bit_cast<std::uint64_t>(a.epoch_makespan.seconds()) ==
+             std::bit_cast<std::uint64_t>(b.epoch_makespan.seconds());
+}
+
+ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng,
+                                 common::ThreadPool* pool)
+    : config_(config), rng_(rng), pool_(pool) {
   if (config_.committee_bits < 1 || config_.committee_bits > 16) {
     throw std::invalid_argument("ElasticoNetwork: committee_bits in [1,16]");
   }
@@ -60,10 +76,10 @@ ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng)
   // Node heterogeneity — fixed per node for the network's lifetime.
   hash_rates_.reserve(config_.num_nodes);
   verify_speeds_.reserve(config_.num_nodes);
-  const double cv = config_.node_heterogeneity_cv;
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
-    hash_rates_.push_back(cv > 0 ? rng_.lognormal_mean_sd(1.0, cv) : 1.0);
-    verify_speeds_.push_back(cv > 0 ? rng_.lognormal_mean_sd(1.0, cv) : 1.0);
+    hash_rates_.push_back(rng_.lognormal_mean_sd(1.0, kNodeHeterogeneityCv));
+    verify_speeds_.push_back(
+        rng_.lognormal_mean_sd(1.0, kNodeHeterogeneityCv));
   }
   randomness_ = crypto::to_hex(crypto::Sha256::hash("genesis"));
 }
@@ -183,19 +199,19 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   // quiescence inside its lane. The final committee's lane performs only
   // its overlay exchange; its PBFT waits for stage 4. Lane results land in
   // per-committee slots and merge below in committee order, so results are
-  // bitwise-identical for any lane_workers value — and for any executor: a
+  // bitwise-identical inline and on any lent pool — and for any executor: a
   // fabric of worker processes runs the same pure tasks and merges the same
   // way (DESIGN.md §17).
   std::vector<LaneResult> results(committees);
+  const auto run_lane = [&](std::size_t c) {
+    results[c] = run_committee_lane(tasks[c], obs_);
+  };
   if (lane_executor_) {
     lane_executor_(tasks, results);
+  } else if (pool_ != nullptr) {
+    pool_->parallel_for(committees, run_lane);
   } else {
-    // lane_workers == 0 builds a worker-less pool: parallel_for degenerates
-    // to an inline loop on this thread — the serial reference path.
-    common::ThreadPool pool(config_.lane_workers);
-    pool.parallel_for(committees, [&](std::size_t c) {
-      results[c] = run_committee_lane(tasks[c], obs_);
-    });
+    for (std::size_t c = 0; c < committees; ++c) run_lane(c);
   }
 
   // --- Merge lane results, in committee order -----------------------------

@@ -15,9 +15,9 @@
 //      (consensus/pbft) on the Merkle root of its shard's blocks. The
 //      committees are mutually independent until the final committee, so
 //      each one runs on its own simulator *lane* (private event fabric,
-//      private network, pre-forked RNG substream); lanes execute serially
-//      or on a worker pool — bitwise-identical results either way (the
-//      determinism contract, DESIGN.md §12).
+//      private network, pre-forked RNG substream); lanes execute inline or
+//      on a pool the caller lends — bitwise-identical results either way
+//      (the determinism contract, DESIGN.md §12).
 //   4. Final consensus — the designated final committee waits for shard
 //      submissions up to a deadline policy, then runs PBFT over the
 //      selected union to produce the global block. A pluggable
@@ -44,6 +44,10 @@
 #include "txn/trace.hpp"
 #include "txn/workload.hpp"
 
+namespace mvcom::common {
+class ThreadPool;
+}  // namespace mvcom::common
+
 namespace mvcom::sharding {
 
 using common::Rng;
@@ -62,9 +66,6 @@ struct ElasticoConfig {
   /// Overlay identity-exchange cost per network node — formation latency
   /// includes `num_nodes * overlay_cost_per_node` (linear in network size).
   SimTime overlay_cost_per_node = SimTime(0.08);
-  /// Dispersion of per-node hash rates and processing speeds (log-normal
-  /// coefficient of variation); the source of straggler committees.
-  double node_heterogeneity_cv = 0.35;
   /// Mean one-way link latency between any two nodes.
   SimTime link_latency_mean = SimTime(2.0);
   consensus::PbftConfig pbft{};
@@ -83,14 +84,6 @@ struct ElasticoConfig {
   double node_failure_probability = 0.0;
   /// Per-message loss probability on every link.
   double message_loss_probability = 0.0;
-  /// Worker threads for the stage-2/3 committee lanes. 0 runs the lanes
-  /// serially on the calling thread (the single-simulator reference path);
-  /// k >= 1 spawns a k-worker pool (the caller participates too). The
-  /// worker count NEVER changes results — every lane draws from an RNG
-  /// substream forked in committee order before any lane runs, and lane
-  /// outcomes merge back in committee order (the same contract as the SE
-  /// scheduler's lent pool).
-  std::size_t lane_workers = 0;
 };
 
 /// Per-committee outcome of one epoch.
@@ -116,11 +109,12 @@ using CommitteeScheduler =
     std::function<std::vector<std::uint32_t>(const std::vector<CommitteeOutcome>&)>;
 
 /// Runs a whole epoch's lane tasks and fills `results` (one slot per task,
-/// same index). The default executor dispatches `run_committee_lane` on an
-/// in-process thread pool; src/fabric installs one that ships the tasks to
-/// worker processes over the binary wire format. Every executor must fill
-/// `results[c]` from tasks[c] alone — the coordinator merges in committee
-/// order, so any conforming executor produces bitwise-identical epochs.
+/// same index). Without one, run_epoch dispatches `run_committee_lane`
+/// inline or on the lent pool; src/fabric installs one that ships the tasks
+/// to worker processes over the binary wire format. Every executor must
+/// fill `results[c]` from tasks[c] alone — the coordinator merges in
+/// committee order, so any conforming executor produces bitwise-identical
+/// epochs.
 using LaneExecutor =
     std::function<void(std::vector<LaneTask>&, std::vector<LaneResult>&)>;
 
@@ -134,8 +128,8 @@ struct EpochOutcome {
   std::uint64_t final_block_txs = 0;
   std::string next_epoch_randomness;
   /// Per-lane Simulator::order_digest values folded in committee order
-  /// (members first, then the final-consensus fabric) — equal across any
-  /// lane_workers setting iff every lane fired the same events in the same
+  /// (members first, then the final-consensus fabric) — equal across lane
+  /// pools and executors iff every lane fired the same events in the same
   /// order. The determinism matrix test diffs this across worker counts
   /// and across MVCOM_OBS=ON/OFF builds.
   std::uint64_t event_order_digest = 0;
@@ -147,10 +141,27 @@ struct EpochOutcome {
   [[nodiscard]] std::vector<txn::ShardReport> reports() const;
 };
 
+/// The epoch-equality witness: bitwise equal event_order_digest,
+/// events_executed, final_block_txs, next_epoch_randomness and
+/// epoch_makespan. Two runs of one epoch under different lane executors
+/// must satisfy it. same_epoch is an object, not a function, so that
+/// argument-dependent lookup never adds it to an unqualified call of some
+/// other `same_epoch` on EpochOutcome arguments.
+struct SameEpoch {
+  [[nodiscard]] bool operator()(const EpochOutcome& a,
+                                const EpochOutcome& b) const;
+};
+inline constexpr SameEpoch same_epoch{};
+
 /// The whole sharded network. Construct once; run epochs.
 class ElasticoNetwork {
  public:
-  ElasticoNetwork(ElasticoConfig config, Rng rng);
+  /// `pool`, when non-null, runs each epoch's committee lanes; otherwise
+  /// they run inline on the calling thread. The network borrows it, so it
+  /// must outlive the network. Results are bitwise identical with or
+  /// without it, at any pool size.
+  ElasticoNetwork(ElasticoConfig config, Rng rng,
+                  common::ThreadPool* pool = nullptr);
 
   /// Runs one full epoch over the given trace blocks. `scheduler` selects
   /// the shards for final consensus (nullptr = include all committed).
@@ -181,10 +192,11 @@ class ElasticoNetwork {
   /// result) depends on the worker count.
   void set_obs(obs::ObsContext obs) noexcept { obs_ = obs; }
 
-  /// Replaces the in-process lane pool with a custom executor (the process
-  /// fabric). Pass nullptr to restore the default. The executor never
-  /// affects seed draws or merge order, so results stay bitwise-identical
-  /// to the in-process path — test_fabric diffs the digests to prove it.
+  /// Runs the lanes on a custom executor (the process fabric) instead of
+  /// inline or on the lent pool. Pass nullptr to restore the default. The
+  /// executor never affects seed draws or merge order, so results stay
+  /// bitwise-identical to the in-process path — test_fabric diffs the
+  /// digests to prove it.
   void set_lane_executor(LaneExecutor executor) {
     lane_executor_ = std::move(executor);
   }
@@ -196,6 +208,7 @@ class ElasticoNetwork {
 
   ElasticoConfig config_;
   Rng rng_;
+  common::ThreadPool* pool_ = nullptr;  // lent; null: lanes run inline
   obs::ObsContext obs_;
   LaneExecutor lane_executor_;
   std::vector<double> hash_rates_;    // per-node relative PoW speed

@@ -53,6 +53,10 @@ struct AccountTx {
   return account % num_shards;
 }
 
+/// Extra read / write accounts per TX, each drawn uniform in [0, max].
+inline constexpr std::size_t kMaxExtraReads = 2;
+inline constexpr std::size_t kMaxExtraWrites = 1;
+
 struct AccountModelConfig {
   std::uint32_t num_accounts = 100'000;
   /// Shard count the cross_shard_ratio knob is calibrated against; must
@@ -66,9 +70,6 @@ struct AccountModelConfig {
   /// all accounts, so almost surely homed elsewhere) instead of being
   /// snapped onto the sender's home shard. The knob of the ratio sweeps.
   double cross_shard_ratio = 0.1;
-  /// Extra read / write accounts per TX, each uniform in [0, max].
-  std::size_t max_extra_reads = 2;
-  std::size_t max_extra_writes = 1;
   /// Burst arrival: this fraction of the epoch's TXs lands inside
   /// `bursts_per_epoch` sub-windows each `burst_width_fraction` of the
   /// window wide; the rest arrives uniformly.

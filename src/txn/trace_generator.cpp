@@ -23,10 +23,11 @@ Trace generate_trace(const TraceGeneratorConfig& config, common::Rng& rng) {
                           static_cast<double>(n);
 
   // Draw raw right-skewed counts, then rescale to pin the total.
+  constexpr double kTxCountCv = 0.45;  // coefficient of variation
   std::vector<double> raw(n);
   double raw_sum = 0.0;
   for (auto& r : raw) {
-    r = rng.lognormal_mean_sd(mean_txs, config.tx_count_cv * mean_txs);
+    r = rng.lognormal_mean_sd(mean_txs, kTxCountCv * mean_txs);
     raw_sum += r;
   }
 

@@ -18,8 +18,6 @@ struct TraceGeneratorConfig {
   std::uint64_t num_blocks = 1378;
   std::uint64_t target_total_txs = 1'500'000;
   double mean_interblock_seconds = 600.0;
-  /// Coefficient of variation of per-block TX counts before rescaling.
-  double tx_count_cv = 0.45;
   /// Trace epoch start — 2016-01-01T00:00:00Z, matching the paper's snapshot.
   double start_time = 1451606400.0;
 };

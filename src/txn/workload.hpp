@@ -59,18 +59,6 @@ enum class ShardFill {
 
 struct WorkloadConfig {
   std::size_t num_committees = 50;
-  double formation_mean_seconds = 600.0;   // PoW expectation (paper §VI-A)
-  double consensus_mean_seconds = 54.5;    // PBFT expectation (paper §VI-A)
-  /// Erlang stages of the formation latency. A committee is formed when its
-  /// c-th member finishes PoW — an order statistic of exponentials that
-  /// concentrates around the mean, which Erlang(c) models cleanly. This
-  /// matches Fig. 2(b), where formation latency is "randomly distributed
-  /// within a particular range" rather than heavy-tailed. (A single
-  /// exponential would make the epoch deadline t = max_i l_i an extreme
-  /// straggler and the N_min = 50%·|I| online constraint infeasible.)
-  int formation_stages = 8;
-  /// Number of Erlang stages for consensus latency (3 PBFT voting phases).
-  int consensus_stages = 3;
   ShardFill fill = ShardFill::kOneBlockPerCommittee;
 };
 
@@ -121,15 +109,18 @@ struct TwoPhaseLatency {
 
   [[nodiscard]] double total() const noexcept { return formation + consensus; }
 };
+/// The model's means and Erlang stage counts are fixed constants
+/// (workload.cpp); no WorkloadConfig field changes them, so `config` is
+/// unused.
 [[nodiscard]] TwoPhaseLatency sample_two_phase_latency(
     common::Rng& rng, const WorkloadConfig& config);
 
 /// Absolute submission instant of a committee whose epoch window closes at
 /// `window_close`: the window edge plus one two-phase completion, on the
 /// trace clock. The single shared sampling site for every carry-over path —
-/// pipeline stage A (block and account modes) and the multi-epoch bench
-/// both call this, so the block and account latency models cannot drift.
-/// Consumes exactly the engine steps of one sample_two_phase_latency call.
+/// pipeline stage A and the multi-epoch bench both call this, so their
+/// latency models cannot drift. Consumes exactly the engine steps of one
+/// sample_two_phase_latency call.
 [[nodiscard]] double sample_submit_instant(common::Rng& rng,
                                            const WorkloadConfig& config,
                                            double window_close);

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "txn/trace_generator.hpp"
@@ -19,6 +22,7 @@ using mvcom::sharding::CommitteeOutcome;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
 using mvcom::sharding::EpochOutcome;
+using mvcom::sharding::same_epoch;
 using mvcom::txn::generate_trace;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
@@ -169,6 +173,32 @@ TEST(ElasticoTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(oa.committees[i].two_phase_latency().seconds(),
                      ob.committees[i].two_phase_latency().seconds());
     EXPECT_EQ(oa.committees[i].tx_count, ob.committees[i].tx_count);
+  }
+}
+
+TEST(ElasticoTest, SameEpochChecksEveryWitnessField) {
+  // same_epoch compares five witness fields bitwise: changing any one of
+  // them alone must make two otherwise equal epochs differ.
+  ElasticoNetwork network(small_config(), Rng(42));
+  const EpochOutcome base = network.run_epoch(small_trace());
+  ASSERT_TRUE(base.final_committed);
+  EXPECT_TRUE(same_epoch(base, base));
+  const std::vector<std::function<void(EpochOutcome&)>> flips = {
+      [](EpochOutcome& o) { o.event_order_digest ^= 1; },
+      [](EpochOutcome& o) { o.events_executed += 1; },
+      [](EpochOutcome& o) { o.final_block_txs += 1; },
+      [](EpochOutcome& o) { o.next_epoch_randomness.back() ^= 1; },
+      [](EpochOutcome& o) {
+        // The next double up: equal within any tolerance, not bitwise.
+        const double t = o.epoch_makespan.seconds();
+        o.epoch_makespan = SimTime(std::nextafter(t, 2 * t));
+      },
+  };
+  for (std::size_t f = 0; f < flips.size(); ++f) {
+    EpochOutcome flipped = base;
+    flips[f](flipped);
+    EXPECT_FALSE(same_epoch(base, flipped)) << "field " << f;
+    EXPECT_FALSE(same_epoch(flipped, base)) << "field " << f;
   }
 }
 

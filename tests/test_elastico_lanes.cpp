@@ -1,15 +1,17 @@
 // Determinism matrix for the lane-parallel Elastico epoch (DESIGN.md §12).
 //
-// The contract under test: ElasticoConfig::lane_workers changes only the
-// wall-clock shape of stage 2/3 — never any result. Every lane draws from an
-// RNG substream forked in committee order before any lane runs, and lane
-// outcomes merge back in committee order, so serial (lane_workers = 0) and
-// pool-backed runs with any worker count are bitwise-identical: the same
-// per-committee formation/consensus latencies (compared as doubles, i.e.
-// bit-exact), the same commit flags and view-change counts, the same final
-// block, and the same DES event-order digest. The matrix covers four
-// scenario classes (baseline, faulty, message-level overlay, churn) at
-// lane_workers {0, 1, 2, 8}.
+// The contract under test: the pool an ElasticoNetwork borrows for its
+// committee lanes changes only the wall-clock shape of stage 2/3 — never
+// any result. Every lane draws from an RNG substream forked in committee
+// order before any lane runs, and lane outcomes merge back in committee
+// order, so inline runs (no pool) and runs on a lent pool of any size are
+// bitwise-identical: the same per-committee formation/consensus latencies
+// (compared as doubles, i.e. bit-exact), the same commit flags and
+// view-change counts, the same final block, and the same DES event-order
+// digest. The matrix covers four scenario classes (baseline, faulty,
+// message-level overlay, churn) on lent pools of {1, 2, 8} workers, and
+// one test nests two networks' lane batches in one batch of the pool both
+// borrow.
 //
 // Comparing worker counts within one build cannot catch a change that moves
 // an event in all of them, so each scenario's SHA-256 outcome digest (every
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -45,6 +48,7 @@ namespace {
 
 using mvcom::common::Rng;
 using mvcom::common::SimTime;
+using mvcom::common::ThreadPool;
 using mvcom::sharding::CommitteeOutcome;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
@@ -73,15 +77,13 @@ ElasticoConfig lane_config() {
   return config;
 }
 
-/// Runs `epochs` consecutive epochs from one seed at the given worker count
-/// and returns every outcome (epoch chaining exercises the randomness
-/// refresh under lanes too).
-std::vector<EpochOutcome> run_epochs(const ElasticoConfig& base,
-                                     std::size_t lane_workers,
-                                     std::size_t epochs, const Trace& trace) {
-  ElasticoConfig config = base;
-  config.lane_workers = lane_workers;
-  ElasticoNetwork network(config, Rng(4242));
+/// Runs `epochs` consecutive epochs from one seed with lanes on `pool`
+/// (null: inline) and returns every outcome (epoch chaining exercises the
+/// randomness refresh under lanes too).
+std::vector<EpochOutcome> run_epochs(const ElasticoConfig& config,
+                                     ThreadPool* pool, std::size_t epochs,
+                                     const Trace& trace) {
+  ElasticoNetwork network(config, Rng(4242), pool);
   std::vector<EpochOutcome> out;
   out.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -203,13 +205,13 @@ std::vector<Scenario> scenarios() {
 /// pinned constant. The constants predate the DES's move to one event kind
 /// (every PBFT message and phase event a plain callback), so these tests
 /// guard that DES against the event stream of every earlier executor;
-/// WorkerCountsAndSerialAgreeBitwise extends the result to every lane-worker
-/// count.
+/// WorkerCountsAndSerialAgreeBitwise extends the result to lent pools of
+/// every size.
 void expect_pinned(std::string_view label) {
   for (const Scenario& s : scenarios()) {
     if (s.label != label) continue;
     const std::vector<EpochOutcome> serial =
-        run_epochs(s.config, 0, kEpochs, lane_trace());
+        run_epochs(s.config, nullptr, kEpochs, lane_trace());
     // An epoch must actually do work for the digest to mean anything.
     std::size_t committed = 0;
     for (const CommitteeOutcome& c : serial.front().committees) {
@@ -245,11 +247,12 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
   for (const Scenario& s : scenarios()) {
     SCOPED_TRACE(s.label);
     const std::vector<EpochOutcome> serial =
-        run_epochs(s.config, 0, kEpochs, trace);
+        run_epochs(s.config, nullptr, kEpochs, trace);
     for (const std::size_t workers : {1u, 2u, 8u}) {
-      SCOPED_TRACE("lane_workers=" + std::to_string(workers));
+      SCOPED_TRACE("pool workers=" + std::to_string(workers));
+      ThreadPool pool(workers);
       const std::vector<EpochOutcome> pooled =
-          run_epochs(s.config, workers, kEpochs, trace);
+          run_epochs(s.config, &pool, kEpochs, trace);
       ASSERT_EQ(serial.size(), pooled.size());
       for (std::size_t e = 0; e < serial.size(); ++e) {
         SCOPED_TRACE("epoch " + std::to_string(e));
@@ -265,9 +268,8 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
 TEST(ElasticoLaneMatrix, LanedEpochMatchesStructuralExpectations) {
   // Sanity independent of the serial reference: a pooled run on its own
   // still produces a committed final block and a populated digest.
-  ElasticoConfig config = lane_config();
-  config.lane_workers = 4;
-  ElasticoNetwork network(config, Rng(99));
+  ThreadPool pool(4);
+  ElasticoNetwork network(lane_config(), Rng(99), &pool);
   const EpochOutcome outcome = network.run_epoch(lane_trace());
   EXPECT_FALSE(outcome.selected.empty());
   EXPECT_TRUE(outcome.final_committed);
@@ -282,15 +284,14 @@ TEST(ElasticoLaneMatrix, AttachedObservabilityNeverChangesResults) {
   // attaching them must not perturb a single scheduled event. Run under
   // TSan via tools/run_tsan_tests.sh, this is also the race check for
   // cross-lane obs emission.
-  ElasticoConfig config = lane_config();
+  const ElasticoConfig config = lane_config();
   const Trace trace = lane_trace();
-  const std::vector<EpochOutcome> plain = run_epochs(config, 8, 2, trace);
+  ThreadPool pool(8);
+  const std::vector<EpochOutcome> plain = run_epochs(config, &pool, 2, trace);
 
   mvcom::obs::MetricsRegistry registry;
   mvcom::obs::TraceRecorder recorder;
-  ElasticoConfig attached_config = config;
-  attached_config.lane_workers = 8;
-  ElasticoNetwork network(attached_config, Rng(4242));
+  ElasticoNetwork network(config, Rng(4242), &pool);
   network.set_obs(mvcom::obs::ObsContext(&registry, &recorder));
   std::vector<EpochOutcome> attached;
   attached.push_back(network.run_epoch(trace));
@@ -299,6 +300,43 @@ TEST(ElasticoLaneMatrix, AttachedObservabilityNeverChangesResults) {
   for (std::size_t e = 0; e < plain.size(); ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
     expect_identical(plain[e], attached[e]);
+  }
+}
+
+TEST(ElasticoLaneMatrix, NestedLaneBatchesOnOneLentPoolMatchSerial) {
+  // Two networks borrow one pool, and their run_epoch calls run as the two
+  // tasks of one parallel_for on it: each epoch's lane batch nests inside
+  // that batch. Each network must still match its own serial run.
+  const Trace trace = lane_trace();
+  const std::vector<Scenario> all = scenarios();
+  const Scenario& first = all.front();  // baseline
+  const Scenario& second = all.back();  // churn
+  const std::vector<EpochOutcome> first_serial =
+      run_epochs(first.config, nullptr, kEpochs, trace);
+  const std::vector<EpochOutcome> second_serial =
+      run_epochs(second.config, nullptr, kEpochs, trace);
+
+  ThreadPool pool(2);
+  ElasticoNetwork first_network(first.config, Rng(4242), &pool);
+  ElasticoNetwork second_network(second.config, Rng(4242), &pool);
+  std::vector<EpochOutcome> first_nested;
+  std::vector<EpochOutcome> second_nested;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    pool.parallel_for(2, [&](std::size_t which) {
+      if (which == 0) {
+        first_nested.push_back(first_network.run_epoch(trace));
+      } else {
+        second_nested.push_back(second_network.run_epoch(trace));
+      }
+    });
+  }
+
+  ASSERT_EQ(first_nested.size(), kEpochs);
+  ASSERT_EQ(second_nested.size(), kEpochs);
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    expect_identical(first_serial[e], first_nested[e]);
+    expect_identical(second_serial[e], second_nested[e]);
   }
 }
 

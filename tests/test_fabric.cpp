@@ -3,8 +3,8 @@
 // SIGKILL-and-replay recovery.
 //
 // The determinism matrix mirrors tests/test_elastico_lanes.cpp one level up:
-// where that suite proves lane_workers (threads) never changes an epoch,
-// this one proves worker *processes* don't either — the same scenarios run
+// where that suite proves a lent thread pool never changes an epoch, this
+// one proves worker *processes* don't either — the same scenarios run
 // in-process serially and on {1, 2}-worker fabrics, and every outcome field
 // is compared bit-for-bit (doubles as their u64 bit patterns). The chaos
 // test SIGKILLs a worker mid-epoch and requires the replayed run to land on

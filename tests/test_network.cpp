@@ -105,7 +105,7 @@ TEST_F(NetworkFixture, RecoveryRestoresDelivery) {
 }
 
 TEST_F(NetworkFixture, NodeFactorScalesDelay) {
-  net_.set_node_factor(2, 4.0);
+  net_.set_delay_factor(2, 4.0);
   // Both endpoints scale: 1.0s base * 1.0 (node 0) * 4.0 (node 2).
   EXPECT_DOUBLE_EQ(net_.sample_delay(0, 2).seconds(), 4.0);
   EXPECT_DOUBLE_EQ(net_.sample_delay(2, 0).seconds(), 4.0);
@@ -146,7 +146,7 @@ TEST(NetworkTest, OutOfRangeNodeThrows) {
   Simulator sim;
   Network net(sim, Rng(1), std::make_shared<FixedLatency>(SimTime(1.0)), 2);
   EXPECT_THROW(net.set_failed(5, true), std::out_of_range);
-  EXPECT_THROW(net.set_node_factor(2, 1.0), std::out_of_range);
+  EXPECT_THROW(net.set_delay_factor(2, 1.0), std::out_of_range);
 }
 
 }  // namespace

@@ -239,91 +239,6 @@ TEST(PipelineConfigTest, RejectsGrindBitsOutsideZeroTo63) {
   }
 }
 
-// --- Account mode ------------------------------------------------------------
-
-PipelineConfig account_config() {
-  PipelineConfig config = small_config();
-  config.account_mode = true;
-  config.account.num_accounts = 4'000;
-  config.account.txs_per_epoch = 3'000;
-  config.account.cross_shard_ratio = 0.3;
-  config.xshard.rounds_per_epoch = 32;
-  config.xshard.shard_round_capacity = 32;
-  return config;
-}
-
-TEST(PipelineAccountMode, OverlapAndWorkersNeverChangeResults) {
-  // The account-mode stage A (traffic generation + assembly + x-shard
-  // scheduling) must honor the same purity contract as block dealing: the
-  // overlapped pipeline is bitwise identical to the sequential reference.
-  const Trace trace = small_trace();
-  const PipelineConfig base = account_config();
-
-  PipelineConfig ref_config = base;
-  ref_config.overlap_depth = 1;
-  ref_config.workers = 0;
-  const RunRecord ref = run_pipeline(trace, ref_config);
-  ASSERT_EQ(ref.reports.size(), base.epochs);
-
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      PipelineConfig config = base;
-      config.overlap_depth = depth;
-      config.workers = workers;
-      const RunRecord got = run_pipeline(trace, config);
-      ASSERT_EQ(got.reports.size(), ref.reports.size());
-      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
-        const EpochReport& a = ref.reports[e];
-        const EpochReport& b = got.reports[e];
-        EXPECT_EQ(a.event_order_digest, b.event_order_digest)
-            << "epoch " << e << " depth=" << depth << " workers=" << workers;
-        EXPECT_EQ(a.utility, b.utility) << "epoch " << e;
-        EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
-        EXPECT_EQ(a.committed_txs, b.committed_txs) << "epoch " << e;
-        EXPECT_EQ(a.xshard_deferred_txs, b.xshard_deferred_txs)
-            << "epoch " << e;
-      }
-      EXPECT_EQ(got.totals.digest, ref.totals.digest);
-      EXPECT_EQ(got.totals.xshard_deferred_txs,
-                ref.totals.xshard_deferred_txs);
-    }
-  }
-}
-
-TEST(PipelineAccountMode, ClassificationTalliesAreConsistent) {
-  const Trace trace = small_trace();
-  const PipelineConfig config = account_config();
-  const RunRecord rec = run_pipeline(trace, config);
-  std::uint64_t deferred = 0;
-  for (const EpochReport& r : rec.reports) {
-    // Every generated TX is classified exactly once per epoch.
-    EXPECT_EQ(r.xshard_intra_txs + r.xshard_cross_txs + r.xshard_deferred_txs,
-              config.account.txs_per_epoch)
-        << "epoch " << r.epoch;
-    EXPECT_GT(r.xshard_cross_txs, 0u);  // ratio 0.3 must produce 2-phase TXs
-    deferred += r.xshard_deferred_txs;
-  }
-  EXPECT_EQ(rec.totals.xshard_deferred_txs, deferred);
-  // What entered SE scheduling is the committed classification, never the
-  // raw offered load.
-  EXPECT_EQ(rec.totals.ingested_txs + rec.totals.xshard_deferred_txs,
-            static_cast<std::uint64_t>(config.epochs) *
-                config.account.txs_per_epoch);
-  EXPECT_EQ(rec.totals.ingested_txs,
-            rec.totals.committed_txs + rec.totals.pending_txs);
-}
-
-TEST(PipelineAccountMode, BlockModeReportsCarryNoXshardTallies) {
-  const Trace trace = small_trace();
-  const RunRecord rec = run_pipeline(trace, small_config());
-  for (const EpochReport& r : rec.reports) {
-    EXPECT_EQ(r.xshard_intra_txs, 0u);
-    EXPECT_EQ(r.xshard_cross_txs, 0u);
-    EXPECT_EQ(r.xshard_deferred_txs, 0u);
-  }
-  EXPECT_EQ(rec.totals.xshard_deferred_txs, 0u);
-}
-
 // --- Warm start --------------------------------------------------------------
 
 TEST(PipelineWarmStart, SchedulerNeverReportsWorseThanItsSeed) {

@@ -96,7 +96,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <charconv>
 #include <csignal>
 #include <cstdio>
@@ -497,8 +496,8 @@ int cmd_fabric(const Args& args) {
   network.set_lane_executor(fleet.executor());
 
   // The in-process reference replays the identical epochs: same config,
-  // same seed, lanes on the default pool. Its digests are the ground truth
-  // the fabric must match bitwise.
+  // same seed, lanes inline. Its digests are the ground truth the fabric
+  // must match bitwise.
   std::optional<mvcom::sharding::ElasticoNetwork> reference;
   if (verify) reference.emplace(config, mvcom::common::Rng(seed));
 
@@ -514,14 +513,7 @@ int cmd_fabric(const Args& args) {
                 outcome.selected.size());
     if (reference) {
       const auto expected = reference->run_epoch(trace);
-      const bool equal =
-          expected.event_order_digest == outcome.event_order_digest &&
-          expected.events_executed == outcome.events_executed &&
-          expected.final_block_txs == outcome.final_block_txs &&
-          expected.next_epoch_randomness == outcome.next_epoch_randomness &&
-          std::bit_cast<std::uint64_t>(expected.epoch_makespan.seconds()) ==
-              std::bit_cast<std::uint64_t>(outcome.epoch_makespan.seconds());
-      if (!equal) {
+      if (!mvcom::sharding::same_epoch(expected, outcome)) {
         diverged = true;
         std::printf("epoch %llu: DIVERGED from in-process reference "
                     "(expected digest %016llx)\n",

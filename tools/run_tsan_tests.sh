@@ -30,11 +30,15 @@
 # pool and pipeline suites with
 #   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline'
 #
-# DES lanes: the lane-parallel Elastico epoch (ElasticoConfig::lane_workers)
-# is exercised by tests/test_elastico_lanes.cpp, four scenarios at worker
-# counts {1, 2, 8}. Per-lane simulators/networks plus the shared obs sinks
-# run concurrently there, so races in the lane substrate surface in this
-# suite. Filter with -R ElasticoLane.
+# DES lanes: ElasticoNetwork runs an epoch's committee lanes on a pool its
+# caller lends. tests/test_elastico_lanes.cpp runs four scenarios on lent
+# pools of {1, 2, 8} workers against the inline run, and nests two
+# networks' lane batches inside one batch of the pool both borrow.
+# Per-lane simulators/networks plus the shared obs sinks run concurrently
+# there, so races in the lane substrate surface in this suite. The fabric
+# tests (FabricDeterminism) fork their workers with no pool alive.
+# Filter to the lanes, the fabric, the pool, SE and the pipeline with
+#   tools/run_tsan_tests.sh -R 'ElasticoLane|SimKernelsDifferential|Fabric|ThreadPool|SeParallel|Pipeline'
 #
 # Usage: tools/run_tsan_tests.sh [extra ctest args…]
 set -euo pipefail

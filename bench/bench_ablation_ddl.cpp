@@ -36,11 +36,10 @@ int main() {
     const auto instance = mvcom::core::make_instance_with_ddl(
         workload.reports, policy, /*alpha=*/1.5, /*capacity=*/40'000,
         /*n_min=*/admission.admitted.size() * 2 / 5);
-    if (!instance) continue;
     mvcom::core::SeParams params;
     params.threads = 10;
     params.max_iterations = 2500;
-    mvcom::core::SeScheduler scheduler(*instance, params, 31);
+    mvcom::core::SeScheduler scheduler(instance, params, 31);
     const auto result = scheduler.run();
     if (!result.feasible) {
       std::printf("  %6.2f %12.1f %12zu %14s\n", q, admission.deadline,
@@ -50,8 +49,8 @@ int main() {
     std::printf("  %6.2f %12.1f %12zu %14.1f %12llu %14.1f\n", q,
                 admission.deadline, admission.stragglers, result.utility,
                 static_cast<unsigned long long>(
-                    instance->permitted_txs(result.best)),
-                instance->cumulative_age(result.best));
+                    instance.permitted_txs(result.best)),
+                instance.cumulative_age(result.best));
   }
   std::printf(
       "  (expected shape: tighter deadlines trade TXs for freshness — the\n"

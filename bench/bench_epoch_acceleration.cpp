@@ -73,18 +73,14 @@ std::vector<std::uint32_t> mvcom_policy(
   const auto instance = mvcom::core::make_instance_with_ddl(
       reports, ddl, /*alpha=*/1.5, (total * 7) / 10, reports.size() / 3);
   std::vector<std::uint32_t> ids;
-  if (!instance) {
-    for (const auto& c : committed) ids.push_back(c.committee_id);
-    return ids;
-  }
   mvcom::core::SeParams params;
   params.threads = 10;
   params.max_iterations = 2500;
-  mvcom::core::SeScheduler scheduler(*instance, params, 77);
+  mvcom::core::SeScheduler scheduler(instance, params, 77);
   const auto result = scheduler.run();
   if (result.feasible) {
     for (std::size_t i = 0; i < result.best.size(); ++i) {
-      if (result.best[i]) ids.push_back(instance->committees()[i].id);
+      if (result.best[i]) ids.push_back(instance.committees()[i].id);
     }
   } else {
     for (const auto& c : committed) ids.push_back(c.committee_id);

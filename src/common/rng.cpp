@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 namespace mvcom::common {
 
@@ -75,26 +74,6 @@ std::uint64_t Rng::poisson(double lambda) noexcept {
   // synthesis where lambda is the per-block transaction count (~10^3).
   const double draw = normal(lambda, std::sqrt(lambda));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
-double Rng::bounded_pareto(double lo, double hi, double alpha) noexcept {
-  assert(lo > 0.0 && hi > lo && alpha > 0.0);
-  // Inverse CDF of the truncated Pareto: F(x) = (1 − (lo/x)^a) / (1 − (lo/hi)^a).
-  const double ratio = std::pow(lo / hi, alpha);
-  const double u = uniform01();
-  return lo / std::pow(1.0 - u * (1.0 - ratio), 1.0 / alpha);
-}
-
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
-  assert(k <= n);
-  std::vector<std::size_t> pool(n);
-  std::iota(pool.begin(), pool.end(), std::size_t{0});
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(k);
-  return pool;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : skew_(s) {

@@ -122,20 +122,8 @@ class Rng {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    return lo + static_cast<std::int64_t>(
-                    below(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
-
-  /// Bounded-Pareto variate on [lo, hi] with tail index alpha, by inverse
-  /// CDF. The continuous analogue of the Zipf rank distribution — used for
-  /// heavy-tailed sizes (account balances, burst magnitudes) where a hard
-  /// upper bound must hold. Preconditions: 0 < lo < hi, alpha > 0.
-  double bounded_pareto(double lo, double hi, double alpha) noexcept;
 
   /// Exponential variate with the given mean (= 1/rate). Used heavily by the
   /// SE algorithm's countdown timers (Eq. 8 of the paper) and by the PoW
@@ -172,10 +160,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Samples k distinct indices from [0, n) uniformly (partial Fisher–Yates).
-  /// Precondition: k <= n.
-  std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

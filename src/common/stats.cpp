@@ -7,47 +7,29 @@
 
 namespace mvcom::common {
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+namespace {
+
+/// Welford's pass: the running mean and the sum of squared deviations m2.
+struct Moments {
+  double mean = 0.0;
+  double m2 = 0.0;
+};
+
+Moments moments(std::span<const double> sample) noexcept {
+  Moments m;
+  std::size_t n = 0;
+  for (const double x : sample) {
+    ++n;
+    const double delta = x - m.mean;
+    m.mean += delta / static_cast<double>(n);
+    m.m2 += delta * (x - m.mean);
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  return m;
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
+}  // namespace
 
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean(std::span<const double> sample) {
-  RunningStats s;
-  for (const double x : sample) s.add(x);
-  return s.mean();
-}
+double mean(std::span<const double> sample) { return moments(sample).mean; }
 
 double percentile(std::span<const double> sample, double q) {
   assert(!sample.empty());
@@ -89,12 +71,14 @@ MeanCi mean_confidence_interval(std::span<const double> sample,
     throw std::invalid_argument(
         "mean_confidence_interval: confidence must be 0.90/0.95/0.99");
   }
-  RunningStats stats;
-  for (const double x : sample) stats.add(x);
+  const Moments m = moments(sample);
+  const std::size_t n = sample.size();
+  const double variance =
+      n > 1 ? m.m2 / static_cast<double>(n - 1) : 0.0;
   MeanCi ci;
-  ci.mean = stats.mean();
-  ci.half_width = z * stats.stddev() /
-                  std::sqrt(static_cast<double>(stats.count()));
+  ci.mean = m.mean;
+  ci.half_width =
+      z * std::sqrt(variance) / std::sqrt(static_cast<double>(n));
   return ci;
 }
 

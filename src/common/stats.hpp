@@ -1,8 +1,8 @@
 #pragma once
-// Streaming and batch statistics used across the simulator and the
-// experiment harness: running moments (Welford), percentiles, CDFs at fixed
-// quantiles and mean confidence intervals. These back the CDF plots (Fig. 2b,
-// Fig. 13) and the convergence-trace summaries of every experiment.
+// Batch statistics used across the experiment harness: means, percentiles,
+// CDFs at fixed quantiles and mean confidence intervals. These back the CDF
+// plots (Fig. 2b, Fig. 13) and the convergence-trace summaries of every
+// experiment.
 
 #include <cstddef>
 #include <span>
@@ -10,34 +10,8 @@
 
 namespace mvcom::common {
 
-/// Numerically stable streaming moments (Welford's online algorithm).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  /// Merges another accumulator (parallel reduction; Chan et al.).
-  void merge(const RunningStats& other) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Arithmetic mean of a sample; 0 for an empty sample (matching
-/// RunningStats::mean()). One Welford pass — benches previously hand-rolled
-/// this loop; use this instead.
+/// Arithmetic mean of a sample; 0 for an empty sample. One Welford pass,
+/// which keeps small deltas riding on a large offset.
 [[nodiscard]] double mean(std::span<const double> sample);
 
 /// Linear-interpolated percentile of a sample, q in [0, 1].
@@ -55,7 +29,8 @@ struct CdfPoint {
 [[nodiscard]] std::vector<CdfPoint> cdf_at_quantiles(
     std::span<const double> sample, std::size_t points);
 
-/// Mean with a normal-approximation confidence interval (mean ± z·s/√n).
+/// Mean with a normal-approximation confidence interval (mean ± z·s/√n,
+/// s the sample standard deviation with an n−1 denominator).
 /// `confidence` ∈ {0.90, 0.95, 0.99} (the usual z table); other values
 /// throw. Experiment harnesses report mean ± half_width.
 struct MeanCi {

@@ -16,6 +16,12 @@ namespace mvcom::fabric {
 
 namespace {
 constexpr int kHelloTimeoutMs = 30000;
+/// Deadline for one worker's epoch reply; past it the worker is declared
+/// dead and its batch replayed on a fresh fork.
+constexpr int kEpochTimeoutMs = 120000;
+/// Replacement-fork budget across the fabric's lifetime; exceeding it
+/// throws (a worker crashing deterministically would loop forever).
+constexpr std::uint64_t kMaxRespawns = 16;
 }
 
 ProcessFabric::ProcessFabric(FabricConfig config, obs::ObsContext obs)
@@ -107,7 +113,7 @@ bool ProcessFabric::collect(std::size_t index, std::uint64_t epoch,
   if (!member.alive) return false;
   FrameView frame;
   const RecvStatus status =
-      member.channel.recv_frame(&frame, config_.epoch_timeout_ms);
+      member.channel.recv_frame(&frame, kEpochTimeoutMs);
   if (status != RecvStatus::kOk || frame.type != FrameType::kResultBatch) {
     return false;
   }
@@ -180,7 +186,7 @@ void ProcessFabric::execute(std::vector<sharding::LaneTask>& tasks,
       // Crash path: reap, respawn, replay the identical batch. Lanes are
       // pure in their task, so the replacement's results are bitwise-equal
       // to what the dead worker would have sent.
-      if (respawns_ >= config_.max_respawns) {
+      if (respawns_ >= kMaxRespawns) {
         throw std::runtime_error(
             "ProcessFabric: worker respawn budget exhausted");
       }

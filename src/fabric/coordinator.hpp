@@ -40,12 +40,6 @@ namespace mvcom::fabric {
 struct FabricConfig {
   /// Worker processes. Committee c runs on worker (c % workers).
   std::size_t workers = 2;
-  /// Deadline for one worker's epoch reply; past it the worker is declared
-  /// dead and its batch replayed on a fresh fork.
-  int epoch_timeout_ms = 120000;
-  /// Replacement-fork budget across the fabric's lifetime; exceeding it
-  /// throws (a worker crashing deterministically would loop forever).
-  std::size_t max_respawns = 16;
   /// When non-empty, every worker re-exports its private registry to
   /// `<metrics_dir>/fabric-worker-<index>.prom` after each epoch.
   std::string metrics_dir;

@@ -87,7 +87,7 @@ FaultPlan Adversary::plan_epoch(
   common::Rng rng =
       common::Rng::stream(seed_ ^ kAdversarySalt, epoch_index);
   FaultPlan plan;
-  const double horizon = config_.horizon_seconds;
+  const double horizon = kFaultHorizonSeconds;
   const std::vector<std::uint32_t> targets = ranked_targets(committees, last);
   const std::size_t k = budget_victims(config_.budget, committees.size());
 

@@ -63,8 +63,6 @@ struct AdversaryConfig {
   double budget = 0.25;
   /// Forged-claim multiplier for colluding-misreport submissions.
   double inflation = 3.0;
-  /// Attack window: fault times are drawn inside [0, horizon_seconds).
-  double horizon_seconds = 1500.0;
   /// Churn-storm intensity at budget = 1.0, in multiples of the Fig. 14
   /// baseline rates (the ISSUE's "10× Fig. 14" regime).
   double churn_multiplier = 10.0;

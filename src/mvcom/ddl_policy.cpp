@@ -1,38 +1,11 @@
 #include "mvcom/ddl_policy.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 #include "common/stats.hpp"
 
 namespace mvcom::core {
-
-Admission DdlPolicy::admit(std::span<const txn::ShardReport> reports) const {
-  if (reports.empty()) {
-    throw std::invalid_argument("DdlPolicy::admit: no reports");
-  }
-  Admission result;
-  result.deadline = deadline(reports);
-  for (const txn::ShardReport& r : reports) {
-    if (r.two_phase_latency() <= result.deadline) {
-      result.admitted.push_back(r);
-    } else {
-      ++result.stragglers;
-    }
-  }
-  return result;
-}
-
-double MaxLatencyDdl::deadline(
-    std::span<const txn::ShardReport> reports) const {
-  assert(!reports.empty());
-  double t = 0.0;
-  for (const txn::ShardReport& r : reports) {
-    t = std::max(t, r.two_phase_latency());
-  }
-  return t;
-}
 
 PercentileDdl::PercentileDdl(double quantile) : quantile_(quantile) {
   if (quantile <= 0.0 || quantile > 1.0) {
@@ -51,11 +24,27 @@ double PercentileDdl::deadline(
   return common::percentile(latencies, quantile_);
 }
 
-std::optional<EpochInstance> make_instance_with_ddl(
-    std::span<const txn::ShardReport> reports, const DdlPolicy& policy,
+DdlAdmission PercentileDdl::admit(
+    std::span<const txn::ShardReport> reports) const {
+  if (reports.empty()) {
+    throw std::invalid_argument("PercentileDdl::admit: no reports");
+  }
+  DdlAdmission result;
+  result.deadline = deadline(reports);
+  for (const txn::ShardReport& r : reports) {
+    if (r.two_phase_latency() <= result.deadline) {
+      result.admitted.push_back(r);
+    } else {
+      ++result.stragglers;
+    }
+  }
+  return result;
+}
+
+EpochInstance make_instance_with_ddl(
+    std::span<const txn::ShardReport> reports, const PercentileDdl& policy,
     double alpha, std::uint64_t capacity, std::size_t n_min) {
-  const Admission admission = policy.admit(reports);
-  if (admission.admitted.empty()) return std::nullopt;
+  const DdlAdmission admission = policy.admit(reports);
   return EpochInstance::from_reports(admission.admitted, alpha, capacity,
                                      n_min, admission.deadline);
 }

@@ -50,7 +50,7 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
                                          1, num_reserve)))
                                : static_cast<std::uint32_t>(
                                      rng.below(num_committees));
-      event.at_seconds = rng.uniform(0.0, config.horizon_seconds);
+      event.at_seconds = rng.uniform(0.0, kFaultHorizonSeconds);
       event.duration_seconds =
           rng.uniform(kMinDowntimeSeconds, kMaxDowntimeSeconds);
       switch (kind) {

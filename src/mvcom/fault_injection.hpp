@@ -65,6 +65,10 @@ struct FaultEvent {
                                   // their historical by-id aggregate shape
 };
 
+/// Attack window: randomized plans and every adversary strategy draw their
+/// fault times inside [0, kFaultHorizonSeconds).
+inline constexpr double kFaultHorizonSeconds = 1500.0;
+
 struct FaultPlanConfig {
   std::size_t crashes = 1;
   std::size_t crash_recovers = 1;
@@ -74,17 +78,17 @@ struct FaultPlanConfig {
   std::size_t loss_bursts = 0;
   std::size_t joins = 0;      // drawn only when the run provides a reserve
   std::size_t leaves = 0;
-  double horizon_seconds = 1500.0;  // faults drawn uniformly in [0, horizon)
 };
 
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
   /// Draws a randomized schedule: victims are sampled uniformly as live
-  /// ranks over [0, num_committees), times over [0, horizon). With no churn
-  /// the live order equals the input order, so rank targeting reproduces the
-  /// historical by-index behavior bit-for-bit. Join events draw reserve
-  /// slots over [0, num_reserve) (none are drawn when num_reserve == 0).
+  /// ranks over [0, num_committees), times over [0, kFaultHorizonSeconds).
+  /// With no churn the live order equals the input order, so rank targeting
+  /// reproduces the historical by-index behavior bit-for-bit. Join events
+  /// draw reserve slots over [0, num_reserve) (none are drawn when
+  /// num_reserve == 0).
   /// Deterministic per rng state — the property tests sweep seeds.
   [[nodiscard]] static FaultPlan randomized(const FaultPlanConfig& config,
                                             std::size_t num_committees,

@@ -25,9 +25,8 @@ EpochInstance::EpochInstance(std::vector<Committee> committees, double alpha,
   }
   // Reject adversarial shard sizes whose total would wrap std::uint64_t:
   // downstream bookkeeping (smallest-prefix feasibility tests, incremental
-  // Σ s maintenance in the SE solvers, scheduling_worthwhile) sums subsets
-  // unchecked and a wrapped total could mark infeasible cardinalities
-  // active.
+  // Σ s maintenance in the SE solvers) sums subsets unchecked and a wrapped
+  // total could mark infeasible cardinalities active.
   for (const Committee& c : committees_) {
     if (c.txs > std::numeric_limits<std::uint64_t>::max() - total_txs_) {
       throw std::invalid_argument(
@@ -105,12 +104,6 @@ double EpochInstance::cumulative_age(const Selection& x) const {
     if (x[i]) total += age(i);
   }
   return total;
-}
-
-bool EpochInstance::scheduling_worthwhile() const {
-  // total_txs_ is overflow-checked at construction, so the comparison with
-  // the capacity cannot be fooled by a wrapped sum.
-  return committees_.size() > n_min_ && total_txs_ > capacity_;
 }
 
 double fractional_bound(const EpochInstance& instance) {

@@ -108,10 +108,6 @@ class EpochInstance {
   /// Cumulative age Σ Π_i over permitted shards.
   [[nodiscard]] double cumulative_age(const Selection& x) const;
 
-  /// Bootstrap condition of Alg. 1 line 1: scheduling is only worth running
-  /// when enough committees arrived and the capacity actually binds.
-  [[nodiscard]] bool scheduling_worthwhile() const;
-
  private:
   std::vector<Committee> committees_;
   double alpha_;

@@ -14,7 +14,10 @@ namespace mvcom::core {
 namespace {
 
 constexpr double kBoundSlack = 1e-9;  // float noise in the Theorem-2 check
+constexpr double kStrikeWeight = 1.0;   // risk per strike
 constexpr double kFailureWeight = 0.5;  // risk per detector-declared failure
+/// Cross-epoch decay applied to the risk score when exporting carry.
+constexpr double kCarryDecay = 0.5;
 /// Longest probe interval the backoff reaches while a committee is down.
 constexpr double kPingIntervalCapSeconds = 480.0;
 
@@ -84,11 +87,8 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       config_.ping_backoff_factor < 1.0) {
     throw std::invalid_argument("EpochSupervisor: bad monitor parameters");
   }
-  if (config_.risk.enabled &&
-      (config_.risk.strike_weight < 0.0 ||
-       config_.risk.escalation_step <= 0.0 ||
-       config_.risk.tighten_step <= 0.0 || config_.risk.carry_decay < 0.0 ||
-       config_.risk.carry_decay > 1.0)) {
+  if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
+                               config_.risk.tighten_step <= 0.0)) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
   }
 }
@@ -305,7 +305,7 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
 
 double EpochSupervisor::risk_score() const noexcept {
   return risk_carry_ +
-         config_.risk.strike_weight * static_cast<double>(strikes_total_) +
+         kStrikeWeight * static_cast<double>(strikes_total_) +
          kFailureWeight * static_cast<double>(failures_detected_);
 }
 
@@ -411,7 +411,7 @@ SupervisorCarry EpochSupervisor::export_carry() const {
       carry.entries.push_back({id, h.strikes, h.banned});
     }
   }
-  carry.risk = config_.risk.carry_decay * risk_score();
+  carry.risk = kCarryDecay * risk_score();
   return carry;
 }
 

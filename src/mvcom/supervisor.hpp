@@ -114,12 +114,9 @@ enum class InfeasibleReason {
 /// larger space.
 struct RiskPolicyConfig {
   bool enabled = false;
-  double strike_weight = 1.0;   // risk per strike
   double escalation_step = 2.0; // risk per +1 N_min
   std::size_t boost_cap = 8;    // max N_min raise over the static base
   double tighten_step = 4.0;    // risk per −1 effective max_strikes
-  /// Cross-epoch decay applied to the risk score when exporting carry.
-  double carry_decay = 0.5;
 };
 
 /// Theorem-2 accounting of one risk-adaptive N_min resize, mirroring
@@ -246,8 +243,7 @@ class EpochSupervisor {
   /// risk score seeds the risk-adaptive policy.
   void adopt_carry(const SupervisorCarry& carry);
   /// Exports the state the next epoch's supervisor should adopt: every
-  /// committee with strikes or a ban, plus the risk score decayed by
-  /// RiskPolicyConfig::carry_decay.
+  /// committee with strikes or a ban, plus half the risk score.
   [[nodiscard]] SupervisorCarry export_carry() const;
 
   // -- Introspection -------------------------------------------------------

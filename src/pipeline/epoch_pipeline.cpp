@@ -109,6 +109,11 @@ EpochPipeline::EpochPipeline(const txn::Trace& trace, PipelineConfig config)
     throw std::invalid_argument(
         "EpochPipeline: epochs and committees must be >= 1");
   }
+  if (config_.overlap_depth > 2) {
+    throw std::invalid_argument(
+        "EpochPipeline: overlap_depth must be 0..2, got " +
+        std::to_string(config_.overlap_depth));
+  }
   if (config_.pow_grind_bits < 0 || config_.pow_grind_bits > 63) {
     throw std::invalid_argument(
         "EpochPipeline: pow_grind_bits must be 0..63, got " +
@@ -432,17 +437,6 @@ PipelineTotals EpochPipeline::run(
   prev_commit_ = 0.0;
   chain_ = chain::RootChain();
 
-  const std::size_t depth = std::max<std::size_t>(1, config_.overlap_depth);
-  // At most depth formed epochs are live at once, so the lookahead keeps
-  // min(depth, epochs) slots and epoch e lives in slot e mod that count:
-  // memory stays bounded however many epochs the run asks for. Within one
-  // batch B(k) reads epoch k's slot and A(k+depth−1) writes epoch k−1's,
-  // which B(k−1) has already emptied, so the two never share a slot.
-  std::vector<std::optional<FormedEpoch>> formed(
-      std::min(depth, config_.epochs));
-  const auto slot = [&](std::size_t e) -> std::optional<FormedEpoch>& {
-    return formed[e % formed.size()];
-  };
   // One pool per run serves the overlap batch and, nested inside the
   // stages, the PoW grind chunks and the SE explorers — at depth 1 only the
   // nested batches.
@@ -451,42 +445,40 @@ PipelineTotals EpochPipeline::run(
     pool = std::make_unique<common::ThreadPool>(config_.workers);
   }
 
-  // Pipeline prologue: pre-form the first depth−1 epochs so every steady
-  // step can pair one stage B with one lookahead stage A.
-  for (std::size_t e = 0; e + 1 < depth && e < config_.epochs; ++e) {
-    slot(e) = form_epoch(e, pool.get());
-  }
-
+  const bool overlap = config_.overlap_depth == 2;
+  // At depth 2, epoch k+1's formation, made during step k.
+  std::optional<FormedEpoch> ahead;
   for (std::size_t k = 0; k < config_.epochs; ++k) {
     if (stop_requested()) {
       totals_.stopped_early = true;
       break;
     }
+    // The sequential reference forms every epoch here, right before its
+    // stage B; the pipelined schedule forms only epoch 0 here.
+    FormedEpoch current =
+        ahead ? std::move(*ahead) : form_epoch(k, pool.get());
+    ahead.reset();
     EpochReport report;
-    if (depth == 1) {
-      // Sequential reference: form-then-schedule, one epoch at a time.
-      report = schedule_epoch(form_epoch(k, pool.get()), pool.get());
-    } else {
-      // One software-pipelined step: {B(k), A(k+depth−1)} as a single
-      // thread-pool batch. Stage A is pure and stage B is the only writer
-      // of cross-epoch state, so the batch is data-race-free and the
-      // results match the sequential reference bit for bit.
-      const std::size_t ahead = k + depth - 1;
-      const bool has_ahead = ahead < config_.epochs;
+    if (overlap && k + 1 < config_.epochs) {
+      // One software-pipelined step: {B(k), A(k+1)} as a single thread-pool
+      // batch. Stage A is pure and stage B is the only writer of
+      // cross-epoch state, so the batch is data-race-free and the results
+      // match the sequential reference bit for bit.
       const auto body = [&](std::size_t which) {
         if (which == 0) {
-          report = schedule_epoch(std::move(*slot(k)), pool.get());
+          report = schedule_epoch(std::move(current), pool.get());
         } else {
-          slot(ahead) = form_epoch(ahead, pool.get());
+          ahead = form_epoch(k + 1, pool.get());
         }
       };
-      const std::size_t tasks = has_ahead ? 2 : 1;
       if (pool) {
-        pool->parallel_for(tasks, body);
+        pool->parallel_for(2, body);
       } else {
-        for (std::size_t i = 0; i < tasks; ++i) body(i);
+        body(0);
+        body(1);
       }
-      slot(k).reset();
+    } else {
+      report = schedule_epoch(std::move(current), pool.get());
     }
     ++totals_.epochs_run;
     if (on_epoch) on_epoch(report);

@@ -36,12 +36,12 @@
 //     carry the refused shards forward. Stage B mutates all cross-epoch
 //     state and therefore executes strictly in epoch order.
 //
-// Overlap: with overlap_depth d >= 2, step k runs {B(k), A(k+d-1)} as one
+// Overlap: with overlap_depth 2, step k runs {B(k), A(k+1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
 // Stage B lends the same pool to the SE scheduler, whose explorer batches
 // nest inside B(k), and stage A grinds its PoW chunks on it: whichever
 // batch a context is free for, it helps with, so the thread that finishes
-// a short B(k) grinds A(k+d-1)'s chunks instead of waiting.
+// a short B(k) grinds A(k+1)'s chunks instead of waiting.
 // Because stage A is pure and only one stage B is in flight per batch, the
 // pipelined schedule is *bitwise identical* to the sequential reference
 // (overlap_depth = 1) for any worker count: same per-epoch event-order
@@ -71,11 +71,13 @@ namespace mvcom::pipeline {
 struct PipelineConfig {
   std::size_t committees = 20;     // member committees formed per epoch
   std::size_t epochs = 6;          // epoch windows spanning the trace
-  /// 1 = strictly sequential (the bitwise-determinism reference);
-  /// d >= 2 overlaps epoch e's stage B with epoch e+d-1's stage A.
+  /// 1 = strictly sequential (the bitwise-determinism reference); 2
+  /// overlaps epoch e's stage B with epoch e+1's stage A; 0 means 1. The
+  /// constructor throws std::invalid_argument above 2: a deeper lookahead
+  /// would run the same two-task batch, only holding more formed epochs.
   std::size_t overlap_depth = 1;
   /// Workers of the run's one thread pool, which serves the overlap batch
-  /// {B(k), A(k+d−1)} and, nested inside the stages, stage A's PoW grind
+  /// {B(k), A(k+1)} and, nested inside the stages, stage A's PoW grind
   /// chunks and the SE scheduler's Γ explorers (0 = everything inline on
   /// the calling thread; results are identical either way).
   std::size_t workers = 0;

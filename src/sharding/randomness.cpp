@@ -5,11 +5,16 @@
 
 namespace mvcom::sharding {
 
+namespace {
+/// Sim-clock budget of each phase: commits close this long after the round
+/// opens at the latest, and reveals this long after commits close.
+constexpr common::SimTime kRevealTimeout = common::SimTime(30.0);
+}  // namespace
+
 BeaconResult run_commit_reveal_beacon(sim::Simulator& simulator,
                                       net::Network& network, common::Rng& rng,
                                       const std::vector<net::NodeId>& members,
-                                      const std::vector<bool>& withholding,
-                                      const BeaconConfig& config) {
+                                      const std::vector<bool>& withholding) {
   if (members.empty() || members.size() != withholding.size()) {
     throw std::invalid_argument(
         "run_commit_reveal_beacon: members/withholding mismatch");
@@ -72,7 +77,7 @@ BeaconResult run_commit_reveal_beacon(sim::Simulator& simulator,
         });
       });
     }
-    simulator.schedule_after(config.reveal_timeout, finalize);
+    simulator.schedule_after(kRevealTimeout, finalize);
   };
 
   // Phase 1: every member sends COMMIT to the leader.
@@ -86,7 +91,7 @@ BeaconResult run_commit_reveal_beacon(sim::Simulator& simulator,
   }
   // Leader's own path when sends drop (failed members): close after a grace
   // period even if some commits never arrive.
-  simulator.schedule_after(config.reveal_timeout, close_commits);
+  simulator.schedule_after(kRevealTimeout, close_commits);
 
   simulator.run();
   if (!state->done) finalize();

@@ -27,11 +27,6 @@
 
 namespace mvcom::sharding {
 
-struct BeaconConfig {
-  /// Wall-clock budget for the reveal phase after commits close.
-  common::SimTime reveal_timeout = common::SimTime(30.0);
-};
-
 struct BeaconResult {
   std::string randomness;               // hex output of the beacon
   std::size_t commits = 0;              // members whose commitment arrived
@@ -42,10 +37,12 @@ struct BeaconResult {
 
 /// One commit-reveal round among `members` (network nodes); members[0]
 /// coordinates. `withholding[i]` = member i commits but never reveals.
-/// Drives the simulator to quiescence before returning.
+/// The leader closes the commit phase 30 s after it opens (or once every
+/// commit arrived) and the reveal phase 30 s after that. Drives the
+/// simulator to quiescence before returning.
 [[nodiscard]] BeaconResult run_commit_reveal_beacon(
     sim::Simulator& simulator, net::Network& network, common::Rng& rng,
     const std::vector<net::NodeId>& members,
-    const std::vector<bool>& withholding, const BeaconConfig& config = {});
+    const std::vector<bool>& withholding);
 
 }  // namespace mvcom::sharding

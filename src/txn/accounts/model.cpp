@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "txn/trace.hpp"
+
 namespace mvcom::txn {
 
 namespace {
@@ -56,7 +58,7 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
 
   AccountEpoch epoch;
   epoch.epoch_index = epoch_index;
-  epoch.window_start = config_.start_time +
+  epoch.window_start = kTraceStartSeconds +
                        static_cast<double>(epoch_index) * config_.window_seconds;
   epoch.window_end = epoch.window_start + config_.window_seconds;
 

@@ -76,10 +76,9 @@ struct AccountModelConfig {
   double burst_fraction = 0.2;
   std::size_t bursts_per_epoch = 3;
   double burst_width_fraction = 0.02;
-  /// Epoch window length (seconds) and trace start — epoch k spans
-  /// [start + k·W, start + (k+1)·W).
+  /// Epoch window length W (seconds): epoch k spans
+  /// [kTraceStartSeconds + k·W, kTraceStartSeconds + (k+1)·W).
   double window_seconds = 1500.0;
-  double start_time = 1451606400.0;  // 2016-01-01T00:00:00Z, as the trace
 };
 
 /// One epoch's account-based traffic, timestamp-sorted (ties by tx_id).

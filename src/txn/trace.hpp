@@ -10,6 +10,11 @@
 
 namespace mvcom::txn {
 
+/// Unix time the synthetic traffic starts from — 2016-01-01T00:00:00Z,
+/// matching the paper's snapshot. Generated block traces and account-model
+/// epochs both count from it.
+inline constexpr double kTraceStartSeconds = 1451606400.0;
+
 /// One block of the (synthetic) Bitcoin trace.
 struct BlockRecord {
   std::uint64_t block_id = 0;

@@ -33,7 +33,7 @@ Trace generate_trace(const TraceGeneratorConfig& config, common::Rng& rng) {
 
   Trace trace;
   trace.blocks.reserve(n);
-  double t = config.start_time;
+  double t = kTraceStartSeconds;
   std::uint64_t assigned = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     t += rng.exponential(config.mean_interblock_seconds);

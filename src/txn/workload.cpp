@@ -97,13 +97,8 @@ WorkloadGenerator::WorkloadGenerator(Trace trace, WorkloadConfig config)
 
 EpochWorkload WorkloadGenerator::epoch(common::Rng& rng) const {
   const std::size_t m = config_.num_committees;
-  // One block per committee, or every block: the rest stay unused this
-  // epoch under kOneBlockPerCommittee.
-  const std::vector<std::uint64_t> txs = deal_blocks(
-      trace_, m,
-      config_.fill == ShardFill::kOneBlockPerCommittee ? m
-                                                       : trace_.blocks.size(),
-      rng);
+  // One block per committee; the rest stay unused this epoch.
+  const std::vector<std::uint64_t> txs = deal_blocks(trace_, m, m, rng);
   EpochWorkload workload;
   workload.reports.resize(m);
   for (std::size_t c = 0; c < m; ++c) {

@@ -32,6 +32,7 @@ using mvcom::core::FaultEvent;
 using mvcom::core::FaultKind;
 using mvcom::core::FaultPlan;
 using mvcom::core::kAllAdversaryStrategies;
+using mvcom::core::kFaultHorizonSeconds;
 using mvcom::core::run_adversarial_campaign;
 
 mvcom::txn::Trace test_trace(std::uint64_t seed = 8) {
@@ -155,8 +156,8 @@ TEST(AdversaryTest, TargetedCorruptionForgesTheObservedPicks) {
     EXPECT_TRUE(std::find(obs.permitted_ids.begin(), obs.permitted_ids.end(),
                           e.committee_id) != obs.permitted_ids.end());
     EXPECT_NE(e.committee_id, 4u);
-    EXPECT_GE(e.at_seconds, 0.3 * config.horizon_seconds);
-    EXPECT_LE(e.at_seconds, 0.9 * config.horizon_seconds);
+    EXPECT_GE(e.at_seconds, 0.3 * kFaultHorizonSeconds);
+    EXPECT_LE(e.at_seconds, 0.9 * kFaultHorizonSeconds);
   }
 }
 
@@ -179,7 +180,7 @@ TEST(AdversaryTest, ColludingCoalitionFilesEarlyAndPrefersUnpicked) {
   for (const FaultEvent& e : plan.events) {
     EXPECT_EQ(e.kind, FaultKind::kForgeSubmission);
     // The coalition files before honest reports would have gone out.
-    EXPECT_LE(e.at_seconds, 0.04 * config.horizon_seconds);
+    EXPECT_LE(e.at_seconds, 0.04 * kFaultHorizonSeconds);
     victims.insert(e.committee_id);
   }
   EXPECT_EQ(victims, (std::set<std::uint32_t>{8, 9, 10, 11}));

@@ -1,14 +1,21 @@
-// Tests for the DDL policy family (§III-A / Alg. 1 line 29).
+// Tests for the percentile DDL rule (§III-A / Alg. 1 line 29).
 
 #include "mvcom/ddl_policy.hpp"
 
 #include <gtest/gtest.h>
 
+// The supervisor's per-submission outcome (core::Admission) shares the
+// namespace with the DDL's admitted set (core::DdlAdmission); including
+// both headers here turns a clash between the two names into a build
+// failure.
+#include "mvcom/supervisor.hpp"
+
 namespace {
 
-using mvcom::core::FixedDdl;
+using mvcom::core::Admission;
+using mvcom::core::DdlAdmission;
+using mvcom::core::EpochInstance;
 using mvcom::core::make_instance_with_ddl;
-using mvcom::core::MaxLatencyDdl;
 using mvcom::core::PercentileDdl;
 using mvcom::txn::ShardReport;
 
@@ -27,9 +34,9 @@ std::vector<ShardReport> reports_with_latencies(
   return reports;
 }
 
-TEST(MaxLatencyDdlTest, AdmitsEveryoneAtTheMax) {
+TEST(PercentileDdlTest, FullQuantileAdmitsEveryoneAtTheMax) {
   const auto reports = reports_with_latencies({800, 900, 1200, 1000});
-  MaxLatencyDdl policy;
+  PercentileDdl policy(1.0);
   const auto admission = policy.admit(reports);
   EXPECT_DOUBLE_EQ(admission.deadline, 1200.0);
   EXPECT_EQ(admission.admitted.size(), 4u);
@@ -40,8 +47,6 @@ TEST(PercentileDdlTest, DropsTheSlowestTail) {
   // 10 committees, latencies 100..1000; the 0.8 quantile (linear
   // interpolation) admits the fastest 9... compute: values 100..1000,
   // q=0.8 → position 7.2 → 820. Committees above 820 are stragglers.
-  std::vector<double> latencies;
-  for (int i = 1; i <= 10; ++i) latencies.push_back(100.0 * i);
   const auto reports = reports_with_latencies(
       {100, 200, 300, 400, 500, 600, 700, 800, 900, 1000});
   PercentileDdl policy(0.8);
@@ -55,10 +60,14 @@ TEST(PercentileDdlTest, DropsTheSlowestTail) {
 }
 
 TEST(PercentileDdlTest, FullQuantileEqualsMaxLatency) {
+  // q = 1 is the paper's t_j = max_i l_i: the deadline EpochInstance
+  // derives when it is given none.
   const auto reports = reports_with_latencies({5, 9, 3, 7});
   PercentileDdl full(1.0);
-  MaxLatencyDdl max_policy;
-  EXPECT_DOUBLE_EQ(full.deadline(reports), max_policy.deadline(reports));
+  EXPECT_DOUBLE_EQ(full.deadline(reports), 9.0);
+  const EpochInstance derived =
+      EpochInstance::from_reports(reports, 1.5, 10'000, 0);
+  EXPECT_DOUBLE_EQ(full.deadline(reports), derived.deadline());
 }
 
 TEST(PercentileDdlTest, RejectsBadQuantiles) {
@@ -66,39 +75,42 @@ TEST(PercentileDdlTest, RejectsBadQuantiles) {
   EXPECT_THROW(PercentileDdl(1.5), std::invalid_argument);
 }
 
-TEST(FixedDdlTest, CutoffIsLiteral) {
-  const auto reports = reports_with_latencies({100, 200, 300});
-  FixedDdl policy(250.0);
-  const auto admission = policy.admit(reports);
-  EXPECT_DOUBLE_EQ(admission.deadline, 250.0);
-  EXPECT_EQ(admission.admitted.size(), 2u);
-  EXPECT_EQ(admission.stragglers, 1u);
+TEST(PercentileDdlTest, EmptyReportsThrow) {
+  PercentileDdl policy(1.0);
+  EXPECT_THROW(policy.admit({}), std::invalid_argument);
 }
 
-TEST(DdlPolicyTest, EmptyReportsThrow) {
-  MaxLatencyDdl policy;
-  EXPECT_THROW(policy.admit({}), std::invalid_argument);
+TEST(DdlAdmissionTest, CoexistsWithTheSupervisorAdmissionOutcome) {
+  const auto reports = reports_with_latencies({100, 200, 300});
+  const DdlAdmission admission = PercentileDdl(0.5).admit(reports);
+  EXPECT_DOUBLE_EQ(admission.deadline, 200.0);
+  EXPECT_EQ(admission.admitted.size(), 2u);
+  EXPECT_EQ(admission.stragglers, 1u);
+  EXPECT_STREQ(mvcom::core::to_string(Admission::kRefused), "refused");
 }
 
 TEST(MakeInstanceWithDdlTest, StragglersNeverEnterTheInstance) {
   const auto reports = reports_with_latencies({100, 200, 900, 1000});
   PercentileDdl policy(0.5);
-  const auto instance =
+  const EpochInstance instance =
       make_instance_with_ddl(reports, policy, 1.5, 10'000, 0);
-  ASSERT_TRUE(instance.has_value());
-  EXPECT_LT(instance->size(), reports.size());
-  for (const auto& c : instance->committees()) {
-    EXPECT_LE(c.latency, instance->deadline());
+  EXPECT_LT(instance.size(), reports.size());
+  for (const auto& c : instance.committees()) {
+    EXPECT_LE(c.latency, instance.deadline());
   }
   // The instance deadline is the policy's, not the admitted max.
-  EXPECT_DOUBLE_EQ(instance->deadline(), policy.deadline(reports));
+  EXPECT_DOUBLE_EQ(instance.deadline(), policy.deadline(reports));
 }
 
-TEST(MakeInstanceWithDdlTest, NoSurvivorsYieldsNullopt) {
-  const auto reports = reports_with_latencies({100, 200});
-  FixedDdl policy(50.0);
-  EXPECT_FALSE(
-      make_instance_with_ddl(reports, policy, 1.5, 10'000, 0).has_value());
+TEST(MakeInstanceWithDdlTest, LowestQuantileStillAdmitsTheFastest) {
+  // The q-quantile never falls below the smallest latency, so even a
+  // near-zero q leaves the fastest committee in the instance.
+  const auto reports = reports_with_latencies({700, 100, 400, 100.5});
+  const EpochInstance instance =
+      make_instance_with_ddl(reports, PercentileDdl(1e-9), 1.5, 10'000, 0);
+  ASSERT_EQ(instance.size(), 1u);
+  EXPECT_EQ(instance.committees()[0].id, 1u);
+  EXPECT_GE(instance.deadline(), 100.0);
 }
 
 TEST(MakeInstanceWithDdlTest, TighterDdlShrinksAges) {
@@ -106,17 +118,16 @@ TEST(MakeInstanceWithDdlTest, TighterDdlShrinksAges) {
   // admitted set is smaller under the 0.6-quantile than under max-latency.
   const auto reports = reports_with_latencies(
       {100, 300, 500, 700, 900, 1100, 1300, 1500, 1700, 1900});
-  MaxLatencyDdl loose;
+  PercentileDdl loose(1.0);
   PercentileDdl tight(0.6);
-  const auto loose_inst =
+  const EpochInstance loose_inst =
       make_instance_with_ddl(reports, loose, 1.5, 100'000, 0);
-  const auto tight_inst =
+  const EpochInstance tight_inst =
       make_instance_with_ddl(reports, tight, 1.5, 100'000, 0);
-  ASSERT_TRUE(loose_inst && tight_inst);
-  mvcom::core::Selection all_loose(loose_inst->size(), 1);
-  mvcom::core::Selection all_tight(tight_inst->size(), 1);
-  EXPECT_LT(tight_inst->cumulative_age(all_tight),
-            loose_inst->cumulative_age(all_loose));
+  mvcom::core::Selection all_loose(loose_inst.size(), 1);
+  mvcom::core::Selection all_tight(tight_inst.size(), 1);
+  EXPECT_LT(tight_inst.cumulative_age(all_tight),
+            loose_inst.cumulative_age(all_loose));
 }
 
 }  // namespace

@@ -28,6 +28,7 @@ using mvcom::core::FaultEvent;
 using mvcom::core::FaultKind;
 using mvcom::core::FaultPlan;
 using mvcom::core::FaultPlanConfig;
+using mvcom::core::kFaultHorizonSeconds;
 using mvcom::core::run_chaos_epoch;
 
 /// Calibrated-workload committees (the paper's fast path, §VI-A).
@@ -79,7 +80,7 @@ TEST(FaultPlanTest, RandomizedPlanIsDeterministicSortedAndComplete) {
     EXPECT_DOUBLE_EQ(plan_a.events[i].magnitude, plan_b.events[i].magnitude);
     EXPECT_LT(plan_a.events[i].committee_id, 12u);
     EXPECT_GE(plan_a.events[i].at_seconds, 0.0);
-    EXPECT_LT(plan_a.events[i].at_seconds, config.horizon_seconds);
+    EXPECT_LT(plan_a.events[i].at_seconds, kFaultHorizonSeconds);
     if (i > 0) {
       EXPECT_GE(plan_a.events[i].at_seconds, plan_a.events[i - 1].at_seconds);
     }

@@ -37,7 +37,9 @@ TEST(IntegrationTest, TraceToWorkloadToInstance) {
   const auto inst = EpochInstance::from_reports(workload.reports, 1.5, 40'000,
                                                 25);
   EXPECT_EQ(inst.size(), 50u);
-  EXPECT_TRUE(inst.scheduling_worthwhile());
+  // Alg. 1 line 1 holds: |I| > N_min and the capacity binds (Σ s > Ĉ).
+  EXPECT_GT(inst.size(), inst.n_min());
+  EXPECT_GT(inst.total_txs(), inst.capacity());
   EXPECT_DOUBLE_EQ(inst.deadline(), workload.max_latency());
 }
 

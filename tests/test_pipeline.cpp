@@ -239,6 +239,24 @@ TEST(PipelineConfigTest, RejectsGrindBitsOutsideZeroTo63) {
   }
 }
 
+TEST(PipelineConfigTest, RejectsOverlapDepthAbove2) {
+  // Depth 1 is the sequential reference and 2 pairs B(k) with A(k+1); a
+  // deeper lookahead would run the same batch. 0 means 1.
+  const Trace trace = small_trace();
+  for (const std::size_t depth : {std::size_t{3}, std::size_t{64}}) {
+    PipelineConfig config = small_config();
+    config.overlap_depth = depth;
+    EXPECT_THROW(EpochPipeline(trace, config), std::invalid_argument)
+        << "depth " << depth;
+  }
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{2}}) {
+    PipelineConfig config = small_config();
+    config.overlap_depth = depth;
+    EXPECT_NO_THROW(EpochPipeline(trace, config)) << "depth " << depth;
+  }
+}
+
 // --- Warm start --------------------------------------------------------------
 
 TEST(PipelineWarmStart, SchedulerNeverReportsWorseThanItsSeed) {

@@ -104,14 +104,6 @@ TEST(EpochInstanceTest, PermittedTxsAndCumulativeAge) {
   EXPECT_DOUBLE_EQ(inst.cumulative_age(x), 600.0);
 }
 
-TEST(EpochInstanceTest, SchedulingWorthwhileCondition) {
-  // Alg. 1 line 1: run only when |I| > N_min and Σ s > Ĉ.
-  const EpochInstance binding = tiny_instance();  // Σ=850 > 700, |I|=4 > 1
-  EXPECT_TRUE(binding.scheduling_worthwhile());
-  const EpochInstance loose({{0, 10, 1.0}, {1, 10, 2.0}}, 1.0, 100, 1);
-  EXPECT_FALSE(loose.scheduling_worthwhile());  // everything fits
-}
-
 TEST(EpochInstanceTest, FromReportsBridgesWorkload) {
   std::vector<mvcom::txn::ShardReport> reports(2);
   reports[0] = {7, 123, 600.0, 50.0};
@@ -238,8 +230,8 @@ TEST(FractionalBoundTest, RelativeGapIsScaledByTheBound) {
 }
 
 // Regression: Σ s_i was accumulated in uint64 without a wrap check, so two
-// huge shards could make scheduling_worthwhile() (and every downstream
-// prefix sum) silently wrap. The sum is now validated at construction.
+// huge shards could make the total (and every downstream prefix sum)
+// silently wrap. The sum is now validated at construction.
 TEST(OverflowTest, TotalShardSizeOverflowIsRejectedAtConstruction) {
   constexpr std::uint64_t kHalfPlus =
       std::numeric_limits<std::uint64_t>::max() / 2 + 1;

@@ -146,15 +146,6 @@ TEST(RngTest, BelowIsRoughlyUniform) {
   }
 }
 
-TEST(RngTest, UniformIntCoversInclusiveRange) {
-  Rng rng(17);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(rng.uniform_int(-2, 2));
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_EQ(*seen.begin(), -2);
-  EXPECT_EQ(*seen.rbegin(), 2);
-}
-
 TEST(RngTest, ExponentialMeanMatches) {
   Rng rng(19);
   const double mean = 600.0;  // the paper's PoW solve expectation
@@ -217,24 +208,6 @@ TEST(RngTest, PoissonMeanMatchesSmallAndLargeLambda) {
   }
 }
 
-TEST(RngTest, SampleIndicesAreDistinctAndInRange) {
-  Rng rng(41);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto sample = rng.sample_indices(50, 20);
-    EXPECT_EQ(sample.size(), 20u);
-    std::set<std::size_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 20u);
-    for (const std::size_t i : sample) EXPECT_LT(i, 50u);
-  }
-}
-
-TEST(RngTest, SampleIndicesFullSetIsPermutation) {
-  Rng rng(43);
-  const auto sample = rng.sample_indices(10, 10);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 10u);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(47);
   std::vector<int> v(100);
@@ -251,35 +224,6 @@ TEST(RngTest, BernoulliProbability) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(RngTest, BoundedParetoStaysInBounds) {
-  Rng rng(61);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.bounded_pareto(2.0, 50.0, 1.3);
-    ASSERT_GE(x, 2.0);
-    ASSERT_LE(x, 50.0);
-  }
-}
-
-TEST(RngTest, BoundedParetoMatchesAnalyticCdf) {
-  // Truncated Pareto: F(x) = (1 − (lo/x)^a) / (1 − (lo/hi)^a). Check the
-  // empirical CDF at a few interior points.
-  const double lo = 1.0, hi = 100.0, alpha = 1.5;
-  Rng rng(67);
-  const int n = 400000;
-  const double points[] = {2.0, 5.0, 20.0};
-  int below[3] = {0, 0, 0};
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.bounded_pareto(lo, hi, alpha);
-    for (int p = 0; p < 3; ++p) below[p] += x <= points[p] ? 1 : 0;
-  }
-  const double denom = 1.0 - std::pow(lo / hi, alpha);
-  for (int p = 0; p < 3; ++p) {
-    const double expect = (1.0 - std::pow(lo / points[p], alpha)) / denom;
-    EXPECT_NEAR(static_cast<double>(below[p]) / n, expect, 0.01)
-        << "x=" << points[p];
-  }
 }
 
 TEST(ZipfSamplerTest, MatchesAnalyticPmf) {

@@ -1,5 +1,4 @@
-// Tests for common/stats — streaming moments, percentiles, CDFs, confidence
-// intervals.
+// Tests for common/stats — means, percentiles, CDFs, confidence intervals.
 
 #include "common/stats.hpp"
 
@@ -15,22 +14,9 @@ namespace {
 using mvcom::common::cdf_at_quantiles;
 using mvcom::common::percentile;
 using mvcom::common::Rng;
-using mvcom::common::RunningStats;
 
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-// Regression coverage for the batch mean() the benches now share instead of
-// hand-rolling their own accumulation loops.
-TEST(MeanTest, MatchesRunningStats) {
+TEST(MeanTest, KnownValues) {
   const std::vector<double> v = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats s;
-  for (const double x : v) s.add(x);
-  EXPECT_DOUBLE_EQ(mvcom::common::mean(v), s.mean());
   EXPECT_DOUBLE_EQ(mvcom::common::mean(v), 5.0);
 }
 
@@ -51,49 +37,6 @@ TEST(MeanTest, StableForLargeOffsetSamples) {
     v.push_back(1e9 + (i % 2 == 0 ? 0.25 : 0.75));
   }
   EXPECT_NEAR(mvcom::common::mean(v), 1e9 + 0.5, 1e-6);
-}
-
-TEST(RunningStatsTest, KnownValues) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance with n-1 denominator: Σ(x-5)² = 32, 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(1);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptyIsIdentity) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 TEST(PercentileTest, MedianAndExtremes) {
@@ -134,6 +77,16 @@ TEST(MeanCiTest, KnownSample) {
   const auto ci = mvcom::common::mean_confidence_interval(v, 0.95);
   EXPECT_DOUBLE_EQ(ci.mean, 2.5);
   EXPECT_NEAR(ci.half_width, 1.96 * std::sqrt(5.0 / 3.0) / 2.0, 1e-3);
+}
+
+TEST(MeanCiTest, SampleVarianceUsesNMinusOne) {
+  // Σ(x−5)² = 32 over n = 8, so s² = 32/7 and the 95% half-width is
+  // 1.96·√(32/7)/√8.
+  const std::vector<double> v = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+  const auto ci = mvcom::common::mean_confidence_interval(v, 0.95);
+  EXPECT_DOUBLE_EQ(ci.mean, 5.0);
+  EXPECT_NEAR(ci.half_width, 1.96 * std::sqrt(32.0 / 7.0) / std::sqrt(8.0),
+              1e-12);
 }
 
 TEST(MeanCiTest, WiderConfidenceWiderInterval) {

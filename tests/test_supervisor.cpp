@@ -533,11 +533,11 @@ TEST(RiskPolicyTest, StrikesRaiseNminWithTheorem2Accounting) {
 
 TEST(RiskPolicyTest, ExportedRiskDecaysByCarryFactor) {
   SupervisorConfig c = config();
-  c.risk.enabled = true;  // carry_decay = 0.5
+  c.risk.enabled = true;  // the carry keeps half the risk
   EpochSupervisor sup(c, 39);
   sup.on_submission(inflated(0, 600, 1200), 700.0, 50.0);
   sup.on_submission(inflated(1, 600, 1200), 700.0, 50.0);
-  EXPECT_DOUBLE_EQ(sup.risk_score(), 2.0);  // strike_weight = 1
+  EXPECT_DOUBLE_EQ(sup.risk_score(), 2.0);  // one unit per strike
   const auto carry = sup.export_carry();
   EXPECT_DOUBLE_EQ(carry.risk, 1.0);
   ASSERT_EQ(carry.entries.size(), 2u);

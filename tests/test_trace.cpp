@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,6 @@ using mvcom::txn::deal_blocks;
 using mvcom::txn::generate_trace;
 using mvcom::txn::load_trace_csv;
 using mvcom::txn::sample_two_phase_latency;
-using mvcom::txn::ShardFill;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
 using mvcom::txn::WorkloadConfig;
@@ -233,22 +233,6 @@ TEST(WorkloadTest, OneBlockModeGivesEachCommitteeOneBlock) {
   }
 }
 
-TEST(WorkloadTest, DealAllModeConservesTotal) {
-  Rng rng(9);
-  TraceGeneratorConfig tc;
-  tc.num_blocks = 200;
-  tc.target_total_txs = 200'000;
-  Trace trace = generate_trace(tc, rng);
-  const std::uint64_t total = trace.total_txs();
-  WorkloadConfig wc;
-  wc.num_committees = 20;
-  wc.fill = ShardFill::kDealAllBlocks;
-  const WorkloadGenerator gen(std::move(trace), wc);
-  const auto workload = gen.epoch(rng);
-  EXPECT_EQ(workload.total_txs(), total);
-  for (const auto& r : workload.reports) EXPECT_GE(r.tx_count, 1u);
-}
-
 TEST(WorkloadTest, DealAllWithAsManyCommitteesAsBlocksIsAPermutation) {
   // With |I| == #blocks the first dealing round consumes every block, so
   // each shard is exactly one block — the shard counts are a permutation of
@@ -257,16 +241,11 @@ TEST(WorkloadTest, DealAllWithAsManyCommitteesAsBlocksIsAPermutation) {
   TraceGeneratorConfig tc;
   tc.num_blocks = 25;
   tc.target_total_txs = 25'000;
-  Trace trace = generate_trace(tc, rng);
+  const Trace trace = generate_trace(tc, rng);
   std::multiset<std::uint64_t> block_counts;
   for (const auto& b : trace.blocks) block_counts.insert(b.tx_count);
-  WorkloadConfig wc;
-  wc.num_committees = 25;
-  wc.fill = ShardFill::kDealAllBlocks;
-  const WorkloadGenerator gen(std::move(trace), wc);
-  const auto workload = gen.epoch(rng);
-  std::multiset<std::uint64_t> shard_counts;
-  for (const auto& r : workload.reports) shard_counts.insert(r.tx_count);
+  const auto txs = deal_blocks(trace, 25, trace.blocks.size(), rng);
+  const std::multiset<std::uint64_t> shard_counts(txs.begin(), txs.end());
   EXPECT_EQ(shard_counts, block_counts);
 }
 
@@ -277,7 +256,6 @@ TEST(WorkloadTest, DealAllKeyedEpochsArePureAndDistinct) {
   tc.target_total_txs = 120'000;
   WorkloadConfig wc;
   wc.num_committees = 12;
-  wc.fill = ShardFill::kDealAllBlocks;
   const WorkloadGenerator gen(generate_trace(tc, rng), wc);
   const auto e2 = gen.epoch_keyed(99, 2);
   (void)gen.epoch_keyed(99, 0);  // unrelated epochs must not perturb a replay
@@ -288,14 +266,26 @@ TEST(WorkloadTest, DealAllKeyedEpochsArePureAndDistinct) {
     EXPECT_DOUBLE_EQ(replay.reports[i].formation_latency,
                      e2.reports[i].formation_latency);
   }
-  // Different epoch indices re-deal: totals conserve, the split moves.
+  // Different epoch indices draw different blocks.
   const auto e3 = gen.epoch_keyed(99, 3);
-  EXPECT_EQ(e3.total_txs(), e2.total_txs());
   bool any_diff = false;
   for (std::size_t i = 0; i < e2.reports.size(); ++i) {
     any_diff |= e3.reports[i].tx_count != e2.reports[i].tx_count;
   }
   EXPECT_TRUE(any_diff);
+  // Dealing every block on two epochs' keyed streams (Elastico's deal)
+  // conserves the total while the split moves.
+  Rng stream2 = Rng::stream(99, 2);
+  Rng stream3 = Rng::stream(99, 3);
+  const auto all2 = deal_blocks(gen.trace(), 12, gen.trace().blocks.size(),
+                                stream2);
+  const auto all3 = deal_blocks(gen.trace(), 12, gen.trace().blocks.size(),
+                                stream3);
+  EXPECT_EQ(std::accumulate(all2.begin(), all2.end(), std::uint64_t{0}),
+            gen.trace().total_txs());
+  EXPECT_EQ(std::accumulate(all3.begin(), all3.end(), std::uint64_t{0}),
+            gen.trace().total_txs());
+  EXPECT_NE(all2, all3);
 }
 
 TEST(WorkloadTest, SubmitInstantMatchesInlineLatencySum) {

@@ -25,14 +25,15 @@
 //               [--trace-out <file.json>]
 //       Long-running streaming mode: ingest a synthetic transaction stream,
 //       software-pipeline epoch formation against SE scheduling + final
-//       consensus (--depth 2 overlaps epoch e+1's formation with epoch e's
-//       scheduling), warm-start each epoch's SE from the carried-over
-//       selection, extend the root chain every epoch, and write periodic
-//       checkpoints. Each epoch line prints the committed decision's gap
-//       to the fractional-knapsack bound; an epoch whose warm seed is
-//       within 1 % of it is certified and skips SE. SIGINT stops gracefully
-//       at the next epoch boundary and still flushes every export file,
-//       complete and valid.
+//       consensus (the default --depth 2 overlaps epoch e+1's formation
+//       with epoch e's scheduling, --depth 1 runs the sequential reference,
+//       and a depth above 2 exits 1), warm-start each epoch's SE from the
+//       carried-over selection, extend the root chain every epoch, and
+//       write periodic checkpoints. Each epoch line prints the committed
+//       decision's gap to the fractional-knapsack bound; an epoch whose
+//       warm seed is within 1 % of it is certified and skips SE. SIGINT
+//       stops gracefully at the next epoch boundary and still flushes every
+//       export file, complete and valid.
 //
 //   mvcom chaos [--committees N] [--capacity C] [--seed S] [--ddl T]
 //               [--crashes N] [--crash-recovers N] [--stragglers N]

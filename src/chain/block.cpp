@@ -53,8 +53,4 @@ bool Block::merkle_consistent() const {
   return crypto::MerkleTree(shard_roots).root() == header.shard_merkle_root;
 }
 
-crypto::MerkleProof Block::prove_shard(std::size_t index) const {
-  return crypto::MerkleTree(shard_roots).prove(index);
-}
-
 }  // namespace mvcom::chain

@@ -42,9 +42,6 @@ struct Block {
   /// Structural self-check: the header's Merkle root matches the shard
   /// roots actually carried.
   [[nodiscard]] bool merkle_consistent() const;
-
-  /// Inclusion proof that `shard_roots[index]` is committed by this block.
-  [[nodiscard]] crypto::MerkleProof prove_shard(std::size_t index) const;
 };
 
 }  // namespace mvcom::chain

@@ -1,7 +1,5 @@
 #include "crypto/merkle.hpp"
 
-#include <cassert>
-
 namespace mvcom::crypto {
 
 Digest MerkleTree::combine(const Digest& left, const Digest& right) noexcept {
@@ -11,49 +9,19 @@ Digest MerkleTree::combine(const Digest& left, const Digest& right) noexcept {
   return h.finalize();
 }
 
-MerkleTree::MerkleTree(std::vector<Digest> leaves)
-    : leaf_count_(leaves.size()) {
+MerkleTree::MerkleTree(std::vector<Digest> leaves) {
   if (leaves.empty()) {
     root_ = Sha256::hash(std::string_view{});
     return;
   }
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    const auto& below = levels_.back();
-    std::vector<Digest> above;
-    above.reserve((below.size() + 1) / 2);
-    for (std::size_t i = 0; i < below.size(); i += 2) {
-      const Digest& left = below[i];
-      const Digest& right = (i + 1 < below.size()) ? below[i + 1] : below[i];
-      above.push_back(combine(left, right));
+  // Each level overwrites the front of the buffer: node i of the level above
+  // is combine(2i, 2i + 1), and an odd level's last entry pairs with itself.
+  for (std::size_t n = leaves.size(); n > 1; n = (n + 1) / 2) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      leaves[i / 2] = combine(leaves[i], leaves[i + 1 < n ? i + 1 : i]);
     }
-    levels_.push_back(std::move(above));
   }
-  root_ = levels_.back().front();
-}
-
-MerkleProof MerkleTree::prove(std::size_t index) const {
-  assert(index < leaf_count_);
-  MerkleProof proof;
-  std::size_t pos = index;
-  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const auto& nodes = levels_[level];
-    const std::size_t sibling =
-        (pos % 2 == 0) ? (pos + 1 < nodes.size() ? pos + 1 : pos) : pos - 1;
-    proof.push_back({nodes[sibling], /*sibling_is_left=*/pos % 2 == 1});
-    pos /= 2;
-  }
-  return proof;
-}
-
-bool MerkleTree::verify(const Digest& leaf, const MerkleProof& proof,
-                        const Digest& root) noexcept {
-  Digest running = leaf;
-  for (const ProofStep& step : proof) {
-    running = step.sibling_is_left ? combine(step.sibling, running)
-                                   : combine(running, step.sibling);
-  }
-  return running == root;
+  root_ = leaves.front();
 }
 
 }  // namespace mvcom::crypto

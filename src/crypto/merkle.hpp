@@ -1,49 +1,29 @@
 #pragma once
 // Merkle tree over transaction digests, Bitcoin-style (odd level entries are
 // paired with themselves). Shard blocks commit to their transaction set via
-// the Merkle root; proofs let tests verify inclusion without the full set.
+// the Merkle root.
 
-#include <cstddef>
 #include <vector>
 
 #include "crypto/sha256.hpp"
 
 namespace mvcom::crypto {
 
-/// One step of a Merkle inclusion proof.
-struct ProofStep {
-  Digest sibling;
-  bool sibling_is_left;  // true when the sibling precedes the running hash
-};
-
-using MerkleProof = std::vector<ProofStep>;
-
-/// Immutable Merkle tree built over a list of leaf digests.
+/// Merkle root of a list of leaf digests.
 class MerkleTree {
  public:
-  /// Builds the tree. An empty leaf set yields the digest of the empty
-  /// string as root (a fixed, documented convention).
+  /// Folds the leaves up to the root. An empty leaf set yields the digest
+  /// of the empty string as root (a fixed, documented convention).
   explicit MerkleTree(std::vector<Digest> leaves);
 
   [[nodiscard]] const Digest& root() const noexcept { return root_; }
-  [[nodiscard]] std::size_t leaf_count() const noexcept { return leaf_count_; }
-
-  /// Inclusion proof for the leaf at `index`. Precondition: index < leaf_count.
-  [[nodiscard]] MerkleProof prove(std::size_t index) const;
-
-  /// Verifies that `leaf` at the proof's implied position hashes up to `root`.
-  [[nodiscard]] static bool verify(const Digest& leaf, const MerkleProof& proof,
-                                   const Digest& root) noexcept;
 
   /// Hash of an interior node: SHA256(left || right).
   [[nodiscard]] static Digest combine(const Digest& left,
                                       const Digest& right) noexcept;
 
  private:
-  // levels_[0] = leaves (possibly duplicated-last), levels_.back() = {root}.
-  std::vector<std::vector<Digest>> levels_;
   Digest root_{};
-  std::size_t leaf_count_ = 0;
 };
 
 }  // namespace mvcom::crypto

@@ -12,6 +12,10 @@ namespace {
 /// the harness's (all three key off the same campaign seed).
 constexpr std::uint64_t kAdversarySalt = 0xadd5e6a11ULL;
 
+/// Churn-storm intensity at budget = 1.0, in multiples of the Fig. 14
+/// baseline rates (the "10× Fig. 14" regime).
+constexpr double kChurnMultiplier = 10.0;
+
 std::size_t budget_victims(double budget, std::size_t membership) {
   if (membership == 0) return 0;
   const double raw = std::round(budget * static_cast<double>(membership));
@@ -182,10 +186,9 @@ FaultPlan Adversary::plan_epoch(
       break;
     }
     case AdversaryStrategy::kChurnStorm: {
-      // Membership churn at churn_multiplier × Fig. 14, scaled by budget.
+      // Membership churn at kChurnMultiplier × Fig. 14, scaled by budget.
       const ChurnSchedule schedule = sample_churn_schedule(
-          kFig14BaselineChurn, config_.churn_multiplier * config_.budget,
-          horizon, rng);
+          kFig14BaselineChurn, kChurnMultiplier * config_.budget, horizon, rng);
       std::uint32_t next_slot = 0;
       for (const ChurnSchedule::Arrival& a : schedule.arrivals) {
         FaultEvent e;

@@ -58,14 +58,11 @@ struct AdversaryConfig {
   AdversaryStrategy strategy = AdversaryStrategy::kTargetedCorruption;
   /// Attack budget in [0, 1] — the fraction of the membership the adversary
   /// may strike per epoch (targeted / DoS / coalition size), and the scale
-  /// on the churn multiplier (churn-storm). The degradation-curve bench
-  /// sweeps this axis.
+  /// on the churn-storm's churn rates (a multiple of Fig. 14's, fixed in
+  /// adversary.cpp). The degradation-curve bench sweeps this axis.
   double budget = 0.25;
   /// Forged-claim multiplier for colluding-misreport submissions.
   double inflation = 3.0;
-  /// Churn-storm intensity at budget = 1.0, in multiples of the Fig. 14
-  /// baseline rates (the ISSUE's "10× Fig. 14" regime).
-  double churn_multiplier = 10.0;
 };
 
 /// What the adversary observed from the previous epoch's run. Absent at

@@ -413,13 +413,12 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
   std::function<void()> tick = [&] {
     supervisor.explore(kIterationsPerTick);
     sample();
-    const double next =
-        simulator.now().seconds() + config.explore_tick_seconds;
+    const double next = simulator.now().seconds() + kExploreTickSeconds;
     if (next < config.ddl_seconds) {
       simulator.schedule_at(common::SimTime(next), tick);
     }
   };
-  simulator.schedule_at(common::SimTime(config.explore_tick_seconds), tick);
+  simulator.schedule_at(common::SimTime(kExploreTickSeconds), tick);
 
   simulator.run_until(common::SimTime(config.ddl_seconds));
 

@@ -111,10 +111,13 @@ struct ChaosCommittee {
 [[nodiscard]] std::vector<ChaosCommittee> chaos_committees_from_reports(
     std::span<const txn::ShardReport> reports);
 
+/// Sim-clock spacing of the chaos run's SE exploration pump: each tick runs
+/// a batch of SE iterations and samples one timeline point.
+inline constexpr double kExploreTickSeconds = 20.0;
+
 struct ChaosConfig {
   SupervisorConfig supervisor{};
-  double ddl_seconds = 1800.0;         // when decide() is taken
-  double explore_tick_seconds = 20.0;  // SE exploration pump + sampling
+  double ddl_seconds = 1800.0;  // when decide() is taken
   /// Committees available to kJoin events. FaultEvent::committee_id indexes
   /// this pool by position; each reserve committee answers pings on the node
   /// after the initial members' (allocated up front — Network's node count

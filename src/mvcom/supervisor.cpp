@@ -18,6 +18,18 @@ constexpr double kStrikeWeight = 1.0;   // risk per strike
 constexpr double kFailureWeight = 0.5;  // risk per detector-declared failure
 /// Cross-epoch decay applied to the risk score when exporting carry.
 constexpr double kCarryDecay = 0.5;
+/// Strikes (failed verifications / equivocations) before a permanent
+/// epoch-scoped ban.
+constexpr int kMaxStrikes = 3;
+/// Heartbeat monitor (§V-A ping failure detector): a healthy committee is
+/// probed this often; a probe whose RTT exceeds the timeout is missed, and
+/// K consecutive misses declare the committee failed.
+constexpr double kPingIntervalSeconds = 30.0;
+constexpr double kPingTimeoutSeconds = 12.0;
+constexpr int kMissedPingsBeforeFailure = 3;  // K
+/// While a committee is down its probe interval grows by this factor per
+/// missed probe, up to the cap.
+constexpr double kPingBackoffFactor = 2.0;
 /// Longest probe interval the backoff reaches while a committee is down.
 constexpr double kPingIntervalCapSeconds = 480.0;
 
@@ -78,15 +90,6 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       scheduler_(config.scheduler, seed),
       rng_(seed ^ 0x5eb0a9d5u),
       base_n_min_(scheduler_.n_min()) {
-  if (config_.max_strikes <= 0) {
-    throw std::invalid_argument("EpochSupervisor: max_strikes > 0");
-  }
-  if (config_.ping_interval_seconds <= 0.0 ||
-      config_.ping_timeout_seconds <= 0.0 ||
-      config_.missed_pings_before_failure <= 0 ||
-      config_.ping_backoff_factor < 1.0) {
-    throw std::invalid_argument("EpochSupervisor: bad monitor parameters");
-  }
   if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
                                config_.risk.tighten_step <= 0.0)) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
@@ -328,15 +331,14 @@ bool EpochSupervisor::ban_preserves_liveness() const noexcept {
 }
 
 int EpochSupervisor::effective_max_strikes() const noexcept {
-  if (!config_.risk.enabled) return config_.max_strikes;
+  if (!config_.risk.enabled) return kMaxStrikes;
   const int tightened =
-      config_.max_strikes -
-      static_cast<int>(risk_score() / config_.risk.tighten_step);
+      kMaxStrikes - static_cast<int>(risk_score() / config_.risk.tighten_step);
   // Floor 2, never 1: banning first offenses under high carried risk lets a
   // broad attack convert the whole membership into bans within an epoch or
   // two (a liveness collapse the attacker would happily trade forgeries
   // for). Repeat offenders still escalate monotonically to a ban.
-  return std::max(std::min(2, config_.max_strikes), tightened);
+  return std::max(2, tightened);
 }
 
 void EpochSupervisor::update_risk_policy() {
@@ -429,7 +431,7 @@ void EpochSupervisor::attach_monitor(sim::Simulator& simulator,
     (void)node;
     CommitteeHealth& h = health_[id];
     if (h.ping_interval_seconds <= 0.0) {
-      h.ping_interval_seconds = config_.ping_interval_seconds;
+      h.ping_interval_seconds = kPingIntervalSeconds;
     }
     schedule_probe(id, h.ping_interval_seconds);
   }
@@ -441,7 +443,7 @@ void EpochSupervisor::register_committee_node(std::uint32_t committee_id,
   node_of_[committee_id] = node;
   CommitteeHealth& h = health_[committee_id];
   if (h.ping_interval_seconds <= 0.0) {
-    h.ping_interval_seconds = config_.ping_interval_seconds;
+    h.ping_interval_seconds = kPingIntervalSeconds;
   }
   if (simulator_ != nullptr && !known) {
     schedule_probe(committee_id, h.ping_interval_seconds);
@@ -463,7 +465,7 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
   const common::SimTime rtt = network_->ping_rtt(observer_, node);
   const bool lost = rng_.bernoulli(network_->loss_probability());
   const bool missed = lost || rtt.is_infinite() ||
-                      rtt.seconds() > config_.ping_timeout_seconds;
+                      rtt.seconds() > kPingTimeoutSeconds;
   if (missed) {
     if (obs_probe_missed_ != nullptr) obs_probe_missed_->inc();
     if (auto* t = obs_.trace()) {
@@ -478,19 +480,18 @@ void EpochSupervisor::probe(std::uint32_t committee_id) {
   }
   if (missed) {
     ++h.missed_pings;
-    if (!h.failed &&
-        h.missed_pings >= config_.missed_pings_before_failure) {
+    if (!h.failed && h.missed_pings >= kMissedPingsBeforeFailure) {
       on_failure(committee_id);
     }
     if (h.failed) {
       // Down: keep checking, but back off exponentially (§V-A timeouts).
       h.ping_interval_seconds =
-          std::min(h.ping_interval_seconds * config_.ping_backoff_factor,
+          std::min(h.ping_interval_seconds * kPingBackoffFactor,
                    kPingIntervalCapSeconds);
     }
   } else {
     h.missed_pings = 0;
-    h.ping_interval_seconds = config_.ping_interval_seconds;
+    h.ping_interval_seconds = kPingIntervalSeconds;
     if (h.failed) on_recovery(committee_id);
   }
   schedule_probe(committee_id, h.ping_interval_seconds);

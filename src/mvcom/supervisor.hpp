@@ -99,7 +99,7 @@ enum class InfeasibleReason {
 ///    selection under a binding capacity squeezes out inflated claims: the
 ///    knapsack must fit more committees, so a few huge (forged) shards can
 ///    no longer crowd out the honest ones.
-///  * Strike-budget tightening — lower the effective max_strikes by one per
+///  * Strike-budget tightening — lower the effective strike budget by one per
 ///    `tighten_step` of risk (floor 2 — a first offense never bans, else a
 ///    broad attack converts the membership into bans and collapses
 ///    liveness), so quarantine→ban escalation speeds up under attack.
@@ -116,7 +116,7 @@ struct RiskPolicyConfig {
   bool enabled = false;
   double escalation_step = 2.0; // risk per +1 N_min
   std::size_t boost_cap = 8;    // max N_min raise over the static base
-  double tighten_step = 4.0;    // risk per −1 effective max_strikes
+  double tighten_step = 4.0;    // risk per −1 effective strike budget
 };
 
 /// Theorem-2 accounting of one risk-adaptive N_min resize, mirroring
@@ -171,16 +171,10 @@ struct CommitteeHealth {
   double ping_interval_seconds = 0.0;  // current (possibly backed-off)
 };
 
+/// The strike budget and the heartbeat monitor's timing are constants in
+/// supervisor.cpp.
 struct SupervisorConfig {
   OnlineSchedulerConfig scheduler{};
-  /// Strikes (failed verifications / equivocations) before a permanent
-  /// epoch-scoped ban.
-  int max_strikes = 3;
-  /// Heartbeat monitor (§V-A ping failure detector).
-  double ping_interval_seconds = 30.0;
-  double ping_timeout_seconds = 12.0;
-  int missed_pings_before_failure = 3;   // K
-  double ping_backoff_factor = 2.0;      // while the committee is down
   /// Risk-adaptive committee sizing (disabled by default — the static
   /// supervisor behaves exactly as before).
   RiskPolicyConfig risk{};

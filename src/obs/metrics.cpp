@@ -72,8 +72,6 @@ std::uint64_t Counter::value() const noexcept {
   return total;
 }
 
-void Gauge::add(double v) noexcept { atomic_add(value_, v); }
-
 LogHistogram::LogHistogram(Buckets buckets) : spec_(buckets) {
   if (!(spec_.lowest > 0.0) || !(spec_.growth > 1.0) || spec_.count == 0) {
     throw std::invalid_argument(

@@ -60,7 +60,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double v) noexcept;
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }

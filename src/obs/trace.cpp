@@ -141,18 +141,6 @@ void TraceRecorder::counter(const char* category, const char* name,
   record(event);
 }
 
-void TraceRecorder::merge(const std::vector<TraceEvent>& events) {
-  const double wall = wall_now_us();
-  const std::lock_guard<std::mutex> lock(mu_);
-  const double sim = sim_now_locked();
-  for (const TraceEvent& e : events) {
-    TraceEvent stamped = e;
-    stamped.wall_time_us = wall;
-    stamped.sim_time_seconds = sim;
-    append_locked(std::move(stamped));
-  }
-}
-
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;

@@ -96,10 +96,6 @@ class TraceRecorder {
                std::initializer_list<TraceArg> args,
                std::uint32_t track = 0);
 
-  /// Batch append (e.g. a per-thread buffer folded in at a barrier). Events
-  /// are stamped with the current clocks, preserving their relative order.
-  void merge(const std::vector<TraceEvent>& events);
-
   /// The retained events in record order (oldest first).
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 

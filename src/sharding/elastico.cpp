@@ -1,7 +1,6 @@
 #include "sharding/elastico.hpp"
 
 #include "sharding/overlay.hpp"
-#include "sharding/randomness.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -114,9 +113,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   const SimTime overlay = SimTime(
       static_cast<double>(config_.num_nodes) *
       config_.overlay_cost_per_node.seconds() * rng_.uniform(0.9, 1.1));
-
-  auto link = std::make_shared<net::LognormalLatency>(
-      config_.link_latency_mean, SimTime(0.5 * config_.link_latency_mean.seconds()));
 
   // Per-epoch node failures, drawn once up front. Each lane marks only its
   // own participants on its private network — PBFT traffic never leaves the
@@ -294,21 +290,11 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   // --- Stage 5: epoch randomness refreshing -------------------------------
   // The next epoch's randomness binds the epoch index and the current tip —
   // an adversary cannot precompute committee assignments before the final
-  // block settles. With beacon_randomness the final committee additionally
-  // runs the commit-reveal beacon and its output is folded in.
-  std::string beacon_entropy;
-  if (config_.beacon_randomness &&
-      participants[final_id].size() >= kMinBftMembers) {
-    sim::Simulator beacon_sim;
-    net::Network beacon_net(beacon_sim, rng_.fork(), link, config_.num_nodes);
-    const BeaconResult beacon = run_commit_reveal_beacon(
-        beacon_sim, beacon_net, rng_, participants[final_id],
-        std::vector<bool>(participants[final_id].size(), false));
-    beacon_entropy = beacon.randomness;
-  }
+  // block settles. The trailing "|" is part of the hash input: every pinned
+  // Elastico digest depends on it.
   randomness_ = crypto::to_hex(crypto::Sha256::hash(
       randomness_ + "|epoch|" + std::to_string(epoch_index_++) + "|" +
-      crypto::to_hex(chain_.tip().header.hash()) + "|" + beacon_entropy));
+      crypto::to_hex(chain_.tip().header.hash()) + "|"));
   outcome.next_epoch_randomness = randomness_;
   return outcome;
 }

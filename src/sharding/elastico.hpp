@@ -75,9 +75,6 @@ struct ElasticoConfig {
   bool message_level_overlay = false;
   /// Per-identity verification cost of the directory (message-level mode).
   SimTime overlay_identity_processing = SimTime(0.05);
-  /// Run stage 5 as the commit-reveal beacon among the final committee
-  /// (sharding/randomness) instead of hashing the tip directly.
-  bool beacon_randomness = false;
   /// Per-epoch probability that a node is offline for the whole epoch
   /// (DoS'd or partitioned, §V-A). Its messages drop; committees whose
   /// working quorum breaks simply fail to commit that epoch.
@@ -130,8 +127,8 @@ struct EpochOutcome {
   /// Per-lane Simulator::order_digest values folded in committee order
   /// (members first, then the final-consensus fabric) — equal across lane
   /// pools and executors iff every lane fired the same events in the same
-  /// order. The determinism matrix test diffs this across worker counts
-  /// and across MVCOM_OBS=ON/OFF builds.
+  /// order. The determinism matrix test compares it across worker counts
+  /// and pins each scenario's value, in MVCOM_OBS=ON and OFF builds alike.
   std::uint64_t event_order_digest = 0;
   /// Total DES events executed across all lanes this epoch.
   std::uint64_t events_executed = 0;

@@ -19,6 +19,10 @@ enum Slot : std::uint64_t {
   kShapeSlot = 2,     // read/write set sizes
 };
 
+/// Epoch window length W (seconds): epoch k spans
+/// [kTraceStartSeconds + k·W, kTraceStartSeconds + (k+1)·W).
+constexpr double kWindowSeconds = 1500.0;
+
 std::uint64_t slot_index(std::size_t epoch, Slot slot) noexcept {
   return kAccountStreamBase + 3 * static_cast<std::uint64_t>(epoch) + slot;
 }
@@ -42,9 +46,6 @@ AccountTxGenerator::AccountTxGenerator(AccountModelConfig config)
     throw std::invalid_argument(
         "AccountTxGenerator: ratio knobs must lie in [0, 1]");
   }
-  if (config_.window_seconds <= 0.0) {
-    throw std::invalid_argument("AccountTxGenerator: window must be positive");
-  }
 }
 
 AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
@@ -58,18 +59,17 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
 
   AccountEpoch epoch;
   epoch.epoch_index = epoch_index;
-  epoch.window_start = kTraceStartSeconds +
-                       static_cast<double>(epoch_index) * config_.window_seconds;
-  epoch.window_end = epoch.window_start + config_.window_seconds;
+  epoch.window_start =
+      kTraceStartSeconds + static_cast<double>(epoch_index) * kWindowSeconds;
+  epoch.window_end = epoch.window_start + kWindowSeconds;
 
   // Burst sub-windows: centers drawn once per epoch, wide enough to stay
   // inside the window.
-  const double width =
-      config_.burst_width_fraction * config_.window_seconds;
+  const double width = config_.burst_width_fraction * kWindowSeconds;
   std::vector<double> burst_starts(config_.bursts_per_epoch);
   for (double& b : burst_starts) {
     b = epoch.window_start +
-        arrival.uniform01() * (config_.window_seconds - width);
+        arrival.uniform01() * (kWindowSeconds - width);
   }
 
   const std::uint32_t s = config_.num_shards;
@@ -92,7 +92,7 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
       tx.timestamp = burst_starts[burst] + arrival.uniform01() * width;
     } else {
       tx.timestamp =
-          epoch.window_start + arrival.uniform01() * config_.window_seconds;
+          epoch.window_start + arrival.uniform01() * kWindowSeconds;
     }
 
     tx.sender = zipf_(identity);

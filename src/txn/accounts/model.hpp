@@ -76,9 +76,6 @@ struct AccountModelConfig {
   double burst_fraction = 0.2;
   std::size_t bursts_per_epoch = 3;
   double burst_width_fraction = 0.02;
-  /// Epoch window length W (seconds): epoch k spans
-  /// [kTraceStartSeconds + k·W, kTraceStartSeconds + (k+1)·W).
-  double window_seconds = 1500.0;
 };
 
 /// One epoch's account-based traffic, timestamp-sorted (ties by tx_id).

@@ -1,7 +1,6 @@
 #include "txn/trace_io.hpp"
 
 #include <charconv>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -28,6 +27,15 @@ double parse_f64(const std::string& s, const char* field) {
   } catch (const std::exception&) {
     throw std::runtime_error(std::string("trace CSV: bad ") + field + ": " + s);
   }
+}
+
+std::string join_accounts(const std::vector<std::uint32_t>& accounts) {
+  std::string out;
+  for (std::size_t i = 0; i < accounts.size(); ++i) {
+    if (i > 0) out += ';';
+    out += std::to_string(accounts[i]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -59,43 +67,6 @@ Trace load_trace_csv(const std::filesystem::path& path) {
   return trace;
 }
 
-namespace {
-
-std::uint32_t parse_u32(const std::string& s, const char* field) {
-  const std::uint64_t v = parse_u64(s, field);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error(std::string("trace CSV: bad ") + field + ": " + s);
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::string join_accounts(const std::vector<std::uint32_t>& accounts) {
-  std::string out;
-  for (std::size_t i = 0; i < accounts.size(); ++i) {
-    if (i > 0) out += ';';
-    out += std::to_string(accounts[i]);
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> split_accounts(const std::string& s,
-                                          const char* field) {
-  std::vector<std::uint32_t> out;
-  if (s.empty()) return out;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t end = s.find(';', begin);
-    const std::string item = s.substr(
-        begin, end == std::string::npos ? std::string::npos : end - begin);
-    out.push_back(parse_u32(item, field));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_account_txs_csv(const std::vector<AccountTx>& txs,
                            const std::filesystem::path& path) {
   common::CsvWriter writer(path);
@@ -105,25 +76,6 @@ void write_account_txs_csv(const std::vector<AccountTx>& txs,
                       std::to_string(tx.sender), join_accounts(tx.writes),
                       join_accounts(tx.reads)});
   }
-}
-
-std::vector<AccountTx> load_account_txs_csv(const std::filesystem::path& path) {
-  const common::CsvFile file = common::read_csv(path, /*expect_header=*/true);
-  if (file.header != common::CsvRow{"txID", "ts", "sender", "writes", "reads"}) {
-    throw std::runtime_error("trace CSV: unexpected header in " + path.string());
-  }
-  std::vector<AccountTx> txs;
-  txs.reserve(file.rows.size());
-  for (const auto& row : file.rows) {
-    AccountTx tx;
-    tx.tx_id = parse_u64(row[0], "txID");
-    tx.timestamp = parse_f64(row[1], "ts");
-    tx.sender = parse_u32(row[2], "sender");
-    tx.writes = split_accounts(row[3], "writes");
-    tx.reads = split_accounts(row[4], "reads");
-    txs.push_back(std::move(tx));
-  }
-  return txs;
 }
 
 }  // namespace mvcom::txn

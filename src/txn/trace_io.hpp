@@ -4,8 +4,8 @@
 //     blockID,bhash,btime,txs;
 //   * account-TX traces — txID,ts,sender,writes,reads, where writes/reads
 //     are ';'-joined account ids inside one CSV field (empty field = empty
-//     set). The account schema is what `mvcom xshard --trace-out` emits and
-//     what replayed contention experiments load back.
+//     set). `mvcom xshard --txs-out` writes this schema; nothing in the
+//     repository reads it back.
 
 #include <filesystem>
 #include <vector>
@@ -25,11 +25,5 @@ void write_trace_csv(const Trace& trace, const std::filesystem::path& path);
 /// Writes account TXs as CSV with header "txID,ts,sender,writes,reads".
 void write_account_txs_csv(const std::vector<AccountTx>& txs,
                            const std::filesystem::path& path);
-
-/// Loads account TXs written by write_account_txs_csv. Throws
-/// std::runtime_error on malformed input (bad header, arity, or numeric
-/// field — the error names the offending field, as the block loader does).
-[[nodiscard]] std::vector<AccountTx> load_account_txs_csv(
-    const std::filesystem::path& path);
 
 }  // namespace mvcom::txn

@@ -192,7 +192,6 @@ TEST(AdversaryTest, ChurnStormRespectsReserveAndUsesLiveRankLeaves) {
   AdversaryConfig config;
   config.strategy = AdversaryStrategy::kChurnStorm;
   config.budget = 1.0;
-  config.churn_multiplier = 10.0;
   const Adversary adversary(config, 21);
   const std::size_t reserve = 5;
   const FaultPlan plan =

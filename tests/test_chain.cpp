@@ -58,15 +58,6 @@ TEST(BlockTest, MerkleConsistencyDetectsTampering) {
   EXPECT_FALSE(block.merkle_consistent());
 }
 
-TEST(BlockTest, ShardInclusionProofsVerify) {
-  const Block block = Block::assemble(nullptr, roots(5), 10, 1.0, "p", "r");
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto proof = block.prove_shard(i);
-    EXPECT_TRUE(mvcom::crypto::MerkleTree::verify(
-        block.shard_roots[i], proof, block.header.shard_merkle_root));
-  }
-}
-
 // --- root chain ------------------------------------------------------------------
 
 TEST(RootChainTest, GenesisIsValid) {

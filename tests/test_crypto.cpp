@@ -210,18 +210,61 @@ TEST(MerkleTest, RootDependsOnEveryLeaf) {
 TEST(MerkleTest, EmptyTreeHasConventionRoot) {
   const MerkleTree tree({});
   EXPECT_EQ(tree.root(), Sha256::hash(std::string_view{}));
-  EXPECT_EQ(tree.leaf_count(), 0u);
 }
 
+/// SHA256(left || right), hashed from the concatenated bytes.
+Digest hash_pair(const Digest& left, const Digest& right) {
+  std::vector<std::uint8_t> bytes(left.begin(), left.end());
+  bytes.insert(bytes.end(), right.begin(), right.end());
+  return Sha256::hash(std::span<const std::uint8_t>(bytes));
+}
+
+/// Every level of the tree by the Bitcoin rule, one fresh vector per level
+/// (leaves first, root last): an odd level duplicates its last entry, then
+/// neighbours pair up.
+std::vector<std::vector<Digest>> levels_of(std::vector<Digest> leaves) {
+  std::vector<std::vector<Digest>> levels{std::move(leaves)};
+  while (levels.back().size() > 1) {
+    std::vector<Digest> level = levels.back();
+    if (level.size() % 2 == 1) level.push_back(level.back());
+    std::vector<Digest> above;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      above.push_back(hash_pair(level[i], level[i + 1]));
+    }
+    levels.push_back(std::move(above));
+  }
+  return levels;
+}
+
+/// Hashes `leaf` up the path of leaf `index`, taking each sibling from
+/// `levels`: the inclusion proof a light client checks against a root.
+Digest fold_inclusion_path(Digest leaf, std::size_t index,
+                           const std::vector<std::vector<Digest>>& levels) {
+  for (std::size_t l = 0; l + 1 < levels.size(); ++l, index /= 2) {
+    const std::vector<Digest>& nodes = levels[l];
+    if (index % 2 == 1) {
+      leaf = hash_pair(nodes[index - 1], leaf);
+    } else {
+      const std::size_t sibling = index + 1 < nodes.size() ? index + 1 : index;
+      leaf = hash_pair(leaf, nodes[sibling]);
+    }
+  }
+  return leaf;
+}
+
+// MerkleTree keeps only its root. These tests hold that root to the
+// level-by-level recomputation above, and to an inclusion proof of every
+// leaf built from the recomputed levels.
 class MerkleProofTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MerkleProofTest, AllLeavesProveInclusion) {
   const std::size_t n = GetParam();
   const auto leaves = make_leaves(n);
-  const MerkleTree tree(leaves);
+  const Digest root = MerkleTree(leaves).root();
+  const auto levels = levels_of(leaves);
+  EXPECT_EQ(root, levels.back().front());
   for (std::size_t i = 0; i < n; ++i) {
-    const auto proof = tree.prove(i);
-    EXPECT_TRUE(MerkleTree::verify(leaves[i], proof, tree.root()))
+    EXPECT_EQ(fold_inclusion_path(leaves[i], i, levels), root)
         << "leaf " << i << " of " << n;
   }
 }
@@ -229,10 +272,16 @@ TEST_P(MerkleProofTest, AllLeavesProveInclusion) {
 TEST_P(MerkleProofTest, TamperedLeafFailsVerification) {
   const std::size_t n = GetParam();
   const auto leaves = make_leaves(n);
-  const MerkleTree tree(leaves);
-  const auto proof = tree.prove(0);
+  const Digest root = MerkleTree(leaves).root();
+  const auto levels = levels_of(leaves);
   const Digest wrong = Sha256::hash("not-the-leaf");
-  EXPECT_FALSE(MerkleTree::verify(wrong, proof, tree.root()));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NE(fold_inclusion_path(wrong, i, levels), root)
+        << "leaf " << i << " of " << n;
+    auto tampered = leaves;
+    tampered[i] = wrong;
+    EXPECT_NE(MerkleTree(tampered).root(), root) << "leaf " << i << " of " << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LeafCounts, MerkleProofTest,

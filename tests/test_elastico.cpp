@@ -253,22 +253,6 @@ TEST(ElasticoTest, MessageLevelOverlayProducesCommittedEpochs) {
   EXPECT_GE(committed, network.num_member_committees() / 2);
 }
 
-TEST(ElasticoTest, BeaconRandomnessStillRefreshesDeterministically) {
-  ElasticoConfig config = small_config();
-  config.beacon_randomness = true;
-  ElasticoNetwork a(config, Rng(53));
-  ElasticoNetwork b(config, Rng(53));
-  const Trace trace = small_trace();
-  a.run_epoch(trace);
-  b.run_epoch(trace);
-  EXPECT_EQ(a.epoch_randomness(), b.epoch_randomness());
-  // And the beacon path differs from the hash-only path.
-  ElasticoConfig plain = small_config();
-  ElasticoNetwork c(plain, Rng(53));
-  c.run_epoch(trace);
-  EXPECT_NE(a.epoch_randomness(), c.epoch_randomness());
-}
-
 TEST(ElasticoTest, RootChainGrowsAndValidatesAcrossEpochs) {
   ElasticoNetwork network(small_config(), Rng(49));
   const Trace trace = small_trace();

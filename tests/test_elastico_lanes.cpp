@@ -18,12 +18,9 @@
 // epoch field plus the simulator's event-order digest) is also pinned to a
 // constant, one SimKernelsDifferential test per scenario: the DES event
 // stream itself is fixed across commits. A change that moves one must say
-// why and re-pin it.
-//
-// The worker-count matrix writes the same digests to a file when
-// MVCOM_DES_DETERMINISM_DIGEST is set. CI runs it in MVCOM_OBS=ON and
-// OBS=OFF builds and diffs the two files, extending the bitwise guarantee
-// across observability builds (which no single binary can check alone).
+// why and re-pin it. The MVCOM_OBS=ON and OFF builds both run these tests
+// against the same constants, so the pins also hold the bitwise guarantee
+// across observability builds.
 
 #include "sharding/elastico.hpp"
 
@@ -31,8 +28,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -236,13 +231,6 @@ TEST(SimKernelsDifferential, MessageOverlayScenario) {
 TEST(SimKernelsDifferential, ChurnScenario) { expect_pinned("churn"); }
 
 TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
-  const char* digest_path = std::getenv("MVCOM_DES_DETERMINISM_DIGEST");
-  std::ofstream digest_out;
-  if (digest_path != nullptr && *digest_path != '\0') {
-    digest_out.open(digest_path, std::ios::trunc);
-    ASSERT_TRUE(digest_out) << "cannot open " << digest_path;
-  }
-
   const Trace trace = lane_trace();
   for (const Scenario& s : scenarios()) {
     SCOPED_TRACE(s.label);
@@ -258,9 +246,6 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
         SCOPED_TRACE("epoch " + std::to_string(e));
         expect_identical(serial[e], pooled[e]);
       }
-    }
-    if (digest_out.is_open()) {
-      digest_out << s.label << " " << outcome_digest(serial) << "\n";
     }
   }
 }

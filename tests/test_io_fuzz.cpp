@@ -210,95 +210,6 @@ TEST(TraceFuzzTest, MalformedNumericFieldsReportTheField) {
   }
 }
 
-TEST(AccountTxFuzzTest, CornerRecordsRoundTripExactly) {
-  // Schema corners: empty read/write sets, single-element sets, max-range
-  // account ids, and a zero timestamp.
-  std::vector<mvcom::txn::AccountTx> txs;
-  txs.push_back({0, 0.0, 0, {}, {}});
-  txs.push_back({18446744073709551615ULL, 1451606400.5, 4294967295U,
-                 {1}, {4294967294U}});
-  txs.push_back({5, 2000.25, 17, {3, 1, 2}, {}});
-  const auto path = tmp_path("fuzz_accounts.csv");
-  mvcom::txn::write_account_txs_csv(txs, path);
-  const auto loaded = mvcom::txn::load_account_txs_csv(path);
-  ASSERT_EQ(loaded.size(), txs.size());
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    EXPECT_EQ(loaded[i].tx_id, txs[i].tx_id);
-    EXPECT_EQ(loaded[i].sender, txs[i].sender);
-    EXPECT_EQ(loaded[i].reads, txs[i].reads);
-    EXPECT_EQ(loaded[i].writes, txs[i].writes);
-    EXPECT_DOUBLE_EQ(loaded[i].timestamp, txs[i].timestamp);
-  }
-}
-
-TEST(AccountTxFuzzTest, MalformedRecordsReportTheField) {
-  const struct {
-    const char* row;
-    const char* expect_in_message;
-  } kCases[] = {
-      {"one,10.0,3,1;2,", "txID"},
-      {"1,not-a-time,3,1;2,", "ts"},
-      {"1,10.0,-3,1;2,", "sender"},
-      {"1,10.0,4294967296,1;2,", "sender"},  // > uint32 max
-      {"1,10.0,3,1;;2,", "writes"},          // empty item inside the list
-      {"1,10.0,3,1;x,", "writes"},
-      {"1,10.0,3,,5;y", "reads"},
-      {"1,10.0,3,18446744073709551616,", "writes"},  // > uint64 max
-  };
-  for (const auto& c : kCases) {
-    SCOPED_TRACE(c.row);
-    const auto path = tmp_path("fuzz_accounts_bad.csv");
-    std::ofstream(path) << "txID,ts,sender,writes,reads\n" << c.row << "\n";
-    try {
-      (void)mvcom::txn::load_account_txs_csv(path);
-      FAIL() << "malformed row was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(c.expect_in_message),
-                std::string::npos)
-          << "error message '" << e.what() << "' does not name the field";
-    }
-  }
-}
-
-TEST(AccountTxFuzzTest, TruncationAtEveryByteFailsCleanlyOrLoadsAPrefix) {
-  mvcom::txn::AccountModelConfig config;
-  config.num_accounts = 200;
-  config.num_shards = 4;
-  config.txs_per_epoch = 10;
-  const mvcom::txn::AccountTxGenerator gen(config);
-  const auto epoch = gen.epoch_keyed(7, 0);
-  const auto path = tmp_path("fuzz_accounts_full.csv");
-  mvcom::txn::write_account_txs_csv(epoch.txs, path);
-
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  ASSERT_GT(bytes.size(), 50u);
-
-  const auto prefix_path = tmp_path("fuzz_accounts_prefix.csv");
-  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    SCOPED_TRACE("cut at byte " + std::to_string(cut));
-    std::ofstream(prefix_path, std::ios::binary | std::ios::trunc)
-        << bytes.substr(0, cut);
-    try {
-      const auto loaded = mvcom::txn::load_account_txs_csv(prefix_path);
-      EXPECT_LE(loaded.size(), epoch.txs.size());
-    } catch (const std::runtime_error&) {
-      // Bad header / arity / numeric field — documented.
-    } catch (const std::invalid_argument&) {
-      // Truncation inside a quoted field — documented.
-    }
-  }
-}
-
-TEST(AccountTxFuzzTest, WrongHeaderIsRejected) {
-  const auto path = tmp_path("fuzz_accounts_header.csv");
-  std::ofstream(path) << "id,time,from,w,r\n1,10.0,3,1;2,\n";
-  EXPECT_THROW(mvcom::txn::load_account_txs_csv(path), std::runtime_error);
-}
-
 TEST(TraceFuzzTest, WrongHeaderIsRejected) {
   const auto path = tmp_path("fuzz_trace_header.csv");
   std::ofstream(path) << "id,hash,time,count\n1,aa,100.0,12\n";

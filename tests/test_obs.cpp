@@ -62,13 +62,13 @@ TEST(CounterTest, ConcurrentAddsSumExactly) {
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
-TEST(GaugeTest, SetAndAdd) {
+TEST(GaugeTest, SetIsLastWriteWins) {
   MetricsRegistry registry;
   Gauge& g = registry.gauge("test_gauge");
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
+  g.set(-1.0);
+  EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
 TEST(LogHistogramTest, GeometricBoundsAndPlacement) {
@@ -253,21 +253,6 @@ TEST(TraceRecorderTest, RingOverwritesOldestAndCountsDropped) {
   // Oldest-first snapshot of the last 4 records.
   EXPECT_DOUBLE_EQ(events.front().args[0].value, 6.0);
   EXPECT_DOUBLE_EQ(events.back().args[0].value, 9.0);
-}
-
-TEST(TraceRecorderTest, MergePreservesRelativeOrder) {
-  TraceRecorder recorder(16);
-  std::vector<TraceEvent> batch(2);
-  batch[0].category = "se";
-  batch[0].name = "a";
-  batch[1].category = "se";
-  batch[1].name = "b";
-  recorder.merge(batch);
-  const auto events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "a");
-  EXPECT_STREQ(events[1].name, "b");
-  EXPECT_LT(events[0].seq, events[1].seq);
 }
 
 TEST(ChromeTraceExportTest, ValidJsonWithDualClockPids) {

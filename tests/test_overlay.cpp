@@ -1,5 +1,4 @@
-// Tests for the message-level overlay configuration (Elastico stage 2) and
-// the commit-reveal randomness beacon (stage 5).
+// Tests for the message-level overlay configuration (Elastico stage 2).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "sharding/overlay.hpp"
-#include "sharding/randomness.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -17,7 +15,6 @@ namespace {
 using mvcom::common::Rng;
 using mvcom::common::SimTime;
 using mvcom::net::Network;
-using mvcom::sharding::run_commit_reveal_beacon;
 using mvcom::sharding::run_overlay_configuration;
 using mvcom::sim::Simulator;
 
@@ -94,84 +91,6 @@ TEST(OverlayTest, RejectsMismatchedInputs) {
   EXPECT_THROW(run_overlay_configuration(f.simulator, f.network, node_range(3),
                                          {SimTime(0.0)}, 0, SimTime(0.1)),
                std::invalid_argument);
-}
-
-// --- randomness beacon ----------------------------------------------------------
-
-TEST(BeaconTest, AllRevealsProduceRandomness) {
-  Fabric f(6);
-  Rng rng(5);
-  const auto result = run_commit_reveal_beacon(
-      f.simulator, f.network, rng, node_range(6), std::vector<bool>(6, false));
-  EXPECT_EQ(result.commits, 6u);
-  EXPECT_EQ(result.reveals, 6u);
-  EXPECT_EQ(result.randomness.size(), 64u);
-}
-
-TEST(BeaconTest, OutputDependsOnEveryContribution) {
-  // Different member entropy (different engine state) => different beacon.
-  Fabric f1(4), f2(4);
-  Rng rng_a(10);
-  Rng rng_b(11);
-  const auto a = run_commit_reveal_beacon(f1.simulator, f1.network, rng_a,
-                                          node_range(4),
-                                          std::vector<bool>(4, false));
-  const auto b = run_commit_reveal_beacon(f2.simulator, f2.network, rng_b,
-                                          node_range(4),
-                                          std::vector<bool>(4, false));
-  EXPECT_NE(a.randomness, b.randomness);
-}
-
-TEST(BeaconTest, DeterministicPerSeed) {
-  Fabric f1(4), f2(4);
-  Rng rng_a(10);
-  Rng rng_b(10);
-  const auto a = run_commit_reveal_beacon(f1.simulator, f1.network, rng_a,
-                                          node_range(4),
-                                          std::vector<bool>(4, false));
-  const auto b = run_commit_reveal_beacon(f2.simulator, f2.network, rng_b,
-                                          node_range(4),
-                                          std::vector<bool>(4, false));
-  EXPECT_EQ(a.randomness, b.randomness);
-}
-
-TEST(BeaconTest, WithholderIsExcludedNotFatal) {
-  Fabric f(5);
-  Rng rng(6);
-  std::vector<bool> withholding(5, false);
-  withholding[2] = true;
-  const auto result = run_commit_reveal_beacon(f.simulator, f.network, rng,
-                                               node_range(5), withholding);
-  EXPECT_EQ(result.commits, 5u);
-  EXPECT_EQ(result.reveals, 4u);
-  EXPECT_FALSE(result.revealed[2]);
-  EXPECT_FALSE(result.randomness.empty());
-}
-
-TEST(BeaconTest, WithholdingChangesTheOutput) {
-  // The last-revealer caveat, demonstrated rather than hidden: dropping one
-  // contribution yields a different beacon value.
-  auto run_with = [](bool withhold) {
-    Fabric f(4, 3);
-    Rng rng(9);
-    std::vector<bool> withholding(4, false);
-    withholding[1] = withhold;
-    return run_commit_reveal_beacon(f.simulator, f.network, rng,
-                                    node_range(4), withholding)
-        .randomness;
-  };
-  EXPECT_NE(run_with(false), run_with(true));
-}
-
-TEST(BeaconTest, FailedMemberCommitNeverArrives) {
-  Fabric f(4);
-  f.network.set_failed(3, true);
-  Rng rng(8);
-  const auto result = run_commit_reveal_beacon(
-      f.simulator, f.network, rng, node_range(4), std::vector<bool>(4, false));
-  EXPECT_EQ(result.commits, 3u);
-  EXPECT_LE(result.reveals, 3u);
-  EXPECT_FALSE(result.randomness.empty());
 }
 
 }  // namespace

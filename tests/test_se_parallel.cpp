@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <string_view>
 
 #include "common/rng.hpp"
@@ -253,13 +251,11 @@ TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
 // Comparing two execution shapes of one build cannot catch a refactor that
 // shifts a single RNG draw or accept decision in both, so every row also
 // pins its digest to a constant: the SE trajectory itself is fixed across
-// commits. A change that moves one must say why and re-pin it.
-//
-// The same runs also feed a digest file when MVCOM_DETERMINISM_DIGEST is
-// set: SHA-256 over the best selection, the utility bits, and the full
-// utility trace. CI runs these tests in MVCOM_OBS=ON and OBS=OFF builds and
-// diffs the two digest files, extending the bitwise guarantee across
-// observability configurations (which no single binary can check alone).
+// commits. A change that moves one must say why and re-pin it. The digest
+// is SHA-256 over the best selection, the utility bits, and the full
+// utility trace. The MVCOM_OBS=ON and OFF builds both run these tests
+// against the same constants, so the pins also hold the bitwise guarantee
+// across observability configurations.
 
 constexpr std::string_view kPinnedI50 =
     "6cb02963b30fd3afad92e71c17bafda4c55f459516f60e857f02b601aedf5b39";
@@ -271,21 +267,6 @@ constexpr std::string_view kPinnedTimerRace =
     "557d193463246723c18f5c9d536aec23fb2f7c0e5dba4ac5d421a751cc67218a";
 constexpr std::string_view kPinnedRebind =
     "46e118e18d3e07224250ba8186d6aeddd1a51ed38e8bf938b5e8c1ed17786340";
-
-/// The MVCOM_DETERMINISM_DIGEST file, truncated on first use and shared by
-/// every matrix row; null when the variable is unset.
-std::ofstream* digest_sink() {
-  static std::ofstream out = [] {
-    std::ofstream file;
-    const char* path = std::getenv("MVCOM_DETERMINISM_DIGEST");
-    if (path != nullptr && *path != '\0') {
-      file.open(path, std::ios::trunc);
-      if (!file) ADD_FAILURE() << "cannot open " << path;
-    }
-    return file;
-  }();
-  return out.is_open() ? &out : nullptr;
-}
 
 std::string result_digest(const SeResult& r) {
   mvcom::crypto::Sha256 h;
@@ -303,13 +284,10 @@ std::string result_digest(const SeResult& r) {
   return mvcom::crypto::to_hex(h.finalize());
 }
 
-/// Checks one matrix row's digest against its pinned constant and appends
-/// it to the digest file.
+/// Checks one matrix row's digest against its pinned constant.
 void expect_pinned(const std::string& row, const SeResult& r,
                    std::string_view pinned) {
-  const std::string digest = result_digest(r);
-  EXPECT_EQ(digest, pinned) << row;
-  if (std::ofstream* out = digest_sink()) *out << row << " " << digest << "\n";
+  EXPECT_EQ(result_digest(r), pinned) << row;
 }
 
 TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {

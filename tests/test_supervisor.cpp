@@ -130,7 +130,7 @@ TEST(SupervisorAdmissionTest, HonestResubmissionReadmitsQuarantined) {
 }
 
 TEST(SupervisorAdmissionTest, StrikeBudgetExhaustionBans) {
-  EpochSupervisor sup(config(), 5);  // max_strikes = 3
+  EpochSupervisor sup(config(), 5);  // three strikes ban
   EXPECT_EQ(sup.on_submission(inflated(0, 600, 1200), 700.0, 50.0),
             Admission::kQuarantined);
   EXPECT_EQ(sup.on_submission(inflated(0, 600, 1300), 700.0, 50.0),
@@ -396,7 +396,7 @@ TEST(SupervisorCarryTest, EquivocationEscalatesMonotonicallyAcrossEpochs) {
     }
     // One equivocation per epoch (a verified submission binding a new s_i).
     const Admission a = sup.on_submission(honest(0, 900), 700.0, 50.0);
-    // max_strikes = 3: epochs 0 and 1 quarantine, epoch 2 bans.
+    // Three strikes ban: epochs 0 and 1 quarantine, epoch 2 bans.
     EXPECT_EQ(a, epoch < 2 ? Admission::kQuarantined : Admission::kBanned);
     carry = sup.export_carry();
     ASSERT_FALSE(carry.entries.empty());
@@ -556,18 +556,25 @@ TEST(OnlineSchedulerResizeTest, SetNminRefusesToReachTheNmaxCutoff) {
 }
 
 TEST(SupervisorConfigTest, RejectsDegenerateParameters) {
-  SupervisorConfig bad_strikes = config();
-  bad_strikes.max_strikes = 0;
-  EXPECT_THROW(EpochSupervisor(bad_strikes, 1), std::invalid_argument);
-  SupervisorConfig bad_interval = config();
-  bad_interval.ping_interval_seconds = 0.0;
-  EXPECT_THROW(EpochSupervisor(bad_interval, 1), std::invalid_argument);
-  SupervisorConfig bad_backoff = config();
-  bad_backoff.ping_backoff_factor = 0.5;
-  EXPECT_THROW(EpochSupervisor(bad_backoff, 1), std::invalid_argument);
+  // The risk policy's steps divide the risk score, so an enabled policy
+  // needs both positive; a disabled one never reads them.
+  SupervisorConfig bad_escalation = config();
+  bad_escalation.risk.enabled = true;
+  bad_escalation.risk.escalation_step = 0.0;
+  EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
+  SupervisorConfig bad_tighten = config();
+  bad_tighten.risk.enabled = true;
+  bad_tighten.risk.tighten_step = -1.0;
+  EXPECT_THROW(EpochSupervisor(bad_tighten, 1), std::invalid_argument);
+  SupervisorConfig disabled = config();
+  disabled.risk.tighten_step = 0.0;
+  EXPECT_NO_THROW(EpochSupervisor(disabled, 1));
 }
 
-/// DES fixture: 8 committees on nodes 0..7, the observer on node 8.
+/// DES fixture: 8 committees on nodes 0..7, the observer on node 8. The
+/// monitor probes every 30 s with a 12 s timeout and declares a committee
+/// failed after K = 3 misses; links average 1 s, so a healthy probe's RTT
+/// (about 2 s) passes.
 class SupervisorMonitorTest : public ::testing::Test {
  protected:
   SupervisorMonitorTest()
@@ -575,20 +582,12 @@ class SupervisorMonitorTest : public ::testing::Test {
                  std::make_shared<mvcom::net::ExponentialLatency>(
                      mvcom::common::SimTime(1.0)),
                  9),
-        supervisor_(monitor_config(), 20) {
+        supervisor_(config(), 20) {
     for (std::uint32_t i = 0; i < 8; ++i) {
       supervisor_.on_submission(honest(i, 700), 650.0, 40.0);
       supervisor_.register_committee_node(i, i);
     }
     supervisor_.attach_monitor(simulator_, network_, 8);
-  }
-
-  static SupervisorConfig monitor_config() {
-    SupervisorConfig c = config();
-    c.ping_interval_seconds = 30.0;
-    c.ping_timeout_seconds = 12.0;  // RTT ≈ 2×1 s: healthy pings pass
-    c.missed_pings_before_failure = 3;
-    return c;
   }
 
   mvcom::sim::Simulator simulator_;

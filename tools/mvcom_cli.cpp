@@ -84,7 +84,8 @@
 //       arms (conflict-aware vs random-oblivious) through the x-shard
 //       scheduler, and print committed/intra/cross/deferred tallies plus a
 //       per-arm ledger digest — a replay witness that must be bit-identical
-//       across runs with the same seed (the CI xshard-smoke contract).
+//       across runs with the same seed (the CliXshardLedgerDigests CTest
+//       pins its values).
 //       --txs-out dumps the first epoch's AccountTx trace as CSV.
 //
 // The `schedule`, `chaos`, and `xshard` commands accept observability sinks:
@@ -155,16 +156,20 @@ struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
 
+  /// The flag parsed as the type of the setting it fills, so a value out
+  /// of that type's range is a BadFlag rather than a narrowed number.
+  template <typename T>
+  [[nodiscard]] T get(const std::string& key, T fallback) const {
+    const auto it = flags.find(key);
+    return it == flags.end() ? fallback : parse_number<T>(key, it->second);
+  }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : parse_number<std::uint64_t>(key, it->second);
+    return get<std::uint64_t>(key, fallback);
   }
   [[nodiscard]] double get_f64(const std::string& key,
                                double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : parse_number<double>(key, it->second);
+    return get<double>(key, fallback);
   }
 };
 
@@ -251,18 +256,16 @@ int usage() {
 
 int cmd_xshard(const Args& args) {
   mvcom::txn::AccountModelConfig model;
-  model.num_accounts =
-      static_cast<std::uint32_t>(args.get_u64("accounts", 50'000));
-  model.num_shards = static_cast<std::uint32_t>(args.get_u64("shards", 20));
+  model.num_accounts = args.get<std::uint32_t>("accounts", 50'000);
+  model.num_shards = args.get<std::uint32_t>("shards", 20);
   model.txs_per_epoch = args.get_u64("txs", 20'000);
   model.zipf_skew = args.get_f64("skew", model.zipf_skew);
   mvcom::txn::XShardConfig xc;
   xc.num_shards = model.num_shards;
-  xc.rounds_per_epoch =
-      static_cast<std::uint32_t>(args.get_u64("rounds", xc.rounds_per_epoch));
+  xc.rounds_per_epoch = args.get<std::uint32_t>("rounds", xc.rounds_per_epoch);
   xc.shard_round_capacity = args.get_u64("capacity", xc.shard_round_capacity);
-  xc.deadline_slack_rounds = static_cast<std::uint32_t>(
-      args.get_u64("slack", xc.deadline_slack_rounds));
+  xc.deadline_slack_rounds =
+      args.get<std::uint32_t>("slack", xc.deadline_slack_rounds);
   const auto sched_it = args.flags.find("scheduler");
   if (sched_it != args.flags.end()) {
     if (sched_it->second == "greedy") {
@@ -428,8 +431,7 @@ int cmd_schedule(const Args& args) {
 int cmd_epoch(const Args& args) {
   mvcom::sharding::ElasticoConfig config;
   config.num_nodes = args.get_u64("nodes", 256);
-  config.committee_bits =
-      static_cast<int>(args.get_u64("committee-bits", 4));
+  config.committee_bits = args.get<int>("committee-bits", 4);
   config.committee_size = args.get_u64("committee-size", 8);
   mvcom::sharding::ElasticoNetwork network(
       config, mvcom::common::Rng(args.get_u64("seed", 1)));
@@ -462,7 +464,7 @@ int cmd_epoch(const Args& args) {
 int cmd_fabric(const Args& args) {
   mvcom::sharding::ElasticoConfig config;
   config.num_nodes = args.get_u64("nodes", 128);
-  config.committee_bits = static_cast<int>(args.get_u64("committee-bits", 3));
+  config.committee_bits = args.get<int>("committee-bits", 3);
   config.committee_size = args.get_u64("committee-size", 6);
   config.pbft.verification_mean = mvcom::common::SimTime(0.2);
   config.node_failure_probability = args.get_f64("failure", 0.0);
@@ -716,7 +718,8 @@ int cmd_chaos(const Args& args) {
                 e.at_seconds, mvcom::core::to_string(e.kind), e.committee_id,
                 e.duration_seconds, e.magnitude);
   }
-  std::printf("timeline (every %.0fs):\n", config.explore_tick_seconds * 4);
+  std::printf("timeline (every %.0fs):\n",
+              mvcom::core::kExploreTickSeconds * 4);
   for (std::size_t i = 0; i < report.timeline.size(); i += 4) {
     const auto& p = report.timeline[i];
     std::printf("  t=%7.1fs  %-14s utility %10.1f%s\n", p.at_seconds,

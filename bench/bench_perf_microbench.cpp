@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -194,20 +193,6 @@ void BM_SimulatorChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorChurn)->Arg(64)->Arg(4096)->Arg(65536);
 
-// Batched exponential sampling — the SIMD-friendly transform behind the
-// Eq.-(8) timer race.
-void BM_FillExponential(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    rng.fill_exponential(std::span<double>(out), 0.2);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FillExponential)->Arg(4)->Arg(64)->Arg(1024);
-
 void BM_DpSolve(benchmark::State& state) {
   const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
   mvcom::baselines::DynamicProgramming dp;
@@ -373,60 +358,6 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   json.set("gate_rate_sim_event_churn", rate);
 }
 
-/// Batched exponential sampling rate — fill_exponential over a 1024-draw
-/// buffer. Its only caller is the SE timer race, which draws one Exp(1) per
-/// candidate move in one batch per round.
-void run_fill_exponential(mvcom::bench::BenchJson& json) {
-  constexpr std::size_t kBatch = 1024;
-  constexpr std::size_t kReps = 20'000;
-  Rng rng(7);
-  std::vector<double> out(kBatch);
-  double sink = 0.0;
-  for (std::size_t r = 0; r < kReps / 10; ++r) {  // warm-up
-    rng.fill_exponential(std::span<double>(out), 0.2);
-    sink += out.back();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < kReps; ++r) {
-    rng.fill_exponential(std::span<double>(out), 0.2);
-    sink += out.back();
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(sink);
-  const double rate = static_cast<double>(kBatch * kReps) / seconds;
-  std::printf("\n--- fill_exponential (batch %zu) ---\n", kBatch);
-  std::printf("  %.0f draws/s (%.2f ns/draw)\n", rate, 1e9 / rate);
-  json.set("rng_fill_batch", static_cast<double>(kBatch));
-  json.set("gate_rate_rng_fill_exponential", rate);
-}
-
-/// SE timer-race step rate — the Alg.-3 transition whose inner loop is the
-/// batched Exp(1) race. Its own gate tier (gate_rate_se_steps): the
-/// chain-parallel tiers above cannot see a regression in this path.
-void run_se_timer_race(mvcom::bench::BenchJson& json) {
-  const auto instance = make_instance(200);
-  mvcom::core::SeParams params;
-  params.threads = 1;
-  params.transition = mvcom::core::SeTransition::kTimerRace;
-  constexpr std::size_t kIters = 30'000;
-  params.max_iterations = kIters * 2;
-  params.convergence_window = params.max_iterations;
-  mvcom::core::SeScheduler scheduler(instance, params, 3);
-  scheduler.advance(kIters / 10);  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  scheduler.advance(kIters);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const double rate = static_cast<double>(kIters) / seconds;
-  std::printf("\n--- SE timer-race step rate (|I|=200) ---\n");
-  std::printf("  %.0f steps/s\n", rate);
-  json.set("se_timer_race_iters", static_cast<double>(kIters));
-  json.set("gate_rate_se_steps", rate);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -439,8 +370,6 @@ int main(int argc, char** argv) {
   run_scale_throughput(json);
   run_pow_rate(json);
   run_event_churn(json);
-  run_fill_exponential(json);
-  run_se_timer_race(json);
   json.write();
   return 0;
 }

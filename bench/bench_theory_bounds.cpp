@@ -6,7 +6,7 @@
 //     (detailed balance, measured as total-variation distance);
 //   * Lemma 4 / Theorem 2: exact failure perturbation on an enumerable
 //     instance — d_TV ≤ 1/2 and utility shift ≤ max_g U_g;
-//   * Ablation: converged utility and iterations-to-converge vs β and τ.
+//   * Ablation: converged utility and iterations-to-converge vs β.
 
 #include <cstdio>
 
@@ -105,29 +105,25 @@ int main() {
               "   transition — shrinks as beta grows: sharper stationary\n"
               "   laws need more transitions, Remark 2 made exact)\n");
 
-  // ---- Ablation: beta and tau -------------------------------------------------
+  // ---- Ablation: beta -------------------------------------------------------
   mvcom::bench::print_header(
-      "Ablation", "SE converged utility vs beta/tau (|I|=50, C=50K, a=1.5)");
+      "Ablation", "SE converged utility vs beta (|I|=50, C=50K, a=1.5)");
   const auto trace = mvcom::bench::paper_trace();
   const auto se_instance = mvcom::bench::paper_instance(
       trace, 17, /*num_committees=*/50, /*capacity=*/50'000, /*alpha=*/1.5,
       /*n_min=*/0);
-  std::printf("  %6s %6s %16s %14s\n", "beta", "tau", "converged U",
-              "iterations");
+  std::printf("  %6s %16s %14s\n", "beta", "converged U", "iterations");
   for (const double beta : {0.5, 1.0, 2.0, 4.0}) {
-    for (const double tau : {0.0, 1.0}) {
-      mvcom::core::SeParams params;
-      params.beta = beta;
-      params.tau = tau;
-      params.threads = 10;
-      params.max_iterations = 3000;
-      mvcom::core::SeScheduler scheduler(se_instance, params, 23);
-      const auto result = scheduler.run();
-      std::printf("  %6.1f %6.1f %16.1f %14zu\n", beta, tau, result.utility,
-                  result.iterations);
-    }
+    mvcom::core::SeParams params;
+    params.beta = beta;
+    params.threads = 10;
+    params.max_iterations = 3000;
+    mvcom::core::SeScheduler scheduler(se_instance, params, 23);
+    const auto result = scheduler.run();
+    std::printf("  %6.1f %16.1f %14zu\n", beta, result.utility,
+                result.iterations);
   }
-  std::printf("  (expected shape: moderate beta converges well; tau shifts "
-              "rates uniformly and barely matters — Eq. 7 intuition)\n");
+  std::printf("  (expected shape: moderate beta converges well — Remark 2's "
+              "concentration/mixing tradeoff)\n");
   return 0;
 }

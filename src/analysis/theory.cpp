@@ -1,18 +1,21 @@
 #include "analysis/theory.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace mvcom::analysis {
 
 MixingTimeBounds mixing_time_bounds(std::size_t num_committees, double beta,
                                     double tau, double utility_spread,
                                     double epsilon) {
-  assert(num_committees >= 2);
-  assert(beta > 0.0);
-  assert(utility_spread >= 0.0);
-  assert(epsilon > 0.0 && epsilon < 0.5);
+  // Negated comparisons so that NaN fails too.
+  if (num_committees < 2 || !(beta > 0.0) || !(utility_spread >= 0.0) ||
+      !(epsilon > 0.0 && epsilon < 0.5)) {
+    throw std::invalid_argument(
+        "mixing_time_bounds: needs |I| >= 2, beta > 0, spread >= 0 and "
+        "0 < epsilon < 1/2");
+  }
 
   const auto I = static_cast<double>(num_committees);
   const double spread_term = beta * utility_spread;
@@ -33,7 +36,9 @@ MixingTimeBounds mixing_time_bounds(std::size_t num_committees, double beta,
 }
 
 double log_sum_exp_optimality_loss(std::size_t num_committees, double beta) {
-  assert(beta > 0.0);
+  if (!(beta > 0.0)) {
+    throw std::invalid_argument("log_sum_exp_optimality_loss: needs beta > 0");
+  }
   return static_cast<double>(num_committees) * std::numbers::ln2 / beta;
 }
 

@@ -17,14 +17,16 @@ struct MixingTimeBounds {
 };
 
 /// Theorem 1. `utility_spread` = U_max − U_min over the solution space,
-/// `epsilon` the target total-variation gap (0 < ε < 1/2).
+/// `epsilon` the target total-variation gap. Throws std::invalid_argument
+/// unless |I| ≥ 2, β > 0, spread ≥ 0 and 0 < ε < 1/2.
 [[nodiscard]] MixingTimeBounds mixing_time_bounds(std::size_t num_committees,
                                                   double beta, double tau,
                                                   double utility_spread,
                                                   double epsilon);
 
 /// Remark 1: the approximation loss of MVCom(β) is (1/β)·log|F| with
-/// |F| = 2^|I|, i.e. (|I|·ln 2)/β.
+/// |F| = 2^|I|, i.e. (|I|·ln 2)/β. Throws std::invalid_argument unless
+/// β > 0.
 [[nodiscard]] double log_sum_exp_optimality_loss(std::size_t num_committees,
                                                  double beta);
 

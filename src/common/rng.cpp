@@ -12,23 +12,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log1p(-uniform01());
 }
 
-void Rng::fill_exponential(std::span<double> out, double mean) noexcept {
-  assert(mean > 0.0);
-  // Engine phase first (sequential by construction), transform second. The
-  // transform is the same -mean*log1p(-u) expression as exponential(), so
-  // every lane is bitwise identical to the sequential draw; the blocked
-  // shape only exists so the compiler can vectorize log1p across lanes.
-  for (double& v : out) v = uniform01();
-  constexpr std::size_t kWidth = 4;
-  std::size_t i = 0;
-  for (; i + kWidth <= out.size(); i += kWidth) {
-    for (std::size_t lane = 0; lane < kWidth; ++lane) {
-      out[i + lane] = -mean * std::log1p(-out[i + lane]);
-    }
-  }
-  for (; i < out.size(); ++i) out[i] = -mean * std::log1p(-out[i]);
-}
-
 double Rng::normal(double mu, double sigma) noexcept {
   if (has_spare_) {
     has_spare_ = false;
@@ -93,17 +76,6 @@ std::uint32_t ZipfSampler::operator()(Rng& rng) const noexcept {
   // First k with cdf_[k] > u; u < 1 and cdf_.back() == 1 guarantee a hit.
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
   return static_cast<std::uint32_t>(it - cdf_.begin());
-}
-
-void ZipfSampler::fill(Rng& rng, std::span<std::uint32_t> out) const noexcept {
-  // Uniforms are drawn first, in engine order, so the transform loop below
-  // is free of engine-state dependencies — the same discipline as
-  // fill_uniform01. The sequence equals out.size() sequential draws.
-  for (std::uint32_t& v : out) {
-    const double u = rng.uniform01();
-    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-    v = static_cast<std::uint32_t>(it - cdf_.begin());
-  }
 }
 
 }  // namespace mvcom::common

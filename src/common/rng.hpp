@@ -100,14 +100,6 @@ class Rng {
     return lo + (hi - lo) * uniform01();
   }
 
-  /// Fills `out` with uniform01() draws, consuming exactly out.size() engine
-  /// steps in order. Batch form for hot loops (e.g. the Eq.-(8) timer race)
-  /// where drawing into a flat scratch buffer keeps the transform loop that
-  /// follows free of engine-state dependencies and lets it vectorize.
-  void fill_uniform01(std::span<double> out) noexcept {
-    for (double& v : out) v = uniform01();
-  }
-
   /// Uniform integer in [0, n) by bitmask-with-rejection: draw within the
   /// smallest enclosing power of two and reject out-of-range values.
   /// Unbiased; expected < 2 draws. Defined here so hot loops can inline it
@@ -125,21 +117,12 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 
-  /// Exponential variate with the given mean (= 1/rate). Used heavily by the
-  /// SE algorithm's countdown timers (Eq. 8 of the paper) and by the PoW
-  /// solve-latency model. Precondition: mean > 0.
+  /// Exponential variate with the given mean (= 1/rate), by inverse CDF.
+  /// Used by the latency and arrival models (network links, PoW solve time,
+  /// formation stages, PBFT verification, inter-block gaps) and by the
+  /// Gillespie simulation of the Eq.-(7) chain in analysis/.
+  /// Precondition: mean > 0.
   double exponential(double mean) noexcept;
-
-  /// Fills `out` with exponential(mean) draws, consuming exactly out.size()
-  /// engine steps. Batch discipline matches fill_uniform01: the uniforms are
-  /// drawn first in engine order, then the −mean·log1p(−u) transform runs
-  /// over the flat buffer in width-4 blocks plus a scalar tail, so the
-  /// transform loop is free of engine-state dependencies and vectorizes.
-  /// The output is pinned ULP-for-ULP to out.size() sequential
-  /// exponential(mean) calls — every batch length, including the odd tails,
-  /// is property-tested in tests/test_rng.cpp. Used by the Eq.-(8) timer
-  /// race.
-  void fill_exponential(std::span<double> out, double mean) noexcept;
 
   /// Standard normal variate (Marsaglia polar method, portable).
   double normal(double mu = 0.0, double sigma = 1.0) noexcept;
@@ -185,11 +168,6 @@ class ZipfSampler {
 
   /// Draws one rank, consuming exactly one engine step.
   [[nodiscard]] std::uint32_t operator()(Rng& rng) const noexcept;
-
-  /// Fills `out` with ranks, consuming exactly out.size() engine steps in
-  /// order — the batch form symmetric with Rng::fill_uniform01, so a batch
-  /// fill and a draw loop produce identical sequences.
-  void fill(Rng& rng, std::span<std::uint32_t> out) const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double skew() const noexcept { return skew_; }

@@ -28,8 +28,7 @@ const char* to_string(FaultKind kind) noexcept {
 }
 
 FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
-                                std::size_t num_committees, common::Rng& rng,
-                                std::size_t num_reserve) {
+                                std::size_t num_committees, common::Rng& rng) {
   // Ranges of a fault's duration and magnitude.
   constexpr double kMinDowntimeSeconds = 60.0;
   constexpr double kMaxDowntimeSeconds = 300.0;
@@ -44,12 +43,8 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
       // Live-rank targeting: with no churn events the live order equals the
       // input order, so these plans reproduce the pre-churn harness exactly.
       event.victim = FaultEvent::Victim::kByLiveRank;
-      event.committee_id = kind == FaultKind::kJoin
-                               ? static_cast<std::uint32_t>(
-                                     rng.below(std::max<std::size_t>(
-                                         1, num_reserve)))
-                               : static_cast<std::uint32_t>(
-                                     rng.below(num_committees));
+      event.committee_id =
+          static_cast<std::uint32_t>(rng.below(num_committees));
       event.at_seconds = rng.uniform(0.0, kFaultHorizonSeconds);
       event.duration_seconds =
           rng.uniform(kMinDowntimeSeconds, kMaxDowntimeSeconds);
@@ -81,8 +76,6 @@ FaultPlan FaultPlan::randomized(const FaultPlanConfig& config,
   draw(FaultKind::kMisreport, config.misreports);
   draw(FaultKind::kEquivocate, config.equivocations);
   draw(FaultKind::kMessageLossBurst, config.loss_bursts);
-  draw(FaultKind::kJoin, num_reserve > 0 ? config.joins : 0);
-  draw(FaultKind::kLeave, config.leaves);
   std::sort(plan.events.begin(), plan.events.end(),
             [](const FaultEvent& a, const FaultEvent& b) {
               return a.at_seconds < b.at_seconds;

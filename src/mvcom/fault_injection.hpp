@@ -76,8 +76,6 @@ struct FaultPlanConfig {
   std::size_t misreports = 1;
   std::size_t equivocations = 0;
   std::size_t loss_bursts = 0;
-  std::size_t joins = 0;      // drawn only when the run provides a reserve
-  std::size_t leaves = 0;
 };
 
 struct FaultPlan {
@@ -86,14 +84,12 @@ struct FaultPlan {
   /// Draws a randomized schedule: victims are sampled uniformly as live
   /// ranks over [0, num_committees), times over [0, kFaultHorizonSeconds).
   /// With no churn the live order equals the input order, so rank targeting
-  /// reproduces the historical by-index behavior bit-for-bit. Join events
-  /// draw reserve slots over [0, num_reserve) (none are drawn when
-  /// num_reserve == 0).
+  /// reproduces the historical by-index behavior bit-for-bit. Churn
+  /// (kJoin / kLeave) comes from scripted plans and the adversary only.
   /// Deterministic per rng state — the property tests sweep seeds.
   [[nodiscard]] static FaultPlan randomized(const FaultPlanConfig& config,
                                             std::size_t num_committees,
-                                            common::Rng& rng,
-                                            std::size_t num_reserve = 0);
+                                            common::Rng& rng);
 };
 
 /// One committee as the harness drives it: its honest submission plus the

@@ -96,14 +96,6 @@ void SeLayout::rebuild(const EpochInstance& instance, const SeParams& params) {
     }
   }
 
-  log_remaining.resize(family.size());
-  for (std::size_t slot = 0; slot < family.size(); ++slot) {
-    // ln(|I| − n) for the Eq.-(8) rate; the full-set solution never races,
-    // so its entry is unused.
-    const auto remaining = static_cast<double>(total - family[slot]);
-    log_remaining[slot] = remaining > 0.0 ? std::log(remaining) : 0.0;
-  }
-
   first_admissible = static_cast<std::size_t>(
       std::lower_bound(family.begin(), family.end(),
                        static_cast<std::uint32_t>(instance.n_min())) -
@@ -195,14 +187,6 @@ void SeExplorer::recompute(SolutionState& sol) {
   sol.n = static_cast<std::uint32_t>(sol.set.selected_count());
 }
 
-void SeExplorer::step() {
-  if (params_->transition == SeTransition::kChainParallel) {
-    step_chain_parallel();
-  } else {
-    step_timer_race();
-  }
-}
-
 void SeExplorer::step_block(std::size_t k, SeBlockStats* stats,
                             double* running_max) {
   if (stats) {
@@ -243,12 +227,12 @@ bool SeExplorer::propose(const SolutionState& sol, Proposal& move) {
   return false;
 }
 
-void SeExplorer::step_chain_parallel() {
+void SeExplorer::step() {
   // One Metropolis transition per solution. The per-cardinality chains are
   // independent, and the acceptance ratio min(1, exp(β·ΔU)) equals the
   // Eq.-(7) rate ratio q_{f,f'}/q_{f',f}, so each chain is reversible with
-  // the Eq.-(6) stationary law — the same chain the timer race realizes,
-  // advanced one transition per maintained cardinality per iteration.
+  // the Eq.-(6) stationary law, advanced one transition per maintained
+  // cardinality per iteration.
   const double beta = params_->beta;
   Proposal move;
   for (SolutionState& sol : solutions_) {
@@ -263,67 +247,6 @@ void SeExplorer::step_chain_parallel() {
     sol.txs = move.txs;
     sol.utility += move.delta;
   }
-}
-
-void SeExplorer::step_timer_race() {
-  // The exponential-timer race (Alg. 3 + State Transit of Alg. 1): every
-  // active solution arms a timer for one candidate swap; the minimum timer
-  // fires and its swap is applied. Comparing log-timers is an exact,
-  // overflow-free monotone transform of the race.
-  const double beta = params_->beta;
-  const double tau = params_->tau;
-
-  // Pass 1 (engine-state sequential): sample one capacity-feasible candidate
-  // pair (ĩ, ï) per active solution into the flat scratch arrays, kept as
-  // SwapSet positions so the winner's swap needs no lookup.
-  cand_slot_.clear();
-  cand_out_pos_.clear();
-  cand_in_pos_.clear();
-  cand_txs_.clear();
-  cand_delta_.clear();
-  Proposal move;
-  for (std::size_t slot = 0; slot < solutions_.size(); ++slot) {
-    if (!propose(solutions_[slot], move)) continue;
-    cand_slot_.push_back(static_cast<std::uint32_t>(slot));
-    cand_out_pos_.push_back(move.p);
-    cand_in_pos_.push_back(move.q);
-    cand_txs_.push_back(move.txs);
-    cand_delta_.push_back(move.delta);
-  }
-  if (cand_slot_.empty()) return;  // no solution could move this round
-  if constexpr (obs::kEnabled) {
-    obs_tally_.timer_draws += cand_slot_.size();
-  }
-
-  // Pass 2 (pure math): one batched Exp(1) fill, then the race
-  //   log T = τ − ½β(U_{f'} − U_f) − ln(|I| − n) + ln(Exp(1) draw)
-  // over the flat candidate arrays. fill_exponential draws the uniforms and
-  // applies −log1p(−u) in vectorizable blocks; the max(·, DBL_MIN) clamp
-  // below is the same guard detail::log_unit_exponential applies before its
-  // log — a raw u == 0 would yield log T = −∞ and win the race regardless
-  // of β·ΔU. (For every uniform01() output the two formulations are bitwise
-  // equal: u ≥ 2⁻⁵³ makes both clamps no-ops, and at u = 0 log1p(−DBL_MIN)
-  // rounds to −DBL_MIN exactly — pinned in test_rng.) With the engine state
-  // out of the loop the transform + argmin vectorizes.
-  cand_u_.resize(cand_slot_.size());
-  rng_.fill_exponential(cand_u_, 1.0);
-  std::size_t win = 0;
-  double win_log_timer = kInf;
-  for (std::size_t c = 0; c < cand_slot_.size(); ++c) {
-    const double log_timer =
-        tau - 0.5 * beta * cand_delta_[c] -
-        layout_->log_remaining[cand_slot_[c]] +
-        std::log(std::max(cand_u_[c], std::numeric_limits<double>::min()));
-    if (log_timer < win_log_timer) {
-      win_log_timer = log_timer;
-      win = c;
-    }
-  }
-  if constexpr (obs::kEnabled) ++obs_tally_.accepts;
-  SolutionState& sol = solutions_[cand_slot_[win]];
-  sol.set.swap_positions(cand_out_pos_[win], cand_in_pos_[win]);
-  sol.txs = cand_txs_[win];
-  sol.utility += cand_delta_[win];
 }
 
 std::optional<std::pair<double, const SwapSet*>> SeExplorer::best() const {
@@ -619,7 +542,6 @@ void SeScheduler::set_obs(obs::ObsContext obs) {
   obs_accepts_ = nullptr;
   obs_rejects_ = nullptr;
   obs_infeasible_ = nullptr;
-  obs_timer_draws_ = nullptr;
   obs_shares_ = nullptr;
   obs_joins_ = nullptr;
   obs_leaves_ = nullptr;
@@ -640,8 +562,6 @@ void SeScheduler::set_obs(obs::ObsContext obs) {
       &m->counter("mvcom_se_transitions_total",
                   "SE chain transitions by Eq.-(7) outcome",
                   {{"result", "infeasible"}});
-  obs_timer_draws_ = &m->counter("mvcom_se_timer_draws_total",
-                                 "Eq.-(8) exponential timer draws");
   obs_shares_ = &m->counter("mvcom_se_shares_total",
                             "Thread-cooperation share points executed");
   obs_joins_ = &m->counter("mvcom_se_rebinds_total",
@@ -666,8 +586,7 @@ void SeScheduler::flush_obs(std::size_t block, bool shared) {
       trace->counter("se", "se/explorer",
                      {{"accepts", static_cast<double>(tally.accepts)},
                       {"rejects", static_cast<double>(tally.rejects)},
-                      {"infeasible", static_cast<double>(tally.infeasible)},
-                      {"timer_draws", static_cast<double>(tally.timer_draws)}},
+                      {"infeasible", static_cast<double>(tally.infeasible)}},
                      static_cast<std::uint32_t>(e));
     }
     tally.reset();
@@ -677,7 +596,6 @@ void SeScheduler::flush_obs(std::size_t block, bool shared) {
     obs_accepts_->add(total.accepts);
     obs_rejects_->add(total.rejects);
     obs_infeasible_->add(total.infeasible);
-    obs_timer_draws_->add(total.timer_draws);
     if (shared) obs_shares_->inc();
   }
   const double utility = current_utility();

@@ -7,18 +7,20 @@
 // time-reversible continuous-time Markov chain over the per-cardinality
 // solution spaces realizes p* with transition rates
 //     q_{f,f'} = exp(−τ) · exp(½β(U_{f'} − U_f))                    (Eq. 7)
-// implemented by exponential countdown timers with mean
+// which the paper implements by exponential countdown timers with mean
 //     exp(τ − ½β(U_{f'} − U_f)) / (|I| − n)                         (Eq. 8)
 // — one timer per parallel solution f_n (n = 1..|I|−1). When a timer
 // expires, its solution swaps the chosen pair (state transition) and
 // broadcasts RESET, refreshing every other timer.
 //
 // Implementation notes:
-//  * Timers race in log-space: log T_n = τ − ½βΔU_n − ln(|I|−n) + ln(−ln u),
-//    which is exact (monotone transform of the exponential race) and immune
-//    to exp() overflow when β·ΔU is large. The uniform draws for one race
-//    are batched into a flat scratch buffer (Rng::fill_uniform01), so the
-//    log-transform loop carries no engine-state dependency.
+//  * The chains are advanced by Metropolis steps, not by racing the Eq.-(8)
+//    timers: every iteration proposes one uniform capacity-feasible swap
+//    per solution f_n and accepts it with probability min(1, exp(β·ΔU)) —
+//    the Eq.-(7) rate ratio q_{f,f'}/q_{f',f}, in which τ cancels. Each
+//    per-cardinality chain is reversible with the Eq.-(6) stationary law;
+//    the continuous-time chain itself (τ included) is simulated in
+//    analysis/markov.cpp, where the paper's lemmas are checked.
 //  * Capacity (Eq. 4) is enforced throughout: initial solutions are feasible
 //    (Alg. 2 lines 3–4) and candidate swaps that would exceed Ĉ are
 //    resampled; a cardinality n for which no capacity-feasible subset exists
@@ -59,7 +61,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -81,17 +82,6 @@ namespace mvcom::core {
 
 namespace detail {
 
-/// ln(−ln(1−u)) — the log of a unit-exponential variate drawn by inverse
-/// CDF, used by the Eq.-(8) timer race in log-space. `u` is clamped into the
-/// open interval (0,1): Rng::uniform01() draws from the half-open [0,1), and
-/// u == 0 would give ln(−ln 1) = ln 0 = −∞ — a degenerate timer that wins
-/// the race deterministically regardless of β·ΔU, corrupting the Eq.-(7)/(8)
-/// transition law.
-[[nodiscard]] inline double log_unit_exponential(double u) noexcept {
-  u = std::max(u, std::numeric_limits<double>::min());
-  return std::log(-std::log1p(-u));
-}
-
 /// The Metropolis reject test `u >= exp(x)` for a downhill proposal
 /// (x = β·ΔU < 0, u a Rng::uniform01() draw), without the exp on the common
 /// far-downhill case. uniform01() returns 0 or a value ≥ 2⁻⁵³, and
@@ -105,28 +95,9 @@ namespace detail {
 
 }  // namespace detail
 
-/// How one scheduler iteration advances the solution family {f_n}. Both
-/// modes realize the same time-reversible chain with the Eq.-(6) stationary
-/// distribution (the per-cardinality chains are independent, so they may be
-/// advanced jointly or via the global race without changing the law).
-enum class SeTransition {
-  /// Every solution f_n performs one Metropolis-style transition per
-  /// iteration: propose a uniform feasible swap, accept with probability
-  /// min(1, exp(β·ΔU)) = min(1, q_{f,f'}/q_{f',f}). |I|−1 transitions per
-  /// iteration — convergence in iterations matches the paper's figures.
-  kChainParallel,
-  /// Alg. 3 verbatim: each solution arms an exponential timer with the
-  /// Eq.-(8) mean for one sampled candidate; the minimum timer fires, its
-  /// swap applies, and RESET refreshes every timer. One transition per
-  /// iteration — the literal discrete-event realization.
-  kTimerRace,
-};
-
 struct SeParams {
   double beta = 2.0;   // approximation sharpness (paper default)
-  double tau = 0.0;    // rate-scaling constant (paper default)
   std::size_t threads = 1;  // Γ — parallel execution threads
-  SeTransition transition = SeTransition::kChainParallel;
   std::size_t max_iterations = 5000;
   /// Converged when the best utility improves by no more than 1e-9 over
   /// this many consecutive iterations ("an empirical number of running
@@ -184,7 +155,6 @@ struct SeLayout {
   std::vector<std::uint32_t> by_size;          // indices, ascending s_i
   std::vector<std::uint32_t> by_gain;          // indices, descending gain
   std::vector<std::uint32_t> family;   // maintained cardinalities, ascending
-  std::vector<double> log_remaining;   // ln(|I| − n) per family slot
   std::size_t first_admissible = 0;    // first slot with n >= N_min
 
   void rebuild(const EpochInstance& instance, const SeParams& params);
@@ -222,19 +192,17 @@ struct SeObsCounters {
   std::uint64_t accepts = 0;      // applied transitions (Eq. 7 accepted)
   std::uint64_t rejects = 0;      // Metropolis-rejected downhill proposals
   std::uint64_t infeasible = 0;   // proposal retries exhausted (Cons. 4)
-  std::uint64_t timer_draws = 0;  // Eq.-(8) log-timer draws (timer race)
 
   void reset() noexcept { *this = SeObsCounters{}; }
   SeObsCounters& operator+=(const SeObsCounters& o) noexcept {
     accepts += o.accepts;
     rejects += o.rejects;
     infeasible += o.infeasible;
-    timer_draws += o.timer_draws;
     return *this;
   }
 };
 
-/// One independent exploration thread: the solution family {f_n} + timers.
+/// One independent exploration thread: the solution family {f_n}.
 /// All per-iteration state lives in reusable member scratch buffers — after
 /// construction, step()/step_block() allocate nothing.
 class SeExplorer {
@@ -242,10 +210,9 @@ class SeExplorer {
   SeExplorer(const EpochInstance* instance, const SeParams* params,
              const SeLayout* layout, common::Rng rng);
 
-  /// One iteration: advances the family per SeParams::transition — either
-  /// one Metropolis move per solution (kChainParallel) or one global timer
-  /// expiry (kTimerRace; RESET implicitly refreshes all timers, which are
-  /// resampled on the next call).
+  /// One iteration: one Metropolis transition per solution f_n — propose a
+  /// uniform capacity-feasible swap, accept it with probability
+  /// min(1, exp(β·ΔU)) = min(1, q_{f,f'}/q_{f',f}).
   void step();
 
   /// `k` consecutive iterations — the unit of work one pool worker performs
@@ -304,9 +271,6 @@ class SeExplorer {
   /// no swap move (full set), or the retries ran out (tallied infeasible).
   bool propose(const SolutionState& sol, Proposal& move);
 
-  void step_timer_race();
-  void step_chain_parallel();
-
   /// Seeds solutions_[slot] (cardinality m < n) with the incumbent minus its
   /// n − m worst-gain members, when that variant beats the current chain.
   void seed_below(const SwapSet& incumbent, double utility, std::size_t slot);
@@ -332,12 +296,6 @@ class SeExplorer {
   Selection scratch_old_x_;                   // rebind source bitmap
   std::vector<std::uint32_t> scratch_pool_;   // permutation for subset draws
   std::vector<std::uint32_t> scratch_members_;  // nth_element workspace
-  std::vector<std::uint32_t> cand_slot_;      // timer race: candidate slots
-  std::vector<std::uint32_t> cand_out_pos_;   // SwapSet positions of the
-  std::vector<std::uint32_t> cand_in_pos_;    //   candidate swap pair
-  std::vector<std::uint64_t> cand_txs_;
-  std::vector<double> cand_delta_;
-  std::vector<double> cand_u_;                // batched Exp(1) timer draws
 
   friend class SeScheduler;
 };
@@ -487,7 +445,6 @@ class SeScheduler {
   obs::Counter* obs_accepts_ = nullptr;
   obs::Counter* obs_rejects_ = nullptr;
   obs::Counter* obs_infeasible_ = nullptr;
-  obs::Counter* obs_timer_draws_ = nullptr;
   obs::Counter* obs_shares_ = nullptr;
   obs::Counter* obs_joins_ = nullptr;
   obs::Counter* obs_leaves_ = nullptr;

@@ -21,6 +21,8 @@ constexpr double kCarryDecay = 0.5;
 /// Strikes (failed verifications / equivocations) before a permanent
 /// epoch-scoped ban.
 constexpr int kMaxStrikes = 3;
+/// Risk per −1 effective strike budget under an enabled risk policy.
+constexpr double kTightenStep = 4.0;
 /// Heartbeat monitor (§V-A ping failure detector): a healthy committee is
 /// probed this often; a probe whose RTT exceeds the timeout is missed, and
 /// K consecutive misses declare the committee failed.
@@ -90,8 +92,7 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       scheduler_(config.scheduler, seed),
       rng_(seed ^ 0x5eb0a9d5u),
       base_n_min_(scheduler_.n_min()) {
-  if (config_.risk.enabled && (config_.risk.escalation_step <= 0.0 ||
-                               config_.risk.tighten_step <= 0.0)) {
+  if (config_.risk.enabled && config_.risk.escalation_step <= 0.0) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
   }
 }
@@ -333,7 +334,7 @@ bool EpochSupervisor::ban_preserves_liveness() const noexcept {
 int EpochSupervisor::effective_max_strikes() const noexcept {
   if (!config_.risk.enabled) return kMaxStrikes;
   const int tightened =
-      kMaxStrikes - static_cast<int>(risk_score() / config_.risk.tighten_step);
+      kMaxStrikes - static_cast<int>(risk_score() / kTightenStep);
   // Floor 2, never 1: banning first offenses under high carried risk lets a
   // broad attack convert the whole membership into bans within an epoch or
   // two (a liveness collapse the attacker would happily trade forgeries

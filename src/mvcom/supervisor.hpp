@@ -100,7 +100,7 @@ enum class InfeasibleReason {
 ///    knapsack must fit more committees, so a few huge (forged) shards can
 ///    no longer crowd out the honest ones.
 ///  * Strike-budget tightening — lower the effective strike budget by one per
-///    `tighten_step` of risk (floor 2 — a first offense never bans, else a
+///    4 units of risk (floor 2 — a first offense never bans, else a
 ///    broad attack converts the membership into bans and collapses
 ///    liveness), so quarantine→ban escalation speeds up under attack.
 ///
@@ -116,7 +116,6 @@ struct RiskPolicyConfig {
   bool enabled = false;
   double escalation_step = 2.0; // risk per +1 N_min
   std::size_t boost_cap = 8;    // max N_min raise over the static base
-  double tighten_step = 4.0;    // risk per −1 effective strike budget
 };
 
 /// Theorem-2 accounting of one risk-adaptive N_min resize, mirroring

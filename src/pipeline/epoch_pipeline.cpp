@@ -119,6 +119,13 @@ EpochPipeline::EpochPipeline(const txn::Trace& trace, PipelineConfig config)
         "EpochPipeline: pow_grind_bits must be 0..63, got " +
         std::to_string(config_.pow_grind_bits));
   }
+  // Negated so that NaN fails too: Ĉ = fraction · pending is cast to an
+  // unsigned count, undefined for a negative or NaN product.
+  if (!(config_.capacity_fraction > 0.0 && config_.capacity_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "EpochPipeline: capacity_fraction must be in (0, 1], got " +
+        std::to_string(config_.capacity_fraction));
+  }
   trace_start_ = trace.blocks.front().btime;
   const double span = trace.blocks.back().btime - trace_start_ + 1.0;
   window_ = span / static_cast<double>(config_.epochs);

@@ -82,7 +82,9 @@ struct PipelineConfig {
   /// the calling thread; results are identical either way).
   std::size_t workers = 0;
   double alpha = 1.5;              // Eq.-(2) throughput weight
-  double capacity_fraction = 0.6;  // Ĉ as a fraction of pending TXs
+  /// Ĉ as a fraction of the epoch's pending TXs. The constructor throws
+  /// std::invalid_argument outside (0, 1], NaN included.
+  double capacity_fraction = 0.6;
   std::size_t n_min = 0;           // Eq.-(3) lower bound
   /// SE scheduler knobs (threads, iterations…). Unlike the library default,
   /// gap_tolerance is 0.01: an epoch whose warm seed is within 1 % of the

@@ -1,8 +1,9 @@
 // Tests for the strategic-adversary layer: per-strategy plan shape and
 // determinism, the (seed, observed history) purity contract, campaign
 // replay digests, cross-epoch supervision carry, the risk-adaptive-vs-static
-// dominance regime under targeted corruption, and the obs events digest the
-// CI adversarial smoke uses as its bit-identical-replay witness.
+// dominance regime under targeted corruption, and the obs events digest
+// that `mvcom chaos --adversary` prints as its bit-identical-replay witness
+// (pinned per strategy by the CliChaosDecisionDigest-* CTests).
 
 #include "mvcom/adversary/adversary.hpp"
 

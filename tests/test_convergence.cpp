@@ -1,13 +1,10 @@
-// Tests for the empirical mixing-time estimator, plus cross-mode consistency
-// of the two SE transition kernels.
+// Tests for the empirical mixing-time estimator, plus the SE scheduler's
+// thread-cooperation share points.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "analysis/convergence.hpp"
 #include "analysis/theory.hpp"
-#include "baselines/exhaustive.hpp"
 #include "common/rng.hpp"
 #include "mvcom/se_scheduler.hpp"
 
@@ -19,7 +16,6 @@ using mvcom::core::Committee;
 using mvcom::core::EpochInstance;
 using mvcom::core::SeParams;
 using mvcom::core::SeScheduler;
-using mvcom::core::SeTransition;
 
 EpochInstance small_instance(std::uint64_t seed, std::size_t n = 8) {
   mvcom::common::Rng rng(seed);
@@ -71,42 +67,6 @@ TEST(MixingEstimateTest, RejectsDegenerateInputs) {
                std::invalid_argument);
   EXPECT_THROW(estimate_mixing_time(space, 1.0, 0.0, 0.1, 10.0, 10, 0, rng),
                std::invalid_argument);
-}
-
-// --- SE transition-kernel consistency -----------------------------------------
-
-TEST(SeTransitionModesTest, BothKernelsReachTheSameOptimumNeighborhood) {
-  mvcom::baselines::Exhaustive exact;
-  mvcom::common::Rng rng(11);
-  std::vector<Committee> committees;
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    Committee c{i, 500 + rng.below(1500), 600.0 + rng.uniform(0.0, 900.0)};
-    total += c.txs;
-    committees.push_back(c);
-  }
-  const EpochInstance inst(committees, 1.5, (total * 7) / 10, 3);
-  const auto truth = exact.solve(inst);
-  ASSERT_TRUE(truth.feasible);
-
-  SeParams parallel;
-  parallel.threads = 4;
-  parallel.max_iterations = 1500;
-  parallel.transition = SeTransition::kChainParallel;
-  SeParams race = parallel;
-  race.transition = SeTransition::kTimerRace;
-  race.max_iterations = 8000;  // one transition/iter needs a bigger budget
-
-  SeScheduler chain_scheduler(inst, parallel, 42);
-  SeScheduler race_scheduler(inst, race, 42);
-  const auto chain_result = chain_scheduler.run();
-  const auto race_result = race_scheduler.run();
-  ASSERT_TRUE(chain_result.feasible);
-  ASSERT_TRUE(race_result.feasible);
-  EXPECT_GE(chain_result.utility, 0.95 * truth.utility);
-  EXPECT_GE(race_result.utility, 0.95 * truth.utility);
-  EXPECT_NEAR(chain_result.utility, race_result.utility,
-              0.05 * std::abs(truth.utility));
 }
 
 TEST(SeSharingTest, SharingNeverDegradesConvergedUtility) {

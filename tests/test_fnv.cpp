@@ -5,7 +5,7 @@
 // the checkpoint checksum, the obs event digest, the fabric frame checksum —
 // folds with these exact constants and these exact two folds. The values
 // below are therefore NOT free to change: a new constant would silently
-// invalidate every recorded digest and every cross-build digest diff in CI.
+// invalidate every recorded digest and every digest the CTests pin.
 // The byte-fold vectors are the published FNV-1a test vectors; the mix-fold
 // vectors pin this repo's (intentional) whole-word variant.
 
@@ -57,7 +57,7 @@ TEST(Fnv, StringAndSpanOverloadsAgree) {
 TEST(Fnv, MixFoldIsPinned) {
   // The whole-word variant used by every digest merge. Pinned by value:
   // these numbers are what all recorded event_order_digest histories and
-  // the CI cross-build digest diffs were computed with.
+  // the digests pinned in the CTests were computed with.
   EXPECT_EQ(fnv1a_mix(kFnv1aBasis, 0), 0xaf63bd4c8601b7dfULL);
   EXPECT_EQ(fnv1a_mix(kFnv1aBasis, 0xdeadbeefcafef00dULL),
             0x2d7a0137013accf8ULL);

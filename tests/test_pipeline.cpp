@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -254,6 +255,25 @@ TEST(PipelineConfigTest, RejectsOverlapDepthAbove2) {
     PipelineConfig config = small_config();
     config.overlap_depth = depth;
     EXPECT_NO_THROW(EpochPipeline(trace, config)) << "depth " << depth;
+  }
+}
+
+TEST(PipelineConfigTest, RejectsCapacityFractionOutsideZeroToOne) {
+  // Ĉ = fraction · pending TXs is cast to an unsigned count: a negative or
+  // NaN product is undefined there, and 0 would commit nothing all run.
+  const Trace trace = small_trace();
+  for (const double fraction :
+       {-1.0, 0.0, 1.0000001, 2.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    PipelineConfig config = small_config();
+    config.capacity_fraction = fraction;
+    EXPECT_THROW(EpochPipeline(trace, config), std::invalid_argument)
+        << "fraction " << fraction;
+  }
+  for (const double fraction : {1e-9, 0.25, 0.6, 1.0}) {
+    PipelineConfig config = small_config();
+    config.capacity_fraction = fraction;
+    EXPECT_NO_THROW(EpochPipeline(trace, config)) << "fraction " << fraction;
   }
 }
 

@@ -10,13 +10,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <set>
 #include <span>
 #include <vector>
-
-#include "mvcom/se_scheduler.hpp"
 
 namespace {
 
@@ -270,24 +267,10 @@ TEST(ZipfSamplerTest, ZeroSkewIsUniform) {
   }
 }
 
-TEST(ZipfSamplerTest, FillMatchesSequentialDraws) {
-  // fill() must consume exactly one engine step per variate and produce the
-  // same sequence as repeated operator() — the fill_uniform01 discipline.
-  const mvcom::common::ZipfSampler zipf(1000, 1.2);
-  Rng a(79);
-  Rng b(79);
-  std::vector<std::uint32_t> batch(257);
-  zipf.fill(a, std::span<std::uint32_t>(batch));
-  for (const std::uint32_t v : batch) {
-    ASSERT_EQ(zipf(b), v);
-  }
-  // Both engines are now in the same state.
-  EXPECT_EQ(a(), b());
-}
-
 // Property sweep: the exponential distribution's memorylessness is what
-// justifies both the PoW latency model and the SE timer race; check the
-// conditional-mean property over several means.
+// justifies both the PoW latency model and the Gillespie dwell times of the
+// Eq.-(7) chain (analysis/markov.cpp); check the conditional-mean property
+// over several means.
 class ExponentialMemorylessTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ExponentialMemorylessTest, ConditionalTailMeanEqualsMean) {
@@ -310,84 +293,19 @@ TEST_P(ExponentialMemorylessTest, ConditionalTailMeanEqualsMean) {
 INSTANTIATE_TEST_SUITE_P(Means, ExponentialMemorylessTest,
                          ::testing::Values(1.0, 54.5, 600.0));
 
-// ---------------------------------------------------------------------------
-// fill_exponential: the batched transform must be pinned to the scalar
-// exponential() loop ULP-for-ULP, for every batch length around the SIMD
-// block width — empty, single, odd tails, and exact multiples — because the
-// determinism contract is bitwise equality, not closeness.
-// ---------------------------------------------------------------------------
-
-TEST(RngTest, FillExponentialMatchesScalarLoopUlpForUlp) {
-  // kWidth in fill_exponential is 4; cover 0..2*width+1 plus a larger odd
-  // size so every (full blocks, tail) combination is exercised.
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 1021u}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    for (const double mean : {0.2, 1.0, 600.0}) {
-      Rng batched(91 + n);
-      Rng scalar(91 + n);
-      std::vector<double> out(n);
-      batched.fill_exponential(std::span<double>(out), mean);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double want = scalar.exponential(mean);
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
-                  std::bit_cast<std::uint64_t>(want))
-            << "mean " << mean << " index " << i;
-      }
-      // Exactly n engine steps consumed: both engines now coincide.
-      ASSERT_EQ(batched(), scalar());
-    }
-  }
-}
-
-TEST(RngTest, FillExponentialIsNonNegativeAndFinite) {
-  Rng rng(17);
-  std::vector<double> out(4096);
-  rng.fill_exponential(std::span<double>(out), 54.5);
-  for (const double v : out) {
-    ASSERT_GE(v, 0.0);
-    ASSERT_TRUE(std::isfinite(v));
-  }
-}
-
-TEST(RngTest, LogOfBatchedExponentialCommutesWithSeTimerClamp) {
-  // The SE timer race was refactored from detail::log_unit_exponential(u)
-  // (clamp u, then log(-log1p(-u))) to log(max(fill_exponential draw,
-  // DBL_MIN)) (draw Exp(1), then clamp the variate). Pin the proof that the
-  // clamps commute bitwise for every uniform01() output: any u >= 2^-53
-  // leaves both clamps inert, and u == 0 maps to the same DBL_MIN endpoint.
-  const auto refactored = [](double u) {
-    const double e = -std::log1p(-u);  // fill_exponential with mean 1
-    return std::log(std::max(e, std::numeric_limits<double>::min()));
-  };
-  // The degenerate endpoint and the smallest/largest reachable draws.
-  for (const double u : {0.0, 0x1.0p-53, 0x1.0p-30, 1.0 - 0x1.0p-53}) {
-    SCOPED_TRACE(u);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(refactored(u)),
-              std::bit_cast<std::uint64_t>(
-                  mvcom::core::detail::log_unit_exponential(u)));
-  }
-  // Random sweep over actual engine output.
-  Rng rng(23);
-  for (int i = 0; i < 200000; ++i) {
-    const double u = rng.uniform01();
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(refactored(u)),
-              std::bit_cast<std::uint64_t>(
-                  mvcom::core::detail::log_unit_exponential(u)))
-        << "u=" << u;
-  }
-}
-
 TEST(RngTest, BatchedCallSiteSubstreamsDoNotAlias) {
-  // Regression for the new batched call sites (PBFT verification delays, SE
-  // timer race): batching must not tempt a caller into sharing one stream
-  // index across logically distinct substreams. Distinct stream indices must
-  // produce distinct batched output even under identical seeds and lengths.
-  Rng a = Rng::stream(1234, 7);
-  Rng b = Rng::stream(1234, 8);
-  std::vector<double> va(64);
-  std::vector<double> vb(64);
-  a.fill_exponential(std::span<double>(va), 1.0);
-  b.fill_exponential(std::span<double>(vb), 1.0);
+  // Call sites that draw a run of variates per substream (the serve
+  // pipeline's per-epoch PBFT verification delays and formation-latency
+  // samples) must not share one stream index across logically distinct
+  // substreams: distinct stream indices must produce distinct exponential()
+  // runs even under identical seeds and lengths.
+  const auto draws = [](Rng rng) {
+    std::vector<double> out(64);
+    for (double& v : out) v = rng.exponential(1.0);
+    return out;
+  };
+  const std::vector<double> va = draws(Rng::stream(1234, 7));
+  const std::vector<double> vb = draws(Rng::stream(1234, 8));
   std::size_t equal = 0;
   for (std::size_t i = 0; i < va.size(); ++i) {
     if (std::bit_cast<std::uint64_t>(va[i]) ==
@@ -397,9 +315,7 @@ TEST(RngTest, BatchedCallSiteSubstreamsDoNotAlias) {
   }
   EXPECT_EQ(equal, 0u);
   // And the same stream re-derived is bitwise reproducible.
-  Rng a2 = Rng::stream(1234, 7);
-  std::vector<double> va2(64);
-  a2.fill_exponential(std::span<double>(va2), 1.0);
+  const std::vector<double> va2 = draws(Rng::stream(1234, 7));
   for (std::size_t i = 0; i < va.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(va[i]),
               std::bit_cast<std::uint64_t>(va2[i]));

@@ -55,7 +55,6 @@ using mvcom::core::EpochInstance;
 using mvcom::core::Selection;
 using mvcom::core::SeParams;
 using mvcom::core::SeScheduler;
-using mvcom::core::SeTransition;
 using mvcom::core::SwapSet;
 
 /// Distance in representable doubles between two finite same-sign-ish
@@ -115,8 +114,6 @@ mvcom::core::SeResult solve_se(const EpochInstance& instance,
   params.threads = 8;  // β=2 chains hill-climb; optimum coverage is Γ-starts
   params.max_iterations = 2000;
   params.convergence_window = params.max_iterations + 1;  // fixed budget
-  params.transition =
-      seed % 2 == 0 ? SeTransition::kChainParallel : SeTransition::kTimerRace;
   SeScheduler scheduler(instance, params, seed);
   return scheduler.run();
 }

@@ -27,7 +27,6 @@ using mvcom::core::Selection;
 using mvcom::core::SeParams;
 using mvcom::core::SeResult;
 using mvcom::core::SeScheduler;
-using mvcom::core::SeTransition;
 
 EpochInstance random_instance(std::uint64_t seed, std::size_t n = 24,
                               std::size_t n_min = 4) {
@@ -112,17 +111,6 @@ TEST(SeParallelTest, ConvergenceDetectionMatchesSerial) {
   const SeResult serial = run_serial(inst, params, 21);
   EXPECT_TRUE(serial.converged);
   expect_identical(serial, run_lent(inst, params, 21));
-}
-
-TEST(SeParallelTest, TimerRaceKernelAlsoMatches) {
-  const EpochInstance inst = random_instance(4, 16, 3);
-  SeParams params;
-  params.threads = 4;
-  params.transition = SeTransition::kTimerRace;
-  params.max_iterations = 800;
-  params.share_interval = 40;
-  params.convergence_window = params.max_iterations + 1;
-  expect_identical(run_serial(inst, params, 13), run_lent(inst, params, 13));
 }
 
 TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
@@ -263,8 +251,6 @@ constexpr std::string_view kPinnedI5000 =
     "6dd1bf180042791450217d2f7dfea82e21237d361612d670c81f7056b4d37a76";
 constexpr std::string_view kPinnedServe =
     "78ebee9e9b551810b273625d3a7b177c26d8a71e901ba9c13f75007b07e9a8ae";
-constexpr std::string_view kPinnedTimerRace =
-    "557d193463246723c18f5c9d536aec23fb2f7c0e5dba4ac5d421a751cc67218a";
 constexpr std::string_view kPinnedRebind =
     "46e118e18d3e07224250ba8186d6aeddd1a51ed38e8bf938b5e8c1ed17786340";
 
@@ -384,19 +370,6 @@ TEST(SeDeterminismMatrix, ServeShapedUncertifiedSeedKeepsTheServePin) {
   EXPECT_FALSE(result.certified);
   EXPECT_EQ(result.iterations, params.max_iterations);
   expect_pinned("serve-tolerance", result, kPinnedServe);
-}
-
-TEST(SeDeterminismMatrix, TimerRaceIsPinned) {
-  const EpochInstance inst = random_instance(50, 50, 5);
-  SeParams params;
-  params.threads = 4;
-  params.transition = SeTransition::kTimerRace;
-  params.max_iterations = 400;
-  params.share_interval = 10;
-  params.convergence_window = params.max_iterations + 1;
-  const SeResult serial = run_serial(inst, params, 99);
-  expect_identical(serial, run_lent(inst, params, 99));
-  expect_pinned("timer-race", serial, kPinnedTimerRace);
 }
 
 TEST(SeDeterminismMatrix, JoinLeaveResizeIsPinned) {

@@ -1,6 +1,6 @@
 // Property-style sweeps for the SE scheduler: determinism, optimality
-// envelopes across seeds, constraint boundaries, and dynamics under the
-// literal timer-race kernel.
+// envelopes across seeds, constraint boundaries, and join/leave dynamics
+// between stepping stretches.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@ using mvcom::core::EpochInstance;
 using mvcom::core::Selection;
 using mvcom::core::SeParams;
 using mvcom::core::SeScheduler;
-using mvcom::core::SeTransition;
 
 EpochInstance random_instance(std::uint64_t seed, std::size_t n,
                               std::size_t n_min, double capacity_fraction) {
@@ -129,11 +128,10 @@ TEST(SePropertyTest, SingleCommitteeInstance) {
   EXPECT_DOUBLE_EQ(result.utility, 1000.0);  // α·s − 0 age (own deadline)
 }
 
-TEST(SePropertyTest, TimerRaceHandlesDynamicsToo) {
+TEST(SePropertyTest, JoinAndLeaveAfterSteppingKeepAFeasibleSelection) {
   const EpochInstance inst = random_instance(6, 10, 2, 0.7);
   SeParams params;
   params.threads = 2;
-  params.transition = SeTransition::kTimerRace;
   SeScheduler scheduler(inst, params, 6);
   for (int i = 0; i < 500; ++i) scheduler.step();
   scheduler.add_committee({50, 900, 1000.0});

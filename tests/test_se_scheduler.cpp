@@ -495,31 +495,6 @@ TEST_P(SeBetaSweep, ConvergedUtilityWithinOptimalityLoss) {
 INSTANTIATE_TEST_SUITE_P(Betas, SeBetaSweep,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0));
 
-// Regression: Rng::uniform01() draws from the half-open [0,1), and u == 0
-// fed into ln(−ln(1−u)) yields −∞ — a timer that wins the Eq.-(8) race
-// deterministically regardless of β·ΔU. The draw must be clamped into the
-// open interval (0,1).
-TEST(SeTimerEdgeTest, ZeroDrawYieldsFiniteLogTimer) {
-  const double at_zero = mvcom::core::detail::log_unit_exponential(0.0);
-  EXPECT_TRUE(std::isfinite(at_zero));
-  // Still an extreme (very negative) value: an "instant" but valid timer.
-  EXPECT_LT(at_zero, -100.0);
-}
-
-TEST(SeTimerEdgeTest, LogUnitExponentialIsMonotoneAndExactInTheInterior) {
-  // ln(−ln(1−u)) is strictly increasing on (0,1) — larger u, later timer.
-  double prev = mvcom::core::detail::log_unit_exponential(0.0);
-  for (const double u : {1e-300, 1e-12, 0.1, 0.5, 0.9, 0.999999}) {
-    const double v = mvcom::core::detail::log_unit_exponential(u);
-    EXPECT_TRUE(std::isfinite(v)) << "u=" << u;
-    EXPECT_GT(v, prev) << "u=" << u;
-    prev = v;
-  }
-  // Interior values are untouched by the clamp: ln(−ln(0.5)) at u = 0.5.
-  EXPECT_DOUBLE_EQ(mvcom::core::detail::log_unit_exponential(0.5),
-                   std::log(-std::log1p(-0.5)));
-}
-
 // The exp-free Metropolis reject must decide exactly as u >= exp(x) for
 // every draw uniform01() can return: 0, or a multiple of 2⁻⁵³. The grid
 // straddles the −37 cut (exp(−36.7) > 2⁻⁵³ > exp(−37)), the exp underflow

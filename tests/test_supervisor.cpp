@@ -447,7 +447,6 @@ TEST(SupervisorCarryTest, CarriedStrikesAloneDoNotBanUntilNextOffense) {
 TEST(RiskPolicyTest, TightenedStrikeBudgetNeverBansAFirstOffense) {
   SupervisorConfig c = config();
   c.risk.enabled = true;
-  c.risk.tighten_step = 0.5;  // extreme tightening pressure
   EpochSupervisor sup(c, 35);
   mvcom::core::SupervisorCarry carry;
   carry.risk = 1000.0;  // inherited panic from prior epochs
@@ -556,18 +555,16 @@ TEST(OnlineSchedulerResizeTest, SetNminRefusesToReachTheNmaxCutoff) {
 }
 
 TEST(SupervisorConfigTest, RejectsDegenerateParameters) {
-  // The risk policy's steps divide the risk score, so an enabled policy
-  // needs both positive; a disabled one never reads them.
+  // The risk policy's escalation step divides the risk score, so an enabled
+  // policy needs it positive; a disabled one never reads it.
   SupervisorConfig bad_escalation = config();
   bad_escalation.risk.enabled = true;
   bad_escalation.risk.escalation_step = 0.0;
   EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
-  SupervisorConfig bad_tighten = config();
-  bad_tighten.risk.enabled = true;
-  bad_tighten.risk.tighten_step = -1.0;
-  EXPECT_THROW(EpochSupervisor(bad_tighten, 1), std::invalid_argument);
+  bad_escalation.risk.escalation_step = -1.0;
+  EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
   SupervisorConfig disabled = config();
-  disabled.risk.tighten_step = 0.0;
+  disabled.risk.escalation_step = 0.0;
   EXPECT_NO_THROW(EpochSupervisor(disabled, 1));
 }
 

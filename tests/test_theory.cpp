@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "analysis/markov.hpp"
 #include "analysis/theory.hpp"
@@ -62,6 +64,37 @@ TEST(TheoremOneTest, TighterEpsilonCostsMoreTime) {
   const auto tight = mixing_time_bounds(20, 2.0, 0.0, 50.0, 0.001);
   EXPECT_GT(tight.log_upper, loose.log_upper);
   EXPECT_GT(tight.log_lower, loose.log_lower);
+}
+
+TEST(TheoremOneTest, RejectsOutOfRangeInputs) {
+  // Each case breaks one precondition of Eq. (12)/(13); NaN breaks it too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)mixing_time_bounds(1, 2.0, 0.0, 50.0, 0.01),
+               std::invalid_argument);
+  EXPECT_THROW((void)mixing_time_bounds(0, 2.0, 0.0, 50.0, 0.01),
+               std::invalid_argument);
+  for (const double beta : {0.0, -1.0, kNaN}) {
+    EXPECT_THROW((void)mixing_time_bounds(20, beta, 0.0, 50.0, 0.01),
+                 std::invalid_argument)
+        << "beta " << beta;
+    EXPECT_THROW((void)log_sum_exp_optimality_loss(20, beta),
+                 std::invalid_argument)
+        << "beta " << beta;
+  }
+  for (const double spread : {-1.0, kNaN}) {
+    EXPECT_THROW((void)mixing_time_bounds(20, 2.0, 0.0, spread, 0.01),
+                 std::invalid_argument)
+        << "spread " << spread;
+  }
+  for (const double epsilon : {0.0, -0.1, 0.5, 0.7, kNaN}) {
+    EXPECT_THROW((void)mixing_time_bounds(20, 2.0, 0.0, 50.0, epsilon),
+                 std::invalid_argument)
+        << "epsilon " << epsilon;
+  }
+  // The edges that stay inside: two committees, a zero spread.
+  const auto edge = mixing_time_bounds(2, 2.0, 0.0, 0.0, 0.49);
+  EXPECT_TRUE(std::isfinite(edge.log_lower));
+  EXPECT_TRUE(std::isfinite(edge.log_upper));
 }
 
 TEST(RemarkOneTest, OptimalityLossFormula) {

@@ -31,7 +31,9 @@
 //       carried-over selection, extend the root chain every epoch, and
 //       write periodic checkpoints. Each epoch line prints the committed
 //       decision's gap to the fractional-knapsack bound; an epoch whose
-//       warm seed is within 1 % of it is certified and skips SE. SIGINT
+//       warm seed is within 1 % of it is certified and skips SE.
+//       --capacity-fraction (default 0.6) sets each epoch's Ĉ to that share
+//       of its pending TXs; a value outside (0, 1], or NaN, exits 1. SIGINT
 //       stops gracefully at the next epoch boundary and still flushes every
 //       export file, complete and valid.
 //
@@ -57,7 +59,7 @@
 //       policy across epochs. Prints per-epoch utility/safety plus two
 //       replay witnesses — the campaign decision digest and the obs
 //       event-stream digest — which must be bit-identical across runs with
-//       the same seed (the CI adversarial-smoke contract).
+//       the same seed (the CliChaosDecisionDigest-* CTests pin both).
 //
 //   mvcom fabric [--nodes N] [--committee-bits B] [--committee-size S]
 //                [--epochs N] [--workers W] [--seed S] [--verify 0|1]

@@ -1,39 +1,31 @@
-// Google-benchmark microbenchmarks for the hot paths: SE iteration cost vs
-// |I|, SwapSet operations, SHA-256 throughput, one full PBFT instance, and
-// the DP knapsack solve. These quantify the "executes in real time" claim
-// of §IV-A — one SE iteration must be far cheaper than the inter-report
-// arrival gaps it schedules around.
+// Wall-clock timings of the hot kernels behind the "executes in real time"
+// claim of §IV-A, in four tiers, each written to BENCH_perf_microbench.json
+// (the gate_* keys feed tools/bench_compare.py):
 //
-// After the google-benchmark suite, a custom main runs the observability
-// overhead guard: the SE inner loop timed with no ObsContext attached vs
-// with live metrics + tracing sinks, interleaved to cancel thermal/clock
-// drift. The attached path must stay within a few percent (<5% target) of
-// the detached one — the per-iteration cost is a handful of plain
-// thread-local counter increments, flushed to sharded atomics only at
-// share-interval barriers. Results land in BENCH_perf_microbench.json.
-
-#include <benchmark/benchmark.h>
+//  * observability overhead guard: the SE inner loop timed with no
+//    ObsContext attached vs with live metrics + tracing sinks, interleaved
+//    to cancel thermal/clock drift. The attached path must stay within a
+//    few percent (<5% target) of the detached one — the per-iteration cost
+//    is a handful of plain thread-local counter increments, flushed to
+//    sharded atomics only at share-interval barriers;
+//  * SE scale throughput: scheduler construction and step rate at 10k
+//    committees (and 50k under MVCOM_BENCH_SCALE=full);
+//  * PoW grind rate of solve()'s kernel;
+//  * DES schedule+fire churn at a steady queue depth.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "baselines/dynamic_programming.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
-#include "consensus/pbft.hpp"
 #include "crypto/pow.hpp"
-#include "crypto/sha256.hpp"
 #include "crypto/sha256_avx512.hpp"
 #include "crypto/sha256_ni.hpp"
 #include "mvcom/se_scheduler.hpp"
-#include "mvcom/swap_set.hpp"
-#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -57,150 +49,6 @@ mvcom::core::EpochInstance make_instance(std::size_t n) {
   return mvcom::core::EpochInstance(std::move(committees), 1.5,
                                     (total * 7) / 10, 0);
 }
-
-void BM_SeStep(benchmark::State& state) {
-  const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
-  mvcom::core::SeParams params;
-  params.threads = 1;
-  mvcom::core::SeScheduler scheduler(instance, params, 3);
-  for (auto _ : state) {
-    scheduler.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SeStep)->Arg(50)->Arg(200)->Arg(500)->Arg(1000)->Arg(10000);
-
-// Wall-clock cost of one barrier-to-barrier block of Γ explorers (|I|=200,
-// 100 iterations per block — the default share_interval granularity), with
-// the Γ chains advanced serially vs on a lent pool of Γ − 1 workers. Items =
-// explorer iterations, so items/s is directly comparable across rows: on a
-// host with ≥ Γ cores the parallel rows approach Γ× the serial Γ=1 rate.
-void BM_SeAdvanceBlock(benchmark::State& state) {
-  const auto instance = make_instance(200);
-  mvcom::core::SeParams params;
-  params.threads = static_cast<std::size_t>(state.range(0));
-  std::optional<mvcom::common::ThreadPool> pool;
-  if (state.range(1) != 0) pool.emplace(params.threads - 1);
-  mvcom::core::SeScheduler scheduler(instance, params, 3,
-                                     pool ? &*pool : nullptr);
-  constexpr std::size_t kBlock = 100;
-  for (auto _ : state) {
-    scheduler.advance(kBlock);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBlock) * state.range(0));
-}
-BENCHMARK(BM_SeAdvanceBlock)
-    ->ArgNames({"gamma", "parallel"})
-    ->Args({1, 0})
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->UseRealTime();
-
-void BM_SwapSetSwap(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  mvcom::core::Selection x(n, 0);
-  for (std::size_t i = 0; i < n / 2; ++i) x[i] = 1;
-  mvcom::core::SwapSet set(x);
-  Rng rng(5);
-  for (auto _ : state) {
-    const auto p = set.sample_selected_position(rng);
-    const auto q = set.sample_unselected_position(rng);
-    set.swap_positions(p, q);
-    benchmark::DoNotOptimize(set);
-  }
-}
-BENCHMARK(BM_SwapSetSwap)->Arg(100)->Arg(1000)->Arg(50000);
-
-void BM_Sha256(benchmark::State& state) {
-  const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mvcom::crypto::Sha256::hash(payload));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_PbftInstance(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto payload = mvcom::crypto::Sha256::hash("p");
-  for (auto _ : state) {
-    mvcom::sim::Simulator simulator;
-    mvcom::net::Network network(
-        simulator, Rng(7),
-        std::make_shared<mvcom::net::UniformLatency>(SimTime(0.5),
-                                                     SimTime(1.5)),
-        n);
-    std::vector<mvcom::net::NodeId> members(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      members[i] = static_cast<mvcom::net::NodeId>(i);
-    }
-    mvcom::consensus::PbftCluster cluster(simulator, network, {}, Rng(8),
-                                          members);
-    benchmark::DoNotOptimize(cluster.run_consensus(payload));
-  }
-}
-BENCHMARK(BM_PbftInstance)->Arg(4)->Arg(16)->Arg(32);
-
-// One-nonce digest rate through PowMidstate::digest (the nonce formatted
-// into a copy of the padded tail block, then one scalar compression from
-// the cached chaining state) vs re-absorbing the whole preimage each
-// attempt. solve()'s grind is faster still — digits incremented in place,
-// 16 or 2 nonces per pass, no digest but the winner's — and run_pow_rate
-// below measures that.
-void BM_PowGrindMidstate(benchmark::State& state) {
-  const mvcom::crypto::PowMidstate midstate("bench-epoch-randomness",
-                                            "node-12345");
-  std::uint64_t nonce = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(midstate.digest(nonce++));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PowGrindMidstate);
-
-void BM_PowGrindFromScratch(benchmark::State& state) {
-  std::uint64_t nonce = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mvcom::crypto::Sha256::hash(
-        std::string("bench-epoch-randomness") + "|node-12345|" +
-        std::to_string(nonce++)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PowGrindFromScratch);
-
-// DES kernel churn: schedule + fire through the slab/4-ary-heap engine at a
-// live queue depth typical of a large committee fabric.
-void BM_SimulatorChurn(benchmark::State& state) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  mvcom::sim::Simulator sim;
-  Rng rng(11);
-  double horizon = 0.0;
-  for (std::size_t i = 0; i < depth; ++i) {
-    sim.schedule_at(SimTime(rng.uniform(0.0, 100.0)), [] {});
-  }
-  for (auto _ : state) {
-    // Fire one event, schedule one replacement: steady-state queue depth.
-    sim.run(1);
-    horizon = sim.now().seconds() + rng.uniform(0.0, 100.0);
-    sim.schedule_at(SimTime(horizon), [] {});
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SimulatorChurn)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_DpSolve(benchmark::State& state) {
-  const auto instance = make_instance(static_cast<std::size_t>(state.range(0)));
-  mvcom::baselines::DynamicProgramming dp;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dp.solve(instance));
-  }
-}
-BENCHMARK(BM_DpSolve)->Arg(50)->Arg(500);
 
 /// Wall seconds for `iterations` SE iterations on a fresh scheduler.
 double timed_advance(const mvcom::core::EpochInstance& instance,
@@ -360,11 +208,7 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   mvcom::bench::BenchJson json("perf_microbench");
   run_overhead_guard(json);
   run_scale_throughput(json);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mvcom::analysis {
 
@@ -17,37 +16,9 @@ MixingEstimate estimate_mixing_time(const SolutionSpace& space, double beta,
     throw std::invalid_argument("estimate_mixing_time: degenerate inputs");
   }
 
-  // Precompute the rate graph (Eq. 7) in natural units. Intended for small
-  // enumerable instances where beta * utility spread stays well within
-  // double range.
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t s = 0; s < space.states.size(); ++s) {
-    index.emplace(space.states[s], s);
-  }
-  struct Edge {
-    std::size_t to;
-    double rate;
-  };
-  std::vector<std::vector<Edge>> edges(space.states.size());
-  std::vector<double> exit_rate(space.states.size(), 0.0);
-  for (std::size_t s = 0; s < space.states.size(); ++s) {
-    const std::uint32_t mask = space.states[s];
-    for (std::uint32_t out = 0; out < 32; ++out) {
-      if (!(mask & (std::uint32_t{1} << out))) continue;
-      for (std::uint32_t in = 0; in < 32; ++in) {
-        if (mask & (std::uint32_t{1} << in)) continue;
-        const std::uint32_t next =
-            (mask & ~(std::uint32_t{1} << out)) | (std::uint32_t{1} << in);
-        const auto it = index.find(next);
-        if (it == index.end()) continue;
-        const double rate = std::exp(
-            -tau + 0.5 * beta * (space.utilities[it->second] -
-                                 space.utilities[s]));
-        edges[s].push_back({it->second, rate});
-        exit_rate[s] += rate;
-      }
-    }
-  }
+  // The Eq.-(7) rate graph in natural units. Intended for small enumerable
+  // instances where beta * utility spread stays well within double range.
+  const RateGraph graph = build_rate_graph(space, beta, tau, 0.0);
 
   // Worst-case start per the Theorem-1 intuition: the minimum-utility state.
   const std::size_t start = static_cast<std::size_t>(
@@ -71,8 +42,9 @@ MixingEstimate estimate_mixing_time(const SolutionSpace& space, double beta,
     double t = 0.0;
     std::size_t next_checkpoint = 0;
     while (next_checkpoint < checkpoints) {
-      if (edges[state].empty()) break;  // absorbing (cannot happen if connected)
-      const double dwell = rng.exponential(1.0 / exit_rate[state]);
+      // Absorbing (cannot happen if connected).
+      if (graph.edges[state].empty()) break;
+      const double dwell = rng.exponential(1.0 / graph.exit_rate[state]);
       // Record every checkpoint the dwell interval covers.
       while (next_checkpoint < checkpoints &&
              estimate.checkpoint_times[next_checkpoint] <= t + dwell) {
@@ -80,16 +52,7 @@ MixingEstimate estimate_mixing_time(const SolutionSpace& space, double beta,
         ++next_checkpoint;
       }
       t += dwell;
-      double pick = rng.uniform01() * exit_rate[state];
-      std::size_t chosen = edges[state].back().to;
-      for (const Edge& e : edges[state]) {
-        pick -= e.rate;
-        if (pick <= 0.0) {
-          chosen = e.to;
-          break;
-        }
-      }
-      state = chosen;
+      state = graph.pick(state, rng);
     }
   }
 

@@ -78,33 +78,18 @@ std::vector<double> stationary_distribution(const SolutionSpace& space,
   return p;
 }
 
-std::vector<double> simulate_occupancy(const SolutionSpace& space, double beta,
-                                       double tau, std::size_t transitions,
-                                       common::Rng& rng) {
-  assert(!space.states.empty());
+RateGraph build_rate_graph(const SolutionSpace& space, double beta,
+                           double tau, double shift) {
   std::unordered_map<std::uint32_t, std::size_t> index;
   index.reserve(space.states.size());
   for (std::size_t s = 0; s < space.states.size(); ++s) {
     index.emplace(space.states[s], s);
   }
-
-  // Shift all rate exponents so none overflows; a global rate rescale only
-  // rescales time, leaving time-weighted occupancy proportions intact.
-  const auto [umin_it, umax_it] =
-      std::minmax_element(space.utilities.begin(), space.utilities.end());
-  const double shift = 0.5 * beta * (*umax_it - *umin_it);
-
-  std::vector<double> occupancy(space.states.size(), 0.0);
-  std::size_t current = rng.below(space.states.size());
-
-  std::vector<std::size_t> neighbor_state;
-  std::vector<double> neighbor_rate;
-  for (std::size_t jump = 0; jump < transitions; ++jump) {
-    neighbor_state.clear();
-    neighbor_rate.clear();
-    const std::uint32_t mask = space.states[current];
-    const double u_here = space.utilities[current];
-    double total_rate = 0.0;
+  RateGraph graph;
+  graph.edges.resize(space.states.size());
+  graph.exit_rate.assign(space.states.size(), 0.0);
+  for (std::size_t s = 0; s < space.states.size(); ++s) {
+    const std::uint32_t mask = space.states[s];
     for (std::uint32_t out = 0; out < 32; ++out) {
       if (!(mask & (std::uint32_t{1} << out))) continue;
       for (std::uint32_t in = 0; in < 32; ++in) {
@@ -114,29 +99,49 @@ std::vector<double> simulate_occupancy(const SolutionSpace& space, double beta,
         const auto it = index.find(next);
         if (it == index.end()) continue;  // infeasible neighbor: rate 0
         const double rate = std::exp(
-            -tau + 0.5 * beta * (space.utilities[it->second] - u_here) - shift);
-        neighbor_state.push_back(it->second);
-        neighbor_rate.push_back(rate);
-        total_rate += rate;
+            -tau + 0.5 * beta * (space.utilities[it->second] -
+                                 space.utilities[s]) -
+            shift);
+        graph.edges[s].push_back({it->second, rate});
+        graph.exit_rate[s] += rate;
       }
     }
-    if (total_rate <= 0.0 || neighbor_state.empty()) {
+  }
+  return graph;
+}
+
+std::size_t RateGraph::pick(std::size_t state, common::Rng& rng) const {
+  const std::vector<Edge>& out = edges[state];
+  double u = rng.uniform01() * exit_rate[state];
+  for (const Edge& e : out) {
+    u -= e.rate;
+    if (u <= 0.0) return e.to;
+  }
+  return out.back().to;
+}
+
+std::vector<double> simulate_occupancy(const SolutionSpace& space, double beta,
+                                       double tau, std::size_t transitions,
+                                       common::Rng& rng) {
+  assert(!space.states.empty());
+  // Shift all rate exponents so none overflows; a global rate rescale only
+  // rescales time, leaving time-weighted occupancy proportions intact.
+  const auto [umin_it, umax_it] =
+      std::minmax_element(space.utilities.begin(), space.utilities.end());
+  const RateGraph graph =
+      build_rate_graph(space, beta, tau, 0.5 * beta * (*umax_it - *umin_it));
+
+  std::vector<double> occupancy(space.states.size(), 0.0);
+  std::size_t current = rng.below(space.states.size());
+  for (std::size_t jump = 0; jump < transitions; ++jump) {
+    const double exit_rate = graph.exit_rate[current];
+    if (exit_rate <= 0.0 || graph.edges[current].empty()) {
       // Absorbing under swap moves (shouldn't happen in connected spaces).
       occupancy[current] += 1.0;
       break;
     }
-    occupancy[current] += rng.exponential(1.0 / total_rate);
-    // Pick the jump target proportional to rate.
-    double pick = rng.uniform01() * total_rate;
-    std::size_t chosen = neighbor_state.back();
-    for (std::size_t k = 0; k < neighbor_state.size(); ++k) {
-      pick -= neighbor_rate[k];
-      if (pick <= 0.0) {
-        chosen = neighbor_state[k];
-        break;
-      }
-    }
-    current = chosen;
+    occupancy[current] += rng.exponential(1.0 / exit_rate);
+    current = graph.pick(current, rng);
   }
 
   double total = 0.0;

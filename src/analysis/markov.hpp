@@ -51,6 +51,26 @@ struct SolutionSpace {
 [[nodiscard]] std::vector<double> stationary_distribution(
     const SolutionSpace& space, double beta);
 
+/// The Eq.-(7) swap graph of `space`: each state's swap neighbours inside
+/// `space` (removed bit ascending, then added bit ascending) with rates
+/// exp(−τ + ½β(U_f′ − U_f) − shift), and their sum, the exit rate. A
+/// non-zero `shift` rescales every rate by one factor, i.e. only time.
+struct RateGraph {
+  struct Edge {
+    std::size_t to = 0;
+    double rate = 0.0;
+  };
+  std::vector<std::vector<Edge>> edges;  // per state
+  std::vector<double> exit_rate;         // per state: Σ rate over its edges
+
+  /// The Gillespie jump out of `state` (which must have an edge): one
+  /// uniform01 draw picks a neighbour with probability ∝ its rate.
+  [[nodiscard]] std::size_t pick(std::size_t state, common::Rng& rng) const;
+};
+[[nodiscard]] RateGraph build_rate_graph(const SolutionSpace& space,
+                                         double beta, double tau,
+                                         double shift);
+
 /// Gillespie simulation of the CTMC with Eq.-(7) rates over `space` for
 /// `transitions` jumps; returns time-weighted occupancy per state.
 [[nodiscard]] std::vector<double> simulate_occupancy(

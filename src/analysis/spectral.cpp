@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mvcom::analysis {
 
@@ -31,28 +30,11 @@ SpectralResult spectral_gap(const SolutionSpace& space, double beta,
   }
 
   // Generator Q: q_ij per Eq. (7) for swap neighbors, diagonal = −row sum.
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t s = 0; s < n; ++s) index.emplace(space.states[s], s);
+  const RateGraph graph = build_rate_graph(space, beta, tau, 0.0);
   std::vector<double> q(n * n, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t mask = space.states[s];
-    double exit = 0.0;
-    for (std::uint32_t out = 0; out < 32; ++out) {
-      if (!(mask & (std::uint32_t{1} << out))) continue;
-      for (std::uint32_t in = 0; in < 32; ++in) {
-        if (mask & (std::uint32_t{1} << in)) continue;
-        const std::uint32_t next =
-            (mask & ~(std::uint32_t{1} << out)) | (std::uint32_t{1} << in);
-        const auto it = index.find(next);
-        if (it == index.end()) continue;
-        const double rate = std::exp(
-            -tau + 0.5 * beta * (space.utilities[it->second] -
-                                 space.utilities[s]));
-        q[s * n + it->second] = rate;
-        exit += rate;
-      }
-    }
-    q[s * n + s] = -exit;
+    for (const RateGraph::Edge& e : graph.edges[s]) q[s * n + e.to] = e.rate;
+    q[s * n + s] = -graph.exit_rate[s];
   }
 
   // Stationary law and the symmetrization S = D^{1/2} Q D^{-1/2}; for a

@@ -18,12 +18,6 @@ namespace mvcom::chain {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = common::kFnv1aBasis;
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) noexcept {
-  return common::fnv1a_bytes(h, bytes);
-}
-
 /// Percent-escapes whitespace and '%' so free-form strings (proposer,
 /// epoch randomness) survive the space-tokenized format.
 std::string escape(std::string_view s) {
@@ -114,7 +108,7 @@ bool write_checkpoint(const RootChain& chain, std::ostream& out) {
   const std::string body = payload.str();
   char checksum[24];
   std::snprintf(checksum, sizeof checksum, "%016llx",
-                static_cast<unsigned long long>(fnv1a(kFnvBasis, body)));
+                static_cast<unsigned long long>(common::fnv1a(body)));
   out << body << "checksum " << checksum << "\n";
   out.flush();
   return static_cast<bool>(out);
@@ -165,7 +159,7 @@ std::optional<RootChain> load_checkpoint(std::istream& in) {
   const std::string stored_checksum = text.substr(checksum_at + 9, 16);
   char computed[24];
   std::snprintf(computed, sizeof computed, "%016llx",
-                static_cast<unsigned long long>(fnv1a(kFnvBasis, body)));
+                static_cast<unsigned long long>(common::fnv1a(body)));
   if (stored_checksum != computed) return std::nullopt;
 
   std::istringstream lines(body);

@@ -6,13 +6,16 @@
 // the fabric wire-frame checksum all use the same two constants; this header
 // is the single definition (previously each site re-declared them locally).
 //
-// Two folds are in use and both are part of the pinned contract
+// Three folds are in use and all are part of the pinned contract
 // (tests/test_fnv.cpp):
 //   * fnv1a_bytes — the textbook byte-at-a-time FNV-1a over a buffer.
+//   * fnv1a_u64   — a 64-bit value's 8 bytes, least significant first,
+//     through the byte fold: how the campaign decision digest and the obs
+//     event digest absorb integers and (via std::bit_cast) doubles.
 //   * fnv1a_mix   — the whole-word fold h' = (h ^ v64) * prime used to merge
-//     64-bit digests/fields. NOT equivalent to feeding the 8 bytes one at a
-//     time; it is its own (stable) variant, and every existing digest in the
-//     repo depends on it staying exactly this.
+//     64-bit digests/fields. NOT equivalent to fnv1a_u64; it is its own
+//     (stable) variant, and every digest that uses it depends on it staying
+//     exactly this.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +39,15 @@ inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
 [[nodiscard]] constexpr std::uint64_t fnv1a_byte(std::uint64_t h,
                                                  std::uint8_t b) noexcept {
   return (h ^ b) * kFnv1aPrime;
+}
+
+/// Little-endian word fold: absorbs v's 8 bytes, least significant first.
+[[nodiscard]] constexpr std::uint64_t fnv1a_u64(std::uint64_t h,
+                                                std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h = fnv1a_byte(h, static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  return h;
 }
 
 /// Textbook FNV-1a over a byte buffer, continuing from digest `h`.

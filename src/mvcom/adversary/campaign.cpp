@@ -1,6 +1,7 @@
 #include "mvcom/adversary/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <span>
 
@@ -15,19 +16,8 @@ namespace {
 constexpr std::uint64_t kWorkloadStream = 0;
 constexpr std::uint64_t kHarnessStream = 1;
 
-struct Fnv {
-  std::uint64_t h = common::kFnv1aBasis;
-  void byte(std::uint8_t b) { h = common::fnv1a_byte(h, b); }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    u64(bits);
-  }
-};
+using common::fnv1a_byte;
+using common::fnv1a_u64;
 
 }  // namespace
 
@@ -41,7 +31,7 @@ CampaignResult run_adversarial_campaign(const txn::Trace& trace,
 
   CampaignResult result;
   result.epochs.reserve(config.epochs);
-  Fnv digest;
+  std::uint64_t digest = common::kFnv1aBasis;
   SupervisorCarry carry;
   std::optional<EpochObservation> last;
 
@@ -100,26 +90,31 @@ CampaignResult run_adversarial_campaign(const txn::Trace& trace,
 
     // Fold the epoch into the replay witness: the plan the adversary chose
     // and every decision-relevant output of the run.
-    digest.u64(e);
-    digest.u64(plan.events.size());
+    digest = fnv1a_u64(digest, e);
+    digest = fnv1a_u64(digest, plan.events.size());
     for (const FaultEvent& ev : plan.events) {
-      digest.byte(static_cast<std::uint8_t>(ev.kind));
-      digest.byte(static_cast<std::uint8_t>(ev.victim));
-      digest.u64(ev.committee_id);
-      digest.f64(ev.at_seconds);
-      digest.f64(ev.duration_seconds);
-      digest.f64(ev.magnitude);
+      digest = fnv1a_byte(digest, static_cast<std::uint8_t>(ev.kind));
+      digest = fnv1a_byte(digest, static_cast<std::uint8_t>(ev.victim));
+      digest = fnv1a_u64(digest, ev.committee_id);
+      digest = fnv1a_u64(digest, std::bit_cast<std::uint64_t>(ev.at_seconds));
+      digest = fnv1a_u64(digest,
+                         std::bit_cast<std::uint64_t>(ev.duration_seconds));
+      digest = fnv1a_u64(digest, std::bit_cast<std::uint64_t>(ev.magnitude));
     }
-    digest.byte(static_cast<std::uint8_t>(report.final_decision.tier));
-    digest.byte(decision.feasible ? 1 : 0);
-    digest.u64(decision.permitted_ids.size());
-    for (const std::uint32_t id : decision.permitted_ids) digest.u64(id);
-    digest.f64(outcome.utility);
-    digest.u64(report.effective_n_min);
-    digest.u64(report.joins);
-    digest.u64(report.leaves);
-    digest.u64(report.skipped_events);
-    digest.f64(report.risk_score);
+    digest = fnv1a_byte(digest,
+                        static_cast<std::uint8_t>(report.final_decision.tier));
+    digest = fnv1a_byte(digest, decision.feasible ? 1 : 0);
+    digest = fnv1a_u64(digest, decision.permitted_ids.size());
+    for (const std::uint32_t id : decision.permitted_ids) {
+      digest = fnv1a_u64(digest, id);
+    }
+    digest = fnv1a_u64(digest, std::bit_cast<std::uint64_t>(outcome.utility));
+    digest = fnv1a_u64(digest, report.effective_n_min);
+    digest = fnv1a_u64(digest, report.joins);
+    digest = fnv1a_u64(digest, report.leaves);
+    digest = fnv1a_u64(digest, report.skipped_events);
+    digest =
+        fnv1a_u64(digest, std::bit_cast<std::uint64_t>(report.risk_score));
 
     result.infeasible_while_feasible |= report.infeasible_while_feasible;
     carry = report.carry_out;
@@ -138,7 +133,7 @@ CampaignResult run_adversarial_campaign(const txn::Trace& trace,
     result.mean_utility /= static_cast<double>(result.epochs.size());
     result.mean_safety /= static_cast<double>(result.epochs.size());
   }
-  result.decision_digest = digest.h;
+  result.decision_digest = digest;
   return result;
 }
 

@@ -103,9 +103,9 @@ class OnlineCommitteeScheduler {
     return total_txs_;
   }
   /// The SE scheduler's current best selection, index-aligned with
-  /// reports() — what supervision layers repair when it is infeasible.
-  /// Empty before bootstrap, when SE holds no feasible selection, or when
-  /// the scheduler's committees do not match the live reports id for id.
+  /// reports() — what the supervisor's se-best rung decides. Empty before
+  /// bootstrap, when SE holds no feasible selection, or when the
+  /// scheduler's committees do not match the live reports id for id.
   [[nodiscard]] Selection aligned_se_selection() const;
 
   /// Produces the current best selection (the epoch's final answer).

@@ -132,8 +132,9 @@ class EpochInstance {
 /// selection's n_min smallest members weigh at least as much, so nullopt —
 /// fewer than n_min reports, or the witness above `capacity` — means no
 /// feasible selection exists. n_min = 0 gives the empty selection. O(|I|),
-/// and the sum cannot wrap. Ladder tier 3 commits it when the greedy fails;
-/// the risk policy's N_min clamp and the chaos harness test its existence.
+/// and the sum cannot wrap. The ladder's greedy-scratch rung commits it when
+/// the greedy fails; the risk policy's N_min clamp and the chaos harness
+/// test its existence.
 [[nodiscard]] std::optional<Selection> n_min_witness(
     std::span<const txn::ShardReport> reports, std::uint64_t capacity,
     std::size_t n_min);

@@ -69,7 +69,6 @@ const char* to_string(Admission admission) noexcept {
 const char* to_string(DecisionTier tier) noexcept {
   switch (tier) {
     case DecisionTier::kSeBest: return "se-best";
-    case DecisionTier::kGreedyRepair: return "greedy-repair";
     case DecisionTier::kGreedyScratch: return "greedy-scratch";
     case DecisionTier::kInfeasible: return "infeasible";
   }
@@ -119,9 +118,9 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
                       "Shard submissions by verified-admission outcome",
                       {{"outcome", to_string(a)}});
     }
-    constexpr std::array<DecisionTier, 4> kTiers = {
-        DecisionTier::kSeBest, DecisionTier::kGreedyRepair,
-        DecisionTier::kGreedyScratch, DecisionTier::kInfeasible};
+    constexpr std::array<DecisionTier, 3> kTiers = {
+        DecisionTier::kSeBest, DecisionTier::kGreedyScratch,
+        DecisionTier::kInfeasible};
     for (const DecisionTier t : kTiers) {
       obs_tier_[static_cast<std::size_t>(t)] =
           &m->counter("mvcom_supervisor_decisions_total",
@@ -550,26 +549,14 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
       reports, config_.scheduler.alpha, config_.scheduler.capacity,
       scheduler_.n_min());
 
-  // Tier 1 — SE best: the converged stochastic-exploration answer.
+  // SE best: the converged stochastic-exploration answer.
   const Selection se_selection = scheduler_.aligned_se_selection();
   if (!se_selection.empty() && instance.feasible(se_selection)) {
     fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
     return out;
   }
 
-  // Tier 2 — greedy density repair of the SE selection: a late failure may
-  // have broken feasibility of an otherwise good selection; shed/fill it
-  // instead of discarding the exploration work.
-  if (se_selection.size() == instance.size()) {
-    Selection repaired = se_selection;
-    if (baselines::repair(instance, repaired) &&
-        instance.feasible(repaired)) {
-      fill_decision(out, instance, repaired, DecisionTier::kGreedyRepair);
-      return out;
-    }
-  }
-
-  // Tier 3 — greedy from scratch over the live set. When the density greedy
+  // Greedy from scratch over the live set. When the density greedy
   // itself cannot reach feasibility, fall back to the minimal witness (the
   // N_min smallest shards): it is feasible whenever anything is, so this
   // tier only falls through when the instance is genuinely infeasible. At

@@ -26,16 +26,16 @@
 //
 //  3. Graceful-degradation decide() — a documented fallback ladder so the
 //     epoch always produces the best answer available at the DDL:
-//       tier 1  SE best            converged/bootstrapped SE selection
-//       tier 2  greedy repair      density repair of the (infeasible or
-//                                  partial) SE selection
-//       tier 3  greedy scratch     density greedy over the live set, with a
-//                                  guaranteed minimal-feasible fill (the
-//                                  N_min smallest shards) as last resort —
-//                                  this tier succeeds whenever ANY feasible
-//                                  selection exists (at N_min = 0 that is
-//                                  always, possibly as the empty selection)
-//       infeasible                 with a machine-readable reason
+//       se-best         converged/bootstrapped SE selection (always
+//                       feasible when non-empty: SE only keeps chains
+//                       within Ĉ and at or above N_min)
+//       greedy-scratch  density greedy over the live set, with a
+//                       guaranteed minimal-feasible fill (the N_min
+//                       smallest shards) as last resort — this rung
+//                       succeeds whenever ANY feasible selection exists
+//                       (at N_min = 0 that is always, possibly as the
+//                       empty selection)
+//       infeasible      with a machine-readable reason
 //     After every failure the Theorem-2 perturbation bound
 //     (analysis::failure_perturbation_bound) is evaluated at runtime and
 //     surfaced in the decision, so callers can check that the observed
@@ -70,12 +70,13 @@ enum class Admission {
 };
 [[nodiscard]] const char* to_string(Admission admission) noexcept;
 
-/// Which rung of the degradation ladder produced the decision.
+/// Which rung of the degradation ladder produced the decision. The values
+/// are folded into the campaign decision digest and the ladder trace
+/// instants, so they stay fixed; 1 belonged to a deleted rung.
 enum class DecisionTier {
-  kSeBest,
-  kGreedyRepair,
-  kGreedyScratch,
-  kInfeasible,
+  kSeBest = 0,
+  kGreedyScratch = 2,
+  kInfeasible = 3,
 };
 [[nodiscard]] const char* to_string(DecisionTier tier) noexcept;
 
@@ -315,7 +316,7 @@ class EpochSupervisor {
   obs::ObsContext obs_;
   // Cached instruments, indexed by the enum values they label.
   std::array<obs::Counter*, 6> obs_admission_{};  // per Admission outcome
-  std::array<obs::Counter*, 4> obs_tier_{};       // per DecisionTier rung
+  std::array<obs::Counter*, 4> obs_tier_{};       // by DecisionTier value
   obs::Counter* obs_strikes_ = nullptr;
   obs::Counter* obs_resizes_ = nullptr;
   obs::Counter* obs_failures_ = nullptr;

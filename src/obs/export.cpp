@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -87,11 +88,12 @@ const char* type_name(MetricsRegistry::Type type) {
 }
 
 /// Writes `content` to `path`; false, with the reason in `error` when
-/// non-null, if the file cannot be opened or the write comes up short.
+/// non-null, if the file cannot be opened or the write comes up short. The
+/// flush makes a short write show here rather than in the destructor.
 bool write_text_file(const std::filesystem::path& path,
                      std::string_view content, std::string* error) {
   std::ofstream out(path, std::ios::binary);
-  if (out) out << content;
+  if (out) out << content << std::flush;
   if (out) return true;
   if (error != nullptr) *error = "cannot write " + path.string();
   return false;
@@ -306,10 +308,19 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 // CSV
 // ---------------------------------------------------------------------------
 
-void write_metrics_csv(const MetricsRegistry& registry,
-                       const std::filesystem::path& path) {
-  common::CsvWriter writer(path);
-  writer.write_row({"name", "type", "labels", "field", "value"});
+bool write_metrics_csv(const MetricsRegistry& registry,
+                       const std::filesystem::path& path, std::string* error) {
+  std::string out;
+  const auto row = [&out](std::initializer_list<std::string_view> fields) {
+    const char* sep = "";
+    for (const std::string_view field : fields) {
+      out += sep;
+      out += common::escape_csv_field(field);
+      sep = ",";
+    }
+    out += '\n';
+  };
+  row({"name", "type", "labels", "field", "value"});
   std::string labels;
   for (const auto& m : registry.snapshot()) {
     labels.clear();
@@ -320,17 +331,18 @@ void write_metrics_csv(const MetricsRegistry& registry,
     const char* type = type_name(m.type);
     if (m.type == MetricsRegistry::Type::kHistogram) {
       for (const auto& bucket : m.buckets) {
-        writer.write_row({m.name, type, labels,
-                          "bucket_le_" + fmt_value(bucket.upper_bound),
-                          fmt_value(static_cast<double>(bucket.cumulative))});
+        row({m.name, type, labels,
+             "bucket_le_" + fmt_value(bucket.upper_bound),
+             fmt_value(static_cast<double>(bucket.cumulative))});
       }
-      writer.write_row({m.name, type, labels, "sum", fmt_value(m.sum)});
-      writer.write_row({m.name, type, labels, "count",
-                        fmt_value(static_cast<double>(m.count))});
+      row({m.name, type, labels, "sum", fmt_value(m.sum)});
+      row({m.name, type, labels, "count",
+           fmt_value(static_cast<double>(m.count))});
     } else {
-      writer.write_row({m.name, type, labels, "value", fmt_value(m.value)});
+      row({m.name, type, labels, "value", fmt_value(m.value)});
     }
   }
+  return write_text_file(path, out, error);
 }
 
 // ---------------------------------------------------------------------------

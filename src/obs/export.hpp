@@ -5,8 +5,8 @@
 //    one HELP/TYPE header per family, `name{labels} value` samples,
 //    histogram `_bucket`/`_sum`/`_count` expansion — plus a strict
 //    line-grammar validator used by the tests and the CI smoke job.
-//  * CSV dump of the same snapshot (via common::csv, which quotes help
-//    strings and label values as needed).
+//  * CSV dump of the same snapshot (via common::csv, which quotes label
+//    values as needed).
 //  * Chrome trace-event JSON of a TraceRecorder snapshot, loadable in
 //    Perfetto (ui.perfetto.dev) or chrome://tracing. Events with a sim
 //    timestamp land on pid 1 ("sim time"); events with wall time only land
@@ -40,10 +40,14 @@ namespace mvcom::obs {
 [[nodiscard]] bool validate_prometheus_text(std::string_view text,
                                             std::string* error = nullptr);
 
-/// name,type,labels,value,sum,count rows (histograms add one row per
-/// bucket). Backed by common::CsvWriter.
-void write_metrics_csv(const MetricsRegistry& registry,
-                       const std::filesystem::path& path);
+/// CSV dump with the header name,type,labels,field,value: one `value` row
+/// per counter or gauge, and per histogram one `bucket_le_<bound>` row per
+/// bucket plus a `sum` and a `count` row. Fields are quoted with
+/// common::escape_csv_field. Returns false, with the reason in `error` when
+/// non-null, for a file that cannot be written.
+[[nodiscard]] bool write_metrics_csv(const MetricsRegistry& registry,
+                                     const std::filesystem::path& path,
+                                     std::string* error = nullptr);
 
 [[nodiscard]] std::string to_chrome_trace_json(
     std::span<const TraceEvent> events);

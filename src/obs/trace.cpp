@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/fnv.hpp"
 
@@ -22,33 +24,19 @@ void fill_args(TraceEvent& event, std::initializer_list<TraceArg> args) {
 
 std::uint64_t events_digest(std::span<const TraceEvent> events) noexcept {
   std::uint64_t h = common::kFnv1aBasis;
-  const auto mix_byte = [&h](std::uint8_t byte) {
-    h = common::fnv1a_byte(h, byte);
-  };
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
+  const auto mix_u64 = [&h](std::uint64_t v) { h = common::fnv1a_u64(h, v); };
   const auto mix_double = [&](double d) {
     // NaN sim times (no sim clock) digest as one canonical pattern.
-    std::uint64_t bits;
-    if (d != d) {
-      bits = 0x7ff8000000000000ULL;
-    } else {
-      static_assert(sizeof(double) == sizeof(std::uint64_t));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-    }
-    mix_u64(bits);
+    mix_u64(d != d ? 0x7ff8000000000000ULL : std::bit_cast<std::uint64_t>(d));
   };
-  const auto mix_str = [&](const char* s) {
-    for (; s != nullptr && *s != '\0'; ++s) {
-      mix_byte(static_cast<std::uint8_t>(*s));
-    }
-    mix_byte(0);  // terminator keeps ("ab","c") != ("a","bc")
+  const auto mix_str = [&h](const char* s) {
+    if (s != nullptr) h = common::fnv1a_bytes(h, std::string_view(s));
+    h = common::fnv1a_byte(h, 0);  // terminator keeps ("ab","c") != ("a","bc")
   };
   for (const TraceEvent& e : events) {
     mix_str(e.category);
     mix_str(e.name);
-    mix_byte(static_cast<std::uint8_t>(e.phase));
+    h = common::fnv1a_byte(h, static_cast<std::uint8_t>(e.phase));
     mix_u64(e.track);
     mix_double(e.sim_time_seconds);
     mix_double(e.duration_seconds);

@@ -1,8 +1,8 @@
 #include "pipeline/epoch_pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -31,13 +31,6 @@ using common::SimTime;
 
 constexpr std::uint64_t kDigestBasis = common::kFnv1aBasis;
 using common::fnv1a_mix;
-
-std::uint64_t bits_of(double v) noexcept {
-  std::uint64_t u = 0;
-  static_assert(sizeof u == sizeof v);
-  std::memcpy(&u, &v, sizeof u);
-  return u;
-}
 
 /// Per-epoch RNG stream slots. Every engine the pipeline uses is derived as
 /// Rng::stream(seed, 4·epoch + slot) — a pure function of (seed, epoch) —
@@ -260,8 +253,8 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     if (s.block_indices.empty()) continue;
     out.formation_digest = fnv1a_mix(out.formation_digest, s.id);
     out.formation_digest = fnv1a_mix(out.formation_digest, s.txs);
-    out.formation_digest =
-        fnv1a_mix(out.formation_digest, bits_of(s.submit_time));
+    out.formation_digest = fnv1a_mix(
+        out.formation_digest, std::bit_cast<std::uint64_t>(s.submit_time));
     out.formation_digest = fnv1a_mix(out.formation_digest, nonces[c]);
     if (config_.pow_grind_bits > 0) {
       out.pow_attempts += nonces[c] != 0 ? nonces[c] : budget;
@@ -406,8 +399,8 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   digest = fnv1a_mix(digest, formed.formation_digest);
   digest = fnv1a_mix(digest, des.order_digest());
   digest = fnv1a_mix(digest, report.des_events);
-  digest = fnv1a_mix(digest, bits_of(report.utility));
-  digest = fnv1a_mix(digest, bits_of(commit));
+  digest = fnv1a_mix(digest, std::bit_cast<std::uint64_t>(report.utility));
+  digest = fnv1a_mix(digest, std::bit_cast<std::uint64_t>(commit));
   digest = fnv1a_mix(digest, committed_txs);
   for (std::size_t i = 0; i < keep.size(); ++i) {
     if (keep[i] != 0) digest = fnv1a_mix(digest, i);

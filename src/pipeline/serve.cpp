@@ -16,7 +16,7 @@ bool ServeSession::flush_artifacts() {
     ok = obs::write_prometheus_text(metrics_, config_.metrics_out) && ok;
   }
   if (!config_.metrics_csv_out.empty()) {
-    obs::write_metrics_csv(metrics_, config_.metrics_csv_out);
+    ok = obs::write_metrics_csv(metrics_, config_.metrics_csv_out) && ok;
   }
   if (!config_.trace_out.empty()) {
     ok = obs::write_chrome_trace_json(trace_, config_.trace_out) && ok;

@@ -3,7 +3,7 @@
 // Every determinism witness in the repo — the DES order digest, the Elastico
 // per-lane merge, the x-shard ledger digest, the adversary decision digest,
 // the checkpoint checksum, the obs event digest, the fabric frame checksum —
-// folds with these exact constants and these exact two folds. The values
+// folds with these exact constants and these exact three folds. The values
 // below are therefore NOT free to change: a new constant would silently
 // invalidate every recorded digest and every digest the CTests pin.
 // The byte-fold vectors are the published FNV-1a test vectors; the mix-fold
@@ -22,6 +22,7 @@ using mvcom::common::fnv1a;
 using mvcom::common::fnv1a_byte;
 using mvcom::common::fnv1a_bytes;
 using mvcom::common::fnv1a_mix;
+using mvcom::common::fnv1a_u64;
 using mvcom::common::kFnv1aBasis;
 using mvcom::common::kFnv1aPrime;
 
@@ -64,16 +65,26 @@ TEST(Fnv, MixFoldIsPinned) {
   EXPECT_EQ(fnv1a_mix(fnv1a_mix(kFnv1aBasis, 1), 2), 0x082f2407b4e8902aULL);
 }
 
+TEST(Fnv, WordFoldIsTheLittleEndianByteFold) {
+  // fnv1a_u64 feeds v's bytes least significant first. Pinned by value:
+  // the campaign decision digests and the obs events digests the CTests
+  // pin were computed with it.
+  const std::array<std::uint8_t, 8> le{0xef, 0xcd, 0xab, 0x89,
+                                       0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(fnv1a_u64(kFnv1aBasis, 0x0123456789abcdefULL),
+            fnv1a(std::span<const std::uint8_t>(le)));
+  EXPECT_EQ(fnv1a_u64(kFnv1aBasis, 0x0123456789abcdefULL),
+            0x37eb3f3347761c55ULL);
+  EXPECT_EQ(fnv1a_u64(kFnv1aBasis, 0), 0xa8c7f832281a39c5ULL);
+}
+
 TEST(Fnv, MixIsNotTheByteFold) {
   // fnv1a_mix(h, v) absorbs v in ONE multiply; feeding v's 8 bytes through
-  // the byte fold gives a different digest. Both variants are part of the
-  // contract — this test documents that they must never be "unified".
+  // the byte fold (fnv1a_u64) gives a different digest. Both variants are
+  // part of the contract — this test documents that they must never be
+  // "unified".
   const std::uint64_t v = 0x0123456789abcdefULL;
-  std::uint64_t byte_fold = kFnv1aBasis;
-  for (int i = 0; i < 8; ++i) {
-    byte_fold = fnv1a_byte(byte_fold, static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  EXPECT_NE(fnv1a_mix(kFnv1aBasis, v), byte_fold);
+  EXPECT_NE(fnv1a_mix(kFnv1aBasis, v), fnv1a_u64(kFnv1aBasis, v));
 }
 
 TEST(Fnv, MixOrderMatters) {

@@ -191,7 +191,7 @@ TEST(MetricsCsvExportTest, RoundTripsThroughCsvReader) {
       .histogram("h_seconds", "", {}, {.lowest = 1.0, .growth = 2.0, .count = 2})
       .observe(1.5);
   const auto path = std::filesystem::temp_directory_path() / "obs_metrics.csv";
-  mvcom::obs::write_metrics_csv(registry, path);
+  ASSERT_TRUE(mvcom::obs::write_metrics_csv(registry, path));
   const auto file = mvcom::common::read_csv(path, /*expect_header=*/true);
   std::filesystem::remove(path);
   ASSERT_EQ(file.header.size(), 5u);
@@ -205,6 +205,22 @@ TEST(MetricsCsvExportTest, RoundTripsThroughCsvReader) {
   EXPECT_EQ(file.rows[1][0], "h_seconds");
   EXPECT_EQ(file.rows[5][3], "count");
   EXPECT_EQ(file.rows[5][4], "1");
+}
+
+TEST(ExportShortWriteTest, EveryExporterReportsIt) {
+  // /dev/full opens fine and fails every write with ENOSPC: an exporter
+  // notices only if it flushes and checks the stream before returning.
+  const std::filesystem::path full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no /dev/full";
+  MetricsRegistry registry;
+  registry.counter("c_total", "").inc();
+  TraceRecorder recorder;
+  recorder.instant("cat", "event");
+  std::string error;
+  EXPECT_FALSE(mvcom::obs::write_metrics_csv(registry, full, &error));
+  EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
+  EXPECT_FALSE(mvcom::obs::write_prometheus_text(registry, full));
+  EXPECT_FALSE(mvcom::obs::write_chrome_trace_json(recorder, full));
 }
 
 TEST(JsonTest, EscapeAndValidate) {
@@ -432,6 +448,40 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
   EXPECT_TRUE(restored->validate_full());
   EXPECT_EQ(restored->size(), 3u);
   EXPECT_EQ(restored->total_txs(), summary.totals.committed_txs);
+
+  fs::remove_all(dir);
+}
+
+// An exporter that cannot write fails the artifact verdict without stopping
+// the exporters after it.
+TEST(EarlyShutdownFlushTest, UnwritableCsvFailsTheVerdictAndTheTraceIsWritten) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "mvcom_obs_csv_verdict_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  mvcom::pipeline::ServeConfig config;
+  config.pipeline.committees = 5;
+  config.pipeline.epochs = 1;
+  config.stream.num_blocks = 60;
+  config.stream.target_total_txs = 30'000;
+  config.metrics_out = (dir / "metrics.prom").string();
+  config.metrics_csv_out = (dir / "missing" / "metrics.csv").string();
+  config.trace_out = (dir / "trace.json").string();
+
+  mvcom::pipeline::ServeSession session(config);
+  const auto summary = session.run();
+  EXPECT_TRUE(summary.chain_valid);
+  EXPECT_FALSE(summary.artifacts_valid);
+  EXPECT_FALSE(fs::exists(dir / "missing" / "metrics.csv"));
+
+  std::ifstream in(dir / "trace.json");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  EXPECT_TRUE(mvcom::obs::validate_json(text.str(), &error)) << error;
+  EXPECT_TRUE(fs::exists(dir / "metrics.prom"));
 
   fs::remove_all(dir);
 }

@@ -313,12 +313,15 @@ TEST(SupervisorDecideTest, OverCapacityNminReportsCapacityInsufficient) {
 
 TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
   // Interleave failures and recoveries; whenever the exact feasibility
-  // witness exists the ladder must produce a feasible decision.
+  // witness exists the ladder must produce a feasible decision. SE keeps
+  // only chains within Ĉ and at or above N_min, so whenever it holds a
+  // selection the se-best rung takes it.
   EpochSupervisor sup(config(10, 4000), 19);
   mvcom::common::Rng rng(19);
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 400 + rng.below(500)), 650.0, 40.0);
   }
+  int se_decisions = 0;
   for (int step = 0; step < 40; ++step) {
     const auto id = static_cast<std::uint32_t>(rng.below(8));
     if (rng.bernoulli(0.5)) {
@@ -333,13 +336,18 @@ TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
                              sup.scheduler().n_min())
                              .has_value();
     EXPECT_EQ(d.decision.feasible, witness) << "step " << step;
+    if (!sup.scheduler().aligned_se_selection().empty()) {
+      ++se_decisions;
+      EXPECT_EQ(d.tier, DecisionTier::kSeBest) << "step " << step;
+    }
   }
+  EXPECT_GT(se_decisions, 0);
 }
 
 TEST(SupervisorDecideTest, NminZeroOverCapacityDecidesTheEmptySelection) {
   // N_min = 0 and every live shard above Ĉ: the empty selection satisfies
-  // Eq. (3) and (4), so the ladder must still decide feasibly — rung 3's
-  // greedy only adds shards that fit, and here none does.
+  // Eq. (3) and (4), so the ladder must still decide feasibly — the
+  // greedy-scratch rung only adds shards that fit, and here none does.
   SupervisorConfig c = config(4, 600);
   c.scheduler.n_min_fraction = 0.0;
   EpochSupervisor sup(c, 20);

@@ -165,9 +165,6 @@ int main() {
     params.convergence_window = params.max_iterations;  // fixed budget
     if (icount > 10'000) params.max_family = 256;
     mvcom::core::SeScheduler scheduler(scale, params, 42);
-    // The explorers are built lazily; advance(0) builds them and steps
-    // nothing, so the ctor span times construction and run() only runs.
-    scheduler.advance(0);
     const auto t2 = std::chrono::steady_clock::now();
     const auto result = scheduler.run();
     const auto t3 = std::chrono::steady_clock::now();

@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
+#include "common/csv.hpp"
 #include "obs/export.hpp"
 
 namespace mvcom::bench {
@@ -159,11 +159,10 @@ std::string BenchJson::write() const {
     std::filesystem::create_directories(dir);
     path = std::string(dir) + "/" + path;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("BenchJson: cannot open " + path);
+  std::string error;
+  if (!common::write_text_file(path, to_json(), &error)) {
+    throw std::runtime_error("BenchJson: " + error);
   }
-  out << to_json();
   std::printf("  [bench-json] %s\n", path.c_str());
   return path;
 }

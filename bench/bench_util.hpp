@@ -72,7 +72,8 @@ class BenchJson {
   /// numbers are emitted as null).
   [[nodiscard]] std::string to_json() const;
 
-  /// Writes BENCH_<name>.json and returns the path written.
+  /// Writes BENCH_<name>.json and returns the path written. Throws
+  /// std::runtime_error when the file cannot be written whole.
   std::string write() const;
 
  private:

@@ -57,10 +57,8 @@ SolverResult DynamicProgramming::solve(const EpochInstance& instance) {
 
   SolverResult result;
   result.iterations = 1;
-  // DP ignores N_min; repair adds the cheapest shards if needed.
-  if (repair(instance, x)) {
-    result.best = std::move(x);
-  }
+  // DP ignores N_min; the top-up adds the cheapest shards if needed.
+  result.best = core::top_up(instance, std::move(x));
   finalize_result(instance, result);
   result.utility_trace.assign(
       1, result.feasible ? result.utility

@@ -15,7 +15,7 @@
 //    exact Eq.-(2) knapsack. With an unscaled table and N_min = 0 it is
 //    provably optimal — used by tests to certify the other solvers.
 //
-// In both variants N_min is handled only by post-repair (the knapsack
+// In both variants N_min is handled only by core::top_up (the knapsack
 // recurrence cannot express a cardinality lower bound without a second
 // dimension), and capacities up to 10^6 are scaled into at most
 // `max_buckets` weight buckets (weights rounded up, so the returned

@@ -1,41 +1,13 @@
 #include "baselines/greedy.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 
 namespace mvcom::baselines {
 
 SolverResult Greedy::solve(const EpochInstance& instance) {
-  const auto& committees = instance.committees();
-  const std::size_t n = instance.size();
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = instance.gain(a) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          committees[a].txs, 1));
-    const double db = instance.gain(b) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          committees[b].txs, 1));
-    return da > db;
-  });
-
-  Selection x(n, 0);
-  std::uint64_t txs = 0;
-  for (const std::size_t i : order) {
-    if (instance.gain(i) <= 0.0) break;  // sorted: the rest only hurt Eq. (2)
-    if (txs + committees[i].txs > instance.capacity()) continue;
-    x[i] = 1;
-    txs += committees[i].txs;
-  }
-
   SolverResult result;
   result.iterations = 1;
-  if (repair(instance, x)) {
-    result.best = std::move(x);
-  }
+  result.best = core::greedy(instance);
   finalize_result(instance, result);
   result.utility_trace.assign(
       1, result.feasible ? result.utility

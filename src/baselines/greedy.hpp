@@ -1,8 +1,8 @@
 #pragma once
-// Greedy density heuristic (extra baseline, not in the paper): sort by
-// marginal utility per transaction (gain_i / s_i), pack while the capacity
-// allows, then repair to N_min. One-shot and deterministic — a useful
-// sanity floor for the metaheuristics.
+// Greedy density heuristic (extra baseline, not in the paper): core::greedy
+// packs the positive-gain committees by gain_i / s_i while the capacity
+// allows, then tops up to N_min with the smallest shards. One-shot and
+// deterministic — a useful sanity floor for the metaheuristics.
 
 #include "baselines/solver.hpp"
 

@@ -1,68 +1,9 @@
 #include "baselines/solver.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <numeric>
+#include <span>
+#include <vector>
 
 namespace mvcom::baselines {
-
-bool repair(const EpochInstance& instance, Selection& x) {
-  const auto& committees = instance.committees();
-  SelectionStats st = instance.stats(x);
-
-  // Phase 1: shed load until the capacity constraint holds — drop selected
-  // committees in ascending order of marginal utility per transaction.
-  if (st.txs > instance.capacity()) {
-    std::vector<std::size_t> selected;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i]) selected.push_back(i);
-    }
-    std::sort(selected.begin(), selected.end(),
-              [&](std::size_t a, std::size_t b) {
-                const double da =
-                    instance.gain(a) /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        committees[a].txs, 1));
-                const double db =
-                    instance.gain(b) /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        committees[b].txs, 1));
-                return da < db;
-              });
-    for (const std::size_t i : selected) {
-      if (st.txs <= instance.capacity()) break;
-      x[i] = 0;
-      --st.chosen;
-      st.txs -= committees[i].txs;
-    }
-    if (st.txs > instance.capacity()) return false;
-  }
-
-  // Phase 2: meet N_min with the smallest unselected shards that still fit
-  // (N_min needs bodies; cheap ones spend the least capacity).
-  if (st.chosen < instance.n_min()) {
-    std::vector<std::size_t> unselected;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (!x[i]) unselected.push_back(i);
-    }
-    std::sort(unselected.begin(), unselected.end(),
-              [&](std::size_t a, std::size_t b) {
-                return committees[a].txs < committees[b].txs;
-              });
-    for (const std::size_t i : unselected) {
-      if (st.chosen >= instance.n_min()) break;
-      if (st.txs + committees[i].txs > instance.capacity()) {
-        // Sorted ascending by size: nothing later fits either.
-        break;
-      }
-      x[i] = 1;
-      ++st.chosen;
-      st.txs += committees[i].txs;
-    }
-    if (st.chosen < instance.n_min()) return false;
-  }
-  return true;
-}
 
 bool repair_random(const EpochInstance& instance, Selection& x,
                    common::Rng& rng) {
@@ -99,8 +40,10 @@ bool repair_random(const EpochInstance& instance, Selection& x,
     }
     if (st.chosen < instance.n_min()) {
       // Random fills can strand capacity on big shards; fall back to the
-      // deterministic repair, which provably finds a fill when one exists.
-      return repair(instance, x);
+      // smallest-shards top-up.
+      Selection topped = core::top_up(instance, x);
+      if (topped.empty()) return false;
+      x = std::move(topped);
     }
   }
   return true;

@@ -37,20 +37,12 @@ class Solver {
   [[nodiscard]] virtual SolverResult solve(const EpochInstance& instance) = 0;
 };
 
-/// Repairs a selection toward feasibility with *informed* choices:
-///  1. while over capacity: drop the selected committee with the worst
-///     marginal utility per transaction;
-///  2. while below N_min: add the unselected committee with the smallest
-///     shard that still fits (N_min needs bodies, cheap ones first).
-/// Returns false when no feasible repair exists (capacity and N_min clash).
-/// Note: this is itself a decent greedy heuristic — only Greedy and
-/// final-answer fixups use it. Metaheuristic baselines use repair_random
-/// so their reported quality reflects their own search, not the repair's.
-bool repair(const EpochInstance& instance, Selection& x);
-
 /// Neutral feasibility repair: drops uniformly random selected committees
-/// until capacity holds, then adds random fitting committees until N_min.
-/// Same return contract as repair().
+/// until capacity holds, then adds random fitting committees until N_min,
+/// falling back to core::top_up when the random fill strands capacity.
+/// Metaheuristic baselines use it so that their reported quality reflects
+/// their own search, not an informed repair's. Returns false when no
+/// feasible repair was found.
 bool repair_random(const EpochInstance& instance, Selection& x,
                    common::Rng& rng);
 

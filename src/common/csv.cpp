@@ -134,29 +134,22 @@ CsvFile read_csv(const std::filesystem::path& path, bool expect_header,
   return file;
 }
 
-struct CsvWriter::Impl {
-  std::ofstream out;
-  char sep;
-};
-
-CsvWriter::CsvWriter(const std::filesystem::path& path, char sep)
-    : impl_(new Impl{std::ofstream(path, std::ios::binary), sep}) {
-  if (!impl_->out) {
-    delete impl_;
-    throw std::runtime_error("cannot open CSV file for writing: " +
-                             path.string());
+void append_csv_row(std::string& out, const std::vector<std::string>& fields,
+                    char sep) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += sep;
+    out += escape_csv_field(fields[i], sep);
   }
+  out += '\n';
 }
 
-CsvWriter::~CsvWriter() { delete impl_; }
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) os << impl_->sep;
-    os << escape_csv_field(fields[i], impl_->sep);
-  }
-  impl_->out << os.str() << '\n';
+bool write_text_file(const std::filesystem::path& path,
+                     std::string_view content, std::string* error) {
+  std::ofstream out(path, std::ios::binary);
+  if (out) out << content << std::flush;
+  if (out) return true;
+  if (error != nullptr) *error = "cannot write " + path.string();
+  return false;
 }
 
 }  // namespace mvcom::common

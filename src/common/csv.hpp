@@ -1,11 +1,11 @@
 #pragma once
-// RFC-4180-style CSV reading/writing for the transaction-trace dataset, the
-// experiment harness's series dumps, and the observability exports. The
-// dialect: fields containing the separator, a double quote, or a newline are
-// enclosed in double quotes, and an embedded quote is doubled (""). The
-// reader is strict — a stray quote inside an unquoted field, text after a
-// closing quote, or an unterminated quoted field throws rather than
-// misparses.
+// RFC-4180-style CSV reading/writing for the transaction-trace dataset and
+// the observability exports, and the checked text-file writer every file
+// exporter uses. The dialect: fields containing the separator, a double
+// quote, or a newline are enclosed in double quotes, and an embedded quote
+// is doubled (""). The reader is strict — a stray quote inside an unquoted
+// field, text after a closing quote, or an unterminated quoted field throws
+// rather than misparses.
 
 #include <filesystem>
 #include <string>
@@ -40,21 +40,19 @@ struct CsvFile {
 [[nodiscard]] CsvFile read_csv(const std::filesystem::path& path,
                                bool expect_header, char sep = ',');
 
-/// Streaming CSV writer with RAII file ownership. Fields are quoted via
-/// escape_csv_field as needed, so round-trips through read_csv are lossless
-/// for arbitrary field content (including separators and newlines).
-class CsvWriter {
- public:
-  explicit CsvWriter(const std::filesystem::path& path, char sep = ',');
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
+/// The one CSV record encoder: appends `fields` to `out`, each through
+/// escape_csv_field, joined by `sep` and ended by '\n', so read_csv
+/// round-trips arbitrary field content (separators and newlines included).
+void append_csv_row(std::string& out, const std::vector<std::string>& fields,
+                    char sep = ',');
 
-  void write_row(const std::vector<std::string>& fields);
-
- private:
-  struct Impl;
-  Impl* impl_;  // pimpl keeps <fstream> out of this header
-};
+/// The checked file writer every exporter shares: writes `content` to
+/// `path`, replacing the file. Returns false, with the reason in `error`
+/// when non-null, if the file cannot be opened or the write comes up short;
+/// the flush makes a short write (a full disk) show here rather than in a
+/// destructor.
+[[nodiscard]] bool write_text_file(const std::filesystem::path& path,
+                                   std::string_view content,
+                                   std::string* error = nullptr);
 
 }  // namespace mvcom::common

@@ -106,7 +106,11 @@ double EpochInstance::cumulative_age(const Selection& x) const {
   return total;
 }
 
-double fractional_bound(const EpochInstance& instance) {
+namespace {
+
+/// The positive-gain committees in descending gain/s_i order, ties by index:
+/// the walk of Lemma 1's knapsack that fractional_bound and greedy share.
+std::vector<std::uint32_t> ratio_order(const EpochInstance& instance) {
   struct Item {
     double ratio;  // gain per TX; +∞ for a positive-gain zero-TX committee
     std::uint32_t index;
@@ -126,11 +130,20 @@ double fractional_bound(const EpochInstance& instance) {
   std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
     return a.ratio != b.ratio ? a.ratio > b.ratio : a.index < b.index;
   });
+  std::vector<std::uint32_t> order;
+  order.reserve(items.size());
+  for (const Item& item : items) order.push_back(item.index);
+  return order;
+}
+
+}  // namespace
+
+double fractional_bound(const EpochInstance& instance) {
   double bound = 0.0;
   std::uint64_t room = instance.capacity();
-  for (const Item& item : items) {
-    const std::uint64_t txs = instance.committees()[item.index].txs;
-    const double gain = instance.gain(item.index);
+  for (const std::uint32_t i : ratio_order(instance)) {
+    const std::uint64_t txs = instance.committees()[i].txs;
+    const double gain = instance.gain(i);
     if (txs <= room) {
       bound += gain;
       room -= txs;
@@ -140,6 +153,48 @@ double fractional_bound(const EpochInstance& instance) {
     }
   }
   return bound;
+}
+
+bool certifies(double bound, double utility, double tolerance) noexcept {
+  return tolerance > 0.0 && bound - utility <= tolerance * std::fabs(bound);
+}
+
+Selection greedy(const EpochInstance& instance) {
+  Selection x(instance.size(), 0);
+  std::uint64_t room = instance.capacity();
+  for (const std::uint32_t i : ratio_order(instance)) {
+    const std::uint64_t txs = instance.committees()[i].txs;
+    if (txs > room) continue;
+    x[i] = 1;
+    room -= txs;
+  }
+  return top_up(instance, std::move(x));
+}
+
+Selection top_up(const EpochInstance& instance, Selection x) {
+  SelectionStats st = instance.stats(x);
+  if (st.chosen >= instance.n_min()) return x;
+  std::vector<std::uint32_t> unselected;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0) unselected.push_back(static_cast<std::uint32_t>(i));
+  }
+  const auto& committees = instance.committees();
+  std::sort(unselected.begin(), unselected.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return committees[a].txs != committees[b].txs
+                         ? committees[a].txs < committees[b].txs
+                         : a < b;
+            });
+  for (const std::uint32_t i : unselected) {
+    if (st.chosen >= instance.n_min()) break;
+    // Ascending sizes: once one does not fit, nothing later does.
+    if (st.txs + committees[i].txs > instance.capacity()) break;
+    x[i] = 1;
+    ++st.chosen;
+    st.txs += committees[i].txs;
+  }
+  if (st.chosen < instance.n_min()) return {};
+  return x;
 }
 
 std::optional<Selection> n_min_witness(

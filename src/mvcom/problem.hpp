@@ -8,7 +8,8 @@
 //
 // The problem is NP-hard (Lemma 1, reduction from 0/1 knapsack); this header
 // defines the instance, selections, and O(1)-delta utility evaluation that
-// every solver in src/mvcom and src/baselines shares.
+// every solver in src/mvcom and src/baselines shares, plus the knapsack
+// view's fractional bound and greedy walk.
 
 #include <cstdint>
 #include <optional>
@@ -126,6 +127,24 @@ class EpochInstance {
 /// not. O(|I| log |I|). 0 when no gain is positive, and when Ĉ = 0 unless
 /// an explicit deadline gives a zero-TX committee a positive gain.
 [[nodiscard]] double fractional_bound(const EpochInstance& instance);
+
+/// The certificate behind SeParams::gap_tolerance, shared by SE and the
+/// serve pipeline: tolerance > 0 and bound − utility ≤ tolerance·|bound|.
+[[nodiscard]] bool certifies(double bound, double utility,
+                             double tolerance) noexcept;
+
+/// Lemma 1's greedy knapsack walk: the positive-gain committees in
+/// fractional_bound's order (descending gain/s_i, ties by index), each taken
+/// when it still fits Ĉ, then top_up toward N_min. Empty when top_up cannot
+/// reach N_min, feasible otherwise. At N_min = 0 it never fails, and it
+/// reaches fractional_bound where every positive-gain committee fits.
+/// O(|I| log |I|).
+[[nodiscard]] Selection greedy(const EpochInstance& instance);
+
+/// Adds the smallest unselected shards (ties by index) that still fit Ĉ to
+/// `x` until it holds N_min committees. `x` must fit Ĉ. Returns the topped-up
+/// selection, or an empty one when N_min is unreachable this way.
+[[nodiscard]] Selection top_up(const EpochInstance& instance, Selection x);
 
 /// The exact Eq. (3)+(4) feasibility witness: the n_min smallest shards of
 /// `reports` (ties by index), index-aligned with them. Any feasible

@@ -432,45 +432,28 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
   rebuild_instance_data();
   if (params_.threads > 1) pool_ = pool;
   // The Rng forks happen here, serially: the fork order defines each
-  // explorer's stream. The explorers themselves are built lazily.
+  // explorer's stream. Construction — initializing O(max_family) chains,
+  // the dominant cost of an epoch at 10k+ committees — is embarrassingly
+  // parallel, so it fans out over the pool. Bitwise identical to serial
+  // construction: each explorer is a pure function of its fork.
   common::Rng root(seed);
-  forks_.reserve(params_.threads);
+  std::vector<common::Rng> forks;
+  forks.reserve(params_.threads);
   for (std::size_t t = 0; t < params_.threads; ++t) {
-    forks_.push_back(root.fork());
+    forks.push_back(root.fork());
   }
-}
-
-void SeScheduler::ensure_explorers() const {
-  if (!explorers_.empty()) return;
-  // Construction — initializing O(max_family) chains, the dominant cost of
-  // an epoch at 10k+ committees — is embarrassingly parallel, so it fans
-  // out over the pool. Bitwise identical to serial construction: each
-  // explorer is a pure function of its pre-forked Rng.
-  explorers_.reserve(forks_.size());
+  explorers_.reserve(forks.size());
   if (pool_) {
-    std::vector<std::optional<SeExplorer>> built(forks_.size());
-    pool_->parallel_for(forks_.size(), [&](std::size_t t) {
-      built[t].emplace(&instance_, &params_, &layout_, forks_[t]);
+    std::vector<std::optional<SeExplorer>> built(forks.size());
+    pool_->parallel_for(forks.size(), [&](std::size_t t) {
+      built[t].emplace(&instance_, &params_, &layout_, forks[t]);
     });
     for (auto& b : built) explorers_.push_back(std::move(*b));
   } else {
-    for (const common::Rng& fork : forks_) {
+    for (const common::Rng& fork : forks) {
       explorers_.emplace_back(&instance_, &params_, &layout_, fork);
     }
   }
-  forks_.clear();
-  if (!warm_floor_selection_.empty()) {
-    // A certified warm_start recorded this floor without adopting it.
-    const SwapSet incumbent(warm_floor_selection_);
-    for (SeExplorer& explorer : explorers_) {
-      explorer.adopt_if_better(incumbent, warm_floor_utility_);
-    }
-  }
-}
-
-bool SeScheduler::certifies(double utility) const noexcept {
-  return params_.gap_tolerance > 0.0 &&
-         bound_ - utility <= params_.gap_tolerance * std::fabs(bound_);
 }
 
 void SeScheduler::rebuild_instance_data() {
@@ -525,7 +508,6 @@ bool SeScheduler::maybe_share() {
 void SeScheduler::step() { advance(1); }
 
 void SeScheduler::advance(std::size_t k) {
-  ensure_explorers();
   while (k > 0) {
     const std::size_t block = next_block_length(k);
     step_explorers(block, nullptr, nullptr);
@@ -617,14 +599,9 @@ double SeScheduler::warm_start(const Selection& seed) {
   const SelectionStats st = instance_.stats(seed);
   if (!instance_.capacity_ok(st) || !instance_.n_min_ok(st)) return kNaN;
   const double utility = instance_.utility(seed);
-  // A certified floor leaves unbuilt explorers unbuilt: ensure_explorers()
-  // adopts it if anything later needs them.
-  if (!explorers_.empty() || !certifies(utility)) {
-    ensure_explorers();
-    const SwapSet incumbent(seed);
-    for (SeExplorer& explorer : explorers_) {
-      explorer.adopt_if_better(incumbent, utility);
-    }
+  const SwapSet incumbent(seed);
+  for (SeExplorer& explorer : explorers_) {
+    explorer.adopt_if_better(incumbent, utility);
   }
   warm_floor_selection_ = seed;
   warm_floor_utility_ = utility;
@@ -638,7 +615,6 @@ double SeScheduler::warm_start(const Selection& seed) {
 }
 
 double SeScheduler::current_utility() const {
-  ensure_explorers();
   double best = kNaN;
   for (const SeExplorer& explorer : explorers_) {
     if (const auto b = explorer.best(); b && !(b->first <= best)) {
@@ -649,7 +625,6 @@ double SeScheduler::current_utility() const {
 }
 
 Selection SeScheduler::current_selection() const {
-  ensure_explorers();
   double best = -kInf;
   const SwapSet* chosen = nullptr;
   for (const SeExplorer& explorer : explorers_) {
@@ -684,13 +659,10 @@ SeResult SeScheduler::run() {
   }
   // Certified stop (SeParams::gap_tolerance): checked on the floor before
   // any exploration, then at every block boundary.
-  bool done = certifies(best_utility);
+  bool done = certifies(bound_, best_utility, params_.gap_tolerance);
   result.converged = done;
   result.certified = done;
-  if (!done) {
-    ensure_explorers();
-    result.utility_trace.reserve(params_.max_iterations);
-  }
+  if (!done) result.utility_trace.reserve(params_.max_iterations);
   std::size_t stale = 0;
 
   std::vector<SeBlockStats> blocks(explorers_.size());
@@ -749,7 +721,7 @@ SeResult SeScheduler::run() {
         done = true;
       }
     }
-    if (!done && certifies(best_utility)) {
+    if (!done && certifies(bound_, best_utility, params_.gap_tolerance)) {
       result.converged = true;
       result.certified = true;
       done = true;
@@ -783,7 +755,6 @@ void SeScheduler::add_committee(const Committee& committee) {
   }
   std::vector<Committee> committees = instance_.committees();
   committees.push_back(committee);
-  ensure_explorers();  // they rebind from the pre-join instance
   // Deadline re-derives as max latency over the updated set (paper §III-A).
   instance_ = EpochInstance(std::move(committees), instance_.alpha(),
                             instance_.capacity(), instance_.n_min());
@@ -799,7 +770,6 @@ void SeScheduler::add_committee(const Committee& committee) {
 void SeScheduler::set_n_min(std::size_t n_min) {
   if (n_min == instance_.n_min()) return;
   std::vector<Committee> committees = instance_.committees();
-  ensure_explorers();
   instance_ = EpochInstance(std::move(committees), instance_.alpha(),
                             instance_.capacity(), n_min);
   rebind_all(std::nullopt);
@@ -824,7 +794,6 @@ void SeScheduler::remove_committee(std::uint32_t committee_id) {
   if (survivors.empty()) {
     throw std::logic_error("SeScheduler: cannot remove the last committee");
   }
-  ensure_explorers();
   instance_ = EpochInstance(std::move(survivors), instance_.alpha(),
                             instance_.capacity(), instance_.n_min());
   rebind_all(removed_index);

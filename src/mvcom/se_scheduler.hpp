@@ -54,9 +54,10 @@
 //  * Certified stop (SeParams::gap_tolerance, off by default): Lemma 1's
 //    knapsack view gives an O(|I| log |I|) upper bound on U, the
 //    fractional-knapsack relaxation (core::fractional_bound). An incumbent
-//    within the tolerance of it ends run() — before any exploration when a
-//    warm-start floor already qualifies, in which case the explorers are
-//    never built (they are built lazily; see SeScheduler).
+//    within the tolerance of it (core::certifies) ends run() — before any
+//    exploration when a warm-start floor already qualifies. The serve
+//    pipeline makes that check itself and builds no scheduler for an epoch
+//    whose seed passes it.
 
 #include <algorithm>
 #include <cmath>
@@ -120,11 +121,12 @@ struct SeParams {
   /// Certified stop; 0 (the default) turns it off. When > 0 the scheduler
   /// stops as soon as its incumbent U is certified against the
   /// fractional-knapsack bound B (core::fractional_bound):
-  /// B − U ≤ gap_tolerance·|B|. warm_start checks its floor: a certified
-  /// floor makes run() return it at once, and the Γ explorers are never
-  /// built. run() repeats the check at every barrier-to-barrier block
+  /// B − U ≤ gap_tolerance·|B| (core::certifies). run() checks its
+  /// warm-start floor first, so a certified floor returns at once with 0
+  /// iterations, then repeats the check at every barrier-to-barrier block
   /// boundary. The stop gives up at most this share of B in exchange for
-  /// the exploration it skips; the serve pipeline uses 0.01.
+  /// the exploration it skips; the serve pipeline uses 0.01 and applies it
+  /// to its seed before it builds a scheduler.
   double gap_tolerance = 0.0;
 };
 
@@ -313,20 +315,13 @@ class SeExplorer {
 /// test_se_parallel); only wall-clock changes. The scheduler itself is
 /// single-caller: step()/advance()/run() and the accessors must not be
 /// invoked concurrently.
-///
-/// Lazy explorers: the constructor draws the Γ Rng forks but builds the
-/// explorers only on the first call that needs them — an uncertified
-/// warm_start, run(), step()/advance(), a committee mutation or a current_*
-/// accessor. Each explorer is a pure function of its fork, so when it is
-/// built changes no draw; a certified warm start followed by any of those
-/// calls builds them and adopts the floor first, which is the state an
-/// uncertified warm_start leaves.
 class SeScheduler {
  public:
-  /// `pool`, when non-null and Γ > 1, runs explorer construction and the
-  /// explorer blocks; otherwise they run serially on the calling thread. It
-  /// must outlive the scheduler. Results are bitwise identical with or
-  /// without it, at any pool size. Throws
+  /// Builds the Γ explorers, each from its own fork of `seed`. `pool`, when
+  /// non-null and Γ > 1, runs their construction and the explorer blocks;
+  /// otherwise they run serially on the calling thread. It must outlive the
+  /// scheduler. Results are bitwise identical with or without it, at any
+  /// pool size. Throws
   /// std::invalid_argument when the instance exceeds SwapSet::kMaxUniverse
   /// committees.
   SeScheduler(EpochInstance instance, SeParams params, std::uint64_t seed,
@@ -361,18 +356,17 @@ class SeScheduler {
   /// The shared per-instance layout (cardinality family, candidate indexes).
   [[nodiscard]] const SeLayout& layout() const noexcept { return layout_; }
 
-  /// Cross-epoch warm start: seeds every explorer's matching-cardinality
-  /// chain (plus the grid-adjacent cardinalities) from `seed` through the
-  /// same adopt_if_better machinery the §IV-D share points use, and records
-  /// the seed as a floor — run() initializes its best from the floor, so a
+  /// Warm start: seeds every explorer's matching-cardinality chain (plus
+  /// the grid-adjacent cardinalities) from `seed` through the same
+  /// adopt_if_better machinery the §IV-D share points use, and records the
+  /// seed as a floor — run() initializes its best from the floor, so a
   /// warm-started run can never report a feasible result worse than its
-  /// seed. A floor certified under SeParams::gap_tolerance is only
-  /// recorded: run() returns it with 0 iterations and no explorer is
-  /// built. `seed` must be index-aligned with the *current* instance (the
-  /// streaming pipeline re-derives it from the previous epoch's chosen
-  /// subset plus the joined/left deltas before calling). Returns the seed's
-  /// utility when accepted; NaN when `seed` is mis-sized or infeasible here,
-  /// in which case the scheduler behaves exactly as a cold start.
+  /// seed, and returns it with 0 iterations when it certifies under
+  /// SeParams::gap_tolerance. `seed` must be index-aligned with the
+  /// *current* instance (the serve pipeline passes its greedy seed of the
+  /// same epoch's instance). Returns the seed's utility when accepted; NaN
+  /// when `seed` is mis-sized or infeasible here, in which case the
+  /// scheduler behaves exactly as a cold start.
   double warm_start(const Selection& seed);
 
   /// Online dynamics (Alg. 1 lines 8–12). Both reset convergence tracking
@@ -392,14 +386,6 @@ class SeScheduler {
   void set_obs(obs::ObsContext obs);
 
  private:
-  /// Builds the Γ explorers from their forks if they are not built yet, and
-  /// adopts a floor recorded while they were not. Logically const: the
-  /// state it creates is the one the constructor used to build eagerly.
-  void ensure_explorers() const;
-
-  /// SeParams::gap_tolerance > 0 and bound_ − utility ≤ tolerance·|bound_|.
-  [[nodiscard]] bool certifies(double utility) const noexcept;
-
   /// Rebuilds the layout and the bound after an instance mutation.
   void rebuild_instance_data();
 
@@ -428,10 +414,7 @@ class SeScheduler {
   SeParams params_;
   SeLayout layout_;
   double bound_ = 0.0;  // core::fractional_bound(instance_)
-  /// Empty until ensure_explorers(); `forks_` holds their Rng streams until
-  /// then (drawn serially in the constructor — the fork order defines them).
-  mutable std::vector<SeExplorer> explorers_;
-  mutable std::vector<common::Rng> forks_;
+  std::vector<SeExplorer> explorers_;
   std::size_t iteration_ = 0;
   /// Warm-start floor (empty selection = cold start). run() starts its best
   /// from here, making warm ≥ seed structural rather than probabilistic.

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "analysis/theory.hpp"
-#include "baselines/greedy.hpp"
-#include "baselines/solver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -556,24 +554,22 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
     return out;
   }
 
-  // Greedy from scratch over the live set. When the density greedy
-  // itself cannot reach feasibility, fall back to the minimal witness (the
-  // N_min smallest shards): it is feasible whenever anything is, so this
-  // tier only falls through when the instance is genuinely infeasible. At
-  // N_min = 0 the greedy never fails: it only adds shards that fit Ĉ, so
-  // it returns a feasible, possibly empty, selection.
-  {
-    baselines::Greedy greedy;
-    const baselines::SolverResult r = greedy.solve(instance);
-    if (r.feasible) {
-      fill_decision(out, instance, r.best, DecisionTier::kGreedyScratch);
-      return out;
-    }
-    if (const auto witness = n_min_witness(reports, instance.capacity(),
-                                           instance.n_min())) {
-      fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
-      return out;
-    }
+  // Greedy from scratch over the live set (core::greedy). When the density
+  // greedy itself cannot reach feasibility, fall back to the minimal
+  // witness (the N_min smallest shards): it is feasible whenever anything
+  // is, so this tier only falls through when the instance is genuinely
+  // infeasible. At N_min = 0 the greedy never fails: it only adds shards
+  // that fit Ĉ, so it returns a feasible, possibly empty, selection.
+  if (const Selection greedy_selection = greedy(instance);
+      !greedy_selection.empty()) {
+    fill_decision(out, instance, greedy_selection,
+                  DecisionTier::kGreedyScratch);
+    return out;
+  }
+  if (const auto witness = n_min_witness(reports, instance.capacity(),
+                                         instance.n_min())) {
+    fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
+    return out;
   }
 
   // Genuinely infeasible; say why.

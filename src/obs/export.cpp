@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <initializer_list>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -87,18 +85,6 @@ const char* type_name(MetricsRegistry::Type type) {
   return "untyped";
 }
 
-/// Writes `content` to `path`; false, with the reason in `error` when
-/// non-null, if the file cannot be opened or the write comes up short. The
-/// flush makes a short write show here rather than in the destructor.
-bool write_text_file(const std::filesystem::path& path,
-                     std::string_view content, std::string* error) {
-  std::ofstream out(path, std::ios::binary);
-  if (out) out << content << std::flush;
-  if (out) return true;
-  if (error != nullptr) *error = "cannot write " + path.string();
-  return false;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,7 +125,7 @@ bool write_prometheus_text(const MetricsRegistry& registry,
                            std::string* error) {
   const std::string text = to_prometheus_text(registry);
   return validate_prometheus_text(text, error) &&
-         write_text_file(path, text, error);
+         common::write_text_file(path, text, error);
 }
 
 namespace {
@@ -311,14 +297,8 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 bool write_metrics_csv(const MetricsRegistry& registry,
                        const std::filesystem::path& path, std::string* error) {
   std::string out;
-  const auto row = [&out](std::initializer_list<std::string_view> fields) {
-    const char* sep = "";
-    for (const std::string_view field : fields) {
-      out += sep;
-      out += common::escape_csv_field(field);
-      sep = ",";
-    }
-    out += '\n';
+  const auto row = [&out](const std::vector<std::string>& fields) {
+    common::append_csv_row(out, fields);
   };
   row({"name", "type", "labels", "field", "value"});
   std::string labels;
@@ -342,7 +322,7 @@ bool write_metrics_csv(const MetricsRegistry& registry,
       row({m.name, type, labels, "value", fmt_value(m.value)});
     }
   }
-  return write_text_file(path, out, error);
+  return common::write_text_file(path, out, error);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +402,8 @@ bool write_chrome_trace_json(const TraceRecorder& recorder,
                              const std::filesystem::path& path,
                              std::string* error) {
   const std::string json = to_chrome_trace_json(recorder.snapshot());
-  return validate_json(json, error) && write_text_file(path, json, error);
+  return validate_json(json, error) &&
+         common::write_text_file(path, json, error);
 }
 
 // ---------------------------------------------------------------------------

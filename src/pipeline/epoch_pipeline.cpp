@@ -55,39 +55,31 @@ std::string epoch_randomness(std::uint64_t seed, std::size_t epoch) {
   return "serve|" + std::to_string(seed) + "|" + std::to_string(epoch);
 }
 
-/// Greedy cross-epoch warm seed: descending-gain fill under Ĉ, then a
-/// smallest-shards top-up toward N_min. It walks the scheduler layout's
-/// gain and size orders (ties broken by index), so stage B sorts each
-/// order once — in the scheduler's constructor.
-core::Selection greedy_seed(const core::SeScheduler& scheduler) {
-  const core::SeLayout& layout = scheduler.layout();
-  const std::uint64_t capacity = scheduler.instance().capacity();
-  const std::size_t n_min = scheduler.instance().n_min();
-  core::Selection sel(layout.gain.size(), 0);
+/// The warm seed: descending-gain fill under Ĉ (ties by index), continuing
+/// past non-positive gains until N_min, then core::top_up. Empty when the
+/// top-up cannot reach N_min, and when it selects no committee.
+core::Selection greedy_seed(const core::EpochInstance& instance) {
+  std::vector<std::uint32_t> by_gain(instance.size());
+  std::iota(by_gain.begin(), by_gain.end(), std::uint32_t{0});
+  std::sort(by_gain.begin(), by_gain.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const double ga = instance.gain(a);
+              const double gb = instance.gain(b);
+              return ga != gb ? ga > gb : a < b;
+            });
+  core::Selection sel(instance.size(), 0);
   std::uint64_t used = 0;
   std::size_t chosen = 0;
-  for (const std::uint32_t i : layout.by_gain) {
-    if (layout.gain[i] <= 0.0 && chosen >= n_min) break;
-    if (used + layout.txs[i] > capacity) continue;
+  for (const std::uint32_t i : by_gain) {
+    if (instance.gain(i) <= 0.0 && chosen >= instance.n_min()) break;
+    const std::uint64_t txs = instance.committees()[i].txs;
+    if (used + txs > instance.capacity()) continue;
     sel[i] = 1;
-    used += layout.txs[i];
+    used += txs;
     ++chosen;
   }
-  if (chosen < n_min) {
-    // Top up with the smallest remaining shards; bail out (empty seed) when
-    // even that cannot reach N_min — the instance is then infeasible for
-    // the SE scheduler too.
-    for (const std::uint32_t i : layout.by_size) {
-      if (chosen >= n_min) break;
-      if (sel[i] != 0) continue;
-      if (used + layout.txs[i] > capacity) continue;
-      sel[i] = 1;
-      used += layout.txs[i];
-      ++chosen;
-    }
-    if (chosen < n_min) return {};
-  }
-  if (chosen == 0) return {};
+  sel = core::top_up(instance, std::move(sel));
+  if (std::find(sel.begin(), sel.end(), 1) == sel.end()) return {};
   return sel;
 }
 
@@ -286,7 +278,6 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   report.pow_attempts = formed.pow_attempts;
 
   core::Selection keep(shards.size(), 0);
-  std::uint64_t se_iterations = 0;
   if (!shards.empty()) {
     std::uint64_t pending_txs = 0;
     for (const PendingShard& s : shards) pending_txs += s.txs;
@@ -300,29 +291,39 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
     }
     const auto capacity = static_cast<std::uint64_t>(
         config_.capacity_fraction * static_cast<double>(pending_txs));
-    const std::uint64_t se_seed =
-        Rng::stream(config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
-    core::SeScheduler scheduler(
-        core::EpochInstance(std::move(committees), config_.alpha, capacity,
-                            config_.n_min),
-        config_.se, se_seed, pool);
+    core::EpochInstance instance(std::move(committees), config_.alpha,
+                                 capacity, config_.n_min);
+    report.utility_bound = core::fractional_bound(instance);
+    core::Selection seed;
     if (config_.warm_start) {
-      const core::Selection seed_sel = greedy_seed(scheduler);
-      if (!seed_sel.empty()) {
-        report.warm_seed_utility = scheduler.warm_start(seed_sel);
+      seed = greedy_seed(instance);
+      if (!seed.empty()) report.warm_seed_utility = instance.utility(seed);
+    }
+    if (!seed.empty() &&
+        core::certifies(report.utility_bound, report.warm_seed_utility,
+                        config_.se.gap_tolerance)) {
+      // The seed is within se.gap_tolerance of the bound: commit it and
+      // build no scheduler.
+      keep = std::move(seed);
+      report.certified = true;
+      report.feasible = true;
+      report.utility = report.warm_seed_utility;
+    } else {
+      const std::uint64_t se_seed =
+          Rng::stream(config_.seed, stream_index(formed.epoch, kSeSeedSlot))();
+      core::SeScheduler scheduler(std::move(instance), config_.se, se_seed,
+                                  pool);
+      if (!seed.empty()) (void)scheduler.warm_start(seed);
+      const core::SeResult result = scheduler.run();
+      report.se_iterations = result.iterations;
+      report.certified = result.certified;
+      if (result.feasible) {
+        keep = result.best;
+        report.feasible = true;
+        report.utility = result.utility;
       }
     }
-    const core::SeResult result = scheduler.run();
-    se_iterations = result.iterations;
-    report.utility_bound = result.bound;
-    report.certified = result.certified;
-    if (result.feasible) {
-      keep = result.best;
-      report.feasible = true;
-      report.utility = result.utility;
-    }
   }
-  report.se_iterations = se_iterations;
 
   // DDL = slowest selected submission, relative to the realized boundary.
   double ddl = 0.0;

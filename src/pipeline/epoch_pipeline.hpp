@@ -27,10 +27,11 @@
 //
 //   Stage B — scheduling + final consensus. Rebase carried shards against
 //     the *realized* epoch boundary (max of the nominal window edge and the
-//     previous final block's commit instant), build the EpochInstance, run
-//     the SE scheduler (warm-started from a greedy cross-epoch seed, and
-//     skipped when that seed is certified within se.gap_tolerance of the
-//     fractional-knapsack bound), decide the DDL, run stage-4 final
+//     previous final block's commit instant), build the EpochInstance and
+//     its greedy seed, commit that seed when it is certified within
+//     se.gap_tolerance of the fractional-knapsack bound (no SE scheduler is
+//     built then) and otherwise run the SE scheduler warm-started from it,
+//     decide the DDL, run stage-4 final
 //     consensus as a real discrete-event PBFT round, account committed
 //     per-TX ages, extend the root chain, and
 //     carry the refused shards forward. Stage B mutates all cross-epoch
@@ -90,9 +91,10 @@ struct PipelineConfig {
   /// gap_tolerance is 0.01: an epoch whose warm seed is within 1 % of the
   /// fractional-knapsack bound commits the seed and skips SE entirely.
   core::SeParams se{.gap_tolerance = 0.01};
-  /// Seed epoch e+1's explorers from a greedy cross-epoch selection via
-  /// SeScheduler::warm_start; the reported utility can then never fall
-  /// below the seed's.
+  /// Build each epoch's greedy seed (a gain-order fill of its instance,
+  /// topped up to N_min) and commit it when it certifies, or seed SE's
+  /// explorers with it via SeScheduler::warm_start; the reported utility
+  /// can then never fall below the seed's.
   bool warm_start = true;
   /// > 0: stage A really grinds PoW at this difficulty (bits of leading
   /// zeros) per committee, on the run's pool — makes formation genuinely
@@ -116,8 +118,9 @@ struct EpochReport {
   /// no selection can beat it, so (bound − utility)/|bound| is the epoch's
   /// optimality-gap certificate (core::relative_gap).
   double utility_bound = 0.0;
-  /// SE stopped on its gap_tolerance certificate (0 iterations when the
-  /// warm seed itself was certified).
+  /// The committed decision is within se.gap_tolerance of the bound: the
+  /// warm seed itself (committed with no SE scheduler, 0 iterations) or
+  /// SE's incumbent when SE stopped on the certificate.
   bool certified = false;
   /// Utility of the greedy warm-start seed (NaN when cold or infeasible).
   double warm_seed_utility = 0.0;
@@ -198,7 +201,8 @@ class EpochPipeline {
   /// Stage A. `pool` (may be null) grinds the committees' PoW in chunks.
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch,
                                        common::ThreadPool* pool) const;
-  /// Stage B. `pool` (may be null) is lent to the SE scheduler.
+  /// Stage B. `pool` (may be null) is lent to the SE scheduler of an
+  /// uncertified epoch.
   EpochReport schedule_epoch(FormedEpoch&& formed, common::ThreadPool* pool);
 
   [[nodiscard]] bool stop_requested() const noexcept {

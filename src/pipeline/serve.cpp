@@ -34,14 +34,21 @@ ServeSummary ServeSession::run(
   pipe.bind_external_stop(&stop_);
   pipe.set_obs(obs::ObsContext(&metrics_, &trace_));
 
+  // A checkpoint that cannot be written fails the artifact verdict; the run
+  // and the other exporters carry on.
+  bool checkpoints_ok = true;
+  const auto checkpoint = [&] {
+    if (chain::write_checkpoint_file(pipe.chain(), config_.checkpoint_out)) {
+      ++summary.checkpoints_written;
+    } else {
+      checkpoints_ok = false;
+    }
+  };
   try {
     summary.totals = pipe.run([&](const EpochReport& report) {
       if (!config_.checkpoint_out.empty() && config_.checkpoint_every > 0 &&
           (report.epoch + 1) % config_.checkpoint_every == 0) {
-        if (chain::write_checkpoint_file(pipe.chain(),
-                                         config_.checkpoint_out)) {
-          ++summary.checkpoints_written;
-        }
+        checkpoint();
       }
       if (on_epoch) on_epoch(report);
     });
@@ -54,13 +61,9 @@ ServeSummary ServeSession::run(
   }
 
   // Final checkpoint so a stopped daemon resumes from its last commit.
-  if (!config_.checkpoint_out.empty()) {
-    if (chain::write_checkpoint_file(pipe.chain(), config_.checkpoint_out)) {
-      ++summary.checkpoints_written;
-    }
-  }
+  if (!config_.checkpoint_out.empty()) checkpoint();
   summary.chain_valid = pipe.chain().validate_full();
-  summary.artifacts_valid = flush_artifacts();
+  summary.artifacts_valid = flush_artifacts() && checkpoints_ok;
   return summary;
 }
 

@@ -38,8 +38,9 @@ struct ServeConfig {
 struct ServeSummary {
   PipelineTotals totals;
   std::size_t checkpoints_written = 0;
-  /// True when every requested artifact was written AND passed its strict
-  /// validator — including on a truncated (stopped-early) run.
+  /// True when every requested artifact — each checkpoint included — was
+  /// written AND passed its strict validator, also on a truncated
+  /// (stopped-early) run.
   bool artifacts_valid = false;
   bool chain_valid = false;  // RootChain::validate_full() at exit
 };

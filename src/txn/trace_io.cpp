@@ -38,15 +38,27 @@ std::string join_accounts(const std::vector<std::uint32_t>& accounts) {
   return out;
 }
 
+/// Writes rendered CSV text; throws std::runtime_error, with the reason,
+/// when the file cannot be written whole.
+void write_csv_text(const std::filesystem::path& path,
+                    const std::string& text) {
+  std::string error;
+  if (!common::write_text_file(path, text, &error)) {
+    throw std::runtime_error(error);
+  }
+}
+
 }  // namespace
 
 void write_trace_csv(const Trace& trace, const std::filesystem::path& path) {
-  common::CsvWriter writer(path);
-  writer.write_row({"blockID", "bhash", "btime", "txs"});
+  std::string text;
+  common::append_csv_row(text, {"blockID", "bhash", "btime", "txs"});
   for (const BlockRecord& b : trace.blocks) {
-    writer.write_row({std::to_string(b.block_id), b.bhash,
-                      std::to_string(b.btime), std::to_string(b.tx_count)});
+    common::append_csv_row(text, {std::to_string(b.block_id), b.bhash,
+                                  std::to_string(b.btime),
+                                  std::to_string(b.tx_count)});
   }
+  write_csv_text(path, text);
 }
 
 Trace load_trace_csv(const std::filesystem::path& path) {
@@ -69,13 +81,15 @@ Trace load_trace_csv(const std::filesystem::path& path) {
 
 void write_account_txs_csv(const std::vector<AccountTx>& txs,
                            const std::filesystem::path& path) {
-  common::CsvWriter writer(path);
-  writer.write_row({"txID", "ts", "sender", "writes", "reads"});
+  std::string text;
+  common::append_csv_row(text, {"txID", "ts", "sender", "writes", "reads"});
   for (const AccountTx& tx : txs) {
-    writer.write_row({std::to_string(tx.tx_id), std::to_string(tx.timestamp),
-                      std::to_string(tx.sender), join_accounts(tx.writes),
-                      join_accounts(tx.reads)});
+    common::append_csv_row(
+        text, {std::to_string(tx.tx_id), std::to_string(tx.timestamp),
+               std::to_string(tx.sender), join_accounts(tx.writes),
+               join_accounts(tx.reads)});
   }
+  write_csv_text(path, text);
 }
 
 }  // namespace mvcom::txn

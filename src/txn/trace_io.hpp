@@ -15,7 +15,8 @@
 
 namespace mvcom::txn {
 
-/// Writes `trace` as CSV with header "blockID,bhash,btime,txs".
+/// Writes `trace` as CSV with header "blockID,bhash,btime,txs". Throws
+/// std::runtime_error when the file cannot be written whole.
 void write_trace_csv(const Trace& trace, const std::filesystem::path& path);
 
 /// Loads a trace written by write_trace_csv (or any file with the same
@@ -23,6 +24,7 @@ void write_trace_csv(const Trace& trace, const std::filesystem::path& path);
 [[nodiscard]] Trace load_trace_csv(const std::filesystem::path& path);
 
 /// Writes account TXs as CSV with header "txID,ts,sender,writes,reads".
+/// Throws std::runtime_error when the file cannot be written whole.
 void write_account_txs_csv(const std::vector<AccountTx>& txs,
                            const std::filesystem::path& path);
 

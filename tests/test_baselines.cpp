@@ -1,5 +1,5 @@
 // Tests for the baseline solvers (SA, DP, WOA, Greedy, Exhaustive) and the
-// shared repair helper: feasibility always, optimality never above the
+// shared N_min top-up: feasibility always, optimality never above the
 // exhaustive ground truth, DP exactness in its knapsack regime.
 
 #include <gtest/gtest.h>
@@ -19,12 +19,12 @@ namespace {
 using mvcom::baselines::DynamicProgramming;
 using mvcom::baselines::Exhaustive;
 using mvcom::baselines::Greedy;
-using mvcom::baselines::repair;
 using mvcom::baselines::SimulatedAnnealing;
 using mvcom::baselines::WhaleOptimization;
 using mvcom::core::Committee;
 using mvcom::core::EpochInstance;
 using mvcom::core::Selection;
+using mvcom::core::top_up;
 
 EpochInstance random_instance(std::uint64_t seed, std::size_t n = 12,
                               std::size_t n_min = 3,
@@ -46,23 +46,18 @@ EpochInstance random_instance(std::uint64_t seed, std::size_t n = 12,
                        n_min);
 }
 
-// --- repair() ----------------------------------------------------------------
-
-TEST(RepairTest, OverCapacityIsShedToFeasible) {
-  const EpochInstance inst = random_instance(1);
-  Selection x(inst.size(), 1);  // everything selected: over capacity
-  ASSERT_TRUE(repair(inst, x));
-  EXPECT_TRUE(inst.feasible(x));
-}
+// --- core::top_up (the N_min top-up Greedy, DP and repair_random share) ----
 
 TEST(RepairTest, UnderNminIsToppedUp) {
   const EpochInstance inst = random_instance(2, 12, 5);
   Selection x(inst.size(), 0);
   x[0] = 1;
-  ASSERT_TRUE(repair(inst, x));
+  x = top_up(inst, std::move(x));
+  ASSERT_FALSE(x.empty());
   const auto st = inst.stats(x);
   EXPECT_GE(st.chosen, 5u);
   EXPECT_LE(st.txs, inst.capacity());
+  EXPECT_EQ(x[0], 1);
 }
 
 TEST(RepairTest, ImpossibleConstraintsReturnFalse) {
@@ -70,18 +65,15 @@ TEST(RepairTest, ImpossibleConstraintsReturnFalse) {
   std::vector<Committee> committees{
       {0, 100, 1.0}, {1, 110, 2.0}, {2, 120, 3.0}};
   const EpochInstance inst(committees, 1.0, 150, 3);
-  Selection x(3, 0);
-  EXPECT_FALSE(repair(inst, x));
+  EXPECT_TRUE(top_up(inst, Selection(3, 0)).empty());
 }
 
 TEST(RepairTest, FeasibleInputIsUntouched) {
   const EpochInstance inst = random_instance(3);
   Selection x(inst.size(), 0);
   x[0] = x[1] = x[2] = 1;
-  const Selection before = x;
-  if (inst.feasible(before)) {
-    ASSERT_TRUE(repair(inst, x));
-    EXPECT_EQ(x, before);
+  if (inst.feasible(x)) {
+    EXPECT_EQ(top_up(inst, x), x);
   }
 }
 

@@ -1,4 +1,5 @@
-// Tests for the RFC-4180-style CSV reader/writer.
+// Tests for the RFC-4180-style CSV reader, the row encoder and the checked
+// text-file writer.
 
 #include "common/csv.hpp"
 
@@ -8,14 +9,27 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "txn/trace_io.hpp"
 
 namespace {
 
+using mvcom::common::append_csv_row;
 using mvcom::common::CsvRow;
-using mvcom::common::CsvWriter;
 using mvcom::common::escape_csv_field;
 using mvcom::common::parse_csv_line;
 using mvcom::common::read_csv;
+using mvcom::common::write_text_file;
+
+/// Renders `rows` with the shared encoder and writes them with the checked
+/// writer — the path every CSV exporter takes.
+void write_rows(const std::filesystem::path& path,
+                const std::vector<CsvRow>& rows) {
+  std::string text;
+  for (const CsvRow& row : rows) append_csv_row(text, row);
+  ASSERT_TRUE(write_text_file(path, text));
+}
 
 class CsvTest : public ::testing::Test {
  protected:
@@ -73,12 +87,7 @@ TEST(EscapeCsvFieldTest, QuotesOnlyWhenNeeded) {
 
 TEST_F(CsvTest, WriteReadRoundtrip) {
   const auto path = dir_ / "data.csv";
-  {
-    CsvWriter writer(path);
-    writer.write_row({"id", "value"});
-    writer.write_row({"1", "3.5"});
-    writer.write_row({"2", "7.25"});
-  }
+  write_rows(path, {{"id", "value"}, {"1", "3.5"}, {"2", "7.25"}});
   const auto file = read_csv(path, /*expect_header=*/true);
   EXPECT_EQ(file.header, (CsvRow{"id", "value"}));
   ASSERT_EQ(file.rows.size(), 2u);
@@ -87,11 +96,7 @@ TEST_F(CsvTest, WriteReadRoundtrip) {
 
 TEST_F(CsvTest, NoHeaderMode) {
   const auto path = dir_ / "raw.csv";
-  {
-    CsvWriter writer(path);
-    writer.write_row({"1", "2"});
-    writer.write_row({"3", "4"});
-  }
+  write_rows(path, {{"1", "2"}, {"3", "4"}});
   const auto file = read_csv(path, /*expect_header=*/false);
   EXPECT_TRUE(file.header.empty());
   EXPECT_EQ(file.rows.size(), 2u);
@@ -115,13 +120,7 @@ TEST_F(CsvTest, QuotedRoundtripWithSeparatorsNewlinesAndEmptyFields) {
   const CsvRow row0{"alpha, beta", "first line\nsecond line", ""};
   const CsvRow row1{"quote \" inside", "trailing,comma,", ""};
   const CsvRow row2{"", "", ""};
-  {
-    CsvWriter writer(path);
-    writer.write_row(header);
-    writer.write_row(row0);
-    writer.write_row(row1);
-    writer.write_row(row2);
-  }
+  write_rows(path, {header, row0, row1, row2});
   const auto file = read_csv(path, /*expect_header=*/true);
   EXPECT_EQ(file.header, header);
   ASSERT_EQ(file.rows.size(), 3u);
@@ -164,7 +163,12 @@ TEST_F(CsvTest, MissingFileThrows) {
 }
 
 TEST_F(CsvTest, WriterToUnwritablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv"), std::runtime_error);
+  // The checked writer reports the failure; the trace CSV writer throws it.
+  std::string error;
+  EXPECT_FALSE(write_text_file("/nonexistent-dir/x.csv", "a\n", &error));
+  EXPECT_NE(error.find("/nonexistent-dir/x.csv"), std::string::npos) << error;
+  EXPECT_THROW(mvcom::txn::write_trace_csv({}, "/nonexistent-dir/x.csv"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 namespace {
 
 using mvcom::common::CsvRow;
-using mvcom::common::CsvWriter;
 using mvcom::common::Rng;
 using mvcom::txn::BlockRecord;
 using mvcom::txn::Trace;
@@ -55,20 +54,19 @@ TEST(CsvFuzzTest, AdversarialFieldsRoundTripLosslessly) {
     const std::size_t rows = 1 + rng.below(8);
     std::vector<CsvRow> expected;
     const auto path = tmp_path("fuzz_roundtrip.csv");
-    {
-      CsvWriter writer(path);
-      for (std::size_t r = 0; r < rows; ++r) {
-        CsvRow row;
-        for (std::size_t c = 0; c < cols; ++c) {
-          row.push_back(adversarial_field(rng));
-        }
-        // A lone empty field renders as a blank line, which the reader
-        // documentedly skips — the one genuinely ambiguous encoding.
-        if (cols == 1 && row[0].empty()) row[0] = "x";
-        writer.write_row(row);
-        expected.push_back(std::move(row));
+    std::string text;
+    for (std::size_t r = 0; r < rows; ++r) {
+      CsvRow row;
+      for (std::size_t c = 0; c < cols; ++c) {
+        row.push_back(adversarial_field(rng));
       }
+      // A lone empty field renders as a blank line, which the reader
+      // documentedly skips — the one genuinely ambiguous encoding.
+      if (cols == 1 && row[0].empty()) row[0] = "x";
+      mvcom::common::append_csv_row(text, row);
+      expected.push_back(std::move(row));
     }
+    ASSERT_TRUE(mvcom::common::write_text_file(path, text));
     const auto file = mvcom::common::read_csv(path, /*expect_header=*/false);
     ASSERT_EQ(file.rows.size(), expected.size());
     for (std::size_t r = 0; r < expected.size(); ++r) {

@@ -486,4 +486,41 @@ TEST(EarlyShutdownFlushTest, UnwritableCsvFailsTheVerdictAndTheTraceIsWritten) {
   fs::remove_all(dir);
 }
 
+// So does a checkpoint that cannot be written: the run still finishes and
+// every exporter still flushes.
+TEST(EarlyShutdownFlushTest,
+     UnwritableCheckpointFailsTheVerdictAndTheTraceIsWritten) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "mvcom_obs_checkpoint_verdict_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  mvcom::pipeline::ServeConfig config;
+  config.pipeline.committees = 5;
+  config.pipeline.epochs = 2;
+  config.stream.num_blocks = 60;
+  config.stream.target_total_txs = 30'000;
+  config.metrics_out = (dir / "metrics.prom").string();
+  config.trace_out = (dir / "trace.json").string();
+  config.checkpoint_out = (dir / "missing" / "chain.ckpt").string();
+
+  mvcom::pipeline::ServeSession session(config);
+  const auto summary = session.run();
+  EXPECT_EQ(summary.totals.epochs_run, 2u);
+  EXPECT_TRUE(summary.chain_valid);
+  EXPECT_EQ(summary.checkpoints_written, 0u);
+  EXPECT_FALSE(summary.artifacts_valid);
+
+  std::ifstream in(dir / "trace.json");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  EXPECT_TRUE(mvcom::obs::validate_json(text.str(), &error)) << error;
+  EXPECT_TRUE(fs::exists(dir / "metrics.prom"));
+
+  fs::remove_all(dir);
+}
+
 }  // namespace

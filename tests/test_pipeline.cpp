@@ -320,8 +320,8 @@ TEST(PipelineWarmStart, SchedulerNeverReportsWorseThanItsSeed) {
 TEST(PipelineWarmStart, WarmEpochsNeverWorseThanColdUnderSameSeeds) {
   // With a starved exploration budget the cold pipeline has to rely on its
   // random initial family, while the warm one starts every epoch from the
-  // greedy cross-epoch seed. A warm epoch whose seed is certified commits
-  // the seed without exploring, so it may trail the cold epoch by at most
+  // greedy seed. A warm epoch whose seed is certified commits the seed
+  // without building SE, so it may trail the cold epoch by at most
   // the tolerance's share of the bound — and otherwise must not lose.
   const Trace trace = small_trace();
   PipelineConfig config = small_config();

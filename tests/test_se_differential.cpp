@@ -14,8 +14,9 @@
 //    small tolerance of the optimum, hitting it exactly on the overwhelming
 //    majority of instances. These cold runs keep SeParams::gap_tolerance at
 //    0: a certified stop would trade exact optima for time.
-//  * The fractional-knapsack bound (core::fractional_bound) brackets the
-//    exact optimum on the same family.
+//  * The fractional-knapsack bound (core::fractional_bound) and the greedy
+//    knapsack walk (core::greedy) bracket the exact optimum on the same
+//    family.
 //
 // One subtlety: the SE solution family maintains cardinalities n ≥ 1, so
 // when N_min = 0 its notion of "feasible" is "a non-empty feasible
@@ -184,9 +185,10 @@ TEST(SeDifferentialTest, ThousandRandomInstancesAgainstExactBaselines) {
       << ", worst gap " << worst_gap;
 }
 
-// The fractional-knapsack bound behind SeParams::gap_tolerance, against the
-// exhaustive optimum on the same 1000-instance family. Rounding slack: the
-// bound and the optimum sum the same gains in different orders.
+// The fractional-knapsack bound behind SeParams::gap_tolerance, and the
+// greedy that walks the same order (core::greedy), against the exhaustive
+// optimum on the same 1000-instance family: greedy ≤ optimum ≤ bound.
+// Rounding slack: they sum the same gains in different orders.
 TEST(SeDifferentialTest, FractionalBoundBracketsTheExactOptimum) {
   constexpr std::uint64_t kCases = 1000;
   std::size_t all_fit = 0;
@@ -226,10 +228,28 @@ TEST(SeDifferentialTest, FractionalBoundBracketsTheExactOptimum) {
     ASSERT_TRUE(free_truth.feasible);  // the empty selection always fits
     EXPECT_GE(bound, free_truth.utility - slack);
     EXPECT_LE(bound, free_truth.utility + max_gain + slack);
+
+    // The shared greedy walks the bound's order: empty or feasible, never
+    // empty at N_min = 0, and never above the optimum.
+    const Selection greedy = mvcom::core::greedy(instance);
+    if (greedy.empty()) {
+      EXPECT_GT(c.n_min, 0u);
+    } else {
+      EXPECT_TRUE(instance.feasible(greedy));
+      ASSERT_TRUE(truth.feasible);
+      EXPECT_LE(instance.utility(greedy), truth.utility + slack);
+    }
+    const Selection free_greedy = mvcom::core::greedy(free_choice);
+    ASSERT_FALSE(free_greedy.empty());
+    EXPECT_TRUE(free_choice.feasible(free_greedy));
+    EXPECT_LE(free_choice.utility(free_greedy), free_truth.utility + slack);
+
     if (positive_txs <= c.capacity) {
       ++all_fit;
       EXPECT_NEAR(bound, free_truth.utility, slack);
       EXPECT_NEAR(bound, positive_sum, slack);
+      // Every positive-gain committee fits, so the greedy takes them all.
+      EXPECT_NEAR(free_choice.utility(free_greedy), bound, slack);
     }
     if (max_gain == 0.0 || c.capacity == 0) {
       ++nothing_positive;

@@ -1,8 +1,8 @@
 // Tests for the SE scheduler's real parallel execution path, a pool lent to
 // its constructor: determinism contract against the serial path, the
 // independent-chain bitwise guarantee at share_interval == max_iterations,
-// a lent pool nested inside an outer batch (also with the certified stop's
-// lazily built explorers), a join/leave storm interleaved with parallel
+// a lent pool nested inside an outer batch (also under the certified stop),
+// a join/leave storm interleaved with parallel
 // stepping (the ThreadSanitizer workloads run by tools/run_tsan_tests.sh),
 // and schedule digests pinned to constants so SE trajectories hold across
 // commits.
@@ -141,10 +141,11 @@ TEST(SeParallelTest, LentPoolNestedInAnOuterBatchMatchesSerial) {
 }
 
 TEST(SeParallelTest, CertifiedStopBuildsExplorersLazilyOnANestedLentPool) {
-  // Stage B's shape under the certified stop: a warm-started scheduler on a
-  // lent pool, nested in an outer batch. The certified floor returns with no
-  // explorer built; advancing afterwards builds them on the pool, inside
-  // the batch, and must match a serial tolerance-0 scheduler bitwise.
+  // A warm-started scheduler on a lent pool, nested in an outer batch as
+  // stage B nests it: the constructor builds the explorers on the pool,
+  // inside the batch. The certified floor returns with 0 iterations, and
+  // advancing afterwards must match a serial tolerance-0 scheduler
+  // bitwise.
   const EpochInstance inst = random_instance(9, 40, 0);
   SeParams params;
   params.threads = 4;
@@ -357,8 +358,8 @@ TEST(SeDeterminismMatrix, ServeShapedFullFamilyIsPinned) {
 }
 
 TEST(SeDeterminismMatrix, ServeShapedUncertifiedSeedKeepsTheServePin) {
-  // A tolerance the seed never meets: SE runs exactly as at tolerance 0,
-  // with the lazily built explorers, and hits the same pinned digest.
+  // A tolerance the seed never meets: SE runs exactly as at tolerance 0
+  // and hits the same pinned digest.
   const ServeShaped shape = serve_shaped();
   SeParams params = serve_shaped_params();
   params.gap_tolerance = 1e-6;

@@ -292,9 +292,9 @@ void expect_same_state(const SeScheduler& a, const SeScheduler& b) {
             std::bit_cast<std::uint64_t>(b.current_utility()));
 }
 
-// A certified scheduler that is read, stepped or mutated builds its
-// explorers and adopts the floor first — the state a tolerance-0 warm_start
-// leaves — so from then on the two are bitwise equal.
+// A certified warm start adopts its seed like any other, so a certified
+// scheduler that is read, stepped or mutated stays bitwise equal to a
+// tolerance-0 one.
 TEST(SeCertifiedStopTest, LaterCallsMatchAToleranceZeroScheduler) {
   const EpochInstance inst = serve_like_instance(4);
   const Selection seed = greedy_seed(inst);
@@ -303,7 +303,6 @@ TEST(SeCertifiedStopTest, LaterCallsMatchAToleranceZeroScheduler) {
       std::find(seed.begin(), seed.end(), 1) - seed.begin())].id;
   using Call = void (*)(SeScheduler&, std::uint32_t);
   const std::vector<std::pair<const char*, Call>> calls = {
-      // Only the current_* accessors in expect_same_state build them.
       {"accessors", [](SeScheduler&, std::uint32_t) {}},
       {"advance", [](SeScheduler& s, std::uint32_t) { s.advance(70); }},
       {"step", [](SeScheduler& s, std::uint32_t) { s.step(); }},
@@ -337,8 +336,8 @@ TEST(SeCertifiedStopTest, LaterCallsMatchAToleranceZeroScheduler) {
 }
 
 TEST(SeCertifiedStopTest, CertifiedWarmStartAfterSteppingStillAdoptsTheSeed) {
-  // Once the explorers exist, a certified warm_start adopts its seed like
-  // any other, so later steps match a tolerance-0 scheduler.
+  // After stepping too, a certified warm_start adopts its seed like any
+  // other, so later steps match a tolerance-0 scheduler.
   const EpochInstance inst = serve_like_instance();
   const Selection seed = greedy_seed(inst);
   SeScheduler certified(inst, certifying_params(kServeTolerance), 13);

@@ -141,6 +141,21 @@ TEST(TraceIoTest, MissingFileThrows) {
   EXPECT_THROW(load_trace_csv("/nonexistent/trace.csv"), std::runtime_error);
 }
 
+TEST(TraceIoTest, ShortWriteThrows) {
+  // /dev/full opens fine and fails every write with ENOSPC: both trace
+  // writers must report it instead of returning as if the file were whole.
+  const std::filesystem::path full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no /dev/full";
+  Rng rng(3);
+  TraceGeneratorConfig config;
+  config.num_blocks = 50;
+  config.target_total_txs = 50'000;
+  EXPECT_THROW(write_trace_csv(generate_trace(config, rng), full),
+               std::runtime_error);
+  EXPECT_THROW(mvcom::txn::write_account_txs_csv({{1, 2.0, 3, {4}, {5}}}, full),
+               std::runtime_error);
+}
+
 TEST(TraceIoTest, AccountTxCsvHasTheDocumentedBytes) {
   // Schema corners: a zero timestamp, empty read and write sets (empty
   // fields), one- and many-element sets in stored order, and maximum ids.

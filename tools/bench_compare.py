@@ -10,17 +10,20 @@ direction:
   gate_seconds_*  lower is better (wall clock); fails when the current run
                   rises more than ``--threshold`` above the baseline.
 
-All other keys are informational and never gate. A gate key present in only
-one side is reported as a warning, not a failure — baselines are refreshed
-with ``--update`` whenever a bench gains or loses keys.
+All other keys are informational and never gate. A baseline gate key that a
+bench which ran no longer emits fails the gate: deleting or renaming a gated
+tier must also delete or rename its baseline key, so no tier is un-gated
+silently. A bench absent from the run, and a gate key found only in the run,
+are warnings — baselines are refreshed with ``--update`` whenever a bench
+gains keys.
 
 Usage:
   tools/bench_compare.py BASELINE_DIR CURRENT_DIR [--threshold 0.15]
   tools/bench_compare.py BASELINE_DIR CURRENT_DIR --update
   tools/bench_compare.py --selftest
 
-Exit status: 0 when every gate holds, 1 on any regression (or selftest
-failure), 2 on usage/IO errors.
+Exit status: 0 when every gate holds, 1 on any regression, dropped baseline
+gate key or selftest failure, 2 on usage/IO errors.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def check(baseline_dir: Path, current_dir: Path, threshold: float) -> int:
         return 2
 
     failures = 0
+    dropped = 0
     gates = 0
     for name in sorted(set(baselines) | set(currents)):
         base = baselines.get(name)
@@ -80,9 +84,13 @@ def check(baseline_dir: Path, current_dir: Path, threshold: float) -> int:
         for key in keys:
             b = base.get(key)
             c = cur.get(key)
-            if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
-                side = "baseline" if not isinstance(b, (int, float)) else "current"
-                print(f"warn: {name}.{key} missing from {side}; not gated")
+            if not isinstance(b, (int, float)):
+                print(f"warn: {name}.{key} missing from baseline; not gated")
+                continue
+            if not isinstance(c, (int, float)):
+                print(f"FAIL  {name}.{key} in the baseline but missing from "
+                      f"the current run: a gated tier was dropped or renamed")
+                dropped += 1
                 continue
             if not (math.isfinite(b) and math.isfinite(c)) or b <= 0:
                 print(f"warn: {name}.{key} non-finite/non-positive; not gated")
@@ -106,14 +114,14 @@ def check(baseline_dir: Path, current_dir: Path, threshold: float) -> int:
             )
             failures += 1 if bad else 0
 
-    if gates == 0:
+    if gates == 0 and dropped == 0:
         print("error: no comparable gate_ keys found — nothing was checked")
         return 2
     print(
         f"\nperf gate: {gates} gate(s) checked, {failures} regression(s) "
-        f"beyond {threshold:.0%}"
+        f"beyond {threshold:.0%}, {dropped} baseline key(s) missing"
     )
-    return 1 if failures else 0
+    return 1 if failures or dropped else 0
 
 
 def update(baseline_dir: Path, current_dir: Path) -> int:
@@ -129,9 +137,9 @@ def update(baseline_dir: Path, current_dir: Path) -> int:
 
 
 def selftest() -> int:
-    """Synthesizes a 20% slowdown and asserts the gate fails on it (and
-    passes on an identical run) — proof the gate can actually catch a
-    regression."""
+    """Synthesizes a 20% slowdown and a dropped gate key and asserts the gate
+    fails on each (and passes on an identical run and on a run with a new
+    key) — proof the gate can actually catch a regression."""
     doc = {
         "bench": "selftest",
         "wall_seconds": 1.0,
@@ -143,7 +151,9 @@ def selftest() -> int:
         base_dir = Path(tmp) / "baseline"
         same_dir = Path(tmp) / "same"
         slow_dir = Path(tmp) / "slow"
-        for d in (base_dir, same_dir, slow_dir):
+        dropped_dir = Path(tmp) / "dropped"
+        added_dir = Path(tmp) / "added"
+        for d in (base_dir, same_dir, slow_dir, dropped_dir, added_dir):
             d.mkdir()
         (base_dir / "BENCH_selftest.json").write_text(json.dumps(doc))
         (same_dir / "BENCH_selftest.json").write_text(json.dumps(doc))
@@ -151,6 +161,12 @@ def selftest() -> int:
         slow["gate_rate_widgets_per_sec"] = 800.0  # -20% throughput
         slow["gate_seconds_epoch"] = 2.4  # +20% wall clock
         (slow_dir / "BENCH_selftest.json").write_text(json.dumps(slow))
+        dropped = dict(doc)
+        del dropped["gate_seconds_epoch"]
+        (dropped_dir / "BENCH_selftest.json").write_text(json.dumps(dropped))
+        added = dict(doc)
+        added["gate_rate_new_tier"] = 5.0
+        (added_dir / "BENCH_selftest.json").write_text(json.dumps(added))
 
         print("--- selftest: identical run must pass ---")
         if check(base_dir, same_dir, 0.15) != 0:
@@ -160,7 +176,16 @@ def selftest() -> int:
         if check(base_dir, slow_dir, 0.15) != 1:
             print("selftest FAILED: 20% slowdown was not flagged")
             return 1
-    print("selftest passed: the gate detects a 20% regression")
+        print("--- selftest: a dropped baseline gate key must fail ---")
+        if check(base_dir, dropped_dir, 0.15) != 1:
+            print("selftest FAILED: a dropped gate key was not flagged")
+            return 1
+        print("--- selftest: a gate key new in the run must pass ---")
+        if check(base_dir, added_dir, 0.15) != 0:
+            print("selftest FAILED: a new gate key was flagged")
+            return 1
+    print("selftest passed: the gate detects a 20% regression and a dropped "
+          "gate key")
     return 0
 
 
@@ -176,7 +201,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--update", action="store_true",
                         help="copy current sidecars over the baselines")
     parser.add_argument("--selftest", action="store_true",
-                        help="verify the gate flags a synthetic 20%% slowdown")
+                        help="verify the gate flags a synthetic 20%% slowdown "
+                             "and a dropped gate key")
     args = parser.parse_args(argv)
 
     if args.selftest:

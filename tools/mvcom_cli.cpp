@@ -27,11 +27,13 @@
 //       software-pipeline epoch formation against SE scheduling + final
 //       consensus (the default --depth 2 overlaps epoch e+1's formation
 //       with epoch e's scheduling, --depth 1 runs the sequential reference,
-//       and a depth above 2 exits 1), warm-start each epoch's SE from the
-//       carried-over selection, extend the root chain every epoch, and
-//       write periodic checkpoints. Each epoch line prints the committed
-//       decision's gap to the fractional-knapsack bound; an epoch whose
-//       warm seed is within 1 % of it is certified and skips SE.
+//       and a depth above 2 exits 1), seed each epoch with a greedy fill of
+//       its pending shards and warm-start SE from it, extend the root chain
+//       every epoch, and write periodic checkpoints. Each epoch line prints
+//       the committed decision's gap to the fractional-knapsack bound; an
+//       epoch whose seed is within 1 % of it is certified and commits the
+//       seed without building an SE scheduler. A checkpoint or export file
+//       that cannot be written makes the run exit 1.
 //       --capacity-fraction (default 0.6) sets each epoch's Ĉ to that share
 //       of its pending TXs; a value outside (0, 1], or NaN, exits 1. SIGINT
 //       stops gracefully at the next epoch boundary and still flushes every

@@ -11,8 +11,8 @@
 # exercised by the ThreadPoolNestingTest cases in tests/test_thread_pool.cpp
 # and by the tests/test_pipeline.cpp matrix (Γ = 4 explorers nested in
 # stage B at workers {1, 2, 8}, at gap_tolerance 0 and at the pipeline's
-# default). The certified stop builds explorers lazily, on the first call
-# that needs them, so construction can happen inside that nested batch:
+# default). The SE constructor builds its explorers on the lent pool, so
+# construction happens inside that nested batch:
 # SeParallelTest.CertifiedStopBuildsExplorersLazilyOnANestedLentPool runs
 # it on a lent pool, and the SeCertifiedStopTest / PipelineCertifiedStop
 # cases cover the serial and pipeline paths. Filter to this set with

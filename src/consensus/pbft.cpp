@@ -60,27 +60,12 @@ PbftCluster::PbftCluster(sim::Simulator& simulator, net::Network& network,
   }
 }
 
-bool PbftCluster::committed_digests_consistent() const {
-  const Digest* agreed = nullptr;
-  for (const Replica& rep : replicas_) {
-    if (!rep.committed) continue;
-    if (agreed && *agreed != rep.committed_digest) return false;
-    agreed = &rep.committed_digest;
-  }
-  return true;
-}
-
-void PbftCluster::set_fault(std::size_t r, FaultMode mode) {
-  replicas_.at(r).fault = mode;
-}
-
 void PbftCluster::set_speed_factor(std::size_t r, double factor) {
   assert(factor > 0.0);
   replicas_.at(r).speed_factor = factor;
 }
 
 void PbftCluster::send(std::size_t from, std::size_t to, Message msg) {
-  if (replicas_[from].fault == FaultMode::kSilent) return;
   ++result_.messages;
   if (obs::Counter* c = obs_msg_[static_cast<std::size_t>(msg.phase)]) {
     c->inc();
@@ -88,12 +73,11 @@ void PbftCluster::send(std::size_t from, std::size_t to, Message msg) {
   // Two events per message. The network delivery draws the receiver's
   // verification delay (signature checks + payload validation, scaled by
   // its processing speed — the heterogeneous capability of paper §I), and
-  // the phase handler runs after it. Silent receivers draw nothing.
+  // the phase handler runs after it. The network drops a send to or from a
+  // failed node before any draw.
   network_.send(node_of(from), node_of(to), [this, to, msg] {
-    const Replica& rep = replicas_[to];
-    if (rep.fault == FaultMode::kSilent) return;
     const SimTime verify = SimTime(
-        rep.speed_factor *
+        replicas_[to].speed_factor *
         rng_.exponential(config_.verification_mean.seconds()));
     simulator_.schedule_after(verify, [this, to, msg] { handle(to, msg); });
   });
@@ -106,22 +90,11 @@ void PbftCluster::broadcast(std::size_t from, const Message& msg) {
 }
 
 void PbftCluster::propose(std::size_t leader) {
+  // Pre-prepare the leader's own slot, then broadcast. A failed leader's
+  // broadcast is dropped, so its view stalls until the view change.
   Replica& rep = replicas_[leader];
-  if (rep.fault == FaultMode::kSilent) return;  // crashed leader: stall
-  const std::uint64_t view = rep.view;
-  if (rep.fault == FaultMode::kEquivocate) {
-    // Send payload A to the first half and payload B to the second half.
-    for (std::size_t to = 0; to < replicas_.size(); ++to) {
-      if (to == leader) continue;
-      const std::uint8_t d =
-          (to < replicas_.size() / 2) ? std::uint8_t{0} : std::uint8_t{1};
-      send(leader, to, Message{Phase::kPrePrepare, view, d, leader});
-    }
-    return;
-  }
-  // Honest leader: pre-prepare own slot, then broadcast.
-  view_state(rep, view).preprepared = 0;
-  broadcast(leader, Message{Phase::kPrePrepare, view, 0, leader});
+  view_state(rep, rep.view).preprepared = true;
+  broadcast(leader, Message{Phase::kPrePrepare, rep.view, leader});
   try_prepare(leader);
 }
 
@@ -140,20 +113,19 @@ void PbftCluster::on_preprepare(std::size_t r, const Message& msg) {
   Replica& rep = replicas_[r];
   if (msg.view != rep.view || msg.sender != leader_of(msg.view)) return;
   ViewState& vs = view_state(rep, msg.view);
-  if (vs.preprepared >= 0) return;  // accept only the first per view
-  vs.preprepared = static_cast<std::int8_t>(msg.digest_idx);
+  if (vs.preprepared) return;  // accept only the first per view
+  vs.preprepared = true;
   try_prepare(r);
 }
 
 void PbftCluster::try_prepare(std::size_t r) {
   Replica& rep = replicas_[r];
   ViewState& vs = view_state(rep, rep.view);
-  if (vs.preprepared < 0 || vs.sent_prepare) return;
+  if (!vs.preprepared || vs.sent_prepare) return;
   vs.sent_prepare = true;
-  const auto d = static_cast<std::uint8_t>(vs.preprepared);
-  const Message prepare{Phase::kPrepare, rep.view, d, r};
+  const Message prepare{Phase::kPrepare, rep.view, r};
   // A replica's own PREPARE counts toward its quorum.
-  vs.prepares[d].insert(r);
+  vs.prepares.insert(r);
   broadcast(r, prepare);
   try_commit(r);
 }
@@ -161,22 +133,20 @@ void PbftCluster::try_prepare(std::size_t r) {
 void PbftCluster::on_prepare(std::size_t r, const Message& msg) {
   Replica& rep = replicas_[r];
   if (msg.view != rep.view) return;
-  view_state(rep, msg.view).prepares[msg.digest_idx].insert(msg.sender);
+  view_state(rep, msg.view).prepares.insert(msg.sender);
   try_commit(r);
 }
 
 void PbftCluster::try_commit(std::size_t r) {
   Replica& rep = replicas_[r];
   ViewState& vs = view_state(rep, rep.view);
-  if (vs.preprepared < 0 || !vs.sent_prepare || vs.sent_commit) return;
+  if (!vs.sent_prepare || vs.prepared) return;
   // prepared(): matching pre-prepare plus 2f PREPAREs (own included above,
   // so the threshold here is 2f+1 entries in the set).
-  const auto d = static_cast<std::uint8_t>(vs.preprepared);
-  if (vs.prepares[d].size() < quorum()) return;
+  if (vs.prepares.size() < quorum()) return;
   vs.prepared = true;
-  vs.sent_commit = true;
-  const Message commit{Phase::kCommit, rep.view, d, r};
-  vs.commits[d].insert(r);
+  const Message commit{Phase::kCommit, rep.view, r};
+  vs.commits.insert(r);
   broadcast(r, commit);
   // Own commit may already complete the quorum in tiny clusters.
   on_commit(r, commit);
@@ -186,33 +156,19 @@ void PbftCluster::on_commit(std::size_t r, const Message& msg) {
   Replica& rep = replicas_[r];
   if (rep.committed || msg.view != rep.view) return;
   ViewState& vs = view_state(rep, msg.view);
-  vs.commits[msg.digest_idx].insert(msg.sender);
-  if (!vs.prepared || vs.preprepared != static_cast<std::int8_t>(msg.digest_idx)) {
-    return;
-  }
-  if (vs.commits[msg.digest_idx].size() < quorum()) return;
+  vs.commits.insert(msg.sender);
+  if (!vs.prepared || vs.commits.size() < quorum()) return;
   // committed-local: prepared plus 2f+1 matching COMMITs.
   rep.committed = true;
-  rep.committed_digest = digest_of(msg.digest_idx);
-  rep.commit_time = simulator_.now();
   simulator_.cancel(rep.view_timer);
-  note_replica_committed(r);
-}
-
-void PbftCluster::note_replica_committed(std::size_t r) {
   ++committed_replicas_;
-  if (!instance_done_ && committed_replicas_ >= quorum()) {
-    finalize(true, replicas_[r].committed_digest);
-  }
+  if (!instance_done_ && committed_replicas_ >= quorum()) finalize(true);
 }
 
-void PbftCluster::finalize(bool committed_quorum, const Digest& digest) {
+void PbftCluster::finalize(bool committed_quorum) {
   instance_done_ = true;
   result_.committed = committed_quorum;
-  if (committed_quorum) {
-    result_.committed_digest = digest;
-    result_.latency = simulator_.now() - instance_start_;
-  }
+  if (committed_quorum) result_.latency = simulator_.now() - instance_start_;
   if (obs::Counter* c = committed_quorum ? obs_committed_ : obs_aborted_) {
     c->inc();
   }
@@ -227,13 +183,6 @@ void PbftCluster::finalize(bool committed_quorum, const Digest& digest) {
   }
   simulator_.cancel(horizon_event_);
   for (Replica& rep : replicas_) simulator_.cancel(rep.view_timer);
-  result_.replica_commit_times.clear();
-  result_.replica_commit_times.reserve(replicas_.size());
-  for (const Replica& rep : replicas_) {
-    result_.replica_commit_times.push_back(
-        rep.commit_time.is_infinite() ? SimTime::infinity()
-                                      : rep.commit_time - instance_start_);
-  }
   if (on_decided_) {
     // Move out first: the callback may start a new instance on this cluster.
     auto cb = std::move(on_decided_);
@@ -244,7 +193,6 @@ void PbftCluster::finalize(bool committed_quorum, const Digest& digest) {
 
 void PbftCluster::arm_view_timer(std::size_t r) {
   Replica& rep = replicas_[r];
-  if (rep.fault == FaultMode::kSilent) return;
   simulator_.cancel(rep.view_timer);
   rep.view_timer = simulator_.schedule_after(
       config_.view_change_timeout, [this, r] {
@@ -256,7 +204,7 @@ void PbftCluster::arm_view_timer(std::size_t r) {
             std::max(self.view + 1, self.view_change_target + 1);
         self.view_change_target = target;
         view_change_set(self, target).insert(r);
-        broadcast(r, Message{Phase::kViewChange, target, 0, r});
+        broadcast(r, Message{Phase::kViewChange, target, r});
         arm_view_timer(r);  // keep escalating if the next view stalls too
       });
 }
@@ -274,42 +222,36 @@ void PbftCluster::on_view_change(std::size_t r, const Message& msg) {
       vc.size() >= max_faulty() + 1) {
     rep.view_change_target = target;
     vc.insert(r);
-    broadcast(r, Message{Phase::kViewChange, target, 0, r});
+    broadcast(r, Message{Phase::kViewChange, target, r});
   }
   if (leader_of(target) != r) return;
   if (vc.size() < quorum()) return;
   // New leader activates the view and re-proposes.
   ++result_.view_changes;
   if (obs_view_changes_ != nullptr) obs_view_changes_->inc();
-  enter_view(r, target, 0);
-  broadcast(r, Message{Phase::kNewView, target, 0, r});
+  enter_view(r, target);
+  broadcast(r, Message{Phase::kNewView, target, r});
   try_prepare(r);
 }
 
 void PbftCluster::on_new_view(std::size_t r, const Message& msg) {
   Replica& rep = replicas_[r];
   if (msg.view <= rep.view || msg.sender != leader_of(msg.view)) return;
-  enter_view(r, msg.view, msg.digest_idx);
+  enter_view(r, msg.view);
   try_prepare(r);
 }
 
-void PbftCluster::enter_view(std::size_t r, std::uint64_t view,
-                             std::uint8_t digest_idx) {
+void PbftCluster::enter_view(std::size_t r, std::uint64_t view) {
   Replica& rep = replicas_[r];
   rep.view = view;
   rep.view_change_target = std::max(rep.view_change_target, view);
-  ViewState& vs = view_state(rep, view);
-  if (vs.preprepared < 0) {
-    vs.preprepared = static_cast<std::int8_t>(digest_idx);
-  }
+  view_state(rep, view).preprepared = true;
   arm_view_timer(r);
 }
 
 void PbftCluster::start_consensus(
-    const Digest& payload, std::function<void(const PbftResult&)> on_decided) {
-  payload_ = payload;
-  // The equivocation payload is derived, distinct from the honest one.
-  equivocation_payload_ = crypto::Sha256::hash(crypto::to_hex(payload));
+    const Digest& /*payload*/,
+    std::function<void(const PbftResult&)> on_decided) {
   result_ = PbftResult{};
   committed_replicas_ = 0;
   instance_done_ = false;
@@ -320,27 +262,13 @@ void PbftCluster::start_consensus(
     rep.views.clear();
     rep.view_changes.clear();
     rep.committed = false;
-    rep.commit_time = SimTime::infinity();
     rep.view_change_target = 0;
   }
   horizon_event_ = simulator_.schedule_after(config_.horizon, [this] {
-    if (!instance_done_) finalize(false, Digest{});
+    if (!instance_done_) finalize(false);
   });
   for (std::size_t r = 0; r < replicas_.size(); ++r) arm_view_timer(r);
   propose(leader_of(0));
-}
-
-PbftResult PbftCluster::run_consensus(const Digest& payload) {
-  bool decided = false;
-  PbftResult out;
-  start_consensus(payload, [&](const PbftResult& r) {
-    decided = true;
-    out = r;
-  });
-  // The horizon event bounds this loop even if the protocol stalls.
-  while (!decided && simulator_.run(1) == 1) {
-  }
-  return out;
 }
 
 }  // namespace mvcom::consensus

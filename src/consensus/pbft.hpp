@@ -12,9 +12,11 @@
 //     issues NEW-VIEW and re-proposes (we re-propose the original payload —
 //     a simplification of the prepared-certificate transfer that preserves
 //     both safety and liveness for the single-slot instances used here);
-//   * faults: silent (crashed) replicas, and an equivocating leader that
-//     proposes two different payloads to two halves of the committee —
-//     quorum intersection must prevent conflicting commits (property-tested).
+//   * faults: a faulty replica is a network-failed node (Network::set_failed,
+//     the unanswered ping of paper §V-A) — it neither sends nor receives, so
+//     a failed leader stalls its view until the view change replaces it.
+//     Every live replica is honest, so an instance only ever circulates the
+//     leader's one payload and the simulation tracks quorums, not digests.
 //
 // Latency realism: every delivered message incurs a per-replica verification
 // delay (exponential, scaled by the replica's speed factor) on top of the
@@ -44,13 +46,6 @@ using common::SimTime;
 using crypto::Digest;
 using net::NodeId;
 
-/// How a faulty replica misbehaves.
-enum class FaultMode {
-  kNone,
-  kSilent,       // crashed: never sends, never processes
-  kEquivocate,   // as leader, proposes payload A to one half and B to the other
-};
-
 struct PbftConfig {
   SimTime view_change_timeout = SimTime(60.0);
   /// Mean of the per-message verification delay for a speed-1 replica.
@@ -62,12 +57,9 @@ struct PbftConfig {
 /// Outcome of one consensus instance.
 struct PbftResult {
   bool committed = false;          // did a quorum commit?
-  Digest committed_digest{};       // the agreed payload (when committed)
   SimTime latency = SimTime::zero();  // time until 2f+1 replicas committed
   std::uint64_t view_changes = 0;  // number of NEW-VIEW activations
-  std::uint64_t messages = 0;      // protocol messages accepted by the network
-  /// Per-replica commit instants; SimTime::infinity() for never-committed.
-  std::vector<SimTime> replica_commit_times;
+  std::uint64_t messages = 0;      // protocol messages handed to the network
 };
 
 /// One PBFT committee. Owns its replicas' protocol state; network and
@@ -82,9 +74,6 @@ class PbftCluster {
   PbftCluster(sim::Simulator& simulator, net::Network& network,
               PbftConfig config, Rng rng, std::vector<NodeId> members);
 
-  /// Marks replica `r` faulty. Must be called before run_consensus.
-  void set_fault(std::size_t r, FaultMode mode);
-
   /// Processing-speed factor of replica `r` (>1 = slower verification).
   void set_speed_factor(std::size_t r, double factor);
 
@@ -93,26 +82,13 @@ class PbftCluster {
     return (members_.size() - 1) / 3;
   }
 
-  /// 2f+1 — the prepare/commit quorum size.
-  [[nodiscard]] std::size_t quorum_size() const noexcept {
-    return 2 * max_faulty() + 1;
-  }
-
-  /// Safety introspection: true when every replica that committed in the
-  /// last instance committed the same digest. Adversarial tests (e.g.
-  /// equivocating leader) assert this after every run.
-  [[nodiscard]] bool committed_digests_consistent() const;
-
   /// Arms one single-slot consensus instance on `payload` without driving
-  /// the simulator — the Elastico pipeline starts many committees this way
-  /// and lets them progress concurrently. `on_decided` fires exactly once:
-  /// when a quorum commits, or at the horizon with committed=false.
+  /// the simulator — the caller runs it (Elastico lanes run many committees
+  /// this way). `on_decided` fires exactly once: when a quorum commits, or
+  /// at the horizon with committed=false. The leader proposes `payload`
+  /// unchanged, so the simulated protocol never inspects it.
   void start_consensus(const Digest& payload,
                        std::function<void(const PbftResult&)> on_decided);
-
-  /// Blocking convenience: start_consensus + drive the simulator until the
-  /// instance decides. Other pending simulator events run too.
-  PbftResult run_consensus(const Digest& payload);
 
   /// Attaches observability: per-phase message counters, view-change and
   /// instance-outcome counters, and a sim-clocked consensus span per
@@ -128,21 +104,18 @@ class PbftCluster {
     kNewView,
   };
 
-  /// An instance only ever circulates two digests — the honest payload and
-  /// the equivocation payload — so messages carry a 1-bit interned index
-  /// instead of a 32-byte Digest, and quorum tallies are flat bitsets
-  /// indexed by it. digest_of() recovers the full digest.
+  /// An instance only ever circulates the leader's payload, so a message
+  /// names no digest.
   struct Message {
     Phase phase;
     std::uint64_t view;
-    std::uint8_t digest_idx;  // 0 = payload_, 1 = equivocation_payload_
-    std::size_t sender;       // replica index within the cluster
+    std::size_t sender;  // replica index within the cluster
   };
 
   /// Flat replica-id set with a running count — replaces
-  /// std::set<std::size_t> on the per-(view, digest) quorum-counting hot
-  /// path. One inline word covers committees up to 64 replicas (every
-  /// configuration in this repo); larger memberships spill into a vector.
+  /// std::set<std::size_t> on the per-view quorum-counting hot path. One
+  /// inline word covers committees up to 64 replicas (every configuration
+  /// in this repo); larger memberships spill into a vector.
   class SenderBitset {
    public:
     /// Returns true when `r` was newly inserted.
@@ -169,25 +142,19 @@ class PbftCluster {
 
   /// Per-view protocol bookkeeping of one replica.
   struct ViewState {
-    /// Interned index of the digest accepted in this view's pre-prepare;
-    /// -1 while no pre-prepare has been accepted.
-    std::int8_t preprepared = -1;
+    bool preprepared = false;  // this view's pre-prepare was accepted
     bool sent_prepare = false;
-    bool sent_commit = false;
-    bool prepared = false;
-    std::array<SenderBitset, 2> prepares;  // indexed by digest_idx
-    std::array<SenderBitset, 2> commits;
+    bool prepared = false;     // set when this replica sends its COMMIT
+    SenderBitset prepares;
+    SenderBitset commits;
   };
 
   struct Replica {
-    FaultMode fault = FaultMode::kNone;
     double speed_factor = 1.0;
     std::uint64_t view = 0;
     std::vector<ViewState> views;            // indexed by view, grown on use
     std::vector<SenderBitset> view_changes;  // indexed by target view
     bool committed = false;
-    Digest committed_digest{};
-    SimTime commit_time = SimTime::infinity();
     sim::EventId view_timer{};
     /// Highest view this replica has voted a VIEW-CHANGE for. Escalates by
     /// one on every timeout without progress, so a run of faulty leaders
@@ -199,14 +166,12 @@ class PbftCluster {
   [[nodiscard]] std::size_t leader_of(std::uint64_t view) const noexcept {
     return view % members_.size();
   }
+  /// 2f+1 — the prepare/commit quorum size.
   [[nodiscard]] std::size_t quorum() const noexcept {
     return 2 * max_faulty() + 1;
   }
   [[nodiscard]] NodeId node_of(std::size_t r) const noexcept {
     return members_[r];
-  }
-  [[nodiscard]] const Digest& digest_of(std::uint8_t idx) const noexcept {
-    return idx == 0 ? payload_ : equivocation_payload_;
   }
   [[nodiscard]] ViewState& view_state(Replica& rep, std::uint64_t view) {
     if (rep.views.size() <= view) {
@@ -232,11 +197,10 @@ class PbftCluster {
   void on_new_view(std::size_t r, const Message& msg);
   void try_prepare(std::size_t r);
   void try_commit(std::size_t r);
-  void enter_view(std::size_t r, std::uint64_t view, std::uint8_t digest_idx);
+  void enter_view(std::size_t r, std::uint64_t view);
   void arm_view_timer(std::size_t r);
   void propose(std::size_t leader);
-  void note_replica_committed(std::size_t r);
-  void finalize(bool committed_quorum, const Digest& digest);
+  void finalize(bool committed_quorum);
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -244,8 +208,6 @@ class PbftCluster {
   Rng rng_;
   std::vector<NodeId> members_;
   std::vector<Replica> replicas_;
-  Digest payload_{};
-  Digest equivocation_payload_{};
   std::size_t committed_replicas_ = 0;
   PbftResult result_;
   bool instance_done_ = false;

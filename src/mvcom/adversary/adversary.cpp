@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 
 namespace mvcom::core {
 
@@ -44,7 +45,14 @@ std::optional<AdversaryStrategy> parse_adversary_strategy(
 }
 
 Adversary::Adversary(AdversaryConfig config, std::uint64_t seed)
-    : config_(config), seed_(seed) {}
+    : config_(config), seed_(seed) {
+  if (!(config_.budget >= 0.0 && config_.budget <= 1.0)) {
+    throw std::invalid_argument("Adversary: budget must be in [0, 1]");
+  }
+  if (!(config_.inflation >= 1.0 && std::isfinite(config_.inflation))) {
+    throw std::invalid_argument("Adversary: inflation must be finite and >= 1");
+  }
+}
 
 std::vector<std::uint32_t> Adversary::ranked_targets(
     const std::vector<ChaosCommittee>& committees,

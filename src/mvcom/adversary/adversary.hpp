@@ -61,7 +61,8 @@ struct AdversaryConfig {
   /// on the churn-storm's churn rates (a multiple of Fig. 14's, fixed in
   /// adversary.cpp). The degradation-curve bench sweeps this axis.
   double budget = 0.25;
-  /// Forged-claim multiplier for colluding-misreport submissions.
+  /// Forged-claim multiplier for colluding-misreport submissions; finite
+  /// and >= 1. The Adversary constructor rejects either knob out of range.
   double inflation = 3.0;
 };
 

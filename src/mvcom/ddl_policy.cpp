@@ -8,7 +8,7 @@
 namespace mvcom::core {
 
 PercentileDdl::PercentileDdl(double quantile) : quantile_(quantile) {
-  if (quantile <= 0.0 || quantile > 1.0) {
+  if (!(quantile > 0.0 && quantile <= 1.0)) {
     throw std::invalid_argument("PercentileDdl: quantile in (0, 1]");
   }
 }

@@ -1,8 +1,10 @@
 #include "mvcom/fault_injection.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "net/latency.hpp"
@@ -143,6 +145,10 @@ struct SimClockGuard {
 ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
                             const FaultPlan& plan, const ChaosConfig& config,
                             std::uint64_t seed) {
+  if (!(config.ddl_seconds > 0.0 && std::isfinite(config.ddl_seconds))) {
+    throw std::invalid_argument(
+        "run_chaos_epoch: ddl_seconds must be finite and > 0");
+  }
   common::Rng root(seed);
   sim::Simulator simulator;
   // Network nodes are fixed at construction, so the reserve pool gets its

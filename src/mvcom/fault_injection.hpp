@@ -113,7 +113,7 @@ inline constexpr double kExploreTickSeconds = 20.0;
 
 struct ChaosConfig {
   SupervisorConfig supervisor{};
-  double ddl_seconds = 1800.0;  // when decide() is taken
+  double ddl_seconds = 1800.0;  // when decide() is taken; finite and > 0
   /// Committees available to kJoin events. FaultEvent::committee_id indexes
   /// this pool by position; each reserve committee answers pings on the node
   /// after the initial members' (allocated up front — Network's node count
@@ -175,7 +175,9 @@ struct ChaosReport {
 };
 
 /// Runs one supervised epoch under the fault plan and returns the full
-/// report. Deterministic per (inputs, seed).
+/// report. Deterministic per (inputs, seed). Throws std::invalid_argument
+/// unless config.ddl_seconds is finite and positive: the heartbeat probes
+/// reschedule themselves until the DDL, so a NaN or infinite one never ends.
 [[nodiscard]] ChaosReport run_chaos_epoch(
     const std::vector<ChaosCommittee>& committees, const FaultPlan& plan,
     const ChaosConfig& config, std::uint64_t seed);

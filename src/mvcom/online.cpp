@@ -27,8 +27,8 @@ OnlineCommitteeScheduler::OnlineCommitteeScheduler(
     throw std::invalid_argument(
         "OnlineCommitteeScheduler: expected_committees > 0");
   }
-  if (config_.n_min_fraction < 0.0 || config_.n_min_fraction > 1.0 ||
-      config_.n_max_fraction <= 0.0 || config_.n_max_fraction > 1.0) {
+  if (!(config_.n_min_fraction >= 0.0 && config_.n_min_fraction <= 1.0 &&
+        config_.n_max_fraction > 0.0 && config_.n_max_fraction <= 1.0)) {
     throw std::invalid_argument(
         "OnlineCommitteeScheduler: fractions in [0,1]");
   }
@@ -172,6 +172,12 @@ bool OnlineCommitteeScheduler::on_recovery(const txn::ShardReport& report) {
     if (obs_recoveries_ != nullptr) obs_recoveries_->inc();
   }
   return accepted;
+}
+
+bool OnlineCommitteeScheduler::awaits_recovery(
+    std::uint32_t committee_id) const {
+  return std::find(failed_ids_.begin(), failed_ids_.end(), committee_id) !=
+         failed_ids_.end();
 }
 
 bool OnlineCommitteeScheduler::set_n_min(std::size_t n_min) {

@@ -66,6 +66,9 @@ class OnlineCommitteeScheduler {
   /// went through on_failure may re-enter this way — the recovery door must
   /// not double as a late-join loophole after listening stopped at N_max.
   bool on_recovery(const txn::ShardReport& report);
+  /// True when `committee_id` went through on_failure and has not been
+  /// re-admitted since — the ids on_recovery accepts.
+  [[nodiscard]] bool awaits_recovery(std::uint32_t committee_id) const;
 
   /// Runs `iterations` SE iterations if the algorithm has bootstrapped.
   void explore(std::size_t iterations);

@@ -20,7 +20,7 @@ EpochInstance::EpochInstance(std::vector<Committee> committees, double alpha,
   if (committees_.empty()) {
     throw std::invalid_argument("EpochInstance: no committees");
   }
-  if (alpha_ <= 0.0) {
+  if (!(alpha_ > 0.0)) {
     throw std::invalid_argument("EpochInstance: alpha must be positive");
   }
   // Reject adversarial shard sizes whose total would wrap std::uint64_t:

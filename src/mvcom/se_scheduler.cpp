@@ -223,7 +223,7 @@ bool SeExplorer::propose(const SolutionState& sol, Proposal& move) {
       return true;
     }
   }
-  if constexpr (obs::kEnabled) ++obs_tally_.infeasible;
+  ++obs_tally_.infeasible;
   return false;
 }
 
@@ -239,10 +239,10 @@ void SeExplorer::step() {
     if (!propose(sol, move)) continue;
     if (move.delta < 0.0 &&
         detail::metropolis_rejects(rng_.uniform01(), beta * move.delta)) {
-      if constexpr (obs::kEnabled) ++obs_tally_.rejects;
+      ++obs_tally_.rejects;
       continue;  // rejected downhill move
     }
-    if constexpr (obs::kEnabled) ++obs_tally_.accepts;
+    ++obs_tally_.accepts;
     sol.set.swap_positions(move.p, move.q);
     sol.txs = move.txs;
     sol.utility += move.delta;
@@ -426,7 +426,7 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
   if (params_.threads == 0) {
     throw std::invalid_argument("SeScheduler: threads (Γ) must be >= 1");
   }
-  if (params_.beta <= 0.0) {
+  if (!(params_.beta > 0.0)) {
     throw std::invalid_argument("SeScheduler: beta must be positive");
   }
   rebuild_instance_data();

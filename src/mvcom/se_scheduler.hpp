@@ -186,10 +186,9 @@ struct SeBlockStats {
 
 /// Plain per-explorer observability tallies for one barrier-to-barrier
 /// block. The SE inner loop is hotter than even a relaxed atomic RMW, so
-/// each explorer increments these thread-private integers (compiled out
-/// entirely when MVCOM_OBS=OFF) and the scheduler folds them into the
-/// metrics registry at the cooperation barrier — the same merge discipline
-/// as SeBlockStats.
+/// each explorer increments these thread-private integers and the
+/// scheduler folds them into the metrics registry at the cooperation
+/// barrier — the same merge discipline as SeBlockStats.
 struct SeObsCounters {
   std::uint64_t accepts = 0;      // applied transitions (Eq. 7 accepted)
   std::uint64_t rejects = 0;      // Metropolis-rejected downhill proposals

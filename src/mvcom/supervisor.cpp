@@ -89,7 +89,7 @@ EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
       scheduler_(config.scheduler, seed),
       rng_(seed ^ 0x5eb0a9d5u),
       base_n_min_(scheduler_.n_min()) {
-  if (config_.risk.enabled && config_.risk.escalation_step <= 0.0) {
+  if (config_.risk.enabled && !(config_.risk.escalation_step > 0.0)) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
   }
 }
@@ -197,14 +197,14 @@ Admission EpochSupervisor::admit_submission(
     return h.banned ? Admission::kBanned : Admission::kQuarantined;
   }
 
-  const bool was_evicted = h.quarantined || h.failed ||
-                           evicted_from_scheduler_[submission.committee_id];
-  const bool accepted = evicted_from_scheduler_[submission.committee_id]
-                            ? scheduler_.on_recovery(report)
-                            : scheduler_.on_report(report);
+  // An evicted report re-enters through the scheduler's recovery door, not
+  // the N_max-gated report door.
+  const bool evicted = scheduler_.awaits_recovery(submission.committee_id);
+  const bool was_evicted = h.quarantined || h.failed || evicted;
+  const bool accepted = evicted ? scheduler_.on_recovery(report)
+                                : scheduler_.on_report(report);
   if (!accepted) return Admission::kRefused;
 
-  evicted_from_scheduler_[submission.committee_id] = false;
   h.admitted = true;
   h.quarantined = false;
   h.failed = false;
@@ -235,7 +235,6 @@ void EpochSupervisor::strike(std::uint32_t committee_id,
   if (health.admitted) {
     // Its previously admitted report can no longer be trusted either.
     scheduler_.on_failure(committee_id);
-    evicted_from_scheduler_[committee_id] = true;
     health.admitted = false;
   }
   update_risk_policy();
@@ -254,7 +253,6 @@ void EpochSupervisor::on_failure(std::uint32_t committee_id) {
   record.utility_before = best_ladder_utility();
 
   scheduler_.on_failure(committee_id);
-  evicted_from_scheduler_[committee_id] = true;
   h.admitted = false;
 
   // Theorem 2 at runtime: the stationary-utility perturbation caused by the
@@ -294,10 +292,9 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
   if (h.banned || h.quarantined) return false;  // alive, but not trusted
   const auto report_it = last_verified_.find(committee_id);
   if (report_it == last_verified_.end()) return false;  // never submitted
-  if (!evicted_from_scheduler_[committee_id]) return false;
+  // Refused unless the scheduler evicted this id's report.
   const bool accepted = scheduler_.on_recovery(report_it->second);
   if (accepted) {
-    evicted_from_scheduler_[committee_id] = false;
     h.admitted = true;
     update_risk_policy();
   }

@@ -301,9 +301,6 @@ class EpochSupervisor {
   std::vector<ResizeRecord> resizes_;
   std::map<std::uint32_t, CommitteeHealth> health_;
   std::map<std::uint32_t, txn::ShardReport> last_verified_;
-  /// Ids whose report the wrapped scheduler saw fail (so re-admission goes
-  /// through its recovery door, not the N_max-gated report door).
-  std::map<std::uint32_t, bool> evicted_from_scheduler_;
   std::vector<FailureRecord> failures_;
   std::uint64_t failures_detected_ = 0;
   std::uint64_t recoveries_detected_ = 0;

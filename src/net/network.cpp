@@ -65,7 +65,7 @@ SimTime Network::sample_delay(NodeId from, NodeId to) {
 }
 
 void Network::set_loss_probability(double p) {
-  if (p < 0.0 || p >= 1.0) {
+  if (!(p >= 0.0 && p < 1.0)) {
     throw std::invalid_argument("Network: loss probability in [0, 1)");
   }
   loss_ = p;

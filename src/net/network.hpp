@@ -51,7 +51,7 @@ class Network {
   /// Independent per-message loss probability (0 = reliable, the default).
   /// Lost messages count as dropped in the telemetry. Quorum-based
   /// protocols (PBFT) survive moderate loss through their redundancy and
-  /// view-change retries — tested in test_pbft_adversarial.
+  /// view-change retries — tested in test_pbft.
   void set_loss_probability(double p);
   [[nodiscard]] double loss_probability() const noexcept { return loss_; }
 

@@ -7,23 +7,12 @@
 //
 //   if (auto* m = obs_.metrics()) m->...;
 //   if (auto* t = obs_.trace())   t->...;
-//
-// When the build disables observability (CMake -DMVCOM_OBS=OFF, which
-// defines MVCOM_OBS_ENABLED=0 on every target linking mvcom_obs), the
-// accessors constant-fold to nullptr and kEnabled to false, so the branches
-// above — and any `if constexpr (obs::kEnabled)` hot-path counters — compile
-// to true no-ops. The class definitions themselves are identical in both
-// modes; only this one constant differs, which keeps the ODR surface of the
-// build flag to a pair of trivially-foldable inline accessors.
-
-#ifndef MVCOM_OBS_ENABLED
-#define MVCOM_OBS_ENABLED 1
-#endif
 
 namespace mvcom::obs {
 
-/// True when the build compiles instrumentation in (the default).
-inline constexpr bool kEnabled = MVCOM_OBS_ENABLED != 0;
+/// Always true: every build compiles instrumentation in. perfbench's host
+/// stamp records it.
+inline constexpr bool kEnabled = true;
 
 class MetricsRegistry;
 class TraceRecorder;
@@ -34,13 +23,13 @@ struct ObsContext {
       : metrics_(metrics), trace_(trace) {}
 
   [[nodiscard]] constexpr MetricsRegistry* metrics() const noexcept {
-    return kEnabled ? metrics_ : nullptr;
+    return metrics_;
   }
   [[nodiscard]] constexpr TraceRecorder* trace() const noexcept {
-    return kEnabled ? trace_ : nullptr;
+    return trace_;
   }
   [[nodiscard]] constexpr explicit operator bool() const noexcept {
-    return metrics() != nullptr || trace() != nullptr;
+    return metrics_ != nullptr || trace_ != nullptr;
   }
 
  private:

@@ -66,10 +66,10 @@ ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng,
     throw std::invalid_argument(
         "ElasticoNetwork: too few nodes to populate every committee");
   }
-  if (config_.node_failure_probability < 0.0 ||
-      config_.node_failure_probability >= 1.0 ||
-      config_.message_loss_probability < 0.0 ||
-      config_.message_loss_probability >= 1.0) {
+  if (!(config_.node_failure_probability >= 0.0 &&
+        config_.node_failure_probability < 1.0 &&
+        config_.message_loss_probability >= 0.0 &&
+        config_.message_loss_probability < 1.0)) {
     throw std::invalid_argument("ElasticoNetwork: probabilities in [0, 1)");
   }
   // Node heterogeneity — fixed per node for the network's lifetime.

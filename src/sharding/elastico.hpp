@@ -128,7 +128,7 @@ struct EpochOutcome {
   /// (members first, then the final-consensus fabric) — equal across lane
   /// pools and executors iff every lane fired the same events in the same
   /// order. The determinism matrix test compares it across worker counts
-  /// and pins each scenario's value, in MVCOM_OBS=ON and OFF builds alike.
+  /// and pins each scenario's value, with observability attached and not.
   std::uint64_t event_order_digest = 0;
   /// Total DES events executed across all lanes this epoch.
   std::uint64_t events_executed = 0;

@@ -41,8 +41,8 @@ AccountTxGenerator::AccountTxGenerator(AccountModelConfig config)
         "AccountTxGenerator: need >= 2 accounts per shard so intra-shard "
         "partner snapping has a target on every shard");
   }
-  if (config_.cross_shard_ratio < 0.0 || config_.cross_shard_ratio > 1.0 ||
-      config_.burst_fraction < 0.0 || config_.burst_fraction > 1.0) {
+  if (!(config_.cross_shard_ratio >= 0.0 && config_.cross_shard_ratio <= 1.0 &&
+        config_.burst_fraction >= 0.0 && config_.burst_fraction <= 1.0)) {
     throw std::invalid_argument(
         "AccountTxGenerator: ratio knobs must lie in [0, 1]");
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -189,6 +190,11 @@ TEST(AccountModelTest, ConstructorValidatesConfig) {
   AccountModelConfig bad_ratio = small_config();
   bad_ratio.cross_shard_ratio = 1.5;
   EXPECT_THROW(AccountTxGenerator{bad_ratio}, std::invalid_argument);
+  bad_ratio.cross_shard_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(AccountTxGenerator{bad_ratio}, std::invalid_argument);
+  AccountModelConfig bad_burst = small_config();
+  bad_burst.burst_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(AccountTxGenerator{bad_burst}, std::invalid_argument);
 }
 
 }  // namespace

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mvcom/adversary/campaign.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "txn/trace_generator.hpp"
 #include "txn/workload.hpp"
@@ -101,6 +104,32 @@ TEST(AdversaryStrategyTest, ParseRoundTripsEveryStrategy) {
   }
   EXPECT_FALSE(mvcom::core::parse_adversary_strategy("mallory").has_value());
   EXPECT_FALSE(mvcom::core::parse_adversary_strategy("").has_value());
+}
+
+// budget_victims casts budget × membership to an unsigned count and the
+// forged claims scale by inflation, so a NaN, an infinite or an
+// out-of-range knob is refused at construction.
+TEST(AdversaryTest, RejectsOutOfRangeBudgetAndInflation) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double budget : {-0.1, 1.5, kInf, kNaN}) {
+    AdversaryConfig config;
+    config.budget = budget;
+    EXPECT_THROW(Adversary(config, 1), std::invalid_argument)
+        << "budget " << budget;
+  }
+  for (const double inflation : {0.5, kInf, kNaN}) {
+    AdversaryConfig config;
+    config.inflation = inflation;
+    EXPECT_THROW(Adversary(config, 1), std::invalid_argument)
+        << "inflation " << inflation;
+  }
+  AdversaryConfig edges;
+  edges.budget = 0.0;
+  edges.inflation = 1.0;
+  EXPECT_NO_THROW(Adversary(edges, 1));
+  edges.budget = 1.0;
+  EXPECT_NO_THROW(Adversary(edges, 1));
 }
 
 TEST(AdversaryTest, PlansArePureFunctionsOfSeedEpochAndHistory) {
@@ -233,6 +262,33 @@ TEST(AdversaryCampaignTest, ReplayReproducesDecisionDigestBitExactly) {
     const CampaignResult c = run_adversarial_campaign(trace, config, 12);
     EXPECT_NE(a.decision_digest, c.decision_digest)
         << mvcom::core::to_string(s);
+  }
+}
+
+// `mvcom chaos --adversary` always attaches a recorder (its events digest is
+// a replay witness), so the CLI pins cannot show that decisions ignore
+// instrumentation. Here every strategy runs with a registry and a recorder
+// attached and detached, and the decision digests must match.
+TEST(AdversaryCampaignTest, AttachedObservabilityNeverChangesDecisions) {
+  const auto trace = test_trace();
+  for (const AdversaryStrategy s : kAllAdversaryStrategies) {
+    const auto config = campaign_config(s, true, 2);
+    const CampaignResult detached = run_adversarial_campaign(trace, config, 11);
+
+    mvcom::obs::MetricsRegistry registry;
+    mvcom::obs::TraceRecorder recorder;
+    auto observed_config = config;
+    observed_config.chaos.obs = mvcom::obs::ObsContext(&registry, &recorder);
+    const CampaignResult attached =
+        run_adversarial_campaign(trace, observed_config, 11);
+    EXPECT_EQ(attached.decision_digest, detached.decision_digest)
+        << mvcom::core::to_string(s);
+    ASSERT_EQ(attached.epochs.size(), detached.epochs.size());
+    for (std::size_t e = 0; e < attached.epochs.size(); ++e) {
+      EXPECT_EQ(attached.epochs[e].utility, detached.epochs[e].utility)
+          << mvcom::core::to_string(s) << " epoch " << e;
+    }
+    EXPECT_FALSE(recorder.snapshot().empty()) << mvcom::core::to_string(s);
   }
 }
 

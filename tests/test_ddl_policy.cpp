@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 // The supervisor's per-submission outcome (core::Admission) shares the
 // namespace with the DDL's admitted set (core::DdlAdmission); including
 // both headers here turns a clash between the two names into a build
@@ -73,6 +75,8 @@ TEST(PercentileDdlTest, FullQuantileEqualsMaxLatency) {
 TEST(PercentileDdlTest, RejectsBadQuantiles) {
   EXPECT_THROW(PercentileDdl(0.0), std::invalid_argument);
   EXPECT_THROW(PercentileDdl(1.5), std::invalid_argument);
+  EXPECT_THROW(PercentileDdl(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(PercentileDdlTest, EmptyReportsThrow) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -321,6 +322,17 @@ TEST(ElasticoTest, RejectsInvalidConfigs) {
   ElasticoConfig too_few_nodes = small_config();
   too_few_nodes.num_nodes = 10;
   EXPECT_THROW(ElasticoNetwork(too_few_nodes, Rng(1)), std::invalid_argument);
+
+  for (const double p : {-0.1, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ElasticoConfig bad_failure = small_config();
+    bad_failure.node_failure_probability = p;
+    EXPECT_THROW(ElasticoNetwork(bad_failure, Rng(1)), std::invalid_argument)
+        << "failure probability " << p;
+    ElasticoConfig bad_loss = small_config();
+    bad_loss.message_loss_probability = p;
+    EXPECT_THROW(ElasticoNetwork(bad_loss, Rng(1)), std::invalid_argument)
+        << "loss probability " << p;
+  }
 }
 
 }  // namespace

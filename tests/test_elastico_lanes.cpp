@@ -18,9 +18,9 @@
 // epoch field plus the simulator's event-order digest) is also pinned to a
 // constant, one SimKernelsDifferential test per scenario: the DES event
 // stream itself is fixed across commits. A change that moves one must say
-// why and re-pin it. The MVCOM_OBS=ON and OFF builds both run these tests
-// against the same constants, so the pins also hold the bitwise guarantee
-// across observability builds.
+// why and re-pin it.
+// ElasticoLaneMatrix.AttachedObservabilityNeverChangesResults checks that
+// attached sinks leave every lane's outcome bitwise intact.
 
 #include "sharding/elastico.hpp"
 

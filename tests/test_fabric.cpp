@@ -534,7 +534,6 @@ TEST(FabricDeterminism, ObsCounterDeltasFoldLikeSharedRegistry) {
     (void)network.run_epoch(trace);
   }
 
-  if (!mvcom::obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   // Compare every counter family the in-process run produced (the fabric
   // run adds its own fabric_* counters on top; lane counters must match).
   for (const auto& snap : in_process.snapshot()) {

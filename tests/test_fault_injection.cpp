@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -173,6 +175,22 @@ TEST(ChaosEpochTest, RunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.recoveries_detected, b.recoveries_detected);
   EXPECT_DOUBLE_EQ(a.final_decision.decision.utility,
                    b.final_decision.decision.utility);
+}
+
+// Heartbeat probes reschedule themselves until the DDL, so a NaN or +∞ DDL
+// would never end the epoch, and a DDL at or below 0 decides before any
+// committee could arrive. Both are refused up front.
+TEST(ChaosEpochTest, RejectsNonFiniteOrNonPositiveDdl) {
+  const auto committees = workload_committees(5, 7);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double ddl : {0.0, -5.0, -kInf, kInf,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ChaosConfig config = chaos_config(5, 3'000);
+    config.ddl_seconds = ddl;
+    EXPECT_THROW((void)run_chaos_epoch(committees, FaultPlan{}, config, 1),
+                 std::invalid_argument)
+        << "ddl " << ddl;
+  }
 }
 
 TEST(ChaosEpochTest, RandomizedSchedulesNeverReportInfeasibleWhileFeasible) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -133,6 +134,8 @@ TEST_F(NetworkFixture, MessageLossDropsApproximatelyTheConfiguredFraction) {
 TEST_F(NetworkFixture, LossProbabilityValidation) {
   EXPECT_THROW(net_.set_loss_probability(-0.1), std::invalid_argument);
   EXPECT_THROW(net_.set_loss_probability(1.0), std::invalid_argument);
+  EXPECT_THROW(net_.set_loss_probability(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   net_.set_loss_probability(0.0);  // reliable again
   EXPECT_TRUE(net_.send(0, 1, [] {}));
 }

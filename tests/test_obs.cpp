@@ -301,9 +301,6 @@ TEST(ObsContextTest, DefaultContextIsInert) {
 // event categories the observability contract promises, and its metrics
 // must export cleanly.
 TEST(ChaosObservabilityTest, EpochEmitsPromisedCategories) {
-  if (!mvcom::obs::kEnabled) {
-    GTEST_SKIP() << "built with MVCOM_OBS=OFF: ObsContext is inert";
-  }
   mvcom::txn::TraceGeneratorConfig tc;
   tc.num_blocks = 64;
   tc.target_total_txs = 64 * 500;
@@ -430,17 +427,12 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
       << error;
   const auto csv =
       mvcom::common::read_csv(dir / "metrics.csv", /*expect_header=*/true);
-  if (mvcom::obs::kEnabled) {
-    EXPECT_FALSE(csv.rows.empty());
-    bool saw_epoch_counter = false;
-    for (const auto& row : csv.rows) {
-      if (row[0] == "mvcom_pipeline_epochs_total") saw_epoch_counter = true;
-    }
-    EXPECT_TRUE(saw_epoch_counter);
-  } else {
-    // A compiled-out registry exports the CSV header alone.
-    EXPECT_TRUE(csv.rows.empty());
+  EXPECT_FALSE(csv.rows.empty());
+  bool saw_epoch_counter = false;
+  for (const auto& row : csv.rows) {
+    if (row[0] == "mvcom_pipeline_epochs_total") saw_epoch_counter = true;
   }
+  EXPECT_TRUE(saw_epoch_counter);
   // The checkpoint captures exactly the committed prefix: genesis + 2 epochs.
   const auto restored =
       mvcom::chain::load_checkpoint_file((dir / "chain.ckpt").string());

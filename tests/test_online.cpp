@@ -161,6 +161,12 @@ TEST(OnlineSchedulerTest, RejectsDegenerateConfigs) {
   bad_fraction.n_max_fraction = 1.5;
   EXPECT_THROW(OnlineCommitteeScheduler(bad_fraction, 1),
                std::invalid_argument);
+  bad_fraction.n_max_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(OnlineCommitteeScheduler(bad_fraction, 1),
+               std::invalid_argument);
+  OnlineSchedulerConfig nan_min = config();
+  nan_min.n_min_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(OnlineCommitteeScheduler(nan_min, 1), std::invalid_argument);
 }
 
 // Regression: N_min = n_min_fraction·expected was truncated toward zero

@@ -1,6 +1,7 @@
-// Tests for the message-level PBFT simulation: liveness under crash faults,
-// view changes on leader failure, and — the property PBFT exists for —
-// safety under an equivocating leader.
+// Tests for the message-level PBFT simulation: liveness with network-failed
+// replicas (within f and beyond it), view changes on leader failure,
+// partitions, message loss and the message-complexity bound. Rounds run the
+// way Elastico lanes run them: start_consensus, then drain the simulator.
 
 #include "consensus/pbft.hpp"
 
@@ -22,7 +23,6 @@ namespace {
 
 using mvcom::common::Rng;
 using mvcom::common::SimTime;
-using mvcom::consensus::FaultMode;
 using mvcom::consensus::PbftCluster;
 using mvcom::consensus::PbftConfig;
 using mvcom::consensus::PbftResult;
@@ -46,6 +46,22 @@ struct Fixture {
                                             Rng(seed + 1), members);
   }
 
+  /// Replica r runs on node r; a failed node neither sends nor receives.
+  void fail(mvcom::net::NodeId r) { network.set_failed(r, true); }
+
+  /// One round: start it, drain the simulator, return the decision.
+  PbftResult run(const Digest& payload) {
+    std::size_t decisions = 0;
+    PbftResult out;
+    cluster->start_consensus(payload, [&](const PbftResult& r) {
+      ++decisions;
+      out = r;
+    });
+    simulator.run();
+    EXPECT_EQ(decisions, 1u);
+    return out;
+  }
+
   Simulator simulator;
   Network network;
   std::unique_ptr<PbftCluster> cluster;
@@ -55,92 +71,54 @@ const Digest kPayload = Sha256::hash("shard-block");
 
 TEST(PbftTest, AllHonestCommitsQuickly) {
   Fixture fx(4);
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
+  const PbftResult result = fx.run(kPayload);
   EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.committed_digest, kPayload);
   EXPECT_GT(result.latency.seconds(), 0.0);
   EXPECT_LT(result.latency.seconds(), 60.0);  // no view change needed
   EXPECT_EQ(result.view_changes, 0u);
 }
 
-TEST(PbftTest, QuorumOfReplicasRecordsCommitTimes) {
-  Fixture fx(7);
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
-  ASSERT_TRUE(result.committed);
-  std::size_t committed = 0;
-  for (const SimTime t : result.replica_commit_times) {
-    if (!t.is_infinite()) {
-      ++committed;
-      EXPECT_GE(t.seconds(), 0.0);
-    }
-  }
-  EXPECT_GE(committed, fx.cluster->quorum_size());
-}
-
 TEST(PbftTest, ToleratesSilentFollowers) {
   Fixture fx(7);  // f = 2
-  fx.cluster->set_fault(3, FaultMode::kSilent);
-  fx.cluster->set_fault(5, FaultMode::kSilent);
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
+  fx.fail(3);
+  fx.fail(5);
+  const PbftResult result = fx.run(kPayload);
   EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.committed_digest, kPayload);
   EXPECT_EQ(result.view_changes, 0u);
 }
 
 TEST(PbftTest, SilentLeaderTriggersViewChangeThenCommits) {
   Fixture fx(4);
-  fx.cluster->set_fault(0, FaultMode::kSilent);  // view-0 leader crashed
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
+  fx.fail(0);  // view-0 leader crashed
+  const PbftResult result = fx.run(kPayload);
   EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.committed_digest, kPayload);
   EXPECT_GE(result.view_changes, 1u);
   EXPECT_GT(result.latency.seconds(), 60.0);  // paid at least one timeout
 }
 
 TEST(PbftTest, TooManyCrashesPreventCommit) {
   Fixture fx(4);  // f = 1, so 2 crashes break the quorum
-  fx.cluster->set_fault(1, FaultMode::kSilent);
-  fx.cluster->set_fault(2, FaultMode::kSilent);
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
+  fx.fail(1);
+  fx.fail(2);
+  const PbftResult result = fx.run(kPayload);
   EXPECT_FALSE(result.committed);
-}
-
-TEST(PbftTest, EquivocatingLeaderCannotSplitDecision) {
-  // Safety: quorum intersection prevents conflicting commits even when the
-  // leader proposes different payloads to different halves; the view change
-  // recovers liveness and all committed replicas agree on one digest.
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Fixture fx(7, seed);
-    fx.cluster->set_fault(0, FaultMode::kEquivocate);
-    const PbftResult result = fx.cluster->run_consensus(kPayload);
-    if (result.committed) {
-      // Every replica that committed must have committed the same digest.
-      // (The cluster-level digest is the quorum digest by construction; the
-      // per-replica check is the real assertion.)
-      EXPECT_TRUE(fx.cluster->committed_digests_consistent())
-          << "seed " << seed;
-    }
-  }
 }
 
 TEST(PbftTest, ConsecutiveInstancesOnSameCluster) {
   Fixture fx(4);
-  const PbftResult first = fx.cluster->run_consensus(kPayload);
+  const PbftResult first = fx.run(kPayload);
   ASSERT_TRUE(first.committed);
-  const Digest second_payload = Sha256::hash("next-shard");
-  const PbftResult second = fx.cluster->run_consensus(second_payload);
+  const PbftResult second = fx.run(Sha256::hash("next-shard"));
   EXPECT_TRUE(second.committed);
-  EXPECT_EQ(second.committed_digest, second_payload);
+  EXPECT_EQ(second.view_changes, 0u);
 }
 
 TEST(PbftTest, SlowerVerificationIncreasesLatency) {
   Fixture fast(4, 7);
   Fixture slow(4, 7);
   for (std::size_t r = 0; r < 4; ++r) slow.cluster->set_speed_factor(r, 10.0);
-  const double fast_latency =
-      fast.cluster->run_consensus(kPayload).latency.seconds();
-  const double slow_latency =
-      slow.cluster->run_consensus(kPayload).latency.seconds();
+  const double fast_latency = fast.run(kPayload).latency.seconds();
+  const double slow_latency = slow.run(kPayload).latency.seconds();
   EXPECT_GT(slow_latency, fast_latency);
 }
 
@@ -151,11 +129,7 @@ TEST(PbftTest, TracedRoundRecordsOneDeliverSpanPerMessage) {
   Fixture fx(4);
   mvcom::obs::TraceRecorder recorder;
   fx.network.set_obs(mvcom::obs::ObsContext(nullptr, &recorder));
-  bool committed = false;
-  fx.cluster->start_consensus(
-      kPayload, [&](const PbftResult& r) { committed = r.committed; });
-  fx.simulator.run();
-  ASSERT_TRUE(committed);
+  ASSERT_TRUE(fx.run(kPayload).committed);
   ASSERT_GT(fx.network.messages_sent(), 0u);
   EXPECT_EQ(fx.network.messages_dropped(), 0u);
 
@@ -165,9 +139,7 @@ TEST(PbftTest, TracedRoundRecordsOneDeliverSpanPerMessage) {
       ++deliver_spans;
     }
   }
-  // A compiled-out build's ObsContext is inert and records nothing.
-  EXPECT_EQ(deliver_spans,
-            mvcom::obs::kEnabled ? fx.network.messages_sent() : 0u);
+  EXPECT_EQ(deliver_spans, fx.network.messages_sent());
 }
 
 TEST(PbftTest, RejectsMembersOutsideNetwork) {
@@ -180,7 +152,84 @@ TEST(PbftTest, RejectsMembersOutsideNetwork) {
                std::invalid_argument);
 }
 
-// Sweep: liveness with exactly f silent replicas for several cluster sizes.
+TEST(PbftAdversarialTest, NetworkPartitionBlocksProgressUntilHealed) {
+  Fixture fx(7);
+  // Partition: 3 of 7 nodes unreachable (> f = 2): no quorum.
+  for (mvcom::net::NodeId node : {4u, 5u, 6u}) fx.fail(node);
+  bool decided = false;
+  PbftResult outcome;
+  fx.cluster->start_consensus(kPayload, [&](const PbftResult& r) {
+    decided = true;
+    outcome = r;
+  });
+  // Let the partition last a while: no decision possible.
+  fx.simulator.run_until(SimTime(500.0));
+  EXPECT_FALSE(decided);
+  // Heal the partition; the periodic view-change retries re-broadcast and
+  // the instance eventually commits.
+  for (mvcom::net::NodeId node : {4u, 5u, 6u}) {
+    fx.network.set_failed(node, false);
+  }
+  fx.simulator.run();
+  ASSERT_TRUE(decided);
+  EXPECT_TRUE(outcome.committed);
+}
+
+TEST(PbftAdversarialTest, TwoConsecutiveSilentLeadersStillCommit) {
+  Fixture fx(7);  // f = 2: leaders of views 0 and 1 may both be faulty
+  fx.fail(0);
+  fx.fail(1);
+  const PbftResult result = fx.run(kPayload);
+  EXPECT_TRUE(result.committed);
+  EXPECT_GE(result.view_changes, 1u);
+  // Two timeouts were paid before a live leader took over.
+  EXPECT_GT(result.latency.seconds(), 2 * 60.0);
+}
+
+TEST(PbftAdversarialTest, MessageComplexityIsQuadraticNotWorse) {
+  // Happy path: pre-prepare (n−1) + prepare/commit broadcasts ≈ 2n² sends.
+  for (const std::size_t n : {4u, 7u, 13u}) {
+    Fixture fx(n, 5);
+    const PbftResult result = fx.run(kPayload);
+    ASSERT_TRUE(result.committed);
+    const auto bound = static_cast<std::uint64_t>(3 * n * n);
+    EXPECT_LE(result.messages, bound) << "n=" << n;
+    EXPECT_GE(result.messages, static_cast<std::uint64_t>(n));
+  }
+}
+
+TEST(PbftAdversarialTest, HorizonAbortsReportNoCommit) {
+  Fixture fx(4);
+  // All followers crashed: nothing can ever commit; the horizon fires.
+  fx.fail(1);
+  fx.fail(2);
+  fx.fail(3);
+  const PbftResult result = fx.run(kPayload);
+  EXPECT_FALSE(result.committed);
+  EXPECT_EQ(result.latency.seconds(), 0.0);
+  EXPECT_GE(fx.simulator.now().seconds(), PbftConfig{}.horizon.seconds());
+}
+
+TEST(PbftAdversarialTest, SurvivesModerateMessageLoss) {
+  // 5% independent loss: broadcast redundancy plus view-change retries keep
+  // the protocol live.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Fixture fx(7, seed * 13);
+    fx.network.set_loss_probability(0.05);
+    EXPECT_TRUE(fx.run(kPayload).committed) << "seed " << seed;
+  }
+}
+
+TEST(PbftAdversarialTest, HeavyMessageLossSlowsButDoesNotForkDecisions) {
+  // Liveness may be gone at 30% loss; the round still decides exactly once
+  // (Fixture::run counts the decisions), by the horizon at the latest.
+  Fixture fx(7, 3);
+  fx.network.set_loss_probability(0.30);
+  (void)fx.run(kPayload);
+  EXPECT_GT(fx.network.messages_dropped(), 0u);
+}
+
+// Sweep: liveness with exactly f failed replicas for several cluster sizes.
 class PbftFaultSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PbftFaultSweep, CommitsWithMaxTolerableSilentFaults) {
@@ -190,11 +239,10 @@ TEST_P(PbftFaultSweep, CommitsWithMaxTolerableSilentFaults) {
   // Crash the last f replicas (never the view-0 leader, to isolate the
   // crash-tolerance property from view-change liveness).
   for (std::size_t k = 0; k < f; ++k) {
-    fx.cluster->set_fault(n - 1 - k, FaultMode::kSilent);
+    fx.fail(static_cast<mvcom::net::NodeId>(n - 1 - k));
   }
-  const PbftResult result = fx.cluster->run_consensus(kPayload);
+  const PbftResult result = fx.run(kPayload);
   EXPECT_TRUE(result.committed) << "n=" << n << " f=" << f;
-  EXPECT_EQ(result.committed_digest, kPayload);
 }
 
 INSTANTIATE_TEST_SUITE_P(ClusterSizes, PbftFaultSweep,

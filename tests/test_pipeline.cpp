@@ -33,6 +33,7 @@
 #include "mvcom/se_scheduler.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/serve.hpp"
 #include "txn/trace_generator.hpp"
 
@@ -132,6 +133,43 @@ TEST(PipelineDeterminism, OverlapAndWorkersNeverChangeResults) {
   }
 }
 
+// `mvcom serve` attaches sinks only when asked for exports, so this is the
+// check that they never steer a run: with a registry and a recorder
+// attached, every epoch matches the plain run bit for bit.
+TEST(PipelineDeterminism, AttachedObservabilityNeverChangesResults) {
+  for (const double tolerance : {0.0, PipelineConfig{}.se.gap_tolerance}) {
+    SCOPED_TRACE("gap_tolerance=" + std::to_string(tolerance));
+    const Trace trace = small_trace();
+    PipelineConfig config = small_config();
+    config.se.gap_tolerance = tolerance;
+    config.workers = 2;
+    const RunRecord plain = run_pipeline(trace, config);
+
+    mvcom::obs::MetricsRegistry registry;
+    mvcom::obs::TraceRecorder recorder;
+    EpochPipeline pipe(trace, config);
+    pipe.set_obs(mvcom::obs::ObsContext(&registry, &recorder));
+    std::vector<EpochReport> observed;
+    const PipelineTotals totals =
+        pipe.run([&](const EpochReport& r) { observed.push_back(r); });
+    ASSERT_EQ(observed.size(), plain.reports.size());
+    for (std::size_t e = 0; e < observed.size(); ++e) {
+      EXPECT_EQ(observed[e].event_order_digest,
+                plain.reports[e].event_order_digest)
+          << "epoch " << e;
+      EXPECT_EQ(observed[e].utility, plain.reports[e].utility)
+          << "epoch " << e;
+      EXPECT_EQ(observed[e].se_iterations, plain.reports[e].se_iterations)
+          << "epoch " << e;
+      EXPECT_EQ(observed[e].commit, plain.reports[e].commit) << "epoch " << e;
+    }
+    EXPECT_EQ(totals.digest, plain.totals.digest);
+    EXPECT_EQ(registry.counter("mvcom_pipeline_epochs_total").value(),
+              config.epochs);
+    EXPECT_FALSE(recorder.snapshot().empty());
+  }
+}
+
 TEST(PipelineDeterminism, PowGrindingKeepsTheContract) {
   // Real PoW grinding in stage A must not perturb the matrix — the nonces
   // are a pure function of (seed, epoch) like every other stage-A output.
@@ -217,10 +255,8 @@ TEST(PipelineDeterminism, PowAttemptsMatchARecomputedGrind) {
     EXPECT_EQ(pipelined[e].pow_attempts, expected) << "epoch " << e;
     total += expected;
   }
-  if constexpr (mvcom::obs::kEnabled) {
-    EXPECT_EQ(registry.counter("mvcom_pipeline_pow_attempts_total").value(),
-              total);
-  }
+  EXPECT_EQ(registry.counter("mvcom_pipeline_pow_attempts_total").value(),
+            total);
 }
 
 TEST(PipelineConfigTest, RejectsGrindBitsOutsideZeroTo63) {
@@ -494,9 +530,6 @@ TEST(ServeSessionStop, EarlyStopStillFlushesValidArtifacts) {
 }
 
 TEST(ServeSessionGap, MetricsAndTraceCarryTheEpochGap) {
-  if constexpr (!mvcom::obs::kEnabled) {
-    GTEST_SKIP() << "observability compiled out";
-  }
   mvcom::pipeline::ServeConfig config;
   config.pipeline = small_config();
   config.stream.num_blocks = 90;

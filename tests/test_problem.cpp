@@ -121,6 +121,8 @@ TEST(EpochInstanceTest, RejectsInvalidConstruction) {
                std::invalid_argument);
   EXPECT_THROW(EpochInstance({{0, 1, 1.0}}, -1.0, 10, 0),
                std::invalid_argument);
+  EXPECT_THROW(EpochInstance({{0, 1, 1.0}}, std::numeric_limits<double>::quiet_NaN(), 10, 0),
+               std::invalid_argument);
 }
 
 // --- Lemma 1: the knapsack reduction ----------------------------------------

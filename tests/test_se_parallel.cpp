@@ -18,6 +18,8 @@
 #include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
 #include "mvcom/se_scheduler.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -242,9 +244,8 @@ TEST(SeParallelTest, JoinLeaveStormStaysFeasibleUnderParallelStepping) {
 // pins its digest to a constant: the SE trajectory itself is fixed across
 // commits. A change that moves one must say why and re-pin it. The digest
 // is SHA-256 over the best selection, the utility bits, and the full
-// utility trace. The MVCOM_OBS=ON and OFF builds both run these tests
-// against the same constants, so the pins also hold the bitwise guarantee
-// across observability configurations.
+// utility trace. AttachedObservabilityNeverChangesTheRun checks that a
+// run with a registry and a recorder attached still hits its row's pin.
 
 constexpr std::string_view kPinnedI50 =
     "6cb02963b30fd3afad92e71c17bafda4c55f459516f60e857f02b601aedf5b39";
@@ -277,17 +278,23 @@ void expect_pinned(const std::string& row, const SeResult& r,
   EXPECT_EQ(result_digest(r), pinned) << row;
 }
 
+/// The matrix row for `icount` committees.
+SeParams matrix_params(std::size_t icount) {
+  SeParams params;
+  params.threads = 4;
+  params.max_iterations = icount <= 50 ? 400 : 40;
+  params.share_interval = 10;
+  params.convergence_window = params.max_iterations + 1;
+  params.max_family = 96;  // forces the strided family at I=5000
+  return params;
+}
+
 TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
   for (const std::size_t icount : {std::size_t{50}, std::size_t{5000}}) {
     SCOPED_TRACE("I=" + std::to_string(icount));
     const EpochInstance inst =
         random_instance(icount, icount, icount / 10);
-    SeParams params;
-    params.threads = 4;
-    params.max_iterations = icount <= 50 ? 400 : 40;
-    params.share_interval = 10;
-    params.convergence_window = params.max_iterations + 1;
-    params.max_family = 96;  // forces the strided family at I=5000
+    const SeParams params = matrix_params(icount);
 
     const SeResult serial = run_serial(inst, params, 99);
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -297,6 +304,25 @@ TEST(SeDeterminismMatrix, WorkerCountsAndSerialAgreeBitwise) {
     expect_pinned("I=" + std::to_string(icount), serial,
                   icount == 50 ? kPinnedI50 : kPinnedI5000);
   }
+}
+
+// The explorers fold their accept/reject tallies into the registry and the
+// trace at the cooperation barriers; attaching both sinks must leave the
+// trajectory, and so the I=50 row's pin, untouched.
+TEST(SeDeterminismMatrix, AttachedObservabilityNeverChangesTheRun) {
+  const EpochInstance inst = random_instance(50, 50, 5);
+  const SeParams params = matrix_params(50);
+  mvcom::obs::MetricsRegistry registry;
+  mvcom::obs::TraceRecorder recorder;
+  mvcom::common::ThreadPool pool(2);
+  SeScheduler scheduler(inst, params, 99, &pool);
+  scheduler.set_obs(mvcom::obs::ObsContext(&registry, &recorder));
+  const SeResult observed = scheduler.run();
+  expect_identical(run_serial(inst, params, 99), observed);
+  expect_pinned("I=50 observed", observed, kPinnedI50);
+  EXPECT_EQ(registry.counter("mvcom_se_iterations_total").value(),
+            observed.iterations);
+  EXPECT_FALSE(recorder.snapshot().empty());
 }
 
 /// The serve pipeline's SE call: ~900 pending shards (inside the default

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -164,6 +165,8 @@ TEST(SeSchedulerTest, RejectsInvalidParams) {
   EXPECT_THROW(SeScheduler(inst, no_threads, 1), std::invalid_argument);
   SeParams bad_beta;
   bad_beta.beta = 0.0;
+  EXPECT_THROW(SeScheduler(inst, bad_beta, 1), std::invalid_argument);
+  bad_beta.beta = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SeScheduler(inst, bad_beta, 1), std::invalid_argument);
 }
 

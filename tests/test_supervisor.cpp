@@ -571,6 +571,8 @@ TEST(SupervisorConfigTest, RejectsDegenerateParameters) {
   EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
   bad_escalation.risk.escalation_step = -1.0;
   EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
+  bad_escalation.risk.escalation_step = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(EpochSupervisor(bad_escalation, 1), std::invalid_argument);
   SupervisorConfig disabled = config();
   disabled.risk.escalation_step = 0.0;
   EXPECT_NO_THROW(EpochSupervisor(disabled, 1));

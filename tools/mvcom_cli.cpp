@@ -99,6 +99,9 @@
 //                               ui.perfetto.dev). Chaos traces are
 //                               dual-clocked: simulated time on pid 1, wall
 //                               clock on pid 2.
+//
+// Every subcommand exits 2 on a flag it does not read — a misspelling such
+// as --epochz, or a flag only another subcommand reads — and names it.
 
 #include <algorithm>
 #include <atomic>
@@ -106,10 +109,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 #include <vector>
@@ -159,6 +164,16 @@ T parse_number(const std::string& key, const std::string& text) {
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
+
+  /// Each subcommand names the flags it reads; any other flag (a typo, or
+  /// one another subcommand reads) is a BadFlag rather than ignored.
+  void allow(std::initializer_list<std::string_view> known) const {
+    for (const auto& [key, value] : flags) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        throw BadFlag("unknown flag --" + key);
+      }
+    }
+  }
 
   /// The flag parsed as the type of the setting it fills, so a value out
   /// of that type's range is a BadFlag rather than a narrowed number.
@@ -259,6 +274,9 @@ int usage() {
 }
 
 int cmd_xshard(const Args& args) {
+  args.allow({"accounts", "shards", "txs", "skew", "rounds", "capacity",
+              "slack", "scheduler", "seed", "epochs", "ratios", "txs-out",
+              "metrics-out", "trace-out"});
   mvcom::txn::AccountModelConfig model;
   model.num_accounts = args.get<std::uint32_t>("accounts", 50'000);
   model.num_shards = args.get<std::uint32_t>("shards", 20);
@@ -371,6 +389,7 @@ int cmd_gen_trace(const Args& args) {
     std::fprintf(stderr, "gen-trace: output path required\n");
     return 2;
   }
+  args.allow({"blocks", "txs", "seed"});
   mvcom::txn::TraceGeneratorConfig config;
   config.num_blocks = args.get_u64("blocks", config.num_blocks);
   config.target_total_txs = args.get_u64("txs", config.target_total_txs);
@@ -388,6 +407,8 @@ int cmd_schedule(const Args& args) {
     std::fprintf(stderr, "schedule: trace path required\n");
     return 2;
   }
+  args.allow({"committees", "seed", "capacity", "alpha", "nmin", "gamma",
+              "iters", "metrics-out", "trace-out"});
   const auto trace = mvcom::txn::load_trace_csv(args.positional[0]);
   mvcom::txn::WorkloadConfig wc;
   wc.num_committees = args.get_u64("committees", 50);
@@ -433,6 +454,7 @@ int cmd_schedule(const Args& args) {
 }
 
 int cmd_epoch(const Args& args) {
+  args.allow({"nodes", "committee-bits", "committee-size", "seed"});
   mvcom::sharding::ElasticoConfig config;
   config.num_nodes = args.get_u64("nodes", 256);
   config.committee_bits = args.get<int>("committee-bits", 4);
@@ -466,6 +488,9 @@ int cmd_epoch(const Args& args) {
 }
 
 int cmd_fabric(const Args& args) {
+  args.allow({"nodes", "committee-bits", "committee-size", "failure", "loss",
+              "seed", "epochs", "verify", "workers", "metrics-dir",
+              "kill-epoch", "kill-worker", "metrics-out", "trace-out"});
   mvcom::sharding::ElasticoConfig config;
   config.num_nodes = args.get_u64("nodes", 128);
   config.committee_bits = args.get<int>("committee-bits", 3);
@@ -546,6 +571,7 @@ int cmd_fabric(const Args& args) {
 }
 
 int cmd_bounds(const Args& args) {
+  args.allow({"committees", "beta", "spread", "epsilon"});
   const auto committees = args.get_u64("committees", 500);
   const double beta = args.get_f64("beta", 2.0);
   const double spread = args.get_f64("spread", 100.0);
@@ -564,6 +590,9 @@ int cmd_bounds(const Args& args) {
 }
 
 int cmd_chaos_adversary(const Args& args, const std::string& strategy_name) {
+  args.allow({"adversary", "committees", "seed", "budget", "inflation",
+              "epochs", "reserve", "alpha", "capacity", "ddl", "risk",
+              "metrics-out", "trace-out"});
   const auto strategy = mvcom::core::parse_adversary_strategy(strategy_name);
   if (!strategy) {
     std::fprintf(stderr,
@@ -672,6 +701,9 @@ int cmd_chaos(const Args& args) {
   if (const auto it = args.flags.find("adversary"); it != args.flags.end()) {
     return cmd_chaos_adversary(args, it->second);
   }
+  args.allow({"committees", "seed", "crashes", "crash-recovers", "stragglers",
+              "misreports", "equivocations", "loss-bursts", "alpha",
+              "capacity", "ddl", "metrics-out", "trace-out"});
   const std::size_t committees = args.get_u64("committees", 20);
   const std::uint64_t seed = args.get_u64("seed", 1);
 
@@ -778,6 +810,10 @@ extern "C" void serve_sigint_handler(int) {
 }
 
 int cmd_serve(const Args& args) {
+  args.allow({"epochs", "committees", "depth", "workers", "seed",
+              "capacity-fraction", "iters", "grind-bits", "blocks", "txs",
+              "stream-seed", "metrics-out", "metrics-csv-out", "trace-out",
+              "checkpoint-out", "checkpoint-every"});
   mvcom::pipeline::ServeConfig config;
   config.pipeline.epochs = args.get_u64("epochs", 8);
   config.pipeline.committees = args.get_u64("committees", 50);

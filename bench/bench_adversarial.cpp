@@ -11,16 +11,16 @@
 //     strictly beats the static-N_min arm on BOTH honest permitted TXs and
 //     mean safety at equal attack budget. (Per-budget rows are printed for
 //     the curve; low budgets are near parity by design — there is little
-//     detectable signal to adapt on — so the gate is on the sweep
+//     detectable signal to adapt on — so the verdict is on the sweep
 //     aggregate.)
 //   * never infeasible-while-feasible — across every campaign of every
 //     strategy, the degradation ladder never reported infeasible while a
 //     feasible selection existed on the live reports.
 //
-// The sidecar gates (tools/bench_compare.py vs bench/baselines/):
-//   gate_rate_adaptive_honest_txs   aggregate honest TXs, adaptive arm
-//   gate_rate_dominance_margin      adaptive − static aggregate honest TXs
-//   gate_seconds_campaigns          wall clock of all campaigns
+// Sidecar aggregates (BENCH_adversarial.json):
+//   rate_adaptive_honest_txs   aggregate honest TXs, adaptive arm
+//   rate_dominance_margin      adaptive − static aggregate honest TXs
+//   seconds_campaigns          wall clock of all campaigns
 
 #include <cstdio>
 #include <vector>
@@ -178,9 +178,9 @@ int main() {
   json.set_series("static_mean_safety", static_safety);
   json.set_series("adaptive_mean_utility", adaptive_utility);
   json.set_series("static_mean_utility", static_utility);
-  json.set("gate_rate_adaptive_honest_txs", adaptive_total);
-  json.set("gate_rate_dominance_margin", adaptive_total - static_total);
-  json.set("gate_seconds_campaigns", campaign_seconds);
+  json.set("rate_adaptive_honest_txs", adaptive_total);
+  json.set("rate_dominance_margin", adaptive_total - static_total);
+  json.set("seconds_campaigns", campaign_seconds);
   json.set("dominates", dominates ? 1.0 : 0.0);
   json.set("infeasible_while_feasible",
            infeasible_while_feasible ? 1.0 : 0.0);

@@ -16,12 +16,12 @@
 //   * determinism — each (ratio, arm) ledger digest is bit-identical across
 //     two independent replays of the same epochs.
 //
-// The sidecar gates (tools/bench_compare.py vs bench/baselines/):
-//   gate_rate_xshard_committed_txs  aggregate committed TXs, conflict-aware
-//                                   arm over the whole sweep
-//   gate_rate_xshard_assembler      assembler+scheduler throughput, TXs
-//                                   processed per wall-clock second
-//   gate_seconds_sweep              wall clock of the full sweep
+// Sidecar aggregates (BENCH_cross_shard.json):
+//   rate_xshard_committed_txs  aggregate committed TXs, conflict-aware arm
+//                              over the whole sweep
+//   rate_xshard_assembler      assembler+scheduler throughput, TXs
+//                              processed per wall-clock second
+//   seconds_sweep              wall clock of the full sweep
 
 #include <chrono>
 #include <cstdio>
@@ -186,10 +186,10 @@ int main() {
   json.set_series("aware_deferred_txs", aware_deferred);
   json.set_series("aware_cross_txs", aware_cross);
   json.set("greedy_committed_txs", static_cast<double>(greedy.committed));
-  json.set("gate_rate_xshard_committed_txs", static_cast<double>(aware_total));
-  json.set("gate_rate_xshard_assembler",
+  json.set("rate_xshard_committed_txs", static_cast<double>(aware_total));
+  json.set("rate_xshard_assembler",
            static_cast<double>(txs_processed) / sweep_seconds);
-  json.set("gate_seconds_sweep", sweep_seconds);
+  json.set("seconds_sweep", sweep_seconds);
   json.set("monotone", monotone ? 1.0 : 0.0);
   json.set("dominates", dominates ? 1.0 : 0.0);
   json.set("deterministic", deterministic ? 1.0 : 0.0);

@@ -1,11 +1,7 @@
 // bench_fabric — throughput of the multi-process shard fabric (DESIGN.md
-// §17) against the in-process lane pool it replaces, plus the wire format's
-// raw encode/decode rates.
+// §17) against the in-process lane pool it replaces.
 //
-// Three tiers:
-//   wire    — encode/decode a representative epoch TaskBatch in a tight
-//             loop; MB/s is the framing overhead ceiling (zero-copy decode,
-//             arena-reused encode buffer).
+// Two tiers:
 //   epochs  — identical Elastico epochs on (a) the serial in-process path,
 //             (b) a lent 2-worker thread pool, (c) a 2-process fabric; each
 //             reports epochs/sec, and the pool's and the fabric's epochs are
@@ -14,11 +10,9 @@
 //   replay  — the fabric with one SIGKILL injected mid-run: wall clock of
 //             the crash-detect + re-fork + replay path, digests still diffed.
 //
-// Like every process-parallel bench here, the fabric's speedup over serial
-// is only observable with >= 2 free cores; the PASS/FAIL verdict is
-// core-count-aware and the perf gate keys (gate_rate_fabric_*) track
-// absolute rates, not speedups. The bench exits 1 when any arm's epochs
-// differ from the serial reference.
+// The fabric's speedup over serial is only observable with >= 2 free cores;
+// it is printed, not judged. The bench exits 1 when any arm's epochs differ
+// from the serial reference.
 
 #include <algorithm>
 #include <chrono>
@@ -29,7 +23,6 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/coordinator.hpp"
-#include "fabric/wire.hpp"
 #include "sharding/elastico.hpp"
 #include "txn/trace_generator.hpp"
 
@@ -100,55 +93,11 @@ int main() {
       "Fabric", "multi-process shard fabric vs in-process lanes");
   std::printf("  hardware threads available: %u\n", cores);
 
-  // --- wire tier ----------------------------------------------------------
-  {
-    // A representative epoch batch: 8 committees of 6 with full payloads.
-    mvcom::fabric::TaskBatch batch;
-    batch.epoch = 1;
-    for (std::uint32_t c = 0; c < 8; ++c) {
-      mvcom::sharding::LaneTask task;
-      task.committee_id = c;
-      task.member_committees = 7;
-      task.armed = true;
-      task.num_nodes = 128;
-      task.randomness = "0123456789abcdef0123456789abcdef";
-      task.participants = {1, 2, 3, 4, 5, 6};
-      task.verify_speeds = {1.0, 0.9, 1.1, 1.0, 0.95, 1.05};
-      task.failed = {0, 0, 0, 0, 0, 0};
-      task.net_seed = 0x1111111111111111ULL * (c + 1);
-      task.cluster_seed = 0x2222222222222222ULL * (c + 1);
-      batch.tasks.push_back(task);
-    }
-    std::vector<std::uint8_t> payload;
-    constexpr std::size_t kReps = 20'000;
-    const auto enc_start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kReps; ++i) {
-      payload.clear();  // arena reuse, like the worker loop
-      mvcom::fabric::encode_task_batch(payload, batch);
-    }
-    const double enc_seconds = secs_since(enc_start);
-    mvcom::fabric::TaskBatch decoded;
-    const auto dec_start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kReps; ++i) {
-      if (!mvcom::fabric::decode_task_batch(payload, decoded)) return 1;
-    }
-    const double dec_seconds = secs_since(dec_start);
-    const double batch_mb =
-        static_cast<double>(payload.size()) / (1024.0 * 1024.0);
-    const double enc_rate = batch_mb * kReps / enc_seconds;
-    const double dec_rate = batch_mb * kReps / dec_seconds;
-    std::printf("  wire: batch %zu B, encode %.0f MB/s, decode %.0f MB/s\n",
-                payload.size(), enc_rate, dec_rate);
-    json.set("wire_batch_bytes", static_cast<double>(payload.size()));
-    json.set("gate_rate_fabric_wire_encode_mb_per_sec", enc_rate);
-    json.set("gate_rate_fabric_wire_decode_mb_per_sec", dec_rate);
-  }
-
   // --- epoch tier ---------------------------------------------------------
   const auto trace = bench_trace();
   const ElasticoConfig config = bench_config();
   // Enough epochs that the per-arm wall clock is measurable (hundreds of
-  // ms), so the gate rates average out scheduler noise on small CI boxes.
+  // ms), so the printed rates average out scheduler noise on small boxes.
   constexpr std::size_t kEpochs = 400;
 
   double serial_seconds = 0.0;
@@ -187,23 +136,12 @@ int main() {
               fabric_seconds, fabric_rate, fabric_rate / serial_rate);
   std::printf("  determinism: digests %s\n",
               identical ? "identical (PASS)" : "DIVERGED (FAIL)");
-  if (cores >= 2) {
-    std::printf("  fabric speedup target (>= 0.9x at 2 workers, %u cores): "
-                "%.2fx %s\n",
-                cores, fabric_rate / serial_rate,
-                fabric_rate / serial_rate >= 0.9 ? "PASS" : "FAIL");
-  } else {
-    std::printf("  fabric speedup target skipped: only %u hardware threads "
-                "(2 worker processes share one core; the rate below still "
-                "gates regressions)\n",
-                cores);
-  }
   json.set("epochs", static_cast<double>(kEpochs));
   json.set("serial_epochs_per_sec", serial_rate);
   json.set("pool2_epochs_per_sec", pooled_rate);
   json.set("digests_identical", identical ? 1.0 : 0.0);
   json.set("hardware_threads", static_cast<double>(cores));
-  json.set("gate_rate_fabric_epochs_per_sec", fabric_rate);
+  json.set("rate_fabric_epochs_per_sec", fabric_rate);
 
   // --- replay tier --------------------------------------------------------
   double replay_seconds = 0.0;
@@ -224,8 +162,7 @@ int main() {
               replay_identical ? "identical (PASS)" : "DIVERGED (FAIL)");
   json.set("replay_respawns", static_cast<double>(respawns));
   json.set("replay_digests_identical", replay_identical ? 1.0 : 0.0);
-  json.set("gate_rate_fabric_replay_epochs_per_sec",
-           kEpochs / replay_seconds);
+  json.set("rate_fabric_replay_epochs_per_sec", kEpochs / replay_seconds);
 
   json.write();
   return identical && replay_identical ? 0 : 1;

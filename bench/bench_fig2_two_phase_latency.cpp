@@ -64,13 +64,13 @@ LatencySample measure(std::size_t nodes, std::uint64_t seeds) {
 }
 
 // --- DES scale tier -------------------------------------------------------
-// The lane-parallel substrate's perf gate: one message-level epoch at a node
-// count large enough that the directory exchanges dominate (the linear-in-N
-// stage), run serially (no pool) and on a lent 8-worker lane pool. Both
-// wall clocks are gated against committed baselines; the two runs must also
-// report identical event-order digests (the determinism contract, enforced
-// bit-exactly by test_elastico_lanes — re-checked here on the gate workload,
-// and the bench exits 1 when they diverge).
+// The lane-parallel substrate at scale: message-level epochs at a node count
+// large enough that the directory exchanges dominate (the linear-in-N
+// stage), run serially (no pool) and on a lent 8-worker lane pool. Both wall
+// clocks and their ratio are printed, not judged; the two runs must report
+// identical event-order digests (the determinism contract, enforced
+// bit-exactly by test_elastico_lanes — re-checked here at scale, and the
+// bench exits 1 when they diverge).
 
 struct DesRun {
   double seconds = 0.0;
@@ -139,15 +139,6 @@ bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
               speedup);
   std::printf("  determinism: digests %s\n",
               identical ? "identical (PASS)" : "DIVERGED (FAIL)");
-  // The >= 4x-at-8-lanes target is only observable with >= 8 cores; on
-  // smaller hosts the laned wall clock is still regression-gated below.
-  if (cores >= 8) {
-    std::printf("  speedup target (>= 4x at %zu lanes): %s\n", kLanes,
-                speedup >= 4.0 ? "PASS" : "FAIL");
-  } else {
-    std::printf("  speedup target skipped: only %u hardware threads "
-                "(need >= 8 to observe 4x)\n", cores);
-  }
 
   json.set("des_scale_nodes", static_cast<double>(nodes));
   json.set("des_scale_epochs", static_cast<double>(kEpochs));
@@ -155,11 +146,9 @@ bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
   json.set("des_scale_digests_identical", identical ? 1.0 : 0.0);
   json.set("des_scale_speedup_lanes8", speedup);
   json.set("des_scale_hardware_threads", static_cast<double>(cores));
-  // Perf-gate keys (tools/bench_compare.py): both paths are wall-clock
-  // gated, and the serial path doubles as the events/s rate gate.
-  json.set("gate_seconds_fig2_des_serial", serial.seconds);
-  json.set("gate_seconds_fig2_des_lanes8", laned.seconds);
-  json.set("gate_rate_fig2_des_events", serial_rate);
+  json.set("seconds_fig2_des_serial", serial.seconds);
+  json.set("seconds_fig2_des_lanes8", laned.seconds);
+  json.set("rate_fig2_des_events", serial_rate);
   return identical;
 }
 

@@ -41,15 +41,8 @@ constexpr double kFinalConsensusSeconds = 54.5;
 
 enum class Policy { kWaitAll, kThroughputDp, kMvcomSe };
 
-/// One pipeline configuration: the classic paper-scale run and the 10k–50k
-/// scale tiers share all the carry-over machinery and differ only here.
-struct RunShape {
-  std::size_t committees = 20;
-  std::size_t epochs = 6;
-  std::size_t se_iterations = 2000;
-  std::size_t se_threads = 8;
-  std::size_t se_max_family = mvcom::core::SeParams{}.max_family;
-};
+constexpr std::size_t kCommittees = 20;
+constexpr std::size_t kEpochs = 6;
 
 struct PendingShard {
   std::vector<std::size_t> block_indices;
@@ -65,20 +58,19 @@ struct RunTotals {
   std::uint64_t deferred_txs = 0;  // still pending after the last epoch
 };
 
-RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
-              const RunShape& shape) {
+RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed) {
   Rng rng(seed);
 
   const double trace_start = trace.blocks.front().btime;
   const double span = trace.blocks.back().btime - trace_start + 1.0;
-  const double window = span / static_cast<double>(shape.epochs);
+  const double window = span / static_cast<double>(kEpochs);
 
   RunTotals totals;
   std::vector<PendingShard> carried;
   double prev_commit = 0.0;  // realized boundary: previous final-block commit
 
   std::size_t next_block = 0;
-  for (std::size_t epoch = 0; epoch < shape.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     const double window_end =
         trace_start + static_cast<double>(epoch + 1) * window;
     // The final committee cannot start epoch e before its own previous block
@@ -103,9 +95,9 @@ RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
       s.latency = std::max(0.0, s.submit_time - start);
       s.carried = true;
     }
-    std::vector<PendingShard> dealt(shape.committees);
+    std::vector<PendingShard> dealt(kCommittees);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      dealt[i % shape.committees].block_indices.push_back(fresh[i]);
+      dealt[i % kCommittees].block_indices.push_back(fresh[i]);
     }
     for (PendingShard& s : dealt) {
       if (s.block_indices.empty()) continue;
@@ -144,9 +136,8 @@ RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed,
         if (result.feasible) best = result.best;
       } else {
         mvcom::core::SeParams params;
-        params.threads = shape.se_threads;
-        params.max_iterations = shape.se_iterations;
-        params.max_family = shape.se_max_family;
+        params.threads = 8;
+        params.max_iterations = 2000;
         mvcom::core::SeScheduler scheduler(instance, params, seed + epoch);
         const auto result = scheduler.run();
         if (result.feasible) best = result.best;
@@ -206,12 +197,11 @@ int main() {
       {Policy::kThroughputDp, "DP (capacity)"},
       {Policy::kMvcomSe, "MVCom (SE)"},
   };
-  const RunShape paper_shape;
   for (const auto& entry : kPolicies) {
     RunTotals totals{};
     constexpr std::uint64_t kSeeds = 3;
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      const RunTotals one = run(trace, entry.policy, seed * 10, paper_shape);
+      const RunTotals one = run(trace, entry.policy, seed * 10);
       totals.committed_txs += one.committed_txs;
       totals.total_age += one.total_age;
       totals.deferred_txs += one.deferred_txs;
@@ -236,48 +226,6 @@ int main() {
               "similar volume to DP at a lower mean per-TX age — the "
               "freshness-aware selection; wait-for-all is the no-capacity "
               "reference)\n");
-
-  // --- Scale tier: the same carry-over pipeline at 10k (and, under
-  // MVCOM_BENCH_SCALE=full, 50k) committees — SE policy only; the DP
-  // baseline's pseudo-polynomial knapsack is not in the 10k game. One seed,
-  // fewer epochs and iterations: this tier times the engine under epoch
-  // churn, it does not re-measure the quality story above.
-  mvcom::bench::print_header(
-      "Scale tier", "multi-epoch SE pipeline at 10k-50k committees");
-  std::vector<std::size_t> tiers = {10'000};
-  if (mvcom::bench::scale_full_enabled()) tiers.push_back(50'000);
-  for (const std::size_t icount : tiers) {
-    Rng scale_trace_rng(2016);
-    mvcom::txn::TraceGeneratorConfig stc;
-    stc.num_blocks = 2 * icount;
-    stc.target_total_txs = icount * 1500;
-    stc.mean_interblock_seconds = 15.0;
-    const Trace scale_trace = mvcom::txn::generate_trace(stc, scale_trace_rng);
-    RunShape shape;
-    shape.committees = icount;
-    shape.epochs = 3;
-    shape.se_iterations = 300;
-    shape.se_threads = 4;
-    if (icount > 10'000) shape.se_max_family = 256;
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunTotals totals = run(scale_trace, Policy::kMvcomSe, 10, shape);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double tx_rate =
-        static_cast<double>(totals.committed_txs) / seconds;
-    std::printf(
-        "  I=%zu: %zu epochs in %.3fs | %llu TXs committed (%.0f TX/s "
-        "end-to-end), %llu deferred\n",
-        icount, shape.epochs, seconds,
-        static_cast<unsigned long long>(totals.committed_txs), tx_rate,
-        static_cast<unsigned long long>(totals.deferred_txs));
-    const std::string tag = "scale_" + std::to_string(icount);
-    json.set(tag + "_committed_txs",
-             static_cast<double>(totals.committed_txs));
-    json.set("gate_seconds_" + tag + "_pipeline", seconds);
-    json.set("gate_rate_" + tag + "_committed_txs_per_sec", tx_rate);
-  }
 
   // --- Account-model deferred carry: the streaming pipeline's stage A must
   // stay pure, so it counts-and-drops the x-shard scheduler's deferrals

@@ -1,15 +1,12 @@
 // Wall-clock timings of the hot kernels behind the "executes in real time"
-// claim of §IV-A, in four tiers, each written to BENCH_perf_microbench.json
-// (the gate_* keys feed tools/bench_compare.py):
+// claim of §IV-A, in three tiers, each written to BENCH_perf_microbench.json.
+// The numbers are printed for reading; nothing here judges them.
 //
-//  * observability overhead guard: the SE inner loop timed with no
-//    ObsContext attached vs with live metrics + tracing sinks, interleaved
-//    to cancel thermal/clock drift. The attached path must stay within a
-//    few percent (<5% target) of the detached one — the per-iteration cost
-//    is a handful of plain thread-local counter increments, flushed to
-//    sharded atomics only at share-interval barriers;
-//  * SE scale throughput: scheduler construction and step rate at 10k
-//    committees (and 50k under MVCOM_BENCH_SCALE=full);
+//  * observability overhead: the SE inner loop timed with no ObsContext
+//    attached vs with live metrics + tracing sinks, interleaved to cancel
+//    thermal/clock drift. The per-iteration cost is a handful of plain
+//    thread-local counter increments, flushed to sharded atomics only at
+//    share-interval barriers;
 //  * PoW grind rate of solve()'s kernel;
 //  * DES schedule+fire churn at a steady queue depth.
 
@@ -17,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -66,10 +62,10 @@ double timed_advance(const mvcom::core::EpochInstance& instance,
       .count();
 }
 
-/// Observability overhead guard (<5% target on the SE inner loop). Takes
-/// the best of `kReps` interleaved detached/attached repetitions, so a
-/// one-off scheduler stall cannot fake a regression either way.
-void run_overhead_guard(mvcom::bench::BenchJson& json) {
+/// Observability overhead on the SE inner loop. Takes the best of `kReps`
+/// interleaved detached/attached repetitions, so a one-off scheduler stall
+/// cannot skew the ratio either way.
+void run_overhead(mvcom::bench::BenchJson& json) {
   const auto instance = make_instance(200);
   constexpr std::size_t kIterations = 20'000;
   constexpr int kReps = 5;
@@ -90,56 +86,16 @@ void run_overhead_guard(mvcom::bench::BenchJson& json) {
   }
   const double overhead = best_attached / best_detached - 1.0;
 
-  std::printf("\n--- observability overhead guard (SE inner loop) ---\n");
+  std::printf("\n--- observability overhead (SE inner loop) ---\n");
   std::printf("  %zu iterations x %d reps, best-of: detached %.3fs, "
               "attached %.3fs\n",
               kIterations, kReps, best_detached, best_attached);
-  std::printf("  overhead: %+.2f%% (target < 5%%) -> %s\n", 100.0 * overhead,
-              overhead < 0.05 ? "PASS" : "FAIL");
+  std::printf("  overhead: %+.2f%%\n", 100.0 * overhead);
 
   json.set("se_overhead_iterations", static_cast<double>(kIterations));
   json.set("se_detached_best_seconds", best_detached);
   json.set("se_attached_best_seconds", best_attached);
   json.set("se_obs_overhead_fraction", overhead);
-  json.set("se_obs_overhead_pass", overhead < 0.05 ? 1.0 : 0.0);
-  // Perf-gate key (tools/bench_compare.py): lower-is-better wall clock.
-  json.set("gate_seconds_se_inner_20k", best_detached);
-}
-
-/// Scale throughput: SE scheduler construction time and steady-state step
-/// rate at 10k (and, under MVCOM_BENCH_SCALE=full, 50k) committees — the
-/// perf-gate numbers behind the 50k-committee tentpole.
-void run_scale_throughput(mvcom::bench::BenchJson& json) {
-  std::printf("\n--- SE scale throughput ---\n");
-  std::vector<std::size_t> tiers = {10'000};
-  if (mvcom::bench::scale_full_enabled()) tiers.push_back(50'000);
-  for (const std::size_t icount : tiers) {
-    const auto instance = mvcom::bench::scale_instance(icount);
-    mvcom::core::SeParams params;
-    params.threads = 1;
-    if (icount > 10'000) params.max_family = 256;
-    const auto c0 = std::chrono::steady_clock::now();
-    mvcom::core::SeScheduler scheduler(instance, params, 3);
-    const double ctor_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
-            .count();
-    scheduler.advance(20);  // warm-up: fault in the chain state
-    constexpr std::size_t kIters = 200;
-    const auto t0 = std::chrono::steady_clock::now();
-    scheduler.advance(kIters);
-    const double step_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double rate = static_cast<double>(kIters) / step_seconds;
-    std::printf("  I=%zu: ctor %.3fs, %.0f iters/s (%zu chains/iteration)\n",
-                icount, ctor_seconds, rate,
-                scheduler.layout().family.size());
-    const std::string tag = std::to_string(icount);
-    json.set("scale_" + tag + "_family_chains",
-             static_cast<double>(scheduler.layout().family.size()));
-    json.set("gate_seconds_se_ctor_" + tag, ctor_seconds);
-    json.set("gate_rate_se_step_" + tag, rate);
-  }
 }
 
 /// PoW hash rate of solve()'s grind kernel (one compression per attempt from
@@ -171,7 +127,7 @@ void run_pow_rate(mvcom::bench::BenchJson& json) {
               solution.has_value() ? " (unexpected solution!)" : "");
   json.set("pow_grind_attempts", static_cast<double>(kAttempts));
   json.set("pow_grind_lanes", static_cast<double>(lanes));
-  json.set("gate_rate_pow_grind", rate);
+  json.set("rate_pow_grind", rate);
 }
 
 /// DES event churn rate: steady-state schedule+fire pairs at 4096 pending
@@ -202,15 +158,14 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   std::printf("  %zu schedule+fire pairs in %.3fs -> %.0f events/s\n",
               kEvents, seconds, rate);
   json.set("sim_churn_depth", static_cast<double>(kDepth));
-  json.set("gate_rate_sim_event_churn", rate);
+  json.set("rate_sim_event_churn", rate);
 }
 
 }  // namespace
 
 int main() {
   mvcom::bench::BenchJson json("perf_microbench");
-  run_overhead_guard(json);
-  run_scale_throughput(json);
+  run_overhead(json);
   run_pow_rate(json);
   run_event_churn(json);
   json.write();

@@ -35,7 +35,7 @@ namespace mvcom::bench {
 /// Builds one epoch at the 10k–50k scale tiers: the paper's workload shape
 /// blown up past the 1378-block snapshot (2·|I| blocks, ~1500·|I| TXs),
 /// Ĉ = 70% of the epoch's total load, α = 1.5, N_min = |I|/2. Deterministic
-/// in |I|, so every scale bench and the perf gate see the same instance.
+/// in |I|, so every scale bench sees the same instance.
 [[nodiscard]] core::EpochInstance scale_instance(std::size_t num_committees);
 
 /// True when the expensive 50k-committee tiers should run too

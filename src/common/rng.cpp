@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace mvcom::common {
 
@@ -60,7 +61,11 @@ std::uint64_t Rng::poisson(double lambda) noexcept {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : skew_(s) {
-  assert(n >= 1 && s >= 0.0);
+  // Negated so that a NaN skew fails too.
+  if (!(n >= 1 && s >= 0.0 && std::isfinite(s))) {
+    throw std::invalid_argument(
+        "ZipfSampler: need n >= 1 and a finite skew >= 0");
+  }
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {

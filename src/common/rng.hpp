@@ -163,7 +163,8 @@ class Rng {
 /// safe to share across threads that each hold their own Rng.
 class ZipfSampler {
  public:
-  /// Preconditions: n >= 1, s >= 0 (s = 0 degenerates to uniform ranks).
+  /// Throws std::invalid_argument unless n >= 1 and s is finite and >= 0
+  /// (s = 0 degenerates to uniform ranks).
   ZipfSampler(std::size_t n, double s);
 
   /// Draws one rank, consuming exactly one engine step.

@@ -520,6 +520,9 @@ void SeScheduler::advance(std::size_t k) {
 
 void SeScheduler::set_obs(obs::ObsContext obs) {
   obs_ = obs;
+  // A detached flush folds nothing, so drop what the explorers tallied
+  // before this call: the new sink sees only later transitions.
+  for (SeExplorer& explorer : explorers_) explorer.obs_tally_.reset();
   obs_iterations_ = nullptr;
   obs_accepts_ = nullptr;
   obs_rejects_ = nullptr;

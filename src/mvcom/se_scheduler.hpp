@@ -382,6 +382,7 @@ class SeScheduler {
 
   /// Attaches observability. Registers the SE metric families and starts
   /// emitting barrier-granular trace events; a default context detaches.
+  /// Transitions stepped before the call are not exported.
   void set_obs(obs::ObsContext obs);
 
  private:

@@ -30,8 +30,7 @@ std::uint64_t slot_index(std::size_t epoch, Slot slot) noexcept {
 }  // namespace
 
 AccountTxGenerator::AccountTxGenerator(AccountModelConfig config)
-    : config_(config),
-      zipf_(config.num_accounts, std::max(0.0, config.zipf_skew)) {
+    : config_(config), zipf_(config.num_accounts, config.zipf_skew) {
   if (config_.num_accounts == 0 || config_.num_shards == 0) {
     throw std::invalid_argument(
         "AccountTxGenerator: accounts and shards must be >= 1");

@@ -64,7 +64,8 @@ struct AccountModelConfig {
   std::uint32_t num_shards = 20;
   std::uint64_t txs_per_epoch = 20'000;
   /// Zipf skew s of account popularity: P(rank k) ∝ 1/(k+1)^s. 0 = uniform,
-  /// ~1.1 matches measured Ethereum hot-account skew.
+  /// ~1.1 matches measured Ethereum hot-account skew. Must be finite and
+  /// >= 0.
   double zipf_skew = 1.1;
   /// Probability that a partner account is drawn placement-free (Zipf over
   /// all accounts, so almost surely homed elsewhere) instead of being

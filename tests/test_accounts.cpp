@@ -195,6 +195,16 @@ TEST(AccountModelTest, ConstructorValidatesConfig) {
   AccountModelConfig bad_burst = small_config();
   bad_burst.burst_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(AccountTxGenerator{bad_burst}, std::invalid_argument);
+  // The generator's Zipf sampler rejects these two.
+  AccountModelConfig no_accounts = small_config();
+  no_accounts.num_accounts = 0;
+  EXPECT_THROW(AccountTxGenerator{no_accounts}, std::invalid_argument);
+  AccountModelConfig bad_skew = small_config();
+  for (const double skew : {std::numeric_limits<double>::quiet_NaN(), -3.0,
+                            std::numeric_limits<double>::infinity()}) {
+    bad_skew.zipf_skew = skew;
+    EXPECT_THROW(AccountTxGenerator{bad_skew}, std::invalid_argument) << skew;
+  }
 }
 
 }  // namespace

@@ -204,6 +204,42 @@ TEST(SeSchedulerTest, RejectsUniversesAboveTheSwapSetCap) {
   EXPECT_EQ(full.instance().committees().back().id, joiner.id);
 }
 
+/// Sum of the three mvcom_se_transitions_total series.
+std::uint64_t exported_transitions(mvcom::obs::MetricsRegistry& registry) {
+  std::uint64_t total = 0;
+  for (const char* result : {"accept", "reject", "infeasible"}) {
+    total += registry
+                 .counter("mvcom_se_transitions_total", "",
+                          {{"result", result}})
+                 .value();
+  }
+  return total;
+}
+
+// A sink attached after detached stepping sees only the later transitions:
+// the same run attached from the start exports exactly that many more.
+TEST(SeSchedulerTest, LateSetObsExportsOnlyLaterTransitions) {
+  const EpochInstance inst = random_instance(5, 50, 0);
+  const SeParams params = quick_params(1);
+  mvcom::obs::MetricsRegistry late_registry;
+  SeScheduler late(inst, params, 11);
+  late.advance(1000);
+  late.set_obs(mvcom::obs::ObsContext(&late_registry, nullptr));
+  late.advance(10);
+
+  mvcom::obs::MetricsRegistry early_registry;
+  SeScheduler early(inst, params, 11);
+  early.set_obs(mvcom::obs::ObsContext(&early_registry, nullptr));
+  early.advance(1000);
+  const std::uint64_t before = exported_transitions(early_registry);
+  early.advance(10);
+
+  EXPECT_EQ(late_registry.counter("mvcom_se_iterations_total").value(), 10u);
+  EXPECT_GT(exported_transitions(late_registry), 0u);
+  EXPECT_EQ(exported_transitions(late_registry),
+            exported_transitions(early_registry) - before);
+}
+
 // --- Certified stop (SeParams::gap_tolerance) --------------------------------
 
 /// A serve-like instance: many committees, Ĉ = 60 % of the TXs, so the

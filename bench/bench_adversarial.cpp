@@ -16,12 +16,8 @@
 //   * never infeasible-while-feasible — across every campaign of every
 //     strategy, the degradation ladder never reported infeasible while a
 //     feasible selection existed on the live reports.
-//
-// Sidecar aggregates (BENCH_adversarial.json):
-//   rate_adaptive_honest_txs   aggregate honest TXs, adaptive arm
-//   rate_dominance_margin      adaptive − static aggregate honest TXs
-//   seconds_campaigns          wall clock of all campaigns
 
+#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -80,7 +76,6 @@ std::uint64_t honest_txs(const CampaignResult& result) {
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("adversarial");
   mvcom::bench::print_header(
       "Adversarial degradation",
       "targeted corruption budget sweep, risk-adaptive vs static N_min");
@@ -94,7 +89,6 @@ int main() {
   const std::vector<double> budgets = {0.15, 0.25, 0.35, 0.5};
   std::vector<double> adaptive_honest, static_honest;
   std::vector<double> adaptive_safety, static_safety;
-  std::vector<double> adaptive_utility, static_utility;
   bool infeasible_while_feasible = false;
 
   const auto bench_start = std::chrono::steady_clock::now();
@@ -119,13 +113,11 @@ int main() {
       (adaptive ? adaptive_honest : static_honest).push_back(honest);
       (adaptive ? adaptive_safety : static_safety)
           .push_back(result.mean_safety);
-      (adaptive ? adaptive_utility : static_utility)
-          .push_back(result.mean_utility);
     }
   }
 
   // The remaining strategies, adaptive arm, canonical budget: their
-  // campaigns feed the never-infeasible criterion and the curve sidecar.
+  // campaigns feed the never-infeasible criterion.
   std::printf("other strategies (adaptive arm, budget 0.35):\n");
   for (const AdversaryStrategy strategy :
        {AdversaryStrategy::kColludingMisreport, AdversaryStrategy::kAdaptiveDos,
@@ -138,10 +130,6 @@ int main() {
                 mvcom::core::to_string(strategy),
                 static_cast<unsigned long long>(honest_txs(result)),
                 result.mean_utility, result.mean_safety);
-    const std::string prefix = mvcom::core::to_string(strategy);
-    json.set(prefix + "_honest_txs",
-             static_cast<double>(honest_txs(result)));
-    json.set(prefix + "_mean_safety", result.mean_safety);
   }
   const double campaign_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -171,19 +159,5 @@ int main() {
              !infeasible_while_feasible);
   mvcom::bench::print_row("campaign seconds", campaign_seconds);
 
-  json.set_series("budgets", budgets);
-  json.set_series("adaptive_honest_txs", adaptive_honest);
-  json.set_series("static_honest_txs", static_honest);
-  json.set_series("adaptive_mean_safety", adaptive_safety);
-  json.set_series("static_mean_safety", static_safety);
-  json.set_series("adaptive_mean_utility", adaptive_utility);
-  json.set_series("static_mean_utility", static_utility);
-  json.set("rate_adaptive_honest_txs", adaptive_total);
-  json.set("rate_dominance_margin", adaptive_total - static_total);
-  json.set("seconds_campaigns", campaign_seconds);
-  json.set("dominates", dominates ? 1.0 : 0.0);
-  json.set("infeasible_while_feasible",
-           infeasible_while_feasible ? 1.0 : 0.0);
-  json.write();
   return dominates && !infeasible_while_feasible ? 0 : 1;
 }

@@ -15,13 +15,6 @@
 //     more summed over the sweep).
 //   * determinism — each (ratio, arm) ledger digest is bit-identical across
 //     two independent replays of the same epochs.
-//
-// Sidecar aggregates (BENCH_cross_shard.json):
-//   rate_xshard_committed_txs  aggregate committed TXs, conflict-aware arm
-//                              over the whole sweep
-//   rate_xshard_assembler      assembler+scheduler throughput, TXs
-//                              processed per wall-clock second
-//   seconds_sweep              wall clock of the full sweep
 
 #include <chrono>
 #include <cstdio>
@@ -50,7 +43,6 @@ struct ArmResult {
   std::uint64_t cross = 0;
   std::uint64_t deferred = 0;
   std::uint64_t digest = 0;  // FNV fold of the per-epoch ledger digests
-  std::uint64_t txs_processed = 0;
 };
 
 ArmResult run_arm(const AccountTxGenerator& generator, XShardConfig config,
@@ -67,7 +59,6 @@ ArmResult run_arm(const AccountTxGenerator& generator, XShardConfig config,
     arm.cross += result.outcome.cross_txs;
     arm.deferred += result.outcome.deferred_txs;
     arm.digest = mvcom::common::fnv1a_mix(arm.digest, result.outcome.ledger_digest);
-    arm.txs_processed += epoch.txs.size();
   }
   return arm;
 }
@@ -79,7 +70,6 @@ void print_pass(const char* criterion, bool ok) {
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("cross_shard");
   mvcom::bench::print_header(
       "Cross-shard ratio sweep",
       "conflict-aware vs random-oblivious assembly, dynamic-deadline "
@@ -93,11 +83,9 @@ int main() {
   xc.num_shards = model.num_shards;
 
   const std::vector<double> ratios = {0.0, 0.1, 0.3, 0.5};
-  std::vector<double> aware_committed, oblivious_committed;
-  std::vector<double> aware_deferred, aware_cross;
   bool monotone = true, dominates_everywhere = true, deterministic = true;
   double prev_aware = -1.0;
-  std::uint64_t aware_total = 0, oblivious_total = 0, txs_processed = 0;
+  std::uint64_t aware_total = 0, oblivious_total = 0;
 
   std::printf("%u accounts on %u shards, %llu TXs/epoch x %zu epochs, skew "
               "%.2f, R=%u rounds, C=%llu legs/shard/round, seed %llu\n",
@@ -120,7 +108,6 @@ int main() {
       const ArmResult replay = run_arm(generator, xc, policy,
                                        SchedulerPolicy::kDynamicDeadline);
       deterministic &= arm.digest == replay.digest;
-      txs_processed += arm.txs_processed + replay.txs_processed;
       std::printf("  %-6.2f %-16s %10llu %10llu %9llu %9llu  %016llx\n",
                   ratio, mvcom::txn::to_string(policy),
                   static_cast<unsigned long long>(arm.committed),
@@ -133,13 +120,10 @@ int main() {
         if (prev_aware >= 0.0 && committed > prev_aware) monotone = false;
         prev_aware = committed;
         aware_total += arm.committed;
-        aware_committed.push_back(committed);
-        aware_deferred.push_back(static_cast<double>(arm.deferred));
-        aware_cross.push_back(static_cast<double>(arm.cross));
       } else {
-        if (committed > aware_committed.back()) dominates_everywhere = false;
+        // The conflict-aware arm of this ratio ran just before.
+        if (committed > prev_aware) dominates_everywhere = false;
         oblivious_total += arm.committed;
-        oblivious_committed.push_back(committed);
       }
     }
   }
@@ -164,7 +148,6 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     sweep_start)
           .count();
-  txs_processed += greedy.txs_processed;
 
   const bool dominates =
       dominates_everywhere && aware_total > oblivious_total;
@@ -180,19 +163,5 @@ int main() {
   print_pass("ledger digests are bit-identical across replays", deterministic);
   mvcom::bench::print_row("sweep seconds", sweep_seconds);
 
-  json.set_series("ratios", ratios);
-  json.set_series("aware_committed_txs", aware_committed);
-  json.set_series("oblivious_committed_txs", oblivious_committed);
-  json.set_series("aware_deferred_txs", aware_deferred);
-  json.set_series("aware_cross_txs", aware_cross);
-  json.set("greedy_committed_txs", static_cast<double>(greedy.committed));
-  json.set("rate_xshard_committed_txs", static_cast<double>(aware_total));
-  json.set("rate_xshard_assembler",
-           static_cast<double>(txs_processed) / sweep_seconds);
-  json.set("seconds_sweep", sweep_seconds);
-  json.set("monotone", monotone ? 1.0 : 0.0);
-  json.set("dominates", dominates ? 1.0 : 0.0);
-  json.set("deterministic", deterministic ? 1.0 : 0.0);
-  json.write();
   return monotone && dominates && deterministic ? 0 : 1;
 }

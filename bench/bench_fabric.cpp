@@ -87,7 +87,6 @@ std::vector<EpochOutcome> run_epochs(const ElasticoConfig& config,
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("fabric");
   const unsigned cores = std::thread::hardware_concurrency();
   mvcom::bench::print_header(
       "Fabric", "multi-process shard fabric vs in-process lanes");
@@ -136,12 +135,6 @@ int main() {
               fabric_seconds, fabric_rate, fabric_rate / serial_rate);
   std::printf("  determinism: digests %s\n",
               identical ? "identical (PASS)" : "DIVERGED (FAIL)");
-  json.set("epochs", static_cast<double>(kEpochs));
-  json.set("serial_epochs_per_sec", serial_rate);
-  json.set("pool2_epochs_per_sec", pooled_rate);
-  json.set("digests_identical", identical ? 1.0 : 0.0);
-  json.set("hardware_threads", static_cast<double>(cores));
-  json.set("rate_fabric_epochs_per_sec", fabric_rate);
 
   // --- replay tier --------------------------------------------------------
   double replay_seconds = 0.0;
@@ -160,10 +153,6 @@ int main() {
   std::printf("  kill-replay: %.3fs (%llu respawns), digests %s\n",
               replay_seconds, static_cast<unsigned long long>(respawns),
               replay_identical ? "identical (PASS)" : "DIVERGED (FAIL)");
-  json.set("replay_respawns", static_cast<double>(respawns));
-  json.set("replay_digests_identical", replay_identical ? 1.0 : 0.0);
-  json.set("rate_fabric_replay_epochs_per_sec", kEpochs / replay_seconds);
 
-  json.write();
   return identical && replay_identical ? 0 : 1;
 }

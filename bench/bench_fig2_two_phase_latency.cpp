@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -96,7 +95,7 @@ DesRun timed_des_epochs(const mvcom::sharding::ElasticoConfig& config,
 }
 
 /// Returns false when the serial and laned runs diverge.
-bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
+bool run_des_scale_tier() {
   std::size_t nodes = 2048;
   if (mvcom::bench::scale_full_enabled()) nodes = 4096;
   constexpr std::uint64_t kEpochs = 16;
@@ -130,7 +129,6 @@ bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
   const double serial_rate = static_cast<double>(serial.events) /
                              serial.seconds;
   const double speedup = serial.seconds / laned.seconds;
-  const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("  serial   : %.3fs (%llu events, %.0f events/s)\n",
               serial.seconds,
@@ -140,39 +138,23 @@ bool run_des_scale_tier(mvcom::bench::BenchJson& json) {
   std::printf("  determinism: digests %s\n",
               identical ? "identical (PASS)" : "DIVERGED (FAIL)");
 
-  json.set("des_scale_nodes", static_cast<double>(nodes));
-  json.set("des_scale_epochs", static_cast<double>(kEpochs));
-  json.set("des_scale_events", static_cast<double>(serial.events));
-  json.set("des_scale_digests_identical", identical ? 1.0 : 0.0);
-  json.set("des_scale_speedup_lanes8", speedup);
-  json.set("des_scale_hardware_threads", static_cast<double>(cores));
-  json.set("seconds_fig2_des_serial", serial.seconds);
-  json.set("seconds_fig2_des_lanes8", laned.seconds);
-  json.set("rate_fig2_des_events", serial_rate);
   return identical;
 }
 
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("fig2_two_phase_latency");
   mvcom::bench::print_header(
       "Fig. 2(a)", "two-phase latency vs network size (Elastico, simulated)");
   std::printf("  %8s %12s %12s %12s\n", "nodes", "formation(s)",
               "consensus(s)", "form-share");
-  std::vector<double> formation_means;
-  std::vector<double> consensus_means;
   for (const std::size_t nodes : {100u, 200u, 400u, 600u, 800u, 1000u}) {
     const LatencySample sample = measure(nodes, 5);
     const double f = mvcom::common::mean(sample.formation);
     const double c = mvcom::common::mean(sample.consensus);
-    formation_means.push_back(f);
-    consensus_means.push_back(c);
     std::printf("  %8zu %12.1f %12.1f %11.0f%%\n", nodes, f, c,
                 100.0 * f / (f + c));
   }
-  json.set_series("formation_mean_seconds", formation_means);
-  json.set_series("consensus_mean_seconds", consensus_means);
   std::printf("  (expected shape: formation dominates and grows ~linearly "
               "with network size)\n");
 
@@ -189,9 +171,7 @@ int main() {
   }
   std::printf("  (expected shape: both terms random within their own range; "
               "formation range is much wider)\n");
-  json.set("committees_sampled", static_cast<double>(sample.formation.size()));
 
-  const bool identical = run_des_scale_tier(json);
-  json.write();
+  const bool identical = run_des_scale_tier();
   return identical ? 0 : 1;
 }

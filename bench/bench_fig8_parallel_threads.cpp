@@ -46,7 +46,6 @@ TimedRun timed_run(const mvcom::core::EpochInstance& instance,
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("fig8_parallel_threads");
   const auto trace = mvcom::bench::paper_trace();
   const auto instance = mvcom::bench::paper_instance(
       trace, /*epoch_seed=*/1, /*num_committees=*/500, /*capacity=*/500'000,
@@ -103,13 +102,6 @@ int main() {
     const double iter_rate = iters / parallel.seconds;
     const double chain_rate = static_cast<double>(gamma) * iter_rate;
     if (gamma == 1) baseline_chain_rate = chain_rate;
-    const std::string tag = "gamma_" + std::to_string(gamma);
-    json.set(tag + "_utility", parallel.result.utility);
-    json.set(tag + "_iterations", iters);
-    json.set(tag + "_parallel_seconds", parallel.seconds);
-    json.set(tag + "_serial_seconds", serial.seconds);
-    json.set(tag + "_trace_divergence", max_divergence);
-    if (gamma == 25) json.set("rate_gamma25_chain_iters_per_sec", chain_rate);
     std::printf(
         "  Gamma=%zu: serial %.3fs, parallel %.3fs | %.0f iters/s, "
         "%.0f explorer-iters/s, speedup vs Gamma=1: %.2fx\n",
@@ -120,7 +112,6 @@ int main() {
     // cores; with fewer, the ratio measures pool handoff overhead. Γ = 1
     // has nothing to overlap.
     const double pool_speedup = serial.seconds / parallel.seconds;
-    json.set(tag + "_pool_speedup", pool_speedup);
     if (gamma > 1) {
       std::printf("  pool speedup at Gamma=%zu (serial / parallel): %.2fx\n",
                   gamma, pool_speedup);
@@ -163,15 +154,7 @@ int main() {
         "(epoch %.3fs, %.0f iters/s), utility %.1f, feasible=%d\n",
         icount, secs(t0, t1), secs(t1, t2), secs(t2, t3), epoch_seconds,
         iter_rate, result.utility, result.feasible ? 1 : 0);
-    const std::string tag = "scale_" + std::to_string(icount);
-    json.set(tag + "_utility", result.utility);
-    json.set(tag + "_feasible", result.feasible ? 1.0 : 0.0);
-    json.set(tag + "_ctor_seconds", secs(t1, t2));
-    json.set(tag + "_run_seconds", secs(t2, t3));
-    json.set("seconds_" + tag + "_epoch", epoch_seconds);
-    json.set("rate_" + tag + "_iters_per_sec", iter_rate);
   }
 
-  json.write();
   return diverged ? 1 : 0;
 }

@@ -173,7 +173,6 @@ RunTotals run(const Trace& trace, Policy policy, std::uint64_t seed) {
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("multi_epoch_throughput");
   Rng trace_rng(2016);
   mvcom::txn::TraceGeneratorConfig tc;
   // Compressed timescale: blocks every ~15 s so an epoch window (~1500 s)
@@ -212,15 +211,6 @@ int main() {
                 static_cast<unsigned long long>(totals.committed_txs / kSeeds),
                 mean_age,
                 static_cast<unsigned long long>(totals.deferred_txs / kSeeds));
-    const std::string tag = entry.policy == Policy::kWaitAll   ? "wait_all"
-                            : entry.policy == Policy::kThroughputDp
-                                ? "dp"
-                                : "mvcom_se";
-    json.set(tag + "_committed_txs",
-             static_cast<double>(totals.committed_txs / kSeeds));
-    json.set(tag + "_mean_tx_age_seconds", mean_age);
-    json.set(tag + "_deferred_txs",
-             static_cast<double>(totals.deferred_txs / kSeeds));
   }
   std::printf("  (expected shape: under the same capacity, MVCom commits a "
               "similar volume to DP at a lower mean per-TX age — the "
@@ -306,14 +296,7 @@ int main() {
                 static_cast<unsigned long long>(ingested),
                 static_cast<unsigned long long>(committed_carried), mean_defer,
                 backlog.size());
-    json.set("account_carry_committed_txs", static_cast<double>(committed));
-    json.set("account_carry_committed_after_carry",
-             static_cast<double>(committed_carried));
-    json.set("account_carry_mean_wait_epochs", mean_defer);
-    json.set("account_carry_final_backlog_txs",
-             static_cast<double>(backlog.size()));
   }
 
-  json.write();
   return 0;
 }

@@ -1,6 +1,6 @@
 // Wall-clock timings of the hot kernels behind the "executes in real time"
-// claim of §IV-A, in three tiers, each written to BENCH_perf_microbench.json.
-// The numbers are printed for reading; nothing here judges them.
+// claim of §IV-A, in three tiers. The numbers are printed for reading;
+// nothing here judges them.
 //
 //  * observability overhead: the SE inner loop timed with no ObsContext
 //    attached vs with live metrics + tracing sinks, interleaved to cancel
@@ -65,7 +65,7 @@ double timed_advance(const mvcom::core::EpochInstance& instance,
 /// Observability overhead on the SE inner loop. Takes the best of `kReps`
 /// interleaved detached/attached repetitions, so a one-off scheduler stall
 /// cannot skew the ratio either way.
-void run_overhead(mvcom::bench::BenchJson& json) {
+void run_overhead() {
   const auto instance = make_instance(200);
   constexpr std::size_t kIterations = 20'000;
   constexpr int kReps = 5;
@@ -91,21 +91,16 @@ void run_overhead(mvcom::bench::BenchJson& json) {
               "attached %.3fs\n",
               kIterations, kReps, best_detached, best_attached);
   std::printf("  overhead: %+.2f%%\n", 100.0 * overhead);
-
-  json.set("se_overhead_iterations", static_cast<double>(kIterations));
-  json.set("se_detached_best_seconds", best_detached);
-  json.set("se_attached_best_seconds", best_attached);
-  json.set("se_obs_overhead_fraction", overhead);
 }
 
 /// PoW hash rate of solve()'s grind kernel (one compression per attempt from
 /// the cached chaining state, the decimal nonce incremented in place),
 /// measured by grinding a fixed attempt count against an unsolvable target
 /// (leading64_below = 0 never matches, so solve() always performs exactly
-/// kAttempts hashes). `pow_grind_lanes` records which path ground, from the
-/// two CPU probes: 16 nonces per AVX-512F pass, 2 interleaved SHA-NI
-/// streams, or 1 for the portable rounds.
-void run_pow_rate(mvcom::bench::BenchJson& json) {
+/// kAttempts hashes). The header names which path ground, from the two CPU
+/// probes: 16 nonces per AVX-512F pass, 2 interleaved SHA-NI streams, or 1
+/// for the portable rounds.
+void run_pow_rate() {
   constexpr std::uint64_t kAttempts = 200'000;
   const mvcom::crypto::PowTarget unsolvable{0};
   (void)mvcom::crypto::solve("bench-epoch-randomness", "node-12345",
@@ -125,15 +120,12 @@ void run_pow_rate(mvcom::bench::BenchJson& json) {
   std::printf("  %llu attempts in %.3fs -> %.0f hashes/s%s\n",
               static_cast<unsigned long long>(kAttempts), seconds, rate,
               solution.has_value() ? " (unexpected solution!)" : "");
-  json.set("pow_grind_attempts", static_cast<double>(kAttempts));
-  json.set("pow_grind_lanes", static_cast<double>(lanes));
-  json.set("rate_pow_grind", rate);
 }
 
 /// DES event churn rate: steady-state schedule+fire pairs at 4096 pending
 /// events — the slab/heap engine's throughput number the lane-parallel
 /// epoch multiplies by the worker count.
-void run_event_churn(mvcom::bench::BenchJson& json) {
+void run_event_churn() {
   constexpr std::size_t kDepth = 4096;
   constexpr std::size_t kEvents = 2'000'000;
   mvcom::sim::Simulator sim;
@@ -157,17 +149,13 @@ void run_event_churn(mvcom::bench::BenchJson& json) {
   std::printf("\n--- DES event churn (depth %zu) ---\n", kDepth);
   std::printf("  %zu schedule+fire pairs in %.3fs -> %.0f events/s\n",
               kEvents, seconds, rate);
-  json.set("sim_churn_depth", static_cast<double>(kDepth));
-  json.set("rate_sim_event_churn", rate);
 }
 
 }  // namespace
 
 int main() {
-  mvcom::bench::BenchJson json("perf_microbench");
-  run_overhead(json);
-  run_pow_rate(json);
-  run_event_churn(json);
-  json.write();
+  run_overhead();
+  run_pow_rate();
+  run_event_churn();
   return 0;
 }

@@ -3,26 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <stdexcept>
-
-#include "common/csv.hpp"
-#include "obs/export.hpp"
 
 namespace mvcom::bench {
-
-namespace {
-
-/// Shortest round-trippable rendering; JSON has no NaN/Inf, so non-finite
-/// values become null.
-std::string render_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 txn::Trace paper_trace(std::uint64_t seed) {
   common::Rng rng(seed);
@@ -98,73 +80,6 @@ void print_row(const std::string& name, double value) {
 
 void print_row(const std::string& name, const std::string& value) {
   std::printf("  %-44s %14s\n", name.c_str(), value.c_str());
-}
-
-BenchJson::BenchJson(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
-
-void BenchJson::put(const std::string& key, std::string rendered) {
-  for (auto& [k, v] : fields_) {
-    if (k == key) {
-      v = std::move(rendered);
-      return;
-    }
-  }
-  fields_.emplace_back(key, std::move(rendered));
-}
-
-void BenchJson::set(const std::string& key, double value) {
-  put(key, render_number(value));
-}
-
-void BenchJson::set(const std::string& key, const std::string& value) {
-  std::string rendered;
-  const std::string escaped = obs::json_escape(value);
-  rendered.reserve(escaped.size() + 2);
-  rendered += '"';
-  rendered += escaped;
-  rendered += '"';
-  put(key, std::move(rendered));
-}
-
-void BenchJson::set_series(const std::string& key,
-                           std::span<const double> values) {
-  std::string rendered = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) rendered += ",";
-    rendered += render_number(values[i]);
-  }
-  rendered += "]";
-  put(key, std::move(rendered));
-}
-
-std::string BenchJson::to_json() const {
-  const auto wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-  std::string out = "{\n  \"bench\": \"" + obs::json_escape(name_) + "\",\n";
-  out += "  \"wall_seconds\": " + render_number(wall);
-  for (const auto& [key, value] : fields_) {
-    out += ",\n  \"" + obs::json_escape(key) + "\": " + value;
-  }
-  out += "\n}\n";
-  return out;
-}
-
-std::string BenchJson::write() const {
-  const char* dir = std::getenv("MVCOM_BENCH_OUT_DIR");
-  std::string path = "BENCH_" + name_ + ".json";
-  if (dir != nullptr && *dir != '\0') {
-    // Create the directory rather than fail after the whole bench has run.
-    std::filesystem::create_directories(dir);
-    path = std::string(dir) + "/" + path;
-  }
-  std::string error;
-  if (!common::write_text_file(path, to_json(), &error)) {
-    throw std::runtime_error("BenchJson: " + error);
-  }
-  std::printf("  [bench-json] %s\n", path.c_str());
-  return path;
 }
 
 }  // namespace mvcom::bench

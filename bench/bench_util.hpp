@@ -4,12 +4,9 @@
 // binary regenerates one figure of the paper's evaluation and prints the
 // same rows/series that figure plots.
 
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "mvcom/problem.hpp"
@@ -52,37 +49,5 @@ void print_trace(const std::string& label, std::span<const double> trace,
 /// Prints one "name: value" summary row.
 void print_row(const std::string& name, double value);
 void print_row(const std::string& name, const std::string& value);
-
-/// Machine-readable results sidecar. A bench constructs one BenchJson up
-/// front, records its headline numbers (utilities, iteration counts, series)
-/// as it prints them, and calls write() at the end — producing
-/// BENCH_<name>.json in $MVCOM_BENCH_OUT_DIR (created when missing;
-/// default: the working directory). Wall time from construction to write()
-/// is stamped automatically as "wall_seconds". Keys are written in
-/// insertion order; setting an existing key overwrites it in place.
-class BenchJson {
- public:
-  explicit BenchJson(std::string name);
-
-  void set(const std::string& key, double value);
-  void set(const std::string& key, const std::string& value);
-  void set_series(const std::string& key, std::span<const double> values);
-
-  /// Renders the accumulated document (always validate_json-clean: non-finite
-  /// numbers are emitted as null).
-  [[nodiscard]] std::string to_json() const;
-
-  /// Writes BENCH_<name>.json and returns the path written. Throws
-  /// std::runtime_error when the file cannot be written whole.
-  std::string write() const;
-
- private:
-  void put(const std::string& key, std::string rendered);
-
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-  // key -> pre-rendered JSON value, in insertion order.
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 }  // namespace mvcom::bench

@@ -183,8 +183,10 @@ std::optional<RootChain> load_checkpoint(std::istream& in) {
     lines >> tag >> height >> timestamp >> tx_count >> proposer_esc >>
         randomness_esc >> hash_hex >> num_roots;
     if (!lines || tag != "block" || height != i) return std::nullopt;
+    // num_roots is read, not trusted (the checksum is no MAC), so nothing
+    // is reserved from it: a count the text cannot back fails at its first
+    // missing root instead of asking for 2^60 slots up front.
     std::vector<Digest> roots;
-    roots.reserve(num_roots);
     for (std::size_t r = 0; r < num_roots; ++r) {
       std::string root_hex;
       lines >> root_hex;

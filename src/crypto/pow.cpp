@@ -42,11 +42,6 @@ std::uint64_t before_wrap(std::uint64_t nonce, std::uint64_t left) noexcept {
   return to_wrap == 0 ? left : std::min(left, to_wrap);
 }
 
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
 }  // namespace
 
 PowTarget PowTarget::from_difficulty_bits(int bits) {
@@ -78,14 +73,17 @@ Digest pow_digest(std::string_view epoch_randomness, std::string_view identity,
 PowMidstate::PowMidstate(std::string_view epoch_randomness,
                          std::string_view identity) noexcept {
   const auto absorb = [this](std::string_view piece) {
-    for (const char ch : piece) {
-      tail_[tail_len_++] = static_cast<std::uint8_t>(ch);
+    prefix_len_ += piece.size();
+    while (!piece.empty()) {
+      const std::size_t take = std::min(piece.size(), 64 - tail_len_);
+      std::memcpy(tail_.data() + tail_len_, piece.data(), take);
+      piece.remove_prefix(take);
+      tail_len_ += take;
       if (tail_len_ == 64) {
         sha256_compress(chain_.data(), tail_.data(), 1);
         tail_len_ = 0;
       }
     }
-    prefix_len_ += piece.size();
   };
   absorb(epoch_randomness);
   absorb("|");
@@ -174,78 +172,19 @@ std::optional<PowSolution> PowMidstate::solve_x16(
     PowTarget target, std::uint64_t attempts,
     std::uint64_t nonce) const noexcept {
   assert(attempts >= kLanes && attempts % kLanes == 0);
-  // The tail block's words that hold prefix bytes alone are the same in
-  // every lane, so the rounds they feed run once, here.
-  Sha256x16Prefix prefix{};
-  std::copy(chain_.begin(), chain_.end(), prefix.chain);
-  prefix.rounds = tail_len_ / 4;
-  for (std::size_t i = 0; i < prefix.rounds; ++i) {
-    prefix.words[i] = load_be32(tail_.data() + 4 * i);
-  }
-  sha256_x16_prefix(prefix);
-
-  // Lane l holds nonce + l: its words from prefix.rounds on, word-major.
-  alignas(64) std::uint32_t words[16][kLanes] = {};
-  std::size_t width[kLanes] = {};  // decimal digits per lane
-  // Byte p of lane l's block: big-endian byte p % 4 of its word p / 4, on
-  // a little-endian host (x86, the only one with the lane kernel).
-  auto* const bytes = reinterpret_cast<std::uint8_t*>(words);
-  const auto byte_at = [bytes](std::size_t lane,
-                               std::size_t p) -> std::uint8_t& {
-    return bytes[4 * (kLanes * (p / 4) + lane) + 3 - p % 4];
-  };
-  // Adds 16 to the lane's nonce in place: 6 to the ones digit, then 1, or
-  // 2 with its carry, to the tens, carried through the 9s.
-  const auto add16 = [&](std::size_t lane) {
-    std::size_t p = tail_len_ + width[lane] - 1;
-    std::uint8_t& ones = byte_at(lane, p);
-    const bool carry = ones >= '4';
-    ones = static_cast<std::uint8_t>(carry ? ones - 4 : ones + 6);
-    int add = carry ? 2 : 1;
-    while (p > tail_len_) {
-      std::uint8_t& digit = byte_at(lane, --p);
-      digit = static_cast<std::uint8_t>(digit + add);
-      if (digit <= '9') return;
-      digit = static_cast<std::uint8_t>(digit - 10);
-      add = 1;
-    }
-    // The nonce gained a digit: `add` followed by the digits just written.
-    // They shift right over the 0x80 byte, which moves on by one (lane_run
-    // keeps it in this block), and the bit length grows by 8.
-    const std::size_t end = tail_len_ + width[lane]++;
-    for (std::size_t q = end; q > tail_len_; --q) {
-      byte_at(lane, q) = byte_at(lane, q - 1);
-    }
-    byte_at(lane, tail_len_) = static_cast<std::uint8_t>('0' + add);
-    byte_at(lane, end + 1) = 0x80;
-    if ((words[15][lane] += 8) < 8) ++words[14][lane];
-  };
-
-  Attempt attempt{tail_, nonce};
-  lay_out(attempt);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    if (lane > 0) advance(attempt);
-    for (std::size_t i = prefix.rounds; i < 16; ++i) {
-      words[i][lane] = load_be32(attempt.block.data() + 4 * i);
-    }
-    width[lane] = attempt.width;
-  }
-  std::uint32_t state[8][kLanes] = {};
-  for (std::uint64_t group = attempts / kLanes;;) {
-    sha256_x16_compress(prefix, words, state);
-    // State words 0–1 are the digest's leading 64 bits; lanes run in nonce
-    // order, so the lowest winning lane is the first qualifying nonce.
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      const std::uint64_t lead =
-          (std::uint64_t{state[0][lane]} << 32) | state[1][lane];
-      if (lead < target.leading64_below) {
-        return PowSolution{nonce + lane, digest(nonce + lane)};
-      }
-    }
-    if (--group == 0) return std::nullopt;
-    nonce += kLanes;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) add16(lane);
-  }
+  Attempt first{tail_, nonce};
+  lay_out(first);
+  Sha256x16Grind grind{};
+  std::copy(chain_.begin(), chain_.end(), grind.chain);
+  std::memcpy(grind.block, first.block.data(), sizeof grind.block);
+  grind.digits_at = tail_len_;
+  grind.width = first.width;
+  grind.target = target.leading64_below;
+  std::uint32_t state[8];
+  const std::uint64_t offset =
+      sha256_x16_grind(grind, attempts / kLanes, state);
+  if (offset == attempts) return std::nullopt;
+  return PowSolution{nonce + offset, digest_of(state)};
 }
 
 std::optional<PowSolution> PowMidstate::solve_x2(

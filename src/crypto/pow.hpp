@@ -59,18 +59,19 @@ struct PowSolution {
 /// decimal digits and the padding complete that block, so an attempt costs
 /// one compression from the cached state — two only when the prefix tail
 /// plus the digits pass 55 bytes and the length field spills into a second
-/// block. solve() increments the decimal nonce in place and re-pads only
-/// when it gains a digit, compares state words 0–1 with the target, and
-/// builds a digest only for the winner. On CPUs with AVX-512F it hashes
-/// nonces n … n + 15 per pass on the 16-lane kernel (sha256_avx512.hpp):
-/// the rounds fed by the tail block's whole prefix words (tail_len_ / 4 of
-/// them) run once per solve(), each lane carries its own digits, so lanes
-/// may differ in width, and the lowest winning lane wins. Attempts no group
-/// can take — fewer than 16 left, a group that would pass 2^64 − 1, a
-/// two-block tail — and CPUs without AVX-512F hash n and n + 1 side by side
-/// (two interleaved SHA-NI streams, or the portable rounds). Every path is
-/// bit-identical to pow_digest for every nonce, so solve() returns the same
-/// first nonce whichever ground it.
+/// block. On CPUs with AVX-512F, solve() hands whole groups of 16 one-block
+/// nonces to sha256_x16_grind (sha256_avx512.hpp): lanes hold nonces
+/// n … n + 15, the rounds fed by the tail block's whole prefix words
+/// (tail_len_ / 4 of them) run once per solve(), the lanes step by 16 as a
+/// vector decimal add in their message rows (lanes may differ in width, and
+/// a lane that gains a digit re-pads there), and each pass compares every
+/// lane's state words 0–1 with the target; the lowest winning lane's state
+/// is the digest. Attempts no group can take — fewer than 16 left, a group
+/// that would pass 2^64 − 1, a two-block tail — and CPUs without AVX-512F
+/// hash n and n + 1 side by side (two interleaved SHA-NI streams, or the
+/// portable rounds), incrementing the digits in place and re-padding only
+/// on a new digit. Every path is bit-identical to pow_digest for every
+/// nonce, so solve() returns the same first nonce whichever ground it.
 class PowMidstate {
  public:
   PowMidstate(std::string_view epoch_randomness,
@@ -102,13 +103,13 @@ class PowMidstate {
   /// Steps to the next nonce in place, re-padding only on a new digit.
   void advance(Attempt& attempt) const noexcept;
 
-  /// How many of the `left` attempts from `nonce` the 16-lane kernel takes
+  /// How many of the `left` attempts from `nonce` the 16-lane grind takes
   /// next: whole groups of one-block nonces short of the wrap, 0 without
   /// AVX-512F.
   [[nodiscard]] std::uint64_t lane_run(std::uint64_t nonce,
                                        std::uint64_t left) const noexcept;
   /// Grinds `attempts` (a nonzero multiple of 16) nonces from `nonce` on the
-  /// 16-lane kernel.
+  /// 16-lane grind.
   [[nodiscard]] std::optional<PowSolution> solve_x16(
       PowTarget target, std::uint64_t attempts,
       std::uint64_t nonce) const noexcept;

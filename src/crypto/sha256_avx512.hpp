@@ -1,10 +1,13 @@
-// Runtime-dispatched 16-lane SHA-256 compression for AVX-512F. The PoW
-// grind (PowMidstate::solve) is the intended caller, tests aside: it probes
-// avx512f_available() once and hashes 16 consecutive nonces per pass, each
-// lane one 64-byte block absorbed into the same chaining state. The blocks
-// begin with the same prefix words, so the rounds those words feed run once
-// (sha256_x16_prefix) and each pass starts after them. Lane l's output is
-// bit-identical to sha256_compress_portable on lane l's block.
+// Runtime-dispatched 16-lane SHA-256 grind for AVX-512F. The PoW grind
+// (PowMidstate::solve) is the intended caller, tests aside: it probes
+// avx512f_available() once and hands sha256_x16_grind whole groups of 16
+// consecutive one-block nonces. Lane l of a pass hashes nonce n + l: one
+// 64-byte block absorbed into the same chaining state. The blocks begin with
+// the same prefix words, so the rounds those words feed run once per call and
+// each pass starts after them. Between passes the lanes step by 16 in their
+// message rows, as a vector decimal add, and a pass's winner test is one
+// compare of every lane's state words 0–1 with the target. Every lane's
+// state is bit-identical to sha256_compress_portable on its block.
 #pragma once
 
 #include <cstddef>
@@ -15,25 +18,25 @@ namespace mvcom::crypto {
 /// True when the CPU (and the OS's saved register state) supports AVX-512F.
 [[nodiscard]] bool avx512f_available() noexcept;
 
-/// What the 16 lanes of a pass share.
-struct Sha256x16Prefix {
-  std::uint32_t chain[8];   // chaining state each lane's block goes into
-  std::uint32_t words[16];  // message words [0, rounds), equal in every lane
-  std::size_t rounds;       // precomputed rounds, 0..15
-  std::uint32_t vars[8];    // working variables a..h after those rounds
+/// One grind: the first nonce's padded tail block and what the kernel needs
+/// to step it.
+struct Sha256x16Grind {
+  std::uint32_t chain[8];  // chaining state the tail block goes into
+  /// The first nonce's one-block tail: prefix bytes, its decimal digits
+  /// from `digits_at`, 0x80, zeros, and the message's bit length.
+  std::uint8_t block[64];
+  std::size_t digits_at;   // block byte of the first digit
+  std::size_t width;       // decimal digits of the first nonce
+  std::uint64_t target;    // a digest wins when its leading 64 bits are below
 };
 
-/// Runs the prefix's `rounds` shared rounds from `chain` over `words` and
-/// fills `vars`. Must only be called when avx512f_available().
-void sha256_x16_prefix(Sha256x16Prefix& prefix) noexcept;
-
-/// Compresses 16 one-block messages that start with `prefix.words`.
-/// `words[i][l]` is lane l's message word i, the big-endian value of its
-/// block bytes 4i..4i+3; rows below prefix.rounds are not read. Writes lane
-/// l's new chaining word j to `state[j][l]`. Must only be called when
-/// avx512f_available().
-void sha256_x16_compress(const Sha256x16Prefix& prefix,
-                         const std::uint32_t (&words)[16][16],
-                         std::uint32_t (&state)[8][16]) noexcept;
+/// Hashes the 16·`groups` nonces n, n + 1, … from the block's n, 16 per
+/// pass, and returns the offset of the first whose digest wins, writing its
+/// final state to `state`; returns 16·`groups` when none does. Every nonce
+/// must fit the block (digits_at + digits <= 55) and none may pass
+/// 2^64 − 1. Must only be called when avx512f_available().
+[[nodiscard]] std::uint64_t sha256_x16_grind(
+    const Sha256x16Grind& grind, std::uint64_t groups,
+    std::uint32_t (&state)[8]) noexcept;
 
 }  // namespace mvcom::crypto

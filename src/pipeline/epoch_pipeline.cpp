@@ -42,10 +42,11 @@ enum StreamSlot : std::uint64_t {
   kFinalPbftSlot = 3,  // stage-4 PBFT protocol randomness
 };
 
-/// Committees per stage-A grind task: enough hashes (≈ 16 · 2^bits) to
-/// amortize a pool claim, few enough that serve's 300 committees make 19
-/// tasks for the pool's contexts to share.
-constexpr std::size_t kGrindChunk = 16;
+/// Committees per stage-A pass-2 task (shard roots, then the PoW grind):
+/// serve's 300 committees make 38 tasks of ~40 µs at 8 bits. On perfbench
+/// `serve` (six runs each), 4, 8 and 16 read op p50 0.933, 0.926 and
+/// 0.961 ms.
+constexpr std::size_t kGrindChunk = 8;
 
 std::uint64_t stream_index(std::size_t epoch, StreamSlot slot) noexcept {
   return 4 * static_cast<std::uint64_t>(epoch) + slot;
@@ -183,7 +184,7 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
   }
 
   // Pass 1, serial: latency draws (in committee order — they share the
-  // formation stream), ids, TX counts and shard roots.
+  // formation stream) and ids.
   Rng rng = Rng::stream(config_.seed,
                         stream_index(epoch, kFormationSlot));
   const std::string randomness = epoch_randomness(config_.seed, epoch);
@@ -195,46 +196,44 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     s.submit_time =
         txn::sample_submit_instant(rng, txn::WorkloadConfig{}, out.window_end);
     s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
-    s.txs = 0;
-    crypto::Sha256 h;
-    h.update("shard|");
-    h.update(randomness);
-    for (const std::size_t b : s.block_indices) {
-      s.txs += blocks[b].tx_count;
-      h.update("|");
-      h.update(blocks[b].bhash);
-    }
-    s.root = h.finalize();
   }
 
-  // Pass 2: real PoW grinding — stage A becomes genuinely CPU-bound, and
-  // each winning nonce witnesses the work in the epoch digest. Committees'
-  // puzzles are independent, so chunks of them grind on the run's pool,
-  // nested inside this stage-A task. The difficulty is a model knob, so a
-  // bounded give-up keeps the pipeline deterministic either way.
+  // Pass 2: each committee's TX count and shard root, then its real PoW
+  // grind — stage A becomes genuinely CPU-bound, and each winning nonce
+  // witnesses the work in the epoch digest. Committees are independent, so
+  // chunks of them run on the run's pool, nested inside this stage-A task,
+  // each writing only its own committees' slots. The difficulty is a model
+  // knob, so a bounded give-up keeps the pipeline deterministic either way.
   std::vector<std::uint64_t> nonces(dealt.size(), 0);  // 0 = none found
   const std::uint64_t budget =
       64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
-  if (config_.pow_grind_bits > 0) {
-    const auto target =
-        crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
-    const auto grind = [&](std::size_t chunk) {
-      const std::size_t end =
-          std::min(dealt.size(), (chunk + 1) * kGrindChunk);
-      for (std::size_t c = chunk * kGrindChunk; c < end; ++c) {
-        if (dealt[c].block_indices.empty()) continue;
-        const auto solution = crypto::solve(
-            randomness, "committee-" + std::to_string(dealt[c].id), target,
-            budget);
-        if (solution) nonces[c] = solution->nonce + 1;  // +1: "none" is 0
+  const auto target =
+      crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
+  const auto form = [&](std::size_t chunk) {
+    const std::size_t end = std::min(dealt.size(), (chunk + 1) * kGrindChunk);
+    for (std::size_t c = chunk * kGrindChunk; c < end; ++c) {
+      PendingShard& s = dealt[c];
+      if (s.block_indices.empty()) continue;
+      crypto::Sha256 h;
+      h.update("shard|");
+      h.update(randomness);
+      for (const std::size_t b : s.block_indices) {
+        s.txs += blocks[b].tx_count;
+        h.update("|");
+        h.update(blocks[b].bhash);
       }
-    };
-    const std::size_t chunks = (dealt.size() + kGrindChunk - 1) / kGrindChunk;
-    if (pool != nullptr) {
-      pool->parallel_for(chunks, grind);
-    } else {
-      for (std::size_t chunk = 0; chunk < chunks; ++chunk) grind(chunk);
+      s.root = h.finalize();
+      if (config_.pow_grind_bits == 0) continue;
+      const auto solution = crypto::solve(
+          randomness, "committee-" + std::to_string(s.id), target, budget);
+      if (solution) nonces[c] = solution->nonce + 1;  // +1: "none" is 0
     }
+  };
+  const std::size_t chunks = (dealt.size() + kGrindChunk - 1) / kGrindChunk;
+  if (pool != nullptr) {
+    pool->parallel_for(chunks, form);
+  } else {
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) form(chunk);
   }
 
   // Pass 3, serial: the formation digest, folded in committee order, and

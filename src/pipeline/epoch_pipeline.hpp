@@ -9,13 +9,14 @@
 //
 //   Stage A — formation, in three passes. (1) Serially: window the
 //     incoming trace, deal fresh blocks to the epoch's member committees,
-//     sample their two-phase (PoW formation + intra-committee PBFT)
-//     completion times, and compute each shard's root digest. (2) With
-//     pow_grind_bits > 0, grind each committee's real PoW puzzle: chunks of
-//     16 committees run as one parallel_for on the run's pool, nested inside
-//     the stage-A task, each writing its own slot of a nonce vector. (3)
+//     and sample their two-phase (PoW formation + intra-committee PBFT)
+//     completion times and ids (the draws share one stream, so their order
+//     is fixed). (2) Chunks of 8 committees run as one parallel_for on the
+//     run's pool, nested inside the stage-A task: each committee's TX count
+//     and shard root, then, with pow_grind_bits > 0, its real PoW puzzle,
+//     each chunk writing only its own committees and nonce slots. (3)
 //     Serially: fold the formation digest in committee order and count the
-//     grind's attempts (EpochReport::pow_attempts). Every puzzle is
+//     grind's attempts (EpochReport::pow_attempts). Every committee is
 //     independent, and solve() returns the first qualifying nonce within a
 //     fixed budget, so the nonces — and the digest — do not depend on
 //     which thread ground them. Stage A is a *pure function* of (trace,
@@ -40,7 +41,7 @@
 // Overlap: with overlap_depth 2, step k runs {B(k), A(k+1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
 // Stage B lends the same pool to the SE scheduler, whose explorer batches
-// nest inside B(k), and stage A grinds its PoW chunks on it: whichever
+// nest inside B(k), and stage A runs its pass-2 chunks on it: whichever
 // batch a context is free for, it helps with, so the thread that finishes
 // a short B(k) grinds A(k+1)'s chunks instead of waiting.
 // Because stage A is pure and only one stage B is in flight per batch, the
@@ -198,7 +199,8 @@ class EpochPipeline {
     std::uint64_t pow_attempts = 0;        // EpochReport::pow_attempts
   };
 
-  /// Stage A. `pool` (may be null) grinds the committees' PoW in chunks.
+  /// Stage A. `pool` (may be null) runs pass 2 (shard roots and PoW) in
+  /// chunks of committees.
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch,
                                        common::ThreadPool* pool) const;
   /// Stage B. `pool` (may be null) is lent to the SE scheduler of an

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "chain/checkpoint.hpp"
 #include "chain/root_chain.hpp"
+#include "common/fnv.hpp"
 #include "sharding/verification.hpp"
 
 namespace {
@@ -218,6 +221,35 @@ TEST(CheckpointTest, TamperedPayloadIsRejected) {
   text[at] = '2';
   std::stringstream tampered(text);
   EXPECT_FALSE(mvcom::chain::load_checkpoint(tampered).has_value());
+}
+
+TEST(CheckpointTest, RootCountTheTextCannotHoldIsRejected) {
+  // A genesis checkpoint grown by one block line whose root count is far
+  // more than its roots, with the checksum recomputed to match: the FNV-1a
+  // checksum is no MAC, so the loader must reject the count itself instead
+  // of sizing anything by it (2^60 used to throw std::length_error).
+  std::stringstream genesis;
+  ASSERT_TRUE(
+      mvcom::chain::write_checkpoint(RootChain("serve-genesis"), genesis));
+  std::string body = genesis.str();
+  body = body.substr(0, body.rfind("checksum "));
+  const std::size_t blocks_at = body.find("blocks 1\n");
+  ASSERT_NE(blocks_at, std::string::npos);
+  body.replace(blocks_at, 8, "blocks 2");
+  const std::string root(64, '0');
+  for (const std::string& count_and_roots :
+       {std::string("1152921504606846976"),
+        "1000000 " + root + " " + root}) {
+    const std::string payload = body + "block 1 1 0 p r " + root + " " +
+                                count_and_roots + "\n";
+    char checksum[24];
+    std::snprintf(checksum, sizeof checksum, "%016llx",
+                  static_cast<unsigned long long>(
+                      mvcom::common::fnv1a(payload)));
+    std::stringstream forged(payload + "checksum " + checksum + "\n");
+    EXPECT_FALSE(mvcom::chain::load_checkpoint(forged).has_value())
+        << count_and_roots.substr(0, 20);
+  }
 }
 
 TEST(CheckpointTest, EscapedStringsSurviveTheTokenizer) {

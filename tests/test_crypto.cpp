@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -129,49 +130,91 @@ TEST(Sha256Test, ShaNiMatchesPortableRounds) {
   }
 }
 
+/// A nonce's one-block tail as the PoW grind lays it out: `prefix`, the
+/// nonce's decimal digits, 0x80, zeros, and the bit length of a message of
+/// `before` whole-block bytes, the prefix and the digits.
+std::array<std::uint8_t, 64> tail_block(const std::vector<std::uint8_t>& prefix,
+                                        std::uint64_t nonce,
+                                        std::uint64_t before) {
+  std::array<std::uint8_t, 64> block{};
+  std::copy(prefix.begin(), prefix.end(), block.begin());
+  const std::string digits = std::to_string(nonce);
+  std::copy(digits.begin(), digits.end(), block.begin() + prefix.size());
+  block[prefix.size() + digits.size()] = 0x80;
+  const std::uint64_t bits = (before + prefix.size() + digits.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+  return block;
+}
+
 TEST(Sha256Test, X16MatchesPortableRounds) {
-  // The 16-lane kernel on random chaining states and blocks, for every
-  // count of precomputed rounds 0–15: the lanes share the block's first
-  // `rounds` words and differ after them, and each lane must match the
-  // portable rounds on its own block. The kernel must not read the lanes'
-  // rows below `rounds`, so those hold junk.
+  // The 16-lane grind on random chaining states and prefix bytes, with the
+  // digits at every block offset 0–54 (so 0–13 rounds run once for all
+  // lanes), from starts whose lanes or steps of 16 cross a power of ten,
+  // carry through nines, or push the bit length's low word past 2^32. Under
+  // a target just above attempt k's leading 64 bits, the grind must return
+  // the first attempt below it, with that attempt's portable-rounds state,
+  // and under target 0 none.
   if (!mvcom::crypto::avx512f_available()) {
     GTEST_SKIP() << "CPU has no AVX-512F";
   }
   Rng rng(0x516);
   const auto word = [&rng] { return static_cast<std::uint32_t>(rng()); };
-  for (int trial = 0; trial < 200; ++trial) {
-    for (std::size_t rounds = 0; rounds < 16; ++rounds) {
-      mvcom::crypto::Sha256x16Prefix prefix{};
-      for (std::uint32_t& w : prefix.chain) w = word();
-      for (std::size_t i = 0; i < rounds; ++i) prefix.words[i] = word();
-      prefix.rounds = rounds;
-      mvcom::crypto::sha256_x16_prefix(prefix);
-      std::uint32_t words[16][16] = {};
-      for (auto& row : words) {
-        for (std::uint32_t& w : row) w = word();
+  constexpr std::uint64_t kStarts[] = {0,  1,   5,    84,   94,  990,
+                                       999'984, 1'999'990, 12'345,
+                                       99'999'999'999'999'990ULL};
+  for (std::size_t digits_at = 0; digits_at <= 54; ++digits_at) {
+    for (const std::uint64_t start : kStarts) {
+      const std::uint64_t groups = 1 + rng() % 3;
+      const std::uint64_t attempts = 16 * groups;
+      if (digits_at + std::to_string(start + attempts - 1).size() > 55) {
+        continue;  // the grind takes one-block nonces only
       }
-      std::uint32_t state[8][16] = {};
-      mvcom::crypto::sha256_x16_compress(prefix, words, state);
-      for (std::size_t lane = 0; lane < 16; ++lane) {
-        std::array<std::uint8_t, 64> block{};
-        for (std::size_t i = 0; i < 16; ++i) {
-          const std::uint32_t w = i < rounds ? prefix.words[i] : words[i][lane];
-          for (std::size_t b = 0; b < 4; ++b) {
-            block[4 * i + b] = static_cast<std::uint8_t>(w >> (24 - 8 * b));
-          }
-        }
-        std::array<std::uint32_t, 8> portable{};
-        std::copy(std::begin(prefix.chain), std::end(prefix.chain),
-                  portable.begin());
-        mvcom::crypto::sha256_compress_portable(portable.data(), block.data(),
-                                                1);
+      mvcom::crypto::Sha256x16Grind grind{};
+      for (std::uint32_t& w : grind.chain) w = word();
+      std::vector<std::uint8_t> prefix(digits_at);
+      for (std::uint8_t& byte : prefix) byte = static_cast<std::uint8_t>(rng());
+      // Every third case sits its bit length 8 short of 2^32 per digit.
+      const std::uint64_t before =
+          start % 3 == 0 ? (std::uint64_t{1} << 29) - digits_at -
+                               std::to_string(start).size() - 1
+                         : 64 * (rng() % 4);
+      const auto first = tail_block(prefix, start, before);
+      std::copy(first.begin(), first.end(), grind.block);
+      grind.digits_at = digits_at;
+      grind.width = std::to_string(start).size();
+
+      std::vector<std::array<std::uint32_t, 8>> states(attempts);
+      for (std::uint64_t k = 0; k < attempts; ++k) {
+        std::copy(std::begin(grind.chain), std::end(grind.chain),
+                  states[k].begin());
+        const auto block = tail_block(prefix, start + k, before);
+        mvcom::crypto::sha256_compress_portable(states[k].data(),
+                                                block.data(), 1);
+      }
+      const auto lead = [&](std::uint64_t k) {
+        return (std::uint64_t{states[k][0]} << 32) | states[k][1];
+      };
+      for (int pick = 0; pick < 4; ++pick) {
+        const std::uint64_t k = rng() % attempts;
+        grind.target = lead(k) + 1;
+        std::uint64_t expected = 0;
+        while (lead(expected) >= grind.target) ++expected;
+        std::uint32_t state[8] = {};
+        ASSERT_EQ(mvcom::crypto::sha256_x16_grind(grind, groups, state),
+                  expected)
+            << "digits at " << digits_at << ", start " << start;
         for (std::size_t j = 0; j < 8; ++j) {
-          ASSERT_EQ(state[j][lane], portable[j])
-              << "trial " << trial << ", " << rounds << " rounds, lane "
-              << lane << ", word " << j;
+          ASSERT_EQ(state[j], states[expected][j])
+              << "digits at " << digits_at << ", start " << start
+              << ", attempt " << expected << ", word " << j;
         }
       }
+      grind.target = 0;
+      std::uint32_t state[8] = {};
+      ASSERT_EQ(mvcom::crypto::sha256_x16_grind(grind, groups, state),
+                attempts);
     }
   }
 }
@@ -456,6 +499,127 @@ TEST(PowKernelTest, SolveCrossesDigitBoundariesInPlace) {
   // A case misses its offset only when no new low follows it within the
   // scan window (odds min_offset / 2^14): then the window's low wins.
   EXPECT_GE(reached, 64 * std::size(boundaries) * std::size(min_offsets) - 8);
+}
+
+/// Randomness that puts the prefix "<randomness>|n|" tail at `tail` bytes.
+std::string randomness_for_tail(std::size_t tail) {
+  return std::string(tail >= 3 ? tail - 3 : tail + 61, 'q');
+}
+
+/// Leading 64 bits of the from-scratch digests of nonces start, start + 1,
+/// … (`count` of them) for identity "n".
+std::vector<std::uint64_t> scratch_leads(const std::string& randomness,
+                                         std::uint64_t start,
+                                         std::size_t count) {
+  std::vector<std::uint64_t> leads(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    leads[k] =
+        mvcom::crypto::leading64(scratch_digest(randomness, "n", start + k));
+  }
+  return leads;
+}
+
+/// solve() from `start` under `target` must return the first nonce whose
+/// scratch lead is below it, with its scratch digest, within the scanned
+/// attempts. Returns that nonce's offset.
+std::size_t expect_first_below(const std::string& randomness,
+                               std::uint64_t start,
+                               const std::vector<std::uint64_t>& leads,
+                               std::uint64_t target) {
+  std::size_t first = 0;
+  while (first < leads.size() && leads[first] >= target) ++first;
+  const auto found = mvcom::crypto::solve(randomness, "n", PowTarget{target},
+                                          leads.size(), start);
+  if (first == leads.size()) {
+    EXPECT_FALSE(found.has_value()) << "tail " << randomness.size() + 3
+                                    << ", start " << start;
+    return first;
+  }
+  EXPECT_TRUE(found.has_value()) << "tail " << (randomness.size() + 3) % 64
+                                 << ", start " << start;
+  if (found) {
+    EXPECT_EQ(found->nonce, start + first)
+        << "tail " << (randomness.size() + 3) % 64 << ", start " << start
+        << ", target " << target;
+    EXPECT_EQ(found->digest, scratch_digest(randomness, "n", start + first));
+  }
+  return first;
+}
+
+TEST(PowKernelTest, StepsCarryThroughNinesAtEveryTailLength) {
+  // Starts whose steps of 16 carry through 0–6 nines, with and without a
+  // digit gain (84 -> 100 ... 99,999,984 -> 100,000,000; 184 -> 200 ...),
+  // at every prefix tail length 0–54, so the ones digit sits at all four
+  // byte offsets of a row and the carries cross rows. Under a target just
+  // above each of 48 attempts' leads, solve() must return the first below
+  // it; some of those winners sit after a step.
+  std::size_t stepped = 0;
+  for (std::size_t tail = 0; tail <= 54; ++tail) {
+    const std::string randomness = randomness_for_tail(tail);
+    for (std::uint64_t power = 100; power <= 100'000'000; power *= 10) {
+      for (const std::uint64_t start : {power - 16, 2 * power - 16}) {
+        const auto leads = scratch_leads(randomness, start, 48);
+        for (const std::uint64_t lead : leads) {
+          if (expect_first_below(randomness, start, leads, lead + 1) >= 16) {
+            ++stepped;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(stepped, 55u * 14u);
+}
+
+TEST(PowKernelTest, GroupsStraddlePowersOfTenAtEveryLaneOffset) {
+  // A group whose lanes hold two widths, from its first pass (start
+  // 10^k − offset) and after a step (start 10^k − 16 − offset), for every
+  // lane offset 1–15 of the first wide lane, at every tail length.
+  std::size_t checked = 0;
+  for (std::size_t tail = 0; tail <= 54; ++tail) {
+    const std::string randomness = randomness_for_tail(tail);
+    for (std::uint64_t power = 10; power <= 100'000; power *= 10) {
+      for (std::uint64_t offset = 1; offset < 16; ++offset) {
+        for (const std::uint64_t back : {offset, 16 + offset}) {
+          if (back > power) continue;
+          const std::uint64_t start = power - back;
+          const auto leads = scratch_leads(randomness, start, 48);
+          std::uint64_t low = std::numeric_limits<std::uint64_t>::max();
+          for (const std::uint64_t lead : leads) {
+            if (lead >= low) continue;  // only new lows win where they sit
+            low = lead;
+            expect_first_below(randomness, start, leads, lead + 1);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 55u * 5u * 15u * 2u);
+}
+
+TEST(PowKernelTest, SolvePicksTheFirstOfTwoWinningLanes) {
+  // A target just above the second-lowest lead of one group lets two of
+  // its lanes win; when no earlier group holds a winner, solve() must
+  // return the lower lane.
+  Rng rng(0x2ace);
+  std::size_t two_winners = 0;
+  for (std::size_t tail = 0; tail <= 54; ++tail) {
+    const std::string randomness = randomness_for_tail(tail);
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::uint64_t start = rng() % 100'000;
+      const auto leads = scratch_leads(randomness, start, 48);
+      for (std::ptrdiff_t group = 0; group < 3; ++group) {
+        std::vector<std::uint64_t> lanes(leads.begin() + 16 * group,
+                                         leads.begin() + 16 * (group + 1));
+        std::sort(lanes.begin(), lanes.end());
+        const std::uint64_t target = lanes[1] + 1;
+        const std::size_t first =
+            expect_first_below(randomness, start, leads, target);
+        if (first >= static_cast<std::size_t>(16 * group)) ++two_winners;
+      }
+    }
+  }
+  EXPECT_GE(two_winners, 55u * 6u);
 }
 
 TEST(PowTest, DifficultyOutsideZeroTo63BitsThrows) {

@@ -20,15 +20,17 @@
 #
 # Helping wait and pooled PoW grind: a parallel_for submitter whose own
 # indices are all claimed runs single indices of other open batches instead
-# of sleeping, and the pipeline's stage A grinds its committees' PoW as a
-# parallel_for of 16-committee chunks nested inside the stage-A task.
+# of sleeping, and the pipeline's stage A hashes its committees' shard
+# roots and grinds their PoW as a parallel_for of 8-committee chunks nested
+# inside the stage-A task, each chunk writing only its own committees.
 # ThreadPoolHelpingTest.SubmitterRunsTheNestedBatchItsWorkerOpened,
 # .HelpedExceptionIsRethrownOnlyByItsSubmitter and
 # .ThreeDeepNestingWithHelpersFinishes cover the pool, and
 # PipelineDeterminism.PowGrindingKeepsTheContract grinds 40 committees at
-# workers {0, 1, 2, 8} x depth {1, 2}. Filter to these and the rest of the
-# pool and pipeline suites with
-#   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline'
+# workers {0, 1, 2, 8} x depth {1, 2}. The grind's kernel tests (Sha256Test,
+# PowKernelTest, PowTest) run single-threaded. Filter to these and the rest
+# of the pool and pipeline suites with
+#   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline|Sha256|Pow'
 #
 # DES lanes: ElasticoNetwork runs an epoch's committee lanes on a pool its
 # caller lends. tests/test_elastico_lanes.cpp runs four scenarios on lent

@@ -36,16 +36,24 @@ Digest BlockHeader::hash() const {
 Block Block::assemble(const BlockHeader* prev, std::vector<Digest> shard_roots,
                       std::uint64_t tx_count, double timestamp,
                       std::string proposer, std::string epoch_randomness) {
+  const Digest root = crypto::MerkleTree(shard_roots).root();
+  return assemble(prev, std::move(shard_roots), root, tx_count, timestamp,
+                  std::move(proposer), std::move(epoch_randomness));
+}
+
+Block Block::assemble(const BlockHeader* prev, std::vector<Digest> shard_roots,
+                      const Digest& shard_merkle_root, std::uint64_t tx_count,
+                      double timestamp, std::string proposer,
+                      std::string epoch_randomness) {
   Block block;
   block.header.height = prev ? prev->height + 1 : 0;
   block.header.prev_hash = prev ? prev->hash() : Digest{};
+  block.header.shard_merkle_root = shard_merkle_root;
   block.header.timestamp = timestamp;
   block.header.tx_count = tx_count;
   block.header.proposer = std::move(proposer);
   block.header.epoch_randomness = std::move(epoch_randomness);
   block.shard_roots = std::move(shard_roots);
-  block.header.shard_merkle_root =
-      crypto::MerkleTree(block.shard_roots).root();
   return block;
 }
 

@@ -38,6 +38,14 @@ struct Block {
                                       std::uint64_t tx_count, double timestamp,
                                       std::string proposer,
                                       std::string epoch_randomness);
+  /// As above, with the Merkle root of `shard_roots` the caller already
+  /// built; it is taken as given (merkle_consistent() re-derives it).
+  [[nodiscard]] static Block assemble(const BlockHeader* prev,
+                                      std::vector<Digest> shard_roots,
+                                      const Digest& shard_merkle_root,
+                                      std::uint64_t tx_count, double timestamp,
+                                      std::string proposer,
+                                      std::string epoch_randomness);
 
   /// Structural self-check: the header's Merkle root matches the shard
   /// roots actually carried.

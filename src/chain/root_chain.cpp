@@ -1,5 +1,6 @@
 #include "chain/root_chain.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mvcom::chain {
@@ -53,17 +54,21 @@ const Block& RootChain::extend(std::vector<Digest> shard_roots,
                                std::uint64_t tx_count, double timestamp,
                                std::string proposer,
                                std::string epoch_randomness) {
-  Block block = Block::assemble(&blocks_.back().header,
-                                std::move(shard_roots), tx_count,
-                                std::max(timestamp,
-                                         blocks_.back().header.timestamp),
-                                std::move(proposer),
-                                std::move(epoch_randomness));
-  const auto error = append(std::move(block));
-  if (error) {
-    throw std::logic_error(std::string("RootChain::extend: ") +
-                           to_string(*error));
-  }
+  const Digest root = crypto::MerkleTree(shard_roots).root();
+  return extend(std::move(shard_roots), root, tx_count, timestamp,
+                std::move(proposer), std::move(epoch_randomness));
+}
+
+const Block& RootChain::extend(std::vector<Digest> shard_roots,
+                               const Digest& shard_merkle_root,
+                               std::uint64_t tx_count, double timestamp,
+                               std::string proposer,
+                               std::string epoch_randomness) {
+  const BlockHeader& tip = blocks_.back().header;
+  Block block = Block::assemble(&tip, std::move(shard_roots), shard_merkle_root,
+                                tx_count, std::max(timestamp, tip.timestamp),
+                                std::move(proposer), std::move(epoch_randomness));
+  blocks_.push_back(std::move(block));
   return blocks_.back();
 }
 

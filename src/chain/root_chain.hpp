@@ -39,8 +39,17 @@ class RootChain {
   /// chain is unchanged then).
   [[nodiscard]] std::optional<AppendError> append(Block block);
 
-  /// Convenience: assemble-on-tip + append (cannot fail structurally).
+  /// Assembles a block on the tip and appends it. The block links to the
+  /// tip and its timestamp is clamped to the tip's, so it needs no check.
   const Block& extend(std::vector<Digest> shard_roots, std::uint64_t tx_count,
+                      double timestamp, std::string proposer,
+                      std::string epoch_randomness);
+  /// As above, reusing the Merkle root of `shard_roots` that the caller
+  /// already built (the final committee's consensus payload). The root is
+  /// trusted, not re-derived here: validate_full() re-derives it, and
+  /// append() refuses a block whose root does not match.
+  const Block& extend(std::vector<Digest> shard_roots,
+                      const Digest& shard_merkle_root, std::uint64_t tx_count,
                       double timestamp, std::string proposer,
                       std::string epoch_randomness);
 

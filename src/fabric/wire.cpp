@@ -142,12 +142,10 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
   w.f64(task.pbft.view_change_timeout.seconds());
   w.f64(task.pbft.verification_mean.seconds());
   w.f64(task.pbft.horizon.seconds());
-  w.str(task.randomness);
   w.u64(task.overlay_seed);
   w.u64(task.net_seed);
   w.u64(task.cluster_seed);
   w.f64(task.formation.seconds());
-  w.u64(task.shard_txs);
   w.u32(static_cast<std::uint32_t>(task.participants.size()));
   for (const net::NodeId node : task.participants) w.u32(node);
   w.u32(static_cast<std::uint32_t>(task.ready_at.size()));
@@ -171,10 +169,9 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
       !r.u8(armed) || !r.u8(overlay) || !r.u32(task.num_nodes) ||
       !r.f64(link_mean) || !r.f64(task.message_loss_probability) ||
       !r.f64(identity) || !r.f64(view_change) || !r.f64(verification) ||
-      !r.f64(horizon) || !r.str(task.randomness) ||
-      !r.u64(task.overlay_seed) || !r.u64(task.net_seed) ||
-      !r.u64(task.cluster_seed) || !r.f64(formation) ||
-      !r.u64(task.shard_txs)) {
+      !r.f64(horizon) || !r.u64(task.overlay_seed) ||
+      !r.u64(task.net_seed) || !r.u64(task.cluster_seed) ||
+      !r.f64(formation)) {
     return false;
   }
   task.armed = armed != 0;

@@ -36,17 +36,23 @@ using common::fnv1a_mix;
 /// Rng::stream(seed, 4·epoch + slot) — a pure function of (seed, epoch) —
 /// so overlapped epochs never share or reorder a stream (DESIGN.md §13).
 enum StreamSlot : std::uint64_t {
-  kFormationSlot = 0,  // dealing + two-phase latency sampling (+ PoW grind)
+  kFormationSlot = 0,  // two-phase latency sampling
   kSeSeedSlot = 1,     // SE scheduler seed
   kFinalNetSlot = 2,   // stage-4 network fabric
   kFinalPbftSlot = 3,  // stage-4 PBFT protocol randomness
 };
 
-/// Committees per stage-A pass-2 task (shard roots, then the PoW grind):
-/// serve's 300 committees make 38 tasks of ~40 µs at 8 bits. On perfbench
-/// `serve` (six runs each), 4, 8 and 16 read op p50 0.933, 0.926 and
-/// 0.961 ms.
+/// Committees per stage-A chunk task (dealing and shard roots, then the PoW
+/// grind): serve's 300 committees make 38 tasks of ~40 µs at 8 bits. On
+/// perfbench `serve`, with the latency draws pooled, 4 against 8 read op
+/// p50 ×0.996 (4 of 10 pairs); with them serial, 4, 8 and 16 read 0.933,
+/// 0.926 and 0.961 ms (six runs each).
 constexpr std::size_t kGrindChunk = 8;
+
+/// The grind's per-committee hash budget at `bits` of difficulty.
+std::uint64_t grind_budget(int bits) noexcept {
+  return 64 * (std::uint64_t{1} << std::min(bits, 24));
+}
 
 std::uint64_t stream_index(std::size_t epoch, StreamSlot slot) noexcept {
   return 4 * static_cast<std::uint64_t>(epoch) + slot;
@@ -174,50 +180,56 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
                                     by_btime);
   const auto last = std::lower_bound(blocks.begin(), blocks.end(),
                                      out.window_end, by_btime);
+  const auto first_block = static_cast<std::size_t>(first - blocks.begin());
+  const auto window_blocks = static_cast<std::size_t>(last - first);
 
-  // Deal fresh blocks round-robin over this epoch's member committees.
-  std::vector<PendingShard> dealt(config_.committees);
-  std::size_t position = 0;
-  for (auto it = first; it != last; ++it, ++position) {
-    dealt[position % config_.committees].block_indices.push_back(
-        static_cast<std::size_t>(it - blocks.begin()));
-  }
+  // Fresh blocks are dealt round-robin over this epoch's member committees:
+  // committee c holds window slots c, c + C, c + 2C, …, so it is empty iff
+  // c >= the window's block count. Only those trailing committees form no
+  // shard; the others form in place.
+  const std::size_t committees = config_.committees;
+  const std::size_t formed = std::min(committees, window_blocks);
+  out.shards.resize(formed);
+  out.nonces.assign(formed, 0);
 
-  // Pass 1, serial: latency draws (in committee order — they share the
-  // formation stream) and ids.
-  Rng rng = Rng::stream(config_.seed,
-                        stream_index(epoch, kFormationSlot));
-  const std::string randomness = epoch_randomness(config_.seed, epoch);
-  for (std::size_t c = 0; c < dealt.size(); ++c) {
-    PendingShard& s = dealt[c];
-    if (s.block_indices.empty()) continue;
-    // Committees form as soon as the window closes; submission is absolute
-    // so later carries rebase exactly, however far stage 4 overran.
-    s.submit_time =
-        txn::sample_submit_instant(rng, txn::WorkloadConfig{}, out.window_end);
-    s.id = static_cast<std::uint32_t>(epoch * config_.committees + c);
-  }
-
-  // Pass 2: each committee's TX count and shard root, then its real PoW
+  // One pooled batch, nested inside this stage-A task. Task 0 draws the
+  // two-phase latencies: they share the formation stream, so one thread
+  // draws them in committee order. Task 1 + j forms chunk j: its
+  // committees' blocks, ids, TX counts and shard roots, then their real PoW
   // grind — stage A becomes genuinely CPU-bound, and each winning nonce
-  // witnesses the work in the epoch digest. Committees are independent, so
-  // chunks of them run on the run's pool, nested inside this stage-A task,
-  // each writing only its own committees' slots. The difficulty is a model
+  // witnesses the work in the epoch digest. Every task writes only its own
+  // fields of the shards and its own nonce slots. The difficulty is a model
   // knob, so a bounded give-up keeps the pipeline deterministic either way.
-  std::vector<std::uint64_t> nonces(dealt.size(), 0);  // 0 = none found
-  const std::uint64_t budget =
-      64 * (std::uint64_t{1} << std::min(config_.pow_grind_bits, 24));
+  const std::string randomness = epoch_randomness(config_.seed, epoch);
+  const std::uint64_t budget = grind_budget(config_.pow_grind_bits);
   const auto target =
       crypto::PowTarget::from_difficulty_bits(config_.pow_grind_bits);
-  const auto form = [&](std::size_t chunk) {
-    const std::size_t end = std::min(dealt.size(), (chunk + 1) * kGrindChunk);
-    for (std::size_t c = chunk * kGrindChunk; c < end; ++c) {
-      PendingShard& s = dealt[c];
-      if (s.block_indices.empty()) continue;
+  const auto form = [&](std::size_t task) {
+    if (task == 0) {
+      Rng rng = Rng::stream(config_.seed,
+                            stream_index(epoch, kFormationSlot));
+      // Committees form as soon as the window closes; submission is
+      // absolute so later carries rebase exactly, however far stage 4
+      // overran.
+      for (PendingShard& s : out.shards) {
+        s.submit_time = txn::sample_submit_instant(rng, txn::WorkloadConfig{},
+                                                   out.window_end);
+      }
+      return;
+    }
+    const std::size_t begin = (task - 1) * kGrindChunk;
+    const std::size_t end = std::min(formed, begin + kGrindChunk);
+    for (std::size_t c = begin; c < end; ++c) {
+      PendingShard& s = out.shards[c];
+      s.id = static_cast<std::uint32_t>(epoch * committees + c);
+      s.block_indices.reserve((window_blocks - c + committees - 1) /
+                              committees);
       crypto::Sha256 h;
       h.update("shard|");
       h.update(randomness);
-      for (const std::size_t b : s.block_indices) {
+      for (std::size_t slot = c; slot < window_blocks; slot += committees) {
+        const std::size_t b = first_block + slot;
+        s.block_indices.push_back(b);
         s.txs += blocks[b].tx_count;
         h.update("|");
         h.update(blocks[b].bhash);
@@ -226,31 +238,14 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
       if (config_.pow_grind_bits == 0) continue;
       const auto solution = crypto::solve(
           randomness, "committee-" + std::to_string(s.id), target, budget);
-      if (solution) nonces[c] = solution->nonce + 1;  // +1: "none" is 0
+      if (solution) out.nonces[c] = solution->nonce + 1;  // +1: "none" is 0
     }
   };
-  const std::size_t chunks = (dealt.size() + kGrindChunk - 1) / kGrindChunk;
+  const std::size_t tasks = 1 + (formed + kGrindChunk - 1) / kGrindChunk;
   if (pool != nullptr) {
-    pool->parallel_for(chunks, form);
+    pool->parallel_for(tasks, form);
   } else {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) form(chunk);
-  }
-
-  // Pass 3, serial: the formation digest, folded in committee order, and
-  // the grind's attempt count.
-  out.formation_digest = kDigestBasis;
-  for (std::size_t c = 0; c < dealt.size(); ++c) {
-    PendingShard& s = dealt[c];
-    if (s.block_indices.empty()) continue;
-    out.formation_digest = fnv1a_mix(out.formation_digest, s.id);
-    out.formation_digest = fnv1a_mix(out.formation_digest, s.txs);
-    out.formation_digest = fnv1a_mix(
-        out.formation_digest, std::bit_cast<std::uint64_t>(s.submit_time));
-    out.formation_digest = fnv1a_mix(out.formation_digest, nonces[c]);
-    if (config_.pow_grind_bits > 0) {
-      out.pow_attempts += nonces[c] != 0 ? nonces[c] : budget;
-    }
-    out.shards.push_back(std::move(s));
+    for (std::size_t task = 0; task < tasks; ++task) form(task);
   }
   return out;
 }
@@ -267,14 +262,30 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   const double start = std::max(formed.window_end, prev_commit_);
   report.start = start;
 
+  // Carried shards first, then the fresh ones, whose formation digest and
+  // grind attempt count fold in committee order on the way in. Stage A
+  // leaves the fold to here, where it runs beside the next epoch's
+  // formation instead of after it.
   std::vector<PendingShard> shards = std::move(carried_);
   carried_.clear();
-  for (PendingShard& s : formed.shards) {
+  shards.reserve(shards.size() + formed.shards.size());
+  const std::uint64_t budget = grind_budget(config_.pow_grind_bits);
+  std::uint64_t formation_digest = kDigestBasis;
+  for (std::size_t c = 0; c < formed.shards.size(); ++c) {
+    PendingShard& s = formed.shards[c];
+    const std::uint64_t nonce = formed.nonces[c];
+    formation_digest = fnv1a_mix(formation_digest, s.id);
+    formation_digest = fnv1a_mix(formation_digest, s.txs);
+    formation_digest = fnv1a_mix(formation_digest,
+                                 std::bit_cast<std::uint64_t>(s.submit_time));
+    formation_digest = fnv1a_mix(formation_digest, nonce);
+    if (config_.pow_grind_bits > 0) {
+      report.pow_attempts += nonce != 0 ? nonce : budget;
+    }
     totals_.ingested_txs += s.txs;
     shards.push_back(std::move(s));
   }
   report.shards_pending = shards.size();
-  report.pow_attempts = formed.pow_attempts;
 
   core::Selection keep(shards.size(), 0);
   if (!shards.empty()) {
@@ -337,8 +348,9 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   }
 
   // Stage 4 — final consensus as a real discrete-event PBFT round over the
-  // Merkle root of the selected shard roots. Its event-order digest is the
-  // epoch's determinism witness.
+  // Merkle root of the selected shard roots, the epoch's one Merkle tree
+  // (the final block reuses it). Its event-order digest is the epoch's
+  // determinism witness.
   sim::Simulator des;
   const auto link = std::make_shared<net::LognormalLatency>(SimTime(0.15),
                                                             SimTime(0.05));
@@ -391,12 +403,12 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
   totals_.committed_txs += committed_txs;
   totals_.total_age += report.total_age;
 
-  chain_.extend(std::move(selected_roots), committed_txs, commit,
+  chain_.extend(std::move(selected_roots), payload, committed_txs, commit,
                 "final-committee", epoch_randomness(config_.seed, formed.epoch));
 
   // Epoch digest: formation draws + DES event order + the selection itself.
   std::uint64_t digest = kDigestBasis;
-  digest = fnv1a_mix(digest, formed.formation_digest);
+  digest = fnv1a_mix(digest, formation_digest);
   digest = fnv1a_mix(digest, des.order_digest());
   digest = fnv1a_mix(digest, report.des_events);
   digest = fnv1a_mix(digest, std::bit_cast<std::uint64_t>(report.utility));

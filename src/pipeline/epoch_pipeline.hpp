@@ -7,20 +7,21 @@
 // This module drives exactly that regime. Each epoch is split into two
 // stages:
 //
-//   Stage A — formation, in three passes. (1) Serially: window the
-//     incoming trace, deal fresh blocks to the epoch's member committees,
-//     and sample their two-phase (PoW formation + intra-committee PBFT)
-//     completion times and ids (the draws share one stream, so their order
-//     is fixed). (2) Chunks of 8 committees run as one parallel_for on the
-//     run's pool, nested inside the stage-A task: each committee's TX count
-//     and shard root, then, with pow_grind_bits > 0, its real PoW puzzle,
-//     each chunk writing only its own committees and nonce slots. (3)
-//     Serially: fold the formation digest in committee order and count the
-//     grind's attempts (EpochReport::pow_attempts). Every committee is
-//     independent, and solve() returns the first qualifying nonce within a
-//     fixed budget, so the nonces — and the digest — do not depend on
-//     which thread ground them. Stage A is a *pure function* of (trace,
-//     config, epoch index): its randomness comes from
+//   Stage A — formation, as one parallel_for on the run's pool, nested
+//     inside the stage-A task, after a binary search for the epoch's window
+//     of the trace. Task 0 samples every formed committee's two-phase (PoW
+//     formation + intra-committee PBFT) completion time; the draws share
+//     one stream, so they run in committee order on one thread. Each other
+//     task takes a chunk of 8 committees: it deals them their round-robin
+//     blocks and hashes their ids, TX counts and shard roots, then, with
+//     pow_grind_bits > 0, grinds their real PoW puzzles. Every task writes
+//     only its own fields of the shards, which form in place, and its own
+//     nonce slots. Stage B folds the formation digest in committee order
+//     and counts the grind's attempts (EpochReport::pow_attempts). Every
+//     committee is independent, and solve() returns the first qualifying
+//     nonce within a fixed budget, so the nonces — and the digest — do not
+//     depend on which thread ground them. Stage A is a *pure function* of
+//     (trace, config, epoch index): its randomness comes from
 //     Rng::stream(seed, slot(e)) — per-epoch stream roots derived from
 //     (seed, epoch index), never from a shared forking engine — so epoch
 //     e+1's formation can run concurrently with anything without perturbing
@@ -41,9 +42,9 @@
 // Overlap: with overlap_depth 2, step k runs {B(k), A(k+1)} as one
 // thread-pool batch — the root chain never idles waiting for formation.
 // Stage B lends the same pool to the SE scheduler, whose explorer batches
-// nest inside B(k), and stage A runs its pass-2 chunks on it: whichever
-// batch a context is free for, it helps with, so the thread that finishes
-// a short B(k) grinds A(k+1)'s chunks instead of waiting.
+// nest inside B(k), and stage A runs its tasks on it: whichever batch a
+// context is free for, it helps with, so the thread that finishes a short
+// B(k) grinds A(k+1)'s chunks instead of waiting.
 // Because stage A is pure and only one stage B is in flight per batch, the
 // pipelined schedule is *bitwise identical* to the sequential reference
 // (overlap_depth = 1) for any worker count: same per-epoch event-order
@@ -195,12 +196,13 @@ class EpochPipeline {
     std::size_t epoch = 0;
     double window_end = 0.0;
     std::vector<PendingShard> shards;      // fresh shards, committee order
-    std::uint64_t formation_digest = 0;    // latency bits + PoW nonces fold
-    std::uint64_t pow_attempts = 0;        // EpochReport::pow_attempts
+    /// Per shard: its winning PoW nonce + 1; 0 when none was found or
+    /// nothing was ground. Stage B folds these into the epoch digest.
+    std::vector<std::uint64_t> nonces;
   };
 
-  /// Stage A. `pool` (may be null) runs pass 2 (shard roots and PoW) in
-  /// chunks of committees.
+  /// Stage A. `pool` (may be null) runs it as one batch: the latency draws
+  /// and the chunks of committees (dealing, shard roots and PoW).
   [[nodiscard]] FormedEpoch form_epoch(std::size_t epoch,
                                        common::ThreadPool* pool) const;
   /// Stage B. `pool` (may be null) is lent to the SE scheduler of an

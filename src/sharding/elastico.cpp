@@ -171,9 +171,7 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     task.message_loss_probability = config_.message_loss_probability;
     task.overlay_identity_processing = config_.overlay_identity_processing;
     task.pbft = config_.pbft;
-    task.randomness = randomness_;
     task.formation = formation[c];
-    task.shard_txs = c < member_committees ? shard_txs[c] : 0;
     task.participants = participants[c];
     if (config_.message_level_overlay) {
       task.ready_at.reserve(take);
@@ -249,8 +247,10 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   }
 
   // The selected shards' roots: stage 4's Merkle leaves and, once the final
-  // block commits, the root chain's block body.
+  // block commits, the root chain's block body. Their tree is built once:
+  // its root is the final committee's payload and the block's Merkle root.
   std::vector<crypto::Digest> roots;
+  crypto::Digest merkle_root{};
   if (!outcome.selected.empty() && participants[final_id].size() >= kMinBftMembers) {
     // DDL: the final committee can start once the last selected shard has
     // been submitted (its two-phase latency) — and no earlier than its own
@@ -264,13 +264,13 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
       total_txs += co.tx_count;
       roots.push_back(crypto::Sha256::hash("shard-root-" + std::to_string(id)));
     }
-    const crypto::MerkleTree tree(roots);
+    merkle_root = crypto::MerkleTree(roots).root();
 
     // The final committee runs on its own fresh fabric with the seeds
     // pre-drawn for it above, so its numbers are identical whether the
     // member lanes ran serially, on a pool, or on worker processes.
     const LaneResult round =
-        run_pbft_round(tasks[final_id], start, tree.root(), obs_);
+        run_pbft_round(tasks[final_id], start, merkle_root, obs_);
     outcome.final_committed = round.committed;
     outcome.final_consensus_latency = round.consensus_latency;
     outcome.event_order_digest =
@@ -282,7 +282,7 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
 
   // --- Root chain: the final block joins the ledger ------------------------
   if (outcome.final_committed) {
-    chain_.extend(std::move(roots), outcome.final_block_txs,
+    chain_.extend(std::move(roots), merkle_root, outcome.final_block_txs,
                   outcome.epoch_makespan.seconds(),
                   "final-committee-" + std::to_string(final_id), randomness_);
   }

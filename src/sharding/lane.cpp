@@ -111,12 +111,10 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
   result.formed = true;
 
   if (task.committee_id < task.member_committees) {
-    // Shard payload: Merkle root over a synthetic per-shard block digest.
-    const crypto::Digest payload = crypto::Sha256::hash(
-        task.randomness + "|shard|" + std::to_string(task.committee_id) +
-        "|" + std::to_string(task.shard_txs));
+    // The simulated protocol never reads a payload
+    // (PbftCluster::start_consensus), so a member lane hashes none.
     const LaneResult round =
-        run_pbft_round(task, result.formation, payload, obs);
+        run_pbft_round(task, result.formation, crypto::Digest{}, obs);
     result.committed = round.committed;
     result.consensus_latency = round.consensus_latency;
     result.view_changes = round.view_changes;

@@ -15,11 +15,10 @@
 // Network (+ PbftCluster) from nothing else.
 //
 // Serializability is a design constraint, not an accident: every field is a
-// scalar, a string, or a flat vector, so the fabric wire format
+// scalar or a flat vector, so the fabric wire format
 // (fabric/wire.hpp) encodes a task frame without touching this code.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -52,8 +51,6 @@ struct LaneTask {
   double message_loss_probability = 0.0;
   SimTime overlay_identity_processing = SimTime::zero();
   consensus::PbftConfig pbft{};
-  /// Current epoch randomness — seeds the shard payload hash.
-  std::string randomness;
 
   // --- pre-drawn RNG seeds (serial, committee order — the contract) ---
   std::uint64_t overlay_seed = 0;  // message-level overlay fabric only
@@ -64,7 +61,6 @@ struct LaneTask {
   /// Closed-form formation instant (PoW + linear overlay). In message-level
   /// overlay mode the lane recomputes formation from the exchange instead.
   SimTime formation = SimTime::infinity();
-  std::uint64_t shard_txs = 0;  // member committees only
   std::vector<net::NodeId> participants;
   /// PoW solve instants, aligned with `participants` (overlay mode only).
   std::vector<SimTime> ready_at;

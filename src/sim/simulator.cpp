@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/fnv.hpp"
@@ -33,8 +34,11 @@ void Simulator::set_obs(obs::ObsContext obs) {
 }
 
 std::uint32_t Simulator::arm_slot(SimTime at) {
-  if (at < now_) {
-    throw std::logic_error("Simulator::schedule_at: cannot schedule in the past");
+  // Negated so that NaN fails too: it compares false with every instant, so
+  // once it became the clock no later instant would count as the past.
+  if (!(at >= now_)) {
+    throw std::logic_error(
+        "Simulator::schedule_at: cannot schedule in the past or at NaN");
   }
   std::uint32_t index;
   if (!free_.empty()) {
@@ -173,6 +177,10 @@ std::size_t Simulator::run(std::size_t limit) {
 }
 
 std::size_t Simulator::run_until(SimTime horizon) {
+  // A NaN horizon would pass every `at > horizon` test and run the queue dry.
+  if (std::isnan(horizon.seconds())) {
+    throw std::invalid_argument("Simulator::run_until: horizon is NaN");
+  }
   std::size_t fired = 0;
   for (;;) {
     skip_stale_head();

@@ -134,7 +134,8 @@ class Simulator {
 
   /// Schedules `f` to run at absolute simulated time `at`. Accepts any
   /// callable, so small captures stay allocation-free.
-  /// Precondition: at >= now() (the past is immutable).
+  /// Throws std::logic_error unless at >= now() (the past is immutable, and
+  /// NaN is no instant).
   template <typename F>
   EventId schedule_at(SimTime at, F&& f) {
     const std::uint32_t index = arm_slot(at);
@@ -159,7 +160,8 @@ class Simulator {
 
   /// Runs events with timestamp <= horizon. Events scheduled during the run
   /// are honored if they also fall within the horizon. Advances the clock to
-  /// `horizon` even if the queue drains early.
+  /// `horizon` even if the queue drains early. Throws std::invalid_argument
+  /// on a NaN horizon.
   std::size_t run_until(SimTime horizon);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }

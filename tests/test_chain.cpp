@@ -82,6 +82,31 @@ TEST(RootChainTest, ExtendGrowsAValidChain) {
   EXPECT_EQ(chain.at(3).header.height, 3u);
 }
 
+TEST(RootChainTest, ExtendWithTheCallersRootMatchesPlainExtend) {
+  RootChain plain;
+  RootChain reused;
+  for (int e = 1; e <= 3; ++e) {
+    const std::vector<Digest> leaves = roots(e);
+    plain.extend(leaves, 10, 1.0 * e, "p", "r");
+    reused.extend(leaves, mvcom::crypto::MerkleTree(leaves).root(), 10,
+                  1.0 * e, "p", "r");
+    EXPECT_EQ(reused.tip().header.hash(), plain.tip().header.hash());
+  }
+  EXPECT_TRUE(reused.validate_full());
+}
+
+TEST(RootChainTest, ExtendWithAWrongRootIsCaught) {
+  // extend trusts the caller's root; full revalidation re-derives it, and
+  // append refuses the same block on a chain that did not assemble it.
+  RootChain chain;
+  RootChain other = chain;
+  chain.extend(roots(3), Sha256::hash("not the root"), 30, 1.0, "p", "r");
+  EXPECT_EQ(chain.height(), 1u);
+  EXPECT_FALSE(chain.validate_full());
+  EXPECT_EQ(other.append(chain.tip()), AppendError::kMerkleMismatch);
+  EXPECT_EQ(other.size(), 1u);
+}
+
 TEST(RootChainTest, AppendRejectsWrongHeight) {
   RootChain chain;
   Block block = Block::assemble(&chain.tip().header, roots(1), 10, 1.0, "p", "r");

@@ -69,12 +69,10 @@ LaneTask sample_task() {
   task.pbft.view_change_timeout = SimTime(120.0);
   task.pbft.verification_mean = SimTime(0.2);
   task.pbft.horizon = SimTime(3600.0);
-  task.randomness = "0123abcd";
   task.overlay_seed = 0xdeadbeefcafef00dULL;
   task.net_seed = 0x1122334455667788ULL;
   task.cluster_seed = 0x99aabbccddeeff00ULL;
   task.formation = SimTime(642.75);
-  task.shard_txs = 12345;
   task.participants = {3, 17, 42, 99, 100, 127};
   task.ready_at = {SimTime(1.0), SimTime(2.5), SimTime(3.0),
                    SimTime(4.25), SimTime(5.0), SimTime(6.5)};
@@ -93,13 +91,11 @@ void expect_tasks_equal(const LaneTask& a, const LaneTask& b) {
             std::bit_cast<std::uint64_t>(b.link_latency_mean.seconds()));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.message_loss_probability),
             std::bit_cast<std::uint64_t>(b.message_loss_probability));
-  EXPECT_EQ(a.randomness, b.randomness);
   EXPECT_EQ(a.overlay_seed, b.overlay_seed);
   EXPECT_EQ(a.net_seed, b.net_seed);
   EXPECT_EQ(a.cluster_seed, b.cluster_seed);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.formation.seconds()),
             std::bit_cast<std::uint64_t>(b.formation.seconds()));
-  EXPECT_EQ(a.shard_txs, b.shard_txs);
   EXPECT_EQ(a.participants, b.participants);
   ASSERT_EQ(a.ready_at.size(), b.ready_at.size());
   for (std::size_t i = 0; i < a.ready_at.size(); ++i) {

@@ -203,6 +203,47 @@ TEST(PipelineDeterminism, PowGrindingKeepsTheContract) {
   }
 }
 
+TEST(PipelineDeterminism, SparseWindowsKeepTheContract) {
+  // More committees than blocks per window: 90 blocks over four windows
+  // leave most of the 40 committees empty each epoch, and those form no
+  // shard. Grinding pools and overlap still match the reference.
+  const Trace trace = small_trace();
+  PipelineConfig config = small_config();
+  config.committees = 40;
+  config.pow_grind_bits = 6;
+
+  config.overlap_depth = 1;
+  config.workers = 0;
+  const RunRecord ref = run_pipeline(trace, config);
+  ASSERT_EQ(ref.reports.size(), config.epochs);
+  for (const EpochReport& r : ref.reports) {
+    EXPECT_GT(r.shards_pending, 0u) << "epoch " << r.epoch;
+  }
+  EXPECT_LT(ref.reports.front().shards_pending, config.committees);
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      config.overlap_depth = depth;
+      config.workers = workers;
+      const RunRecord got = run_pipeline(trace, config);
+      ASSERT_EQ(ref.reports.size(), got.reports.size());
+      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
+        const EpochReport& a = ref.reports[e];
+        const EpochReport& b = got.reports[e];
+        EXPECT_EQ(a.event_order_digest, b.event_order_digest)
+            << "epoch " << e << " depth=" << depth << " workers=" << workers;
+        EXPECT_EQ(a.shards_pending, b.shards_pending) << "epoch " << e;
+        EXPECT_EQ(a.pow_attempts, b.pow_attempts) << "epoch " << e;
+        EXPECT_EQ(a.total_age, b.total_age) << "epoch " << e;
+        EXPECT_EQ(a.commit, b.commit) << "epoch " << e;
+      }
+      EXPECT_EQ(got.totals.digest, ref.totals.digest)
+          << "depth=" << depth << " workers=" << workers;
+      EXPECT_EQ(got.totals.pending_txs, ref.totals.pending_txs);
+    }
+  }
+}
+
 TEST(PipelineDeterminism, PowAttemptsMatchARecomputedGrind) {
   // EpochReport::pow_attempts counts stage A's hashes: per committee, the
   // winning nonce + 1, or the budget when it gave up. The pooled grind at

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -79,6 +80,39 @@ TEST(SimulatorTest, SchedulingInThePastThrows) {
   sim.schedule_at(SimTime(10.0), [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(SimTime(5.0), [] {}), std::logic_error);
+}
+
+// NaN compares false with everything, so a plain `at < now` check lets it
+// through; the kernel must refuse it, and the clock must stay a number.
+TEST(SimulatorTest, SchedulingAtNanThrows) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_at(SimTime(std::nan("")), [] {}),
+               std::logic_error);
+  EXPECT_TRUE(sim.empty());
+  sim.schedule_at(SimTime(1.0), [] {});
+  sim.run();
+  EXPECT_DOUBLE_EQ(sim.now().seconds(), 1.0);
+}
+
+TEST(SimulatorTest, SchedulingAfterNanDelayThrows) {
+  Simulator sim;
+  sim.schedule_at(SimTime(2.0), [&sim] {
+    EXPECT_THROW(sim.schedule_after(SimTime(std::nan("")), [] {}),
+                 std::logic_error);
+  });
+  sim.run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.now().seconds(), 2.0);
+}
+
+TEST(SimulatorTest, RunUntilNanHorizonThrows) {
+  Simulator sim;
+  bool fired = false;
+  sim.schedule_at(SimTime(1.0), [&] { fired = true; });
+  EXPECT_THROW(sim.run_until(SimTime(std::nan(""))), std::logic_error);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now().seconds(), 0.0);
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {

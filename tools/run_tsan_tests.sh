@@ -18,18 +18,20 @@
 # cases cover the serial and pipeline paths. Filter to this set with
 #   tools/run_tsan_tests.sh -R 'SeParallel|SeDeterminism|SeCertified|Pipeline'
 #
-# Helping wait and pooled PoW grind: a parallel_for submitter whose own
+# Helping wait and pooled stage A: a parallel_for submitter whose own
 # indices are all claimed runs single indices of other open batches instead
-# of sleeping, and the pipeline's stage A hashes its committees' shard
-# roots and grinds their PoW as a parallel_for of 8-committee chunks nested
-# inside the stage-A task, each chunk writing only its own committees.
+# of sleeping, and the pipeline's stage A is one parallel_for nested inside
+# the stage-A task: task 0 draws the latencies into the shards while
+# 8-committee chunks deal, hash and grind theirs, each task writing only
+# its own fields and nonce slots.
 # ThreadPoolHelpingTest.SubmitterRunsTheNestedBatchItsWorkerOpened,
 # .HelpedExceptionIsRethrownOnlyByItsSubmitter and
 # .ThreeDeepNestingWithHelpersFinishes cover the pool, and
-# PipelineDeterminism.PowGrindingKeepsTheContract grinds 40 committees at
-# workers {0, 1, 2, 8} x depth {1, 2}. The grind's kernel tests (Sha256Test,
-# PowKernelTest, PowTest) run single-threaded. Filter to these and the rest
-# of the pool and pipeline suites with
+# PipelineDeterminism.PowGrindingKeepsTheContract and
+# .SparseWindowsKeepTheContract grind 40 committees (the second with most
+# of them empty) at workers {0, 1, 2, 8} x depth {1, 2}. The grind's
+# kernel tests (Sha256Test, PowKernelTest, PowTest) run single-threaded.
+# Filter to these and the rest of the pool and pipeline suites with
 #   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline|Sha256|Pow'
 #
 # DES lanes: ElasticoNetwork runs an epoch's committee lanes on a pool its

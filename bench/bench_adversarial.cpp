@@ -28,6 +28,7 @@
 
 namespace {
 
+using mvcom::bench::print_pass;
 using mvcom::core::AdversaryStrategy;
 using mvcom::core::CampaignConfig;
 using mvcom::core::CampaignResult;
@@ -36,10 +37,6 @@ using mvcom::core::run_adversarial_campaign;
 constexpr std::size_t kCommittees = 20;
 constexpr std::size_t kEpochs = 5;
 constexpr std::uint64_t kSeed = 7;
-
-void print_pass(const char* criterion, bool ok) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", criterion);
-}
 
 /// Mirrors `mvcom chaos --adversary` defaults (tools/mvcom_cli.cpp), so the
 /// bench numbers are reproducible from the CLI.

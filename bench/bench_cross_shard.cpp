@@ -28,6 +28,7 @@
 
 namespace {
 
+using mvcom::bench::print_pass;
 using mvcom::txn::AccountModelConfig;
 using mvcom::txn::AccountTxGenerator;
 using mvcom::txn::AssemblerPolicy;
@@ -61,10 +62,6 @@ ArmResult run_arm(const AccountTxGenerator& generator, XShardConfig config,
     arm.digest = mvcom::common::fnv1a_mix(arm.digest, result.outcome.ledger_digest);
   }
   return arm;
-}
-
-void print_pass(const char* criterion, bool ok) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", criterion);
 }
 
 }  // namespace

@@ -28,15 +28,12 @@
 
 namespace {
 
+using mvcom::bench::print_pass;
 using mvcom::core::ChaosCommittee;
 using mvcom::core::ChaosConfig;
 using mvcom::core::ChaosReport;
 using mvcom::core::FaultKind;
 using mvcom::core::FaultPlan;
-
-void print_pass(const char* criterion, bool ok) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", criterion);
-}
 
 }  // namespace
 

@@ -82,4 +82,8 @@ void print_row(const std::string& name, const std::string& value) {
   std::printf("  %-44s %14s\n", name.c_str(), value.c_str());
 }
 
+void print_pass(const char* criterion, bool ok) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", criterion);
+}
+
 }  // namespace mvcom::bench

@@ -50,4 +50,7 @@ void print_trace(const std::string& label, std::span<const double> trace,
 void print_row(const std::string& name, double value);
 void print_row(const std::string& name, const std::string& value);
 
+/// Prints one "[PASS] criterion" or "[FAIL] criterion" verdict row.
+void print_pass(const char* criterion, bool ok);
+
 }  // namespace mvcom::bench

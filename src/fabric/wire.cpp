@@ -138,7 +138,6 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
   w.u32(task.num_nodes);
   w.f64(task.link_latency_mean.seconds());
   w.f64(task.message_loss_probability);
-  w.f64(task.overlay_identity_processing.seconds());
   w.f64(task.pbft.view_change_timeout.seconds());
   w.f64(task.pbft.verification_mean.seconds());
   w.f64(task.pbft.horizon.seconds());
@@ -160,7 +159,6 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
   std::uint8_t armed = 0;
   std::uint8_t overlay = 0;
   double link_mean = 0.0;
-  double identity = 0.0;
   double view_change = 0.0;
   double verification = 0.0;
   double horizon = 0.0;
@@ -168,16 +166,14 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
   if (!r.u32(task.committee_id) || !r.u32(task.member_committees) ||
       !r.u8(armed) || !r.u8(overlay) || !r.u32(task.num_nodes) ||
       !r.f64(link_mean) || !r.f64(task.message_loss_probability) ||
-      !r.f64(identity) || !r.f64(view_change) || !r.f64(verification) ||
-      !r.f64(horizon) || !r.u64(task.overlay_seed) ||
-      !r.u64(task.net_seed) || !r.u64(task.cluster_seed) ||
-      !r.f64(formation)) {
+      !r.f64(view_change) || !r.f64(verification) || !r.f64(horizon) ||
+      !r.u64(task.overlay_seed) || !r.u64(task.net_seed) ||
+      !r.u64(task.cluster_seed) || !r.f64(formation)) {
     return false;
   }
   task.armed = armed != 0;
   task.message_level_overlay = overlay != 0;
   task.link_latency_mean = SimTime(link_mean);
-  task.overlay_identity_processing = SimTime(identity);
   task.pbft.view_change_timeout = SimTime(view_change);
   task.pbft.verification_mean = SimTime(verification);
   task.pbft.horizon = SimTime(horizon);

@@ -291,41 +291,6 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-bool write_metrics_csv(const MetricsRegistry& registry,
-                       const std::filesystem::path& path, std::string* error) {
-  std::string out;
-  const auto row = [&out](const std::vector<std::string>& fields) {
-    common::append_csv_row(out, fields);
-  };
-  row({"name", "type", "labels", "field", "value"});
-  std::string labels;
-  for (const auto& m : registry.snapshot()) {
-    labels.clear();
-    for (const Label& l : m.labels) {
-      if (!labels.empty()) labels += ',';
-      labels += l.key + "=\"" + l.value + '"';
-    }
-    const char* type = type_name(m.type);
-    if (m.type == MetricsRegistry::Type::kHistogram) {
-      for (const auto& bucket : m.buckets) {
-        row({m.name, type, labels,
-             "bucket_le_" + fmt_value(bucket.upper_bound),
-             fmt_value(static_cast<double>(bucket.cumulative))});
-      }
-      row({m.name, type, labels, "sum", fmt_value(m.sum)});
-      row({m.name, type, labels, "count",
-           fmt_value(static_cast<double>(m.count))});
-    } else {
-      row({m.name, type, labels, "value", fmt_value(m.value)});
-    }
-  }
-  return common::write_text_file(path, out, error);
-}
-
-// ---------------------------------------------------------------------------
 // Chrome trace-event JSON
 // ---------------------------------------------------------------------------
 

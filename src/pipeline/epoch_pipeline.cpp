@@ -305,13 +305,24 @@ EpochReport EpochPipeline::schedule_epoch(FormedEpoch&& formed,
                                  capacity, config_.n_min);
     report.utility_bound = core::fractional_bound(instance);
     core::Selection seed;
-    if (config_.warm_start) {
+    if (config_.warm_start && !policy_) {
       seed = greedy_seed(instance);
       if (!seed.empty()) report.warm_seed_utility = instance.utility(seed);
     }
-    if (!seed.empty() &&
-        core::certifies(report.utility_bound, report.warm_seed_utility,
-                        config_.se.gap_tolerance)) {
+    if (policy_) {
+      keep = policy_(instance);
+      if (!keep.empty() &&
+          (keep.size() != instance.size() || !instance.feasible(keep))) {
+        throw std::logic_error(
+            "EpochPipeline: epoch " + std::to_string(formed.epoch) +
+            "'s policy selection is mis-sized or breaks Eq. (3)/(4)");
+      }
+      report.feasible = !keep.empty();
+      if (report.feasible) report.utility = instance.utility(keep);
+    } else if (!seed.empty() &&
+               core::certifies(report.utility_bound,
+                               report.warm_seed_utility,
+                               config_.se.gap_tolerance)) {
       // The seed is within se.gap_tolerance of the bound: commit it and
       // build no scheduler.
       keep = std::move(seed);

@@ -30,10 +30,11 @@
 //   Stage B — scheduling + final consensus. Rebase carried shards against
 //     the *realized* epoch boundary (max of the nominal window edge and the
 //     previous final block's commit instant), build the EpochInstance and
-//     its greedy seed, commit that seed when it is certified within
-//     se.gap_tolerance of the fractional-knapsack bound (no SE scheduler is
-//     built then) and otherwise run the SE scheduler warm-started from it,
-//     decide the DDL, run stage-4 final
+//     decide: by default, commit its greedy seed when it is certified
+//     within se.gap_tolerance of the fractional-knapsack bound (no SE
+//     scheduler is built then) and otherwise run the SE scheduler
+//     warm-started from it; with a DecisionPolicy set, commit what it
+//     returns. Then decide the DDL, run stage-4 final
 //     consensus as a real discrete-event PBFT round, account committed
 //     per-TX ages, extend the root chain, and
 //     carry the refused shards forward. Stage B mutates all cross-epoch
@@ -55,6 +56,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "chain/root_chain.hpp"
@@ -114,7 +116,7 @@ struct EpochReport {
   double window_end = 0.0;   // nominal window edge
   double start = 0.0;        // realized boundary: max(window_end, prev commit)
   double commit = 0.0;       // final-block commit instant
-  bool feasible = false;     // SE found an admissible selection
+  bool feasible = false;     // stage B found an admissible selection
   double utility = 0.0;      // Eq.-(2) utility of the committed selection
   /// core::fractional_bound of the epoch's instance (0 with no shards):
   /// no selection can beat it, so (bound − utility)/|bound| is the epoch's
@@ -151,6 +153,12 @@ struct PipelineTotals {
   std::uint64_t digest = 0;           // fold of the per-epoch digests
 };
 
+/// Stage B's decision seam: the selection to commit for an epoch's
+/// instance, index-aligned with it and feasible under Eq. (3)/(4), or empty
+/// to commit nothing and carry every shard.
+using DecisionPolicy =
+    std::function<core::Selection(const core::EpochInstance&)>;
+
 class EpochPipeline {
  public:
   /// `trace` must outlive the pipeline and be btime-sorted (the generator's
@@ -159,6 +167,15 @@ class EpochPipeline {
 
   /// Attaches observability: per-epoch metrics and sim-clocked trace spans.
   void set_obs(obs::ObsContext obs);
+
+  /// Replaces stage B's default decision (the certified greedy seed, else
+  /// SE warm-started from it); an empty policy restores it. It runs once
+  /// per epoch with pending shards, in epoch order, on whichever thread runs
+  /// stage B (a pool worker at depth 2). A selection that is neither empty
+  /// nor index-aligned and feasible throws std::logic_error before the
+  /// epoch commits. Policy epochs report no certificate, seed or SE
+  /// iterations.
+  void set_policy(DecisionPolicy policy) { policy_ = std::move(policy); }
 
   /// Requests a graceful stop: the current step finishes, the loop exits
   /// before the next epoch. Safe to call from another thread or a signal
@@ -217,6 +234,7 @@ class EpochPipeline {
 
   const txn::Trace* trace_;
   PipelineConfig config_;
+  DecisionPolicy policy_;
   double trace_start_ = 0.0;
   double window_ = 0.0;  // nominal epoch window length
 

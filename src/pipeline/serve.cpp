@@ -15,9 +15,6 @@ bool ServeSession::flush_artifacts() {
   if (!config_.metrics_out.empty()) {
     ok = obs::write_prometheus_text(metrics_, config_.metrics_out) && ok;
   }
-  if (!config_.metrics_csv_out.empty()) {
-    ok = obs::write_metrics_csv(metrics_, config_.metrics_csv_out) && ok;
-  }
   if (!config_.trace_out.empty()) {
     ok = obs::write_chrome_trace_json(trace_, config_.trace_out) && ok;
   }

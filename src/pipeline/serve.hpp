@@ -3,7 +3,7 @@
 // epoch pipeline: synthesizes (or accepts) an ingest trace, attaches
 // observability, writes periodic root-chain checkpoints, and — critically —
 // flushes every exporter through a scope-exit guard, so a SIGINT, a thrown
-// exception, or an early stop still leaves *valid* Prometheus / CSV /
+// exception, or an early stop still leaves *valid* Prometheus and
 // Chrome-trace artifacts on disk (the strict self-check validators run on
 // every export and their verdict is reported in the summary).
 
@@ -28,7 +28,6 @@ struct ServeConfig {
 
   /// Export destinations; empty string skips that exporter.
   std::string metrics_out;      // Prometheus text exposition
-  std::string metrics_csv_out;  // CSV snapshot
   std::string trace_out;        // Chrome trace-event JSON
   std::string checkpoint_out;   // root-chain checkpoint
   /// Write a checkpoint every N committed epochs (0 = only the final one).

@@ -169,7 +169,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     task.num_nodes = static_cast<std::uint32_t>(config_.num_nodes);
     task.link_latency_mean = config_.link_latency_mean;
     task.message_loss_probability = config_.message_loss_probability;
-    task.overlay_identity_processing = config_.overlay_identity_processing;
     task.pbft = config_.pbft;
     task.formation = formation[c];
     task.participants = participants[c];

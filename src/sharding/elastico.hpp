@@ -73,8 +73,6 @@ struct ElasticoConfig {
   /// (sharding/overlay) instead of the closed-form linear model. Slower but
   /// message-accurate; the directory is each committee's first solver.
   bool message_level_overlay = false;
-  /// Per-identity verification cost of the directory (message-level mode).
-  SimTime overlay_identity_processing = SimTime(0.05);
   /// Per-epoch probability that a node is offline for the whole epoch
   /// (DoS'd or partitioned, §V-A). Its messages drop; committees whose
   /// working quorum breaks simply fail to commit that epoch.

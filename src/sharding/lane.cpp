@@ -87,14 +87,14 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
     overlay_net.set_obs(obs);
     const OverlayResult exchanged = run_overlay_configuration(
         overlay_sim, overlay_net, task.participants, task.ready_at,
-        task.participants.front(), task.overlay_identity_processing);
+        task.participants.front(), kOverlayIdentityProcessing);
     result.order_digest =
         fnv1a_mix(result.order_digest, overlay_sim.order_digest());
     result.events_executed += overlay_sim.events_executed();
     // Directory-side verification of the *network-wide* identity list.
     const SimTime directory_scan =
         SimTime(static_cast<double>(task.num_nodes) *
-                task.overlay_identity_processing.seconds());
+                kOverlayIdentityProcessing.seconds());
     SimTime configured = SimTime::zero();
     for (const SimTime t : exchanged.configured_at) {
       configured = std::max(configured, t);

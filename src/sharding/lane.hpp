@@ -49,7 +49,6 @@ struct LaneTask {
   std::uint32_t num_nodes = 0;
   SimTime link_latency_mean = SimTime::zero();
   double message_loss_probability = 0.0;
-  SimTime overlay_identity_processing = SimTime::zero();
   consensus::PbftConfig pbft{};
 
   // --- pre-drawn RNG seeds (serial, committee order — the contract) ---

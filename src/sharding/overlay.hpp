@@ -23,6 +23,11 @@
 
 namespace mvcom::sharding {
 
+/// The directory's verification cost per identity in message-level overlay
+/// mode (ElasticoConfig::message_level_overlay): each JOIN it handles, and
+/// each network node in its final membership scan.
+inline constexpr common::SimTime kOverlayIdentityProcessing{0.05};
+
 struct OverlayResult {
   /// Instant each participant became configured (received the membership
   /// list), indexed like the `ready_at` argument; infinity = never (failed).

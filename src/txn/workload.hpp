@@ -107,9 +107,9 @@ struct TwoPhaseLatency {
 
 /// Absolute submission instant of a committee whose epoch window closes at
 /// `window_close`: the window edge plus one two-phase completion, on the
-/// trace clock. The single shared sampling site for every carry-over path —
-/// pipeline stage A and the multi-epoch bench both call this, so their
-/// latency models cannot drift. Consumes exactly the engine steps of one
+/// trace clock. Pipeline stage A is its one carry-over caller outside
+/// perfbench/ (the multi-epoch bench runs on the pipeline), so no second
+/// latency model can drift from it. Consumes exactly the engine steps of one
 /// sample_two_phase_latency call.
 [[nodiscard]] double sample_submit_instant(common::Rng& rng,
                                            const WorkloadConfig& config,

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sharding/overlay.hpp"
 #include "txn/trace_generator.hpp"
 
 namespace {
@@ -248,7 +249,7 @@ TEST(ElasticoTest, MessageLevelOverlayProducesCommittedEpochs) {
       // identity scan — it must exceed the bare PoW order statistic.
       EXPECT_GT(c.formation_latency.seconds(),
                 static_cast<double>(config.num_nodes) *
-                    config.overlay_identity_processing.seconds());
+                    mvcom::sharding::kOverlayIdentityProcessing.seconds());
     }
   }
   EXPECT_GE(committed, network.num_member_committees() / 2);

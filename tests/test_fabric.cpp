@@ -65,7 +65,6 @@ LaneTask sample_task() {
   task.num_nodes = 128;
   task.link_latency_mean = SimTime(1.25);
   task.message_loss_probability = 0.02;
-  task.overlay_identity_processing = SimTime(0.05);
   task.pbft.view_change_timeout = SimTime(120.0);
   task.pbft.verification_mean = SimTime(0.2);
   task.pbft.horizon = SimTime(3600.0);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "chain/checkpoint.hpp"
-#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "mvcom/fault_injection.hpp"
 #include "pipeline/serve.hpp"
@@ -183,30 +182,6 @@ TEST(PrometheusExportTest, ValidatorRejectsMalformedText) {
   EXPECT_TRUE(mvcom::obs::validate_prometheus_text("x 1\nx_inf +Inf\n"));
 }
 
-TEST(MetricsCsvExportTest, RoundTripsThroughCsvReader) {
-  MetricsRegistry registry;
-  registry.counter("c_total", "has, comma and \"quotes\"", {{"k", "v,w"}})
-      .add(5);
-  registry
-      .histogram("h_seconds", "", {}, {.lowest = 1.0, .growth = 2.0, .count = 2})
-      .observe(1.5);
-  const auto path = std::filesystem::temp_directory_path() / "obs_metrics.csv";
-  ASSERT_TRUE(mvcom::obs::write_metrics_csv(registry, path));
-  const auto file = mvcom::common::read_csv(path, /*expect_header=*/true);
-  std::filesystem::remove(path);
-  ASSERT_EQ(file.header.size(), 5u);
-  EXPECT_EQ(file.header[0], "name");
-  // 1 counter row + (2 finite + inf bucket + sum + count) histogram rows.
-  ASSERT_EQ(file.rows.size(), 6u);
-  EXPECT_EQ(file.rows[0][0], "c_total");
-  EXPECT_EQ(file.rows[0][2], "k=\"v,w\"");  // embedded comma survived quoting
-  EXPECT_EQ(file.rows[0][3], "value");
-  EXPECT_EQ(file.rows[0][4], "5");
-  EXPECT_EQ(file.rows[1][0], "h_seconds");
-  EXPECT_EQ(file.rows[5][3], "count");
-  EXPECT_EQ(file.rows[5][4], "1");
-}
-
 TEST(ExportShortWriteTest, EveryExporterReportsIt) {
   // /dev/full opens fine and fails every write with ENOSPC: an exporter
   // notices only if it flushes and checks the stream before returning.
@@ -217,9 +192,8 @@ TEST(ExportShortWriteTest, EveryExporterReportsIt) {
   TraceRecorder recorder;
   recorder.instant("cat", "event");
   std::string error;
-  EXPECT_FALSE(mvcom::obs::write_metrics_csv(registry, full, &error));
+  EXPECT_FALSE(mvcom::obs::write_prometheus_text(registry, full, &error));
   EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
-  EXPECT_FALSE(mvcom::obs::write_prometheus_text(registry, full));
   EXPECT_FALSE(mvcom::obs::write_chrome_trace_json(recorder, full));
 }
 
@@ -378,8 +352,8 @@ TEST(ChaosObservabilityTest, EpochEmitsPromisedCategories) {
 
 // A serve session stopped mid-stream (the SIGINT path calls exactly
 // request_stop()) must still leave every artifact on disk, complete and
-// valid: Prometheus text, the CSV snapshot, the Chrome trace, and a
-// loadable checkpoint of whatever prefix of the chain was committed.
+// valid: Prometheus text, the Chrome trace, and a loadable checkpoint of
+// whatever prefix of the chain was committed.
 TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -397,7 +371,6 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
   config.stream.num_blocks = 60;
   config.stream.target_total_txs = 30'000;
   config.metrics_out = (dir / "metrics.prom").string();
-  config.metrics_csv_out = (dir / "metrics.csv").string();
   config.trace_out = (dir / "trace.json").string();
   config.checkpoint_out = (dir / "chain.ckpt").string();
 
@@ -420,19 +393,13 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
     return out.str();
   };
   std::string error;
-  EXPECT_TRUE(
-      mvcom::obs::validate_prometheus_text(slurp(dir / "metrics.prom"), &error))
+  const std::string prometheus = slurp(dir / "metrics.prom");
+  EXPECT_TRUE(mvcom::obs::validate_prometheus_text(prometheus, &error))
       << error;
+  EXPECT_NE(prometheus.find("\nmvcom_pipeline_epochs_total 2\n"),
+            std::string::npos);
   EXPECT_TRUE(mvcom::obs::validate_json(slurp(dir / "trace.json"), &error))
       << error;
-  const auto csv =
-      mvcom::common::read_csv(dir / "metrics.csv", /*expect_header=*/true);
-  EXPECT_FALSE(csv.rows.empty());
-  bool saw_epoch_counter = false;
-  for (const auto& row : csv.rows) {
-    if (row[0] == "mvcom_pipeline_epochs_total") saw_epoch_counter = true;
-  }
-  EXPECT_TRUE(saw_epoch_counter);
   // The checkpoint captures exactly the committed prefix: genesis + 2 epochs.
   const auto restored =
       mvcom::chain::load_checkpoint_file((dir / "chain.ckpt").string());
@@ -446,9 +413,11 @@ TEST(EarlyShutdownFlushTest, StoppedServeRunExportsValidArtifacts) {
 
 // An exporter that cannot write fails the artifact verdict without stopping
 // the exporters after it.
-TEST(EarlyShutdownFlushTest, UnwritableCsvFailsTheVerdictAndTheTraceIsWritten) {
+TEST(EarlyShutdownFlushTest,
+     UnwritablePrometheusFailsTheVerdictAndTheTraceIsWritten) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "mvcom_obs_csv_verdict_test";
+  const fs::path dir =
+      fs::temp_directory_path() / "mvcom_obs_prometheus_verdict_test";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -457,15 +426,14 @@ TEST(EarlyShutdownFlushTest, UnwritableCsvFailsTheVerdictAndTheTraceIsWritten) {
   config.pipeline.epochs = 1;
   config.stream.num_blocks = 60;
   config.stream.target_total_txs = 30'000;
-  config.metrics_out = (dir / "metrics.prom").string();
-  config.metrics_csv_out = (dir / "missing" / "metrics.csv").string();
+  config.metrics_out = (dir / "missing" / "metrics.prom").string();
   config.trace_out = (dir / "trace.json").string();
 
   mvcom::pipeline::ServeSession session(config);
   const auto summary = session.run();
   EXPECT_TRUE(summary.chain_valid);
   EXPECT_FALSE(summary.artifacts_valid);
-  EXPECT_FALSE(fs::exists(dir / "missing" / "metrics.csv"));
+  EXPECT_FALSE(fs::exists(dir / "missing" / "metrics.prom"));
 
   std::ifstream in(dir / "trace.json");
   ASSERT_TRUE(in.good());
@@ -473,7 +441,6 @@ TEST(EarlyShutdownFlushTest, UnwritableCsvFailsTheVerdictAndTheTraceIsWritten) {
   text << in.rdbuf();
   std::string error;
   EXPECT_TRUE(mvcom::obs::validate_json(text.str(), &error)) << error;
-  EXPECT_TRUE(fs::exists(dir / "metrics.prom"));
 
   fs::remove_all(dir);
 }

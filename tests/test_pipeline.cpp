@@ -13,7 +13,10 @@
 //  * carried shards (including shards carried twice) are never double
 //    counted: ingested == committed + pending on every exit path;
 //  * the RNG substreams behind all of this are (seed, epoch)-derived, so
-//    overlapped epochs draw identically to sequential ones.
+//    overlapped epochs draw identically to sequential ones;
+//  * a decision policy replaces stage B's default decision under the same
+//    contract, and a selection it returns that breaks Eq. (3)/(4) or is
+//    mis-sized stops the run before the epoch commits.
 
 #include "pipeline/epoch_pipeline.hpp"
 
@@ -27,8 +30,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/dynamic_programming.hpp"
 #include "crypto/pow.hpp"
 #include "mvcom/se_scheduler.hpp"
 #include "obs/export.hpp"
@@ -40,6 +45,9 @@
 namespace {
 
 using mvcom::common::Rng;
+using mvcom::core::EpochInstance;
+using mvcom::core::Selection;
+using mvcom::pipeline::DecisionPolicy;
 using mvcom::pipeline::EpochPipeline;
 using mvcom::pipeline::EpochReport;
 using mvcom::pipeline::PipelineConfig;
@@ -74,8 +82,10 @@ struct RunRecord {
   PipelineTotals totals;
 };
 
-RunRecord run_pipeline(const Trace& trace, PipelineConfig config) {
+RunRecord run_pipeline(const Trace& trace, PipelineConfig config,
+                       DecisionPolicy policy = {}) {
   EpochPipeline pipe(trace, config);
+  pipe.set_policy(std::move(policy));
   RunRecord rec;
   rec.totals = pipe.run(
       [&](const EpochReport& r) { rec.reports.push_back(r); });
@@ -549,7 +559,6 @@ TEST(ServeSessionStop, EarlyStopStillFlushesValidArtifacts) {
   config.stream.target_total_txs = 45'000;
   config.stream.mean_interblock_seconds = 15.0;
   config.metrics_out = dir + "serve_stop_metrics.prom";
-  config.metrics_csv_out = dir + "serve_stop_metrics.csv";
   config.trace_out = dir + "serve_stop_trace.json";
   config.checkpoint_out = dir + "serve_stop_checkpoint.json";
   config.checkpoint_every = 1;
@@ -609,6 +618,109 @@ TEST(PipelineChain, EveryEpochExtendsTheRootChain) {
   EXPECT_EQ(pipe.chain().size(), totals.epochs_run + 1);
   EXPECT_EQ(pipe.chain().total_txs(), totals.committed_txs);
   EXPECT_TRUE(pipe.chain().validate_full());
+}
+
+// --- Decision policy ---------------------------------------------------------
+
+Selection dp_policy(const EpochInstance& instance) {
+  return mvcom::baselines::DynamicProgramming().solve(instance).best;
+}
+
+Selection all_ones(const EpochInstance& instance) {
+  return Selection(instance.size(), 1);
+}
+
+TEST(PipelinePolicy, DpPolicyNeverDependsOnDepthOrWorkers) {
+  const Trace trace = small_trace();
+  PipelineConfig base = small_config();
+  const RunRecord ref = run_pipeline(trace, base, dp_policy);
+  ASSERT_EQ(ref.reports.size(), base.epochs);
+  for (const EpochReport& r : ref.reports) {
+    SCOPED_TRACE("epoch " + std::to_string(r.epoch));
+    // A policy epoch reports the no-SE values beside its utility and bound.
+    EXPECT_TRUE(r.feasible);
+    EXPECT_FALSE(r.certified);
+    EXPECT_TRUE(std::isnan(r.warm_seed_utility));
+    EXPECT_EQ(r.se_iterations, 0u);
+    EXPECT_GE(r.utility_bound, r.utility - 1e-9 * std::fabs(r.utility));
+  }
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " workers=" + std::to_string(workers));
+      PipelineConfig config = base;
+      config.overlap_depth = depth;
+      config.workers = workers;
+      const RunRecord got = run_pipeline(trace, config, dp_policy);
+      ASSERT_EQ(got.reports.size(), ref.reports.size());
+      for (std::size_t e = 0; e < ref.reports.size(); ++e) {
+        EXPECT_EQ(got.reports[e].event_order_digest,
+                  ref.reports[e].event_order_digest)
+            << "epoch " << e;
+        EXPECT_EQ(got.reports[e].utility, ref.reports[e].utility)
+            << "epoch " << e;
+      }
+      EXPECT_EQ(got.totals.digest, ref.totals.digest);
+    }
+  }
+}
+
+TEST(PipelinePolicy, AllOnesAtFullCapacityCommitsEveryIngestedTx) {
+  const Trace trace = small_trace();
+  PipelineConfig config = small_config();
+  config.capacity_fraction = 1.0;
+  const RunRecord rec = run_pipeline(trace, config, all_ones);
+  EXPECT_EQ(rec.totals.ingested_txs, trace.total_txs());
+  EXPECT_EQ(rec.totals.committed_txs, rec.totals.ingested_txs);
+  EXPECT_EQ(rec.totals.pending_txs, 0u);
+  EXPECT_EQ(rec.totals.max_shard_carries, 0u);
+  for (const EpochReport& r : rec.reports) {
+    EXPECT_EQ(r.shards_committed, r.shards_pending) << "epoch " << r.epoch;
+  }
+}
+
+TEST(PipelinePolicy, MisSizedOrInfeasibleSelectionsThrow) {
+  const Trace trace = small_trace();
+  const DecisionPolicy one_extra = [](const EpochInstance& instance) {
+    return Selection(instance.size() + 1, 0);
+  };
+  // At 0.6 of the pending TXs, taking every shard breaks Eq. (4).
+  const DecisionPolicy over_capacity = all_ones;
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    PipelineConfig config = small_config();
+    config.overlap_depth = depth;
+    config.workers = 2;
+    for (const DecisionPolicy& policy : {one_extra, over_capacity}) {
+      EpochPipeline pipe(trace, config);
+      pipe.set_policy(policy);
+      std::size_t committed_epochs = 0;
+      EXPECT_THROW(pipe.run([&](const EpochReport&) { ++committed_epochs; }),
+                   std::logic_error);
+      EXPECT_EQ(committed_epochs, 0u);
+      EXPECT_EQ(pipe.chain().size(), 1u);  // genesis only
+    }
+  }
+}
+
+TEST(PipelinePolicy, EmptySelectionCarriesEveryShard) {
+  const Trace trace = small_trace();
+  const RunRecord rec =
+      run_pipeline(trace, small_config(),
+                   [](const EpochInstance&) { return Selection{}; });
+  ASSERT_EQ(rec.reports.size(), small_config().epochs);
+  for (const EpochReport& r : rec.reports) {
+    SCOPED_TRACE("epoch " + std::to_string(r.epoch));
+    EXPECT_FALSE(r.feasible);
+    EXPECT_EQ(r.shards_committed, 0u);
+    EXPECT_EQ(r.committed_txs, 0u);
+  }
+  EXPECT_EQ(rec.totals.committed_txs, 0u);
+  EXPECT_EQ(rec.totals.ingested_txs, trace.total_txs());
+  EXPECT_EQ(rec.totals.ingested_txs,
+            rec.totals.committed_txs + rec.totals.pending_txs);
+  EXPECT_EQ(rec.totals.max_shard_carries, small_config().epochs);
 }
 
 }  // namespace

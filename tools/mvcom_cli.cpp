@@ -21,8 +21,7 @@
 //               [--blocks N] [--txs N] [--seed S] [--stream-seed S]
 //               [--iters N] [--capacity-fraction F] [--grind-bits B]
 //               [--checkpoint-out <file>] [--checkpoint-every N]
-//               [--metrics-out <file.prom>] [--metrics-csv-out <file.csv>]
-//               [--trace-out <file.json>]
+//               [--metrics-out <file.prom>] [--trace-out <file.json>]
 //       Long-running streaming mode: ingest a synthetic transaction stream,
 //       software-pipeline epoch formation against SE scheduling + final
 //       consensus (the default --depth 2 overlaps epoch e+1's formation
@@ -812,8 +811,8 @@ extern "C" void serve_sigint_handler(int) {
 int cmd_serve(const Args& args) {
   args.allow({"epochs", "committees", "depth", "workers", "seed",
               "capacity-fraction", "iters", "grind-bits", "blocks", "txs",
-              "stream-seed", "metrics-out", "metrics-csv-out", "trace-out",
-              "checkpoint-out", "checkpoint-every"});
+              "stream-seed", "metrics-out", "trace-out", "checkpoint-out",
+              "checkpoint-every"});
   mvcom::pipeline::ServeConfig config;
   config.pipeline.epochs = args.get_u64("epochs", 8);
   config.pipeline.committees = args.get_u64("committees", 50);
@@ -839,7 +838,6 @@ int cmd_serve(const Args& args) {
     return it == args.flags.end() ? std::string() : it->second;
   };
   config.metrics_out = flag("metrics-out");
-  config.metrics_csv_out = flag("metrics-csv-out");
   config.trace_out = flag("trace-out");
   config.checkpoint_out = flag("checkpoint-out");
   config.checkpoint_every = args.get_u64("checkpoint-every", 1);

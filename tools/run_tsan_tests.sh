@@ -31,6 +31,9 @@
 # .SparseWindowsKeepTheContract grind 40 committees (the second with most
 # of them empty) at workers {0, 1, 2, 8} x depth {1, 2}. The grind's
 # kernel tests (Sha256Test, PowKernelTest, PowTest) run single-threaded.
+# PipelinePolicy.* runs a decision policy at workers {0, 1, 2, 8} x depth
+# {1, 2}; at depth 2 stage B, and so the policy and the throw of a rejected
+# selection, runs on a pool worker.
 # Filter to these and the rest of the pool and pipeline suites with
 #   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline|Sha256|Pow'
 #

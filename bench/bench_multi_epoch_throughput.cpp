@@ -116,12 +116,12 @@ int main() {
              same_volume);
   print_pass("MVCom's mean per-TX age is below DP's", younger);
 
-  // --- Account-model deferred carry: the streaming pipeline's stage A must
-  // stay pure, so it counts-and-drops the x-shard scheduler's deferrals
-  // (DESIGN.md §15). Here nothing is pure — so deferred account TXs carry
-  // into the next epoch's scheduling queue with their original timestamps
-  // (arrival round 0 after the clamp), and we measure how long they wait:
-  // the per-TX age story of the main bench, at account granularity.
+  // --- Account-model deferred carry. The pipeline has no account mode
+  // (DESIGN.md §13), so this section is the only code that runs the account
+  // model's carry: deferred cross-shard TXs carry into the next epoch's
+  // scheduling queue with their original timestamps (arrival round 0 after
+  // the clamp), and we measure how long they wait — the per-TX age story of
+  // the main bench, at account granularity.
   mvcom::bench::print_header(
       "Account-model carry",
       "deferred cross-shard TXs re-queued across epochs, conflict-aware arm");

@@ -58,16 +58,24 @@ double PowTarget::expected_attempts() const noexcept {
   return 0x1.0p64 / static_cast<double>(leading64_below);
 }
 
-Digest pow_digest(std::string_view epoch_randomness, std::string_view identity,
-                  std::uint64_t nonce) noexcept {
+PowPrefix::PowPrefix(std::string_view epoch_randomness) noexcept {
+  head_.update(epoch_randomness);
+  head_.update("|");
+}
+
+Digest PowPrefix::digest(std::string_view identity,
+                         std::uint64_t nonce) const noexcept {
   char buf[20];
-  Sha256 h;
-  h.update(epoch_randomness);
-  h.update("|");
+  Sha256 h = head_;
   h.update(identity);
   h.update("|");
   h.update(format_nonce(nonce, buf));
   return h.finalize();
+}
+
+Digest pow_digest(std::string_view epoch_randomness, std::string_view identity,
+                  std::uint64_t nonce) noexcept {
+  return PowPrefix(epoch_randomness).digest(identity, nonce);
 }
 
 PowMidstate::PowMidstate(std::string_view epoch_randomness,

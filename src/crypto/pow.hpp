@@ -45,10 +45,27 @@ struct PowSolution {
   Digest digest;
 };
 
+/// The preimage convention's epoch-wide head, absorbed once: a Sha256 that
+/// has taken `epoch_randomness|`. digest() hashes the rest of the preimage
+/// from a copy of that state, so many identities of one epoch (Elastico's
+/// stage 1) pay for the randomness once; with a 64-character randomness an
+/// identity then costs one compression and no allocation.
+class PowPrefix {
+ public:
+  explicit PowPrefix(std::string_view epoch_randomness) noexcept;
+
+  /// SHA256(epoch_randomness || '|' || identity || '|' || decimal(nonce)).
+  [[nodiscard]] Digest digest(std::string_view identity,
+                              std::uint64_t nonce) const noexcept;
+
+ private:
+  Sha256 head_;
+};
+
 /// Preimage convention shared by solver and verifier:
 /// SHA256(epoch_randomness || '|' || identity || '|' || decimal(nonce)).
-/// A plain one-shot Sha256 over the preimage — the reference every
-/// PowMidstate digest is tested against.
+/// A plain Sha256 over the preimage (one PowPrefix's digest) — the
+/// reference every PowMidstate digest is tested against.
 [[nodiscard]] Digest pow_digest(std::string_view epoch_randomness,
                                 std::string_view identity,
                                 std::uint64_t nonce) noexcept;

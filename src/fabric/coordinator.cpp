@@ -19,6 +19,8 @@ constexpr int kHelloTimeoutMs = 30000;
 /// Deadline for one worker's epoch reply; past it the worker is declared
 /// dead and its batch replayed on a fresh fork.
 constexpr int kEpochTimeoutMs = 120000;
+/// Deadline for a worker to exit on its shutdown frame before it is killed.
+constexpr int kShutdownTimeoutMs = 10000;
 /// Replacement-fork budget across the fabric's lifetime; exceeding it
 /// throws (a worker crashing deterministically would loop forever).
 constexpr std::uint64_t kMaxRespawns = 16;
@@ -56,6 +58,7 @@ void ProcessFabric::spawn(std::size_t index) {
     for (Member& member : members_) member.channel.close();
     WorkerOptions options;
     options.index = static_cast<std::uint32_t>(index);
+    options.count = obs_.metrics() != nullptr || !config_.metrics_dir.empty();
     if (!config_.metrics_dir.empty()) {
       options.metrics_path = config_.metrics_dir + "/fabric-worker-" +
                              std::to_string(index) + ".prom";
@@ -222,6 +225,16 @@ void ProcessFabric::shutdown() noexcept {
     if (!member.alive) continue;
     member.channel.queue_frame(FrameType::kShutdown, {});
     (void)member.channel.flush();
+  }
+  // Let every worker finish what it is doing — its last epoch's metrics
+  // export included — and exit on the shutdown frame, which reads as EOF
+  // here. reap() kills one that misses the deadline.
+  for (Member& member : members_) {
+    if (!member.alive) continue;
+    FrameView frame;
+    while (member.channel.recv_frame(&frame, kShutdownTimeoutMs) ==
+           RecvStatus::kOk) {
+    }
   }
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (members_[i].alive || members_[i].pid > 0) reap(i);

@@ -49,7 +49,9 @@ class ProcessFabric {
  public:
   /// Forks the worker fleet immediately; blocks until every worker says
   /// hello. `obs` receives coordinator-side fabric counters and the folded
-  /// worker counter deltas.
+  /// worker counter deltas. Workers count their lanes only when `obs` has a
+  /// registry or `config.metrics_dir` is set; otherwise nobody would read
+  /// what they count.
   explicit ProcessFabric(FabricConfig config, obs::ObsContext obs = {});
   ProcessFabric(const ProcessFabric&) = delete;
   ProcessFabric& operator=(const ProcessFabric&) = delete;
@@ -74,8 +76,9 @@ class ProcessFabric {
   /// for the recovery tests and `mvcom fabric --kill-epoch`.
   void inject_kill(std::size_t worker_index, std::uint64_t epoch);
 
-  /// Graceful teardown: shutdown frames, close pipes, reap children.
-  /// Idempotent; the destructor calls it.
+  /// Graceful teardown: shutdown frames, a bounded wait for each worker to
+  /// exit (so its last metrics export is whole), close pipes, reap
+  /// children. Idempotent; the destructor calls it.
   void shutdown() noexcept;
 
   [[nodiscard]] std::size_t workers() const noexcept {

@@ -27,8 +27,10 @@ std::string counter_key(const obs::MetricsRegistry::MetricSnapshot& snap) {
 }  // namespace
 
 int run_worker_loop(Channel& channel, const WorkerOptions& options) noexcept {
+  // A worker that does not count leaves the registry empty, so its
+  // snapshot below ships no deltas.
   obs::MetricsRegistry registry;
-  const obs::ObsContext obs(&registry, nullptr);
+  const obs::ObsContext obs(options.count ? &registry : nullptr, nullptr);
   // Last-sent absolute value per counter — deltas are "what this epoch
   // added", so the coordinator's fold equals one shared registry's totals.
   std::map<std::string, std::uint64_t> sent;

@@ -5,8 +5,9 @@
 // socketpair: receive one epoch's TaskBatch, run every lane serially with
 // `run_committee_lane` (serially on purpose — the child must stay
 // single-threaded so a SIGKILL'd sibling or a sanitizer build never sees a
-// forked thread), reply with one ResultBatch carrying the lane results and
-// the epoch's observability counter deltas, repeat until kShutdown or EOF.
+// forked thread), reply with one ResultBatch carrying the lane results and,
+// when the worker counts, the epoch's observability counter deltas, repeat
+// until kShutdown or EOF.
 //
 // The loop reuses its decode/encode arenas across epochs: the TaskBatch's
 // vectors are resized in place and the tx/rx buffers grow to the high-water
@@ -21,6 +22,12 @@ namespace mvcom::fabric {
 
 struct WorkerOptions {
   std::uint32_t index = 0;
+  /// Whether the lanes run with a private registry whose counter deltas
+  /// ride every ResultBatch. The coordinator sets it only when someone
+  /// reads them: its own registry folds the deltas, or `metrics_path`
+  /// exports the registry. Without it the lanes count nothing and the
+  /// batches carry no deltas; the lane results are the same either way.
+  bool count = false;
   /// When non-empty, the worker re-exports its private registry here after
   /// every epoch (Prometheus text) — the per-process scrape surface.
   std::string metrics_path;

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/fnv.hpp"
 #include "common/thread_pool.hpp"
@@ -92,15 +95,20 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   // --- Stage 1: committee formation via PoW ------------------------------
   // Each node grinds the puzzle; the solution digest assigns its committee
   // and the solve latency follows the exponential model (memoryless search).
+  // Node identities are "node-<id>", hashed after the epoch randomness's
+  // prefix, which is absorbed once.
   struct Solve {
     net::NodeId node;
     SimTime at;
   };
   std::vector<std::vector<Solve>> assignment(committees);
+  const crypto::PowPrefix pow(randomness_);
+  char identity[16] = "node-";
   for (net::NodeId node = 0; node < config_.num_nodes; ++node) {
     const std::uint64_t nonce = rng_();
-    const crypto::Digest digest = crypto::pow_digest(
-        randomness_, "node-" + std::to_string(node), nonce);
+    const char* end = std::to_chars(identity + 5, std::end(identity), node).ptr;
+    const crypto::Digest digest =
+        pow.digest(std::string_view(identity, end), nonce);
     const auto committee =
         crypto::committee_of(digest, config_.committee_bits);
     const SimTime solve = crypto::model_solve_latency(

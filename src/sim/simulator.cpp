@@ -55,7 +55,7 @@ std::uint32_t Simulator::arm_slot(SimTime at) {
     }
     index = static_cast<std::uint32_t>(used);
   }
-  heap_push(HeapEntry{at, next_seq_++, index, slot(index).gen});
+  heap_push(make_key(at, next_seq_++), pack(index, slot(index).gen));
   ++live_;
   if (obs_scheduled_ != nullptr) obs_scheduled_->inc();
   return index;
@@ -82,21 +82,23 @@ void Simulator::cancel(EventId id) {
   if (obs_cancelled_ != nullptr) obs_cancelled_->inc();
 }
 
-// Both percolations carry the moving entry in registers and shift the
-// displaced entries with single copies (a "hole" walk) instead of swapping
-// 24-byte entries at every level — one third of the memory traffic, same
-// comparison sequence, so the resulting order (and therefore the digest) is
-// identical to the textbook swap formulation.
-void Simulator::heap_push(const HeapEntry& e) {
+// Both percolations carry the moving key and ref in registers and shift the
+// displaced ones with single copies (a "hole" walk) instead of swapping at
+// every level; same comparison sequence, so the resulting order (and
+// therefore the digest) is identical to the textbook swap formulation.
+void Simulator::heap_push(HeapKey key, std::uint64_t ref) {
   std::size_t i = heap_.size();
-  heap_.push_back(e);  // placeholder; overwritten when the hole settles
+  heap_.push_back(key);  // placeholders; overwritten when the hole settles
+  refs_.push_back(ref);
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!entry_before(e, heap_[parent])) break;
+    if (!(key < heap_[parent])) break;
     heap_[i] = heap_[parent];
+    refs_[i] = refs_[parent];
     i = parent;
   }
-  heap_[i] = e;
+  heap_[i] = key;
+  refs_[i] = ref;
 }
 
 void Simulator::heap_pop_root() noexcept {
@@ -104,10 +106,12 @@ void Simulator::heap_pop_root() noexcept {
   // instead of comparing it against the min child at every level (it almost
   // always loses), sink the hole straight to a leaf along the min-child path
   // and bubble the entry back up — usually zero or one step. The popped
-  // minimum is identical either way (the (at, seq) order is total), so the
+  // minimum is identical either way (the key order is total), so the
   // executed-event order and the digest cannot change.
-  const HeapEntry e = heap_.back();
+  const HeapKey key = heap_.back();
+  const std::uint64_t ref = refs_.back();
   heap_.pop_back();
+  refs_.pop_back();
   const std::size_t n = heap_.size();
   if (n == 0) return;
   std::size_t i = 0;
@@ -117,32 +121,37 @@ void Simulator::heap_pop_root() noexcept {
     const std::size_t last_child = std::min(first_child + 4, n);
     std::size_t best = first_child;
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (entry_before(heap_[c], heap_[best])) best = c;
+      if (heap_[c] < heap_[best]) best = c;
     }
     heap_[i] = heap_[best];
+    refs_[i] = refs_[best];
     i = best;
   }
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!entry_before(e, heap_[parent])) break;
+    if (!(key < heap_[parent])) break;
     heap_[i] = heap_[parent];
+    refs_[i] = refs_[parent];
     i = parent;
   }
-  heap_[i] = e;
+  heap_[i] = key;
+  refs_[i] = ref;
 }
 
 void Simulator::fire_head() {
-  const HeapEntry top = heap_[0];
+  const HeapKey key = heap_[0];
+  const std::uint64_t ref = refs_[0];
   heap_pop_root();
-  Slot& s = slot(top.slot);
-  assert(s.gen == top.gen);  // skip_stale_head dropped the tombstones
-  assert(top.at >= now_);
-  now_ = top.at;
+  const std::uint32_t index = ref_slot(ref);
+  Slot& s = slot(index);
+  assert(pack(index, s.gen) == ref);  // skip_stale_head dropped tombstones
+  assert(key_at(key) >= now_);
+  now_ = key_at(key);
   ++s.gen;  // disarm: the event's id is dead for cancel() from here on
   --live_;
   ++executed_;
-  digest_ = fnv1a_mix(digest_, top.seq);
-  digest_ = fnv1a_mix(digest_, std::bit_cast<std::uint64_t>(top.at.seconds()));
+  digest_ = fnv1a_mix(digest_, key_seq(key));
+  digest_ = fnv1a_mix(digest_, key_bits(key));
   if (obs_executed_ != nullptr) obs_executed_->inc();
   // The callback stays in its slot for the call (slots are stable even if
   // the callback schedules new events); the slot returns to the free list
@@ -155,12 +164,15 @@ void Simulator::fire_head() {
       sl.cb.reset();
       sim->free_.push_back(index);
     }
-  } retire{this, top.slot};
+  } retire{this, index};
   s.cb.invoke();
 }
 
 void Simulator::skip_stale_head() noexcept {
-  while (!heap_.empty() && slot(heap_[0].slot).gen != heap_[0].gen) {
+  while (!refs_.empty()) {
+    // A ref whose slot has moved to a later generation is a tombstone.
+    const std::uint64_t ref = refs_[0];
+    if (pack(ref_slot(ref), slot(ref_slot(ref)).gen) == ref) return;
     heap_pop_root();
   }
 }
@@ -184,7 +196,7 @@ std::size_t Simulator::run_until(SimTime horizon) {
   std::size_t fired = 0;
   for (;;) {
     skip_stale_head();
-    if (heap_.empty() || heap_[0].at > horizon) break;
+    if (heap_.empty() || key_at(heap_[0]) > horizon) break;
     fire_head();
     ++fired;
   }

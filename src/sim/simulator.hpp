@@ -21,10 +21,14 @@
 //    captures larger than EventCallback::kInlineCapacity fall back to a
 //    single heap allocation.
 //  * The pending set is a 4-ary implicit heap — shallower than a binary
-//    heap and with four children per cache line of entries, it does fewer
-//    cache-missing levels per push/pop on large queues. Its (timestamp,
-//    sequence) order is the execution order.
+//    heap, it does fewer cache-missing levels per push/pop on large queues.
+//    Its (timestamp, sequence) order is the execution order, compared as one
+//    unsigned 128-bit key per event: the instant's bit pattern above the
+//    sequence. The keys sit in their own array (four siblings' keys are 64
+//    contiguous bytes), and each event's slot ref moves in step in a second
+//    array.
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -176,7 +180,8 @@ class Simulator {
   /// same events in the same order — the determinism contract of the
   /// lane-parallel epoch substrate — have equal digests; any divergence in
   /// scheduling or ordering changes it. Independent of the observability
-  /// build mode.
+  /// build mode. An event scheduled at −0.0 fires at +0.0 (now() reads
+  /// +0.0) and folds +0.0's bits.
   [[nodiscard]] std::uint64_t order_digest() const noexcept { return digest_; }
 
   /// Attaches observability: counts scheduled/executed/cancelled events.
@@ -194,22 +199,40 @@ class Simulator {
     EventCallback cb;
   };
 
-  /// One pending-queue entry. `seq` is the global schedule order — the
-  /// FIFO tie-break among equal timestamps. (slot, gen) is validated
-  /// against the slab on pop, which is how O(1) cancel works.
-  struct HeapEntry {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
+  /// One pending event's queue order: the bits of its instant (high word)
+  /// above its sequence, the global schedule order that breaks ties FIFO
+  /// (low word). arm_slot admits only instants >= now() >= +0.0, and
+  /// non-negative doubles and +inf order as their bit patterns do, so one
+  /// unsigned compare is the (at, seq) order. The instant is stored as
+  /// `at + 0.0`, which turns −0.0 (equal to +0.0 as a double) into +0.0.
+  __extension__ typedef unsigned __int128 HeapKey;
+
+  static HeapKey make_key(SimTime at, std::uint64_t seq) noexcept {
+    const auto bits = std::bit_cast<std::uint64_t>(at.seconds() + 0.0);
+    return (HeapKey{bits} << 64) | seq;
+  }
+  static std::uint64_t key_bits(HeapKey key) noexcept {
+    return static_cast<std::uint64_t>(key >> 64);
+  }
+  static std::uint64_t key_seq(HeapKey key) noexcept {
+    return static_cast<std::uint64_t>(key);
+  }
+  static SimTime key_at(HeapKey key) noexcept {
+    return SimTime(std::bit_cast<double>(key_bits(key)));
+  }
 
   static constexpr std::size_t kChunkShift = 6;  // 64 slots per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
+  /// {slot index, slot generation} as one word: an EventId's value and a
+  /// queued event's slot ref, validated against the slab on pop (which is
+  /// how O(1) cancel works).
   static constexpr std::uint64_t pack(std::uint32_t index,
                                       std::uint32_t gen) noexcept {
     return (std::uint64_t{index} << 32) | gen;
+  }
+  static constexpr std::uint32_t ref_slot(std::uint64_t ref) noexcept {
+    return static_cast<std::uint32_t>(ref >> 32);
   }
 
   [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
@@ -222,11 +245,7 @@ class Simulator {
 
   void retire_slot(std::uint32_t index) noexcept;
 
-  static bool entry_before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-  void heap_push(const HeapEntry& e);
+  void heap_push(HeapKey key, std::uint64_t ref);
   void heap_pop_root() noexcept;
 
   /// Pops and executes the event at the heap head. Precondition: the head
@@ -239,7 +258,8 @@ class Simulator {
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;   // recycled slot indices (LIFO)
-  std::vector<HeapEntry> heap_;       // 4-ary implicit min-heap
+  std::vector<HeapKey> heap_;         // 4-ary implicit min-heap of keys
+  std::vector<std::uint64_t> refs_;   // refs_[i]: heap_[i]'s pack(slot, gen)
   std::size_t live_ = 0;              // scheduled, not yet fired/cancelled
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;

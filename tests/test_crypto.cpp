@@ -26,6 +26,7 @@ using mvcom::common::Rng;
 using mvcom::common::SimTime;
 using mvcom::crypto::Digest;
 using mvcom::crypto::MerkleTree;
+using mvcom::crypto::PowPrefix;
 using mvcom::crypto::PowTarget;
 using mvcom::crypto::Sha256;
 using mvcom::crypto::to_hex;
@@ -400,6 +401,58 @@ TEST(PowTest, MidstateSolveAgreesWithVerifier) {
     EXPECT_GE(mvcom::crypto::leading64(
                   mvcom::crypto::pow_digest("epoch-rand", "node-3", nonce)),
               target.leading64_below);
+  }
+}
+
+// --- The epoch prefix of Elastico's stage 1 --------------------------------
+
+TEST(PowTest, PrefixMatchesPowDigestForEveryNodeOfAnEpoch) {
+  // Stage 1 hashes every node identity of an epoch from one PowPrefix over
+  // the epoch's 64-character randomness. For each identity of a 3,072-node
+  // epoch, its digest must equal pow_digest and a one-shot hash of the
+  // whole preimage, bitwise.
+  const std::string randomness = to_hex(Sha256::hash("genesis"));
+  ASSERT_EQ(randomness.size(), 64u);
+  const PowPrefix prefix(randomness);
+  for (std::uint64_t node = 0; node < 3072; ++node) {
+    const std::string identity = "node-" + std::to_string(node);
+    const std::uint64_t nonce = node * 0x9e3779b97f4a7c15ULL;
+    const Digest digest = prefix.digest(identity, nonce);
+    ASSERT_EQ(digest, mvcom::crypto::pow_digest(randomness, identity, nonce))
+        << identity;
+    ASSERT_EQ(digest, Sha256::hash(randomness + "|" + identity + "|" +
+                                   std::to_string(nonce)))
+        << identity;
+  }
+}
+
+TEST(PowTest, PrefixMatchesPowDigestAcrossBlockBoundaries) {
+  // Randomness lengths that put `randomness|` just short of, at, and past
+  // the 64-byte block boundary (and two blocks in), with identities that
+  // keep the rest in one block or push it into a second.
+  const std::vector<std::string> identities = {"", "node-0", "node-3071",
+                                               std::string(60, 'i')};
+  const std::vector<std::uint64_t> nonces = {
+      0, 9, 10, 123456789, std::numeric_limits<std::uint64_t>::max()};
+  for (const std::size_t length : {0u, 1u, 55u, 63u, 64u, 65u, 128u}) {
+    std::string randomness(length, ' ');
+    for (std::size_t i = 0; i < length; ++i) {
+      randomness[i] = "0123456789abcdef"[(i * 7) % 16];
+    }
+    const PowPrefix prefix(randomness);
+    for (const std::string& identity : identities) {
+      for (const std::uint64_t nonce : nonces) {
+        const Digest digest = prefix.digest(identity, nonce);
+        ASSERT_EQ(digest,
+                  mvcom::crypto::pow_digest(randomness, identity, nonce))
+            << "randomness " << length << " B, identity " << identity.size()
+            << " B, nonce " << nonce;
+        ASSERT_EQ(digest, Sha256::hash(randomness + "|" + identity + "|" +
+                                       std::to_string(nonce)))
+            << "randomness " << length << " B, identity " << identity.size()
+            << " B, nonce " << nonce;
+      }
+    }
   }
 }
 

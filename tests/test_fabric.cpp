@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/wire.hpp"
+#include "fabric/worker.hpp"
 #include "obs/metrics.hpp"
 #include "sharding/elastico.hpp"
 #include "sharding/lane.hpp"
@@ -44,6 +45,7 @@ using mvcom::fabric::ParseStatus;
 using mvcom::fabric::ProcessFabric;
 using mvcom::fabric::ResultBatch;
 using mvcom::fabric::TaskBatch;
+using mvcom::fabric::WorkerOptions;
 using mvcom::sharding::CommitteeOutcome;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
@@ -551,6 +553,83 @@ TEST(FabricDeterminism, ObsCounterDeltasFoldLikeSharedRegistry) {
                 static_cast<std::uint64_t>(snap.value));
     }
     EXPECT_TRUE(found) << "counter missing from folded registry";
+  }
+}
+
+TEST(FabricDeterminism, WorkerCountsOnlyWhenAsked) {
+  // One epoch's armed lane tasks, captured from an in-process network, go
+  // through run_worker_loop over a channel pair with and without the count
+  // flag. Uncounted, the reply carries no counter deltas; counted, it does;
+  // and the lane results are bitwise equal either way, and to the lanes run
+  // in process.
+  const Trace trace = fabric_trace();
+  ElasticoNetwork network(fabric_config(), Rng(4242));
+  TaskBatch batch;
+  batch.epoch = 3;
+  std::vector<LaneResult> in_process;
+  network.set_lane_executor([&](std::vector<LaneTask>& tasks,
+                                std::vector<LaneResult>& results) {
+    results.resize(tasks.size());
+    for (std::size_t c = 0; c < tasks.size(); ++c) {
+      results[c] = mvcom::sharding::run_committee_lane(tasks[c]);
+      if (!tasks[c].armed) continue;
+      batch.tasks.push_back(tasks[c]);
+      in_process.push_back(results[c]);
+    }
+  });
+  (void)network.run_epoch(trace);
+  ASSERT_FALSE(batch.tasks.empty());
+
+  // The whole exchange fits the socket buffers, so one thread plays both
+  // sides: queue the batch and the shutdown, run the worker to its exit,
+  // then read its hello and reply.
+  const auto drive = [&batch](bool count) {
+    auto [coordinator, worker] = mvcom::fabric::make_channel_pair();
+    std::vector<std::uint8_t> payload;
+    mvcom::fabric::encode_task_batch(payload, batch);
+    coordinator.queue_frame(FrameType::kTaskBatch, payload);
+    coordinator.queue_frame(FrameType::kShutdown, {});
+    EXPECT_TRUE(coordinator.flush());
+    WorkerOptions options;
+    options.index = 1;
+    options.count = count;
+    EXPECT_EQ(mvcom::fabric::run_worker_loop(worker, options), 0);
+    FrameView frame;
+    ResultBatch reply;
+    EXPECT_EQ(coordinator.recv_frame(&frame, 5000),
+              mvcom::fabric::RecvStatus::kOk);
+    EXPECT_EQ(frame.type, FrameType::kHello);
+    EXPECT_EQ(coordinator.recv_frame(&frame, 5000),
+              mvcom::fabric::RecvStatus::kOk);
+    EXPECT_EQ(frame.type, FrameType::kResultBatch);
+    EXPECT_TRUE(mvcom::fabric::decode_result_batch(frame.payload, reply));
+    return reply;
+  };
+  const ResultBatch counted = drive(true);
+  const ResultBatch uncounted = drive(false);
+
+  EXPECT_FALSE(counted.obs_deltas.empty());
+  EXPECT_TRUE(uncounted.obs_deltas.empty());
+  EXPECT_EQ(counted.epoch, batch.epoch);
+  EXPECT_EQ(uncounted.epoch, batch.epoch);
+  ASSERT_EQ(counted.results.size(), in_process.size());
+  ASSERT_EQ(uncounted.results.size(), in_process.size());
+  const auto bits = [](SimTime t) {
+    return std::bit_cast<std::uint64_t>(t.seconds());
+  };
+  for (std::size_t i = 0; i < in_process.size(); ++i) {
+    const LaneResult& want = in_process[i];
+    for (const LaneResult* got : {&counted.results[i], &uncounted.results[i]}) {
+      SCOPED_TRACE("lane " + std::to_string(want.committee_id));
+      EXPECT_EQ(got->committee_id, want.committee_id);
+      EXPECT_EQ(got->formed, want.formed);
+      EXPECT_EQ(got->committed, want.committed);
+      EXPECT_EQ(bits(got->formation), bits(want.formation));
+      EXPECT_EQ(bits(got->consensus_latency), bits(want.consensus_latency));
+      EXPECT_EQ(got->view_changes, want.view_changes);
+      EXPECT_EQ(got->order_digest, want.order_digest);
+      EXPECT_EQ(got->events_executed, want.events_executed);
+    }
   }
 }
 

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -238,25 +240,150 @@ TEST(SimulatorTest, SlotChurnAcrossChunkBoundaries) {
 }
 
 TEST(SimulatorTest, HeapOrderingStressMatchesReferenceSort) {
-  // Adversarial mix of timestamps (with many duplicates) against a stable
-  // reference sort — the 4-ary heap plus seq tie-break must agree exactly.
+  // Adversarial mix of timestamps (many duplicates, plus bursts of equal
+  // instants) with cancels interleaved, and a run_until that fires a prefix
+  // before the second wave is scheduled. The 4-ary heap plus seq tie-break
+  // must agree exactly with a stable sort of the events still live, so
+  // every tombstone surfaces and drops without disturbing the order.
   Simulator sim;
   std::vector<int> fired_order;
-  std::vector<std::pair<double, int>> reference;
+  struct Scheduled {
+    double at;
+    int tag;
+    EventId id;
+    bool cancelled = false;
+  };
+  std::vector<Scheduled> events;
   std::uint64_t state = 12345;
-  for (int i = 0; i < 500; ++i) {
+  const auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double at = static_cast<double>((state >> 33) % 37);
-    reference.emplace_back(at, i);
-    sim.schedule_at(SimTime(at), [&fired_order, i] { fired_order.push_back(i); });
+    return state >> 33;
+  };
+  const auto schedule = [&](double at) {
+    const int tag = static_cast<int>(events.size());
+    const EventId id = sim.schedule_at(
+        SimTime(at), [&fired_order, tag] { fired_order.push_back(tag); });
+    events.push_back({at, tag, id});
+  };
+  const auto cancel_some = [&] {
+    // About one schedule in four cancels an earlier event; some of those
+    // already fired or were already cancelled, which must be no-ops.
+    if (next() % 4 != 0) return;
+    Scheduled& victim = events[next() % events.size()];
+    sim.cancel(victim.id);
+    const bool fired =
+        std::find(fired_order.begin(), fired_order.end(), victim.tag) !=
+        fired_order.end();
+    if (!fired) victim.cancelled = true;
+  };
+  const auto wave = [&](double floor, int count) {
+    for (int i = 0; i < count;) {
+      const double at = floor + static_cast<double>(next() % 37);
+      // Every eighth draw is a burst of 2-9 events at one instant.
+      const int burst = next() % 8 == 0 ? 2 + static_cast<int>(next() % 8) : 1;
+      for (int b = 0; b < burst && i < count; ++b, ++i) {
+        schedule(at);
+        cancel_some();
+      }
+    }
+  };
+
+  wave(0.0, 300);
+  const std::size_t early = sim.run_until(SimTime(18.0));
+  EXPECT_EQ(early, fired_order.size());
+  for (const Scheduled& e : events) {
+    if (!e.cancelled && e.at <= 18.0) {
+      EXPECT_NE(std::find(fired_order.begin(), fired_order.end(), e.tag),
+                fired_order.end())
+          << "event " << e.tag << " at " << e.at << " missed the horizon";
+    }
+  }
+  wave(18.0, 300);
+  std::size_t live = 0;
+  for (const Scheduled& e : events) live += e.cancelled ? 0 : 1;
+  EXPECT_EQ(sim.pending() + fired_order.size(), live);
+  sim.run();
+
+  std::vector<Scheduled> reference;
+  for (const Scheduled& e : events) {
+    if (!e.cancelled) reference.push_back(e);
   }
   std::stable_sort(reference.begin(), reference.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  sim.run();
+                   [](const auto& a, const auto& b) { return a.at < b.at; });
   ASSERT_EQ(fired_order.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(fired_order[i], reference[i].second) << "position " << i;
+    EXPECT_EQ(fired_order[i], reference[i].tag) << "position " << i;
   }
+  EXPECT_TRUE(sim.empty());
+}
+
+// --- Instant edge cases of the queue key ------------------------------------
+
+TEST(SimulatorTest, NegativeZeroFiresAsPositiveZeroInScheduleOrder) {
+  // −0.0 and +0.0 are one instant: interleaved, they fire in schedule
+  // order, the clock reads +0.0 at each of them, and the order digest is
+  // the one of the same schedule written with +0.0 alone.
+  Simulator sim;
+  Simulator plus;
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    const double at = i % 3 == 1 ? -0.0 : 0.0;
+    sim.schedule_at(SimTime(at), [&sim, &order, i] {
+      EXPECT_FALSE(std::signbit(sim.now().seconds())) << "event " << i;
+      EXPECT_EQ(sim.now().seconds(), 0.0);
+      order.push_back(i);
+    });
+    plus.schedule_at(SimTime(0.0), [] {});
+  }
+  sim.schedule_at(SimTime(1.0), [&order] { order.push_back(12); });
+  plus.schedule_at(SimTime(1.0), [] {});
+  sim.run();
+  plus.run();
+  std::vector<int> expected(13);
+  for (int i = 0; i < 13; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.order_digest(), plus.order_digest());
+}
+
+TEST(SimulatorTest, ExtremeInstantsFireInValueOrder) {
+  // Subnormals, the smallest normal, instants past 2^53 s (where adjacent
+  // doubles are 2 s or more apart), DBL_MAX and +inf, scheduled out of
+  // order: they fire in value order, each at its exact instant.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> instants = {
+      0.0,
+      denorm,
+      2 * denorm,
+      std::numeric_limits<double>::min() / 2,  // the largest subnormal range
+      std::numeric_limits<double>::min(),
+      1.0,
+      0x1.0p53,
+      0x1.0p53 + 2.0,
+      0x1.0p60,
+      1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity()};
+  ASSERT_TRUE(std::is_sorted(instants.begin(), instants.end()));
+  std::vector<std::size_t> schedule_order(instants.size());
+  for (std::size_t i = 0; i < schedule_order.size(); ++i) {
+    // A fixed shuffle: 5 is coprime with 12.
+    schedule_order[i] = (i * 5 + 3) % instants.size();
+  }
+  Simulator sim;
+  std::vector<double> fired;
+  for (const std::size_t k : schedule_order) {
+    sim.schedule_at(SimTime(instants[k]), [&sim, &fired] {
+      fired.push_back(sim.now().seconds());
+    });
+  }
+  sim.run();
+  ASSERT_EQ(fired.size(), instants.size());
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fired[i]),
+              std::bit_cast<std::uint64_t>(instants[i]))
+        << "position " << i;
+  }
+  EXPECT_TRUE(sim.now().is_infinite());
 }
 
 TEST(SimulatorTest, LargeCapturesFallBackToHeapAndStayIntact) {

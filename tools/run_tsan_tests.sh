@@ -42,10 +42,17 @@
 # pools of {1, 2, 8} workers against the inline run, and nests two
 # networks' lane batches inside one batch of the pool both borrow.
 # Per-lane simulators/networks plus the shared obs sinks run concurrently
-# there, so races in the lane substrate surface in this suite. The fabric
-# tests (FabricDeterminism) fork their workers with no pool alive.
-# Filter to the lanes, the fabric, the pool, SE and the pipeline with
-#   tools/run_tsan_tests.sh -R 'ElasticoLane|SimKernelsDifferential|Fabric|ThreadPool|SeParallel|Pipeline'
+# there, so races in the lane substrate surface in this suite. Each lane's
+# Simulator orders its queue by one 128-bit key per event in an array of
+# its own; SimulatorTest.HeapOrderingStressMatchesReferenceSort (bursts and
+# interleaved cancels), .NegativeZeroFiresAsPositiveZeroInScheduleOrder and
+# .ExtremeInstantsFireInValueOrder pin that order single-threaded. The
+# fabric tests (FabricDeterminism) fork their workers with no pool alive;
+# FabricDeterminism.WorkerCountsOnlyWhenAsked runs the worker loop in the
+# test process over a channel pair, with and without its registry.
+# Filter to the simulator, the lanes, the fabric, the pool, SE and the
+# pipeline with
+#   tools/run_tsan_tests.sh -R 'Simulator|ElasticoLane|SimKernelsDifferential|Fabric|ThreadPool|SeParallel|Pipeline'
 #
 # Usage: tools/run_tsan_tests.sh [extra ctest args…]
 set -euo pipefail

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -58,11 +59,7 @@ void ProcessFabric::spawn(std::size_t index) {
     for (Member& member : members_) member.channel.close();
     WorkerOptions options;
     options.index = static_cast<std::uint32_t>(index);
-    options.count = obs_.metrics() != nullptr || !config_.metrics_dir.empty();
-    if (!config_.metrics_dir.empty()) {
-      options.metrics_path = config_.metrics_dir + "/fabric-worker-" +
-                             std::to_string(index) + ".prom";
-    }
+    options.count = obs_.metrics() != nullptr;
     const int rc = run_worker_loop(worker_end, options);
     // _exit, not exit: the child shares the parent's stdio buffers and
     // atexit registrations; flushing them here would duplicate output.
@@ -226,9 +223,9 @@ void ProcessFabric::shutdown() noexcept {
     member.channel.queue_frame(FrameType::kShutdown, {});
     (void)member.channel.flush();
   }
-  // Let every worker finish what it is doing — its last epoch's metrics
-  // export included — and exit on the shutdown frame, which reads as EOF
-  // here. reap() kills one that misses the deadline.
+  // Let every worker finish what it is doing and exit on the shutdown
+  // frame, which reads as EOF here, so each is reaped after a clean exit.
+  // reap() kills one that misses the deadline.
   for (Member& member : members_) {
     if (!member.alive) continue;
     FrameView frame;

@@ -21,13 +21,13 @@
 // Fork discipline: workers are forked WITHOUT exec, so the coordinator
 // must be single-threaded at spawn time: no thread pool may be alive when
 // a ProcessFabric is constructed or respawns a worker. The fabric's own
-// lanes need none (its executor replaces any pool lent to the network), so
-// a caller that also runs pooled lanes scopes that pool away from the
-// fabric. Children close every inherited fabric descriptor except their
-// own pipe — otherwise a sibling's death would never surface as EOF.
+// lanes need none (its executor replaces any pool lent to the network),
+// and its callers — test_fabric and perfbench's `lanes_*` workloads — start
+// no pool while a fabric lives. Children close every inherited fabric
+// descriptor except their own pipe — otherwise a sibling's death would
+// never surface as EOF.
 
 #include <cstdint>
-#include <string>
 #include <sys/types.h>
 #include <vector>
 
@@ -40,9 +40,6 @@ namespace mvcom::fabric {
 struct FabricConfig {
   /// Worker processes. Committee c runs on worker (c % workers).
   std::size_t workers = 2;
-  /// When non-empty, every worker re-exports its private registry to
-  /// `<metrics_dir>/fabric-worker-<index>.prom` after each epoch.
-  std::string metrics_dir;
 };
 
 class ProcessFabric {
@@ -50,8 +47,7 @@ class ProcessFabric {
   /// Forks the worker fleet immediately; blocks until every worker says
   /// hello. `obs` receives coordinator-side fabric counters and the folded
   /// worker counter deltas. Workers count their lanes only when `obs` has a
-  /// registry or `config.metrics_dir` is set; otherwise nobody would read
-  /// what they count.
+  /// registry; otherwise nobody would read what they count.
   explicit ProcessFabric(FabricConfig config, obs::ObsContext obs = {});
   ProcessFabric(const ProcessFabric&) = delete;
   ProcessFabric& operator=(const ProcessFabric&) = delete;
@@ -73,18 +69,14 @@ class ProcessFabric {
 
   /// Schedules a SIGKILL of worker `worker_index` right after the dispatch
   /// of epoch `epoch` (0-based execute() call count) — deterministic chaos
-  /// for the recovery tests and `mvcom fabric --kill-epoch`.
+  /// for the recovery tests.
   void inject_kill(std::size_t worker_index, std::uint64_t epoch);
 
   /// Graceful teardown: shutdown frames, a bounded wait for each worker to
-  /// exit (so its last metrics export is whole), close pipes, reap
-  /// children. Idempotent; the destructor calls it.
+  /// exit on its own (so it is reaped, not killed mid-epoch), close pipes,
+  /// reap children. Idempotent; the destructor calls it.
   void shutdown() noexcept;
 
-  [[nodiscard]] std::size_t workers() const noexcept {
-    return members_.size();
-  }
-  [[nodiscard]] std::uint64_t epochs_run() const noexcept { return epoch_; }
   [[nodiscard]] std::uint64_t respawns() const noexcept { return respawns_; }
 
  private:

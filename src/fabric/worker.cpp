@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sharding/lane.hpp"
 
@@ -75,9 +74,8 @@ int run_worker_loop(Channel& channel, const WorkerOptions& options) noexcept {
           .add(batch.tasks.size());
     }
 
-    // Counter deltas since the last reply. Gauges/histograms stay local
-    // (they are not additive across processes); the per-process Prometheus
-    // file below still exposes them.
+    // Counter deltas since the last reply. Gauges and histograms stay
+    // local: they are not additive across processes.
     reply.obs_deltas.clear();
     for (const auto& snap : registry.snapshot()) {
       if (snap.type != obs::MetricsRegistry::Type::kCounter) continue;
@@ -99,13 +97,6 @@ int run_worker_loop(Channel& channel, const WorkerOptions& options) noexcept {
     encode_result_batch(payload, reply);
     channel.queue_frame(FrameType::kResultBatch, payload);
     if (!channel.flush()) return 0;  // coordinator died mid-epoch
-
-    // A requested export the worker cannot write (or that fails
-    // validation) ends the worker like any other broken pipe.
-    if (!options.metrics_path.empty() &&
-        !obs::write_prometheus_text(registry, options.metrics_path)) {
-      return 1;
-    }
   }
 }
 

@@ -14,7 +14,6 @@
 // mark once, so steady-state epochs allocate nothing on the framing path.
 
 #include <cstdint>
-#include <string>
 
 #include "fabric/transport.hpp"
 
@@ -23,14 +22,10 @@ namespace mvcom::fabric {
 struct WorkerOptions {
   std::uint32_t index = 0;
   /// Whether the lanes run with a private registry whose counter deltas
-  /// ride every ResultBatch. The coordinator sets it only when someone
-  /// reads them: its own registry folds the deltas, or `metrics_path`
-  /// exports the registry. Without it the lanes count nothing and the
+  /// ride every ResultBatch. The coordinator sets it only when its own
+  /// registry folds the deltas. Without it the lanes count nothing and the
   /// batches carry no deltas; the lane results are the same either way.
   bool count = false;
-  /// When non-empty, the worker re-exports its private registry here after
-  /// every epoch (Prometheus text) — the per-process scrape surface.
-  std::string metrics_path;
 };
 
 /// Runs the worker protocol until shutdown (returns 0), coordinator EOF

@@ -4,6 +4,7 @@
 #include <bit>
 #include <map>
 #include <span>
+#include <stdexcept>
 
 #include "common/fnv.hpp"
 
@@ -24,6 +25,11 @@ using common::fnv1a_u64;
 CampaignResult run_adversarial_campaign(const txn::Trace& trace,
                                         const CampaignConfig& config,
                                         std::uint64_t seed) {
+  // A campaign of no epochs decides nothing; its digest would be the FNV
+  // offset basis.
+  if (config.epochs == 0) {
+    throw std::invalid_argument("run_adversarial_campaign: epochs >= 1");
+  }
   txn::WorkloadConfig wc = config.workload;
   wc.num_committees = config.committees + config.reserve;
   const txn::WorkloadGenerator gen(trace, wc);

@@ -62,7 +62,8 @@ struct CampaignResult {
 };
 
 /// Runs the campaign on workloads drawn from `trace`. Deterministic per
-/// (trace, config, seed).
+/// (trace, config, seed). Throws std::invalid_argument when `config.epochs`
+/// is 0.
 [[nodiscard]] CampaignResult run_adversarial_campaign(
     const txn::Trace& trace, const CampaignConfig& config,
     std::uint64_t seed);

@@ -47,20 +47,20 @@ double erlang(common::Rng& rng, double mean, int stages) {
 
 }  // namespace
 
-TwoPhaseLatency sample_two_phase_latency(common::Rng& rng,
-                                         const WorkloadConfig& /*config*/) {
+TwoPhaseLatency sample_two_phase_latency(common::Rng& rng) {
   TwoPhaseLatency out;
   out.formation = erlang(rng, kFormationMeanSeconds, kFormationStages);
   out.consensus = erlang(rng, kConsensusMeanSeconds, kConsensusStages);
   return out;
 }
 
-double sample_submit_instant(common::Rng& rng, const WorkloadConfig& config,
+double sample_submit_instant(common::Rng& rng,
+                             const WorkloadConfig& /*config*/,
                              double window_close) {
   // Summed left-to-right from window_close: bitwise-identical to the
   // historical inline `window_close + lat.formation + lat.consensus`, so
   // adopting the helper never moves a digest or a baseline.
-  const TwoPhaseLatency lat = sample_two_phase_latency(rng, config);
+  const TwoPhaseLatency lat = sample_two_phase_latency(rng);
   return window_close + lat.formation + lat.consensus;
 }
 
@@ -107,7 +107,7 @@ EpochWorkload WorkloadGenerator::epoch(common::Rng& rng) const {
   }
 
   for (ShardReport& r : workload.reports) {
-    const TwoPhaseLatency lat = sample_two_phase_latency(rng, config_);
+    const TwoPhaseLatency lat = sample_two_phase_latency(rng);
     r.formation_latency = lat.formation;
     r.consensus_latency = lat.consensus;
   }

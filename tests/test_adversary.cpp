@@ -265,6 +265,13 @@ TEST(AdversaryCampaignTest, ReplayReproducesDecisionDigestBitExactly) {
   }
 }
 
+TEST(AdversaryCampaignTest, ZeroEpochsThrows) {
+  const auto trace = test_trace();
+  const auto config = campaign_config(AdversaryStrategy::kChurnStorm, true, 0);
+  EXPECT_THROW((void)run_adversarial_campaign(trace, config, 1),
+               std::invalid_argument);
+}
+
 // `mvcom chaos --adversary` always attaches a recorder (its events digest is
 // a replay witness), so the CLI pins cannot show that decisions ignore
 // instrumentation. Here every strategy runs with a registry and a recorder

@@ -1,6 +1,7 @@
 // Multi-process shard fabric (DESIGN.md §17): wire-format round-trips,
-// adversarial decode fuzz, the 2-process determinism matrix, and
-// SIGKILL-and-replay recovery.
+// adversarial decode fuzz, the 2-process determinism matrix,
+// SIGKILL-and-replay recovery, and one shape's epoch digests pinned across
+// commits.
 //
 // The determinism matrix mirrors tests/test_elastico_lanes.cpp one level up:
 // where that suite proves a lent thread pool never changes an epoch, this
@@ -20,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -503,6 +505,82 @@ TEST(FabricDeterminism, SigkillMidEpochReplaysToIdenticalDigests) {
   for (std::size_t e = 0; e < reference.size(); ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
     expect_identical(reference[e], survived[e]);
+  }
+}
+
+// A second shape whose epoch digests are pinned across commits: 2^3
+// committees of 6 over 128 nodes with a 0.2 s mean verification and the
+// other ElasticoConfig defaults, a 64-block trace from Rng(2) and a
+// network from Rng(1). The four digests must hold in process, on two
+// workers, across a kill-9 replay and with a coordinator registry attached.
+Trace pinned_trace() {
+  Rng rng(2);
+  TraceGeneratorConfig tc;
+  tc.num_blocks = 64;
+  tc.target_total_txs = 64'000;
+  return generate_trace(tc, rng);
+}
+
+ElasticoConfig pinned_config() {
+  ElasticoConfig config;
+  config.num_nodes = 128;
+  config.committee_bits = 3;
+  config.committee_size = 6;
+  config.pbft.verification_mean = SimTime(0.2);
+  return config;
+}
+
+TEST(FabricDeterminism, PinnedEpochDigestsHoldInEveryMode) {
+  constexpr std::uint64_t kPinned[] = {
+      0xfed66d81933086b6ULL, 0x5a75ba89c97ae90cULL, 0x3870b72f4b624da6ULL,
+      0xfa664a74246f1f5cULL};
+  constexpr std::size_t kEpochs = std::size(kPinned);
+  const Trace trace = pinned_trace();
+  const auto expect_pinned = [&](ProcessFabric* fleet,
+                                 mvcom::obs::MetricsRegistry* registry) {
+    ElasticoNetwork network(pinned_config(), Rng(1));
+    network.set_obs(mvcom::obs::ObsContext(registry, nullptr));
+    if (fleet != nullptr) network.set_lane_executor(fleet->executor());
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+      EXPECT_EQ(network.run_epoch(trace).event_order_digest, kPinned[e])
+          << "epoch " << e;
+    }
+    EXPECT_EQ(network.root_chain().height(), kEpochs);
+    EXPECT_TRUE(network.root_chain().validate_full());
+  };
+
+  {
+    SCOPED_TRACE("in process");
+    expect_pinned(nullptr, nullptr);
+  }
+  {
+    SCOPED_TRACE("2 workers");
+    ProcessFabric fleet(FabricConfig{2});
+    expect_pinned(&fleet, nullptr);
+    EXPECT_EQ(fleet.respawns(), 0u);
+  }
+  {
+    SCOPED_TRACE("2 workers, worker 0 killed after epoch 1's dispatch");
+    ProcessFabric fleet(FabricConfig{2});
+    fleet.inject_kill(0, 1);
+    expect_pinned(&fleet, nullptr);
+    EXPECT_EQ(fleet.respawns(), 1u);
+  }
+  {
+    SCOPED_TRACE("2 workers, coordinator registry attached");
+    mvcom::obs::MetricsRegistry registry;
+    ProcessFabric fleet(FabricConfig{2},
+                        mvcom::obs::ObsContext(&registry, nullptr));
+    expect_pinned(&fleet, &registry);
+    EXPECT_EQ(fleet.respawns(), 0u);
+    // The workers counted: each folded one epoch per batch it received.
+    std::uint64_t worker_epochs = 0;
+    for (const auto& snap : registry.snapshot()) {
+      if (snap.name == "fabric_worker_epochs_total") {
+        worker_epochs += static_cast<std::uint64_t>(snap.value);
+      }
+    }
+    EXPECT_EQ(worker_epochs, 2 * kEpochs);
   }
 }
 

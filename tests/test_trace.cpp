@@ -297,7 +297,7 @@ TEST(WorkloadTest, SubmitInstantMatchesInlineLatencySum) {
   for (int i = 0; i < 100; ++i) {
     const double instant =
         mvcom::txn::sample_submit_instant(a, wc, window_close);
-    const auto lat = sample_two_phase_latency(b, wc);
+    const auto lat = sample_two_phase_latency(b);
     EXPECT_EQ(instant, window_close + lat.formation + lat.consensus);
   }
   EXPECT_EQ(a(), b());  // engines stayed in lockstep
@@ -306,12 +306,11 @@ TEST(WorkloadTest, SubmitInstantMatchesInlineLatencySum) {
 TEST(WorkloadTest, LatencyMarginalsMatchPaperModel) {
   // Formation ~ Exp(600 s); consensus ~ Erlang(3) with mean 54.5 s (§VI-A).
   Rng rng(10);
-  WorkloadConfig wc;
   double formation_sum = 0.0;
   double consensus_sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    const auto lat = sample_two_phase_latency(rng, wc);
+    const auto lat = sample_two_phase_latency(rng);
     ASSERT_GE(lat.formation, 0.0);
     ASSERT_GE(lat.consensus, 0.0);
     formation_sum += lat.formation;

@@ -9,7 +9,8 @@
 //       prints the permitted committees and the selection's metrics. Exits
 //       1 when no selection satisfies Eq. (3)/(4).
 //
-//   mvcom epoch [--nodes N] [--committee-bits B] [--seed S]
+//   mvcom epoch [--nodes N] [--committee-bits B] [--committee-size S]
+//               [--seed S]
 //       Run one full Elastico epoch (PoW election, PBFT committees, final
 //       consensus) and print every committee's two-phase latency. Exits 1
 //       when the root chain does not validate.
@@ -61,22 +62,7 @@
 //       replay witnesses — the campaign decision digest and the obs
 //       event-stream digest — which must be bit-identical across runs with
 //       the same seed (the CliChaosDecisionDigest-* CTests pin both).
-//
-//   mvcom fabric [--nodes N] [--committee-bits B] [--committee-size S]
-//                [--epochs N] [--workers W] [--seed S] [--verify 0|1]
-//                [--kill-epoch K] [--kill-worker W] [--metrics-dir DIR]
-//                [--metrics-out <file.prom>]
-//       Run Elastico epochs on the multi-process shard fabric (DESIGN.md
-//       §17): W forked worker processes execute the committee lanes,
-//       connected by the binary wire protocol. With --verify 1 (default) a
-//       second, in-process network replays the identical run and every
-//       epoch's event_order_digest / makespan / final block is diffed
-//       bitwise — any divergence, or a root chain that does not validate,
-//       exits 1. --kill-epoch SIGKILLs a worker
-//       right after that epoch's dispatch to exercise the crash-replay
-//       path (the digests must STILL match). --metrics-dir makes each
-//       worker export its private registry per epoch (per-process
-//       Prometheus surface).
+//       A campaign of 0 epochs exits 1.
 //
 //   mvcom xshard [--accounts N] [--shards N] [--txs N] [--epochs N]
 //                [--skew S] [--ratios 0,0.1,0.3,0.5] [--rounds R]
@@ -90,8 +76,10 @@
 //       across runs with the same seed (the CliXshardLedgerDigests CTest
 //       pins its values).
 //       --txs-out dumps the first epoch's AccountTx trace as CSV.
+//       --epochs 0 exits 2.
 //
-// The `schedule`, `chaos`, and `xshard` commands accept observability sinks:
+// The `schedule`, `serve`, `chaos` and `xshard` commands accept
+// observability sinks:
 //   --metrics-out <file.prom>   Prometheus text exposition of every counter,
 //                               gauge, and histogram the run touched.
 //   --trace-out <file.json>     Chrome trace-event JSON (load in Perfetto,
@@ -129,7 +117,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/serve.hpp"
-#include "fabric/coordinator.hpp"
 #include "sharding/elastico.hpp"
 #include "txn/accounts/model.hpp"
 #include "txn/trace_generator.hpp"
@@ -266,7 +253,7 @@ struct ObsSinks {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mvcom <gen-trace|schedule|epoch|fabric|bounds|serve|chaos|"
+               "usage: mvcom <gen-trace|schedule|epoch|bounds|serve|chaos|"
                "xshard> [options]\n"
                "see the header of tools/mvcom_cli.cpp for details\n");
   return 2;
@@ -301,6 +288,7 @@ int cmd_xshard(const Args& args) {
   }
   const std::uint64_t seed = args.get_u64("seed", 1);
   const std::size_t epochs = args.get_u64("epochs", 2);
+  if (epochs == 0) throw BadFlag("--epochs: a sweep needs at least 1 epoch");
 
   std::vector<double> ratios = {0.0, 0.1, 0.3, 0.5};
   if (const auto it = args.flags.find("ratios"); it != args.flags.end()) {
@@ -484,89 +472,6 @@ int cmd_epoch(const Args& args) {
               static_cast<unsigned long long>(network.root_chain().height()),
               valid ? "yes" : "NO");
   return valid ? 0 : 1;
-}
-
-int cmd_fabric(const Args& args) {
-  args.allow({"nodes", "committee-bits", "committee-size", "failure", "loss",
-              "seed", "epochs", "verify", "workers", "metrics-dir",
-              "kill-epoch", "kill-worker", "metrics-out", "trace-out"});
-  mvcom::sharding::ElasticoConfig config;
-  config.num_nodes = args.get_u64("nodes", 128);
-  config.committee_bits = args.get<int>("committee-bits", 3);
-  config.committee_size = args.get_u64("committee-size", 6);
-  config.pbft.verification_mean = mvcom::common::SimTime(0.2);
-  config.node_failure_probability = args.get_f64("failure", 0.0);
-  config.message_loss_probability = args.get_f64("loss", 0.0);
-  const std::uint64_t seed = args.get_u64("seed", 1);
-  const std::uint64_t epochs = args.get_u64("epochs", 4);
-  const bool verify = args.get_u64("verify", 1) != 0;
-
-  mvcom::common::Rng trace_rng(seed + 1);
-  mvcom::txn::TraceGeneratorConfig tc;
-  tc.num_blocks = std::max<std::uint64_t>(
-      64, (std::size_t{1} << config.committee_bits) - 1);
-  tc.target_total_txs = tc.num_blocks * 1000;
-  const auto trace = mvcom::txn::generate_trace(tc, trace_rng);
-
-  ObsSinks sinks(args);
-  mvcom::fabric::FabricConfig fabric_config;
-  fabric_config.workers = args.get_u64("workers", 2);
-  if (const auto it = args.flags.find("metrics-dir");
-      it != args.flags.end()) {
-    fabric_config.metrics_dir = it->second;
-  }
-  mvcom::fabric::ProcessFabric fleet(fabric_config, sinks.context());
-  if (const auto it = args.flags.find("kill-epoch"); it != args.flags.end()) {
-    fleet.inject_kill(args.get_u64("kill-worker", 0),
-                      args.get_u64("kill-epoch", 0));
-  }
-
-  mvcom::sharding::ElasticoNetwork network(config,
-                                           mvcom::common::Rng(seed));
-  network.set_obs(sinks.context());
-  network.set_lane_executor(fleet.executor());
-
-  // The in-process reference replays the identical epochs: same config,
-  // same seed, lanes inline. Its digests are the ground truth the fabric
-  // must match bitwise.
-  std::optional<mvcom::sharding::ElasticoNetwork> reference;
-  if (verify) reference.emplace(config, mvcom::common::Rng(seed));
-
-  bool diverged = false;
-  for (std::uint64_t e = 0; e < epochs; ++e) {
-    const auto outcome = network.run_epoch(trace);
-    std::printf("epoch %llu: digest %016llx makespan %.3fs txs %llu "
-                "shards %zu\n",
-                static_cast<unsigned long long>(e),
-                static_cast<unsigned long long>(outcome.event_order_digest),
-                outcome.epoch_makespan.seconds(),
-                static_cast<unsigned long long>(outcome.final_block_txs),
-                outcome.selected.size());
-    if (reference) {
-      const auto expected = reference->run_epoch(trace);
-      if (!mvcom::sharding::same_epoch(expected, outcome)) {
-        diverged = true;
-        std::printf("epoch %llu: DIVERGED from in-process reference "
-                    "(expected digest %016llx)\n",
-                    static_cast<unsigned long long>(e),
-                    static_cast<unsigned long long>(
-                        expected.event_order_digest));
-      }
-    }
-  }
-  const bool valid = network.root_chain().validate_full();
-  std::printf("fabric: %llu epochs on %zu workers, %llu respawns, "
-              "chain height %llu (valid=%s)\n",
-              static_cast<unsigned long long>(epochs), fleet.workers(),
-              static_cast<unsigned long long>(fleet.respawns()),
-              static_cast<unsigned long long>(network.root_chain().height()),
-              valid ? "yes" : "NO");
-  if (verify) {
-    std::printf("verify: %s\n", diverged ? "DIVERGED" : "identical");
-  }
-  fleet.shutdown();
-  if (!sinks.flush()) return 1;
-  return diverged || !valid ? 1 : 0;
 }
 
 int cmd_bounds(const Args& args) {
@@ -901,7 +806,6 @@ int main(int argc, char** argv) {
     if (command == "gen-trace") return cmd_gen_trace(*args);
     if (command == "schedule") return cmd_schedule(*args);
     if (command == "epoch") return cmd_epoch(*args);
-    if (command == "fabric") return cmd_fabric(*args);
     if (command == "bounds") return cmd_bounds(*args);
     if (command == "serve") return cmd_serve(*args);
     if (command == "chaos") return cmd_chaos(*args);

@@ -47,7 +47,7 @@ int main() {
     mvcom::baselines::DynamicProgramming dp;
     dp_vd.push_back(dp.solve(instance).valuable_degree);
 
-    mvcom::baselines::WhaleOptimization woa({}, seed);
+    mvcom::baselines::WhaleOptimization woa(seed);
     woa_vd.push_back(woa.solve(instance).valuable_degree);
 
     mvcom::baselines::Greedy greedy;

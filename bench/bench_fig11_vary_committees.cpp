@@ -42,7 +42,7 @@ int main() {
     mvcom::baselines::DynamicProgramming dp;
     const auto dp_result = dp.solve(instance);
 
-    mvcom::baselines::WhaleOptimization woa({}, committees);
+    mvcom::baselines::WhaleOptimization woa(committees);
     const auto woa_result = woa.solve(instance);
     mvcom::bench::print_trace("WOA", woa_result.utility_trace, 10);
 

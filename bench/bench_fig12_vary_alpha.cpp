@@ -39,7 +39,7 @@ int main() {
     mvcom::baselines::DynamicProgramming dp;
     const auto dp_result = dp.solve(instance);
 
-    mvcom::baselines::WhaleOptimization woa({}, 21);
+    mvcom::baselines::WhaleOptimization woa(21);
     const auto woa_result = woa.solve(instance);
     mvcom::bench::print_trace("WOA", woa_result.utility_trace, 10);
 

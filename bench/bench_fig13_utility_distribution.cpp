@@ -54,7 +54,7 @@ int main() {
       mvcom::baselines::SimulatedAnnealing sa({}, run * 37);
       sa_utilities.push_back(sa.solve(instance).utility);
 
-      mvcom::baselines::WhaleOptimization woa({}, run * 41);
+      mvcom::baselines::WhaleOptimization woa(run * 41);
       woa_utilities.push_back(woa.solve(instance).utility);
     }
     // DP is deterministic: a point mass.

@@ -57,7 +57,7 @@ int main() {
     const auto sa_result = sa.solve(final_instance);
     mvcom::baselines::DynamicProgramming dp;
     const auto dp_result = dp.solve(final_instance);
-    mvcom::baselines::WhaleOptimization woa({}, 15);
+    mvcom::baselines::WhaleOptimization woa(15);
     const auto woa_result = woa.solve(final_instance);
 
     mvcom::bench::print_row("SE  converged (online)", dyn.final_utility);

@@ -78,7 +78,7 @@ int main() {
   up.objective = mvcom::baselines::DpObjective::kUtility;
   mvcom::baselines::DynamicProgramming dpu(up);
   run(dpu);
-  mvcom::baselines::WhaleOptimization woa({}, 1);
+  mvcom::baselines::WhaleOptimization woa(1);
   run(woa);
   mvcom::baselines::Greedy greedy;
   run(greedy);

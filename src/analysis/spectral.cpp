@@ -20,7 +20,7 @@ double SpectralResult::t_mix_lower(double epsilon) const {
 }
 
 SpectralResult spectral_gap(const SolutionSpace& space, double beta,
-                            double tau, std::size_t iterations) {
+                            double tau) {
   const std::size_t n = space.states.size();
   if (n < 2) {
     throw std::invalid_argument("spectral_gap: need at least two states");
@@ -81,9 +81,11 @@ SpectralResult spectral_gap(const SolutionSpace& space, double beta,
   deflate(v);
   normalize(v);
 
+  // Power-iteration budget: ample for the spaces admitted above.
+  constexpr std::size_t kIterations = 3000;
   std::vector<double> w(n);
   double eigen = 0.0;
-  for (std::size_t it = 0; it < iterations; ++it) {
+  for (std::size_t it = 0; it < kIterations; ++it) {
     // w = (S + shift·I) v
     for (std::size_t i = 0; i < n; ++i) {
       double acc = shift * v[i];
@@ -94,7 +96,7 @@ SpectralResult spectral_gap(const SolutionSpace& space, double beta,
     deflate(w);
     const double norm = normalize(w);
     v.swap(w);
-    if (it + 1 == iterations) eigen = norm;
+    if (it + 1 == kIterations) eigen = norm;
   }
 
   SpectralResult result;

@@ -35,11 +35,10 @@ struct SpectralResult {
   [[nodiscard]] double t_mix_lower(double epsilon) const;
 };
 
-/// Computes the spectral gap of the Eq.-(7) chain on `space`. Intended for
-/// enumerated spaces of at most a few thousand states.
-/// `iterations` controls the power-iteration budget (default ample).
+/// Computes the spectral gap of the Eq.-(7) chain on `space` by 3000
+/// power iterations. Intended for enumerated spaces of at most a few
+/// thousand states.
 [[nodiscard]] SpectralResult spectral_gap(const SolutionSpace& space,
-                                          double beta, double tau,
-                                          std::size_t iterations = 3000);
+                                          double beta, double tau);
 
 }  // namespace mvcom::analysis

@@ -14,8 +14,8 @@ SolverResult DynamicProgramming::solve(const EpochInstance& instance) {
   // solution capacity-feasible in the unscaled problem.
   const std::uint64_t capacity = instance.capacity();
   const std::uint64_t scale =
-      std::max<std::uint64_t>(1, (capacity + params_.max_buckets - 1) /
-                                     params_.max_buckets);
+      std::max<std::uint64_t>(1, (capacity + kDpMaxBuckets - 1) /
+                                     kDpMaxBuckets);
   const auto buckets = static_cast<std::size_t>(capacity / scale);
 
   std::vector<std::size_t> weight(n);

@@ -17,9 +17,9 @@
 //
 // In both variants N_min is handled only by core::top_up (the knapsack
 // recurrence cannot express a cardinality lower bound without a second
-// dimension), and capacities up to 10^6 are scaled into at most
-// `max_buckets` weight buckets (weights rounded up, so the returned
-// selection never violates Ĉ — the classic FPTAS rounding).
+// dimension), and capacities above kDpMaxBuckets are scaled into at most
+// that many weight buckets (weights rounded up, so the returned selection
+// never violates Ĉ — the classic FPTAS rounding).
 
 #include "baselines/solver.hpp"
 
@@ -30,8 +30,10 @@ enum class DpObjective {
   kUtility,     // maximize Eq. (2) exactly
 };
 
+/// Weight buckets of the DP table; a capacity at or below it is unscaled.
+inline constexpr std::size_t kDpMaxBuckets = 50'000;
+
 struct DpParams {
-  std::size_t max_buckets = 50'000;
   DpObjective objective = DpObjective::kThroughput;
 };
 

@@ -5,10 +5,16 @@
 #include <stdexcept>
 
 namespace mvcom::baselines {
+namespace {
+
+/// The largest instance enumerated: 2^24 selections.
+constexpr std::size_t kMaxSize = 24;
+
+}  // namespace
 
 SolverResult Exhaustive::solve(const EpochInstance& instance) {
   const std::size_t n = instance.size();
-  if (n > max_size_) {
+  if (n > kMaxSize) {
     throw std::invalid_argument("Exhaustive: instance too large");
   }
   const auto& committees = instance.committees();

@@ -9,17 +9,12 @@ namespace mvcom::baselines {
 
 class Exhaustive final : public Solver {
  public:
-  /// Throws std::invalid_argument when the instance exceeds `max_size`
-  /// committees (2^|I| states — keep it honest).
-  explicit Exhaustive(std::size_t max_size = 24) : max_size_(max_size) {}
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "Exhaustive";
   }
+  /// Throws std::invalid_argument when the instance has more than 24
+  /// committees (2^|I| states — keep it honest).
   [[nodiscard]] SolverResult solve(const EpochInstance& instance) override;
-
- private:
-  std::size_t max_size_;
 };
 
 }  // namespace mvcom::baselines

@@ -11,6 +11,7 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr std::size_t kPopulation = 30;
+constexpr std::size_t kIterations = 200;
 constexpr double kSpiralB = 1.0;  // logarithmic-spiral shape constant
 
 /// Threshold binarization of a continuous whale position.
@@ -68,12 +69,12 @@ SolverResult WhaleOptimization::solve(const EpochInstance& instance) {
   }
 
   SolverResult result;
-  result.utility_trace.reserve(params_.iterations);
+  result.utility_trace.reserve(kIterations);
 
-  for (std::size_t it = 0; it < params_.iterations; ++it) {
+  for (std::size_t it = 0; it < kIterations; ++it) {
     // a decreases linearly 2 → 0 over the run (exploration → exploitation).
     const double a = 2.0 - 2.0 * static_cast<double>(it) /
-                               static_cast<double>(params_.iterations);
+                               static_cast<double>(kIterations);
     for (auto& w : whales) {
       const double p = rng.uniform01();
       if (p < 0.5) {
@@ -118,7 +119,7 @@ SolverResult WhaleOptimization::solve(const EpochInstance& instance) {
                                 : best_fitness);
   }
 
-  result.iterations = params_.iterations;
+  result.iterations = kIterations;
   // The best whale may sit just outside the feasible region (penalty
   // fitness); neutrally repair the final answer only.
   if (!best_selection.empty() && !instance.feasible(best_selection)) {

@@ -11,14 +11,9 @@
 
 namespace mvcom::baselines {
 
-struct WoaParams {
-  std::size_t iterations = 200;
-};
-
 class WhaleOptimization final : public Solver {
  public:
-  WhaleOptimization(WoaParams params, std::uint64_t seed)
-      : params_(params), seed_(seed) {}
+  explicit WhaleOptimization(std::uint64_t seed) : seed_(seed) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "WOA";
@@ -26,7 +21,6 @@ class WhaleOptimization final : public Solver {
   [[nodiscard]] SolverResult solve(const EpochInstance& instance) override;
 
  private:
-  WoaParams params_;
   std::uint64_t seed_;
 };
 

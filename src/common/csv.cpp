@@ -8,12 +8,14 @@ namespace mvcom::common {
 
 namespace {
 
+constexpr char kSep = ',';
+
 bool is_newline(char c) { return c == '\n' || c == '\r'; }
 
 /// Parses one record starting at text[pos], advancing pos past the record's
 /// terminating newline (LF, CRLF, or CR) or to end-of-input. Quoted fields
 /// may contain separators, quotes (doubled), and newlines.
-CsvRow parse_record(std::string_view text, std::size_t& pos, char sep) {
+CsvRow parse_record(std::string_view text, std::size_t& pos) {
   CsvRow fields;
   std::string field;
   for (;;) {
@@ -36,12 +38,13 @@ CsvRow parse_record(std::string_view text, std::size_t& pos, char sep) {
           field += c;
         }
       }
-      if (pos < text.size() && text[pos] != sep && !is_newline(text[pos])) {
+      if (pos < text.size() && text[pos] != kSep && !is_newline(text[pos])) {
         throw std::invalid_argument(
             "unexpected character after closing quote in CSV field");
       }
     } else {
-      while (pos < text.size() && text[pos] != sep && !is_newline(text[pos])) {
+      while (pos < text.size() && text[pos] != kSep &&
+             !is_newline(text[pos])) {
         if (text[pos] == '"') {
           throw std::invalid_argument(
               "stray quote inside unquoted CSV field");
@@ -51,7 +54,7 @@ CsvRow parse_record(std::string_view text, std::size_t& pos, char sep) {
     }
     fields.push_back(field);
     if (pos >= text.size()) return fields;
-    if (text[pos] == sep) {
+    if (text[pos] == kSep) {
       ++pos;
       continue;
     }
@@ -68,10 +71,9 @@ CsvRow parse_record(std::string_view text, std::size_t& pos, char sep) {
 
 }  // namespace
 
-std::string escape_csv_field(std::string_view field, char sep) {
+std::string escape_csv_field(std::string_view field) {
   const bool needs_quoting =
-      field.find_first_of("\"\r\n") != std::string_view::npos ||
-      field.find(sep) != std::string_view::npos;
+      field.find_first_of(",\"\r\n") != std::string_view::npos;
   if (!needs_quoting) return std::string(field);
   std::string out;
   out.reserve(field.size() + 2);
@@ -84,9 +86,9 @@ std::string escape_csv_field(std::string_view field, char sep) {
   return out;
 }
 
-CsvRow parse_csv_line(std::string_view line, char sep) {
+CsvRow parse_csv_line(std::string_view line) {
   std::size_t pos = 0;
-  CsvRow row = parse_record(line, pos, sep);
+  CsvRow row = parse_record(line, pos);
   if (pos != line.size()) {
     // A record terminator mid-line means the "line" held embedded newlines.
     throw std::invalid_argument(
@@ -95,8 +97,7 @@ CsvRow parse_csv_line(std::string_view line, char sep) {
   return row;
 }
 
-CsvFile read_csv(const std::filesystem::path& path, bool expect_header,
-                 char sep) {
+CsvFile read_csv(const std::filesystem::path& path, bool expect_header) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot open CSV file: " + path.string());
@@ -118,7 +119,7 @@ CsvFile read_csv(const std::filesystem::path& path, bool expect_header,
       ++pos;
       continue;
     }
-    CsvRow row = parse_record(text, pos, sep);
+    CsvRow row = parse_record(text, pos);
     if (first) {
       arity = row.size();
       first = false;
@@ -134,11 +135,10 @@ CsvFile read_csv(const std::filesystem::path& path, bool expect_header,
   return file;
 }
 
-void append_csv_row(std::string& out, const std::vector<std::string>& fields,
-                    char sep) {
+void append_csv_row(std::string& out, const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out += sep;
-    out += escape_csv_field(fields[i], sep);
+    if (i > 0) out += kSep;
+    out += escape_csv_field(fields[i]);
   }
   out += '\n';
 }

@@ -137,7 +137,6 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
   w.u8(task.message_level_overlay ? 1 : 0);
   w.u32(task.num_nodes);
   w.f64(task.link_latency_mean.seconds());
-  w.f64(task.message_loss_probability);
   w.f64(task.pbft.view_change_timeout.seconds());
   w.f64(task.pbft.verification_mean.seconds());
   w.f64(task.pbft.horizon.seconds());
@@ -151,8 +150,6 @@ void encode_task(Writer& w, const sharding::LaneTask& task) {
   for (const SimTime t : task.ready_at) w.f64(t.seconds());
   w.u32(static_cast<std::uint32_t>(task.verify_speeds.size()));
   for (const double v : task.verify_speeds) w.f64(v);
-  w.u32(static_cast<std::uint32_t>(task.failed.size()));
-  for (const std::uint8_t f : task.failed) w.u8(f);
 }
 
 bool decode_task(Reader& r, sharding::LaneTask& task) {
@@ -165,9 +162,8 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
   double formation = 0.0;
   if (!r.u32(task.committee_id) || !r.u32(task.member_committees) ||
       !r.u8(armed) || !r.u8(overlay) || !r.u32(task.num_nodes) ||
-      !r.f64(link_mean) || !r.f64(task.message_loss_probability) ||
-      !r.f64(view_change) || !r.f64(verification) || !r.f64(horizon) ||
-      !r.u64(task.overlay_seed) || !r.u64(task.net_seed) ||
+      !r.f64(link_mean) || !r.f64(view_change) || !r.f64(verification) ||
+      !r.f64(horizon) || !r.u64(task.overlay_seed) || !r.u64(task.net_seed) ||
       !r.u64(task.cluster_seed) || !r.f64(formation)) {
     return false;
   }
@@ -204,20 +200,11 @@ bool decode_task(Reader& r, sharding::LaneTask& task) {
     if (!r.f64(v)) return false;
     task.verify_speeds.push_back(v);
   }
-  if (!r.u32(n) || n > kMaxInnerLength || r.remaining() < n) return false;
-  task.failed.clear();
-  task.failed.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint8_t f = 0;
-    if (!r.u8(f)) return false;
-    task.failed.push_back(f);
-  }
   return true;
 }
 
 void encode_result(Writer& w, const sharding::LaneResult& result) {
   w.u32(result.committee_id);
-  w.u8(result.formed ? 1 : 0);
   w.u8(result.committed ? 1 : 0);
   w.f64(result.formation.seconds());
   w.f64(result.consensus_latency.seconds());
@@ -227,16 +214,14 @@ void encode_result(Writer& w, const sharding::LaneResult& result) {
 }
 
 bool decode_result(Reader& r, sharding::LaneResult& result) {
-  std::uint8_t formed = 0;
   std::uint8_t committed = 0;
   double formation = 0.0;
   double latency = 0.0;
-  if (!r.u32(result.committee_id) || !r.u8(formed) || !r.u8(committed) ||
+  if (!r.u32(result.committee_id) || !r.u8(committed) ||
       !r.f64(formation) || !r.f64(latency) || !r.u64(result.view_changes) ||
       !r.u64(result.order_digest) || !r.u64(result.events_executed)) {
     return false;
   }
-  result.formed = formed != 0;
   result.committed = committed != 0;
   result.formation = SimTime(formation);
   result.consensus_latency = SimTime(latency);

@@ -75,15 +75,14 @@ SelectionStats EpochInstance::stats(const Selection& x) const {
   return st;
 }
 
-double EpochInstance::valuable_degree(const Selection& x,
-                                      double age_floor) const {
+double EpochInstance::valuable_degree(const Selection& x) const {
   assert(x.size() == committees_.size());
-  assert(age_floor > 0.0);
+  constexpr double kAgeFloorSeconds = 1.0;
   double degree = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (!x[i]) continue;
     degree += static_cast<double>(committees_[i].txs) /
-              std::max(age(i), age_floor);
+              std::max(age(i), kAgeFloorSeconds);
   }
   return degree;
 }

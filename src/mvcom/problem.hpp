@@ -92,10 +92,9 @@ class EpochInstance {
   }
 
   /// Valuable Degree of a selection (paper §VI-E): Σ x_i · s_i / Π_i.
-  /// Π_i = 0 for the latest-arriving shard; `age_floor` (seconds) guards the
-  /// division — shared by all algorithms, so rankings are ε-insensitive.
-  [[nodiscard]] double valuable_degree(const Selection& x,
-                                       double age_floor = 1.0) const;
+  /// Π_i = 0 for the latest-arriving shard; a floor of 1 s under Π_i guards
+  /// the division — shared by all algorithms, so rankings are ε-insensitive.
+  [[nodiscard]] double valuable_degree(const Selection& x) const;
 
   /// Total TXs permitted — the throughput component of the objective.
   [[nodiscard]] std::uint64_t permitted_txs(const Selection& x) const;

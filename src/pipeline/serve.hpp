@@ -1,8 +1,8 @@
 #pragma once
 // ServeSession — the long-running "daemon mode" harness around the streaming
-// epoch pipeline: synthesizes (or accepts) an ingest trace, attaches
-// observability, writes periodic root-chain checkpoints, and — critically —
-// flushes every exporter through a scope-exit guard, so a SIGINT, a thrown
+// epoch pipeline: synthesizes an ingest trace, attaches observability,
+// writes periodic root-chain checkpoints, and — critically — flushes every
+// exporter through a scope-exit guard, so a SIGINT, a thrown
 // exception, or an early stop still leaves *valid* Prometheus and
 // Chrome-trace artifacts on disk (the strict self-check validators run on
 // every export and their verdict is reported in the summary).
@@ -22,7 +22,7 @@ namespace mvcom::pipeline {
 
 struct ServeConfig {
   PipelineConfig pipeline;
-  /// The synthetic ingest stream (ignored when an external trace is given).
+  /// The synthetic ingest stream.
   txn::TraceGeneratorConfig stream;
   std::uint64_t stream_seed = 2016;
 

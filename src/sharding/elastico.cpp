@@ -3,9 +3,9 @@
 #include "sharding/overlay.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -46,19 +46,13 @@ std::vector<txn::ShardReport> EpochOutcome::reports() const {
   return out;
 }
 
-bool SameEpoch::operator()(const EpochOutcome& a,
-                           const EpochOutcome& b) const {
-  return a.event_order_digest == b.event_order_digest &&
-         a.events_executed == b.events_executed &&
-         a.final_block_txs == b.final_block_txs &&
-         a.next_epoch_randomness == b.next_epoch_randomness &&
-         std::bit_cast<std::uint64_t>(a.epoch_makespan.seconds()) ==
-             std::bit_cast<std::uint64_t>(b.epoch_makespan.seconds());
-}
-
 ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng,
                                  common::ThreadPool* pool)
     : config_(config), rng_(rng), pool_(pool) {
+  if (config_.num_nodes > std::numeric_limits<net::NodeId>::max()) {
+    throw std::invalid_argument(
+        "ElasticoNetwork: num_nodes <= 4294967295 (32-bit node ids)");
+  }
   if (config_.committee_bits < 1 || config_.committee_bits > 16) {
     throw std::invalid_argument("ElasticoNetwork: committee_bits in [1,16]");
   }
@@ -68,12 +62,6 @@ ElasticoNetwork::ElasticoNetwork(ElasticoConfig config, Rng rng,
   if (config_.num_nodes < num_committees() * kMinBftMembers) {
     throw std::invalid_argument(
         "ElasticoNetwork: too few nodes to populate every committee");
-  }
-  if (!(config_.node_failure_probability >= 0.0 &&
-        config_.node_failure_probability < 1.0 &&
-        config_.message_loss_probability >= 0.0 &&
-        config_.message_loss_probability < 1.0)) {
-    throw std::invalid_argument("ElasticoNetwork: probabilities in [0, 1)");
   }
   // Node heterogeneity — fixed per node for the network's lifetime.
   hash_rates_.reserve(config_.num_nodes);
@@ -122,17 +110,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
       static_cast<double>(config_.num_nodes) *
       config_.overlay_cost_per_node.seconds() * rng_.uniform(0.9, 1.1));
 
-  // Per-epoch node failures, drawn once up front. Each lane marks only its
-  // own participants on its private network — PBFT traffic never leaves the
-  // committee, so the other nodes' flags cannot influence the lane.
-  std::vector<std::uint8_t> node_failed(config_.num_nodes, 0);
-  for (net::NodeId node = 0; node < config_.num_nodes; ++node) {
-    if (config_.node_failure_probability > 0.0 &&
-        rng_.bernoulli(config_.node_failure_probability)) {
-      node_failed[node] = 1;
-    }
-  }
-
   // Shard workload for member committees.
   const std::vector<std::uint64_t> shard_txs = txn::deal_blocks(
       trace, member_committees, trace.blocks.size(), rng_);
@@ -176,7 +153,6 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
     task.message_level_overlay = config_.message_level_overlay;
     task.num_nodes = static_cast<std::uint32_t>(config_.num_nodes);
     task.link_latency_mean = config_.link_latency_mean;
-    task.message_loss_probability = config_.message_loss_probability;
     task.pbft = config_.pbft;
     task.formation = formation[c];
     task.participants = participants[c];
@@ -187,10 +163,8 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
       }
     }
     task.verify_speeds.reserve(take);
-    task.failed.reserve(take);
     for (const net::NodeId node : participants[c]) {
       task.verify_speeds.push_back(verify_speeds_[node]);
-      task.failed.push_back(node_failed[node]);
     }
   }
 
@@ -219,16 +193,13 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   outcome.event_order_digest = kDigestBasis;
   for (std::size_t c = 0; c < committees; ++c) {
     const LaneResult& lane = results[c];
-    if (tasks[c].armed && !lane.formed) {
-      participants[c].clear();  // overlay exchange failed: unformed
-    }
-    if (lane.formed) formation[c] = lane.formation;
+    if (tasks[c].armed) formation[c] = lane.formation;
     if (c < member_committees) {
       CommitteeOutcome& co = outcome.committees[c];
       co.committee_id = static_cast<std::uint32_t>(c);
       co.member_count = participants[c].size();
       co.tx_count = shard_txs[c];
-      if (lane.formed) {
+      if (tasks[c].armed) {
         co.formation_latency = lane.formation;
         co.committed = lane.committed;
         co.consensus_latency = lane.consensus_latency;

@@ -54,6 +54,7 @@ using common::Rng;
 using common::SimTime;
 
 struct ElasticoConfig {
+  /// At most 2^32 - 1: nodes are addressed by 32-bit `net::NodeId`s.
   std::size_t num_nodes = 256;
   /// Nodes per committee (Elastico's c). The first `committee_size` solvers
   /// of each committee run its PBFT instance.
@@ -73,12 +74,6 @@ struct ElasticoConfig {
   /// (sharding/overlay) instead of the closed-form linear model. Slower but
   /// message-accurate; the directory is each committee's first solver.
   bool message_level_overlay = false;
-  /// Per-epoch probability that a node is offline for the whole epoch
-  /// (DoS'd or partitioned, §V-A). Its messages drop; committees whose
-  /// working quorum breaks simply fail to commit that epoch.
-  double node_failure_probability = 0.0;
-  /// Per-message loss probability on every link.
-  double message_loss_probability = 0.0;
 };
 
 /// Per-committee outcome of one epoch.
@@ -135,18 +130,6 @@ struct EpochOutcome {
   /// member committee.
   [[nodiscard]] std::vector<txn::ShardReport> reports() const;
 };
-
-/// The epoch-equality witness: bitwise equal event_order_digest,
-/// events_executed, final_block_txs, next_epoch_randomness and
-/// epoch_makespan. Two runs of one epoch under different lane executors
-/// must satisfy it. same_epoch is an object, not a function, so that
-/// argument-dependent lookup never adds it to an unqualified call of some
-/// other `same_epoch` on EpochOutcome arguments.
-struct SameEpoch {
-  [[nodiscard]] bool operator()(const EpochOutcome& a,
-                                const EpochOutcome& b) const;
-};
-inline constexpr SameEpoch same_epoch{};
 
 /// The whole sharded network. Construct once; run epochs.
 class ElasticoNetwork {

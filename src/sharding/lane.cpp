@@ -36,10 +36,6 @@ LaneResult run_pbft_round(const LaneTask& task, SimTime start,
   sim.set_obs(obs);
   net::Network network(sim, Rng(task.net_seed), link_of(task), task.num_nodes);
   network.set_obs(obs);
-  network.set_loss_probability(task.message_loss_probability);
-  for (std::size_t r = 0; r < task.participants.size(); ++r) {
-    if (task.failed[r] != 0) network.set_failed(task.participants[r], true);
-  }
   consensus::PbftCluster cluster(sim, network, task.pbft,
                                  Rng(task.cluster_seed), task.participants);
   cluster.set_obs(obs);
@@ -91,7 +87,9 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
     result.order_digest =
         fnv1a_mix(result.order_digest, overlay_sim.order_digest());
     result.events_executed += overlay_sim.events_executed();
-    // Directory-side verification of the *network-wide* identity list.
+    // Directory-side verification of the *network-wide* identity list. The
+    // lane's overlay network has no failed node and loses no message, so
+    // every member configures.
     const SimTime directory_scan =
         SimTime(static_cast<double>(task.num_nodes) *
                 kOverlayIdentityProcessing.seconds());
@@ -99,16 +97,8 @@ LaneResult run_committee_lane(const LaneTask& task, obs::ObsContext obs) {
     for (const SimTime t : exchanged.configured_at) {
       configured = std::max(configured, t);
     }
-    if (configured.is_infinite() ||
-        exchanged.directory_complete.is_infinite()) {
-      // Exchange failed: committee unformed. The digest and event count
-      // still merge (the exchange's events happened), but the coordinator
-      // clears the membership.
-      return result;
-    }
     result.formation = configured + directory_scan;
   }
-  result.formed = true;
 
   if (task.committee_id < task.member_committees) {
     // The simulated protocol never reads a payload

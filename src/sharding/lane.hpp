@@ -48,7 +48,6 @@ struct LaneTask {
   bool message_level_overlay = false;
   std::uint32_t num_nodes = 0;
   SimTime link_latency_mean = SimTime::zero();
-  double message_loss_probability = 0.0;
   consensus::PbftConfig pbft{};
 
   // --- pre-drawn RNG seeds (serial, committee order — the contract) ---
@@ -65,20 +64,14 @@ struct LaneTask {
   std::vector<SimTime> ready_at;
   /// Per-participant PBFT verification speed factors.
   std::vector<double> verify_speeds;
-  /// Per-participant this-epoch failure flags (1 = offline all epoch).
-  std::vector<std::uint8_t> failed;
 };
 
 /// What a lane reports back. Plain scalars, merged in committee order.
 struct LaneResult {
   std::uint32_t committee_id = 0;
-  /// False when the lane never ran (unarmed) or the message-level overlay
-  /// exchange failed — the coordinator then clears the committee's
-  /// membership, exactly as the in-closure code did.
-  bool formed = false;
   bool committed = false;
   /// Realized formation instant (== task.formation unless the lane ran the
-  /// message-level exchange). Valid only when `formed`.
+  /// message-level exchange). Valid only when the task was armed.
   SimTime formation = SimTime::infinity();
   SimTime consensus_latency = SimTime::zero();
   std::uint64_t view_changes = 0;
@@ -89,8 +82,7 @@ struct LaneResult {
 };
 
 /// Runs one PBFT round on `payload` from `start` to quiescence, on a fresh
-/// fabric built from `task`'s seeds, participants, failure flags and speed
-/// factors: a member lane's stage 3, or stage 4 on the final committee's
+/// fabric built from `task`'s seeds, participants and speed factors: a member lane's stage 3, or stage 4 on the final committee's
 /// task. Fills the consensus fields, `order_digest` (this round's simulator
 /// alone) and `events_executed`.
 [[nodiscard]] LaneResult run_pbft_round(const LaneTask& task, SimTime start,

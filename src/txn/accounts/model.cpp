@@ -1,6 +1,7 @@
 #include "txn/accounts/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "txn/trace.hpp"
@@ -23,6 +24,13 @@ enum Slot : std::uint64_t {
 /// [kTraceStartSeconds + k·W, kTraceStartSeconds + (k+1)·W).
 constexpr double kWindowSeconds = 1500.0;
 
+/// Burst arrival: this fraction of an epoch's TXs lands inside
+/// kBurstsPerEpoch sub-windows, each kBurstWidthFraction of the window
+/// wide; the rest arrives uniformly.
+constexpr double kBurstFraction = 0.2;
+constexpr std::size_t kBurstsPerEpoch = 3;
+constexpr double kBurstWidthFraction = 0.02;
+
 std::uint64_t slot_index(std::size_t epoch, Slot slot) noexcept {
   return kAccountStreamBase + 3 * static_cast<std::uint64_t>(epoch) + slot;
 }
@@ -40,10 +48,9 @@ AccountTxGenerator::AccountTxGenerator(AccountModelConfig config)
         "AccountTxGenerator: need >= 2 accounts per shard so intra-shard "
         "partner snapping has a target on every shard");
   }
-  if (!(config_.cross_shard_ratio >= 0.0 && config_.cross_shard_ratio <= 1.0 &&
-        config_.burst_fraction >= 0.0 && config_.burst_fraction <= 1.0)) {
+  if (!(config_.cross_shard_ratio >= 0.0 && config_.cross_shard_ratio <= 1.0)) {
     throw std::invalid_argument(
-        "AccountTxGenerator: ratio knobs must lie in [0, 1]");
+        "AccountTxGenerator: cross_shard_ratio must lie in [0, 1]");
   }
 }
 
@@ -64,8 +71,8 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
 
   // Burst sub-windows: centers drawn once per epoch, wide enough to stay
   // inside the window.
-  const double width = config_.burst_width_fraction * kWindowSeconds;
-  std::vector<double> burst_starts(config_.bursts_per_epoch);
+  const double width = kBurstWidthFraction * kWindowSeconds;
+  std::array<double, kBurstsPerEpoch> burst_starts{};
   for (double& b : burst_starts) {
     b = epoch.window_start +
         arrival.uniform01() * (kWindowSeconds - width);
@@ -86,8 +93,8 @@ AccountEpoch AccountTxGenerator::epoch_keyed(std::uint64_t seed,
     AccountTx& tx = epoch.txs[t];
     tx.tx_id = static_cast<std::uint64_t>(epoch_index) * config_.txs_per_epoch + t;
 
-    if (!burst_starts.empty() && arrival.bernoulli(config_.burst_fraction)) {
-      const std::size_t burst = arrival.below(burst_starts.size());
+    if (arrival.bernoulli(kBurstFraction)) {
+      const std::size_t burst = arrival.below(kBurstsPerEpoch);
       tx.timestamp = burst_starts[burst] + arrival.uniform01() * width;
     } else {
       tx.timestamp =

@@ -71,12 +71,6 @@ struct AccountModelConfig {
   /// all accounts, so almost surely homed elsewhere) instead of being
   /// snapped onto the sender's home shard. The knob of the ratio sweeps.
   double cross_shard_ratio = 0.1;
-  /// Burst arrival: this fraction of the epoch's TXs lands inside
-  /// `bursts_per_epoch` sub-windows each `burst_width_fraction` of the
-  /// window wide; the rest arrives uniformly.
-  double burst_fraction = 0.2;
-  std::size_t bursts_per_epoch = 3;
-  double burst_width_fraction = 0.02;
 };
 
 /// One epoch's account-based traffic, timestamp-sorted (ties by tx_id).

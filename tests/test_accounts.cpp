@@ -162,13 +162,10 @@ TEST(AccountModelTest, ZipfSkewConcentratesAccess) {
 }
 
 TEST(AccountModelTest, BurstsConcentrateArrivals) {
-  // With bursts on, some narrow sub-window must hold far more than its
-  // uniform share of arrivals.
-  AccountModelConfig config = small_config();
-  config.burst_fraction = 0.5;
-  config.bursts_per_epoch = 2;
-  config.burst_width_fraction = 0.02;
-  const AccountTxGenerator gen(config);
+  // A fifth of the TXs land in three sub-windows, each 2 % of the window
+  // wide: a 1 % bin inside a burst expects about 4.1 times its uniform
+  // share of arrivals, so some bin must hold far more than that share.
+  const AccountTxGenerator gen(small_config());
   const AccountEpoch epoch = gen.epoch_keyed(23, 1);
   constexpr std::size_t kBins = 100;
   std::vector<std::size_t> bins(kBins, 0);
@@ -180,7 +177,7 @@ TEST(AccountModelTest, BurstsConcentrateArrivals) {
   const std::size_t peak = *std::max_element(bins.begin(), bins.end());
   const double uniform_share =
       static_cast<double>(epoch.txs.size()) / static_cast<double>(kBins);
-  EXPECT_GT(static_cast<double>(peak), 5.0 * uniform_share);
+  EXPECT_GT(static_cast<double>(peak), 3.0 * uniform_share);
 }
 
 TEST(AccountModelTest, ConstructorValidatesConfig) {
@@ -192,9 +189,6 @@ TEST(AccountModelTest, ConstructorValidatesConfig) {
   EXPECT_THROW(AccountTxGenerator{bad_ratio}, std::invalid_argument);
   bad_ratio.cross_shard_ratio = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(AccountTxGenerator{bad_ratio}, std::invalid_argument);
-  AccountModelConfig bad_burst = small_config();
-  bad_burst.burst_fraction = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(AccountTxGenerator{bad_burst}, std::invalid_argument);
   // The generator's Zipf sampler rejects these two.
   AccountModelConfig no_accounts = small_config();
   no_accounts.num_accounts = 0;

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <limits>
 #include <set>
 #include <vector>
@@ -24,7 +22,6 @@ using mvcom::sharding::CommitteeOutcome;
 using mvcom::sharding::ElasticoConfig;
 using mvcom::sharding::ElasticoNetwork;
 using mvcom::sharding::EpochOutcome;
-using mvcom::sharding::same_epoch;
 using mvcom::txn::generate_trace;
 using mvcom::txn::Trace;
 using mvcom::txn::TraceGeneratorConfig;
@@ -178,32 +175,6 @@ TEST(ElasticoTest, DeterministicGivenSeed) {
   }
 }
 
-TEST(ElasticoTest, SameEpochChecksEveryWitnessField) {
-  // same_epoch compares five witness fields bitwise: changing any one of
-  // them alone must make two otherwise equal epochs differ.
-  ElasticoNetwork network(small_config(), Rng(42));
-  const EpochOutcome base = network.run_epoch(small_trace());
-  ASSERT_TRUE(base.final_committed);
-  EXPECT_TRUE(same_epoch(base, base));
-  const std::vector<std::function<void(EpochOutcome&)>> flips = {
-      [](EpochOutcome& o) { o.event_order_digest ^= 1; },
-      [](EpochOutcome& o) { o.events_executed += 1; },
-      [](EpochOutcome& o) { o.final_block_txs += 1; },
-      [](EpochOutcome& o) { o.next_epoch_randomness.back() ^= 1; },
-      [](EpochOutcome& o) {
-        // The next double up: equal within any tolerance, not bitwise.
-        const double t = o.epoch_makespan.seconds();
-        o.epoch_makespan = SimTime(std::nextafter(t, 2 * t));
-      },
-  };
-  for (std::size_t f = 0; f < flips.size(); ++f) {
-    EpochOutcome flipped = base;
-    flips[f](flipped);
-    EXPECT_FALSE(same_epoch(base, flipped)) << "field " << f;
-    EXPECT_FALSE(same_epoch(flipped, base)) << "field " << f;
-  }
-}
-
 TEST(ElasticoTest, FormationLatencyGrowsWithNetworkSize) {
   // Fig. 2(a): formation latency increases (linearly) with network size,
   // driven by the overlay identity exchange.
@@ -274,43 +245,6 @@ TEST(ElasticoTest, RootChainGrowsAndValidatesAcrossEpochs) {
   }
 }
 
-TEST(ElasticoTest, NodeFailuresDegradeButDoNotBreakTheEpoch) {
-  const Trace trace = small_trace();
-  auto committed_count = [&](double failure_probability, std::uint64_t seed) {
-    ElasticoConfig config = small_config();
-    config.node_failure_probability = failure_probability;
-    config.pbft.horizon = SimTime(1200.0);  // bound dead committees' wait
-    ElasticoNetwork network(config, Rng(seed));
-    const EpochOutcome outcome = network.run_epoch(trace);
-    std::size_t committed = 0;
-    for (const CommitteeOutcome& c : outcome.committees) {
-      committed += c.committed ? 1 : 0;
-    }
-    return committed;
-  };
-  std::size_t healthy = 0;
-  std::size_t degraded = 0;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    healthy += committed_count(0.0, 60 + seed);
-    degraded += committed_count(0.4, 60 + seed);
-  }
-  EXPECT_GT(healthy, degraded);  // failures cost committees...
-  EXPECT_GT(degraded, 0u);       // ...but never wedge the pipeline
-}
-
-TEST(ElasticoTest, MessageLossDegradesButDoesNotBreakTheEpoch) {
-  ElasticoConfig config = small_config();
-  config.message_loss_probability = 0.10;
-  config.pbft.horizon = SimTime(1200.0);
-  ElasticoNetwork network(config, Rng(71));
-  const EpochOutcome outcome = network.run_epoch(small_trace());
-  std::size_t committed = 0;
-  for (const CommitteeOutcome& c : outcome.committees) {
-    committed += c.committed ? 1 : 0;
-  }
-  EXPECT_GT(committed, 0u);
-}
-
 TEST(ElasticoTest, RejectsInvalidConfigs) {
   ElasticoConfig bad_bits = small_config();
   bad_bits.committee_bits = 0;
@@ -324,16 +258,14 @@ TEST(ElasticoTest, RejectsInvalidConfigs) {
   too_few_nodes.num_nodes = 10;
   EXPECT_THROW(ElasticoNetwork(too_few_nodes, Rng(1)), std::invalid_argument);
 
-  for (const double p : {-0.1, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    ElasticoConfig bad_failure = small_config();
-    bad_failure.node_failure_probability = p;
-    EXPECT_THROW(ElasticoNetwork(bad_failure, Rng(1)), std::invalid_argument)
-        << "failure probability " << p;
-    ElasticoConfig bad_loss = small_config();
-    bad_loss.message_loss_probability = p;
-    EXPECT_THROW(ElasticoNetwork(bad_loss, Rng(1)), std::invalid_argument)
-        << "loss probability " << p;
-  }
+  // Node ids are 32-bit: 2^32 nodes must throw before the constructor
+  // reserves per-node state (64 GiB at this count), and before stage 1
+  // loops forever on a 32-bit node counter that never reaches the count.
+  static_assert(std::numeric_limits<mvcom::net::NodeId>::max() ==
+                std::numeric_limits<std::uint32_t>::max());
+  ElasticoConfig too_many_nodes = small_config();
+  too_many_nodes.num_nodes = std::size_t{1} << 32;
+  EXPECT_THROW(ElasticoNetwork(too_many_nodes, Rng(1)), std::invalid_argument);
 }
 
 }  // namespace

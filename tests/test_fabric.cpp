@@ -68,7 +68,6 @@ LaneTask sample_task() {
   task.message_level_overlay = true;
   task.num_nodes = 128;
   task.link_latency_mean = SimTime(1.25);
-  task.message_loss_probability = 0.02;
   task.pbft.view_change_timeout = SimTime(120.0);
   task.pbft.verification_mean = SimTime(0.2);
   task.pbft.horizon = SimTime(3600.0);
@@ -80,7 +79,6 @@ LaneTask sample_task() {
   task.ready_at = {SimTime(1.0), SimTime(2.5), SimTime(3.0),
                    SimTime(4.25), SimTime(5.0), SimTime(6.5)};
   task.verify_speeds = {1.0, 0.8, 1.2, 0.95, 1.1, 1.05};
-  task.failed = {0, 1, 0, 0, 1, 0};
   return task;
 }
 
@@ -92,8 +90,6 @@ void expect_tasks_equal(const LaneTask& a, const LaneTask& b) {
   EXPECT_EQ(a.num_nodes, b.num_nodes);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.link_latency_mean.seconds()),
             std::bit_cast<std::uint64_t>(b.link_latency_mean.seconds()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.message_loss_probability),
-            std::bit_cast<std::uint64_t>(b.message_loss_probability));
   EXPECT_EQ(a.overlay_seed, b.overlay_seed);
   EXPECT_EQ(a.net_seed, b.net_seed);
   EXPECT_EQ(a.cluster_seed, b.cluster_seed);
@@ -106,7 +102,6 @@ void expect_tasks_equal(const LaneTask& a, const LaneTask& b) {
               std::bit_cast<std::uint64_t>(b.ready_at[i].seconds()));
   }
   EXPECT_EQ(a.verify_speeds, b.verify_speeds);
-  EXPECT_EQ(a.failed, b.failed);
 }
 
 TEST(FabricWire, TaskBatchRoundTrip) {
@@ -141,7 +136,6 @@ TEST(FabricWire, ResultBatchRoundTrip) {
   batch.epoch = 3;
   LaneResult result;
   result.committee_id = 4;
-  result.formed = true;
   result.committed = true;
   result.formation = SimTime(655.5);
   result.consensus_latency = SimTime(12.25);
@@ -166,8 +160,8 @@ TEST(FabricWire, ResultBatchRoundTrip) {
   ASSERT_EQ(decoded.results.size(), 2u);
   EXPECT_EQ(decoded.results[0].order_digest, 0xfeedface12345678ULL);
   EXPECT_EQ(decoded.results[0].view_changes, 2u);
-  EXPECT_TRUE(decoded.results[0].formed);
-  EXPECT_FALSE(decoded.results[1].formed);
+  EXPECT_TRUE(decoded.results[0].committed);
+  EXPECT_FALSE(decoded.results[1].committed);
   EXPECT_EQ(decoded.results[1].order_digest, 0u);
   ASSERT_EQ(decoded.obs_deltas.size(), 1u);
   EXPECT_EQ(decoded.obs_deltas[0].name, "pbft_messages_total");
@@ -473,12 +467,6 @@ TEST(FabricDeterminism, ProcessCountsAndInProcessAgreeBitwise) {
   run_scenario("baseline", fabric_config());
   {
     ElasticoConfig config = fabric_config();
-    config.node_failure_probability = 0.10;
-    config.message_loss_probability = 0.02;
-    run_scenario("faulty", config);
-  }
-  {
-    ElasticoConfig config = fabric_config();
     config.message_level_overlay = true;
     run_scenario("message_overlay", config);
   }
@@ -700,7 +688,6 @@ TEST(FabricDeterminism, WorkerCountsOnlyWhenAsked) {
     for (const LaneResult* got : {&counted.results[i], &uncounted.results[i]}) {
       SCOPED_TRACE("lane " + std::to_string(want.committee_id));
       EXPECT_EQ(got->committee_id, want.committee_id);
-      EXPECT_EQ(got->formed, want.formed);
       EXPECT_EQ(got->committed, want.committed);
       EXPECT_EQ(bits(got->formation), bits(want.formation));
       EXPECT_EQ(bits(got->consensus_latency), bits(want.consensus_latency));

@@ -71,7 +71,7 @@ TEST(IntegrationTest, SeBeatsOrMatchesBaselinesOnPaperScale) {
 
     mvcom::baselines::SimulatedAnnealing sa({}, seed);
     mvcom::baselines::DynamicProgramming dp;
-    mvcom::baselines::WhaleOptimization woa({}, seed);
+    mvcom::baselines::WhaleOptimization woa(seed);
     double best_baseline = -1e300;
     for (auto* solver : std::vector<mvcom::baselines::Solver*>{
              &sa, &dp, &woa}) {

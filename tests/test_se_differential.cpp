@@ -273,7 +273,7 @@ TEST(SeDifferentialTest, ExactBaselinesAgreeBitwise) {
     DiffCase c = random_case(seed);
     c.n_min = 0;  // DP-U's exactness precondition
     const EpochInstance instance(c.committees, c.alpha, c.capacity, 0);
-    ASSERT_LE(instance.capacity(), DpParams{}.max_buckets)
+    ASSERT_LE(instance.capacity(), mvcom::baselines::kDpMaxBuckets)
         << "capacity must stay below the FPTAS rounding threshold";
 
     Exhaustive exact;

@@ -38,9 +38,10 @@
 #   tools/run_tsan_tests.sh -R 'ThreadPool|Pipeline|Sha256|Pow'
 #
 # DES lanes: ElasticoNetwork runs an epoch's committee lanes on a pool its
-# caller lends. tests/test_elastico_lanes.cpp runs four scenarios on lent
-# pools of {1, 2, 8} workers against the inline run, and nests two
-# networks' lane batches inside one batch of the pool both borrow.
+# caller lends. tests/test_elastico_lanes.cpp runs two scenarios (baseline
+# and message-level overlay) on lent pools of {1, 2, 8} workers against the
+# inline run, and nests two networks' lane batches inside one batch of the
+# pool both borrow.
 # Per-lane simulators/networks plus the shared obs sinks run concurrently
 # there, so races in the lane substrate surface in this suite. Each lane's
 # Simulator orders its queue by one 128-bit key per event in an array of

@@ -20,7 +20,6 @@
 #include "common/rng.hpp"
 #include "crypto/pow.hpp"
 #include "crypto/sha256_avx512.hpp"
-#include "crypto/sha256_ni.hpp"
 #include "mvcom/se_scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -97,9 +96,9 @@ void run_overhead() {
 /// the cached chaining state, the decimal nonce incremented in place),
 /// measured by grinding a fixed attempt count against an unsolvable target
 /// (leading64_below = 0 never matches, so solve() always performs exactly
-/// kAttempts hashes). The header names which path ground, from the two CPU
-/// probes: 16 nonces per AVX-512F pass, 2 interleaved SHA-NI streams, or 1
-/// for the portable rounds.
+/// kAttempts hashes). The header names which path ground, from the AVX-512F
+/// probe: 16 nonces per pass, or 1 per compression (SHA-NI or the portable
+/// rounds).
 void run_pow_rate() {
   constexpr std::uint64_t kAttempts = 200'000;
   const mvcom::crypto::PowTarget unsolvable{0};
@@ -113,9 +112,7 @@ void run_pow_rate() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const double rate = static_cast<double>(kAttempts) / seconds;
-  const int lanes = mvcom::crypto::avx512f_available() ? 16
-                    : mvcom::crypto::sha_ni_available()  ? 2
-                                                         : 1;
+  const int lanes = mvcom::crypto::avx512f_available() ? 16 : 1;
   std::printf("\n--- PoW grind rate (solve kernel, %d lanes) ---\n", lanes);
   std::printf("  %llu attempts in %.3fs -> %.0f hashes/s%s\n",
               static_cast<unsigned long long>(kAttempts), seconds, rate,

@@ -86,4 +86,16 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
+/// Runs body(0), …, body(n−1) on `pool` when one is lent, or in index order
+/// on the calling thread when `pool` is null — the one branch callers that
+/// take a nullable pool need.
+template <typename F>
+void parallel_for(ThreadPool* pool, std::size_t n, F&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
 }  // namespace mvcom::common

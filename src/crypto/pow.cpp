@@ -151,10 +151,10 @@ std::optional<PowSolution> PowMidstate::solve(
     if (run > 0) {
       found = solve_x16(target, run, nonce);
     } else {
-      // What no group can take runs two at a time, up to the wrap (after
+      // What no group can take runs one at a time, up to the wrap (after
       // which a group may fit again) or the end of the budget.
       run = before_wrap(nonce, left);
-      found = solve_x2(target, run, nonce);
+      found = solve_x1(target, run, nonce);
     }
     if (found) return found;
     nonce += run;
@@ -195,41 +195,20 @@ std::optional<PowSolution> PowMidstate::solve_x16(
   return PowSolution{nonce + offset, digest_of(state)};
 }
 
-std::optional<PowSolution> PowMidstate::solve_x2(
+std::optional<PowSolution> PowMidstate::solve_x1(
     PowTarget target, std::uint64_t attempts,
     std::uint64_t nonce) const noexcept {
-  // State words 0–1 are the digest's leading 64 bits, big-endian.
-  const auto wins = [&](const std::array<std::uint32_t, 8>& state) {
-    return ((std::uint64_t{state[0]} << 32) | std::uint64_t{state[1]}) <
-           target.leading64_below;
-  };
-  // Nonces n and n + 1 hash side by side and step by two; in order, so the
-  // first qualifying nonce still wins.
   Attempt a{tail_, nonce};
   lay_out(a);
-  Attempt b = a;
-  advance(b);
-  for (std::uint64_t left = attempts; left > 0;) {
-    std::array<std::uint32_t, 8> sa = chain_;
-    if (left >= 2 && a.blocks == b.blocks) {
-      std::array<std::uint32_t, 8> sb = chain_;
-      sha256_compress_x2(sa.data(), a.block.data(), sb.data(), b.block.data(),
-                         a.blocks);
-      if (wins(sa)) return PowSolution{a.nonce, digest_of(sa.data())};
-      if (wins(sb)) return PowSolution{b.nonce, digest_of(sb.data())};
-      advance(a);
-      advance(a);
-      advance(b);
-      advance(b);
-      left -= 2;
-    } else {
-      // The last attempt, or n and n + 1 straddle the 55-byte padding limit.
-      sha256_compress(sa.data(), a.block.data(), a.blocks);
-      if (wins(sa)) return PowSolution{a.nonce, digest_of(sa.data())};
-      a = b;
-      advance(b);
-      left -= 1;
+  for (std::uint64_t left = attempts; left > 0; --left) {
+    std::array<std::uint32_t, 8> state = chain_;
+    sha256_compress(state.data(), a.block.data(), a.blocks);
+    // State words 0–1 are the digest's leading 64 bits, big-endian.
+    if (((std::uint64_t{state[0]} << 32) | std::uint64_t{state[1]}) <
+        target.leading64_below) {
+      return PowSolution{a.nonce, digest_of(state.data())};
     }
+    advance(a);
   }
   return std::nullopt;
 }

@@ -85,10 +85,10 @@ class PowPrefix {
 /// lane's state words 0–1 with the target; the lowest winning lane's state
 /// is the digest. Attempts no group can take — fewer than 16 left, a group
 /// that would pass 2^64 − 1, a two-block tail — and CPUs without AVX-512F
-/// hash n and n + 1 side by side (two interleaved SHA-NI streams, or the
-/// portable rounds), incrementing the digits in place and re-padding only
-/// on a new digit. Every path is bit-identical to pow_digest for every
-/// nonce, so solve() returns the same first nonce whichever ground it.
+/// hash one nonce per sha256_compress (SHA-NI or the portable rounds),
+/// incrementing the digits in place and re-padding only on a new digit.
+/// Every path is bit-identical to pow_digest for every nonce, so solve()
+/// returns the same first nonce whichever ground it.
 class PowMidstate {
  public:
   PowMidstate(std::string_view epoch_randomness,
@@ -130,8 +130,8 @@ class PowMidstate {
   [[nodiscard]] std::optional<PowSolution> solve_x16(
       PowTarget target, std::uint64_t attempts,
       std::uint64_t nonce) const noexcept;
-  /// Grinds `attempts` nonces from `nonce` two at a time.
-  [[nodiscard]] std::optional<PowSolution> solve_x2(
+  /// Grinds `attempts` nonces from `nonce` one compression at a time.
+  [[nodiscard]] std::optional<PowSolution> solve_x1(
       PowTarget target, std::uint64_t attempts,
       std::uint64_t nonce) const noexcept;
 

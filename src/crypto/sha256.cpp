@@ -78,17 +78,6 @@ void sha256_compress(std::uint32_t* state, const std::uint8_t* data,
   }
 }
 
-void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* data_a,
-                        std::uint32_t* state_b, const std::uint8_t* data_b,
-                        std::size_t blocks) noexcept {
-  if (use_sha_ni()) {
-    sha_ni_compress_x2(state_a, data_a, state_b, data_b, blocks);
-  } else {
-    sha256_compress_portable(state_a, data_a, blocks);
-    sha256_compress_portable(state_b, data_b, blocks);
-  }
-}
-
 Digest digest_of(const std::uint32_t* state) noexcept {
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {

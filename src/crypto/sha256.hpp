@@ -43,15 +43,9 @@ alignas(16) inline constexpr std::uint32_t kSha256RoundConstants[64] = {
 void sha256_compress(std::uint32_t* state, const std::uint8_t* data,
                      std::size_t blocks) noexcept;
 
-/// Two independent streams at once: `blocks` blocks of `data_a` into
-/// `state_a` and as many of `data_b` into `state_b`. With the SHA extension
-/// the two interleave, hiding the round instruction's latency.
-void sha256_compress_x2(std::uint32_t* state_a, const std::uint8_t* data_a,
-                        std::uint32_t* state_b, const std::uint8_t* data_b,
-                        std::size_t blocks) noexcept;
-
 /// The portable C++ rounds alone, whatever the CPU offers — the reference
-/// the SHA-extension path is tested against.
+/// the SHA-extension and AVX-512F paths are tested against, and the only
+/// path off x86.
 void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
                               std::size_t blocks) noexcept;
 

@@ -429,6 +429,11 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
   if (!(params_.beta > 0.0)) {
     throw std::invalid_argument("SeScheduler: beta must be positive");
   }
+  if (params_.max_family == 1) {
+    // SeLayout::rebuild strides the family by (max_family − 1).
+    throw std::invalid_argument(
+        "SeScheduler: max_family must be 0 (unlimited) or >= 2");
+  }
   rebuild_instance_data();
   if (params_.threads > 1) pool_ = pool;
   // The Rng forks happen here, serially: the fork order defines each
@@ -442,18 +447,12 @@ SeScheduler::SeScheduler(EpochInstance instance, SeParams params,
   for (std::size_t t = 0; t < params_.threads; ++t) {
     forks.push_back(root.fork());
   }
+  std::vector<std::optional<SeExplorer>> built(forks.size());
+  common::parallel_for(pool_, forks.size(), [&](std::size_t t) {
+    built[t].emplace(&instance_, &params_, &layout_, forks[t]);
+  });
   explorers_.reserve(forks.size());
-  if (pool_) {
-    std::vector<std::optional<SeExplorer>> built(forks.size());
-    pool_->parallel_for(forks.size(), [&](std::size_t t) {
-      built[t].emplace(&instance_, &params_, &layout_, forks[t]);
-    });
-    for (auto& b : built) explorers_.push_back(std::move(*b));
-  } else {
-    for (const common::Rng& fork : forks) {
-      explorers_.emplace_back(&instance_, &params_, &layout_, fork);
-    }
-  }
+  for (auto& b : built) explorers_.push_back(std::move(*b));
 }
 
 void SeScheduler::rebuild_instance_data() {
@@ -474,11 +473,7 @@ void SeScheduler::step_explorers(std::size_t k,
     explorers_[e].step_block(k, blocks ? &(*blocks)[e] : nullptr,
                              running_max ? &(*running_max)[e] : nullptr);
   };
-  if (pool_) {
-    pool_->parallel_for(explorers_.size(), body);
-  } else {
-    for (std::size_t e = 0; e < explorers_.size(); ++e) body(e);
-  }
+  common::parallel_for(pool_, explorers_.size(), body);
 }
 
 bool SeScheduler::maybe_share() {
@@ -729,6 +724,13 @@ SeResult SeScheduler::run() {
       result.certified = true;
       done = true;
     }
+  }
+
+  if (result.utility_trace.empty() && warm_floor_selection_.empty()) {
+    // No iteration ran and no floor was given: the best of the chains Alg. 2
+    // built (every active one fits Ĉ) is the answer.
+    best_selection = current_selection();
+    best_utility = current_utility();
   }
 
   result.iterations = result.utility_trace.size();

@@ -111,12 +111,13 @@ struct SeParams {
   /// it is better, so all threads polish the best candidate. 0 disables.
   std::size_t share_interval = 100;
   /// Upper bound on the per-cardinality parallel solutions each explorer
-  /// maintains (0 = unlimited — the paper's literal family). Instances with
-  /// |I| ≤ max_family keep the full n = 1..|I| family and behave exactly as
-  /// before; larger instances get an even cardinality stride over the
-  /// admissible range (see the header comment). The default keeps every
-  /// paper-scale experiment (|I| ≤ 1000) on the exact family while making
-  /// 10k–50k committees tractable in time AND memory.
+  /// maintains (0 = unlimited — the paper's literal family; the constructor
+  /// throws on 1). Instances with |I| ≤ max_family keep the full n = 1..|I|
+  /// family and behave exactly as before; larger instances get an even
+  /// cardinality stride over the admissible range (see the header comment).
+  /// The default keeps every paper-scale experiment (|I| ≤ 1000) on the
+  /// exact family while making 10k–50k committees tractable in time AND
+  /// memory.
   std::size_t max_family = 1024;
   /// Certified stop; 0 (the default) turns it off. When > 0 the scheduler
   /// stops as soon as its incumbent U is certified against the

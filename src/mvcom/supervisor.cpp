@@ -141,8 +141,7 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
                                     {{"result", "missed"}});
     obs_ping_rtt_ = &m->histogram(
         "mvcom_supervisor_ping_rtt_seconds",
-        "Sampled heartbeat round-trip times (answered probes only)", {},
-        {.lowest = 1e-3, .growth = 2.0, .count = 18});
+        "Sampled heartbeat round-trip times (answered probes only)");
   }
   scheduler_.set_obs(obs_);
 }

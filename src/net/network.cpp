@@ -29,8 +29,7 @@ void Network::set_obs(obs::ObsContext obs) {
         &m->counter("mvcom_net_messages_total", "Network messages by outcome",
                     {{"outcome", "dropped_loss"}});
     obs_delay_ = &m->histogram("mvcom_net_delay_seconds",
-                               "Sampled one-way message delays", {},
-                               {.lowest = 1e-3, .growth = 2.0, .count = 18});
+                               "Sampled one-way message delays");
   }
 }
 

@@ -26,6 +26,12 @@ std::size_t thread_stripe() noexcept {
   return stripe;
 }
 
+/// Every histogram's finite bucket bounds: kBucketLowest · kBucketGrowth^i
+/// for i < kBucketCount.
+constexpr double kBucketLowest = 1e-3;
+constexpr double kBucketGrowth = 2.0;
+constexpr std::size_t kBucketCount = 18;
+
 std::string label_suffix(const std::vector<Label>& labels) {
   std::string out;
   for (const Label& l : labels) {
@@ -72,16 +78,12 @@ std::uint64_t Counter::value() const noexcept {
   return total;
 }
 
-LogHistogram::LogHistogram(Buckets buckets) : spec_(buckets) {
-  if (!(spec_.lowest > 0.0) || !(spec_.growth > 1.0) || spec_.count == 0) {
-    throw std::invalid_argument(
-        "LogHistogram: lowest > 0, growth > 1, count >= 1 required");
-  }
-  bounds_.reserve(spec_.count);
-  double bound = spec_.lowest;
-  for (std::size_t i = 0; i < spec_.count; ++i) {
+LogHistogram::LogHistogram() {
+  bounds_.reserve(kBucketCount);
+  double bound = kBucketLowest;
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
     bounds_.push_back(bound);
-    bound *= spec_.growth;
+    bound *= kBucketGrowth;
   }
   counts_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
 }
@@ -118,7 +120,7 @@ std::uint64_t LogHistogram::bucket_value(std::size_t i) const {
 
 MetricsRegistry::Entry& MetricsRegistry::entry_for(
     std::string_view name, std::string_view help, std::vector<Label>&& labels,
-    Type type, const LogHistogram::Buckets* buckets) {
+    Type type) {
   if (!valid_metric_name(name)) {
     throw std::invalid_argument("invalid metric name: " + std::string(name));
   }
@@ -151,7 +153,7 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(
       entry.gauge.reset(new Gauge());
       break;
     case Type::kHistogram:
-      entry.histogram.reset(new LogHistogram(*buckets));
+      entry.histogram.reset(new LogHistogram());
       break;
   }
   return entries_.emplace(std::move(key), std::move(entry)).first->second;
@@ -159,22 +161,17 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(
 
 Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
                                   std::vector<Label> labels) {
-  return *entry_for(name, help, std::move(labels), Type::kCounter, nullptr)
-              .counter;
+  return *entry_for(name, help, std::move(labels), Type::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
                               std::vector<Label> labels) {
-  return *entry_for(name, help, std::move(labels), Type::kGauge, nullptr)
-              .gauge;
+  return *entry_for(name, help, std::move(labels), Type::kGauge).gauge;
 }
 
 LogHistogram& MetricsRegistry::histogram(std::string_view name,
-                                         std::string_view help,
-                                         std::vector<Label> labels,
-                                         LogHistogram::Buckets buckets) {
-  return *entry_for(name, help, std::move(labels), Type::kHistogram, &buckets)
-              .histogram;
+                                         std::string_view help) {
+  return *entry_for(name, help, {}, Type::kHistogram).histogram;
 }
 
 std::vector<MetricsRegistry::MetricSnapshot> MetricsRegistry::snapshot()

@@ -71,17 +71,11 @@ class Gauge {
 };
 
 /// Histogram with geometric (log-spaced) bucket upper bounds:
-///   le_0 = lowest, le_i = lowest · growth^i, i < bucket_count,
+///   le_i = 1e-3 · 2^i, i < 18 (1 ms to about 131 s),
 /// plus the implicit +Inf bucket. observe() is one relaxed RMW per call
 /// after a short bounded scan for the bucket index.
 class LogHistogram {
  public:
-  struct Buckets {
-    double lowest = 1e-6;       // upper bound of the first finite bucket
-    double growth = 4.0;        // geometric growth factor (> 1)
-    std::size_t count = 16;     // number of finite buckets
-  };
-
   void observe(double v) noexcept;
 
   [[nodiscard]] std::size_t bucket_count() const noexcept {
@@ -100,9 +94,8 @@ class LogHistogram {
 
  private:
   friend class MetricsRegistry;
-  explicit LogHistogram(Buckets buckets);
+  LogHistogram();
 
-  Buckets spec_;
   std::vector<double> bounds_;  // finite upper bounds, ascending
   std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
@@ -123,9 +116,7 @@ class MetricsRegistry {
                    std::vector<Label> labels = {});
   Gauge& gauge(std::string_view name, std::string_view help = "",
                std::vector<Label> labels = {});
-  LogHistogram& histogram(std::string_view name, std::string_view help = "",
-                          std::vector<Label> labels = {},
-                          LogHistogram::Buckets buckets = {});
+  LogHistogram& histogram(std::string_view name, std::string_view help = "");
 
   enum class Type { kCounter, kGauge, kHistogram };
 
@@ -159,8 +150,7 @@ class MetricsRegistry {
   };
 
   Entry& entry_for(std::string_view name, std::string_view help,
-                   std::vector<Label>&& labels, Type type,
-                   const LogHistogram::Buckets* buckets);
+                   std::vector<Label>&& labels, Type type);
 
   mutable std::mutex mu_;
   // Key: name + '\0' + serialized labels — unique per (family, label set).

@@ -242,11 +242,7 @@ EpochPipeline::FormedEpoch EpochPipeline::form_epoch(
     }
   };
   const std::size_t tasks = 1 + (formed + kGrindChunk - 1) / kGrindChunk;
-  if (pool != nullptr) {
-    pool->parallel_for(tasks, form);
-  } else {
-    for (std::size_t task = 0; task < tasks; ++task) form(task);
-  }
+  common::parallel_for(pool, tasks, form);
   return out;
 }
 
@@ -494,12 +490,7 @@ PipelineTotals EpochPipeline::run(
           ahead = form_epoch(k + 1, pool.get());
         }
       };
-      if (pool) {
-        pool->parallel_for(2, body);
-      } else {
-        body(0);
-        body(1);
-      }
+      common::parallel_for(pool.get(), 2, body);
     } else {
       report = schedule_epoch(std::move(current), pool.get());
     }

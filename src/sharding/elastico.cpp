@@ -178,15 +178,12 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   // fabric of worker processes runs the same pure tasks and merges the same
   // way (DESIGN.md §17).
   std::vector<LaneResult> results(committees);
-  const auto run_lane = [&](std::size_t c) {
-    results[c] = run_committee_lane(tasks[c], obs_);
-  };
   if (lane_executor_) {
     lane_executor_(tasks, results);
-  } else if (pool_ != nullptr) {
-    pool_->parallel_for(committees, run_lane);
   } else {
-    for (std::size_t c = 0; c < committees; ++c) run_lane(c);
+    common::parallel_for(pool_, committees, [&](std::size_t c) {
+      results[c] = run_committee_lane(tasks[c], obs_);
+    });
   }
 
   // --- Merge lane results, in committee order -----------------------------

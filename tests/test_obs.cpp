@@ -72,23 +72,24 @@ TEST(GaugeTest, SetIsLastWriteWins) {
 
 TEST(LogHistogramTest, GeometricBoundsAndPlacement) {
   MetricsRegistry registry;
-  LogHistogram& h = registry.histogram(
-      "lat_seconds", "", {}, {.lowest = 1.0, .growth = 2.0, .count = 4});
-  // Finite bounds 1, 2, 4, 8 plus +Inf.
-  ASSERT_EQ(h.bucket_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.upper_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.upper_bound(3), 8.0);
-  EXPECT_TRUE(std::isinf(h.upper_bound(4)));
+  LogHistogram& h = registry.histogram("lat_seconds");
+  // Finite bounds 1e-3 · 2^k for k = 0..17, plus +Inf.
+  ASSERT_EQ(h.bucket_count(), 19u);
+  for (std::size_t k = 0; k < 18; ++k) {
+    EXPECT_DOUBLE_EQ(h.upper_bound(k), std::ldexp(1e-3, static_cast<int>(k)))
+        << "bucket " << k;
+  }
+  EXPECT_TRUE(std::isinf(h.upper_bound(18)));
 
-  h.observe(0.5);   // bucket 0 (le 1)
-  h.observe(3.0);   // bucket 2 (le 4)
-  h.observe(100.0); // +Inf bucket
+  h.observe(5e-4);   // bucket 0 (le 0.001)
+  h.observe(3e-3);   // bucket 2 (le 0.004)
+  h.observe(1000.0); // +Inf bucket
   EXPECT_EQ(h.bucket_value(0), 1u);
   EXPECT_EQ(h.bucket_value(1), 0u);
   EXPECT_EQ(h.bucket_value(2), 1u);
-  EXPECT_EQ(h.bucket_value(4), 1u);
+  EXPECT_EQ(h.bucket_value(18), 1u);
   EXPECT_EQ(h.total_count(), 3u);
-  EXPECT_DOUBLE_EQ(h.total_sum(), 103.5);
+  EXPECT_DOUBLE_EQ(h.total_sum(), 1000.0035);
 }
 
 TEST(MetricsRegistryTest, SameNameAndLabelsReturnsSameInstrument) {
@@ -106,16 +107,6 @@ TEST(MetricsRegistryTest, TypeConflictAndBadNamesThrow) {
   EXPECT_THROW(registry.gauge("x_total"), std::invalid_argument);
   EXPECT_THROW(registry.counter("0bad"), std::invalid_argument);
   EXPECT_THROW(registry.counter("ok_total", "", {{"0bad", "v"}}),
-               std::invalid_argument);
-  // Degenerate histogram bucket specs are rejected at registration.
-  EXPECT_THROW(registry.histogram("h_seconds", "", {},
-                                  {.lowest = 0.0, .growth = 2.0, .count = 2}),
-               std::invalid_argument);
-  EXPECT_THROW(registry.histogram("h_seconds", "", {},
-                                  {.lowest = 1.0, .growth = 1.0, .count = 2}),
-               std::invalid_argument);
-  EXPECT_THROW(registry.histogram("h_seconds", "", {},
-                                  {.lowest = 1.0, .growth = 2.0, .count = 0}),
                std::invalid_argument);
 }
 
@@ -141,10 +132,7 @@ TEST(PrometheusExportTest, TextFormatAndValidator) {
   registry.counter("reqs_total", "Requests served", {{"code", "200"}}).add(3);
   registry.counter("reqs_total", "Requests served", {{"code", "500"}}).add(1);
   registry.gauge("temp_celsius", "Temperature").set(21.5);
-  registry
-      .histogram("lat_seconds", "Latency", {},
-                 {.lowest = 0.1, .growth = 10.0, .count = 2})
-      .observe(0.05);
+  registry.histogram("lat_seconds", "Latency").observe(5e-4);
 
   const std::string text = mvcom::obs::to_prometheus_text(registry);
   std::string error;
@@ -160,6 +148,10 @@ TEST(PrometheusExportTest, TextFormatAndValidator) {
   EXPECT_EQ(help_count, 1u);
   EXPECT_NE(text.find("reqs_total{code=\"200\"} 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE lat_seconds histogram"), std::string::npos);
+  // The constant bounds, 1e-3 · 2^k: the first and the last finite one.
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"0.001\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"131.072\"} 1"),
+            std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_count 1"), std::string::npos);
 }

@@ -144,6 +144,27 @@ TEST(SeSchedulerTest, InfeasibleNminYieldsNoSolution) {
   EXPECT_TRUE(result.best.empty());
 }
 
+TEST(SeSchedulerTest, ZeroIterationsReportTheChainsAlg2Built) {
+  // With no iteration and no warm-start floor, run() still holds the
+  // feasible chains the constructor built and reports their best.
+  const EpochInstance inst = random_instance(2);
+  SeParams params = quick_params(4);
+  params.max_iterations = 0;
+  SeScheduler scheduler(inst, params, 7);
+  const SeResult result = scheduler.run();
+  EXPECT_EQ(result.iterations, 0u);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_TRUE(inst.feasible(result.best));
+  EXPECT_EQ(result.best, scheduler.current_selection());
+  EXPECT_EQ(result.utility, scheduler.current_utility());
+  EXPECT_NEAR(inst.utility(result.best), result.utility, 1e-6);
+
+  // An instance with no feasible selection stays infeasible.
+  const std::vector<Committee> committees{{0, 100, 1.0}, {1, 100, 2.0}};
+  SeScheduler none(EpochInstance(committees, 1.0, 150, 2), params, 1);
+  EXPECT_FALSE(none.run().feasible);
+}
+
 TEST(SeSchedulerTest, FullSetSolutionUsedWhenCapacityAllows) {
   // Everything fits: the optimum (all positive gains) is the full set,
   // which only exists via the static f_|I| solution of Alg. 1 line 25.
@@ -168,6 +189,12 @@ TEST(SeSchedulerTest, RejectsInvalidParams) {
   EXPECT_THROW(SeScheduler(inst, bad_beta, 1), std::invalid_argument);
   bad_beta.beta = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SeScheduler(inst, bad_beta, 1), std::invalid_argument);
+  // One family slot leaves no stride over the admissible cardinalities.
+  SeParams one_slot;
+  one_slot.max_family = 1;
+  EXPECT_THROW(SeScheduler(inst, one_slot, 1), std::invalid_argument);
+  one_slot.max_family = 2;
+  EXPECT_NO_THROW(SeScheduler(inst, one_slot, 1));
 }
 
 // SE's chains store committee indices in 16 bits, so the universe is capped

@@ -1,5 +1,5 @@
 // Tests for the common worker pool: batch completeness, barrier semantics,
-// reuse across batches, the zero-worker inline degenerate case, exception
+// reuse across batches, the zero-worker and null-pool inline cases, exception
 // propagation, re-entrant (nested) parallel_for calls, and submitters that
 // help other batches while they wait.
 
@@ -65,6 +65,18 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInlineOnCaller) {
     if (std::this_thread::get_id() != caller) all_inline = false;
   });
   EXPECT_TRUE(all_inline);
+
+  // No pool at all: common::parallel_for runs every index on the caller,
+  // in index order.
+  std::vector<std::size_t> order;
+  mvcom::common::parallel_for(nullptr, 8, [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) all_inline = false;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_inline);
+  std::vector<std::size_t> expected(8);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPoolTest, CallerParticipatesInTheBatch) {

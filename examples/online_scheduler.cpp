@@ -1,16 +1,19 @@
 // Online scheduler walkthrough — the full Fig. 5 interaction loop driven by
 // the discrete-event simulator: member committees finish at their two-phase
-// latencies and their reports *arrive as events*; the final committee's
-// OnlineCommitteeScheduler bootstraps once scheduling becomes worthwhile
-// (Alg. 1 line 1), explores between arrivals, absorbs a mid-epoch failure,
-// stops listening at N_max (line 29), and issues the final decision.
+// latencies and their submissions *arrive as events*; the final committee's
+// EpochSupervisor admits them into the wrapped OnlineCommitteeScheduler,
+// which bootstraps once scheduling becomes worthwhile (Alg. 1 line 1),
+// explores between arrivals, absorbs a mid-epoch failure and stops
+// listening at N_max (line 29). The supervisor's ladder issues the final
+// decision, the same path `mvcom chaos` runs.
 //
 // Run: ./build/examples/online_scheduler
 
 #include <cstdio>
 
 #include "common/rng.hpp"
-#include "mvcom/online.hpp"
+#include "mvcom/fault_injection.hpp"
+#include "mvcom/supervisor.hpp"
 #include "sim/simulator.hpp"
 #include "txn/trace_generator.hpp"
 #include "txn/workload.hpp"
@@ -28,26 +31,32 @@ int main() {
   const mvcom::txn::WorkloadGenerator gen(
       mvcom::txn::generate_trace(tc, rng), wc);
   const auto workload = gen.epoch(rng);
+  const auto committees =
+      mvcom::core::chaos_committees_from_reports(workload.reports);
 
-  mvcom::core::OnlineSchedulerConfig config;
-  config.alpha = 1.5;
-  config.capacity = 30'000;
-  config.expected_committees = 40;
-  config.se.threads = 4;
-  mvcom::core::OnlineCommitteeScheduler scheduler(config, 7);
+  mvcom::core::SupervisorConfig config;
+  config.scheduler.alpha = 1.5;
+  config.scheduler.capacity = 30'000;
+  config.scheduler.expected_committees = 40;
+  config.scheduler.se.threads = 4;
+  mvcom::core::EpochSupervisor supervisor(config, 7);
 
-  // Each committee's report arrives at its two-phase latency instant.
+  // Each committee's submission arrives at its two-phase latency instant.
   mvcom::sim::Simulator simulator;
-  for (const auto& report : workload.reports) {
-    simulator.schedule_at(SimTime(report.two_phase_latency()), [&, report] {
-      const bool accepted = scheduler.on_report(report);
-      std::printf("t=%7.1fs  committee %2u arrives (s=%llu)%s%s\n",
-                  simulator.now().seconds(), report.committee_id,
-                  static_cast<unsigned long long>(report.tx_count),
-                  accepted ? "" : "  [refused: N_max reached]",
-                  scheduler.bootstrapped() && accepted ? "" : "");
-      scheduler.explore(100);
-    });
+  for (const auto& c : committees) {
+    simulator.schedule_at(
+        SimTime(c.formation_latency + c.consensus_latency), [&, c] {
+          const auto admission = supervisor.on_submission(
+              c.submission, c.formation_latency, c.consensus_latency);
+          std::printf("t=%7.1fs  committee %2u arrives (s=%llu)%s\n",
+                      simulator.now().seconds(), c.submission.committee_id,
+                      static_cast<unsigned long long>(
+                          c.submission.claimed_tx_count),
+                      admission == mvcom::core::Admission::kAdmitted
+                          ? ""
+                          : "  [refused: N_max reached]");
+          supervisor.explore(100);
+        });
   }
 
   // Mid-epoch DoS: the first committee to arrive fails at t = 700 s and is
@@ -62,32 +71,35 @@ int main() {
       }
     }
   }
-  const auto* victim_report = &workload.reports[victim];
   simulator.schedule_at(SimTime(700.0), [&] {
     std::printf("t=  700.0s  committee %u FAILS (ping -> infinity)\n", victim);
-    scheduler.on_failure(victim);
+    supervisor.on_failure(victim);
   });
   simulator.schedule_at(SimTime(850.0), [&] {
     std::printf("t=  850.0s  committee %u recovers and re-submits\n", victim);
-    scheduler.on_recovery(*victim_report);
+    supervisor.on_recovery(victim);
   });
 
   simulator.run();
-  scheduler.explore(2000);  // final polish before the DDL
+  supervisor.explore(2000);  // final polish before the DDL
 
-  const auto decision = scheduler.decide();
+  const auto supervised = supervisor.decide();
+  const auto& decision = supervised.decision;
+  const auto& scheduler = supervisor.scheduler();
   std::printf("\narrived %zu committees; bootstrapped=%s; listening=%s\n",
               scheduler.arrived(), scheduler.bootstrapped() ? "yes" : "no",
               scheduler.listening() ? "yes" : "no");
   if (!decision.feasible) {
-    std::printf("no feasible selection\n");
+    std::printf("no feasible selection (%s)\n",
+                mvcom::core::to_string(supervised.reason));
     return 1;
   }
-  std::printf("decision: %zu committees, %llu TXs (capacity %llu), "
+  std::printf("decision [%s]: %zu committees, %llu TXs (capacity %llu), "
               "utility %.1f, valuable degree %.2f\n",
+              mvcom::core::to_string(supervised.tier),
               decision.permitted_ids.size(),
               static_cast<unsigned long long>(decision.permitted_txs),
-              static_cast<unsigned long long>(config.capacity),
+              static_cast<unsigned long long>(config.scheduler.capacity),
               decision.utility, decision.valuable_degree);
   return 0;
 }

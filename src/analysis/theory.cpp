@@ -42,8 +42,4 @@ double log_sum_exp_optimality_loss(std::size_t num_committees, double beta) {
   return static_cast<double>(num_committees) * std::numbers::ln2 / beta;
 }
 
-double failure_perturbation_bound(double max_utility_trimmed) {
-  return max_utility_trimmed;
-}
-
 }  // namespace mvcom::analysis

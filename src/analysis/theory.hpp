@@ -1,9 +1,11 @@
 #pragma once
 // Closed-form theoretical quantities from the paper's analysis sections:
 //  * Theorem 1 — mixing-time lower/upper bounds (Eq. 12–13);
-//  * Remark 1 — log-sum-exp optimality loss (1/β)·log|F|;
-//  * Theorem 2 — utility-perturbation bound on committee failure.
-// (Lemma 4's d_TV ≤ 1/2 is measured against markov.hpp's exact chains.)
+//  * Remark 1 — log-sum-exp optimality loss (1/β)·log|F|.
+// (Lemma 4's d_TV ≤ 1/2 and Theorem 2's utility shift on committee failure
+// are measured against markov.hpp's exact chains. Theorem 2's bound,
+// max_{g∈G} U_g, is the best utility on the trimmed space itself, so it has
+// no function here.)
 // The upper bound of Eq. 13 contains a 4^|I| factor, so everything is
 // computed in log-space.
 
@@ -29,8 +31,5 @@ struct MixingTimeBounds {
 /// β > 0.
 [[nodiscard]] double log_sum_exp_optimality_loss(std::size_t num_committees,
                                                  double beta);
-
-/// Theorem 2: ‖q*uᵀ − q̃uᵀ‖ ≤ max_{g∈G} U_g.
-[[nodiscard]] double failure_perturbation_bound(double max_utility_trimmed);
 
 }  // namespace mvcom::analysis

@@ -17,8 +17,10 @@ constexpr std::uint64_t kAdversarySalt = 0xadd5e6a11ULL;
 /// baseline rates (the "10× Fig. 14" regime).
 constexpr double kChurnMultiplier = 10.0;
 
+/// Victims per epoch: budget 0 strikes none; a positive budget strikes at
+/// least one, even where budget · membership rounds to 0.
 std::size_t budget_victims(double budget, std::size_t membership) {
-  if (membership == 0) return 0;
+  if (membership == 0 || budget == 0.0) return 0;
   const double raw = std::round(budget * static_cast<double>(membership));
   return std::clamp<std::size_t>(static_cast<std::size_t>(std::max(raw, 0.0)),
                                  1, membership);

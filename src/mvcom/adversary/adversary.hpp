@@ -59,7 +59,10 @@ struct AdversaryConfig {
   /// Attack budget in [0, 1] — the fraction of the membership the adversary
   /// may strike per epoch (targeted / DoS / coalition size), and the scale
   /// on the churn-storm's churn rates (a multiple of Fig. 14's, fixed in
-  /// adversary.cpp). The degradation-curve bench sweeps this axis.
+  /// adversary.cpp). 0 means no attack: every strategy plans no event. A
+  /// positive budget strikes at least one committee, also where
+  /// budget · membership rounds to 0. The degradation-curve bench sweeps
+  /// this axis.
   double budget = 0.25;
   /// Forged-claim multiplier for colluding-misreport submissions; finite
   /// and >= 1. The Adversary constructor rejects either knob out of range.

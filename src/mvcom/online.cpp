@@ -52,17 +52,14 @@ OnlineCommitteeScheduler::OnlineCommitteeScheduler(
   }
 }
 
-EpochInstance OnlineCommitteeScheduler::build_instance() const {
-  return EpochInstance::from_reports(reports_, config_.alpha,
-                                     config_.capacity, n_min_);
-}
-
 void OnlineCommitteeScheduler::try_bootstrap() {
   if (scheduler_) return;
   if (reports_.size() <= n_min_) return;
   if (total_txs_ <= config_.capacity) return;  // capacity slack: nothing yet
   // Alg. 1 line 1 satisfied: start exploring.
-  scheduler_.emplace(build_instance(), config_.se, seed_);
+  scheduler_.emplace(EpochInstance::from_reports(reports_, config_.alpha,
+                                                 config_.capacity, n_min_),
+                     config_.se, seed_);
   scheduler_->set_obs(obs_);
   if (auto* t = obs_.trace()) {
     t->instant("epoch", "epoch/bootstrap",
@@ -214,31 +211,6 @@ Selection OnlineCommitteeScheduler::aligned_se_selection() const {
     if (committees[i].id != reports_[i].committee_id) return {};
   }
   return best;
-}
-
-SchedulingDecision OnlineCommitteeScheduler::decide() const {
-  SchedulingDecision decision;
-  if (reports_.empty()) return decision;
-
-  const EpochInstance instance = build_instance();
-  Selection best = aligned_se_selection();
-  if (best.empty()) {
-    // Not bootstrapped (capacity slack): permit everything if feasible.
-    Selection everyone(instance.size(), 1);
-    if (instance.feasible(everyone)) best = std::move(everyone);
-  }
-  if (best.empty() || !instance.feasible(best)) return decision;
-
-  decision.feasible = true;
-  decision.utility = instance.utility(best);
-  decision.valuable_degree = instance.valuable_degree(best);
-  decision.permitted_txs = instance.permitted_txs(best);
-  for (std::size_t i = 0; i < best.size(); ++i) {
-    if (best[i]) {
-      decision.permitted_ids.push_back(instance.committees()[i].id);
-    }
-  }
-  return decision;
 }
 
 }  // namespace mvcom::core

@@ -12,7 +12,8 @@
 //   for each arriving report r:   scheduler.on_report(r);
 //   on failure of committee id:   scheduler.on_failure(id);
 //   anytime:                      scheduler.explore(k);   // k SE iterations
-//   at the DDL:                   auto decision = scheduler.decide();
+// The epoch's decision is EpochSupervisor::decide() (supervisor.hpp), whose
+// ladder starts from aligned_se_selection().
 
 #include <cstdint>
 #include <optional>
@@ -38,15 +39,6 @@ struct OnlineSchedulerConfig {
   double n_min_fraction = 0.5;
   double n_max_fraction = 0.8;
   SeParams se{};
-};
-
-/// The final decision for an epoch.
-struct SchedulingDecision {
-  bool feasible = false;
-  std::vector<std::uint32_t> permitted_ids;  // committee ids to include
-  double utility = 0.0;
-  double valuable_degree = 0.0;
-  std::uint64_t permitted_txs = 0;
 };
 
 class OnlineCommitteeScheduler {
@@ -111,16 +103,12 @@ class OnlineCommitteeScheduler {
   /// scheduler's committees do not match the live reports id for id.
   [[nodiscard]] Selection aligned_se_selection() const;
 
-  /// Produces the current best selection (the epoch's final answer).
-  [[nodiscard]] SchedulingDecision decide() const;
-
   /// Attaches observability; propagated into the SE scheduler (including
   /// one created by a later bootstrap).
   void set_obs(obs::ObsContext obs);
 
  private:
   void try_bootstrap();
-  [[nodiscard]] EpochInstance build_instance() const;
 
   OnlineSchedulerConfig config_;
   std::uint64_t seed_;

@@ -733,6 +733,12 @@ SeResult SeScheduler::run() {
     best_utility = current_utility();
   }
 
+  if (best_selection.empty() && instance_.n_min() == 0) {
+    // No chain fits Ĉ, but at N_min = 0 the empty selection satisfies
+    // Eq. (3) and (4).
+    best_selection.assign(instance_.size(), 0);
+    best_utility = 0.0;
+  }
   result.iterations = result.utility_trace.size();
   result.feasible = !best_selection.empty();
   if (result.feasible) {

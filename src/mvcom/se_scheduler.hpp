@@ -138,7 +138,9 @@ struct SeResult {
   double valuable_degree = 0.0;
   std::size_t iterations = 0;
   bool converged = false;
-  bool feasible = false;    // false when no (n >= N_min, capacity-ok) exists
+  /// False when no (n >= N_min, capacity-ok) selection exists; at N_min = 0
+  /// the empty selection always does, so `best` may be all zeros.
+  bool feasible = false;
   /// run() stopped on SeParams::gap_tolerance (B − utility ≤ tolerance·|B|).
   bool certified = false;
   double bound = 0.0;       // B = core::fractional_bound of the instance

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/theory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -149,20 +148,18 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
 Admission EpochSupervisor::on_submission(
     const sharding::ShardSubmission& submission, double formation_latency,
     double consensus_latency) {
-  const auto admitted = [this, &submission](Admission a) {
-    if (obs::Counter* c = obs_admission_[static_cast<std::size_t>(a)]) {
-      c->inc();
-    }
-    if (auto* t = obs_.trace()) {
-      t->instant("admission", to_string(a),
-                 {{"committee_id", static_cast<double>(submission.committee_id)},
-                  {"claimed_txs",
-                   static_cast<double>(submission.claimed_tx_count)}});
-    }
-    return a;
-  };
-  return admitted(admit_submission(submission, formation_latency,
-                                   consensus_latency));
+  const Admission a =
+      admit_submission(submission, formation_latency, consensus_latency);
+  if (obs::Counter* c = obs_admission_[static_cast<std::size_t>(a)]) {
+    c->inc();
+  }
+  if (auto* t = obs_.trace()) {
+    t->instant("admission", to_string(a),
+               {{"committee_id", static_cast<double>(submission.committee_id)},
+                {"claimed_txs",
+                 static_cast<double>(submission.claimed_tx_count)}});
+  }
+  return a;
 }
 
 Admission EpochSupervisor::admit_submission(
@@ -259,8 +256,7 @@ void EpochSupervisor::on_failure(std::uint32_t committee_id) {
   // trimmed set certifies a lower bound on max_G U_g; the observed dip must
   // stay within the bound built from it.
   record.utility_after = best_ladder_utility();
-  record.perturbation_bound =
-      analysis::failure_perturbation_bound(record.utility_after);
+  record.perturbation_bound = record.utility_after;  // Theorem 2: max_G U_g
   record.within_bound =
       std::abs(record.utility_before - record.utility_after) <=
       record.perturbation_bound + kBoundSlack;
@@ -369,8 +365,8 @@ void EpochSupervisor::update_risk_policy() {
   // Theorem 2 extended to adaptive resizing: changing N_min swaps the
   // feasible space for a subset/superset; the stationary-optimum shift is
   // bounded by the best utility certified on the larger space.
-  record.perturbation_bound = analysis::failure_perturbation_bound(
-      std::max(record.utility_before, record.utility_after));
+  record.perturbation_bound =
+      std::max(record.utility_before, record.utility_after);
   record.within_bound =
       std::abs(record.utility_before - record.utility_after) <=
       record.perturbation_bound + kBoundSlack;
@@ -503,22 +499,20 @@ double EpochSupervisor::best_ladder_utility() const {
 }
 
 SupervisedDecision EpochSupervisor::decide() const {
-  // The ladder walk below is pure; record the winning rung on the way out.
-  const auto recorded = [this](SupervisedDecision out) {
-    if (obs::Counter* c = obs_tier_[static_cast<std::size_t>(out.tier)]) {
-      c->inc();
-    }
-    if (auto* t = obs_.trace()) {
-      t->instant("ladder", to_string(out.tier),
-                 {{"tier", static_cast<double>(out.tier)},
-                  {"feasible", out.decision.feasible ? 1.0 : 0.0},
-                  {"utility", out.decision.utility},
-                  {"permitted",
-                   static_cast<double>(out.decision.permitted_ids.size())}});
-    }
-    return out;
-  };
-  return recorded(run_ladder());
+  // The ladder walk is pure; record the winning rung on the way out.
+  SupervisedDecision out = run_ladder();
+  if (obs::Counter* c = obs_tier_[static_cast<std::size_t>(out.tier)]) {
+    c->inc();
+  }
+  if (auto* t = obs_.trace()) {
+    t->instant("ladder", to_string(out.tier),
+               {{"tier", static_cast<double>(out.tier)},
+                {"feasible", out.decision.feasible ? 1.0 : 0.0},
+                {"utility", out.decision.utility},
+                {"permitted",
+                 static_cast<double>(out.decision.permitted_ids.size())}});
+  }
+  return out;
 }
 
 SupervisedDecision EpochSupervisor::run_ladder() const {

@@ -36,10 +36,11 @@
 //                       (at N_min = 0 that is always, possibly as the
 //                       empty selection)
 //       infeasible      with a machine-readable reason
-//     After every failure the Theorem-2 perturbation bound
-//     (analysis::failure_perturbation_bound) is evaluated at runtime and
-//     surfaced in the decision, so callers can check that the observed
-//     utility dip respects the theory.
+//     This ladder is the only code that turns live reports into an epoch's
+//     decision. After every failure the Theorem-2 perturbation bound (the
+//     best ladder utility on the trimmed space) is recorded and surfaced in
+//     the decision, so callers can check that the observed utility dip
+//     respects the theory.
 
 #include <array>
 #include <cstdint>
@@ -178,6 +179,15 @@ struct SupervisorConfig {
   /// Risk-adaptive committee sizing (disabled by default — the static
   /// supervisor behaves exactly as before).
   RiskPolicyConfig risk{};
+};
+
+/// The selection a ladder rung produced, as committee ids and totals.
+struct SchedulingDecision {
+  bool feasible = false;
+  std::vector<std::uint32_t> permitted_ids;  // committee ids to include
+  double utility = 0.0;
+  double valuable_degree = 0.0;
+  std::uint64_t permitted_txs = 0;
 };
 
 /// The epoch's final, tier-attributed answer.

@@ -182,12 +182,6 @@ class EpochPipeline {
   /// handler (single relaxed atomic store).
   void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
 
-  /// Also honor an external stop flag polled between epochs — `mvcom serve`
-  /// points this at the atomic its SIGINT handler flips.
-  void bind_external_stop(const std::atomic<bool>* flag) noexcept {
-    external_stop_ = flag;
-  }
-
   /// Drives every epoch (or until stopped). `on_epoch`, when set, fires
   /// after each epoch's stage B, in epoch order, on the driving thread.
   PipelineTotals run(
@@ -227,9 +221,7 @@ class EpochPipeline {
   EpochReport schedule_epoch(FormedEpoch&& formed, common::ThreadPool* pool);
 
   [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_relaxed) ||
-           (external_stop_ != nullptr &&
-            external_stop_->load(std::memory_order_relaxed));
+    return stop_.load(std::memory_order_relaxed);
   }
 
   const txn::Trace* trace_;
@@ -245,7 +237,6 @@ class EpochPipeline {
   PipelineTotals totals_;
 
   std::atomic<bool> stop_{false};
-  const std::atomic<bool>* external_stop_ = nullptr;
 
   obs::ObsContext obs_;
   obs::Counter* obs_epochs_ = nullptr;

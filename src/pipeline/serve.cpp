@@ -8,7 +8,15 @@
 
 namespace mvcom::pipeline {
 
-ServeSession::ServeSession(ServeConfig config) : config_(std::move(config)) {}
+ServeSession::ServeSession(ServeConfig config)
+    : config_(std::move(config)),
+      stream_([this] {
+        common::Rng rng(config_.stream_seed);
+        return txn::generate_trace(config_.stream, rng);
+      }()),
+      pipe_(stream_, config_.pipeline) {
+  pipe_.set_obs(obs::ObsContext(&metrics_, &trace_));
+}
 
 bool ServeSession::flush_artifacts() {
   bool ok = true;
@@ -24,25 +32,18 @@ bool ServeSession::flush_artifacts() {
 ServeSummary ServeSession::run(
     const std::function<void(const EpochReport&)>& on_epoch) {
   ServeSummary summary;
-  common::Rng stream_rng(config_.stream_seed);
-  const txn::Trace trace = txn::generate_trace(config_.stream, stream_rng);
-
-  EpochPipeline pipe(trace, config_.pipeline);
-  pipe.bind_external_stop(&stop_);
-  pipe.set_obs(obs::ObsContext(&metrics_, &trace_));
-
   // A checkpoint that cannot be written fails the artifact verdict; the run
   // and the other exporters carry on.
   bool checkpoints_ok = true;
   const auto checkpoint = [&] {
-    if (chain::write_checkpoint_file(pipe.chain(), config_.checkpoint_out)) {
+    if (chain::write_checkpoint_file(pipe_.chain(), config_.checkpoint_out)) {
       ++summary.checkpoints_written;
     } else {
       checkpoints_ok = false;
     }
   };
   try {
-    summary.totals = pipe.run([&](const EpochReport& report) {
+    summary.totals = pipe_.run([&](const EpochReport& report) {
       if (!config_.checkpoint_out.empty() && config_.checkpoint_every > 0 &&
           (report.epoch + 1) % config_.checkpoint_every == 0) {
         checkpoint();
@@ -59,7 +60,7 @@ ServeSummary ServeSession::run(
 
   // Final checkpoint so a stopped daemon resumes from its last commit.
   if (!config_.checkpoint_out.empty()) checkpoint();
-  summary.chain_valid = pipe.chain().validate_full();
+  summary.chain_valid = pipe_.chain().validate_full();
   summary.artifacts_valid = flush_artifacts() && checkpoints_ok;
   return summary;
 }

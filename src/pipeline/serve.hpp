@@ -7,7 +7,6 @@
 // Chrome-trace artifacts on disk (the strict self-check validators run on
 // every export and their verdict is reported in the summary).
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -46,6 +45,8 @@ struct ServeSummary {
 
 class ServeSession {
  public:
+  /// Synthesizes the stream and builds the pipeline; throws
+  /// std::invalid_argument on a config the pipeline rejects.
   explicit ServeSession(ServeConfig config);
 
   /// Runs the stream to completion or until request_stop(). Exporters are
@@ -53,11 +54,10 @@ class ServeSession {
   ServeSummary run(
       const std::function<void(const EpochReport&)>& on_epoch = {});
 
-  /// Async-signal-safe stop: one lock-free atomic store. The pipeline polls
-  /// it between epochs.
-  void request_stop() noexcept {
-    stop_.store(true, std::memory_order_relaxed);
-  }
+  /// Async-signal-safe stop: the pipeline's request_stop(), one lock-free
+  /// atomic store that it polls between epochs. A stop before run() runs no
+  /// epoch.
+  void request_stop() noexcept { pipe_.request_stop(); }
 
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
     return metrics_;
@@ -68,9 +68,10 @@ class ServeSession {
   bool flush_artifacts();
 
   ServeConfig config_;
-  std::atomic<bool> stop_{false};
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder trace_;
+  txn::Trace stream_;  // must outlive pipe_, which reads it
+  EpochPipeline pipe_;
 };
 
 }  // namespace mvcom::pipeline

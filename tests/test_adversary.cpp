@@ -132,6 +132,34 @@ TEST(AdversaryTest, RejectsOutOfRangeBudgetAndInflation) {
   EXPECT_NO_THROW(Adversary(edges, 1));
 }
 
+TEST(AdversaryTest, ZeroBudgetPlansNoAttack) {
+  const auto trace = test_trace();
+  const auto committees = test_committees(trace, 12);
+  EpochObservation obs;
+  obs.permitted_ids = {0, 3, 5, 7};
+  for (const AdversaryStrategy s : kAllAdversaryStrategies) {
+    AdversaryConfig config;
+    config.strategy = s;
+    config.budget = 0.0;
+    const Adversary adversary(config, 7);
+    for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+      EXPECT_TRUE(adversary.plan_epoch(epoch, committees, 6, std::nullopt)
+                      .events.empty())
+          << mvcom::core::to_string(s) << " epoch " << epoch;
+      EXPECT_TRUE(adversary.plan_epoch(epoch, committees, 6, obs)
+                      .events.empty())
+          << mvcom::core::to_string(s) << " epoch " << epoch;
+    }
+  }
+  // A positive budget that rounds to no committee still strikes one.
+  AdversaryConfig smallest;
+  smallest.budget = 0.01;  // 0.12 of 12
+  EXPECT_EQ(Adversary(smallest, 7)
+                .plan_epoch(0, committees, 0, std::nullopt)
+                .events.size(),
+            1u);
+}
+
 TEST(AdversaryTest, PlansArePureFunctionsOfSeedEpochAndHistory) {
   const auto trace = test_trace();
   const auto committees = test_committees(trace, 12);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -12,8 +13,10 @@
 
 namespace {
 
+using mvcom::core::EpochInstance;
 using mvcom::core::OnlineCommitteeScheduler;
 using mvcom::core::OnlineSchedulerConfig;
+using mvcom::core::Selection;
 using mvcom::txn::ShardReport;
 
 ShardReport report(std::uint32_t id, std::uint64_t txs, double latency) {
@@ -33,6 +36,14 @@ OnlineSchedulerConfig config(std::size_t expected = 10,
   c.expected_committees = expected;
   c.se.threads = 2;
   return c;
+}
+
+/// The instance aligned_se_selection() is index-aligned with: the live
+/// reports at the scheduler's current N_min.
+EpochInstance live_instance(const OnlineCommitteeScheduler& scheduler,
+                            const OnlineSchedulerConfig& c) {
+  return EpochInstance::from_reports(scheduler.reports(), c.alpha, c.capacity,
+                                     scheduler.n_min());
 }
 
 TEST(OnlineSchedulerTest, BootstrapWaitsForNminAndBindingCapacity) {
@@ -71,46 +82,37 @@ TEST(OnlineSchedulerTest, StopsListeningAtNmax) {
 }
 
 TEST(OnlineSchedulerTest, DecisionIsFeasibleAndUsesArrivedCommittees) {
-  OnlineCommitteeScheduler scheduler(config(10, 4000), 4);
+  const OnlineSchedulerConfig c = config(10, 4000);
+  OnlineCommitteeScheduler scheduler(c, 4);
   mvcom::common::Rng rng(5);
   for (std::uint32_t i = 0; i < 8; ++i) {
     scheduler.on_report(report(i, 500 + rng.below(200), 650.0 + i * 20.0));
   }
   scheduler.explore(1000);
-  const auto decision = scheduler.decide();
-  ASSERT_TRUE(decision.feasible);
-  EXPECT_GE(decision.permitted_ids.size(), scheduler.n_min());
-  EXPECT_LE(decision.permitted_txs, 4000u);
-  for (const std::uint32_t id : decision.permitted_ids) {
-    EXPECT_LT(id, 8u);
-  }
-}
-
-TEST(OnlineSchedulerTest, SlackCapacityPermitsEveryone) {
-  // Capacity never binds: no bootstrap, decision = everyone (if N_min ok).
-  OnlineCommitteeScheduler scheduler(config(10, 1'000'000), 5);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    scheduler.on_report(report(i, 500, 700.0 + i));
-  }
-  EXPECT_FALSE(scheduler.bootstrapped());
-  const auto decision = scheduler.decide();
-  ASSERT_TRUE(decision.feasible);
-  EXPECT_EQ(decision.permitted_ids.size(), 8u);
+  const Selection best = scheduler.aligned_se_selection();
+  ASSERT_EQ(best.size(), scheduler.reports().size());  // aligned
+  const EpochInstance instance = live_instance(scheduler, c);
+  EXPECT_TRUE(instance.feasible(best));
+  EXPECT_GE(static_cast<std::size_t>(std::count(best.begin(), best.end(), 1)),
+            scheduler.n_min());
+  EXPECT_LE(instance.permitted_txs(best), 4000u);
 }
 
 TEST(OnlineSchedulerTest, FailureRemovesCommitteeFromDecisions) {
-  OnlineCommitteeScheduler scheduler(config(10, 4000), 6);
+  const OnlineSchedulerConfig c = config(10, 4000);
+  OnlineCommitteeScheduler scheduler(c, 6);
   for (std::uint32_t i = 0; i < 8; ++i) {
     scheduler.on_report(report(i, 700, 650.0 + i * 15.0));
   }
   scheduler.explore(500);
   scheduler.on_failure(2);
   scheduler.explore(500);
-  const auto decision = scheduler.decide();
-  ASSERT_TRUE(decision.feasible);
-  for (const std::uint32_t id : decision.permitted_ids) {
-    EXPECT_NE(id, 2u);
+  for (const ShardReport& r : scheduler.reports()) {
+    EXPECT_NE(r.committee_id, 2u);
   }
+  const Selection best = scheduler.aligned_se_selection();
+  ASSERT_EQ(best.size(), scheduler.reports().size());  // aligned
+  EXPECT_TRUE(live_instance(scheduler, c).feasible(best));
 }
 
 TEST(OnlineSchedulerTest, FailureOfUnknownIdIsNoop) {
@@ -145,7 +147,7 @@ TEST(OnlineSchedulerTest, AllCommitteesFailingResetsBootstrap) {
   scheduler.on_failure(1);
   scheduler.on_failure(2);
   EXPECT_FALSE(scheduler.bootstrapped());
-  EXPECT_FALSE(scheduler.decide().feasible);
+  EXPECT_TRUE(scheduler.aligned_se_selection().empty());
 }
 
 TEST(OnlineSchedulerTest, RejectsDegenerateConfigs) {
@@ -221,13 +223,14 @@ TEST(OnlineSchedulerTest, CachedTotalTracksArrivalsAndFailures) {
   EXPECT_EQ(scheduler.total_reported_txs(), kHuge);
 }
 
-// Regression for the decide() lock-step guard: it used to compare only the
-// *sizes* of the SE instance and the live report set, so an interleaving of
-// failures and recoveries that restores the count but permutes or replaces
-// the membership would go undetected. The guard now compares committee ids
-// position by position.
+// Regression for the aligned_se_selection() lock-step guard: it used to
+// compare only the *sizes* of the SE instance and the live report set, so an
+// interleaving of failures and recoveries that restores the count but
+// permutes or replaces the membership would go undetected. The guard now
+// compares committee ids position by position.
 TEST(OnlineSchedulerTest, DecideSurvivesFailRecoverReordering) {
-  OnlineCommitteeScheduler scheduler(config(10, 4000), 11);
+  const OnlineSchedulerConfig c = config(10, 4000);
+  OnlineCommitteeScheduler scheduler(c, 11);
   mvcom::common::Rng rng(11);
   for (std::uint32_t i = 0; i < 8; ++i) {
     scheduler.on_report(report(i, 500 + rng.below(300), 650.0 + i * 10.0));
@@ -240,12 +243,12 @@ TEST(OnlineSchedulerTest, DecideSurvivesFailRecoverReordering) {
   ASSERT_TRUE(scheduler.on_recovery(report(6, 700, 715.0)));
   ASSERT_TRUE(scheduler.on_recovery(report(1, 700, 655.0)));
   scheduler.explore(500);
-  const auto decision = scheduler.decide();
-  ASSERT_TRUE(decision.feasible);
-  EXPECT_LE(decision.permitted_txs, 4000u);
-  for (const std::uint32_t id : decision.permitted_ids) {
-    EXPECT_LT(id, 8u);  // only live committees may be permitted
-  }
+  const Selection best = scheduler.aligned_se_selection();
+  ASSERT_FALSE(best.empty());
+  ASSERT_EQ(best.size(), scheduler.reports().size());  // aligned
+  const EpochInstance instance = live_instance(scheduler, c);
+  EXPECT_TRUE(instance.feasible(best));
+  EXPECT_LE(instance.permitted_txs(best), 4000u);
 }
 
 // on_recovery edge cases: the recovery door is only for committees that

@@ -579,6 +579,30 @@ TEST(ServeSessionStop, EarlyStopStillFlushesValidArtifacts) {
             summary.totals.committed_txs + summary.totals.pending_txs);
 }
 
+TEST(ServeSessionStop, StopBeforeRunRunsNoEpoch) {
+  // A SIGINT before the first epoch: the stop lands between construction
+  // and run(), so the run commits nothing yet still writes its artifacts.
+  mvcom::pipeline::ServeConfig config;
+  config.pipeline = small_config();
+  config.stream.num_blocks = 90;
+  config.stream.target_total_txs = 45'000;
+  config.stream.mean_interblock_seconds = 15.0;
+  config.checkpoint_out =
+      ::testing::TempDir() + "serve_stop_before_run_checkpoint.json";
+  mvcom::pipeline::ServeSession session(config);
+  session.request_stop();
+  std::size_t seen = 0;
+  const mvcom::pipeline::ServeSummary summary =
+      session.run([&](const EpochReport&) { ++seen; });
+  EXPECT_EQ(seen, 0u);
+  EXPECT_TRUE(summary.totals.stopped_early);
+  EXPECT_EQ(summary.totals.epochs_run, 0u);
+  EXPECT_EQ(summary.totals.committed_txs, 0u);
+  EXPECT_TRUE(summary.chain_valid);
+  EXPECT_TRUE(summary.artifacts_valid);
+  EXPECT_EQ(summary.checkpoints_written, 1u);  // the final, genesis only
+}
+
 TEST(ServeSessionGap, MetricsAndTraceCarryTheEpochGap) {
   mvcom::pipeline::ServeConfig config;
   config.pipeline = small_config();

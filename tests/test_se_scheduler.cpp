@@ -144,6 +144,27 @@ TEST(SeSchedulerTest, InfeasibleNminYieldsNoSolution) {
   EXPECT_TRUE(result.best.empty());
 }
 
+TEST(SeSchedulerTest, EmptySelectionIsFeasibleAtZeroNmin) {
+  // Ĉ lies below every shard, so no chain is active; at N_min = 0 the
+  // empty selection still satisfies Eq. (3)/(4), as exhaustive search says.
+  const std::vector<Committee> committees{
+      {0, 100, 1.0}, {1, 100, 2.0}, {2, 300, 5.0}};
+  const EpochInstance inst(committees, 1.5, 50, 0);
+  const auto exact = Exhaustive().solve(inst);
+  ASSERT_TRUE(exact.feasible);
+  EXPECT_EQ(exact.best, Selection(3, 0));
+  for (const std::size_t iterations : {0u, 200u}) {
+    SeParams params = quick_params();
+    params.max_iterations = iterations;
+    SeScheduler scheduler(inst, params, 1);
+    const SeResult result = scheduler.run();
+    ASSERT_TRUE(result.feasible) << iterations << " iterations";
+    EXPECT_EQ(result.best, exact.best);
+    EXPECT_EQ(result.utility, 0.0);
+    EXPECT_EQ(result.valuable_degree, 0.0);
+  }
+}
+
 TEST(SeSchedulerTest, ZeroIterationsReportTheChainsAlg2Built) {
   // With no iteration and no warm-start floor, run() still holds the
   // feasible chains the constructor built and reports their best.

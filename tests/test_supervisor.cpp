@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/theory.hpp"
 #include "common/rng.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
@@ -200,9 +199,8 @@ TEST(SupervisorFailureTest, ManualFailureRecordsTheorem2Accounting) {
   EXPECT_EQ(record.committee_id, 2u);
   EXPECT_GT(record.utility_before, 0.0);
   EXPECT_GT(record.utility_after, 0.0);
-  EXPECT_DOUBLE_EQ(
-      record.perturbation_bound,
-      mvcom::analysis::failure_perturbation_bound(record.utility_after));
+  // Theorem 2's bound is the best utility on the trimmed space.
+  EXPECT_DOUBLE_EQ(record.perturbation_bound, record.utility_after);
   EXPECT_TRUE(record.within_bound);
   const auto d = sup.decide();
   EXPECT_TRUE(d.theorem2_respected);
@@ -278,6 +276,24 @@ TEST(SupervisorDecideTest, SlackCapacityFallsThroughToGreedyTiers) {
   EXPECT_NE(d.tier, DecisionTier::kSeBest);
   EXPECT_NE(d.tier, DecisionTier::kInfeasible);
   EXPECT_EQ(d.decision.permitted_ids.size(), 8u);
+}
+
+// Slack capacity, so SE never bootstraps: the greedy rung drops committee
+// 0, whose gain α·s_i − (t − l_i) = 1.5·100 − (1,700 − 100) is negative,
+// where permitting every live committee would score U = 1,700.
+TEST(SupervisorDecideTest, SlackCapacityDropsTheNegativeGainShard) {
+  EpochSupervisor sup(config(10, 1'000'000), 19);
+  sup.on_submission(honest(0, 100), 100.0, 0.0);
+  for (std::uint32_t i = 1; i < 8; ++i) {
+    sup.on_submission(honest(i, 500), 1000.0 + 100.0 * i, 0.0);
+  }
+  EXPECT_FALSE(sup.scheduler().bootstrapped());
+  const auto d = sup.decide();
+  ASSERT_TRUE(d.decision.feasible);
+  EXPECT_EQ(d.tier, DecisionTier::kGreedyScratch);
+  EXPECT_EQ(d.decision.permitted_ids.size(), 7u);
+  EXPECT_FALSE(permits(d, 0));
+  EXPECT_DOUBLE_EQ(d.decision.utility, 3150.0);
 }
 
 TEST(SupervisorDecideTest, NoSubmissionsReportsNoLiveCommittees) {

@@ -6,8 +6,10 @@
 //   mvcom schedule <trace.csv> [--committees N] [--capacity C] [--alpha A]
 //                  [--nmin K] [--gamma G] [--iters N] [--seed S]
 //       Build one epoch's workload from the trace and run the SE scheduler;
-//       prints the permitted committees and the selection's metrics. Exits
-//       1 when no selection satisfies Eq. (3)/(4).
+//       prints whether the run converged, the permitted committees and the
+//       selection's metrics. Exits 1 when no selection satisfies
+//       Eq. (3)/(4); at N_min 0 (the default) the empty selection always
+//       does, so a capacity below every shard permits nothing and exits 0.
 //
 //   mvcom epoch [--nodes N] [--committee-bits B] [--committee-size S]
 //               [--seed S]
@@ -424,7 +426,12 @@ int cmd_schedule(const Args& args) {
                 static_cast<unsigned long long>(args.get_u64("nmin", 0)));
     return 1;
   }
-  std::printf("converged after %zu iterations\n", result.iterations);
+  if (result.converged) {
+    std::printf("converged after %zu iterations\n", result.iterations);
+  } else {
+    std::printf("stopped after %zu iterations (not converged)\n",
+                result.iterations);
+  }
   std::printf("utility %.1f, valuable degree %.2f\n", result.utility,
               result.valuable_degree);
   std::printf("permitted %llu TXs of capacity %llu using committees:",

@@ -4,31 +4,69 @@
 #include <cassert>
 #include <charconv>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "crypto/sha256_avx512.hpp"
 
 namespace mvcom::crypto {
 namespace {
 
-/// Formats `nonce` in decimal into `buf` (no allocation); returns the view.
-/// 20 chars hold the largest uint64.
-std::string_view format_nonce(std::uint64_t nonce,
-                              char (&buf)[20]) noexcept {
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), nonce);
-  assert(ec == std::errc{});
-  (void)ec;
-  return {buf, static_cast<std::size_t>(end - buf)};
-}
-
 /// Nonces one pass of the lane kernel hashes.
 constexpr std::size_t kLanes = 16;
 /// Prefix tail plus digits that still leave room for the padding's 0x80
 /// byte and 64-bit length in the same block.
 constexpr std::size_t kOneBlockBytes = 55;
+
+/// Appends `piece` to a partial block whose first `used` (< 64) bytes hold
+/// data, compressing into `state` each block it fills.
+void absorb(std::uint32_t* state, std::uint8_t* block, std::size_t& used,
+            std::string_view piece) noexcept {
+  while (!piece.empty()) {
+    const std::size_t take = std::min(piece.size(), 64 - used);
+    std::memcpy(block + used, piece.data(), take);
+    piece.remove_prefix(take);
+    used += take;
+    if (used == 64) {
+      sha256_compress(state, block, 1);
+      used = 0;
+    }
+  }
+}
+
+/// Writes `nonce` in decimal after the first `used` (<= 64) bytes of a
+/// 128-byte `block`, then the FIPS 180-4 padding: 0x80, zeros, and the
+/// message length (`length` bytes before the digits, plus the digits) in
+/// bits as a big-endian 64-bit word ending the last block. Returns the
+/// digit count and the blocks to compress: 1 while used + digits <= 55.
+std::pair<std::size_t, std::size_t> lay_out_nonce(
+    std::uint8_t* block, std::size_t used, std::uint64_t length,
+    std::uint64_t nonce) noexcept {
+  char* const digits = reinterpret_cast<char*>(block + used);
+  const auto width = static_cast<std::size_t>(
+      std::to_chars(digits, digits + 20, nonce).ptr - digits);
+  used += width;
+  const std::size_t blocks = used <= kOneBlockBytes ? 1 : 2;
+  const std::size_t end = 64 * blocks;
+  block[used] = 0x80;
+  std::memset(block + used + 1, 0, end - 8 - used - 1);
+  const std::uint64_t bits = (length + width) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[end - 8 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+  return {width, blocks};
+}
+
+/// A committee index: the low `committee_bits` bits of a digest's last word.
+std::uint32_t low_bits(std::uint32_t word, int committee_bits) noexcept {
+  assert(committee_bits > 0 && committee_bits <= 32);
+  return word & (~std::uint32_t{0} >> (32 - committee_bits));
+}
 
 /// Probed once; magic-static like sha256.cpp's SHA-extension probe.
 bool use_lanes() noexcept {
@@ -58,65 +96,60 @@ double PowTarget::expected_attempts() const noexcept {
   return 0x1.0p64 / static_cast<double>(leading64_below);
 }
 
-PowPrefix::PowPrefix(std::string_view epoch_randomness) noexcept {
-  head_.update(epoch_randomness);
-  head_.update("|");
+PowPrefix::PowPrefix(std::string_view epoch_randomness) noexcept
+    : head_len_(epoch_randomness.size() + 1) {
+  absorb(chain_.data(), tail_.data(), tail_len_, epoch_randomness);
+  absorb(chain_.data(), tail_.data(), tail_len_, "|");
+}
+
+std::array<std::uint32_t, 8> PowPrefix::final_state(
+    std::string_view identity, std::uint64_t nonce) const noexcept {
+  std::array<std::uint32_t, 8> state = chain_;
+  std::array<std::uint8_t, 128> block = tail_;
+  std::size_t used = tail_len_;
+  absorb(state.data(), block.data(), used, identity);
+  block[used++] = '|';
+  const auto [width, blocks] = lay_out_nonce(
+      block.data(), used, head_len_ + identity.size() + 1, nonce);
+  sha256_compress(state.data(), block.data(), blocks);
+  return state;
 }
 
 Digest PowPrefix::digest(std::string_view identity,
                          std::uint64_t nonce) const noexcept {
-  char buf[20];
-  Sha256 h = head_;
-  h.update(identity);
-  h.update("|");
-  h.update(format_nonce(nonce, buf));
-  return h.finalize();
+  return digest_of(final_state(identity, nonce).data());
+}
+
+std::uint32_t PowPrefix::committee(std::string_view identity,
+                                   std::uint64_t nonce,
+                                   int committee_bits) const noexcept {
+  return low_bits(final_state(identity, nonce)[7], committee_bits);
 }
 
 Digest pow_digest(std::string_view epoch_randomness, std::string_view identity,
                   std::uint64_t nonce) noexcept {
-  return PowPrefix(epoch_randomness).digest(identity, nonce);
+  char buf[20];
+  Sha256 h;
+  h.update(epoch_randomness);
+  h.update("|");
+  h.update(identity);
+  h.update("|");
+  h.update(std::string_view(buf, std::to_chars(buf, std::end(buf), nonce).ptr));
+  return h.finalize();
 }
 
 PowMidstate::PowMidstate(std::string_view epoch_randomness,
-                         std::string_view identity) noexcept {
-  const auto absorb = [this](std::string_view piece) {
-    prefix_len_ += piece.size();
-    while (!piece.empty()) {
-      const std::size_t take = std::min(piece.size(), 64 - tail_len_);
-      std::memcpy(tail_.data() + tail_len_, piece.data(), take);
-      piece.remove_prefix(take);
-      tail_len_ += take;
-      if (tail_len_ == 64) {
-        sha256_compress(chain_.data(), tail_.data(), 1);
-        tail_len_ = 0;
-      }
-    }
-  };
-  absorb(epoch_randomness);
-  absorb("|");
-  absorb(identity);
-  absorb("|");
+                         std::string_view identity) noexcept
+    : prefix_len_(epoch_randomness.size() + identity.size() + 2) {
+  for (const std::string_view piece : {epoch_randomness, std::string_view("|"),
+                                       identity, std::string_view("|")}) {
+    absorb(chain_.data(), tail_.data(), tail_len_, piece);
+  }
 }
 
 void PowMidstate::lay_out(Attempt& attempt) const noexcept {
-  char buf[20];
-  const std::string_view digits = format_nonce(attempt.nonce, buf);
-  std::memcpy(attempt.block.data() + tail_len_, digits.data(), digits.size());
-  attempt.width = digits.size();
-  // FIPS 180-4 padding: 0x80, zeros, then the message length in bits as a
-  // big-endian 64-bit word ending the last block. It fits in the tail
-  // block while tail + digits <= 55 bytes.
-  const std::size_t used = tail_len_ + digits.size();
-  attempt.blocks = used <= 55 ? 1 : 2;
-  const std::size_t end = 64 * attempt.blocks;
-  attempt.block[used] = 0x80;
-  std::memset(attempt.block.data() + used + 1, 0, end - 8 - used - 1);
-  const std::uint64_t bits = (prefix_len_ + digits.size()) * 8;
-  for (std::size_t i = 0; i < 8; ++i) {
-    attempt.block[end - 8 + i] =
-        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  }
+  std::tie(attempt.width, attempt.blocks) = lay_out_nonce(
+      attempt.block.data(), tail_len_, prefix_len_, attempt.nonce);
 }
 
 void PowMidstate::advance(Attempt& attempt) const noexcept {
@@ -228,12 +261,11 @@ bool verify(std::string_view epoch_randomness, std::string_view identity,
 }
 
 std::uint32_t committee_of(const Digest& digest, int committee_bits) noexcept {
-  assert(committee_bits > 0 && committee_bits <= 32);
   std::uint32_t tail = 0;
   for (std::size_t i = digest.size() - 4; i < digest.size(); ++i) {
     tail = (tail << 8) | digest[i];
   }
-  return tail & ((1u << committee_bits) - 1u);
+  return low_bits(tail, committee_bits);
 }
 
 common::SimTime model_solve_latency(common::Rng& rng,

@@ -45,11 +45,13 @@ struct PowSolution {
   Digest digest;
 };
 
-/// The preimage convention's epoch-wide head, absorbed once: a Sha256 that
-/// has taken `epoch_randomness|`. digest() hashes the rest of the preimage
-/// from a copy of that state, so many identities of one epoch (Elastico's
-/// stage 1) pay for the randomness once; with a 64-character randomness an
-/// identity then costs one compression and no allocation.
+/// The preimage convention's epoch-wide head, absorbed once: the SHA-256
+/// chaining state after `epoch_randomness|`'s whole blocks, plus its last
+/// bytes. A call lays out identity, '|', decimal nonce and padding after
+/// them and compresses from a copy of the state, so the identities of one
+/// epoch (Elastico's stage 1) pay for the randomness once. Past 55 bytes
+/// the layout spills into more blocks; behind a 64-character randomness a
+/// 32-bit node id's `|node-<id>|<nonce>` takes at most 37, one compression.
 class PowPrefix {
  public:
   explicit PowPrefix(std::string_view epoch_randomness) noexcept;
@@ -58,14 +60,27 @@ class PowPrefix {
   [[nodiscard]] Digest digest(std::string_view identity,
                               std::uint64_t nonce) const noexcept;
 
+  /// committee_of(digest(identity, nonce), committee_bits), read from
+  /// final state word 7 (the digest's last four bytes), no digest built.
+  [[nodiscard]] std::uint32_t committee(std::string_view identity,
+                                        std::uint64_t nonce,
+                                        int committee_bits) const noexcept;
+
  private:
-  Sha256 head_;
+  /// The chaining state after the whole padded preimage.
+  [[nodiscard]] std::array<std::uint32_t, 8> final_state(
+      std::string_view identity, std::uint64_t nonce) const noexcept;
+
+  std::array<std::uint32_t, 8> chain_ = kSha256Init;  // after whole blocks
+  std::array<std::uint8_t, 128> tail_{};  // the head's last (< 64) bytes
+  std::size_t tail_len_ = 0;              // head bytes in tail_
+  std::uint64_t head_len_ = 0;            // head bytes in total
 };
 
 /// Preimage convention shared by solver and verifier:
 /// SHA256(epoch_randomness || '|' || identity || '|' || decimal(nonce)).
-/// A plain Sha256 over the preimage (one PowPrefix's digest) — the
-/// reference every PowMidstate digest is tested against.
+/// One plain Sha256 over the whole preimage — the independent reference
+/// every PowPrefix and PowMidstate result is tested against.
 [[nodiscard]] Digest pow_digest(std::string_view epoch_randomness,
                                 std::string_view identity,
                                 std::uint64_t nonce) noexcept;

@@ -660,6 +660,9 @@ SeResult SeScheduler::run() {
   bool done = certifies(bound_, best_utility, params_.gap_tolerance);
   result.converged = done;
   result.certified = done;
+  // No chain is active when no maintained cardinality >= max(N_min, 1)
+  // fits Ĉ: no step could find anything, so none runs (unconverged).
+  if (std::isnan(current_utility())) done = true;
   if (!done) result.utility_trace.reserve(params_.max_iterations);
   std::size_t stale = 0;
 
@@ -733,9 +736,10 @@ SeResult SeScheduler::run() {
     best_utility = current_utility();
   }
 
-  if (best_selection.empty() && instance_.n_min() == 0) {
-    // No chain fits Ĉ, but at N_min = 0 the empty selection satisfies
-    // Eq. (3) and (4).
+  if (instance_.n_min() == 0 &&
+      (best_selection.empty() || best_utility < 0.0)) {
+    // At N_min = 0 the empty selection satisfies Eq. (3) and (4) and scores
+    // 0: the answer when no chain fits Ĉ or the best one scores below it.
     best_selection.assign(instance_.size(), 0);
     best_utility = 0.0;
   }

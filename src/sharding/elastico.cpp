@@ -95,10 +95,8 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
   for (net::NodeId node = 0; node < config_.num_nodes; ++node) {
     const std::uint64_t nonce = rng_();
     const char* end = std::to_chars(identity + 5, std::end(identity), node).ptr;
-    const crypto::Digest digest =
-        pow.digest(std::string_view(identity, end), nonce);
-    const auto committee =
-        crypto::committee_of(digest, config_.committee_bits);
+    const std::uint32_t committee = pow.committee(
+        std::string_view(identity, end), nonce, config_.committee_bits);
     const SimTime solve = crypto::model_solve_latency(
         rng_, config_.pow_expected_solve, hash_rates_[node]);
     assignment[committee].push_back({node, solve});
@@ -170,13 +168,13 @@ EpochOutcome ElasticoNetwork::run_epoch(const txn::Trace& trace,
 
   // --- Stages 2 (message-level) + 3: one private lane per committee ------
   // Committees are mutually independent until the final consensus (§I), so
-  // each formed committee gets a private event fabric + network driven to
-  // quiescence inside its lane. The final committee's lane performs only
-  // its overlay exchange; its PBFT waits for stage 4. Lane results land in
-  // per-committee slots and merge below in committee order, so results are
-  // bitwise-identical inline and on any lent pool — and for any executor: a
-  // fabric of worker processes runs the same pure tasks and merges the same
-  // way (DESIGN.md §17).
+  // each formed committee gets a private event fabric + network inside its
+  // lane, run until its PBFT decision. The final committee's lane performs
+  // only its overlay exchange; its PBFT waits for stage 4. Lane results
+  // land in per-committee slots and merge below in committee order, so
+  // results are bitwise-identical inline and on any lent pool — and for any
+  // executor: a fabric of worker processes runs the same pure tasks and
+  // merges the same way (DESIGN.md §17).
   std::vector<LaneResult> results(committees);
   if (lane_executor_) {
     lane_executor_(tasks, results);

@@ -120,7 +120,8 @@ struct EpochOutcome {
   /// Per-lane Simulator::order_digest values folded in committee order
   /// (members first, then the final-consensus fabric) — equal across lane
   /// pools and executors iff every lane fired the same events in the same
-  /// order. The determinism matrix test compares it across worker counts
+  /// order (each PBFT round through its decision event, where its simulator
+  /// stops). The determinism matrix test compares it across worker counts
   /// and pins each scenario's value, with observability attached and not.
   std::uint64_t event_order_digest = 0;
   /// Total DES events executed across all lanes this epoch.

@@ -50,10 +50,12 @@ LaneResult run_pbft_round(const LaneTask& task, SimTime start,
       result.consensus_latency = res.latency;
       result.view_changes = res.view_changes;
       decided = true;
+      sim.stop();
     });
   });
-  // Drive the round to quiescence (the cluster's horizon event bounds the
-  // run); by then nothing references this frame's objects.
+  // Run the round to its decision (the cluster's horizon event bounds it).
+  // The messages still in flight then would reach a finished instance and
+  // change nothing, so they never fire: they die queued with this frame.
   sim.run();
   assert(decided);
   result.order_digest = sim.order_digest();

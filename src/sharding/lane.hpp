@@ -81,18 +81,20 @@ struct LaneResult {
   std::uint64_t events_executed = 0;
 };
 
-/// Runs one PBFT round on `payload` from `start` to quiescence, on a fresh
-/// fabric built from `task`'s seeds, participants and speed factors: a member lane's stage 3, or stage 4 on the final committee's
-/// task. Fills the consensus fields, `order_digest` (this round's simulator
-/// alone) and `events_executed`.
+/// Runs one PBFT round on `payload` from `start` to its decision, on a fresh
+/// fabric built from `task`'s seeds, participants and speed factors: a
+/// member lane's stage 3, or stage 4 on the final committee's task. Fills
+/// the consensus fields, `order_digest` and `events_executed` (this round's
+/// simulator alone, through the decision event).
 [[nodiscard]] LaneResult run_pbft_round(const LaneTask& task, SimTime start,
                                         const crypto::Digest& payload,
                                         obs::ObsContext obs);
 
-/// Runs one committee lane to quiescence on a private event fabric. Pure in
-/// `task` (obs attachment never changes results — the PR 3 contract), so two
-/// calls with equal tasks produce equal results in any process, which is
-/// both the fabric's determinism witness and its crash-replay mechanism.
+/// Runs one committee lane on a private event fabric: the overlay exchange
+/// (message-level mode) to quiescence, then the PBFT round to its decision.
+/// Pure in `task` (attaching obs never changes results), so two calls with
+/// equal tasks produce equal results in any process, which is both the
+/// fabric's determinism witness and its crash-replay mechanism.
 [[nodiscard]] LaneResult run_committee_lane(const LaneTask& task,
                                             obs::ObsContext obs = {});
 

@@ -178,8 +178,9 @@ void Simulator::skip_stale_head() noexcept {
 }
 
 std::size_t Simulator::run(std::size_t limit) {
+  stopped_ = false;
   std::size_t fired = 0;
-  while (fired < limit) {
+  while (fired < limit && !stopped_) {
     skip_stale_head();
     if (heap_.empty()) break;
     fire_head();
@@ -193,14 +194,17 @@ std::size_t Simulator::run_until(SimTime horizon) {
   if (std::isnan(horizon.seconds())) {
     throw std::invalid_argument("Simulator::run_until: horizon is NaN");
   }
+  stopped_ = false;
   std::size_t fired = 0;
-  for (;;) {
+  while (!stopped_) {
     skip_stale_head();
     if (heap_.empty() || key_at(heap_[0]) > horizon) break;
     fire_head();
     ++fired;
   }
-  if (now_ < horizon) now_ = horizon;
+  // A stopped run keeps its clock: its pending events up to the horizon
+  // must not fall into the past.
+  if (!stopped_ && now_ < horizon) now_ = horizon;
   return fired;
 }
 

@@ -158,15 +158,21 @@ class Simulator {
   /// usually disarmed).
   void cancel(EventId id);
 
-  /// Runs events until the queue empties or `limit` events have fired.
-  /// Returns the number of events executed.
+  /// Runs events until the queue empties, `limit` events have fired or an
+  /// event called stop(). Returns the number of events executed.
   std::size_t run(std::size_t limit = SIZE_MAX);
 
-  /// Runs events with timestamp <= horizon. Events scheduled during the run
-  /// are honored if they also fall within the horizon. Advances the clock to
-  /// `horizon` even if the queue drains early. Throws std::invalid_argument
-  /// on a NaN horizon.
+  /// Runs events with timestamp <= horizon, or until an event calls stop().
+  /// Events scheduled during the run are honored if they also fall within
+  /// the horizon. Unless stopped, advances the clock to `horizon` even if
+  /// the queue drains early. Throws std::invalid_argument on a NaN horizon.
   std::size_t run_until(SimTime horizon);
+
+  /// Called from an event, makes the running run() or run_until() return
+  /// once that event's callback does. Pending events stay queued, and a
+  /// later run fires them in order. Each run starts unstopped, so a stop()
+  /// outside a run has no effect.
+  void stop() noexcept { stopped_ = true; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -265,6 +271,7 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t digest_ = common::kFnv1aBasis;
+  bool stopped_ = false;
 
   obs::Counter* obs_scheduled_ = nullptr;
   obs::Counter* obs_executed_ = nullptr;

@@ -406,23 +406,32 @@ TEST(PowTest, MidstateSolveAgreesWithVerifier) {
 
 // --- The epoch prefix of Elastico's stage 1 --------------------------------
 
+/// The committee widths the prefix's committee call is checked at: 1 bit,
+/// Elastico's 3 to 16, and a whole word.
+constexpr int kCommitteeBits[] = {1, 3, 7, 16, 32};
+
 TEST(PowTest, PrefixMatchesPowDigestForEveryNodeOfAnEpoch) {
-  // Stage 1 hashes every node identity of an epoch from one PowPrefix over
+  // Stage 1 takes every node identity's committee from one PowPrefix over
   // the epoch's 64-character randomness. For each identity of a 3,072-node
   // epoch, its digest must equal pow_digest and a one-shot hash of the
-  // whole preimage, bitwise.
+  // whole preimage, bitwise, and its committee committee_of(pow_digest).
   const std::string randomness = to_hex(Sha256::hash("genesis"));
   ASSERT_EQ(randomness.size(), 64u);
   const PowPrefix prefix(randomness);
   for (std::uint64_t node = 0; node < 3072; ++node) {
     const std::string identity = "node-" + std::to_string(node);
     const std::uint64_t nonce = node * 0x9e3779b97f4a7c15ULL;
-    const Digest digest = prefix.digest(identity, nonce);
-    ASSERT_EQ(digest, mvcom::crypto::pow_digest(randomness, identity, nonce))
+    const Digest reference =
+        mvcom::crypto::pow_digest(randomness, identity, nonce);
+    ASSERT_EQ(prefix.digest(identity, nonce), reference) << identity;
+    ASSERT_EQ(reference, Sha256::hash(randomness + "|" + identity + "|" +
+                                      std::to_string(nonce)))
         << identity;
-    ASSERT_EQ(digest, Sha256::hash(randomness + "|" + identity + "|" +
-                                   std::to_string(nonce)))
-        << identity;
+    for (const int bits : kCommitteeBits) {
+      ASSERT_EQ(prefix.committee(identity, nonce, bits),
+                mvcom::crypto::committee_of(reference, bits))
+          << identity << ", " << bits << " bits";
+    }
   }
 }
 
@@ -442,15 +451,19 @@ TEST(PowTest, PrefixMatchesPowDigestAcrossBlockBoundaries) {
     const PowPrefix prefix(randomness);
     for (const std::string& identity : identities) {
       for (const std::uint64_t nonce : nonces) {
-        const Digest digest = prefix.digest(identity, nonce);
-        ASSERT_EQ(digest,
-                  mvcom::crypto::pow_digest(randomness, identity, nonce))
-            << "randomness " << length << " B, identity " << identity.size()
-            << " B, nonce " << nonce;
-        ASSERT_EQ(digest, Sha256::hash(randomness + "|" + identity + "|" +
-                                       std::to_string(nonce)))
-            << "randomness " << length << " B, identity " << identity.size()
-            << " B, nonce " << nonce;
+        SCOPED_TRACE("randomness " + std::to_string(length) + " B, identity " +
+                     std::to_string(identity.size()) + " B, nonce " +
+                     std::to_string(nonce));
+        const Digest reference =
+            mvcom::crypto::pow_digest(randomness, identity, nonce);
+        ASSERT_EQ(prefix.digest(identity, nonce), reference);
+        ASSERT_EQ(reference, Sha256::hash(randomness + "|" + identity + "|" +
+                                          std::to_string(nonce)));
+        for (const int bits : kCommitteeBits) {
+          ASSERT_EQ(prefix.committee(identity, nonce, bits),
+                    mvcom::crypto::committee_of(reference, bits))
+              << bits << " bits";
+        }
       }
     }
   }
@@ -692,6 +705,16 @@ TEST(PowTest, CommitteeAssignmentStaysInRange) {
       EXPECT_LT(mvcom::crypto::committee_of(d, bits), 1u << bits);
     }
   }
+}
+
+TEST(PowTest, CommitteeOfThirtyTwoBitsIsTheDigestsLastWord) {
+  // The mask of a full-word committee is all ones, not a shift by 32.
+  const Digest d = Sha256::hash("z");
+  const std::uint32_t last = (std::uint32_t{d[28]} << 24) |
+                             (std::uint32_t{d[29]} << 16) |
+                             (std::uint32_t{d[30]} << 8) | d[31];
+  EXPECT_EQ(mvcom::crypto::committee_of(d, 32), last);
+  EXPECT_EQ(mvcom::crypto::committee_of(d, 31), last & 0x7fffffffu);
 }
 
 TEST(PowTest, CommitteeAssignmentCoversAllCommittees) {

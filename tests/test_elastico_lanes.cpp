@@ -15,13 +15,17 @@
 // networks have no failed node and lose no message.
 //
 // Comparing worker counts within one build cannot catch a change that moves
-// an event in all of them, so each scenario's SHA-256 outcome digest (every
-// epoch field plus the simulator's event-order digest) is also pinned to a
-// constant, one SimKernelsDifferential test per scenario: the DES event
-// stream itself is fixed across commits. A change that moves one must say
-// why and re-pin it.
+// an event in all of them, so each scenario's outcome is also pinned to
+// constants, one SimKernelsDifferential test per scenario, as two SHA-256
+// digests: the results digest (every epoch field but the two DES ones,
+// `event_order_digest` and `events_executed`), which only a change to what
+// an epoch decides may move, and the full digest (the results plus the DES
+// fields), which also fixes the DES event stream across commits. A change
+// that moves one must say why and re-pin it.
 // ElasticoLaneMatrix.AttachedObservabilityNeverChangesResults checks that
-// attached sinks leave every lane's outcome bitwise intact.
+// attached sinks leave every lane's outcome bitwise intact, and
+// ElasticoLaneRound checks that a lane's PBFT round, which stops at its
+// decision, decides as the same round drained to quiescence.
 
 #include "sharding/elastico.hpp"
 
@@ -29,6 +33,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,9 +41,14 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "consensus/pbft.hpp"
 #include "crypto/sha256.hpp"
+#include "net/latency.hpp"
+#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sharding/lane.hpp"
+#include "sim/simulator.hpp"
 #include "txn/trace_generator.hpp"
 
 namespace {
@@ -119,7 +129,10 @@ void expect_identical(const EpochOutcome& a, const EpochOutcome& b) {
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
-std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
+/// SHA-256 over every epoch's results, in epoch order; `with_des` also folds
+/// each epoch's two DES fields after its results (the full digest).
+std::string outcome_digest(const std::vector<EpochOutcome>& epochs,
+                           bool with_des) {
   mvcom::crypto::Sha256 h;
   const auto absorb_u64 = [&h](std::uint64_t v) {
     h.update(std::string_view(reinterpret_cast<const char*>(&v), sizeof v));
@@ -143,19 +156,22 @@ std::string outcome_digest(const std::vector<EpochOutcome>& epochs) {
     absorb_time(o.epoch_makespan);
     absorb_u64(o.final_block_txs);
     h.update(o.next_epoch_randomness);
-    absorb_u64(o.event_order_digest);
-    absorb_u64(o.events_executed);
+    if (with_des) {
+      absorb_u64(o.event_order_digest);
+      absorb_u64(o.events_executed);
+    }
   }
   return mvcom::crypto::to_hex(h.finalize());
 }
 
 constexpr std::size_t kEpochs = 2;
 
-/// One DES scenario class of the matrix, with the SHA-256 outcome digest of
-/// its serial run.
+/// One DES scenario class of the matrix, with the results and full digests
+/// of its serial run.
 struct Scenario {
   std::string label;
   ElasticoConfig config;
+  std::string_view pinned_results;
   std::string_view pinned_digest;
 };
 
@@ -164,7 +180,8 @@ std::vector<Scenario> scenarios() {
   // Healthy network, closed-form overlay.
   out.push_back(
       {"baseline", lane_config(),
-       "c8426152803d4375fcfdfc0b99aebc46bad66a71b99136ee4f25d26cba18db73"});
+       "876835097c162559578d8909b4eb6b94168851083c20c009e7c356231684e873",
+       "a4b55a18e0947c12e33c3a77b90c2ad60d826d65c37b3345c6af7b60b869a7ac"});
   // Message-level overlay: stage 2 runs the real directory exchange on its
   // own per-lane fabric (a second simulator per lane).
   {
@@ -172,17 +189,18 @@ std::vector<Scenario> scenarios() {
     config.message_level_overlay = true;
     out.push_back(
         {"message_overlay", config,
-         "94df7f27ec1655942cb127907efe11a7cb15a8c04870a77292c162e91da53f15"});
+         "cdf54b0c7ba1cdc04b9d514895f3ecc77a3ffd81b7d85e86cc12182ae979d90d",
+         "5456e640e5155cc00a8694bc2fcd0997bb2a57b53b945733ce31b1a8e1a505c0"});
   }
   return out;
 }
 
-/// Runs one scenario serially and checks its outcome digest against the
-/// pinned constant. The constants predate the DES's move to one event kind
-/// (every PBFT message and phase event a plain callback), so these tests
-/// guard that DES against the event stream of every earlier executor;
-/// WorkerCountsAndSerialAgreeBitwise extends the result to lent pools of
-/// every size.
+/// Runs one scenario serially and checks its results and full digests
+/// against the pinned constants. The results digests predate the lanes'
+/// stop at each PBFT decision and held across it; the full digests were
+/// re-pinned once then, because a round's events after its decision no
+/// longer fire. WorkerCountsAndSerialAgreeBitwise extends the result to
+/// lent pools of every size.
 void expect_pinned(std::string_view label) {
   for (const Scenario& s : scenarios()) {
     if (s.label != label) continue;
@@ -195,7 +213,8 @@ void expect_pinned(std::string_view label) {
     }
     EXPECT_GT(committed, 0u) << "degenerate epoch: nothing committed";
     EXPECT_GT(serial.front().events_executed, 0u);
-    EXPECT_EQ(outcome_digest(serial), s.pinned_digest);
+    EXPECT_EQ(outcome_digest(serial, false), s.pinned_results);
+    EXPECT_EQ(outcome_digest(serial, true), s.pinned_digest);
     return;
   }
   ADD_FAILURE() << "no scenario labelled " << label;
@@ -225,6 +244,76 @@ TEST(ElasticoLaneMatrix, WorkerCountsAndSerialAgreeBitwise) {
       }
     }
   }
+}
+
+TEST(ElasticoLaneRound, DecisionMatchesAHandBuiltRoundDrainedToQuiescence) {
+  // run_pbft_round stops its simulator at the decision. The same round
+  // built by hand and drained to quiescence must decide the same, and the
+  // stopped round's events and order digest must be the drained run's at
+  // its decision event.
+  bool drained_past_decision = false;
+  bool changed_view = false;
+  for (const std::size_t n : {4u, 6u, 16u}) {
+    for (const double timeout : {120.0, 1.5}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   ", view-change timeout " + std::to_string(timeout));
+      mvcom::sharding::LaneTask task;
+      task.armed = true;
+      task.num_nodes = 40;
+      task.link_latency_mean = SimTime(1.0);
+      task.pbft.verification_mean = SimTime(0.2);
+      task.pbft.view_change_timeout = SimTime(timeout);
+      task.net_seed = 17 * n + 1;
+      task.cluster_seed = 31 * n + 2;
+      for (std::uint32_t r = 0; r < n; ++r) {
+        task.participants.push_back(2 * r + 1);
+        task.verify_speeds.push_back(0.5 + 0.1 * r);
+      }
+      const SimTime start(7.0);
+      const mvcom::crypto::Digest payload =
+          mvcom::crypto::Sha256::hash("shard-roots");
+
+      mvcom::sim::Simulator sim;
+      mvcom::net::Network network(
+          sim, Rng(task.net_seed),
+          std::make_shared<mvcom::net::LognormalLatency>(SimTime(1.0),
+                                                         SimTime(0.5)),
+          task.num_nodes);
+      mvcom::consensus::PbftCluster cluster(sim, network, task.pbft,
+                                            Rng(task.cluster_seed),
+                                            task.participants);
+      for (std::size_t r = 0; r < n; ++r) {
+        cluster.set_speed_factor(r, task.verify_speeds[r]);
+      }
+      mvcom::consensus::PbftResult decided;
+      std::uint64_t events_at_decision = 0;
+      std::uint64_t digest_at_decision = 0;
+      sim.schedule_at(start, [&] {
+        cluster.start_consensus(
+            payload, [&](const mvcom::consensus::PbftResult& r) {
+              decided = r;
+              events_at_decision = sim.events_executed();
+              digest_at_decision = sim.order_digest();
+            });
+      });
+      sim.run();
+      ASSERT_GT(events_at_decision, 0u);
+
+      const mvcom::sharding::LaneResult round =
+          mvcom::sharding::run_pbft_round(task, start, payload, {});
+      EXPECT_EQ(round.committed, decided.committed);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(round.consensus_latency.seconds()),
+                std::bit_cast<std::uint64_t>(decided.latency.seconds()));
+      EXPECT_EQ(round.view_changes, decided.view_changes);
+      EXPECT_EQ(round.events_executed, events_at_decision);
+      EXPECT_EQ(round.order_digest, digest_at_decision);
+      drained_past_decision |= sim.events_executed() > events_at_decision;
+      changed_view |= decided.view_changes > 0;
+    }
+  }
+  // The grid must exercise what the stop drops, and a view change.
+  EXPECT_TRUE(drained_past_decision);
+  EXPECT_TRUE(changed_view);
 }
 
 TEST(ElasticoLaneMatrix, EveryPopulatedMemberCommitteeCommits) {

@@ -520,8 +520,8 @@ ElasticoConfig pinned_config() {
 
 TEST(FabricDeterminism, PinnedEpochDigestsHoldInEveryMode) {
   constexpr std::uint64_t kPinned[] = {
-      0xfed66d81933086b6ULL, 0x5a75ba89c97ae90cULL, 0x3870b72f4b624da6ULL,
-      0xfa664a74246f1f5cULL};
+      0xd0b3d6476d867d0aULL, 0xedaf7b6be881fe91ULL, 0x2da5ddf56e893960ULL,
+      0xafff963e000f7014ULL};
   constexpr std::size_t kEpochs = std::size(kPinned);
   const Trace trace = pinned_trace();
   const auto expect_pinned = [&](ProcessFabric* fleet,

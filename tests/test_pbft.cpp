@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "crypto/sha256.hpp"
 #include "net/network.hpp"
 #include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -140,6 +142,43 @@ TEST(PbftTest, TracedRoundRecordsOneDeliverSpanPerMessage) {
     }
   }
   EXPECT_EQ(deliver_spans, fx.network.messages_sent());
+}
+
+// Lanes stop their simulator at the decision (sharding::run_pbft_round).
+// That drops only deliveries if a decided instance sends nothing more: the
+// message count at the decision must be the count once the run drains.
+TEST(PbftTest, NothingIsSentAfterTheDecision) {
+  for (const std::size_t n : {4u, 6u, 16u, 32u}) {
+    for (const bool leader_failed : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (leader_failed ? ", view-0 leader failed" : ", healthy"));
+      Fixture fx(n);
+      mvcom::obs::MetricsRegistry registry;
+      fx.cluster->set_obs(mvcom::obs::ObsContext(&registry, nullptr));
+      if (leader_failed) fx.fail(0);
+      const auto sent = [&registry] {
+        double total = 0.0;
+        for (const auto& m : registry.snapshot()) {
+          if (m.name == "mvcom_pbft_messages_total") total += m.value;
+        }
+        return total;
+      };
+      std::size_t decisions = 0;
+      double at_decision = 0.0;
+      fx.cluster->start_consensus(kPayload, [&](const PbftResult& r) {
+        ++decisions;
+        at_decision = sent();
+        EXPECT_TRUE(r.committed);
+        if (leader_failed) {
+          EXPECT_GT(r.view_changes, 0u);
+        }
+      });
+      fx.simulator.run();
+      EXPECT_EQ(decisions, 1u);
+      EXPECT_GT(at_decision, 0.0);
+      EXPECT_EQ(sent(), at_decision);
+    }
+  }
 }
 
 TEST(PbftTest, RejectsMembersOutsideNetwork) {

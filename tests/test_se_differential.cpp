@@ -18,12 +18,13 @@
 //    knapsack walk (core::greedy) bracket the exact optimum on the same
 //    family.
 //
-// One subtlety: the SE solution family maintains cardinalities n ≥ 1, so
-// SE reports the empty selection only when no non-empty one fits (it is
-// feasible at N_min = 0). Its optimum is therefore checked against the
-// reference N'_min = max(N_min, 1), and its feasibility against exhaustive
-// search on the instance itself; the exact-baseline bitwise check runs at
-// N_min = 0 where DP-U is provably optimal.
+// One subtlety: the SE solution family maintains cardinalities n ≥ 1. At
+// N_min = 0, where the empty selection is feasible and scores 0, SE reports
+// it when no non-empty selection fits or the best one scores below 0. Its
+// optimum is therefore checked against the reference N'_min = max(N_min, 1)
+// where that optimum is not negative, and its feasibility against
+// exhaustive search on the instance itself; the exact-baseline bitwise
+// check runs at N_min = 0 where DP-U is provably optimal.
 //
 // The second half is the swap-delta property test: randomized swap
 // sequences composed as incremental deltas must equal the from-scratch
@@ -126,6 +127,7 @@ TEST(SeDifferentialTest, ThousandRandomInstancesAgainstExactBaselines) {
   constexpr std::uint64_t kCases = 1000;
   std::size_t feasible_cases = 0;
   std::size_t infeasible_cases = 0;
+  std::size_t empty_best_cases = 0;
   std::size_t exact_hits = 0;
   std::size_t near_hits = 0;
   double worst_gap = 0.0;
@@ -149,6 +151,13 @@ TEST(SeDifferentialTest, ThousandRandomInstancesAgainstExactBaselines) {
       ++infeasible_cases;
       EXPECT_EQ(se.best, c.n_min == 0 ? Selection(instance.size(), 0)
                                       : Selection{});
+      continue;
+    }
+    if (c.n_min == 0 && truth.utility < 0.0) {
+      // Every non-empty selection scores below the empty one.
+      ++empty_best_cases;
+      EXPECT_EQ(se.best, Selection(instance.size(), 0));
+      EXPECT_EQ(se.utility, 0.0);
       continue;
     }
     ++feasible_cases;
@@ -182,6 +191,7 @@ TEST(SeDifferentialTest, ThousandRandomInstancesAgainstExactBaselines) {
   // exact optimum on the overwhelming majority of these small instances.
   EXPECT_GE(feasible_cases, kCases / 2);
   EXPECT_GE(infeasible_cases, kCases / 20);
+  EXPECT_GT(empty_best_cases, 0u);
   EXPECT_GE(near_hits, feasible_cases * 99 / 100)
       << "within-2% " << near_hits << "/" << feasible_cases;
   EXPECT_GE(exact_hits, feasible_cases * 95 / 100)

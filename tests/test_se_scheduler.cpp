@@ -165,6 +165,53 @@ TEST(SeSchedulerTest, EmptySelectionIsFeasibleAtZeroNmin) {
   }
 }
 
+TEST(SeSchedulerTest, NeverBelowTheEmptySelectionAtZeroNmin) {
+  // Only committee 0 fits Ĉ, and its gain is negative: 1.5·10 − (2000 −
+  // 100) = −1,885. At N_min = 0 the empty selection, scoring 0, beats it.
+  const std::vector<Committee> committees{{0, 10, 100.0}, {1, 1000, 2000.0}};
+  const EpochInstance inst(committees, 1.5, 500, 0);
+  const auto exact = Exhaustive().solve(inst);
+  ASSERT_TRUE(exact.feasible);
+  EXPECT_EQ(exact.best, Selection(2, 0));
+  SeParams params = quick_params(4);
+  params.max_iterations = 500;
+  SeScheduler scheduler(inst, params, 1);
+  const SeResult result = scheduler.run();
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.best, exact.best);
+  EXPECT_EQ(result.utility, 0.0);
+  // At N_min = 1 committee 0 is the only feasible selection.
+  SeScheduler forced(EpochInstance(committees, 1.5, 500, 1), params, 1);
+  const SeResult one = forced.run();
+  ASSERT_TRUE(one.feasible);
+  EXPECT_EQ(one.best, (Selection{1, 0}));
+  EXPECT_EQ(one.utility, -1885.0);
+}
+
+TEST(SeSchedulerTest, NoStepRunsWhenNoAdmissibleCardinalityFits) {
+  // Ĉ 50 lies below every shard; Ĉ 250 fits one or two shards but not the
+  // N_min = 3 that Eq. (3) asks for. Either way no chain of a cardinality
+  // >= max(N_min, 1) is active, so run() takes no step and claims no
+  // convergence; at N_min = 0 it reports the empty selection.
+  const std::vector<Committee> committees{
+      {0, 100, 1.0}, {1, 100, 2.0}, {2, 300, 5.0}};
+  struct Case {
+    std::uint64_t capacity;
+    std::size_t n_min;
+  };
+  for (const Case c : {Case{50, 0}, Case{50, 1}, Case{250, 3}}) {
+    SCOPED_TRACE("capacity " + std::to_string(c.capacity) + ", N_min " +
+                 std::to_string(c.n_min));
+    SeScheduler scheduler(EpochInstance(committees, 1.5, c.capacity, c.n_min),
+                          quick_params(), 1);
+    const SeResult result = scheduler.run();
+    EXPECT_EQ(result.iterations, 0u);
+    EXPECT_TRUE(result.utility_trace.empty());
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.feasible, c.n_min == 0);
+  }
+}
+
 TEST(SeSchedulerTest, ZeroIterationsReportTheChainsAlg2Built) {
   // With no iteration and no warm-start floor, run() still holds the
   // feasible chains the constructor built and reports their best.

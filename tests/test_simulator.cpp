@@ -146,6 +146,86 @@ TEST(SimulatorTest, RunWithLimitStopsEarly) {
   EXPECT_EQ(sim.pending(), 3u);
 }
 
+/// Six events at 0..5 s, each spawning one more 0.5 s later; the event at
+/// `stop_at` s calls stop(). Every firing instant lands in `fired`.
+void load_spawning_events(Simulator& sim, std::vector<double>& fired,
+                          int stop_at) {
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_at(SimTime(static_cast<double>(i)),
+                    [&sim, &fired, i, stop_at] {
+                      fired.push_back(sim.now().seconds());
+                      sim.schedule_after(SimTime(0.5), [&sim, &fired] {
+                        fired.push_back(sim.now().seconds());
+                      });
+                      if (i == stop_at) sim.stop();
+                    });
+  }
+}
+
+TEST(SimulatorTest, StopReturnsAfterTheCallingEventAndASecondRunResumes) {
+  Simulator whole;
+  std::vector<double> whole_fired;
+  load_spawning_events(whole, whole_fired, -1);
+  EXPECT_EQ(whole.run(), 12u);
+
+  Simulator split;
+  std::vector<double> fired;
+  load_spawning_events(split, fired, 2);
+  // 0, 0.5, 1, 1.5 and the stopping event at 2 fire; its spawn at 2.5 and
+  // the roots at 3, 4 and 5 stay queued.
+  EXPECT_EQ(split.run(), 5u);
+  EXPECT_EQ(fired, (std::vector<double>{0.0, 0.5, 1.0, 1.5, 2.0}));
+  EXPECT_DOUBLE_EQ(split.now().seconds(), 2.0);
+  EXPECT_EQ(split.pending(), 4u);
+  EXPECT_EQ(split.events_executed(), 5u);
+
+  EXPECT_EQ(split.run(), 7u);
+  EXPECT_EQ(fired, whole_fired);
+  EXPECT_EQ(split.events_executed(), whole.events_executed());
+  EXPECT_EQ(split.order_digest(), whole.order_digest());
+}
+
+TEST(SimulatorTest, StopOutsideARunDoesNotCutTheNextShort) {
+  Simulator sim;
+  std::vector<double> fired;
+  load_spawning_events(sim, fired, -1);
+  sim.stop();
+  EXPECT_EQ(sim.run(), 12u);
+  // Nor does a stop that ended the previous run carry into the next one.
+  int count = 0;
+  sim.schedule_after(SimTime(1.0), [&] {
+    ++count;
+    sim.stop();
+  });
+  for (int i = 2; i < 5; ++i) {
+    sim.schedule_after(SimTime(static_cast<double>(i)), [&] { ++count; });
+  }
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(count, 4);
+}
+
+TEST(SimulatorTest, RunUntilHonorsStopAndKeepsItsClock) {
+  Simulator sim;
+  std::vector<double> fired;
+  for (double t : {1.0, 2.0, 3.0, 4.0}) {
+    sim.schedule_at(SimTime(t), [&fired, &sim, t] {
+      fired.push_back(t);
+      if (t == 2.0) sim.stop();
+    });
+  }
+  EXPECT_EQ(sim.run_until(SimTime(3.5)), 2u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
+  // A stopped run leaves the clock at the stopping event, so the event at
+  // 3 s, inside the horizon, is still in the future.
+  EXPECT_DOUBLE_EQ(sim.now().seconds(), 2.0);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.run_until(SimTime(3.5)), 1u);
+  EXPECT_DOUBLE_EQ(sim.now().seconds(), 3.5);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+}
+
 TEST(SimulatorTest, RunUntilHonorsHorizon) {
   Simulator sim;
   std::vector<double> fired;

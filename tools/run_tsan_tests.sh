@@ -44,16 +44,25 @@
 # pool both borrow.
 # Per-lane simulators/networks plus the shared obs sinks run concurrently
 # there, so races in the lane substrate surface in this suite. Each lane's
-# Simulator orders its queue by one 128-bit key per event in an array of
-# its own; SimulatorTest.HeapOrderingStressMatchesReferenceSort (bursts and
-# interleaved cancels), .NegativeZeroFiresAsPositiveZeroInScheduleOrder and
-# .ExtremeInstantsFireInValueOrder pin that order single-threaded. The
-# fabric tests (FabricDeterminism) fork their workers with no pool alive;
-# FabricDeterminism.WorkerCountsOnlyWhenAsked runs the worker loop in the
-# test process over a channel pair, with and without its registry.
-# Filter to the simulator, the lanes, the fabric, the pool, SE and the
-# pipeline with
-#   tools/run_tsan_tests.sh -R 'Simulator|ElasticoLane|SimKernelsDifferential|Fabric|ThreadPool|SeParallel|Pipeline'
+# PBFT round stops its own simulator at the decision (Simulator::stop(), a
+# flag of that simulator alone; no thread shares one), and the messages
+# still queued are destroyed with the lane. ElasticoLaneRound.* checks a
+# stopped round against one drained to quiescence, and
+# PbftTest.NothingIsSentAfterTheDecision that a decided round sends nothing.
+# Each lane's Simulator orders its queue by one 128-bit key per event in an
+# array of its own; SimulatorTest.HeapOrderingStressMatchesReferenceSort
+# (bursts and interleaved cancels),
+# .NegativeZeroFiresAsPositiveZeroInScheduleOrder,
+# .ExtremeInstantsFireInValueOrder and the .Stop* / .RunUntilHonorsStop*
+# cases pin that order and the stop single-threaded. Stage 1 takes each
+# node's committee from one PowPrefix per epoch (PowTest.PrefixMatches*).
+# The fabric tests (FabricDeterminism) fork their workers with no pool
+# alive; FabricDeterminism.WorkerCountsOnlyWhenAsked runs the worker loop
+# in the test process over a channel pair, with and without its registry.
+# Filter to the simulator, the lanes, PBFT, PoW and the fabric with
+#   tools/run_tsan_tests.sh -R 'Simulator|ElasticoLane|SimKernelsDifferential|Fabric|Pbft|Pow'
+# and add 'ThreadPool|SeParallel|Pipeline' for the pool, SE and the
+# pipeline.
 #
 # Usage: tools/run_tsan_tests.sh [extra ctest args…]
 set -euo pipefail

@@ -1,11 +1,11 @@
 // Online scheduler walkthrough — the full Fig. 5 interaction loop driven by
 // the discrete-event simulator: member committees finish at their two-phase
 // latencies and their submissions *arrive as events*; the final committee's
-// EpochSupervisor admits them into the wrapped OnlineCommitteeScheduler,
-// which bootstraps once scheduling becomes worthwhile (Alg. 1 line 1),
-// explores between arrivals, absorbs a mid-epoch failure and stops
-// listening at N_max (line 29). The supervisor's ladder issues the final
-// decision, the same path `mvcom chaos` runs.
+// EpochSupervisor runs Alg. 1 over them: it admits each verified report,
+// bootstraps SE once scheduling becomes worthwhile (line 1), explores
+// between arrivals, absorbs a mid-epoch failure and its rejoin, and stops
+// listening at N_max (line 29). Its ladder issues the final decision, the
+// same path `mvcom chaos` runs.
 //
 // Run: ./build/examples/online_scheduler
 
@@ -85,10 +85,10 @@ int main() {
 
   const auto supervised = supervisor.decide();
   const auto& decision = supervised.decision;
-  const auto& scheduler = supervisor.scheduler();
   std::printf("\narrived %zu committees; bootstrapped=%s; listening=%s\n",
-              scheduler.arrived(), scheduler.bootstrapped() ? "yes" : "no",
-              scheduler.listening() ? "yes" : "no");
+              supervisor.reports().size(),
+              supervisor.bootstrapped() ? "yes" : "no",
+              supervisor.listening() ? "yes" : "no");
   if (!decision.feasible) {
     std::printf("no feasible selection (%s)\n",
                 mvcom::core::to_string(supervised.reason));

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -191,6 +193,8 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     net::NodeId node = 0;
     bool member = false;  // currently part of the membership
     bool left = false;    // departed for good (kLeave)
+    /// End of the last crash window on the node (+∞: down for good).
+    double down_until = 0.0;
   };
   std::vector<MemberState> members(total_members);
   std::vector<std::size_t> live_order;  // membership in join order
@@ -273,7 +277,12 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
 
   // Fault injection. Each event fires as one sim event at its at_seconds;
   // the victim is resolved then (against the live membership), the trace
-  // instant emitted, and the kind's action applied.
+  // instant emitted, and the kind's action applied. Overlapping windows act
+  // as their union: a node comes back up only when its last crash window
+  // ends, and the loss probability is the largest active burst's until the
+  // last burst ends.
+  constexpr double kForever = std::numeric_limits<double>::infinity();
+  std::multiset<double> active_loss;  // magnitudes of the bursts under way
   const auto fire = [&](const FaultEvent& event) {
     // kJoin addresses the reserve pool, everything victimful the live set.
     std::size_t i = members.size();
@@ -304,18 +313,22 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     }
     switch (event.kind) {
       case FaultKind::kCrash:
+        members[i].down_until = kForever;
         network.set_failed(members[i].node, true);
         break;
-      case FaultKind::kCrashRecover:
+      case FaultKind::kCrashRecover: {
+        const common::SimTime end =
+            simulator.now() + common::SimTime(event.duration_seconds);
+        members[i].down_until =
+            std::max(members[i].down_until, end.seconds());
         network.set_failed(members[i].node, true);
-        simulator.schedule_after(common::SimTime(event.duration_seconds),
-                                 [&network, &members, i] {
-                                   if (!members[i].left) {
-                                     network.set_failed(members[i].node,
-                                                        false);
-                                   }
-                                 });
+        simulator.schedule_at(end, [&network, &members, i, end] {
+          if (members[i].down_until <= end.seconds()) {
+            network.set_failed(members[i].node, false);
+          }
+        });
         break;
+      }
       case FaultKind::kStragglerDelay:
         network.set_delay_factor(members[i].node, event.magnitude);
         if (!members[i].pending.delivered) {
@@ -376,15 +389,21 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
         members[i].left = true;
         live_order.erase(
             std::find(live_order.begin(), live_order.end(), i));
+        members[i].down_until = kForever;
         network.set_failed(members[i].node, true);
         members[i].pending.delivered = true;  // never sends
         ++report.leaves;
         break;
       case FaultKind::kMessageLossBurst:
-        network.set_loss_probability(event.magnitude);
+        active_loss.insert(event.magnitude);
+        network.set_loss_probability(*active_loss.rbegin());
         simulator.schedule_after(
             common::SimTime(event.duration_seconds),
-            [&network] { network.set_loss_probability(0.0); });
+            [&network, &active_loss, magnitude = event.magnitude] {
+              active_loss.erase(active_loss.find(magnitude));
+              network.set_loss_probability(
+                  active_loss.empty() ? 0.0 : *active_loss.rbegin());
+            });
         break;
     }
   };
@@ -403,9 +422,9 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
     point.utility = d.decision.utility;
     report.timeline.push_back(point);
     if (!d.decision.feasible &&
-        n_min_witness(supervisor.scheduler().reports(),
+        n_min_witness(supervisor.reports(),
                       config.supervisor.scheduler.capacity,
-                      supervisor.scheduler().n_min())) {
+                      supervisor.n_min())) {
       report.infeasible_while_feasible = true;
     }
   };
@@ -444,9 +463,9 @@ ChaosReport run_chaos_epoch(const std::vector<ChaosCommittee>& committees,
   report.banned_ids = supervisor.banned_ids();
   report.failures_detected = supervisor.failures_detected();
   report.recoveries_detected = supervisor.recoveries_detected();
-  report.final_reports = supervisor.scheduler().reports();
+  report.final_reports = supervisor.reports();
   report.resizes = supervisor.resizes();
-  report.effective_n_min = supervisor.scheduler().n_min();
+  report.effective_n_min = supervisor.n_min();
   report.risk_score = supervisor.risk_score();
   report.carry_out = supervisor.export_carry();
   return report;

@@ -29,11 +29,13 @@ namespace mvcom::core {
 
 enum class FaultKind {
   kCrash,            // node fails at `at` and stays down
-  kCrashRecover,     // node fails at `at`, recovers after `duration`
+  kCrashRecover,     // node fails at `at`, recovers after `duration` unless
+                     // a crash, a leave or a longer window holds it down
   kStragglerDelay,   // node slows by ×magnitude; pending submission +duration
   kMisreport,        // claimed s_i inflated ×magnitude (commitment unchanged)
   kEquivocate,       // second, verification-passing submission, different s_i
-  kMessageLossBurst, // loss probability = magnitude for `duration`
+  kMessageLossBurst, // loss probability = magnitude for `duration`; while
+                     // bursts overlap, the largest active magnitude
   kForgeSubmission,  // verification-PASSING inflated submission: before the
                      // honest report is sent it is replaced outright (the lie
                      // is the only submission and admission cannot catch it);

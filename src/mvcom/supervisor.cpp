@@ -1,7 +1,10 @@
 #include "mvcom/supervisor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -11,6 +14,8 @@ namespace mvcom::core {
 namespace {
 
 constexpr double kBoundSlack = 1e-9;  // float noise in the Theorem-2 check
+/// SE iterations run opportunistically after every admission or eviction.
+constexpr std::size_t kIterationsPerEvent = 50;
 constexpr double kStrikeWeight = 1.0;   // risk per strike
 constexpr double kFailureWeight = 0.5;  // risk per detector-declared failure
 /// Cross-epoch decay applied to the risk score when exporting carry.
@@ -84,10 +89,37 @@ const char* to_string(InfeasibleReason reason) noexcept {
 }
 
 EpochSupervisor::EpochSupervisor(SupervisorConfig config, std::uint64_t seed)
-    : config_(config),
-      scheduler_(config.scheduler, seed),
-      rng_(seed ^ 0x5eb0a9d5u),
-      base_n_min_(scheduler_.n_min()) {
+    : config_(config), seed_(seed), rng_(seed ^ 0x5eb0a9d5u) {
+  const OnlineSchedulerConfig& c = config_.scheduler;
+  if (c.capacity == 0) {
+    throw std::invalid_argument("EpochSupervisor: capacity > 0");
+  }
+  if (c.expected_committees == 0) {
+    throw std::invalid_argument("EpochSupervisor: expected_committees > 0");
+  }
+  if (!(c.n_min_fraction >= 0.0 && c.n_min_fraction <= 1.0 &&
+        c.n_max_fraction > 0.0 && c.n_max_fraction <= 1.0)) {
+    throw std::invalid_argument("EpochSupervisor: fractions in [0,1]");
+  }
+  const auto expected = static_cast<double>(c.expected_committees);
+  // Eq. (3) demands Σ x_i ≥ N_min with N_min a fraction of |I|; a selection
+  // cannot include half a committee, so the fractional target rounds UP:
+  // N_min = ⌈fraction·|I|⌉. (Truncating instead would let e.g. 0.5 of 5
+  // expected committees pass with only 2 permitted — below the 50% floor the
+  // paper's §VI-A parameterization intends.)
+  n_min_ = static_cast<std::size_t>(std::ceil(c.n_min_fraction * expected));
+  n_max_count_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(c.n_max_fraction * expected)));
+  // Bootstrap (Alg. 1 line 1) requires strictly more than N_min arrivals,
+  // and listening stops for good once N_max arrive (line 29) — so N_min must
+  // fall strictly below the N_max cutoff or try_bootstrap is unreachable
+  // (e.g. n_min_fraction = 1.0 could otherwise never start exploring).
+  if (n_min_ >= n_max_count_) {
+    throw std::invalid_argument(
+        "EpochSupervisor: ceil(n_min_fraction*expected) must be < the N_max "
+        "listening cutoff, or bootstrap can never trigger");
+  }
+  base_n_min_ = n_min_;
   if (config_.risk.enabled && !(config_.risk.escalation_step > 0.0)) {
     throw std::invalid_argument("EpochSupervisor: bad risk-policy parameters");
   }
@@ -104,6 +136,10 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
   obs_probe_ok_ = nullptr;
   obs_probe_missed_ = nullptr;
   obs_ping_rtt_ = nullptr;
+  obs_reports_accepted_ = nullptr;
+  obs_reports_refused_ = nullptr;
+  obs_evictions_ = nullptr;
+  obs_rejoins_ = nullptr;
   if (obs::MetricsRegistry* m = obs_.metrics()) {
     constexpr std::array<Admission, 6> kAdmissions = {
         Admission::kAdmitted,  Admission::kReadmitted,
@@ -141,8 +177,20 @@ void EpochSupervisor::set_obs(obs::ObsContext obs) {
     obs_ping_rtt_ = &m->histogram(
         "mvcom_supervisor_ping_rtt_seconds",
         "Sampled heartbeat round-trip times (answered probes only)");
+    obs_reports_accepted_ =
+        &m->counter("mvcom_online_reports_total",
+                    "Shard reports handled by the online scheduler",
+                    {{"result", "accepted"}});
+    obs_reports_refused_ =
+        &m->counter("mvcom_online_reports_total",
+                    "Shard reports handled by the online scheduler",
+                    {{"result", "refused"}});
+    obs_evictions_ = &m->counter("mvcom_online_failures_total",
+                                 "Committee failures applied (leave events)");
+    obs_rejoins_ = &m->counter("mvcom_online_recoveries_total",
+                               "Committee recoveries re-admitted");
   }
-  scheduler_.set_obs(obs_);
+  if (se_) se_->set_obs(obs_);
 }
 
 Admission EpochSupervisor::on_submission(
@@ -193,15 +241,9 @@ Admission EpochSupervisor::admit_submission(
     return h.banned ? Admission::kBanned : Admission::kQuarantined;
   }
 
-  // An evicted report re-enters through the scheduler's recovery door, not
-  // the N_max-gated report door.
-  const bool evicted = scheduler_.awaits_recovery(submission.committee_id);
-  const bool was_evicted = h.quarantined || h.failed || evicted;
-  const bool accepted = evicted ? scheduler_.on_recovery(report)
-                                : scheduler_.on_report(report);
-  if (!accepted) return Admission::kRefused;
+  const bool was_evicted = h.quarantined || h.failed || h.evicted;
+  if (!admit(report, h)) return Admission::kRefused;
 
-  h.admitted = true;
   h.quarantined = false;
   h.failed = false;
   h.missed_pings = 0;
@@ -210,6 +252,71 @@ Admission EpochSupervisor::admit_submission(
   // A new live report can unlock a previously clamped N_min boost.
   update_risk_policy();
   return was_evicted ? Admission::kReadmitted : Admission::kAdmitted;
+}
+
+bool EpochSupervisor::admit(const txn::ShardReport& report,
+                            CommitteeHealth& health) {
+  // A report whose s_i would wrap the 64-bit Σ s bookkeeping is refused
+  // (EpochInstance construction rejects such sets outright; an adversarial
+  // committee must not be able to crash the listening loop).
+  if ((!listening_ && !health.evicted) ||
+      report.tx_count >
+          std::numeric_limits<std::uint64_t>::max() - total_txs_) {
+    if (obs_reports_refused_ != nullptr) obs_reports_refused_->inc();
+    return false;
+  }
+  reports_.push_back(report);
+  total_txs_ += report.tx_count;
+  if (obs_reports_accepted_ != nullptr) obs_reports_accepted_->inc();
+  if (se_) {
+    se_->add_committee(
+        {report.committee_id, report.tx_count, report.two_phase_latency()});
+  } else {
+    try_bootstrap();
+  }
+  explore(kIterationsPerEvent);
+  // Alg. 1 line 29: stop listening once N_max of the members arrived.
+  if (reports_.size() >= n_max_count_) listening_ = false;
+  if (health.evicted && obs_rejoins_ != nullptr) obs_rejoins_->inc();
+  health.admitted = true;
+  health.evicted = false;
+  return true;
+}
+
+void EpochSupervisor::try_bootstrap() {
+  if (reports_.size() <= n_min_) return;
+  if (total_txs_ <= config_.scheduler.capacity) return;  // capacity slack
+  se_.emplace(EpochInstance::from_reports(reports_, config_.scheduler.alpha,
+                                          config_.scheduler.capacity, n_min_),
+              config_.scheduler.se, seed_);
+  se_->set_obs(obs_);
+  if (auto* t = obs_.trace()) {
+    t->instant("epoch", "epoch/bootstrap",
+               {{"committees", static_cast<double>(reports_.size())},
+                {"total_txs", static_cast<double>(total_txs_)}});
+  }
+}
+
+void EpochSupervisor::evict(std::uint32_t committee_id,
+                            CommitteeHealth& health) {
+  const auto it = std::find_if(
+      reports_.begin(), reports_.end(), [&](const txn::ShardReport& r) {
+        return r.committee_id == committee_id;
+      });
+  assert(it != reports_.end());  // admitted ⇔ live
+  total_txs_ -= it->tx_count;
+  reports_.erase(it);
+  health.admitted = false;
+  health.evicted = true;
+  if (obs_evictions_ != nullptr) obs_evictions_->inc();
+  if (se_) {
+    if (reports_.empty()) {
+      se_.reset();  // nothing left to schedule over
+    } else {
+      se_->remove_committee(committee_id);
+      explore(kIterationsPerEvent);
+    }
+  }
 }
 
 void EpochSupervisor::strike(std::uint32_t committee_id,
@@ -228,11 +335,8 @@ void EpochSupervisor::strike(std::uint32_t committee_id,
                 {"strikes", static_cast<double>(health.strikes)},
                 {"banned", health.banned ? 1.0 : 0.0}});
   }
-  if (health.admitted) {
-    // Its previously admitted report can no longer be trusted either.
-    scheduler_.on_failure(committee_id);
-    health.admitted = false;
-  }
+  // Its previously admitted report can no longer be trusted either.
+  if (health.admitted) evict(committee_id, health);
   update_risk_policy();
 }
 
@@ -248,8 +352,7 @@ void EpochSupervisor::on_failure(std::uint32_t committee_id) {
   record.sim_time_seconds = now_seconds();
   record.utility_before = best_ladder_utility();
 
-  scheduler_.on_failure(committee_id);
-  h.admitted = false;
+  evict(committee_id, h);
 
   // Theorem 2 at runtime: the stationary-utility perturbation caused by the
   // trim is bounded by max_{g∈G} U_g. The ladder's best answer on the
@@ -285,15 +388,11 @@ bool EpochSupervisor::on_recovery(std::uint32_t committee_id) {
                {{"committee_id", static_cast<double>(committee_id)}});
   }
   if (h.banned || h.quarantined) return false;  // alive, but not trusted
-  const auto report_it = last_verified_.find(committee_id);
-  if (report_it == last_verified_.end()) return false;  // never submitted
-  // Refused unless the scheduler evicted this id's report.
-  const bool accepted = scheduler_.on_recovery(report_it->second);
-  if (accepted) {
-    h.admitted = true;
-    update_risk_policy();
-  }
-  return accepted;
+  // Only an evicted report rejoins: a committee that never went live has
+  // nothing to re-admit.
+  if (!h.evicted || !admit(last_verified_.at(committee_id), h)) return false;
+  update_risk_policy();
+  return true;
 }
 
 double EpochSupervisor::risk_score() const noexcept {
@@ -305,8 +404,8 @@ double EpochSupervisor::risk_score() const noexcept {
 bool EpochSupervisor::ban_preserves_liveness() const noexcept {
   // Risk-adaptive supervisors only (the static path keeps the paper's
   // unconditional ban on budget exhaustion).
-  // Bans are free while the unbanned membership still reaches N_max: the
-  // scheduler stops listening at N_max reports, so excluding a member
+  // Bans are free while the unbanned membership still reaches N_max:
+  // listening stops at N_max reports, so excluding a member
   // beyond that line costs no throughput this epoch or the next. Below the
   // line every ban shrinks the usable membership toward infeasibility —
   // an attacker spreading offenses across the membership would be trading
@@ -317,7 +416,7 @@ bool EpochSupervisor::ban_preserves_liveness() const noexcept {
     (void)id;
     if (!h.banned) ++unbanned;
   }
-  return unbanned > scheduler_.n_max_count();
+  return unbanned > n_max_count_;
 }
 
 int EpochSupervisor::effective_max_strikes() const noexcept {
@@ -337,22 +436,21 @@ void EpochSupervisor::update_risk_policy() {
   std::size_t boost = std::min<std::size_t>(
       config_.risk.boost_cap,
       static_cast<std::size_t>(risk / config_.risk.escalation_step));
-  // Clamp 1 — bootstrap reachability: the online scheduler only starts
-  // exploring once strictly more than N_min reports arrived, and arrivals
-  // stop at N_max; a boost that pushed N_min to N_max would wedge it.
-  const std::size_t n_max = scheduler_.n_max_count();
-  while (boost > 0 && base_n_min_ + boost >= n_max) --boost;
+  // Clamp 1 — bootstrap reachability: SE only starts exploring once
+  // strictly more than N_min reports arrived, and arrivals stop at N_max; a
+  // boost that pushed N_min to N_max would wedge it.
+  while (boost > 0 && base_n_min_ + boost >= n_max_count_) --boost;
   // Clamp 2 — feasibility: never raise N_min past what the live reports can
   // satisfy (Eq. (3)+(4)). The defense must not manufacture an infeasible
   // epoch that the static supervisor would have solved.
-  while (boost > 0 && !n_min_witness(scheduler_.reports(),
-                                     config_.scheduler.capacity,
+  while (boost > 0 && !n_min_witness(reports_, config_.scheduler.capacity,
                                      base_n_min_ + boost)) {
     --boost;
   }
   const std::size_t target = base_n_min_ + boost;
-  const std::size_t before = scheduler_.n_min();
+  const std::size_t before = n_min_;
   if (target == before) return;
+  assert(target < n_max_count_);  // clamp 1
 
   ResizeRecord record;
   record.sim_time_seconds = now_seconds();
@@ -360,7 +458,8 @@ void EpochSupervisor::update_risk_policy() {
   record.n_min_after = target;
   record.risk_score = risk;
   record.utility_before = best_ladder_utility();
-  if (!scheduler_.set_n_min(target)) return;  // refused; nothing changed
+  n_min_ = target;
+  if (se_) se_->set_n_min(target);  // SE rebinds, keeping its family
   record.utility_after = best_ladder_utility();
   // Theorem 2 extended to adaptive resizing: changing N_min swaps the
   // feasible space for a subset/superset; the stationary-optimum shift is
@@ -408,7 +507,7 @@ SupervisorCarry EpochSupervisor::export_carry() const {
 }
 
 void EpochSupervisor::explore(std::size_t iterations) {
-  scheduler_.explore(iterations);
+  if (se_) se_->advance(iterations);
 }
 
 void EpochSupervisor::attach_monitor(sim::Simulator& simulator,
@@ -528,17 +627,15 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
     out.theorem2_respected = out.theorem2_respected && record.within_bound;
   }
 
-  const std::vector<txn::ShardReport>& reports = scheduler_.reports();
-  if (reports.empty()) {
+  if (reports_.empty()) {
     out.reason = InfeasibleReason::kNoLiveCommittees;
     return out;
   }
   const EpochInstance instance = EpochInstance::from_reports(
-      reports, config_.scheduler.alpha, config_.scheduler.capacity,
-      scheduler_.n_min());
+      reports_, config_.scheduler.alpha, config_.scheduler.capacity, n_min_);
 
   // SE best: the converged stochastic-exploration answer.
-  const Selection se_selection = scheduler_.aligned_se_selection();
+  const Selection se_selection = aligned_se_selection();
   if (!se_selection.empty() && instance.feasible(se_selection)) {
     fill_decision(out, instance, se_selection, DecisionTier::kSeBest);
     return out;
@@ -556,7 +653,7 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
                   DecisionTier::kGreedyScratch);
     return out;
   }
-  if (const auto witness = n_min_witness(reports, instance.capacity(),
+  if (const auto witness = n_min_witness(reports_, instance.capacity(),
                                          instance.n_min())) {
     fill_decision(out, instance, *witness, DecisionTier::kGreedyScratch);
     return out;
@@ -564,10 +661,29 @@ SupervisedDecision EpochSupervisor::run_ladder() const {
 
   // Genuinely infeasible; say why.
   out.tier = DecisionTier::kInfeasible;
-  out.reason = reports.size() < scheduler_.n_min()
+  out.reason = reports_.size() < n_min_
                    ? InfeasibleReason::kNminUnreachable
                    : InfeasibleReason::kCapacityInsufficient;
   return out;
+}
+
+Selection EpochSupervisor::aligned_se_selection() const {
+  if (!se_) return {};
+  Selection best = se_->current_selection();
+  // SE's instance matches reports_ (admit and evict keep them in lock-step);
+  // guard regardless. A size-only comparison cannot see id misalignment —
+  // after interleaved failures and rejoins the two sets could hold the same
+  // COUNT of committees in different order or membership, and selection
+  // bits would silently apply to the wrong committees. Compare ids
+  // element-wise.
+  const auto& committees = se_->instance().committees();
+  if (best.size() != reports_.size() || committees.size() != reports_.size()) {
+    return {};
+  }
+  for (std::size_t i = 0; i < reports_.size(); ++i) {
+    if (committees[i].id != reports_[i].committee_id) return {};
+  }
+  return best;
 }
 
 std::optional<CommitteeHealth> EpochSupervisor::health(

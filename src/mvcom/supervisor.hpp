@@ -1,10 +1,22 @@
 #pragma once
-// EpochSupervisor — the fault-tolerant deployment layer around
-// OnlineCommitteeScheduler. The paper's deployment story (§V, Fig. 5–7,
-// Theorem 2) is about surviving committee failures, stragglers, and rational
-// misreporting; the bare scheduler trusts every claimed s_i and relies on
-// callers to detect failures. The supervisor adds the three missing
-// robustness subsystems:
+// EpochSupervisor — the final committee's deployment loop for one epoch:
+// Alg. 1 as Fig. 5/6 run it, inside §V's failure detector and Theorem 2's
+// bound. Committee reports arrive as their committees finish; the loop
+// bootstraps SE once scheduling becomes worthwhile (line 1: more than N_min
+// arrivals AND Σ s_i > Ĉ), explores between events, handles leaves and
+// rejoins (lines 8–12), and stops listening once N_max of the expected
+// member committees have arrived (line 29). One object owns the epoch's
+// committee state: the live reports (in arrival order, index-aligned with
+// SE's instance), Σ s_i, N_min, the N_max cutoff, SE itself, and each
+// committee's CommitteeHealth.
+//
+// Per epoch: construct one supervisor, pass it each arriving submission
+// (on_submission), let the heartbeat monitor or the caller declare failures
+// and recoveries, call explore() between events, and take decide() at the
+// DDL.
+//
+// Alg. 1 alone trusts every claimed s_i and relies on callers to detect
+// failures. The supervisor adds three robustness subsystems:
 //
 //  1. Verified admission — committees submit a sharding::ShardSubmission
 //     whose Merkle root binds per-block transaction counts. Submissions are
@@ -26,7 +38,7 @@
 //
 //  3. Graceful-degradation decide() — a documented fallback ladder so the
 //     epoch always produces the best answer available at the DDL:
-//       se-best         converged/bootstrapped SE selection (always
+//       se-best         the SE incumbent, aligned_se_selection() (always
 //                       feasible when non-empty: SE only keeps chains
 //                       within Ĉ and at or above N_min)
 //       greedy-scratch  density greedy over the live set, with a
@@ -49,7 +61,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "mvcom/online.hpp"
+#include "mvcom/problem.hpp"
+#include "mvcom/se_scheduler.hpp"
 #include "net/network.hpp"
 #include "sharding/verification.hpp"
 #include "sim/simulator.hpp"
@@ -67,7 +80,7 @@ enum class Admission {
   kQuarantined,   // verification failed or equivocation detected; struck
   kBanned,        // strike budget exhausted this epoch; dropped outright
   kDuplicate,     // identical re-submission from a live committee; ignored
-  kRefused,       // wrapped scheduler refused (listening stopped at N_max)
+  kRefused,       // listening stopped at N_max, or Σ s_i would wrap
 };
 [[nodiscard]] const char* to_string(Admission admission) noexcept;
 
@@ -163,6 +176,9 @@ struct FailureRecord {
 /// Per-committee robustness state.
 struct CommitteeHealth {
   bool admitted = false;      // currently contributing to the instance
+  /// Its live report was removed (failure or strike) and has not re-entered
+  /// since: it may rejoin past the N_max cutoff (§VI-D, Fig. 9(a)).
+  bool evicted = false;
   bool quarantined = false;   // last submission struck; awaiting honesty
   bool banned = false;        // strikes exhausted; refused for the epoch
   bool failed = false;        // declared failed (detector or caller)
@@ -170,6 +186,23 @@ struct CommitteeHealth {
   int missed_pings = 0;
   std::uint64_t verified_txs = 0;  // s_i of the last verified submission
   double ping_interval_seconds = 0.0;  // current (possibly backed-off)
+};
+
+/// Alg. 1's parameters for one epoch.
+struct OnlineSchedulerConfig {
+  double alpha = 1.5;
+  std::uint64_t capacity = 0;     // Ĉ — required, > 0
+  /// Number of member committees in the epoch; N_min/N_max fractions apply
+  /// to this count (paper §VI-A: N_min = 50%·|I|, N_max = 80%). Both round
+  /// UP: N_min = ⌈n_min_fraction·expected⌉ (Eq. (3) is a lower bound on a
+  /// committee count, so fractional targets cannot truncate down), and the
+  /// pair must satisfy N_min < ⌈n_max_fraction·expected⌉ — bootstrap needs
+  /// strictly more than N_min arrivals before listening stops at N_max
+  /// (validated at construction).
+  std::size_t expected_committees = 0;
+  double n_min_fraction = 0.5;
+  double n_max_fraction = 0.8;
+  SeParams se{};
 };
 
 /// The strike budget and the heartbeat monitor's timing are constants in
@@ -203,10 +236,13 @@ struct SupervisedDecision {
 
 class EpochSupervisor {
  public:
+  /// Throws std::invalid_argument on a zero capacity or expected count, a
+  /// fraction outside [0, 1] (NaN too), an N_min at or above the N_max
+  /// cutoff, or an enabled risk policy with a non-positive step.
   EpochSupervisor(SupervisorConfig config, std::uint64_t seed);
 
   /// Verified admission: checks the count-binding Merkle commitment, then
-  /// feeds the *verified* s_i (never the raw claim) to the scheduler.
+  /// admits the *verified* s_i (never the raw claim) to the live reports.
   Admission on_submission(const sharding::ShardSubmission& submission,
                           double formation_latency, double consensus_latency);
 
@@ -220,7 +256,8 @@ class EpochSupervisor {
   /// re-entered the instance.
   bool on_recovery(std::uint32_t committee_id);
 
-  /// Opportunistic SE exploration (delegates to the wrapped scheduler).
+  /// Runs `iterations` SE iterations once SE has bootstrapped. SE gets no
+  /// pool: its Γ explorers step serially on the calling thread.
   void explore(std::size_t iterations);
 
   /// Attaches the heartbeat monitor: `observer` is the final committee's
@@ -237,8 +274,8 @@ class EpochSupervisor {
   /// only the DDL (attached observability instruments do record each call).
   [[nodiscard]] SupervisedDecision decide() const;
 
-  /// Attaches observability; propagated into the wrapped online scheduler
-  /// (and through it, the SE scheduler).
+  /// Attaches observability, to SE too (including one a later bootstrap
+  /// creates).
   void set_obs(obs::ObsContext obs);
 
   /// Adopts cross-epoch supervision state (call before any submission):
@@ -251,9 +288,25 @@ class EpochSupervisor {
   [[nodiscard]] SupervisorCarry export_carry() const;
 
   // -- Introspection -------------------------------------------------------
-  [[nodiscard]] const OnlineCommitteeScheduler& scheduler() const noexcept {
-    return scheduler_;
+  /// The live reports backing decisions, in arrival order.
+  [[nodiscard]] const std::vector<txn::ShardReport>& reports() const noexcept {
+    return reports_;
   }
+  /// Eq. (3)'s floor in force (the static N_min plus any risk boost).
+  [[nodiscard]] std::size_t n_min() const noexcept { return n_min_; }
+  /// The N_max listening cutoff: arrivals stop once this many are live.
+  [[nodiscard]] std::size_t n_max_count() const noexcept {
+    return n_max_count_;
+  }
+  /// Alg. 1 line 1: has exploration started?
+  [[nodiscard]] bool bootstrapped() const noexcept { return se_.has_value(); }
+  /// Alg. 1 line 29: does the report door still accept new committees?
+  [[nodiscard]] bool listening() const noexcept { return listening_; }
+  /// SE's current best selection, index-aligned with reports(): the ladder's
+  /// se-best rung. Empty before bootstrap, when SE holds no feasible
+  /// selection, or when SE's committees do not match the live reports id
+  /// for id.
+  [[nodiscard]] Selection aligned_se_selection() const;
   [[nodiscard]] std::optional<CommitteeHealth> health(
       std::uint32_t committee_id) const;
   [[nodiscard]] const std::vector<FailureRecord>& failures() const noexcept {
@@ -282,6 +335,18 @@ class EpochSupervisor {
   Admission admit_submission(const sharding::ShardSubmission& submission,
                              double formation_latency,
                              double consensus_latency);
+  /// Alg. 1's report door: appends a verified report to the live set, feeds
+  /// or bootstraps SE, stops listening at N_max, and marks `health`
+  /// admitted. Refused when Σ s_i would wrap, or when listening stopped and
+  /// `health` is not evicted (an evicted report rejoins past N_max: its
+  /// committee was already counted among the arrived, §VI-D).
+  bool admit(const txn::ShardReport& report, CommitteeHealth& health);
+  /// Alg. 1 line 1: starts SE once more than N_min reports are live and
+  /// their Σ s_i exceeds Ĉ.
+  void try_bootstrap();
+  /// Removes an admitted committee's live report (a failure or a strike)
+  /// and marks `health` evicted.
+  void evict(std::uint32_t committee_id, CommitteeHealth& health);
   /// One verification failure or equivocation: increments the strike count,
   /// quarantines, evicts a live report, bans past the strike budget.
   void strike(std::uint32_t committee_id, CommitteeHealth& health);
@@ -303,9 +368,15 @@ class EpochSupervisor {
   void update_risk_policy();
 
   SupervisorConfig config_;
-  OnlineCommitteeScheduler scheduler_;
+  std::uint64_t seed_;  // SE's seed
   common::Rng rng_;  // models probe loss under Network::loss_probability
   std::size_t base_n_min_ = 0;     // the static N_min the boost raises from
+  std::size_t n_min_ = 0;
+  std::size_t n_max_count_ = 0;
+  bool listening_ = true;
+  std::vector<txn::ShardReport> reports_;  // one per admitted committee
+  std::uint64_t total_txs_ = 0;            // Σ tx_count over reports_
+  std::optional<SeScheduler> se_;          // engaged from bootstrap on
   std::uint64_t strikes_total_ = 0;
   double risk_carry_ = 0.0;        // adopted (decayed) prior-epoch risk
   std::vector<ResizeRecord> resizes_;
@@ -331,6 +402,10 @@ class EpochSupervisor {
   obs::Counter* obs_probe_ok_ = nullptr;
   obs::Counter* obs_probe_missed_ = nullptr;
   obs::LogHistogram* obs_ping_rtt_ = nullptr;
+  obs::Counter* obs_reports_accepted_ = nullptr;
+  obs::Counter* obs_reports_refused_ = nullptr;
+  obs::Counter* obs_evictions_ = nullptr;
+  obs::Counter* obs_rejoins_ = nullptr;
 };
 
 }  // namespace mvcom::core

@@ -1,5 +1,7 @@
 #include "sharding/verification.hpp"
 
+#include <limits>
+
 namespace mvcom::sharding {
 
 crypto::Digest ShardEntry::leaf() const {
@@ -47,7 +49,14 @@ std::optional<SubmissionError> verify_submission(
     return SubmissionError::kRootMismatch;
   }
   std::uint64_t total = 0;
-  for (const ShardEntry& e : submission.entries) total += e.tx_count;
+  for (const ShardEntry& e : submission.entries) {
+    // Counts summing past 2^64 − 1 would wrap to a small claim; no real
+    // shard holds that many TXs.
+    if (e.tx_count > std::numeric_limits<std::uint64_t>::max() - total) {
+      return SubmissionError::kCountMismatch;
+    }
+    total += e.tx_count;
+  }
   if (total != submission.claimed_tx_count) {
     return SubmissionError::kCountMismatch;
   }

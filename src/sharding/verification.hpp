@@ -46,7 +46,8 @@ enum class SubmissionError {
 [[nodiscard]] ShardSubmission build_submission(
     std::uint32_t committee_id, std::vector<ShardEntry> entries);
 
-/// Verifies root and count binding; nullopt = accepted.
+/// Verifies root and count binding; nullopt = accepted. Entry counts whose
+/// sum exceeds 2^64 − 1 are a kCountMismatch.
 [[nodiscard]] std::optional<SubmissionError> verify_submission(
     const ShardSubmission& submission);
 

@@ -183,6 +183,22 @@ TEST(SubmissionTest, TamperedEntryBreaksTheRoot) {
   EXPECT_EQ(verify_submission(submission), SubmissionError::kRootMismatch);
 }
 
+TEST(SubmissionTest, WrappingEntryCountsAreACountMismatch) {
+  using mvcom::sharding::build_submission;
+  using mvcom::sharding::SubmissionError;
+  using mvcom::sharding::verify_submission;
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  // 2^63 + (2^63 + 100) wraps to a claim of 100 TXs.
+  const auto submission =
+      build_submission(7, {{"a", kHalf}, {"b", kHalf + 100}});
+  EXPECT_EQ(submission.claimed_tx_count, 100u);
+  EXPECT_EQ(verify_submission(submission), SubmissionError::kCountMismatch);
+  // The largest sum that does not wrap still verifies.
+  EXPECT_FALSE(verify_submission(
+                   build_submission(7, {{"a", kHalf}, {"b", kHalf - 1}}))
+                   .has_value());
+}
+
 TEST(SubmissionTest, EmptyShardRejected) {
   using mvcom::sharding::build_submission;
   using mvcom::sharding::SubmissionError;

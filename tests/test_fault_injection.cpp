@@ -158,6 +158,53 @@ TEST(ChaosEpochTest, CrashRecoverIsReadmittedByTheMonitor) {
   EXPECT_TRUE(report.final_decision.theorem2_respected);
 }
 
+// Overlapping fault windows act as their union: an earlier crash-recover
+// timer must not revive a node that a later crash took down for good, and
+// an earlier burst's end must not clear the loss of a burst still under
+// way. Each overlapping plan must run exactly like its union's plan.
+TEST(ChaosEpochTest, OverlappingFaultWindowsActAsTheirUnion) {
+  const auto same_outcome = [](const ChaosReport& a, const ChaosReport& b) {
+    EXPECT_EQ(a.final_decision.tier, b.final_decision.tier);
+    EXPECT_EQ(a.final_decision.decision.permitted_ids,
+              b.final_decision.decision.permitted_ids);
+    EXPECT_DOUBLE_EQ(a.final_decision.decision.utility,
+                     b.final_decision.decision.utility);
+    EXPECT_EQ(a.failures_detected, b.failures_detected);
+    EXPECT_EQ(a.recoveries_detected, b.recoveries_detected);
+    EXPECT_EQ(a.failures.size(), b.failures.size());
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto committees = workload_committees(10, seed);
+    const ChaosConfig config = chaos_config(10, 7'000);
+    const std::uint32_t victim = committees[3].submission.committee_id;
+
+    FaultPlan crashes;  // down over [100, 400), and for good from 200
+    crashes.events.push_back(
+        {FaultKind::kCrashRecover, victim, 100.0, 300.0, 1.0});
+    crashes.events.push_back({FaultKind::kCrash, victim, 200.0, 0.0, 1.0});
+    FaultPlan crash_union;
+    crash_union.events.push_back({FaultKind::kCrash, victim, 100.0, 0.0, 1.0});
+    const ChaosReport crashed =
+        run_chaos_epoch(committees, crashes, config, seed);
+    EXPECT_FALSE(contains(crashed.final_decision.decision.permitted_ids,
+                          victim));
+    same_outcome(crashed,
+                 run_chaos_epoch(committees, crash_union, config, seed));
+
+    FaultPlan bursts;  // loss over [100, 400) and [300, 1700)
+    bursts.events.push_back(
+        {FaultKind::kMessageLossBurst, 0, 100.0, 300.0, 0.97});
+    bursts.events.push_back(
+        {FaultKind::kMessageLossBurst, 0, 300.0, 1400.0, 0.97});
+    FaultPlan burst_union;
+    burst_union.events.push_back(
+        {FaultKind::kMessageLossBurst, 0, 100.0, 1600.0, 0.97});
+    same_outcome(run_chaos_epoch(committees, bursts, config, seed),
+                 run_chaos_epoch(committees, burst_union, config, seed));
+  }
+}
+
 TEST(ChaosEpochTest, RunsAreDeterministicPerSeed) {
   const auto committees = workload_committees(10, 7);
   FaultPlanConfig pc;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -330,6 +331,45 @@ TEST(ChaosObservabilityTest, EpochEmitsPromisedCategories) {
   }
   EXPECT_GT(se_iterations, 0.0);
   EXPECT_GT(decisions, 0.0);
+
+  // Every supervisor and online-loop counter series, and the event stream's
+  // digest, pinned: an admission, failure or recovery counted twice or not
+  // at all moves one of them.
+  std::map<std::string, double> counters;
+  for (const auto& m : registry.snapshot()) {
+    if (m.type != MetricsRegistry::Type::kCounter) continue;
+    if (m.name.rfind("mvcom_supervisor_", 0) != 0 &&
+        m.name.rfind("mvcom_online_", 0) != 0) {
+      continue;
+    }
+    std::string series = m.name;
+    for (const auto& label : m.labels) series += "/" + label.value;
+    counters[series] = m.value;
+  }
+  const std::map<std::string, double> expected = {
+      {"mvcom_online_failures_total", 2},
+      {"mvcom_online_recoveries_total", 0},
+      {"mvcom_online_reports_total/accepted", 11},
+      {"mvcom_online_reports_total/refused", 0},
+      {"mvcom_supervisor_decisions_total/greedy-scratch", 9},
+      {"mvcom_supervisor_decisions_total/infeasible", 31},
+      {"mvcom_supervisor_decisions_total/se-best", 36},
+      {"mvcom_supervisor_failures_total", 1},
+      {"mvcom_supervisor_probes_total/missed", 21},
+      {"mvcom_supervisor_probes_total/ok", 529},
+      {"mvcom_supervisor_recoveries_total", 0},
+      {"mvcom_supervisor_resizes_total", 0},
+      {"mvcom_supervisor_strikes_total", 1},
+      {"mvcom_supervisor_submissions_total/admitted", 11},
+      {"mvcom_supervisor_submissions_total/banned", 0},
+      {"mvcom_supervisor_submissions_total/duplicate", 0},
+      {"mvcom_supervisor_submissions_total/quarantined", 1},
+      {"mvcom_supervisor_submissions_total/readmitted", 0},
+      {"mvcom_supervisor_submissions_total/refused", 0},
+  };
+  EXPECT_EQ(counters, expected);
+  EXPECT_EQ(mvcom::obs::events_digest(recorder.snapshot()),
+            0x11c49ba6500b93e6ULL);
 
   std::string error;
   EXPECT_TRUE(mvcom::obs::validate_prometheus_text(

@@ -1,7 +1,8 @@
-// Tests for EpochSupervisor — the fault-tolerant layer around the online
-// scheduler: verified admission (quarantine/strike/ban/equivocation), the
-// DES-driven heartbeat failure detector, the graceful-degradation decide()
-// ladder, and the runtime Theorem-2 perturbation accounting.
+// Tests for EpochSupervisor's fault tolerance around Alg. 1's loop:
+// verified admission (quarantine/strike/ban/equivocation), the DES-driven
+// heartbeat failure detector, the graceful-degradation decide() ladder, and
+// the runtime Theorem-2 perturbation accounting. test_online.cpp covers the
+// loop itself (bootstrap, N_max, rejoins).
 
 #include "mvcom/supervisor.hpp"
 
@@ -63,7 +64,7 @@ bool permits(const mvcom::core::SupervisedDecision& d, std::uint32_t id) {
 }
 
 bool reports_contain(const EpochSupervisor& sup, std::uint32_t id) {
-  for (const ShardReport& r : sup.scheduler().reports()) {
+  for (const ShardReport& r : sup.reports()) {
     if (r.committee_id == id) return true;
   }
   return false;
@@ -75,7 +76,7 @@ TEST(SupervisorAdmissionTest, HonestSubmissionsAreAdmitted) {
     EXPECT_EQ(sup.on_submission(honest(i, 600), 700.0 + i, 50.0),
               Admission::kAdmitted);
   }
-  EXPECT_EQ(sup.scheduler().arrived(), 8u);
+  EXPECT_EQ(sup.reports().size(), 8u);
   const auto h = sup.health(3);
   ASSERT_TRUE(h.has_value());
   EXPECT_TRUE(h->admitted);
@@ -88,13 +89,13 @@ TEST(SupervisorAdmissionTest, InflatedClaimIsQuarantinedAndNeverAdmitted) {
   for (std::uint32_t i = 0; i < 7; ++i) {
     sup.on_submission(honest(i, 600), 700.0, 50.0);
   }
-  const std::uint64_t before = sup.scheduler().total_reported_txs();
+  const std::size_t before = sup.reports().size();
   // The issue's acceptance criterion: the inflated s_i must never enter the
   // EpochInstance.
   EXPECT_EQ(sup.on_submission(inflated(7, 600, 2400), 700.0, 50.0),
             Admission::kQuarantined);
   EXPECT_FALSE(reports_contain(sup, 7));
-  EXPECT_EQ(sup.scheduler().total_reported_txs(), before);
+  EXPECT_EQ(sup.reports().size(), before);
   const auto h = sup.health(7);
   ASSERT_TRUE(h.has_value());
   EXPECT_TRUE(h->quarantined);
@@ -112,6 +113,19 @@ TEST(SupervisorAdmissionTest, TamperedRootIsQuarantined) {
   s.claimed_root[0] ^= 0xff;  // break the commitment, keep the count
   EXPECT_EQ(sup.on_submission(s, 700.0, 50.0), Admission::kQuarantined);
   EXPECT_FALSE(reports_contain(sup, 0));
+}
+
+TEST(SupervisorAdmissionTest, WrappingEntryCountsAreQuarantined) {
+  // Entries of 2^63 and 2^63 + 100 TXs commit consistently to a wrapped
+  // claim of 100: the shard must not enter as a 100-TX committee.
+  EpochSupervisor sup(config(), 3);
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  EXPECT_EQ(sup.on_submission(
+                build_submission(7, {{"a", kHalf}, {"b", kHalf + 100}}),
+                700.0, 50.0),
+            Admission::kQuarantined);
+  EXPECT_FALSE(reports_contain(sup, 7));
+  EXPECT_EQ(sup.health(7)->strikes, 1);
 }
 
 TEST(SupervisorAdmissionTest, HonestResubmissionReadmitsQuarantined) {
@@ -171,7 +185,7 @@ TEST(SupervisorAdmissionTest, IdenticalResubmissionIsDuplicate) {
             Admission::kAdmitted);
   EXPECT_EQ(sup.on_submission(honest(0, 600), 710.0, 60.0),
             Admission::kDuplicate);
-  EXPECT_EQ(sup.scheduler().arrived(), 1u);
+  EXPECT_EQ(sup.reports().size(), 1u);
   EXPECT_EQ(sup.health(0)->strikes, 0);  // duplicates are not equivocation
 }
 
@@ -180,7 +194,7 @@ TEST(SupervisorAdmissionTest, LateArrivalAfterNmaxIsRefused) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 600), 700.0, 50.0);
   }
-  EXPECT_FALSE(sup.scheduler().listening());
+  EXPECT_FALSE(sup.listening());
   EXPECT_EQ(sup.on_submission(honest(8, 600), 700.0, 50.0),
             Admission::kRefused);
   EXPECT_FALSE(sup.health(8)->admitted);
@@ -255,14 +269,14 @@ TEST(SupervisorDecideTest, ConvergedSeSelectionIsTierOne) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 700), 650.0 + i * 15.0, 40.0);
   }
-  ASSERT_TRUE(sup.scheduler().bootstrapped());  // 8×700 > 4000 binds
+  ASSERT_TRUE(sup.bootstrapped());  // 8×700 > 4000 binds
   sup.explore(2000);
   const auto d = sup.decide();
   ASSERT_TRUE(d.decision.feasible);
   EXPECT_EQ(d.tier, DecisionTier::kSeBest);
   EXPECT_EQ(d.reason, InfeasibleReason::kNone);
   EXPECT_LE(d.decision.permitted_txs, 4000u);
-  EXPECT_GE(d.decision.permitted_ids.size(), sup.scheduler().n_min());
+  EXPECT_GE(d.decision.permitted_ids.size(), sup.n_min());
 }
 
 TEST(SupervisorDecideTest, SlackCapacityFallsThroughToGreedyTiers) {
@@ -270,7 +284,7 @@ TEST(SupervisorDecideTest, SlackCapacityFallsThroughToGreedyTiers) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 700), 650.0, 40.0);
   }
-  EXPECT_FALSE(sup.scheduler().bootstrapped());  // capacity never binds
+  EXPECT_FALSE(sup.bootstrapped());  // capacity never binds
   const auto d = sup.decide();
   ASSERT_TRUE(d.decision.feasible);
   EXPECT_NE(d.tier, DecisionTier::kSeBest);
@@ -287,7 +301,7 @@ TEST(SupervisorDecideTest, SlackCapacityDropsTheNegativeGainShard) {
   for (std::uint32_t i = 1; i < 8; ++i) {
     sup.on_submission(honest(i, 500), 1000.0 + 100.0 * i, 0.0);
   }
-  EXPECT_FALSE(sup.scheduler().bootstrapped());
+  EXPECT_FALSE(sup.bootstrapped());
   const auto d = sup.decide();
   ASSERT_TRUE(d.decision.feasible);
   EXPECT_EQ(d.tier, DecisionTier::kGreedyScratch);
@@ -348,11 +362,11 @@ TEST(SupervisorDecideTest, LadderNeverInfeasibleWhileWitnessExists) {
     sup.explore(50);
     const auto d = sup.decide();
     const bool witness = mvcom::core::n_min_witness(
-                             sup.scheduler().reports(), 4000,
-                             sup.scheduler().n_min())
+                             sup.reports(), 4000,
+                             sup.n_min())
                              .has_value();
     EXPECT_EQ(d.decision.feasible, witness) << "step " << step;
-    if (!sup.scheduler().aligned_se_selection().empty()) {
+    if (!sup.aligned_se_selection().empty()) {
       ++se_decisions;
       EXPECT_EQ(d.tier, DecisionTier::kSeBest) << "step " << step;
     }
@@ -367,7 +381,7 @@ TEST(SupervisorDecideTest, NminZeroOverCapacityDecidesTheEmptySelection) {
   SupervisorConfig c = config(4, 600);
   c.scheduler.n_min_fraction = 0.0;
   EpochSupervisor sup(c, 20);
-  ASSERT_EQ(sup.scheduler().n_min(), 0u);
+  ASSERT_EQ(sup.n_min(), 0u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     sup.on_submission(honest(i, 700 + 100 * i), 650.0, 40.0);
   }
@@ -536,12 +550,12 @@ TEST(RiskPolicyTest, StrikesRaiseNminWithTheorem2Accounting) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     sup.on_submission(honest(i, 600), 700.0, 50.0);
   }
-  const std::size_t base = sup.scheduler().n_min();
+  const std::size_t base = sup.n_min();
   ASSERT_EQ(base, 5u);  // ⌈0.5 · 10⌉
   sup.on_submission(inflated(8, 600, 1800), 700.0, 50.0);
   sup.on_submission(inflated(9, 600, 1800), 700.0, 50.0);
   EXPECT_GT(sup.risk_score(), 0.0);
-  EXPECT_EQ(sup.scheduler().n_min(), base + 2);
+  EXPECT_EQ(sup.n_min(), base + 2);
   ASSERT_FALSE(sup.resizes().empty());
   const auto& last = sup.resizes().back();
   EXPECT_EQ(last.n_min_after, base + 2);
@@ -566,16 +580,25 @@ TEST(RiskPolicyTest, ExportedRiskDecaysByCarryFactor) {
   ASSERT_EQ(carry.entries.size(), 2u);
 }
 
-TEST(OnlineSchedulerResizeTest, SetNminRefusesToReachTheNmaxCutoff) {
-  mvcom::core::OnlineCommitteeScheduler sched(config().scheduler, 40);
-  // N_max = ⌈0.8 · 10⌉ = 8: raising N_min to 8 would make bootstrap
-  // unreachable, so the call must refuse and change nothing.
-  const std::size_t before = sched.n_min();
-  EXPECT_TRUE(sched.set_n_min(7));
-  EXPECT_EQ(sched.n_min(), 7u);
-  EXPECT_FALSE(sched.set_n_min(sched.n_max_count()));
-  EXPECT_EQ(sched.n_min(), 7u);
-  EXPECT_TRUE(sched.set_n_min(before));
+TEST(RiskPolicyTest, NminBoostStopsBelowTheNmaxCutoff) {
+  // N_max = ⌈0.8 · 10⌉ = 8: a boost to N_min = 8 would make bootstrap
+  // unreachable, so however high the risk, the boost stops at 7.
+  SupervisorConfig c = config(10, 1'000'000);
+  c.risk.enabled = true;
+  c.risk.escalation_step = 1.0;
+  EpochSupervisor sup(c, 40);
+  ASSERT_EQ(sup.n_max_count(), 8u);
+  mvcom::core::SupervisorCarry carry;
+  carry.risk = 100.0;
+  sup.adopt_carry(carry);
+  EXPECT_EQ(sup.n_min(), 5u);  // no live report can witness a boost yet
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    sup.on_submission(honest(i, 600), 700.0, 50.0);
+  }
+  EXPECT_EQ(sup.n_min(), 7u);
+  ASSERT_FALSE(sup.resizes().empty());
+  EXPECT_EQ(sup.resizes().back().n_min_after, 7u);
+  EXPECT_TRUE(sup.decide().decision.feasible);
 }
 
 TEST(SupervisorConfigTest, RejectsDegenerateParameters) {
@@ -674,7 +697,7 @@ TEST_F(SupervisorMonitorTest, TotalLossBurstTripsTheDetector) {
   EXPECT_GE(supervisor_.failures_detected(), 1u);
   // After the burst clears, every committee is eventually re-admitted.
   EXPECT_EQ(supervisor_.recoveries_detected(), supervisor_.failures_detected());
-  EXPECT_EQ(supervisor_.scheduler().arrived(), 8u);
+  EXPECT_EQ(supervisor_.reports().size(), 8u);
 }
 
 }  // namespace
